@@ -154,22 +154,37 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         {"one_parameter_q": {"q": 0.25}}
         {"asymmetric": {}}
         {"N": 3, "p": [{"i": 1, "j": 2, "k": 1, "value": 0.25}, ...]}
+
+    A value of the wrong shape or type raises ``KernelError`` naming it.
     """
-    if "symmetric" in raw:
-        return symmetric_kernel(int(raw["symmetric"]["N"]))
-    if "one_parameter_q" in raw:
-        return one_parameter_kernel(float(raw["one_parameter_q"]["q"]))
-    if "asymmetric" in raw:
-        return asymmetric_kernel()
-    if "N" not in raw or "p" not in raw:
-        raise KernelError(["kernel JSON must contain 'N' and 'p' (or a named family)"])
-    n = int(raw["N"])
+    if not isinstance(raw, dict):
+        raise KernelError([f"kernel JSON must be an object, got {raw!r}"])
+    try:
+        if "symmetric" in raw:
+            return symmetric_kernel(int(raw["symmetric"]["N"]))
+        if "one_parameter_q" in raw:
+            return one_parameter_kernel(float(raw["one_parameter_q"]["q"]))
+        if "asymmetric" in raw:
+            return asymmetric_kernel()
+        if "N" not in raw or "p" not in raw:
+            raise KernelError(["kernel JSON must contain 'N' and 'p' (or a named family)"])
+        n = int(raw["N"])
+    except KernelError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise KernelError([f"malformed kernel JSON ({exc!r}): {raw!r}"]) from exc
+    if not isinstance(raw["p"], list):
+        raise KernelError([f"'p' must be a list of arc entries, got {raw['p']!r}"])
     p: Dict[Tuple[int, int, int], float] = {}
-    for entry in raw["p"]:
-        key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+    for index, entry in enumerate(raw["p"]):
+        try:
+            key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+            value = float(entry["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise KernelError([f"entry {index} of 'p' is malformed ({exc!r}): {entry!r}"]) from exc
         if key in p:
             raise KernelError([f"duplicate entry for arc {key}"])
-        p[key] = float(entry["value"])
+        p[key] = value
     return TransitionKernel(n, p)
 
 

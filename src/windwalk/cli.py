@@ -358,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-r", help="solve the hitting generating functions at one lambda")
     common(p)
     p.add_argument("--lam", type=float, help="evaluation point in [0, 1] (default 1)")
-    p.add_argument("--tol", type=float, help="fixed-point tolerance (default 1e-13)")
+    p.add_argument("--tol", type=float, help="Newton step tolerance (default 1e-13)")
     p.add_argument("--derivatives", action="store_const", const=True,
                    help="also emit first/second lambda-derivatives")
 

@@ -1,19 +1,24 @@
 """Assemble the chamber matrices, differentiate the determinant
 h(lam, z) = det[I - B(+1) B(-1)] through second-order jets, and produce the
 drift and variance of the limit theorems.
+
+A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``):
+``build_b`` fills it from the matrix form of R and its two lambda
+derivatives, ``det_h`` forms ``B(+1) B(-1)`` with 15 float matrix products,
+and ``det_jet`` eliminates over the jet ring with whole-row array
+operations, so an N-window kernel costs O(N^3) here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric
-from .jets import Jet2, power_jet, series_jet
+from .groupoid import Metric
+from .jets import Jet2, jet_inverse, jet_mul
 from .solver import (
     RDerivatives,
     RSolution,
@@ -21,6 +26,7 @@ from .solver import (
     perron_root,
     solve_r,
     solve_r_derivatives,
+    to_matrix,
 )
 
 PIVOT_EPS = 1e-14
@@ -49,107 +55,90 @@ class LimitConstants:
         }
 
 
+def weight_matrix(metric: Metric, n_windows: int, sign: int) -> np.ndarray:
+    """N x N matrix of the letter weights w(i, j, sign), zero on the diagonal."""
+    keys = np.array(list(metric.weights), dtype=np.intp).reshape(-1, 3)
+    values = np.array(list(metric.weights.values()), dtype=float)
+    chosen = keys[:, 2] == sign
+    out = np.zeros((n_windows, n_windows))
+    out[keys[chosen, 0] - 1, keys[chosen, 1] - 1] = values[chosen]
+    return out
+
+
 def build_b(
     kernel: TransitionKernel,
     r: RSolution,
     derivs: RDerivatives,
     metric: Metric,
     sign: int,
-) -> List[List[Jet2]]:
-    """N x N jet matrix with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam);
+) -> np.ndarray:
+    """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam);
     the diagonal is zero."""
     n = kernel.n_windows
-    zero = Jet2()
-    rows: List[List[Jet2]] = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(zero)
-                continue
-            w = metric.weight(Arc(i, j, sign))
-            lam_jet = series_jet(r.value(i, j, sign), derivs.first(i, j, sign),
-                                 derivs.second(i, j, sign))
-            row.append(power_jet(w) * lam_jet)
-        rows.append(row)
-    return rows
+    s = (1 - sign) // 2
+    value = to_matrix(r.values, n)[s]
+    d1 = to_matrix(derivs.d1, n)[s]
+    d2 = to_matrix(derivs.d2, n)[s]
+    w = weight_matrix(metric, n, sign)
+    # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
+    return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
 
 
-def _mat_mul(a: List[List[Jet2]], b: List[List[Jet2]]) -> List[List[Jet2]]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Jet2()
-            for m in range(n):
-                acc = acc + a[i][m] * b[m][j]
-            row.append(acc)
-        out.append(row)
-    return out
+JetMatrix = Union[np.ndarray, List[List[Jet2]]]
 
 
-def _identity_minus(prod: List[List[Jet2]]) -> List[List[Jet2]]:
-    n = len(prod)
-    return [
-        [(Jet2.const(1.0) - prod[i][j]) if i == j else -prod[i][j] for j in range(n)]
-        for i in range(n)
-    ]
+def _jet_array(matrix: JetMatrix) -> np.ndarray:
+    """A float copy of a jet matrix as a (6, n, n) coefficient array."""
+    if isinstance(matrix, np.ndarray):
+        return np.array(matrix, dtype=float)
+    coefficients = [[(x.c00, x.c10, x.c01, x.c20, x.c11, x.c02) for x in row] for row in matrix]
+    return np.moveaxis(np.array(coefficients, dtype=float), -1, 0)
 
 
-def det_jet(matrix: List[List[Jet2]]) -> Jet2:
-    """Determinant over the jet ring by LU elimination, pivoting on the
-    largest constant term.
+def det_jet(matrix: JetMatrix) -> Jet2:
+    """Determinant over the jet ring by elimination with complete pivoting on
+    the constant terms; ``matrix`` is a (6, n, n) array or a list of lists of
+    ``Jet2``.
 
     Only elimination steps divide by a pivot, so a vanishing constant term in
-    the final pivot (the simple zero of h at (1, 1)) is harmless.  If every
-    candidate pivot of a non-final column degenerates, fall back to cofactor
-    expansion for small matrices.
+    the final pivot (the simple zero of h at (1, 1)) is harmless.  When every
+    constant term of the remaining k x k block is below ``PIVOT_EPS``, its
+    determinant is the exact 2 x 2 formula for k = 2 and the zero jet for
+    k >= 3: every Leibniz term is then a product of at least three jets
+    without constant term, which truncates to zero at order 2.
     """
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    det = Jet2.const(1.0)
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].c00))
-        if col < n - 1 and abs(a[pivot_row][col].c00) < PIVOT_EPS:
-            if n <= 6:
-                return _det_cofactor(matrix)
-            raise DegenerateSystemError(
-                f"all candidate pivots in column {col} have near-zero constant term"
-            )
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
+    a = _jet_array(matrix)
+    n = a.shape[-1]
+    det = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    for s in range(n):
+        block = np.abs(a[0, s:, s:])
+        row, col = np.unravel_index(np.argmax(block), block.shape)
+        if n - s >= 2 and block[row, col] < PIVOT_EPS:
+            if n - s > 2:
+                return Jet2()
+            minor = jet_mul(a[:, s, s], a[:, s + 1, s + 1]) - jet_mul(a[:, s, s + 1], a[:, s + 1, s])
+            det = jet_mul(det, minor)
+            break
+        if row:
+            a[:, [s, s + row]] = a[:, [s + row, s]]
             det = -det
-        det = det * a[col][col]
-        if col < n - 1:
-            inv = a[col][col].inverse()
-            for r in range(col + 1, n):
-                factor = a[r][col] * inv
-                for cc in range(col + 1, n):
-                    a[r][cc] = a[r][cc] - factor * a[col][cc]
-    return det
+        if col:
+            a[:, :, [s, s + col]] = a[:, :, [s + col, s]]
+            det = -det
+        pivot = a[:, s, s]
+        det = jet_mul(det, pivot)
+        if s < n - 1:
+            factor = jet_mul(a[:, s + 1:, s], jet_inverse(pivot)[:, None])
+            a[:, s + 1:, s + 1:] -= jet_mul(factor[:, :, None], a[:, s, None, s + 1:])
+    return Jet2(*det.tolist())
 
 
-def _det_cofactor(matrix: List[List[Jet2]]) -> Jet2:
-    n = len(matrix)
-    acc = Jet2()
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for idx in range(n):  # parity by counting inversions
-            for jdx in range(idx + 1, n):
-                if seen[idx] > seen[jdx]:
-                    sign = -sign
-        term = Jet2.const(float(sign))
-        for i in range(n):
-            term = term * matrix[i][perm[i]]
-        acc = acc + term
-    return acc
-
-
-def det_h(b_plus: List[List[Jet2]], b_minus: List[List[Jet2]]) -> Jet2:
-    """Full second-order jet of h = det[I - B(+1) B(-1)] about (1, 1)."""
-    return det_jet(_identity_minus(_mat_mul(b_plus, b_minus)))
+def det_h(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
+    """Full second-order jet of h = det[I - B(+1) B(-1)] about (1, 1), from
+    the (6, N, N) arrays of ``build_b``."""
+    matrix = -jet_mul(b_plus, b_minus, np.matmul)
+    matrix[0] += np.eye(matrix.shape[-1])
+    return det_jet(matrix)
 
 
 def limit_constants(h: Jet2, metric_name: str = "custom") -> LimitConstants:
@@ -218,13 +207,7 @@ def b_matrix_values(
 ) -> np.ndarray:
     """Plain float N x N matrix of z^w R values (constant terms)."""
     n = kernel.n_windows
-    out = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                w = metric.weight(Arc(i, j, sign))
-                out[i - 1, j - 1] = z**w * r.value(i, j, sign)
-    return out
+    return z ** weight_matrix(metric, n, sign) * to_matrix(r.values, n)[(1 - sign) // 2]
 
 
 def build_k_matrix(

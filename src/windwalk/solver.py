@@ -2,14 +2,35 @@
 functions R and compute their first and second derivatives at a point by
 implicit differentiation.
 
-The system, written over the flat index ell = (i, j, k), is
+The solver holds R as a (2, N, N) array: ``R[0]`` is R+ and ``R[1]`` is R-,
+with ``R_k[i-1, j-1] = R_{i,j}^{(k)}`` and a zero diagonal.  The jump
+probabilities ``P`` have the same layout (``chamber_probabilities``).  Entry
+(i, j), i != j, of sign k reads
 
-    R = lam * (p + A1 @ R + (C @ R) * R)
+    R_k = lam * (P_k + offdiag(P_k R_k) + diag(u_{-k}) R_k),   u_k = diag(P_k R_k),
 
-where A1 carries the same-sign neighbour terms and C the opposite-sign
-return terms.  The monotone iteration a_{n+1} = f(a_n) from a_0 = f(0)
-increases componentwise to the minimal fixed point, which is the
-probabilistically correct root.
+where the product term walks to a window m != i, j in the same chamber and
+then hits j, and ``u_{-k}`` is the return to i through the other chamber.
+Newton's method started from R = 0 increases monotonically to the least
+root of this monotone polynomial system (Etessami & Yannakakis, JACM 2009),
+which is the probabilistically correct one.
+
+Every linear solve ``(I - M) D = B``, with M the Jacobian of the right-hand
+side, is done in structured form.  Column j of sign k solves the
+(N-1)-square system whose matrix is ``I - lam diag(u_{-k}) - lam P_k`` with
+row and column j deleted; the 2N column blocks are coupled only through
+the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N system.  One
+factorisation costs O(N^4) time and O(N^3) memory, against O(N^6) and
+O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).
+
+The off-diagonal entries of the (2, N, N) array in row-major order are the
+flat ``IndexMap`` order, in which the same system reads
+
+    R = lam * (p + A1 @ R + (C @ R) * R).
+
+``system_matrices`` and ``build_m_matrix`` build that dense form; they are
+the independent reference for the structured solve and feed the
+recurrence check ``transience_root``.
 """
 
 from __future__ import annotations
@@ -22,7 +43,10 @@ import numpy as np
 from .chain import TransitionKernel
 
 DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 10**6
+DEFAULT_MAX_ITER = 100
+#: Below this step size a Newton step that no longer shrinks is rounding
+#: noise, and the iteration stops there.
+STALL_STEP = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -105,34 +129,6 @@ def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.
     return index, p_vec, a1, c
 
 
-def solve_r(
-    kernel: TransitionKernel,
-    lam: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RSolution:
-    """Minimal fixed point of the quadratic system at ``lam`` in [0, 1]."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    index, p_vec, a1, c = system_matrices(kernel)
-    q = np.zeros(len(index))
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        q_next = lam * (p_vec + a1 @ q + (c @ q) * q)
-        delta = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        if delta < tol:
-            break
-    else:
-        raise SolverError(
-            f"fixed-point iteration did not converge in {max_iter} iterations", residual=delta
-        )
-    residual = float(np.max(np.abs(q - lam * (p_vec + a1 @ q + (c @ q) * q))))
-    return RSolution(lam, index, q, residual, iterations)
-
-
 def build_m_matrix(
     kernel: TransitionKernel, lam: float, values: np.ndarray
 ) -> np.ndarray:
@@ -145,27 +141,176 @@ def build_m_matrix(
     return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
 
 
+def chamber_probabilities(kernel: TransitionKernel) -> np.ndarray:
+    """The (2, N, N) array P with ``P[0] = P+`` and ``P[1] = P-``,
+    ``P_k[i-1, j-1] = p(i, j, k)`` and a zero diagonal."""
+    n = kernel.n_windows
+    keys = np.array(list(kernel.p), dtype=np.intp)
+    p = np.zeros((2, n, n))
+    p[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = list(kernel.p.values())
+    return p
+
+
+def to_matrix(values: np.ndarray, n_windows: int) -> np.ndarray:
+    """(2, N, N) array holding the flat ``IndexMap``-ordered ``values`` off
+    the diagonal."""
+    out = np.zeros((2, n_windows, n_windows))
+    out[:, ~np.eye(n_windows, dtype=bool)] = np.reshape(values, (2, -1))
+    return out
+
+
+def to_flat(matrix: np.ndarray) -> np.ndarray:
+    """Off-diagonal entries of a (2, N, N) array in ``IndexMap`` order."""
+    n = matrix.shape[-1]
+    return matrix[:, ~np.eye(n, dtype=bool)].reshape(-1)
+
+
+def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``diag(a_k b_k)`` for both signs, shape (2, N)."""
+    return np.einsum("kim,kmi->ki", a, b)
+
+
+def _offdiag(a: np.ndarray) -> np.ndarray:
+    """Zero the diagonal of both signs of ``a`` in place, and return it."""
+    np.einsum("kii->ki", a)[...] = 0.0
+    return a
+
+
+def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
+    """Right-hand side f(R) of the fixed-point form R = f(R)."""
+    u = _diag_of_product(p, r)
+    return _offdiag(lam * (p + p @ r + u[::-1, :, None] * r))
+
+
+class LinearisedSystem:
+    """``I - M`` at R, with M the Jacobian of f, factored once for any number
+    of structured solves.
+
+    Column j of ``D_k`` (without its zero diagonal entry) solves a block
+    whose matrix is ``G_k = I - lam diag(u_{-k}) - lam P_k`` with row and
+    column j deleted; its right-hand side is column j of
+    ``B_k + lam diag(t_{-k}) R_k``.  The block inverses are formed once.  The
+    2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
+    ``t_k = a_k + T_k t_{-k}``, and solve a 2N x 2N system, also inverted
+    once.
+    """
+
+    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
+        n = p.shape[-1]
+        self.p, self.lam, self.r = p, lam, r
+        self.u = _diag_of_product(p, r)
+        # keep[j] lists the windows other than j; col_of[j] broadcasts j.
+        a = np.arange(n - 1)
+        self.keep = a + (a >= np.arange(n)[:, None])
+        self.col_of = np.arange(n)[:, None]
+        g = np.eye(n) - lam * (self.u[::-1, :, None] * np.eye(n) + p)
+        blocks = g[:, self.keep[:, :, None], self.keep[:, None, :]]
+        try:
+            self.blocks_inv = np.linalg.inv(blocks)  # (2, N, N-1, N-1)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"a column block of I - M is singular: {exc}") from exc
+        # Row i of P_k without its diagonal entry; a_k[i] and T_k[i] take its
+        # product with block i's solution.
+        self.p_rows = p[:, self.col_of, self.keep]
+        self.r_cols = self._columns(r)
+        v = (self.p_rows[:, :, None, :] @ self.blocks_inv)[:, :, 0, :]
+        t_map = np.zeros((2, n, n))
+        t_map[:, self.col_of, self.keep] = lam * v * self.r_cols
+        coupling = np.eye(2 * n)
+        coupling[:n, n:] = -t_map[0]
+        coupling[n:, :n] = -t_map[1]
+        try:
+            self.coupling_inv = np.linalg.inv(coupling)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
+
+    def _columns(self, y: np.ndarray) -> np.ndarray:
+        """Column j of each sign without its diagonal entry: (2, N, N-1)."""
+        return y[:, self.keep, self.col_of]
+
+    def _block_solve(self, cols: np.ndarray) -> np.ndarray:
+        return (self.blocks_inv @ cols[..., None])[..., 0]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B."""
+        cols = self._columns(b)
+        a = np.einsum("kia,kia->ki", self.p_rows, self._block_solve(cols))
+        t = (self.coupling_inv @ a.reshape(-1)).reshape(a.shape)
+        cols = cols + self.lam * t[::-1][:, self.keep] * self.r_cols
+        out = np.zeros_like(b)
+        out[:, self.keep, self.col_of] = self._block_solve(cols)
+        return out
+
+    def apply_m(self, d: np.ndarray) -> np.ndarray:
+        """M D, the Jacobian of f at R applied to a (2, N, N) array."""
+        t = _diag_of_product(self.p, d)
+        return _offdiag(
+            self.lam * (self.p @ d + self.u[::-1, :, None] * d + t[::-1, :, None] * self.r)
+        )
+
+
+def solve_r(
+    kernel: TransitionKernel,
+    lam: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RSolution:
+    """Least root of the quadratic system at ``lam`` in [0, 1], by Newton's
+    method from R = 0.
+
+    The iteration stops when a step is at most ``tol``, or when a step below
+    ``STALL_STEP`` is no smaller than the one before it: the iterate then sits
+    at the rounding floor of the solve, which can lie above a small ``tol``.
+    ``iterations`` counts Newton steps and ``residual`` is the true defect
+    ``max |f(R) - R|`` at the returned R.
+    """
+    if not (0.0 <= lam <= 1.0):
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    p = chamber_probabilities(kernel)
+    r = np.zeros_like(p)
+    defect = _rhs(p, lam, r) - r
+    prev_step = np.inf
+    for iterations in range(1, max_iter + 1):
+        delta = LinearisedSystem(p, lam, r).solve(defect)
+        r = r + delta
+        defect = _rhs(p, lam, r) - r
+        step = float(np.max(np.abs(delta)))
+        if not np.isfinite(step):
+            raise SolverError(f"Newton step {iterations} is not finite")
+        if step <= tol or (step <= STALL_STEP and step >= prev_step):
+            break
+        prev_step = step
+    else:
+        raise SolverError(
+            f"Newton's method did not converge in {max_iter} steps (last step {step:.3e})",
+            residual=float(np.max(np.abs(defect))),
+        )
+    residual = float(np.max(np.abs(defect)))
+    return RSolution(lam, IndexMap(kernel.n_windows), to_flat(r), residual, iterations)
+
+
 def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     """Implicit first and second derivatives of R in lambda at ``r.lam``.
 
-    Differentiating the fixed point once gives (I - M) d1 = r / lam, and a
+    Differentiating the fixed point once gives (I - M) d1 = R / lam, and a
     second time (I - M) d2 = 2 (M / lam) d1 + 2 lam (C d1) * d1 with the
-    quadratic cross terms from the return products.  Both right-hand sides
-    are unit-tested against finite differences of solve_r.
+    quadratic cross terms from the return products; in the matrix form
+    ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` is factored
+    once at the root and serves both solves.
     """
     if r.lam <= 0:
         raise ValueError("derivatives require lambda > 0")
-    _, _, a1, c = system_matrices(kernel)
-    lam, q = r.lam, r.values
-    m = lam * (a1 + np.diag(c @ q) + np.diag(q) @ c)
-    eye = np.eye(len(q))
-    try:
-        d1 = np.linalg.solve(eye - m, q / lam)
-        rhs2 = 2.0 * (m @ d1) / lam + 2.0 * lam * (c @ d1) * d1
-        d2 = np.linalg.solve(eye - m, rhs2)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"implicit derivative system is singular: {exc}") from exc
-    return RDerivatives(r.index, d1, d2)
+    p = chamber_probabilities(kernel)
+    lam = r.lam
+    system = LinearisedSystem(p, lam, to_matrix(r.values, kernel.n_windows))
+    d1 = system.solve(system.r / lam)
+    t1 = _diag_of_product(p, d1)
+    d2 = system.solve(2.0 * system.apply_m(d1) / lam + 2.0 * lam * t1[::-1, :, None] * d1)
+    return RDerivatives(r.index, to_flat(d1), to_flat(d2))
 
 
 def perron_root(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> float:

@@ -140,3 +140,28 @@ def test_missing_kernel_is_invalid_input(capsys):
     code, _, err = run(capsys, "limits")
     assert code == 2
     assert "kernel" in err
+
+
+@pytest.mark.parametrize("kernel, named", [
+    ({"N": 3, "p": [{"i": 1, "j": 2, "k": 1}]}, "entry 0 of 'p'"),
+    ({"N": 3, "p": 5}, "'p' must be a list"),
+])
+def test_malformed_kernel_json_is_invalid_input(capsys, tmp_path, kernel, named):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, _, err = run(capsys, "limits", "--kernel", str(path))
+    assert code == 2
+    assert named in err
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 2
+    assert named in json.loads(out)["violations"][0]
+
+
+def test_limits_symmetric_100_meets_closed_form(capsys):
+    code, out, _ = run(capsys, "limits", "--kernel", "symmetric:100", "--metric", "fenced",
+                       "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    cf = payload["closed_form"]
+    assert abs(payload["closed_form_delta"]["gamma"]) <= 1e-10 * cf["gamma"]["fenced"]
+    assert abs(payload["closed_form_delta"]["sigma2"]) <= 1e-10 * cf["sigma2"]["fenced"]

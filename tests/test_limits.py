@@ -1,12 +1,14 @@
 """Determinant jets, drift/variance extraction, Toeplitz recurrence,
 spectral radius of the transfer block matrix."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import custom_metric, fenced_metric, word_metric
-from windwalk.jets import Jet2
+from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
+from windwalk.jets import Jet2, power_jet, series_jet
 from windwalk.limits import (
     DegenerateSystemError,
     build_b,
@@ -18,12 +20,13 @@ from windwalk.limits import (
     limit_constants,
     spectral_radius_k,
 )
-from windwalk.oracle import direct_h
+from windwalk.oracle import closed_form_symmetric, direct_h
 from windwalk.solver import solve_r, solve_r_derivatives
 
 from helpers import fd_partials
 
 KERNELS = [symmetric_kernel(3), one_parameter_kernel(0.1), asymmetric_kernel()]
+FIELDS = ("c00", "c10", "c01", "c20", "c11", "c02")
 
 
 def test_det_jet_against_numpy_on_constant_matrix():
@@ -135,3 +138,72 @@ def test_spectral_radius_matches_eigenvalues():
     mat = build_k_matrix(k, word_metric(3), 0.8, 0.95)
     rho = spectral_radius_k(k, word_metric(3), 0.8, 0.95)
     assert rho == pytest.approx(np.abs(np.linalg.eigvals(mat)).max(), abs=1e-9)
+
+
+def _leibniz(matrix):
+    """Determinant over the jet ring as the signed sum over permutations."""
+    n = len(matrix)
+    total = Jet2()
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = Jet2.const(-1.0 if inversions % 2 else 1.0)
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
+
+
+def _random_jet(rng, constant):
+    return Jet2(constant, *rng.normal(size=5))
+
+
+@pytest.mark.parametrize("zero_columns", [2, 3])
+def test_det_jet_degenerate_columns_match_leibniz(zero_columns):
+    # With the constant terms of the first columns zero, complete pivoting
+    # ends on a block whose constant terms all vanish: the exact 2 x 2 formula
+    # for two such columns, the zero jet for three.
+    rng = np.random.default_rng(7 + zero_columns)
+    m = [[_random_jet(rng, 0.0 if col < zero_columns else rng.normal()) for col in range(4)]
+         for _ in range(4)]
+    got, want = det_jet(m), _leibniz(m)
+    for name in FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+    if zero_columns == 2:
+        assert abs(want.c20) + abs(want.c11) + abs(want.c02) > 1e-3
+
+
+def test_det_jet_matches_leibniz_in_list_and_array_form():
+    rng = np.random.default_rng(11)
+    m = [[_random_jet(rng, rng.normal()) for _ in range(5)] for _ in range(5)]
+    got, want = det_jet(m), _leibniz(m)
+    for name in FIELDS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=1e-12)
+    arr = np.array([[[getattr(x, name) for x in row] for row in m] for name in FIELDS])
+    assert det_jet(arr) == got
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_large_symmetric_closed_forms(n):
+    cf = closed_form_symmetric(n)
+    k = symmetric_kernel(n)
+    for metric, gamma, sigma2 in ((word_metric(n), cf.gamma_word, cf.sigma2_word),
+                                  (fenced_metric(n), cf.gamma_fenced, cf.sigma2_fenced)):
+        constants = compute_limits(k, metric)
+        assert constants.gamma == pytest.approx(gamma, rel=1e-10)
+        assert constants.sigma2 == pytest.approx(sigma2, rel=1e-10)
+
+
+def test_build_b_matches_scalar_jets():
+    k = asymmetric_kernel()
+    metric = fenced_metric(3)
+    r = solve_r(k, 1.0)
+    d = solve_r_derivatives(k, r)
+    for sign in (1, -1):
+        b = build_b(k, r, d, metric, sign)
+        for i in range(1, 4):
+            for j in range(1, 4):
+                want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(
+                    r.value(i, j, sign), d.first(i, j, sign), d.second(i, j, sign))
+                got = b[:, i - 1, j - 1]
+                for c, name in zip(got, FIELDS):
+                    assert c == pytest.approx(getattr(want, name), rel=1e-14, abs=1e-15)

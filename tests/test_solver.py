@@ -1,9 +1,16 @@
-"""Fixed-point solver and implicit derivatives."""
+"""Newton solver, structured linear solves and implicit derivatives."""
 
 import numpy as np
 import pytest
 
-from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
+from windwalk.chain import (
+    TransitionKernel,
+    asymmetric_kernel,
+    one_parameter_kernel,
+    symmetric_kernel,
+)
+from windwalk.groupoid import fenced_metric, word_metric
+from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form_one_parameter
 from windwalk.solver import (
     IndexMap,
@@ -14,6 +21,8 @@ from windwalk.solver import (
     solve_r,
     solve_r_derivatives,
     system_matrices,
+    to_flat,
+    to_matrix,
     transience_root,
 )
 
@@ -133,3 +142,83 @@ def test_derivatives_require_positive_lambda():
     r = solve_r(k, 0.0)
     with pytest.raises(ValueError):
         solve_r_derivatives(k, r)
+
+
+def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKernel:
+    """Each window's 2(N-1) outgoing arcs draw their probabilities from a
+    symmetric Dirichlet law; entries are floored at 1e-12 so every
+    probability stays inside (0, 1)."""
+    rng = np.random.default_rng(seed)
+    p = {}
+    for i in range(1, n + 1):
+        arcs = [(i, j, k) for k in (1, -1) for j in range(1, n + 1) if j != i]
+        probs = np.maximum(rng.dirichlet(np.full(len(arcs), concentration)), 1e-12)
+        p.update(zip(arcs, probs / probs.sum()))
+    return TransitionKernel(n, p, name=f"dirichlet(N={n}, a={concentration}, seed={seed})")
+
+
+DIRICHLET_KERNELS = [
+    dirichlet_kernel(n, concentration, seed=100 * n + idx)
+    for n in range(3, 9)
+    for idx, concentration in enumerate((1.0, 0.05))
+]
+
+
+@pytest.mark.parametrize("kernel", DIRICHLET_KERNELS, ids=repr)
+def test_structured_solve_matches_flat_system(kernel):
+    _, p, a1, c = system_matrices(kernel)
+    r = solve_r(kernel, 1.0)
+    q = r.values
+    assert np.max(np.abs(q - (p + a1 @ q + (c @ q) * q))) <= 1e-13
+    assert r.residual <= 1e-13
+    d = solve_r_derivatives(kernel, r)
+    m = build_m_matrix(kernel, 1.0, q)
+    d1 = np.linalg.solve(np.eye(len(q)) - m, q)
+    d2 = np.linalg.solve(np.eye(len(q)) - m, 2.0 * m @ d1 + 2.0 * (c @ d1) * d1)
+    assert np.max(np.abs(d.d1 - d1)) <= 1e-10 * np.max(np.abs(d1))
+    assert np.max(np.abs(d.d2 - d2)) <= 1e-10 * np.max(np.abs(d2))
+
+
+def test_matrix_form_follows_index_map_order():
+    n = 4
+    values = np.arange(2 * n * (n - 1), dtype=float)
+    matrix = to_matrix(values, n)
+    for flat, (i, j, k) in enumerate(IndexMap(n).tuples):
+        assert matrix[(1 - k) // 2, i - 1, j - 1] == values[flat]
+    assert np.all(np.diagonal(matrix, axis1=1, axis2=2) == 0.0)
+    assert np.array_equal(to_flat(matrix), values)
+
+
+@pytest.mark.parametrize("q, rel", [(1e-3, 1e-12), (1e-5, 1e-10)])
+def test_newton_small_q_closed_forms(q, rel):
+    k = one_parameter_kernel(q)
+    r = solve_r(k, 1.0)
+    d = solve_r_derivatives(k, r)
+    cf = closed_form_one_parameter(q)
+    for got, key in ((r.value(2, 1, 1), "R1"), (r.value(1, 2, 1), "R2"), (r.value(1, 3, 1), "R3"),
+                     (d.first(2, 1, 1), "R1p"), (d.first(1, 2, 1), "R2p"),
+                     (d.first(1, 3, 1), "R3p")):
+        assert got == pytest.approx(cf.r_values[key], rel=rel), key
+    for metric, gamma, sigma2 in ((word_metric(3), cf.gamma_word, cf.sigma2_word),
+                                  (fenced_metric(3), cf.gamma_fenced, cf.sigma2_fenced)):
+        constants = compute_limits(k, metric)
+        assert constants.gamma == pytest.approx(gamma, rel=rel)
+        assert constants.sigma2 == pytest.approx(sigma2, rel=rel)
+
+
+def test_newton_step_count_and_rounding_floor_at_small_q():
+    k = one_parameter_kernel(1e-5)
+    assert solve_r(k, 1.0).iterations < 30
+    r = solve_r(k, 1.0, tol=1e-15)
+    assert r.residual <= 1e-15
+    assert r.iterations < 30
+    # The step levels off near 2e-16, so no step reaches this tol; the stall
+    # rule ends the iteration at the rounding floor instead of the step cap.
+    r = solve_r(k, 1.0, tol=1e-18)
+    assert r.residual <= 1e-15
+    assert r.iterations < 30
+
+
+def test_newton_step_cap_raises():
+    with pytest.raises(SolverError):
+        solve_r(asymmetric_kernel(), 1.0, max_iter=2)
