@@ -100,6 +100,8 @@ def _check(n_windows: int, p: Dict[Tuple[int, int, int], float]) -> List[str]:
 
 def symmetric_kernel(n_windows: int) -> TransitionKernel:
     """The totally symmetric family: every arc has probability 1/(2N-2)."""
+    if n_windows < 3:
+        raise KernelError([f"N must be at least 3, got {n_windows}"])
     value = 1.0 / (2 * n_windows - 2)
     p = {
         (i, j, k): value
@@ -331,12 +333,9 @@ def sample_hitting_times(
     active = np.arange(n_samples)
     for n in range(1, cap + 1):
         state.advance()
-        hit = (
-            (state.depth == 1)
-            & (state.stack_i[:, 0] == target.i)
-            & (state.stack_k[:, 0] == target.k)
-            & (state.target == target.j)
-        )
+        # Every path starts at window target.i, so a one-letter word is the
+        # target arc exactly when its sign and its end window match.
+        hit = (state.depth == 1) & (state.top_k == target.k) & (state.target == target.j)
         if hit.any():
             times[active[hit]] = n
             keep = ~hit
@@ -348,105 +347,139 @@ def sample_hitting_times(
 
 
 class _BatchState:
-    """Vectorised stacks for many independent paths of the chain.
+    """Vectorised reduced words for many independent paths of the chain.
 
-    Per path: stacks of (source, sign) per letter, the current target window,
-    and the running metric length.  Word length equals stack depth.
+    Signs alternate along a reduced word, so a word is fixed by the windows
+    it passes through and the sign of its last letter.  Per path the state
+    holds the depth (word length), ``top_k`` (sign of the last letter, 0 for
+    the empty word), the current target window and the running metric
+    length.  ``stack`` is depth-major, shape ``(cap, n_paths)``: slot ``d``
+    of a path holds the window reached after its first ``d`` letters, so
+    slot 0 is the source, slot ``depth - 1`` the source of the last letter
+    and slot ``depth`` the target.
+
+    One step draws an arc (j, k) from the target window i and rewrites the
+    word with no branch per case.  With ``same = (top_k == k)`` the step is a
+    push when not ``same``, a pop (backtrack) when ``same`` and the last
+    letter starts at j, and a merge otherwise.  With ``a`` the source of the
+    last letter when ``same`` and i when not, the metric changes by
+    ``w[k, a, j] - w[k, a, i]`` in all three cases, because the weight table
+    is zero on its diagonal.  The depth moves by +1, -1 or 0, and j is
+    written into the new slot ``depth``.
     """
 
     def __init__(self, kernel, metric, n_paths, initial: Word, seed, max_depth):
-        self.kernel = kernel
         n = kernel.n_windows
         self.n_paths = n_paths
         d0 = len(initial.letters)
-        self.max_depth = max_depth + d0
-        cap0 = min(self.max_depth, max(64, 2 * d0))
-        self.stack_i = np.zeros((n_paths, cap0), dtype=np.int8)
-        self.stack_k = np.zeros((n_paths, cap0), dtype=np.int8)
-        for idx, arc in enumerate(initial.letters):
-            self.stack_i[:, idx] = arc.i
-            self.stack_k[:, idx] = arc.k
+        # Slots needed: the source plus one per letter.
+        self._slots = max_depth + d0 + 1
+        cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
+        self.stack = np.zeros((cap0, n_paths), dtype=np.min_scalar_type(n))
+        self.stack[0] = initial.source
+        for d, arc in enumerate(initial.letters):
+            self.stack[d + 1] = arc.j
+        self._flat = self.stack.reshape(-1)
         self.depth = np.full(n_paths, d0, dtype=np.int64)
+        self.top_k = np.full(n_paths, initial.letters[-1].k if d0 else 0, dtype=np.int64)
         self.target = np.full(n_paths, initial.target, dtype=np.int64)
         m0 = sum(metric.weight(arc) for arc in initial.letters)
         self.metric_len = np.full(n_paths, m0, dtype=np.float64)
-        # Dense weight table indexed [sign_index, i, j] with sign_index 0 for +1.
-        self.weights = np.zeros((2, n + 1, n + 1), dtype=np.float64)
+        self._rows = np.arange(n_paths)
+        # Steps that fit before the deepest path could outgrow the stack.
+        self._room = cap0 - 1 - d0
+        # Arc tables, flat over (source window, arc index).  The last
+        # cumulative entry is 1.0 and never below a uniform, so it is left out.
+        self._width = kernel._cum.shape[1]
+        self._cum_t = np.ascontiguousarray(kernel._cum[:, :-1].T)
+        self._arc_j = kernel._arc_j.reshape(-1)
+        self._arc_k = kernel._arc_k.reshape(-1)
+        # Flat weight table over (sign index, i, j), sign index 0 for +1; per
+        # arc the offsets of (sign, ., j) and (sign, ., source) in it.
+        self._stride = n + 1
+        weights = np.zeros((2, n + 1, n + 1), dtype=np.float64)
         for (i, j, k), wgt in metric.weights.items():
-            self.weights[0 if k == 1 else 1, i, j] = wgt
+            if i != j:  # the diagonal stays 0; the metric formula relies on it
+                weights[0 if k == 1 else 1, i, j] = wgt
+        self._weights = weights.reshape(-1)
+        sign_base = (1 - self._arc_k) // 2 * (n + 1) ** 2
+        self._w_end = sign_base + self._arc_j
+        self._w_start = sign_base + np.repeat(np.arange(n + 1), self._width)
         # One child stream per path, split from the master seed, so path p's
         # randomness depends on (seed, p) alone.  Uniforms are pre-drawn in
         # chunks to keep stepping vectorised.
         self.rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)]
+        # `_buf` is step-major, (chunk, n_paths), so each step reads one
+        # contiguous row.  Paths draw their chunks into the rows of a small
+        # block, which is copied into `_buf` one block of columns at a time.
+        # Block rows are one longer than the chunk: a row stride of 4 KiB
+        # would make that transposing copy alias in the cache.
         self._chunk = 512
-        self._buf = np.empty((n_paths, 0))
-        self._ptr = 0
+        self._block = np.empty((64, self._chunk + 1))[:, : self._chunk]
+        self._buf = np.empty((self._chunk, n_paths))
+        self._ptr = self._chunk
 
     def _next_uniforms(self) -> np.ndarray:
-        if self._ptr >= self._buf.shape[1]:
-            self._buf = (
-                np.stack([rng.random(self._chunk) for rng in self.rngs])
-                if self.rngs
-                else np.empty((0, self._chunk))
-            )
+        if self._ptr >= self._chunk:
+            step = len(self._block)
+            for start in range(0, self.n_paths, step):
+                rngs = self.rngs[start : start + step]
+                block = self._block[: len(rngs)]
+                for rng, row in zip(rngs, block):
+                    rng.random(out=row)
+                self._buf[:, start : start + len(rngs)] = block.T
             self._ptr = 0
-        u = self._buf[:, self._ptr]
+        u = self._buf[self._ptr]
         self._ptr += 1
         return u
 
     def select(self, keep: np.ndarray) -> None:
-        self.stack_i = self.stack_i[keep]
-        self.stack_k = self.stack_k[keep]
+        # np.compress keeps the result C-contiguous, as `_flat` and the
+        # step-major `_buf` need; a boolean column index would not.
+        self.stack = np.compress(keep, self.stack, axis=1)
+        self._flat = self.stack.reshape(-1)
         self.depth = self.depth[keep]
+        self.top_k = self.top_k[keep]
         self.target = self.target[keep]
         self.metric_len = self.metric_len[keep]
         self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
-        self._buf = self._buf[keep]
+        self._buf = np.compress(keep, self._buf, axis=1)
         self.n_paths = int(keep.sum())
+        self._rows = np.arange(self.n_paths)
 
-    def _ensure_capacity(self) -> None:
-        # Stacks grow geometrically; depth increases by at most 1 per step.
-        cap = self.stack_i.shape[1]
-        if self.n_paths and int(self.depth.max()) + 1 >= cap:
-            new_cap = min(self.max_depth, max(2 * cap, cap + 64))
-            pad = new_cap - cap
-            self.stack_i = np.pad(self.stack_i, ((0, 0), (0, pad)))
-            self.stack_k = np.pad(self.stack_k, ((0, 0), (0, pad)))
+    def _grow(self) -> None:
+        # The stack grows geometrically; depth increases by at most 1 per step.
+        cap = self.stack.shape[0]
+        new_cap = min(self._slots, max(2 * cap, cap + 64))
+        pad = np.zeros((new_cap - cap, self.n_paths), dtype=self.stack.dtype)
+        self.stack = np.concatenate((self.stack, pad))
+        self._flat = self.stack.reshape(-1)
+        self._room = new_cap - 1 - int(self.depth.max(initial=0))
 
     def advance(self) -> None:
-        self._ensure_capacity()
-        kernel = self.kernel
+        if self._room <= 0:
+            self._grow()
+        self._room -= 1
         n_paths = self.n_paths
-        rows = np.arange(n_paths)
+        target = self.target
         u = self._next_uniforms()
-        cum = kernel._cum[self.target]
-        idx = (u[:, None] > cum).sum(axis=1)
-        gj = kernel._arc_j[self.target, idx]
-        gk = kernel._arc_k[self.target, idx]
-        has_top = self.depth > 0
-        top = np.maximum(self.depth - 1, 0)
-        top_i = self.stack_i[rows, top].astype(np.int64)
-        top_k = self.stack_k[rows, top].astype(np.int64)
-        ksel = (1 - gk) // 2  # 0 for +1, 1 for -1
-        push = ~has_top | (top_k != gk)
-        pop = has_top & (top_k == gk) & (top_i == gj)
-        merge = has_top & (top_k == gk) & (top_i != gj)
-
-        if push.any():
-            r = rows[push]
-            self.metric_len[r] += self.weights[ksel[push], self.target[push], gj[push]]
-            self.stack_i[r, self.depth[push]] = self.target[push]
-            self.stack_k[r, self.depth[push]] = gk[push]
-            self.depth[push] += 1
-        if pop.any():
-            self.metric_len[pop] -= self.weights[ksel[pop], gj[pop], self.target[pop]]
-            self.depth[pop] -= 1
-        if merge.any():
-            self.metric_len[merge] += (
-                self.weights[ksel[merge], top_i[merge], gj[merge]]
-                - self.weights[ksel[merge], top_i[merge], self.target[merge]]
-            )
-        self.target = gj.astype(np.int64)
+        arc = target * self._width + (u > self._cum_t.take(target, axis=1)).sum(axis=0)
+        gj = self._arc_j.take(arc)
+        gk = self._arc_k.take(arc)
+        # Slot depth - 1 holds the source of the last letter.  At depth 0 the
+        # index is negative and reads the stack's last row; `same` is False
+        # there, so the value is never used.
+        top_i = self._flat.take((self.depth - 1) * n_paths + self._rows)
+        same = self.top_k == gk
+        a = np.where(same, top_i, target) * self._stride
+        w = self._weights
+        self.metric_len += w.take(a + self._w_end.take(arc)) - w.take(a + self._w_start.take(arc))
+        pop = same & (top_i == gj)
+        self.depth += ~same
+        self.depth -= pop
+        self.top_k = np.where(pop, -gk, gk) * (self.depth != 0)
+        self._flat[self.depth * n_paths + self._rows] = gj
+        self.target = gj
 
 
 def run_length_paths(

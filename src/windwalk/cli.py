@@ -109,7 +109,21 @@ def _build_metric(spec, n_windows: int) -> Metric:
         entries = spec.get("custom")
         if entries is None:
             raise ConfigError("metric object must carry a 'custom' weight list")
-        weights = {(int(e["i"]), int(e["j"]), int(e["k"])): float(e["weight"]) for e in entries}
+        if not isinstance(entries, list):
+            raise ConfigError(f"'custom' must be a list of weight entries, got {entries!r}")
+        weights = {}
+        for index, entry in enumerate(entries):
+            try:
+                key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+                value = float(entry["weight"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"entry {index} of the custom metric is malformed ({exc!r}): {entry!r}"
+                ) from exc
+            i, j, k = key
+            if not (1 <= i <= n_windows and 1 <= j <= n_windows and i != j and k in (1, -1)):
+                raise ConfigError(f"entry {index} of the custom metric names no arc: {entry!r}")
+            weights[key] = value
         return custom_metric(n_windows, weights)
     if spec == "word":
         return word_metric(n_windows)

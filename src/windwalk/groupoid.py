@@ -184,10 +184,6 @@ def metric_length(w: Word, m: Metric) -> float:
     return float(sum(m.weight(arc) for arc in w.letters))
 
 
-def word_length(w: Word) -> int:
-    return len(w.letters)
-
-
 _UNIT_RE = re.compile(r"^e(\d+)$")
 _ARC_RE = re.compile(r"A\((\d+),(\d+),([+-])\)")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats
 
 from .chain import TransitionKernel, run_length_paths, simulate
 from .groupoid import Arc, Metric, Word, unit
@@ -124,6 +123,10 @@ def verify_clt(
         raise ValueError("requires n_steps >= 1e4 and n_paths >= 1e3")
     if sigma2_ref <= 0:
         raise ValueError("sigma2_ref must be positive")
+    # Imported here, not at module level: scipy.stats costs about a second
+    # to import, and nothing else in the package needs it.
+    from scipy import stats
+
     _, ml = run_length_paths(kernel, metric, n_steps, n_paths, seed)
     z = (ml - gamma_ref * n_steps) / np.sqrt(n_steps)
     sigma2_hat = float(np.var(z, ddof=1))

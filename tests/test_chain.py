@@ -18,6 +18,7 @@ from windwalk.chain import (
     validate_kernel,
 )
 from windwalk.groupoid import Arc, Word, fenced_metric, metric_length, unit, word_metric
+from windwalk.groupoid import word_from_str
 
 
 def test_symmetric_kernel_valid():
@@ -160,3 +161,43 @@ def test_hitting_time_censoring():
     # transient chain: a positive fraction of paths never hits
     assert (many == -1).any()
     assert (many[many > 0] >= 1).all()
+
+
+def _first_hit(kernel, target, cap, seed):
+    """First n in 1..cap at which the scalar chain from unit(target.i) is the
+    one-letter word ``target``, or -1."""
+    traj = simulate(unit(target.i), kernel, cap, seed=seed, record_words=True)
+    goal = Word(target.i, (target,))
+    return next((n for n, w in enumerate(traj.states) if n and w == goal), -1)
+
+
+@pytest.mark.parametrize("kernel", [
+    asymmetric_kernel(), one_parameter_kernel(0.01), symmetric_kernel(5),
+], ids=["asymmetric", "one_parameter:0.01", "symmetric:5"])
+@pytest.mark.parametrize("initial", ["e1", "A(1,2,+)A(2,3,-)"])
+def test_batch_equals_scalar_exactly(kernel, initial):
+    # Same child streams, so every path's final word length and fenced metric
+    # length equal the scalar chain's to the last bit.  600 steps take some
+    # paths past the first stack capacity of 64 letters.
+    start = word_from_str(initial)
+    fm = fenced_metric(kernel.n_windows)
+    n_steps, n_paths = 600, 6
+    wl, ml = run_length_paths(kernel, fm, n_steps, n_paths, seed=17, initial=start)
+    assert wl.max() > 64
+    children = np.random.SeedSequence(17).spawn(n_paths)
+    for p in range(n_paths):
+        traj = simulate(start, kernel, n_steps, seed=children[p], metric=fm)
+        assert wl[p] == traj.word_lens[-1] == len(traj.final)
+        assert ml[p] == traj.metric_lens[-1]
+
+
+@pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)])
+def test_hitting_times_equal_scalar_first_hits(target):
+    # The batch drops paths as they hit; the others keep their streams.
+    k = asymmetric_kernel()
+    cap, n_samples = 40, 60
+    times = sample_hitting_times(target, k, cap=cap, seed=31, n_samples=n_samples)
+    children = np.random.SeedSequence(31).spawn(n_samples)
+    expected = [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    assert times.tolist() == expected
+    assert -1 in expected and any(t > 1 for t in expected)

@@ -165,3 +165,42 @@ def test_limits_symmetric_100_meets_closed_form(capsys):
     cf = payload["closed_form"]
     assert abs(payload["closed_form_delta"]["gamma"]) <= 1e-10 * cf["gamma"]["fenced"]
     assert abs(payload["closed_form_delta"]["sigma2"]) <= 1e-10 * cf["sigma2"]["fenced"]
+
+
+def test_limits_symmetric_below_three_windows_is_invalid_input(capsys):
+    code, _, err = run(capsys, "limits", "--kernel", "symmetric:1")
+    assert code == 2
+    assert "at least 3" in err
+
+
+@pytest.mark.parametrize("entry, named", [
+    ({"i": 1, "j": 2, "k": 1}, "entry 1 of the custom metric is malformed"),
+    ({"i": 1, "j": 2, "k": 1, "weight": "heavy"}, "entry 1 of the custom metric is malformed"),
+    ({"i": 1, "j": 1, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
+    ({"i": 1, "j": 7, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
+])
+def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named):
+    cfg = tmp_path / "cfg.json"
+    good = {"i": 2, "j": 3, "k": -1, "weight": 1.5}
+    cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": {"custom": [good, entry]}}))
+    code, _, err = run(capsys, "limits", "--config", str(cfg))
+    assert code == 2
+    assert named in err
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is imported by verify_clt alone, so plain imports and CLI
+    # commands such as `limits` do not pay for it.
+    import os
+    import subprocess
+    import sys
+
+    import windwalk
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(windwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, windwalk, windwalk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
