@@ -9,13 +9,16 @@ derives one child seed per path from the master seed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import Arc, Metric, Word, append, unit, word_metric
+from .groupoid import (Arc, Metric, Word, append, chamber_array, other_windows, unit,
+                       weight_array, word_metric)
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_HITTING_CAP = 10**6
@@ -32,38 +35,54 @@ class KernelError(ValueError):
 class TransitionKernel:
     """Validated jump probabilities p[(i, j, k)] for all ordered window pairs.
 
-    The kernel is immutable after construction and safe to share across
-    threads.  Per-source cumulative tables for generator sampling are built
-    once here.
+    The kernel is immutable and safe to share across threads.  Its read-only
+    tables are built once, after validation: the chamber array ``P`` of the
+    probabilities (``groupoid.chamber_array``), and in row i of ``arc_j`` and
+    ``arc_k`` the ends and signs of the arcs leaving window i (k = +1, then
+    -1; j ascending), from which ``arc_index`` samples.  ``family`` is the
+    ``(name, params)`` of a family with a closed form, else ``None``.
     """
 
-    def __init__(self, n_windows: int, p: Dict[Tuple[int, int, int], float], name: str = "custom"):
+    def __init__(self, n_windows: int, p: Dict[Tuple[int, int, int], float],
+                 name: str = "custom", family: Optional[Tuple[str, dict]] = None):
         violations = _check(n_windows, p)
         if violations:
             raise KernelError(violations)
-        self.n_windows = n_windows
+        self.n_windows = n = n_windows
         self.p = dict(p)
         self.name = name
-        n = n_windows
-        # Arc enumeration per source window, fixed order: k=+1 then k=-1, j ascending.
-        self._arc_j = np.zeros((n + 1, 2 * (n - 1)), dtype=np.int64)
-        self._arc_k = np.zeros((n + 1, 2 * (n - 1)), dtype=np.int64)
-        self._cum = np.zeros((n + 1, 2 * (n - 1)), dtype=np.float64)
-        for i in range(1, n + 1):
-            arcs = [(j, k) for k in (1, -1) for j in range(1, n + 1) if j != i]
-            probs = np.array([p[(i, j, k)] for j, k in arcs])
-            self._arc_j[i] = [j for j, _ in arcs]
-            self._arc_k[i] = [k for _, k in arcs]
-            self._cum[i] = np.cumsum(probs)
-            self._cum[i, -1] = 1.0  # guard against round-off at the top
+        self.family = family
+        self.P = chamber_array(self.p, n)
+        # Row i of P+ then of P-, each without its diagonal entry.  Row 0 of
+        # the arc tables is padding, so that windows index them directly.
+        others, pad = other_windows(n), ((1, 0), (0, 0))
+        rows = self.P[:, np.arange(n)[:, None], others].swapaxes(0, 1).reshape(n, -1)
+        self.arc_j = np.pad(np.tile(others + 1, 2), pad)
+        self.arc_k = np.pad(np.tile(np.repeat([1, -1], n - 1), (n, 1)), pad)
+        for table in (self.P, self.arc_j, self.arc_k):
+            table.flags.writeable = False
+        # The last running sum would be 1.0 up to round-off and lies above
+        # every uniform, so the arc rule leaves it out.
+        cum = np.pad(np.cumsum(rows, axis=1)[:, :-1], pad)
+        self._cum_rows = cum.tolist()
+        self._cum_t = cum.T.copy()
+
+    def arc_index(self, i, u):
+        """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
+        being the running sum of the row's probabilities.  ``i`` and ``u``
+        are a window and a float, or equal-shape arrays (one draw per path);
+        both forms apply this one inequality to the same table."""
+        if isinstance(u, float):
+            return bisect_left(self._cum_rows[i], u)
+        return (u > self._cum_t.take(i, axis=1)).sum(axis=0)
 
     def prob(self, i: int, j: int, k: int) -> float:
         return self.p[(i, j, k)]
 
     def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
         return [
-            (Arc(i, int(j), int(k)), float(self.p[(i, int(j), int(k))]))
-            for j, k in zip(self._arc_j[i], self._arc_k[i])
+            (Arc(i, j, k), float(self.p[(i, j, k)]))
+            for j, k in zip(self.arc_j[i].tolist(), self.arc_k[i].tolist())
         ]
 
     def __repr__(self) -> str:
@@ -110,7 +129,8 @@ def symmetric_kernel(n_windows: int) -> TransitionKernel:
         if i != j
         for k in (1, -1)
     }
-    return TransitionKernel(n_windows, p, name=f"symmetric(N={n_windows})")
+    return TransitionKernel(n_windows, p, name=f"symmetric(N={n_windows})",
+                            family=("symmetric", {"N": n_windows}))
 
 
 def one_parameter_kernel(q: float) -> TransitionKernel:
@@ -122,7 +142,8 @@ def one_parameter_kernel(q: float) -> TransitionKernel:
         p[(2, 1, k)] = p[(2, 3, k)] = 0.25
         p[(1, 2, k)] = p[(3, 2, k)] = q
         p[(1, 3, k)] = p[(3, 1, k)] = 0.5 - q
-    return TransitionKernel(3, p, name=f"one_parameter(q={q})")
+    return TransitionKernel(3, p, name=f"one_parameter(q={q})",
+                            family=("one_parameter", {"q": q}))
 
 
 #: The arbitrary fixed N=3 kernel used as a built-in asymmetric test case.
@@ -144,7 +165,7 @@ ASYMMETRIC_PROBS: Dict[Tuple[int, int, int], Fraction] = {
 
 def asymmetric_kernel() -> TransitionKernel:
     p = {key: float(val) for key, val in ASYMMETRIC_PROBS.items()}
-    return TransitionKernel(3, p, name="asymmetric")
+    return TransitionKernel(3, p, name="asymmetric", family=("asymmetric", {}))
 
 
 def validate_kernel(raw: dict) -> TransitionKernel:
@@ -233,11 +254,8 @@ class HittingTimeSample:
 def step(w: Word, kernel: TransitionKernel, rng: np.random.Generator) -> Word:
     """Advance one step: sample an arc leaving the current target window."""
     i = w.target
-    u = rng.random()
-    idx = int(np.searchsorted(kernel._cum[i], u, side="right"))
-    idx = min(idx, kernel._cum.shape[1] - 1)
-    g = Arc(i, int(kernel._arc_j[i, idx]), int(kernel._arc_k[i, idx]))
-    return append(w, g)
+    m = kernel.arc_index(i, rng.random())
+    return append(w, Arc(i, int(kernel.arc_j[i, m]), int(kernel.arc_k[i, m])))
 
 
 def simulate(
@@ -268,13 +286,12 @@ def simulate(
     metric_lens[0] = mlen
     states = [start] if record_words else None
     word = start
-    cum, arc_j, arc_k = kernel._cum, kernel._arc_j, kernel._arc_k
+    arc_index, arc_j, arc_k = kernel.arc_index, kernel.arc_j.tolist(), kernel.arc_k.tolist()
     wt = metric.weights
     for n in range(1, n_steps + 1):
-        u = rng.random()
-        idx = min(int(np.searchsorted(cum[target], u, side="right")), cum.shape[1] - 1)
-        gj = int(arc_j[target, idx])
-        gk = int(arc_k[target, idx])
+        idx = arc_index(target, rng.random())
+        gj = arc_j[target][idx]
+        gk = arc_k[target][idx]
         if not stack_i or stack_k[-1] != gk:  # push
             mlen += wt[(target, gj, gk)]
             stack_i.append(target)
@@ -388,22 +405,18 @@ class _BatchState:
         self._rows = np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.
         self._room = cap0 - 1 - d0
-        # Arc tables, flat over (source window, arc index).  The last
-        # cumulative entry is 1.0 and never below a uniform, so it is left out.
-        self._width = kernel._cum.shape[1]
-        self._cum_t = np.ascontiguousarray(kernel._cum[:, :-1].T)
-        self._arc_j = kernel._arc_j.reshape(-1)
-        self._arc_k = kernel._arc_k.reshape(-1)
-        # Flat weight table over (sign index, i, j), sign index 0 for +1; per
-        # arc the offsets of (sign, ., j) and (sign, ., source) in it.
+        # The kernel's arc rule, and its arc tables flat over (window, arc).
+        self._arc_index = kernel.arc_index
+        self._width = kernel.arc_j.shape[1]
+        self._ends = kernel.arc_j.reshape(-1)
+        self._signs = kernel.arc_k.reshape(-1)
+        # The metric's weight array, padded to 1-based windows and flat, and
+        # per arc the offsets of (sign, ., j) and (sign, ., source) in it.
+        # Its zero diagonal makes the metric formula hold.
         self._stride = n + 1
-        weights = np.zeros((2, n + 1, n + 1), dtype=np.float64)
-        for (i, j, k), wgt in metric.weights.items():
-            if i != j:  # the diagonal stays 0; the metric formula relies on it
-                weights[0 if k == 1 else 1, i, j] = wgt
-        self._weights = weights.reshape(-1)
-        sign_base = (1 - self._arc_k) // 2 * (n + 1) ** 2
-        self._w_end = sign_base + self._arc_j
+        self._weights = np.pad(weight_array(metric, n), ((0, 0), (1, 0), (1, 0))).reshape(-1)
+        sign_base = (1 - self._signs) // 2 * (n + 1) ** 2
+        self._w_end = sign_base + self._ends
         self._w_start = sign_base + np.repeat(np.arange(n + 1), self._width)
         # One child stream per path, split from the master seed, so path p's
         # randomness depends on (seed, p) alone.  Uniforms are pre-drawn in
@@ -413,14 +426,18 @@ class _BatchState:
         # contiguous row.  Paths draw their chunks into the rows of a small
         # block, which is copied into `_buf` one block of columns at a time.
         # Block rows are one longer than the chunk: a row stride of 4 KiB
-        # would make that transposing copy alias in the cache.
+        # would make that transposing copy alias in the cache.  `_cols` lists
+        # the columns of the paths that `select` kept until the next refill.
         self._chunk = 512
         self._block = np.empty((64, self._chunk + 1))[:, : self._chunk]
         self._buf = np.empty((self._chunk, n_paths))
         self._ptr = self._chunk
+        self._cols = None
 
     def _next_uniforms(self) -> np.ndarray:
         if self._ptr >= self._chunk:
+            if self._cols is not None:
+                self._buf, self._cols = np.empty((self._chunk, self.n_paths)), None
             step = len(self._block)
             for start in range(0, self.n_paths, step):
                 rngs = self.rngs[start : start + step]
@@ -431,19 +448,19 @@ class _BatchState:
             self._ptr = 0
         u = self._buf[self._ptr]
         self._ptr += 1
-        return u
+        return u if self._cols is None else u.take(self._cols)
 
     def select(self, keep: np.ndarray) -> None:
-        # np.compress keeps the result C-contiguous, as `_flat` and the
-        # step-major `_buf` need; a boolean column index would not.
+        # np.compress keeps the result C-contiguous, as `_flat` needs; a
+        # boolean column index would not.
         self.stack = np.compress(keep, self.stack, axis=1)
         self._flat = self.stack.reshape(-1)
         self.depth = self.depth[keep]
         self.top_k = self.top_k[keep]
         self.target = self.target[keep]
         self.metric_len = self.metric_len[keep]
-        self.rngs = [rng for rng, kept in zip(self.rngs, keep) if kept]
-        self._buf = np.compress(keep, self._buf, axis=1)
+        self.rngs = list(compress(self.rngs, keep.tolist()))
+        self._cols = np.flatnonzero(keep) if self._cols is None else self._cols[keep]
         self.n_paths = int(keep.sum())
         self._rows = np.arange(self.n_paths)
 
@@ -463,9 +480,9 @@ class _BatchState:
         n_paths = self.n_paths
         target = self.target
         u = self._next_uniforms()
-        arc = target * self._width + (u > self._cum_t.take(target, axis=1)).sum(axis=0)
-        gj = self._arc_j.take(arc)
-        gk = self._arc_k.take(arc)
+        arc = target * self._width + self._arc_index(target, u)
+        gj = self._ends.take(arc)
+        gk = self._signs.take(arc)
         # Slot depth - 1 holds the source of the last letter.  At depth 0 the
         # index is negative and reads the stack's last row; `same` is False
         # there, so the value is never used.

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,7 +45,7 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_Q_GRID = [round(0.02 * i, 10) for i in range(1, 25)]  # 0.02 .. 0.48
 
-_COMMON_KEYS = {"kernel", "metric", "seed", "output", "threads"}
+_COMMON_KEYS = {"kernel", "metric", "seed", "output"}
 _ALLOWED_KEYS = {
     "validate": _COMMON_KEYS,
     "solve-r": _COMMON_KEYS | {"lam", "tol", "derivatives"},
@@ -176,8 +175,8 @@ def cmd_limits(args, config) -> int:
     if abs(constants.h_partials["d_z"]) < 1e-12:
         payload["warning"] = "metric is degenerate: the determinant does not depend on z"
     if _setting(args, config, "oracle", False):
-        cf = _closed_form_for(kernel)
-        if cf is not None:
+        if kernel.family is not None:
+            cf = closed_form(kernel.family[0], **kernel.family[1])
             ref_gamma = cf.gamma_word if metric.name == "word" else cf.gamma_fenced
             ref_sigma2 = cf.sigma2_word if metric.name == "word" else cf.sigma2_fenced
             payload["closed_form"] = cf.to_json()
@@ -189,17 +188,6 @@ def cmd_limits(args, config) -> int:
             payload["closed_form"] = None
     _emit_json(payload, args.output)
     return EXIT_OK
-
-
-def _closed_form_for(kernel: TransitionKernel):
-    name = kernel.name
-    if name.startswith("symmetric(N="):
-        return closed_form("symmetric", N=int(name[len("symmetric(N=") : -1]))
-    if name.startswith("one_parameter(q="):
-        return closed_form("one_parameter", q=float(name[len("one_parameter(q=") : -1]))
-    if name == "asymmetric":
-        return closed_form("asymmetric")
-    return None
 
 
 SWEEP_HEADER = ("q,gamma_word,sigma2_word,gamma_F,sigma2_F,"
@@ -225,12 +213,7 @@ def cmd_sweep_q(args, config) -> int:
     grid = [float(q) for q in grid]
     if any(not (0.0 < q < 0.5) for q in grid):
         raise ConfigError("q grid must lie inside (0, 1/2)")
-    threads = int(_setting(args, config, "threads", 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, grid))
-    else:
-        rows = [_sweep_row(q) for q in grid]
+    rows = [_sweep_row(q) for q in grid]
     _emit("\n".join([SWEEP_HEADER] + rows) + "\n", args.output)
     return EXIT_OK
 
@@ -364,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metric", help="word | fenced")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--output", help="write result here instead of stdout")
-        p.add_argument("--threads", type=int, help="worker pool size for sweeps")
 
     p = sub.add_parser("validate", help="check a kernel and echo it back")
     common(p)

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
+import numpy as np
+
 
 class CompositionError(ValueError):
     """Raised when two arrows with mismatched endpoints are composed."""
@@ -182,6 +184,27 @@ def _weight_table(n_windows, fn) -> Dict[Tuple[int, int, int], float]:
 
 def metric_length(w: Word, m: Metric) -> float:
     return float(sum(m.weight(arc) for arc in w.letters))
+
+
+def other_windows(n_windows: int) -> np.ndarray:
+    """(N, N-1) array whose row j lists the 0-based windows other than j."""
+    a = np.arange(n_windows - 1)
+    return a + (a >= np.arange(n_windows)[:, None])
+
+
+def chamber_array(table: Mapping[Tuple[int, int, int], float], n_windows: int) -> np.ndarray:
+    """A per-arc table as a (2, N, N) array, ``out[s, i-1, j-1] = table[(i, j, k)]``
+    with s = 0 for k = +1 and s = 1 for k = -1; the diagonal is no arc and
+    reads 0."""
+    arcs = [(key, value) for key, value in table.items() if key[0] != key[1]]
+    keys = np.array([key for key, _ in arcs], dtype=np.intp).reshape(-1, 3)
+    out = np.zeros((2, n_windows, n_windows))
+    out[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = [value for _, value in arcs]
+    return out
+
+
+def weight_array(metric: Metric, n_windows: int) -> np.ndarray:
+    return chamber_array(metric.weights, n_windows)
 
 
 _UNIT_RE = re.compile(r"^e(\d+)$")

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Metric
+from .groupoid import Metric, weight_array
 from .jets import Jet2, jet_inverse, jet_mul
 from .solver import (
     RDerivatives,
@@ -55,16 +55,6 @@ class LimitConstants:
         }
 
 
-def weight_matrix(metric: Metric, n_windows: int, sign: int) -> np.ndarray:
-    """N x N matrix of the letter weights w(i, j, sign), zero on the diagonal."""
-    keys = np.array(list(metric.weights), dtype=np.intp).reshape(-1, 3)
-    values = np.array(list(metric.weights.values()), dtype=float)
-    chosen = keys[:, 2] == sign
-    out = np.zeros((n_windows, n_windows))
-    out[keys[chosen, 0] - 1, keys[chosen, 1] - 1] = values[chosen]
-    return out
-
-
 def build_b(
     kernel: TransitionKernel,
     r: RSolution,
@@ -79,7 +69,7 @@ def build_b(
     value = to_matrix(r.values, n)[s]
     d1 = to_matrix(derivs.d1, n)[s]
     d2 = to_matrix(derivs.d2, n)[s]
-    w = weight_matrix(metric, n, sign)
+    w = weight_array(metric, n)[s]
     # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
     return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
 
@@ -207,7 +197,7 @@ def b_matrix_values(
 ) -> np.ndarray:
     """Plain float N x N matrix of z^w R values (constant terms)."""
     n = kernel.n_windows
-    return z ** weight_matrix(metric, n, sign) * to_matrix(r.values, n)[(1 - sign) // 2]
+    return z ** weight_array(metric, n)[(1 - sign) // 2] * to_matrix(r.values, n)[(1 - sign) // 2]
 
 
 def build_k_matrix(

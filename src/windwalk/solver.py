@@ -4,8 +4,8 @@ implicit differentiation.
 
 The solver holds R as a (2, N, N) array: ``R[0]`` is R+ and ``R[1]`` is R-,
 with ``R_k[i-1, j-1] = R_{i,j}^{(k)}`` and a zero diagonal.  The jump
-probabilities ``P`` have the same layout (``chamber_probabilities``).  Entry
-(i, j), i != j, of sign k reads
+probabilities ``P`` are the kernel's chamber array ``TransitionKernel.P``,
+in the same layout.  Entry (i, j), i != j, of sign k reads
 
     R_k = lam * (P_k + offdiag(P_k R_k) + diag(u_{-k}) R_k),   u_k = diag(P_k R_k),
 
@@ -36,11 +36,12 @@ recurrence check ``transience_root``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .chain import TransitionKernel
+from .groupoid import other_windows
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100
@@ -93,9 +94,6 @@ class RSolution:
     def value(self, i: int, j: int, k: int) -> float:
         return float(self.values[self.index.flat(i, j, k)])
 
-    def as_dict(self) -> Dict[Tuple[int, int, int], float]:
-        return {t: float(v) for t, v in zip(self.index.tuples, self.values)}
-
 
 @dataclass
 class RDerivatives:
@@ -139,16 +137,6 @@ def build_m_matrix(
     """
     _, _, a1, c = system_matrices(kernel)
     return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
-
-
-def chamber_probabilities(kernel: TransitionKernel) -> np.ndarray:
-    """The (2, N, N) array P with ``P[0] = P+`` and ``P[1] = P-``,
-    ``P_k[i-1, j-1] = p(i, j, k)`` and a zero diagonal."""
-    n = kernel.n_windows
-    keys = np.array(list(kernel.p), dtype=np.intp)
-    p = np.zeros((2, n, n))
-    p[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = list(kernel.p.values())
-    return p
 
 
 def to_matrix(values: np.ndarray, n_windows: int) -> np.ndarray:
@@ -200,8 +188,7 @@ class LinearisedSystem:
         self.p, self.lam, self.r = p, lam, r
         self.u = _diag_of_product(p, r)
         # keep[j] lists the windows other than j; col_of[j] broadcasts j.
-        a = np.arange(n - 1)
-        self.keep = a + (a >= np.arange(n)[:, None])
+        self.keep = other_windows(n)
         self.col_of = np.arange(n)[:, None]
         g = np.eye(n) - lam * (self.u[::-1, :, None] * np.eye(n) + p)
         blocks = g[:, self.keep[:, :, None], self.keep[:, None, :]]
@@ -270,7 +257,7 @@ def solve_r(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    p = chamber_probabilities(kernel)
+    p = kernel.P
     r = np.zeros_like(p)
     defect = _rhs(p, lam, r) - r
     prev_step = np.inf
@@ -304,7 +291,7 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     """
     if r.lam <= 0:
         raise ValueError("derivatives require lambda > 0")
-    p = chamber_probabilities(kernel)
+    p = kernel.P
     lam = r.lam
     system = LinearisedSystem(p, lam, to_matrix(r.values, kernel.n_windows))
     d1 = system.solve(system.r / lam)

@@ -1,10 +1,11 @@
-"""Shared test utilities: random word generation and finite-difference
-stencils for the determinant partials."""
+"""Shared test utilities: random word generation, seeded Dirichlet kernels
+and finite-difference stencils for the determinant partials."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from windwalk.chain import TransitionKernel
 from windwalk.groupoid import Arc, Word, append, unit
 from windwalk.oracle import direct_h
 
@@ -21,6 +22,19 @@ def random_word(rng: np.random.Generator, n_windows: int, max_len: int = 12,
         k = int(rng.choice([1, -1]))
         w = append(w, Arc(i, j, k))
     return w
+
+
+def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKernel:
+    """Each window's 2(N-1) outgoing arcs draw their probabilities from a
+    symmetric Dirichlet law; entries are floored at 1e-12 so every
+    probability stays inside (0, 1)."""
+    rng = np.random.default_rng(seed)
+    p = {}
+    for i in range(1, n + 1):
+        arcs = [(i, j, k) for k in (1, -1) for j in range(1, n + 1) if j != i]
+        probs = np.maximum(rng.dirichlet(np.full(len(arcs), concentration)), 1e-12)
+        p.update(zip(arcs, probs / probs.sum()))
+    return TransitionKernel(n, p, name=f"dirichlet(N={n}, a={concentration}, seed={seed})")
 
 
 def fd_partials(kernel, metric, h: float = 5e-4, tol: float = 1e-15):

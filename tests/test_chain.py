@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from windwalk.chain import (
     KernelError,
+    _BatchState,
     asymmetric_kernel,
     kernel_to_json,
     one_parameter_kernel,
@@ -19,6 +20,8 @@ from windwalk.chain import (
 )
 from windwalk.groupoid import Arc, Word, fenced_metric, metric_length, unit, word_metric
 from windwalk.groupoid import word_from_str
+
+from helpers import dirichlet_kernel
 
 
 def test_symmetric_kernel_valid():
@@ -201,3 +204,62 @@ def test_hitting_times_equal_scalar_first_hits(target):
     expected = [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
     assert times.tolist() == expected
     assert -1 in expected and any(t > 1 for t in expected)
+
+
+@pytest.mark.parametrize("kernel", [
+    asymmetric_kernel(), one_parameter_kernel(0.01), symmetric_kernel(5),
+    dirichlet_kernel(6, 1.0, seed=6),
+], ids=["asymmetric", "one_parameter:0.01", "symmetric:5", "dirichlet:6"])
+def test_chamber_array_matches_prob(kernel):
+    n = kernel.n_windows
+    assert kernel.P.shape == (2, n, n)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for s, k in enumerate((1, -1)):
+                want = 0.0 if i == j else kernel.prob(i, j, k)
+                assert kernel.P[s, i - 1, j - 1] == want
+    assert not kernel.P.flags.writeable
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("kernel", [asymmetric_kernel(), symmetric_kernel(3)],
+                         ids=["asymmetric", "symmetric:3"])
+def test_arc_rule_at_exact_boundaries(kernel):
+    # A uniform equal to the running sum cum[m] of a row picks arc m.  The
+    # kernel's rule, step() and one batched step must agree there, or a
+    # path's stream would drive the scalar and batched chains apart.
+    n = kernel.n_windows
+    for i in range(1, n + 1):
+        arcs = [arc for arc, _ in kernel.arcs_from(i)]
+        bounds = np.cumsum([prob for _, prob in kernel.arcs_from(i)])[:-1]
+        us = np.concatenate(([0.0], bounds))
+        picked = [0] + list(range(len(bounds)))
+        assert [kernel.arc_index(i, float(u)) for u in us] == picked
+        assert kernel.arc_index(np.full(len(us), i), us).tolist() == picked
+        stepped = [step(unit(i), kernel, _FixedUniform(float(u))).letters[0] for u in us]
+        assert stepped == [arcs[m] for m in picked]
+        state = _BatchState(kernel, word_metric(n), len(us), unit(i), seed=0, max_depth=1)
+        state._buf[0] = us
+        state._ptr = 0
+        state.advance()
+        assert state.target.tolist() == [arcs[m].j for m in picked]
+        assert state.top_k.tolist() == [arcs[m].k for m in picked]
+
+
+def test_named_kernels_carry_their_family():
+    assert symmetric_kernel(4).family == ("symmetric", {"N": 4})
+    assert one_parameter_kernel(0.125).family == ("one_parameter", {"q": 0.125})
+    assert asymmetric_kernel().family == ("asymmetric", {})
+    assert validate_kernel({"symmetric": {"N": 5}}).family == ("symmetric", {"N": 5})
+    assert validate_kernel({"one_parameter_q": {"q": 0.3}}).family == ("one_parameter", {"q": 0.3})
+    assert validate_kernel({"asymmetric": {}}).family == ("asymmetric", {})
+    assert validate_kernel(kernel_to_json(symmetric_kernel(3))).family is None

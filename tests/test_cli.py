@@ -82,10 +82,15 @@ def test_sweep_q_csv(capsys):
     assert float(row[-1]) < 1e-9  # delta_max
 
 
-def test_sweep_q_threads_match_serial(capsys):
-    _, serial, _ = run(capsys, "sweep-q", "--q-grid", "0.1,0.2,0.3")
-    _, parallel, _ = run(capsys, "sweep-q", "--q-grid", "0.1,0.2,0.3", "--threads", "3")
-    assert serial == parallel
+def test_threads_option_and_config_key_are_invalid(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-q", "--q-grid", "0.1", "--threads", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q_grid": [0.1], "threads": 2}))
+    code, _, err = run(capsys, "sweep-q", "--config", str(cfg))
+    assert code == 2
+    assert "threads" in err
 
 
 def test_sweep_q_bounds(capsys):

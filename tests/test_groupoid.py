@@ -14,6 +14,7 @@ from windwalk.groupoid import (
     inverse,
     metric_length,
     unit,
+    weight_array,
     word_from_arcs,
     word_from_str,
     word_metric,
@@ -100,6 +101,23 @@ def test_metrics():
     assert metric_length(w, wm) == 2
     assert metric_length(w, fm) == 3 + 2
     assert metric_length(unit(2), fm) == 0
+
+
+@pytest.mark.parametrize("metric", [
+    word_metric(4),
+    fenced_metric(4),
+    custom_metric(4, {(1, 2, 1): 2.5, (3, 1, -1): 0.75, (2, 2, 1): 9.0}),
+], ids=["word", "fenced", "custom"])
+def test_weight_array_matches_metric(metric):
+    w = weight_array(metric, 4)
+    assert w.shape == (2, 4, 4)
+    for i in range(1, 5):
+        for j in range(1, 5):
+            for s, k in enumerate((1, -1)):
+                want = 0.0 if i == j else metric.weight(Arc(i, j, k))
+                assert w[s, i - 1, j - 1] == want
+    if metric.name == "custom":
+        assert w[0, 0, 1] == 2.5 and w[1, 2, 0] == 0.75 and w[0, 1, 1] == 0.0
 
 
 def test_custom_metric_rejects_negative():

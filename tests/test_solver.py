@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from windwalk.chain import (
-    TransitionKernel,
-    asymmetric_kernel,
-    one_parameter_kernel,
-    symmetric_kernel,
-)
+from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import fenced_metric, word_metric
 from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form_one_parameter
@@ -25,6 +20,8 @@ from windwalk.solver import (
     to_matrix,
     transience_root,
 )
+
+from helpers import dirichlet_kernel
 
 
 def test_index_map_order():
@@ -142,19 +139,6 @@ def test_derivatives_require_positive_lambda():
     r = solve_r(k, 0.0)
     with pytest.raises(ValueError):
         solve_r_derivatives(k, r)
-
-
-def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKernel:
-    """Each window's 2(N-1) outgoing arcs draw their probabilities from a
-    symmetric Dirichlet law; entries are floored at 1e-12 so every
-    probability stays inside (0, 1)."""
-    rng = np.random.default_rng(seed)
-    p = {}
-    for i in range(1, n + 1):
-        arcs = [(i, j, k) for k in (1, -1) for j in range(1, n + 1) if j != i]
-        probs = np.maximum(rng.dirichlet(np.full(len(arcs), concentration)), 1e-12)
-        p.update(zip(arcs, probs / probs.sum()))
-    return TransitionKernel(n, p, name=f"dirichlet(N={n}, a={concentration}, seed={seed})")
 
 
 DIRICHLET_KERNELS = [
