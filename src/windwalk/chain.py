@@ -76,6 +76,12 @@ class TransitionKernel:
             return bisect_left(self._cum_rows[i], u)
         return (u > self._cum_t.take(i, axis=1)).sum(axis=0)
 
+    def check_windows(self, *windows: int) -> None:
+        """Raise ``ValueError`` unless every window lies in 1..N."""
+        for w in windows:
+            if not 1 <= w <= self.n_windows:
+                raise ValueError(f"window {w} is outside 1..{self.n_windows}")
+
     def prob(self, i: int, j: int, k: int) -> float:
         return self.p[(i, j, k)]
 
@@ -273,6 +279,7 @@ def simulate(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+    kernel.check_windows(start.source, *(arc.j for arc in start.letters))
     metric = metric or word_metric(kernel.n_windows)
     rng = np.random.default_rng(seed)
     # Internal mutable stack of (source, sign) pairs; the target chains through.
@@ -344,6 +351,7 @@ def sample_hitting_times(
     n_samples: int,
 ) -> np.ndarray:
     """Vectorised i.i.d. hitting-time samples; -1 marks censoring at ``cap``."""
+    kernel.check_windows(target.i, target.j)
     state = _BatchState(kernel, word_metric(kernel.n_windows), n_samples,
                         unit(target.i), seed, max_depth=cap + 1)
     times = np.full(n_samples, -1, dtype=np.int64)
@@ -508,7 +516,8 @@ def run_length_paths(
     initial: Optional[Word] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Final (word_len, metric_len) arrays over ``n_paths`` independent paths."""
-    initial = initial or unit(1)
+    initial = unit(1) if initial is None else initial
+    kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
     state = _BatchState(kernel, metric, n_paths, initial, seed,
                         max_depth=n_steps + 1)
     for _ in range(n_steps):

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-One optional JSON config file supplies defaults; command-line flags always
-win.  Unknown config keys are hard errors so typos never silently change a
-run.  Exit codes: 0 success, 1 failed statistical check, 2 invalid input,
-3 numerical failure (non-convergence or a singular system).
+Each subcommand's parser is the one table of its settings: one flag per
+setting, with its default.  An optional JSON config file replaces those
+defaults, so flags still win.  Its keys are the command's flag names with
+dashes written as underscores, and each value goes through its flag's own
+conversion.  Unknown keys and values the conversion rejects are hard errors,
+so typos never silently change a run.  Exit codes: 0 success, 1 failed
+statistical check, 2 invalid input, 3 numerical failure (non-convergence or
+a singular system).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,45 +49,59 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_Q_GRID = [round(0.02 * i, 10) for i in range(1, 25)]  # 0.02 .. 0.48
 
-_COMMON_KEYS = {"kernel", "metric", "seed", "output"}
-_ALLOWED_KEYS = {
-    "validate": _COMMON_KEYS,
-    "solve-r": _COMMON_KEYS | {"lam", "tol", "derivatives"},
-    "limits": _COMMON_KEYS | {"tol", "oracle"},
-    "sweep-q": _COMMON_KEYS | {"q_grid", "tol"},
-    "simulate": _COMMON_KEYS | {"n_steps", "initial"},
-    "mc-lln": _COMMON_KEYS | {"n_steps", "n_paths", "gamma", "sigma2"},
-    "mc-clt": _COMMON_KEYS | {"n_steps", "n_paths", "gamma", "sigma2"},
-    "kms": _COMMON_KEYS | {"n", "x", "z"},
-    "oracle-dp": _COMMON_KEYS | {"mode", "target", "window", "max_steps", "lam", "z", "method"},
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _load_config(path: Optional[str], command: str) -> dict:
-    if path is None:
-        return {}
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make the JSON object in ``path`` the defaults of ``command``'s flags.
+
+    argparse lists a parser's actions only in its private ``_actions``.
+    """
     with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
+        config = json.load(fh)
+    if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(raw) - _ALLOWED_KEYS[command])
+    (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
+    sub = commands[command]
+    flags = {action.dest: action for action in sub._actions
+             if action.dest not in ("help", "config")}
+    unknown = sorted(set(config) - set(flags))
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    return raw
+    sub.set_defaults(**{key: _config_value(key, value, flags[key])
+                        for key, value in config.items()})
 
 
-def _setting(args, config: dict, key: str, default=None):
-    """Flag value if given on the command line, else config, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _config_value(key: str, value, action: argparse.Action):
+    """``value`` after its flag's conversion and choices.  JSON true and false
+    set switches and nothing else.  The conversion may parse text, but it
+    must not change any other value, as ``int`` would change 2.5."""
+    converted = value
+    valid = isinstance(value, bool) == (action.nargs == 0)
+    if valid and action.type is not None:
+        try:
+            converted = action.type(value)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        else:
+            valid = isinstance(value, str) or converted == value
+    if not valid or (action.choices is not None and converted not in action.choices):
+        raise ConfigError(f"invalid value {value!r} for config key {key!r}")
+    return converted
+
+
+def _text(value) -> str:
+    """A flag's text; a config value must be a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _q_grid(value) -> List[float]:
+    """Comma-separated text, or a JSON list, of q values."""
+    return [float(q) for q in (value.split(",") if isinstance(value, str) else value)]
 
 
 def _build_kernel(spec) -> TransitionKernel:
@@ -103,7 +121,6 @@ def _build_kernel(spec) -> TransitionKernel:
 
 
 def _build_metric(spec, n_windows: int) -> Metric:
-    spec = spec if spec is not None else "word"
     if isinstance(spec, dict):
         entries = spec.get("custom")
         if entries is None:
@@ -143,9 +160,9 @@ def _emit_json(payload: dict, output: Optional[str]) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
 
 
-def cmd_validate(args, config) -> int:
+def cmd_validate(args) -> int:
     try:
-        kernel = _build_kernel(_setting(args, config, "kernel"))
+        kernel = _build_kernel(args.kernel)
     except KernelError as exc:
         _emit_json({"valid": False, "violations": exc.violations}, args.output)
         return EXIT_INVALID
@@ -153,28 +170,23 @@ def cmd_validate(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_solve_r(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    lam = float(_setting(args, config, "lam", 1.0))
-    tol = float(_setting(args, config, "tol", 1e-13))
-    r = solve_r(kernel, lam, tol=tol)
-    derivs = None
-    if _setting(args, config, "derivatives", False):
-        derivs = solve_r_derivatives(kernel, r)
+def cmd_solve_r(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    r = solve_r(kernel, args.lam, tol=args.tol)
+    derivs = solve_r_derivatives(kernel, r) if args.derivatives else None
     _emit_json(solution_to_json(r, derivs), args.output)
     return EXIT_OK
 
 
-def cmd_limits(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    metric = _build_metric(_setting(args, config, "metric"), kernel.n_windows)
-    tol = float(_setting(args, config, "tol", 1e-13))
-    constants = compute_limits(kernel, metric, tol=tol, check_sigma=False)
+def cmd_limits(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    metric = _build_metric(args.metric, kernel.n_windows)
+    constants = compute_limits(kernel, metric, tol=args.tol, check_sigma=False)
     payload = constants.to_json()
     payload["kernel"] = kernel.name
     if abs(constants.h_partials["d_z"]) < 1e-12:
         payload["warning"] = "metric is degenerate: the determinant does not depend on z"
-    if _setting(args, config, "oracle", False):
+    if args.oracle:
         if kernel.family is not None:
             cf = closed_form(kernel.family[0], **kernel.family[1])
             ref_gamma = cf.gamma_word if metric.name == "word" else cf.gamma_fenced
@@ -206,68 +218,49 @@ def _sweep_row(q: float) -> str:
     return ",".join(cells)
 
 
-def cmd_sweep_q(args, config) -> int:
-    grid = _setting(args, config, "q_grid", DEFAULT_Q_GRID)
-    if isinstance(grid, str):
-        grid = [float(part) for part in grid.split(",")]
-    grid = [float(q) for q in grid]
-    if any(not (0.0 < q < 0.5) for q in grid):
+def cmd_sweep_q(args) -> int:
+    if any(not (0.0 < q < 0.5) for q in args.q_grid):
         raise ConfigError("q grid must lie inside (0, 1/2)")
-    rows = [_sweep_row(q) for q in grid]
+    rows = [_sweep_row(q) for q in args.q_grid]
     _emit("\n".join([SWEEP_HEADER] + rows) + "\n", args.output)
     return EXIT_OK
 
 
-def cmd_simulate(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    metric = _build_metric(_setting(args, config, "metric"), kernel.n_windows)
-    n_steps = int(_setting(args, config, "n_steps", 1000))
-    seed = int(_setting(args, config, "seed", 0))
-    initial_text = _setting(args, config, "initial")
-    start = word_from_str(initial_text) if initial_text else word_from_str("e1")
-    traj = simulate(start, kernel, n_steps, seed, metric=metric)
+def cmd_simulate(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    metric = _build_metric(args.metric, kernel.n_windows)
+    traj = simulate(word_from_str(args.initial), kernel, args.n_steps, args.seed, metric=metric)
     _emit(traj.to_csv(), args.output)
     return EXIT_OK
 
 
-def _mc_refs(args, config, kernel, metric) -> Tuple[float, float]:
-    gamma = _setting(args, config, "gamma")
-    sigma2 = _setting(args, config, "sigma2")
+def _mc_refs(args, kernel, metric) -> Tuple[float, float]:
+    gamma, sigma2 = args.gamma, args.sigma2
     if gamma is None or sigma2 is None:
         constants = compute_limits(kernel, metric)
-        gamma = constants.gamma if gamma is None else float(gamma)
-        sigma2 = constants.sigma2 if sigma2 is None else float(sigma2)
+        gamma = constants.gamma if gamma is None else gamma
+        sigma2 = constants.sigma2 if sigma2 is None else sigma2
     return float(gamma), float(sigma2)
 
 
-def cmd_mc_lln(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    metric = _build_metric(_setting(args, config, "metric"), kernel.n_windows)
-    gamma, sigma2 = _mc_refs(args, config, kernel, metric)
-    seed = int(_setting(args, config, "seed", 0))
-    report = verify_lln(
-        kernel, metric, gamma,
-        n_steps=int(_setting(args, config, "n_steps", 20000)),
-        n_paths=int(_setting(args, config, "n_paths", 200)),
-        seed=seed, sigma2_ref=sigma2,
-    )
+def cmd_mc_lln(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    metric = _build_metric(args.metric, kernel.n_windows)
+    gamma, sigma2 = _mc_refs(args, kernel, metric)
+    report = verify_lln(kernel, metric, gamma, n_steps=args.n_steps, n_paths=args.n_paths,
+                        seed=args.seed, sigma2_ref=sigma2)
     payload = report.to_json()
     payload["gamma_ref"] = gamma
     _emit_json(payload, args.output)
     return EXIT_OK if report.passed else EXIT_STATISTICAL
 
 
-def cmd_mc_clt(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    metric = _build_metric(_setting(args, config, "metric"), kernel.n_windows)
-    gamma, sigma2 = _mc_refs(args, config, kernel, metric)
-    seed = int(_setting(args, config, "seed", 0))
-    report = verify_clt(
-        kernel, metric, gamma, sigma2,
-        n_steps=int(_setting(args, config, "n_steps", 20000)),
-        n_paths=int(_setting(args, config, "n_paths", 2000)),
-        seed=seed,
-    )
+def cmd_mc_clt(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    metric = _build_metric(args.metric, kernel.n_windows)
+    gamma, sigma2 = _mc_refs(args, kernel, metric)
+    report = verify_clt(kernel, metric, gamma, sigma2, n_steps=args.n_steps,
+                        n_paths=args.n_paths, seed=args.seed)
     payload = report.to_json()
     payload["gamma_ref"] = gamma
     payload["sigma2_ref"] = sigma2
@@ -275,41 +268,30 @@ def cmd_mc_clt(args, config) -> int:
     return EXIT_OK if report.passed else EXIT_STATISTICAL
 
 
-def cmd_kms(args, config) -> int:
-    n = int(_setting(args, config, "n", 1))
-    x = float(_setting(args, config, "x", 0.0))
-    z = float(_setting(args, config, "z", 1.0))
-    _emit_json({"n": n, "x": x, "z": z, "phi": kms_phi(n, x, z)}, args.output)
+def cmd_kms(args) -> int:
+    _emit_json({"n": args.n, "x": args.x, "z": args.z, "phi": kms_phi(args.n, args.x, args.z)},
+               args.output)
     return EXIT_OK
 
 
-def cmd_oracle_dp(args, config) -> int:
-    kernel = _build_kernel(_setting(args, config, "kernel"))
-    mode = _setting(args, config, "mode", "hitting")
-    max_steps = int(_setting(args, config, "max_steps", 40))
-    method = _setting(args, config, "method", "convolution")
+def cmd_oracle_dp(args) -> int:
+    kernel = _build_kernel(args.kernel)
+    mode, max_steps, method = args.mode, args.max_steps, args.method
     if mode == "hitting":
-        target_text = _setting(args, config, "target")
-        if target_text is None:
+        if args.target is None:
             raise ConfigError("hitting mode needs --target i,j,k")
-        i, j, k = (int(part) for part in str(target_text).split(","))
+        i, j, k = (int(part) for part in args.target.split(","))
         series = dp_hitting_series(kernel, Arc(i, j, k), max_steps, method=method)
         payload = {"mode": mode, "target": [i, j, k]}
     elif mode == "return":
-        window = int(_setting(args, config, "window", 1))
-        series = dp_return_series(kernel, window, max_steps, method=method)
-        payload = {"mode": mode, "window": window}
-    elif mode == "G":
-        window = int(_setting(args, config, "window", 1))
-        metric = _build_metric(_setting(args, config, "metric"), kernel.n_windows)
-        lam = float(_setting(args, config, "lam", 0.5))
-        z = float(_setting(args, config, "z", 1.0))
-        value = dp_truncated_G(kernel, metric, window, lam, z, max_steps)
-        _emit_json({"mode": mode, "window": window, "lam": lam, "z": z,
+        series = dp_return_series(kernel, args.window, max_steps, method=method)
+        payload = {"mode": mode, "window": args.window}
+    else:
+        metric = _build_metric(args.metric, kernel.n_windows)
+        value = dp_truncated_G(kernel, metric, args.window, args.lam, args.z, max_steps)
+        _emit_json({"mode": mode, "window": args.window, "lam": args.lam, "z": args.z,
                     "max_steps": max_steps, "value": value}, args.output)
         return EXIT_OK
-    else:
-        raise ConfigError(f"unknown oracle mode {mode!r}")
     payload.update({
         "max_steps": max_steps,
         "method": method,
@@ -320,19 +302,6 @@ def cmd_oracle_dp(args, config) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": cmd_validate,
-    "solve-r": cmd_solve_r,
-    "limits": cmd_limits,
-    "sweep-q": cmd_sweep_q,
-    "simulate": cmd_simulate,
-    "mc-lln": cmd_mc_lln,
-    "mc-clt": cmd_mc_clt,
-    "kms": cmd_kms,
-    "oracle-dp": cmd_oracle_dp,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="windwalk",
@@ -341,62 +310,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help_text, kernel=True, metric=False, seed=False):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--kernel", help="symmetric:N | one_parameter:q | asymmetric | path.json")
-        p.add_argument("--metric", help="word | fenced")
-        p.add_argument("--seed", type=int, help="master seed")
-        p.add_argument("--output", help="write result here instead of stdout")
+        p.add_argument("--output", type=_text, help="write result here instead of stdout")
+        if kernel:
+            p.add_argument("--kernel",
+                           help="symmetric:N | one_parameter:q | asymmetric | path.json")
+        if metric:
+            p.add_argument("--metric", default="word", help="word | fenced")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="master seed")
+        return p
 
-    p = sub.add_parser("validate", help="check a kernel and echo it back")
-    common(p)
+    command("validate", cmd_validate, "check a kernel and echo it back")
 
-    p = sub.add_parser("solve-r", help="solve the hitting generating functions at one lambda")
-    common(p)
-    p.add_argument("--lam", type=float, help="evaluation point in [0, 1] (default 1)")
-    p.add_argument("--tol", type=float, help="Newton step tolerance (default 1e-13)")
-    p.add_argument("--derivatives", action="store_const", const=True,
+    p = command("solve-r", cmd_solve_r, "solve the hitting generating functions at one lambda")
+    p.add_argument("--lam", type=float, default=1.0, help="evaluation point in [0, 1] (default 1)")
+    p.add_argument("--tol", type=float, default=1e-13,
+                   help="Newton step tolerance (default 1e-13)")
+    p.add_argument("--derivatives", action="store_true",
                    help="also emit first/second lambda-derivatives")
 
-    p = sub.add_parser("limits", help="compute the drift gamma and variance sigma^2")
-    common(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--oracle", action="store_const", const=True,
+    p = command("limits", cmd_limits, "compute the drift gamma and variance sigma^2",
+                metric=True)
+    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--oracle", action="store_true",
                    help="compare against the closed form of a named family")
 
-    p = sub.add_parser("sweep-q", help="CSV sweep of the one-parameter family")
-    common(p)
-    p.add_argument("--q-grid", dest="q_grid", help="comma-separated q values in (0, 1/2)")
+    p = command("sweep-q", cmd_sweep_q, "CSV sweep of the one-parameter family", kernel=False)
+    p.add_argument("--q-grid", dest="q_grid", type=_q_grid, default=DEFAULT_Q_GRID,
+                   help="comma-separated q values in (0, 1/2)")
 
-    p = sub.add_parser("simulate", help="one trajectory as CSV")
-    common(p)
-    p.add_argument("--n-steps", dest="n_steps", type=int)
-    p.add_argument("--initial", help="starting word, e.g. e1 or A(1,2,+)A(2,3,-)")
+    p = command("simulate", cmd_simulate, "one trajectory as CSV", metric=True, seed=True)
+    p.add_argument("--n-steps", dest="n_steps", type=int, default=1000)
+    p.add_argument("--initial", type=_text, default="e1",
+                   help="starting word, e.g. e1 or A(1,2,+)A(2,3,-)")
 
-    for name, help_text in (("mc-lln", "Monte Carlo drift check"),
-                            ("mc-clt", "Monte Carlo fluctuation check")):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--n-steps", dest="n_steps", type=int)
-        p.add_argument("--n-paths", dest="n_paths", type=int)
+    for name, run, n_paths, help_text in (
+            ("mc-lln", cmd_mc_lln, 200, "Monte Carlo drift check"),
+            ("mc-clt", cmd_mc_clt, 2000, "Monte Carlo fluctuation check")):
+        p = command(name, run, help_text, metric=True, seed=True)
+        p.add_argument("--n-steps", dest="n_steps", type=int, default=20000)
+        p.add_argument("--n-paths", dest="n_paths", type=int, default=n_paths)
         p.add_argument("--gamma", type=float, help="reference drift (default: computed)")
         p.add_argument("--sigma2", type=float, help="reference variance (default: computed)")
 
-    p = sub.add_parser("kms", help="Toeplitz characteristic-polynomial recurrence value")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--x", type=float)
-    p.add_argument("--z", type=float)
+    p = command("kms", cmd_kms, "Toeplitz characteristic-polynomial recurrence value",
+                kernel=False)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--x", type=float, default=0.0)
+    p.add_argument("--z", type=float, default=1.0)
 
-    p = sub.add_parser("oracle-dp", help="truncated dynamic-programming series")
-    common(p)
-    p.add_argument("--mode", choices=["hitting", "return", "G"])
-    p.add_argument("--target", help="arc i,j,k for hitting mode")
-    p.add_argument("--window", type=int, help="window index for return/G modes")
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--method", choices=["convolution", "words"])
-    p.add_argument("--lam", type=float)
-    p.add_argument("--z", type=float)
+    p = command("oracle-dp", cmd_oracle_dp, "truncated dynamic-programming series",
+                metric=True)
+    p.add_argument("--mode", choices=["hitting", "return", "G"], default="hitting")
+    p.add_argument("--target", type=_text, help="arc i,j,k for hitting mode")
+    p.add_argument("--window", type=int, default=1, help="window index for return/G modes")
+    p.add_argument("--max-steps", dest="max_steps", type=int, default=40)
+    p.add_argument("--method", choices=["convolution", "words"], default="convolution")
+    p.add_argument("--lam", type=float, default=0.5)
+    p.add_argument("--z", type=float, default=1.0)
 
     return parser
 
@@ -405,8 +380,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config, args.command)
-        return _COMMANDS[args.command](args, config)
+        if args.config is not None:
+            _apply_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
+        return args.run(args)
     except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

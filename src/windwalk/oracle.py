@@ -86,6 +86,7 @@ def dp_hitting_series(
     from the unit at its source window, truncated at ``max_steps``."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    kernel.check_windows(target.i, target.j)
     if method == "convolution":
         index, t = hitting_step_probabilities(kernel, max_steps)
         coeffs = t[index.flat(target.i, target.j, target.k)].copy()
@@ -133,6 +134,7 @@ def dp_return_series(
     """P(the chain started at e_i sits at e_i after m steps), m <= max_steps."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    kernel.check_windows(i)
     if method == "words":
         return _return_series_words(kernel, i, max_steps, state_cap)
     if method != "convolution":
@@ -191,6 +193,7 @@ def dp_truncated_G(
         raise ValueError("max_steps must be >= 0")
     if not (0.0 <= lam < 1.0 and 0.0 < z <= 1.0):
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
+    kernel.check_windows(i)
     mass: Dict[Tuple, float] = {(): 1.0}
     total = 1.0  # n = 0 term: the unit word has length 0
     for n in range(1, max_steps + 1):

@@ -20,6 +20,7 @@ from windwalk.chain import (
 )
 from windwalk.groupoid import Arc, Word, fenced_metric, metric_length, unit, word_metric
 from windwalk.groupoid import word_from_str
+from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
 from helpers import dirichlet_kernel
 
@@ -177,7 +178,7 @@ def _first_hit(kernel, target, cap, seed):
 @pytest.mark.parametrize("kernel", [
     asymmetric_kernel(), one_parameter_kernel(0.01), symmetric_kernel(5),
 ], ids=["asymmetric", "one_parameter:0.01", "symmetric:5"])
-@pytest.mark.parametrize("initial", ["e1", "A(1,2,+)A(2,3,-)"])
+@pytest.mark.parametrize("initial", ["e1", "e2", "A(1,2,+)A(2,3,-)"])
 def test_batch_equals_scalar_exactly(kernel, initial):
     # Same child streams, so every path's final word length and fenced metric
     # length equal the scalar chain's to the last bit.  600 steps take some
@@ -263,3 +264,26 @@ def test_named_kernels_carry_their_family():
     assert validate_kernel({"one_parameter_q": {"q": 0.3}}).family == ("one_parameter", {"q": 0.3})
     assert validate_kernel({"asymmetric": {}}).family == ("asymmetric", {})
     assert validate_kernel(kernel_to_json(symmetric_kernel(3))).family is None
+
+
+_N3 = symmetric_kernel(3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simulate(word_from_str("e7"), _N3, 5, 0),
+    lambda: simulate(word_from_str("A(1,5,+)"), _N3, 5, 0),
+    lambda: run_length_paths(_N3, word_metric(3), 5, 3, 0, initial=word_from_str("e7")),
+    lambda: dp_hitting_series(asymmetric_kernel(), Arc(1, 9, 1), 5),
+    lambda: dp_hitting_series(asymmetric_kernel(), Arc(1, 9, 1), 5, method="words"),
+    lambda: dp_return_series(asymmetric_kernel(), 0, 5),
+    lambda: dp_return_series(asymmetric_kernel(), 9, 5),
+    lambda: dp_return_series(asymmetric_kernel(), 4, 5),
+    lambda: dp_truncated_G(asymmetric_kernel(), word_metric(3), 9, 0.5, 1.0, 3),
+    lambda: sample_hitting_times(Arc(1, 9, 1), asymmetric_kernel(), cap=20, seed=0,
+                                 n_samples=4),
+], ids=["simulate-e7", "simulate-A(1,5,+)", "run_length_paths-e7", "hitting-Arc(1,9,1)",
+        "hitting-words-Arc(1,9,1)", "return-0", "return-9", "return-4", "G-9",
+        "hitting-times-Arc(1,9,1)"])
+def test_window_beyond_n_is_value_error(call):
+    with pytest.raises(ValueError, match="outside 1..3"):
+        call()

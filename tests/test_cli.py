@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, config handling, output formats."""
 
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
-from windwalk.cli import main
+from windwalk.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -209,3 +212,120 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("validate", "metric", "word"), ("validate", "seed", 1),
+    ("solve-r", "metric", "word"), ("solve-r", "seed", 1),
+    ("limits", "seed", 1),
+    ("sweep-q", "kernel", "asymmetric"), ("sweep-q", "metric", "word"),
+    ("sweep-q", "seed", 1), ("sweep-q", "tol", 1e-9),
+    ("kms", "kernel", "asymmetric"), ("kms", "metric", "word"), ("kms", "seed", 1),
+    ("oracle-dp", "seed", 1),
+])
+def test_setting_the_command_does_not_read_is_invalid(capsys, tmp_path, command, key, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--" + key.replace("_", "-"), str(value)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert f"unknown config keys for {command}: {key}" in err
+
+
+def test_config_output_writes_the_file(capsys, tmp_path):
+    out = tmp_path / "limits.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "symmetric:3", "output": str(out)}))
+    code, stdout, _ = run(capsys, "limits", "--config", str(cfg))
+    assert (code, stdout) == (0, "")
+    _, expected, _ = run(capsys, "limits", "--kernel", "symmetric:3")
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("command, key, value", [
+    *[("simulate", "n_steps", value) for value in (None, [1000], "many")],
+    *[("solve-r", "lam", value) for value in (None, [1.0], "high")],
+    ("simulate", "n_steps", True),
+    ("simulate", "n_steps", 2.5),
+    ("limits", "oracle", "yes"),
+    ("oracle-dp", "mode", "bogus"),
+    ("sweep-q", "q_grid", 0.1),
+    ("simulate", "initial", 7),
+])
+def test_malformed_config_value_is_invalid_input(capsys, tmp_path, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, _, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert f"config key {key!r}" in err
+
+
+# One call per command, together passing every setting except output.
+FLAG_CALLS = [
+    ["validate", "--kernel", "symmetric:5"],
+    ["solve-r", "--kernel", "asymmetric", "--lam", "0.9", "--tol", "1e-12", "--derivatives"],
+    ["limits", "--kernel", "asymmetric", "--metric", "fenced", "--tol", "1e-12", "--oracle"],
+    ["sweep-q", "--q-grid", "0.1,0.25"],
+    ["simulate", "--kernel", "symmetric:3", "--metric", "fenced", "--n-steps", "50",
+     "--seed", "7", "--initial", "A(1,2,+)"],
+    ["mc-lln", "--kernel", "symmetric:3", "--metric", "word", "--n-steps", "500",
+     "--n-paths", "20", "--seed", "3", "--gamma", "0.25", "--sigma2", "0.6875"],
+    ["mc-clt", "--kernel", "symmetric:3", "--metric", "word", "--n-steps", "500",
+     "--n-paths", "50", "--seed", "3", "--gamma", "0.25", "--sigma2", "0.6875"],
+    ["kms", "--n", "6", "--x", "0.3", "--z", "0.8"],
+    ["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting", "--target", "1,2,1",
+     "--max-steps", "6"],
+    ["oracle-dp", "--kernel", "asymmetric", "--mode", "return", "--window", "2",
+     "--max-steps", "6", "--method", "words"],
+    ["oracle-dp", "--kernel", "asymmetric", "--mode", "G", "--window", "2", "--metric", "fenced",
+     "--lam", "0.4", "--z", "0.7", "--max-steps", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", FLAG_CALLS, ids=lambda argv: argv[0])
+def test_config_keys_are_the_flag_names(capsys, tmp_path, argv):
+    config, rest = {}, argv[1:]
+    while rest:
+        key = rest.pop(0)[2:].replace("-", "_")
+        config[key] = rest.pop(0) if rest and not rest[0].startswith("--") else True
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, argv[0], "--config", str(cfg)) == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kernel", "symmetric:3", "--initial", "e7"],
+    ["oracle-dp", "--kernel", "asymmetric", "--target", "1,9,1"],
+    ["oracle-dp", "--kernel", "asymmetric", "--mode", "return", "--window", "9"],
+    ["oracle-dp", "--kernel", "asymmetric", "--mode", "G", "--window", "9", "--max-steps", "3"],
+], ids=["simulate-e7", "hitting-1,9,1", "return-9", "G-9"])
+def test_window_beyond_n_is_invalid_input(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "outside 1..3" in err
+
+
+def _readme_command_line():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    block = _readme_command_line().split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("windwalk ")]
+    assert len(lines) == 9
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_settings_table_matches_the_parser():
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", _readme_command_line(), re.M)
+    assert len(rows) == 9
+    for command, cell in rows:
+        settings = set(vars(build_parser().parse_args([command])))
+        settings -= {"command", "run", "config", "output"}
+        flags = re.findall(r"`--([a-z0-9-]+)`", cell)
+        assert {flag.replace("-", "_") for flag in flags} == settings
