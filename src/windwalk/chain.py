@@ -174,6 +174,14 @@ def asymmetric_kernel() -> TransitionKernel:
     return TransitionKernel(3, p, name="asymmetric", family=("asymmetric", {}))
 
 
+def whole_number(value) -> int:
+    """``int(value)``, which may parse text but must not change a JSON number:
+    1.9, a non-finite float or a boolean raises ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def validate_kernel(raw: dict) -> TransitionKernel:
     """Build a kernel from its JSON form, collecting every violation at once.
 
@@ -190,14 +198,14 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         raise KernelError([f"kernel JSON must be an object, got {raw!r}"])
     try:
         if "symmetric" in raw:
-            return symmetric_kernel(int(raw["symmetric"]["N"]))
+            return symmetric_kernel(whole_number(raw["symmetric"]["N"]))
         if "one_parameter_q" in raw:
             return one_parameter_kernel(float(raw["one_parameter_q"]["q"]))
         if "asymmetric" in raw:
             return asymmetric_kernel()
         if "N" not in raw or "p" not in raw:
             raise KernelError(["kernel JSON must contain 'N' and 'p' (or a named family)"])
-        n = int(raw["N"])
+        n = whole_number(raw["N"])
     except KernelError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -207,7 +215,7 @@ def validate_kernel(raw: dict) -> TransitionKernel:
     p: Dict[Tuple[int, int, int], float] = {}
     for index, entry in enumerate(raw["p"]):
         try:
-            key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+            key = tuple(whole_number(entry[name]) for name in "ijk")
             value = float(entry["value"])
         except (KeyError, TypeError, ValueError) as exc:
             raise KernelError([f"entry {index} of 'p' is malformed ({exc!r}): {entry!r}"]) from exc

@@ -28,6 +28,7 @@ from .chain import (
     simulate,
     symmetric_kernel,
     validate_kernel,
+    whole_number,
 )
 from .groupoid import Metric, custom_metric, fenced_metric, word_from_str, word_metric
 from .limits import DegenerateSystemError, compute_limits, kms_phi
@@ -130,7 +131,7 @@ def _build_metric(spec, n_windows: int) -> Metric:
         weights = {}
         for index, entry in enumerate(entries):
             try:
-                key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+                key = tuple(whole_number(entry[name]) for name in "ijk")
                 value = float(entry["weight"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(

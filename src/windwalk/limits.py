@@ -26,7 +26,6 @@ from .solver import (
     perron_root,
     solve_r,
     solve_r_derivatives,
-    to_matrix,
 )
 
 PIVOT_EPS = 1e-14
@@ -64,12 +63,9 @@ def build_b(
 ) -> np.ndarray:
     """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam);
     the diagonal is zero."""
-    n = kernel.n_windows
     s = (1 - sign) // 2
-    value = to_matrix(r.values, n)[s]
-    d1 = to_matrix(derivs.d1, n)[s]
-    d2 = to_matrix(derivs.d2, n)[s]
-    w = weight_array(metric, n)[s]
+    value, d1, d2 = r.values[s], derivs.d1[s], derivs.d2[s]
+    w = weight_array(metric, kernel.n_windows)[s]
     # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
     return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
 
@@ -196,8 +192,8 @@ def b_matrix_values(
     z: float,
 ) -> np.ndarray:
     """Plain float N x N matrix of z^w R values (constant terms)."""
-    n = kernel.n_windows
-    return z ** weight_array(metric, n)[(1 - sign) // 2] * to_matrix(r.values, n)[(1 - sign) // 2]
+    s = (1 - sign) // 2
+    return z ** weight_array(metric, kernel.n_windows)[s] * r.values[s]
 
 
 def build_k_matrix(

@@ -19,7 +19,6 @@ import numpy as np
 
 from .chain import TransitionKernel
 from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
-from .solver import IndexMap
 
 DEFAULT_STATE_CAP = 5 * 10**6
 
@@ -46,33 +45,26 @@ class TruncatedSeries:
         return float(self.coeffs.sum())
 
 
-def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> Tuple[IndexMap, np.ndarray]:
-    """Exact P(first hit of each one-letter word = m) for m <= max_steps.
+def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.ndarray:
+    """Exact P(first hit of each one-letter word = m) for m <= max_steps, as
+    a (2, N, N, max_steps + 1) array: the layout of ``kernel.P``, then m.
 
     First-step decomposition: a same-chamber move relays the hit to the new
-    source window; an opposite-chamber move forces a return to the start
-    window first, contributing a convolution of the return leg with a fresh
-    hit.  Coefficients at horizon m only need horizons below m.
+    source window, ``offdiag(P_k T_k[m-1])``; an opposite-chamber move
+    forces a return to the start window first, in a steps with probability
+    ``diag(P_{-k} T_{-k}[a])``, then a fresh hit in the remaining m-1-a.
+    Coefficients at horizon m only need horizons below m.
     """
-    index = IndexMap(kernel.n_windows)
-    dim = len(index)
-    n = kernel.n_windows
-    t = np.zeros((dim, max_steps + 1))
-    for row, (i, j, k) in enumerate(index.tuples):
-        t[row, 1] = kernel.prob(i, j, k)
+    p = kernel.P
+    off = ~np.eye(kernel.n_windows, dtype=bool)
+    t = np.zeros((max_steps + 1,) + p.shape)
+    back = np.zeros(t.shape[:-1])  # back[a, s, i]: return to i through sign -k in a steps
+    t[1] = p
     for m in range(2, max_steps + 1):
-        for row, (i, j, k) in enumerate(index.tuples):
-            acc = 0.0
-            for l in range(1, n + 1):
-                if l != i and l != j:
-                    acc += kernel.prob(i, l, k) * t[index.flat(l, j, k), m - 1]
-                if l != i:
-                    ret = t[index.flat(l, i, -k)]
-                    # Return leg of length a, then a fresh hit of length m-1-a.
-                    conv = float(ret[1 : m - 1] @ t[row, m - 2 : 0 : -1])
-                    acc += kernel.prob(i, l, -k) * conv
-            t[row, m] = acc
-    return index, t
+        back[m - 1] = np.einsum("kim,kmi->ki", p, t[m - 1])[::-1]
+        ret = np.einsum("aki,akij->kij", back[1:m - 1], t[m - 2:0:-1])
+        t[m] = (p @ t[m - 1] + ret) * off
+    return np.moveaxis(t, 0, -1)
 
 
 def dp_hitting_series(
@@ -88,9 +80,8 @@ def dp_hitting_series(
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(target.i, target.j)
     if method == "convolution":
-        index, t = hitting_step_probabilities(kernel, max_steps)
-        coeffs = t[index.flat(target.i, target.j, target.k)].copy()
-        coeffs[0] = 0.0
+        t = hitting_step_probabilities(kernel, max_steps)
+        coeffs = t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
         return TruncatedSeries(coeffs, max_steps)
     if method == "words":
         return _hitting_series_words(kernel, target, max_steps, state_cap)
@@ -139,15 +130,11 @@ def dp_return_series(
         return _return_series_words(kernel, i, max_steps, state_cap)
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
-    index, t = hitting_step_probabilities(kernel, max_steps)
+    t = hitting_step_probabilities(kernel, max_steps)
     # First return at step m: one step out to an arc, then a first passage
     # back up to the unit, whose law mirrors the hit of the reversed arc.
     u = np.zeros(max_steps + 1)
-    for j in range(1, kernel.n_windows + 1):
-        if j == i:
-            continue
-        for k in (1, -1):
-            u[2:] += kernel.prob(i, j, k) * t[index.flat(j, i, k), 1:max_steps]
+    u[2:] = np.einsum("kj,kjm->m", kernel.P[:, i - 1], t[:, :, i - 1, 1:max_steps])
     s = np.zeros(max_steps + 1)
     s[0] = 1.0
     for m in range(1, max_steps + 1):

@@ -23,20 +23,20 @@ the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N system.  One
 factorisation costs O(N^4) time and O(N^3) memory, against O(N^6) and
 O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).
 
-The off-diagonal entries of the (2, N, N) array in row-major order are the
-flat ``IndexMap`` order, in which the same system reads
+``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
+layout.  Its off-diagonal entries in row-major order are the flat
+``IndexMap`` order, in which the same system reads
 
     R = lam * (p + A1 @ R + (C @ R) * R).
 
-``system_matrices`` and ``build_m_matrix`` build that dense form; they are
-the independent reference for the structured solve and feed the
-recurrence check ``transience_root``.
+``system_matrices``, ``build_m_matrix`` and ``to_flat`` build that dense
+form, the independent reference for the tests; no library path calls them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -81,33 +81,40 @@ class IndexMap:
         return self._flat[(i, j, k)]
 
 
+def _arc(array: np.ndarray, i: int, j: int, k: int) -> float:
+    """Entry of arc (i, j, k) in a (2, N, N) array; ``KeyError`` for a triple
+    that names no arc, rather than a read of the diagonal or a wrapped index."""
+    windows = range(1, array.shape[-1] + 1)
+    if i == j or i not in windows or j not in windows or k not in (1, -1):
+        raise KeyError((i, j, k))
+    return float(array[(1 - k) // 2, i - 1, j - 1])
+
+
 @dataclass
 class RSolution:
-    """Converged R values at one lambda, with the fixed-point defect."""
+    """Converged (2, N, N) R values at one lambda, with the fixed-point defect."""
 
     lam: float
-    index: IndexMap
     values: np.ndarray
     residual: float
     iterations: int
 
     def value(self, i: int, j: int, k: int) -> float:
-        return float(self.values[self.index.flat(i, j, k)])
+        return _arc(self.values, i, j, k)
 
 
 @dataclass
 class RDerivatives:
-    """First and second lambda-derivatives of R at the solved point."""
+    """First and second lambda-derivatives of R at the solved point, (2, N, N)."""
 
-    index: IndexMap
     d1: np.ndarray
     d2: np.ndarray
 
     def first(self, i: int, j: int, k: int) -> float:
-        return float(self.d1[self.index.flat(i, j, k)])
+        return _arc(self.d1, i, j, k)
 
     def second(self, i: int, j: int, k: int) -> float:
-        return float(self.d2[self.index.flat(i, j, k)])
+        return _arc(self.d2, i, j, k)
 
 
 def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
@@ -139,14 +146,6 @@ def build_m_matrix(
     return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
 
 
-def to_matrix(values: np.ndarray, n_windows: int) -> np.ndarray:
-    """(2, N, N) array holding the flat ``IndexMap``-ordered ``values`` off
-    the diagonal."""
-    out = np.zeros((2, n_windows, n_windows))
-    out[:, ~np.eye(n_windows, dtype=bool)] = np.reshape(values, (2, -1))
-    return out
-
-
 def to_flat(matrix: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of a (2, N, N) array in ``IndexMap`` order."""
     n = matrix.shape[-1]
@@ -170,6 +169,13 @@ def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
     return _offdiag(lam * (p + p @ r + u[::-1, :, None] * r))
 
 
+def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M D, the Jacobian of f at R applied to a (2, N, N) array D."""
+    u = _diag_of_product(p, r)
+    t = _diag_of_product(p, d)
+    return _offdiag(lam * (p @ d + u[::-1, :, None] * d + t[::-1, :, None] * r))
+
+
 class LinearisedSystem:
     """``I - M`` at R, with M the Jacobian of f, factored once for any number
     of structured solves.
@@ -185,12 +191,12 @@ class LinearisedSystem:
 
     def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
         n = p.shape[-1]
-        self.p, self.lam, self.r = p, lam, r
-        self.u = _diag_of_product(p, r)
+        self.lam = lam
+        u = _diag_of_product(p, r)
         # keep[j] lists the windows other than j; col_of[j] broadcasts j.
         self.keep = other_windows(n)
         self.col_of = np.arange(n)[:, None]
-        g = np.eye(n) - lam * (self.u[::-1, :, None] * np.eye(n) + p)
+        g = np.eye(n) - lam * (u[::-1, :, None] * np.eye(n) + p)
         blocks = g[:, self.keep[:, :, None], self.keep[:, None, :]]
         try:
             self.blocks_inv = np.linalg.inv(blocks)  # (2, N, N-1, N-1)
@@ -227,13 +233,6 @@ class LinearisedSystem:
         out = np.zeros_like(b)
         out[:, self.keep, self.col_of] = self._block_solve(cols)
         return out
-
-    def apply_m(self, d: np.ndarray) -> np.ndarray:
-        """M D, the Jacobian of f at R applied to a (2, N, N) array."""
-        t = _diag_of_product(self.p, d)
-        return _offdiag(
-            self.lam * (self.p @ d + self.u[::-1, :, None] * d + t[::-1, :, None] * self.r)
-        )
 
 
 def solve_r(
@@ -277,7 +276,7 @@ def solve_r(
             residual=float(np.max(np.abs(defect))),
         )
     residual = float(np.max(np.abs(defect)))
-    return RSolution(lam, IndexMap(kernel.n_windows), to_flat(r), residual, iterations)
+    return RSolution(lam, r, residual, iterations)
 
 
 def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
@@ -293,25 +292,29 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
         raise ValueError("derivatives require lambda > 0")
     p = kernel.P
     lam = r.lam
-    system = LinearisedSystem(p, lam, to_matrix(r.values, kernel.n_windows))
-    d1 = system.solve(system.r / lam)
+    system = LinearisedSystem(p, lam, r.values)
+    d1 = system.solve(r.values / lam)
     t1 = _diag_of_product(p, d1)
-    d2 = system.solve(2.0 * system.apply_m(d1) / lam + 2.0 * lam * t1[::-1, :, None] * d1)
-    return RDerivatives(r.index, to_flat(d1), to_flat(d2))
+    d2 = system.solve(2.0 * apply_m(p, lam, r.values, d1) / lam
+                      + 2.0 * lam * t1[::-1, :, None] * d1)
+    return RDerivatives(d1, d2)
 
 
-def perron_root(matrix: np.ndarray, tol: float = 1e-12, max_iter: int = 100000) -> float:
-    """Dominant eigenvalue of a non-negative matrix by power iteration."""
-    dim = matrix.shape[0]
-    v = np.full(dim, 1.0 / dim)
+def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: float = 1e-12,
+                max_iter: int = 100000, start: np.ndarray | None = None) -> float:
+    """Dominant eigenvalue of a non-negative linear map by power iteration:
+    a square matrix from the uniform vector, or a function applying the map
+    to arrays shaped like ``start``."""
+    apply = matrix if callable(matrix) else matrix.__matmul__
+    v = np.full(len(matrix), 1.0 / len(matrix)) if start is None else start
     mu = 0.0
     for _ in range(max_iter):
-        w = matrix @ v
+        w = apply(v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
             return 0.0
         w /= norm
-        mu_next = float(w @ matrix @ w) / float(w @ w)
+        mu_next = float(np.vdot(w, apply(w))) / float(np.vdot(w, w))
         if abs(mu_next - mu) < tol * max(1.0, abs(mu_next)):
             return mu_next
         mu, v = mu_next, w
@@ -325,32 +328,32 @@ def primitivity_pattern_ok(matrix: np.ndarray) -> bool:
 
 
 def transience_root(kernel: TransitionKernel) -> float:
-    """Perron root of the linearised matrix at lambda=1 with all R set to 1.
+    """Perron root of the linearised map at lambda=1 with all R set to 1, by
+    power iteration on ``apply_m`` at O(N^3) per product.
 
     This is the recurrence-hypothesis matrix: its root strictly above 1
     certifies that the chain escapes to infinity.
     """
-    ones = np.ones(2 * kernel.n_windows * (kernel.n_windows - 1))
-    return perron_root(build_m_matrix(kernel, 1.0, ones))
+    p = kernel.P
+    ones = _offdiag(np.ones_like(p))
+    return perron_root(lambda d: apply_m(p, 1.0, ones, d), start=ones / ones.sum())
+
+
+def _arc_entries(array: np.ndarray) -> List[dict]:
+    """The arcs of a (2, N, N) array in the documented ``IndexMap`` order."""
+    n = array.shape[-1]
+    return [{"i": i, "j": j, "k": k, "value": float(array[(1 - k) // 2, i - 1, j - 1])}
+            for k in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
 
 
 def solution_to_json(r: RSolution, derivs: RDerivatives | None = None) -> dict:
     out = {
         "lambda": r.lam,
-        "R": [
-            {"i": i, "j": j, "k": k, "value": float(v)}
-            for (i, j, k), v in zip(r.index.tuples, r.values)
-        ],
+        "R": _arc_entries(r.values),
         "iterations": r.iterations,
         "residual": r.residual,
     }
     if derivs is not None:
-        out["d1"] = [
-            {"i": i, "j": j, "k": k, "value": float(v)}
-            for (i, j, k), v in zip(r.index.tuples, derivs.d1)
-        ]
-        out["d2"] = [
-            {"i": i, "j": j, "k": k, "value": float(v)}
-            for (i, j, k), v in zip(r.index.tuples, derivs.d2)
-        ]
+        out["d1"] = _arc_entries(derivs.d1)
+        out["d2"] = _arc_entries(derivs.d2)
     return out

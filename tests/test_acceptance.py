@@ -30,6 +30,7 @@ from windwalk.solver import (
     primitivity_pattern_ok,
     solve_r,
     solve_r_derivatives,
+    to_flat,
     transience_root,
 )
 
@@ -205,7 +206,7 @@ def test_criterion_06_spectral_facts():
         if not mu > 1.0:
             failures.append(f"{name}: transience root {mu} not > 1")
         r = solve_r(k, 1.0)
-        if not primitivity_pattern_ok(build_m_matrix(k, 1.0, r.values)):
+        if not primitivity_pattern_ok(build_m_matrix(k, 1.0, to_flat(r.values))):
             failures.append(f"{name}: cube of the linearised matrix not positive")
     _verdict(6, "critical spectral radius, transience root, primitivity", failures, t0, 30.0)
 

@@ -7,7 +7,9 @@ import shlex
 
 import pytest
 
+from windwalk.chain import asymmetric_kernel, kernel_to_json, symmetric_kernel
 from windwalk.cli import build_parser, main
+from windwalk.solver import IndexMap, solve_r, solve_r_derivatives
 
 
 def run(capsys, *argv):
@@ -163,6 +165,73 @@ def test_malformed_kernel_json_is_invalid_input(capsys, tmp_path, kernel, named)
     code, out, _ = run(capsys, "validate", "--kernel", str(path))
     assert code == 2
     assert named in json.loads(out)["violations"][0]
+
+
+def _entry_with(position, **changes):
+    """The symmetric N=3 kernel's JSON with ``changes`` made to one 'p' entry."""
+    kernel = kernel_to_json(symmetric_kernel(3))
+    kernel["p"][position].update(changes)
+    return kernel
+
+
+@pytest.mark.parametrize("kernel, named", [
+    ({"symmetric": {"N": 3.7}}, "3.7 is not a whole number"),
+    ({"symmetric": {"N": True}}, "True is not a whole number"),
+    ({"N": 3.5, "p": []}, "3.5 is not a whole number"),
+    (_entry_with(0, i=1.9), "entry 0 of 'p'"),
+    (_entry_with(3, j=2.5), "entry 3 of 'p'"),
+    (_entry_with(5, k=-1.4), "entry 5 of 'p'"),
+    (_entry_with(1, k=True), "entry 1 of 'p'"),
+], ids=["N-3.7", "N-true", "N-3.5", "i-1.9", "j-2.5", "k--1.4", "k-true"])
+def test_fractional_kernel_number_is_invalid_input(capsys, tmp_path, kernel, named):
+    # int() would truncate each of these to a valid window, size or sign.
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, _, err = run(capsys, "limits", "--kernel", str(path))
+    assert code == 2
+    assert named in err
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 2
+    assert named in json.loads(out)["violations"][0]
+
+
+@pytest.mark.parametrize("kernel", [
+    {"symmetric": {"N": 3.0}}, {"symmetric": {"N": "3"}}, _entry_with(0, i=1.0, j="2"),
+], ids=["N-3.0", "N-text", "entry-1.0-text"])
+def test_whole_number_as_float_or_text_is_a_kernel(capsys, tmp_path, kernel):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 0
+    assert json.loads(out)["kernel"] == kernel_to_json(symmetric_kernel(3))
+
+
+@pytest.mark.parametrize("entry", [
+    {"i": 1.7, "j": 2, "k": 1.4, "weight": 3},
+    {"i": 1, "j": 2.2, "k": 1, "weight": 3},
+    {"i": 1, "j": 2, "k": False, "weight": 3},
+])
+def test_fractional_custom_metric_number_is_invalid_input(capsys, tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": {"custom": [entry]}}))
+    code, out, err = run(capsys, "limits", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "entry 0 of the custom metric is malformed" in err
+
+
+@pytest.mark.parametrize("spec, kernel", [("symmetric:4", symmetric_kernel(4)),
+                                          ("asymmetric", asymmetric_kernel())])
+def test_solve_r_json_lists_arcs_in_index_map_order(capsys, spec, kernel):
+    code, out, _ = run(capsys, "solve-r", "--kernel", spec, "--derivatives")
+    assert code == 0
+    payload = json.loads(out)
+    r = solve_r(kernel, 1.0)
+    d = solve_r_derivatives(kernel, r)
+    for key, accessor in (("R", r.value), ("d1", d.first), ("d2", d.second)):
+        arcs = [(e["i"], e["j"], e["k"]) for e in payload[key]]
+        assert arcs == IndexMap(kernel.n_windows).tuples
+        assert [e["value"] for e in payload[key]] == [accessor(*arc) for arc in arcs]
 
 
 def test_limits_symmetric_100_meets_closed_form(capsys):

@@ -13,8 +13,11 @@ from windwalk.oracle import (
     dp_hitting_series,
     dp_return_series,
     dp_truncated_G,
+    hitting_step_probabilities,
 )
 from windwalk.solver import IndexMap, solve_r
+
+from helpers import dirichlet_kernel
 
 
 def test_first_coefficient_is_one_step_probability():
@@ -63,6 +66,49 @@ def test_partial_sum_within_tail_bound_of_solver():
                 exact = r.value(i, j, sign)
                 assert partial <= exact + 1e-12
                 assert exact - partial <= lam**80 / (1 - lam) + 1e-8
+
+
+def _looped_hitting_table(kernel, max_steps):
+    """The first-step decomposition of ``hitting_step_probabilities`` as a
+    plain loop over the flat ``IndexMap`` arcs, one coefficient at a time."""
+    index = IndexMap(kernel.n_windows)
+    t = np.zeros((len(index), max_steps + 1))
+    for row, (i, j, k) in enumerate(index.tuples):
+        t[row, 1] = kernel.prob(i, j, k)
+    for m in range(2, max_steps + 1):
+        for row, (i, j, k) in enumerate(index.tuples):
+            for l in range(1, kernel.n_windows + 1):
+                if l != i and l != j:
+                    t[row, m] += kernel.prob(i, l, k) * t[index.flat(l, j, k), m - 1]
+                if l != i:
+                    ret = t[index.flat(l, i, -k), 1:m - 1] @ t[row, m - 2:0:-1]
+                    t[row, m] += kernel.prob(i, l, -k) * ret
+    return index, t
+
+
+@pytest.mark.parametrize("kernel", [asymmetric_kernel(), dirichlet_kernel(6, 0.1, seed=3)],
+                         ids=repr)
+def test_hitting_table_matches_the_looped_recurrence(kernel):
+    table = hitting_step_probabilities(kernel, 40)
+    assert table.shape == (2, kernel.n_windows, kernel.n_windows, 41)
+    assert np.all(np.diagonal(table, axis1=1, axis2=2) == 0.0)
+    index, looped = _looped_hitting_table(kernel, 40)
+    for row, (i, j, k) in enumerate(index.tuples):
+        assert np.max(np.abs(table[(1 - k) // 2, i - 1, j - 1] - looped[row])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [6, 10, 20])
+@pytest.mark.parametrize("concentration", [1.0, 0.1])
+def test_hitting_table_within_tail_bound_of_solver(n, concentration):
+    # Every arc's partial sum at once, from one table: the steps beyond 60
+    # carry at most lam^61 / (1 - lam) of R.  That tail lies below rounding
+    # here, so the lower side allows the same 1e-12 as the upper one.
+    k = dirichlet_kernel(n, concentration, seed=n)
+    lam = 0.5
+    partial = hitting_step_probabilities(k, 60) @ lam ** np.arange(61)
+    gap = solve_r(k, lam).values - partial
+    assert np.all(gap >= -1e-12)
+    assert np.all(gap <= lam**60 / (1 - lam) + 1e-12)
 
 
 def test_return_series_start():

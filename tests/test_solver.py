@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
+from windwalk import solver
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import fenced_metric, word_metric
-from windwalk.limits import compute_limits
-from windwalk.oracle import closed_form_one_parameter
+from windwalk.groupoid import Arc, fenced_metric, word_metric
+from windwalk.limits import compute_limits, spectral_radius_k
+from windwalk.oracle import closed_form_one_parameter, direct_h, dp_hitting_series, dp_return_series
 from windwalk.solver import (
     IndexMap,
     SolverError,
     build_m_matrix,
     perron_root,
     primitivity_pattern_ok,
+    solution_to_json,
     solve_r,
     solve_r_derivatives,
     system_matrices,
     to_flat,
-    to_matrix,
     transience_root,
 )
 
@@ -48,10 +49,10 @@ def test_lambda_bounds():
 def test_symmetric_closed_form_all_n():
     for n in range(3, 8):
         r = solve_r(symmetric_kernel(n), 1.0)
-        assert np.allclose(r.values, 1 / (n - 1), atol=1e-11)
+        assert np.allclose(to_flat(r.values), 1 / (n - 1), atol=1e-11)
         d = solve_r_derivatives(symmetric_kernel(n), r)
-        assert np.allclose(d.d1, 2 / (n - 2), rtol=1e-10)
-        assert np.allclose(d.d2, 4 * (n**2 - 2) / (n - 2) ** 3, rtol=1e-9)
+        assert np.allclose(to_flat(d.d1), 2 / (n - 2), rtol=1e-10)
+        assert np.allclose(to_flat(d.d2), 4 * (n**2 - 2) / (n - 2) ** 3, rtol=1e-9)
 
 
 def test_one_parameter_closed_forms():
@@ -75,8 +76,8 @@ def test_monotone_in_lambda_and_below_one():
     prev = np.zeros(12)
     for lam in (0.25, 0.5, 0.75, 1.0):
         r = solve_r(k, lam)
-        assert np.all(r.values > prev)
-        prev = r.values
+        assert np.all(to_flat(r.values) > prev)
+        prev = to_flat(r.values)
     assert np.all(prev < 1.0)  # transience: R(1) < 1 strictly
 
 
@@ -104,7 +105,7 @@ def test_derivatives_match_finite_differences():
 def test_m_matrix_structure():
     k = symmetric_kernel(3)
     r = solve_r(k, 1.0)
-    m = build_m_matrix(k, 1.0, r.values)
+    m = build_m_matrix(k, 1.0, to_flat(r.values))
     # row sums: (N-2)p + (N-1)pR + (N-1)pR = 1/4 + 1/4 + 1/4 for N=3
     assert np.allclose(m.sum(axis=1), 0.75, atol=1e-11)
     # diagonal: sum over opposite-chamber returns, (N-1) * (1/4) * (1/2)
@@ -112,7 +113,8 @@ def test_m_matrix_structure():
     assert np.all(m >= 0.0)
     assert not build_m_matrix(k, 0.0, np.zeros(12)).any()
     _, _, a1, c = system_matrices(k)
-    assert np.allclose(m, a1 / 1 + np.diag(c @ r.values) + np.diag(r.values) @ c)
+    q = to_flat(r.values)
+    assert np.allclose(m, a1 / 1 + np.diag(c @ q) + np.diag(q) @ c)
 
 
 def test_transience_root_above_one():
@@ -124,7 +126,7 @@ def test_transience_root_above_one():
 def test_primitivity_of_linearised_matrix():
     for k in (symmetric_kernel(3), one_parameter_kernel(0.05), asymmetric_kernel()):
         r = solve_r(k, 1.0)
-        assert primitivity_pattern_ok(build_m_matrix(k, 1.0, r.values))
+        assert primitivity_pattern_ok(build_m_matrix(k, 1.0, to_flat(r.values)))
 
 
 def test_perron_root_simple_cases():
@@ -152,25 +154,78 @@ DIRICHLET_KERNELS = [
 def test_structured_solve_matches_flat_system(kernel):
     _, p, a1, c = system_matrices(kernel)
     r = solve_r(kernel, 1.0)
-    q = r.values
+    q = to_flat(r.values)
     assert np.max(np.abs(q - (p + a1 @ q + (c @ q) * q))) <= 1e-13
     assert r.residual <= 1e-13
     d = solve_r_derivatives(kernel, r)
     m = build_m_matrix(kernel, 1.0, q)
     d1 = np.linalg.solve(np.eye(len(q)) - m, q)
     d2 = np.linalg.solve(np.eye(len(q)) - m, 2.0 * m @ d1 + 2.0 * (c @ d1) * d1)
-    assert np.max(np.abs(d.d1 - d1)) <= 1e-10 * np.max(np.abs(d1))
-    assert np.max(np.abs(d.d2 - d2)) <= 1e-10 * np.max(np.abs(d2))
+    assert np.max(np.abs(to_flat(d.d1) - d1)) <= 1e-10 * np.max(np.abs(d1))
+    assert np.max(np.abs(to_flat(d.d2) - d2)) <= 1e-10 * np.max(np.abs(d2))
 
 
 def test_matrix_form_follows_index_map_order():
     n = 4
-    values = np.arange(2 * n * (n - 1), dtype=float)
-    matrix = to_matrix(values, n)
+    matrix = np.arange(2 * n * n, dtype=float).reshape(2, n, n)
+    values = to_flat(matrix)
+    assert len(values) == len(IndexMap(n))
     for flat, (i, j, k) in enumerate(IndexMap(n).tuples):
         assert matrix[(1 - k) // 2, i - 1, j - 1] == values[flat]
-    assert np.all(np.diagonal(matrix, axis1=1, axis2=2) == 0.0)
-    assert np.array_equal(to_flat(matrix), values)
+    k = asymmetric_kernel()
+    r = solve_r(k, 1.0)
+    d = solve_r_derivatives(k, r)
+    for array in (r.values, d.d1, d.d2):
+        assert array.shape == (2, 3, 3)
+        assert np.all(np.diagonal(array, axis1=1, axis2=2) == 0.0)
+    for flat, (i, j, sign) in enumerate(IndexMap(3).tuples):
+        assert r.value(i, j, sign) == to_flat(r.values)[flat]
+        assert d.first(i, j, sign) == to_flat(d.d1)[flat]
+        assert d.second(i, j, sign) == to_flat(d.d2)[flat]
+
+
+@pytest.mark.parametrize("arc", [(1, 1, 1), (0, 1, 1), (4, 1, 1), (1, 2, 0)])
+def test_accessors_raise_for_a_triple_that_names_no_arc(arc):
+    # The zero diagonal and a wrapped index (window 0 reads window N) must not
+    # pass for a value.
+    k = symmetric_kernel(3)
+    r = solve_r(k, 1.0)
+    d = solve_r_derivatives(k, r)
+    for accessor in (r.value, d.first, d.second):
+        with pytest.raises(KeyError):
+            accessor(*arc)
+
+
+@pytest.mark.parametrize("n", [3, 8, 40, 100])
+def test_transience_root_symmetric_closed_form(n):
+    # At R = 1 every row of M sums to (N-2)p + 2(N-1)p with p = 1/(2N-2).
+    assert transience_root(symmetric_kernel(n)) == pytest.approx((3 * n - 4) / (2 * n - 2),
+                                                                 rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", DIRICHLET_KERNELS, ids=repr)
+def test_transience_root_matches_dense_reference(kernel):
+    ones = np.ones(len(IndexMap(kernel.n_windows)))
+    dense = perron_root(build_m_matrix(kernel, 1.0, ones))
+    assert transience_root(kernel) == pytest.approx(dense, rel=1e-12)
+
+
+def test_dense_reference_is_off_the_library_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense reference was called")
+
+    for name in ("system_matrices", "build_m_matrix", "IndexMap", "to_flat"):
+        monkeypatch.setattr(solver, name, refuse)
+    k = asymmetric_kernel()
+    r = solve_r(k, 1.0)
+    d = solve_r_derivatives(k, r)
+    assert len(solution_to_json(r, d)["d2"]) == 12
+    assert compute_limits(k, word_metric(3)).gamma > 0
+    assert spectral_radius_k(k, word_metric(3), 0.9, 1.0) < 1
+    assert abs(direct_h(k, word_metric(3), 1.0, 1.0)) < 1e-10
+    assert transience_root(k) > 1
+    assert dp_hitting_series(k, Arc(1, 2, 1), 10).total_mass() > 0
+    assert dp_return_series(k, 1, 10).total_mass() > 1
 
 
 @pytest.mark.parametrize("q, rel", [(1e-3, 1e-12), (1e-5, 1e-10)])
