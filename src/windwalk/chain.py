@@ -182,6 +182,10 @@ def whole_number(value) -> int:
     return int(value)
 
 
+#: The named families of the kernel JSON and the keys each family's object takes.
+FAMILY_KEYS = {"symmetric": ("N",), "one_parameter_q": ("q",), "asymmetric": ()}
+
+
 def validate_kernel(raw: dict) -> TransitionKernel:
     """Build a kernel from its JSON form, collecting every violation at once.
 
@@ -192,10 +196,23 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         {"asymmetric": {}}
         {"N": 3, "p": [{"i": 1, "j": 2, "k": 1, "value": 0.25}, ...]}
 
-    A value of the wrong shape or type raises ``KernelError`` naming it.
+    A value of the wrong shape or type, a key that no shape reads, or more
+    than one named family raises ``KernelError`` naming it.
     """
     if not isinstance(raw, dict):
         raise KernelError([f"kernel JSON must be an object, got {raw!r}"])
+    families = [key for key in raw if key in FAMILY_KEYS]
+    if len(families) > 1:
+        raise KernelError([f"kernel JSON names more than one family: {families!r}"])
+    violations = [f"unknown kernel key {key!r}" for key in raw if key not in (families or ("N", "p"))]
+    for family in families:
+        if not isinstance(raw[family], dict):
+            violations.append(f"{family!r} must be an object, got {raw[family]!r}")
+        else:
+            violations += [f"unknown key {key!r} in {family!r}"
+                           for key in raw[family] if key not in FAMILY_KEYS[family]]
+    if violations:
+        raise KernelError(violations)
     try:
         if "symmetric" in raw:
             return symmetric_kernel(whole_number(raw["symmetric"]["N"]))

@@ -55,17 +55,16 @@ class LimitConstants:
 
 
 def build_b(
-    kernel: TransitionKernel,
     r: RSolution,
     derivs: RDerivatives,
-    metric: Metric,
+    weights: np.ndarray,
     sign: int,
 ) -> np.ndarray:
-    """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam);
-    the diagonal is zero."""
+    """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam),
+    from the metric's (2, N, N) ``weight_array``; the diagonal is zero."""
     s = (1 - sign) // 2
     value, d1, d2 = r.values[s], derivs.d1[s], derivs.d2[s]
-    w = weight_array(metric, kernel.n_windows)[s]
+    w = weights[s]
     # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
     return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
 
@@ -157,10 +156,8 @@ def compute_limits(
     jets and read off gamma and sigma^2."""
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(kernel, r)
-    h = det_h(
-        build_b(kernel, r, derivs, metric, +1),
-        build_b(kernel, r, derivs, metric, -1),
-    )
+    weights = weight_array(metric, kernel.n_windows)
+    h = det_h(build_b(r, derivs, weights, +1), build_b(r, derivs, weights, -1))
     if abs(h.value) > SIMPLE_ZERO_TOL:
         raise DegenerateSystemError(
             f"determinant at (1,1) is {h.value!r}, expected a simple zero"

@@ -17,11 +17,14 @@ which is the probabilistically correct one.
 
 Every linear solve ``(I - M) D = B``, with M the Jacobian of the right-hand
 side, is done in structured form.  Column j of sign k solves the
-(N-1)-square system whose matrix is ``I - lam diag(u_{-k}) - lam P_k`` with
-row and column j deleted; the 2N column blocks are coupled only through
-the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N system.  One
-factorisation costs O(N^4) time and O(N^3) memory, against O(N^6) and
-O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).
+(N-1)-square system whose matrix is ``G_k = I - lam diag(u_{-k}) - lam P_k``
+with row and column j deleted; the 2N column blocks are coupled only
+through the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N
+system.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
+so one factorisation costs O(N^3) time and O(N^2) memory, against O(N^6)
+and O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).  Near a
+singular ``G_k`` the columns fall back to inverting their own blocks, at
+O(N^4) time and O(N^3) memory.
 
 ``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
 layout.  Its off-diagonal entries in row-major order are the flat
@@ -48,6 +51,10 @@ DEFAULT_MAX_ITER = 100
 #: Below this step size a Newton step that no longer shrinks is rounding
 #: noise, and the iteration stops there.
 STALL_STEP = 1e-8
+#: Column j of a chamber is solved on its own deleted block, not read off
+#: ``H_k = G_k^{-1}``, when ``min(1, |H_jj|)`` is below this share of
+#: ``max |H_k|``: the deleted-index update would cancel to noise there.
+FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
 
 
 class SolverError(RuntimeError):
@@ -183,32 +190,54 @@ class LinearisedSystem:
     Column j of ``D_k`` (without its zero diagonal entry) solves a block
     whose matrix is ``G_k = I - lam diag(u_{-k}) - lam P_k`` with row and
     column j deleted; its right-hand side is column j of
-    ``B_k + lam diag(t_{-k}) R_k``.  The block inverses are formed once.  The
-    2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
-    ``t_k = a_k + T_k t_{-k}``, and solve a 2N x 2N system, also inverted
-    once.
+    ``B_k + lam diag(t_{-k}) R_k``.  ``H_k = G_k^{-1}`` is formed once per
+    sign, and every deleted-index solve is read off it: with ``Y = H B``,
+    column j of ``Y - H diag(Y) / diag(H)`` is the block solution, with a 0
+    in row j (the inverse of a principal submatrix, Golub & Van Loan,
+    *Matrix Computations*, section 2.1).
+
+    That update cancels terms of size ``max |H_k| |B|``, so it loses digits
+    as ``G_k`` nears singularity.  A column with
+    ``min(1, |H_jj|) < FALLBACK_RATIO max |H_k|`` inverts its gathered
+    block directly instead; ``fallback_columns`` counts them.  As
+    ``H_k >= I`` here, that is every column of a near-singular ``G_k``.
+
+    The 2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
+    ``t_k = a_k + T_k t_{-k}``, with row i of ``T_k`` from row i of ``P_k``
+    times the inverse of block i; they solve a 2N x 2N system, also
+    inverted once.
     """
 
     def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
         n = p.shape[-1]
-        self.lam = lam
+        self.p, self.lam, self.r = p, lam, r
         u = _diag_of_product(p, r)
-        # keep[j] lists the windows other than j; col_of[j] broadcasts j.
-        self.keep = other_windows(n)
-        self.col_of = np.arange(n)[:, None]
         g = np.eye(n) - lam * (u[::-1, :, None] * np.eye(n) + p)
-        blocks = g[:, self.keep[:, :, None], self.keep[:, None, :]]
         try:
-            self.blocks_inv = np.linalg.inv(blocks)  # (2, N, N-1, N-1)
+            self.h = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"a column block of I - M is singular: {exc}") from exc
-        # Row i of P_k without its diagonal entry; a_k[i] and T_k[i] take its
-        # product with block i's solution.
-        self.p_rows = p[:, self.col_of, self.keep]
-        self.r_cols = self._columns(r)
-        v = (self.p_rows[:, :, None, :] @ self.blocks_inv)[:, :, 0, :]
-        t_map = np.zeros((2, n, n))
-        t_map[:, self.col_of, self.keep] = lam * v * self.r_cols
+            raise SolverError(f"a chamber block of I - M is singular: {exc}") from exc
+        h_diag = np.diagonal(self.h, axis1=1, axis2=2)
+        fallback = np.minimum(np.abs(h_diag), 1.0) < (
+            FALLBACK_RATIO * np.max(np.abs(self.h), axis=(1, 2))[:, None])
+        self.fallback_columns = int(np.count_nonzero(fallback))
+        # A fallback column divides by 1 here and is overwritten after.
+        self.h_diag = np.where(fallback, 1.0, h_diag)
+        ph = p @ self.h
+        # Row i of v: row i of P_k times the inverse of block i.
+        v = ph - (np.diagonal(ph, axis1=1, axis2=2) / self.h_diag)[:, :, None] * self.h
+        if self.fallback_columns:
+            self.sign, self.col = np.nonzero(fallback)
+            self.keep = other_windows(n)[self.col]
+            blocks = g[self.sign[:, None, None], self.keep[:, :, None], self.keep[:, None, :]]
+            try:
+                self.blocks_inv = np.linalg.inv(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"a column block of I - M is singular: {exc}") from exc
+            p_rows = p[self.sign[:, None], self.col[:, None], self.keep]
+            v[self.sign[:, None], self.col[:, None], self.keep] = (
+                p_rows[:, None, :] @ self.blocks_inv)[:, 0, :]
+        t_map = _offdiag(lam * v * np.swapaxes(r, 1, 2))
         coupling = np.eye(2 * n)
         coupling[:n, n:] = -t_map[0]
         coupling[n:, :n] = -t_map[1]
@@ -217,22 +246,23 @@ class LinearisedSystem:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
 
-    def _columns(self, y: np.ndarray) -> np.ndarray:
-        """Column j of each sign without its diagonal entry: (2, N, N-1)."""
-        return y[:, self.keep, self.col_of]
-
-    def _block_solve(self, cols: np.ndarray) -> np.ndarray:
-        return (self.blocks_inv @ cols[..., None])[..., 0]
+    def _block_solve(self, b: np.ndarray) -> np.ndarray:
+        """Every column block's solution for a zero-diagonal (2, N, N) B."""
+        y = self.h @ b
+        x = y - self.h * (np.diagonal(y, axis1=1, axis2=2) / self.h_diag)[:, None, :]
+        if self.fallback_columns:
+            cols = b[self.sign[:, None], self.keep, self.col[:, None]]
+            x[self.sign[:, None], self.keep, self.col[:, None]] = (
+                self.blocks_inv @ cols[..., None])[..., 0]
+        return _offdiag(x)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B."""
-        cols = self._columns(b)
-        a = np.einsum("kia,kia->ki", self.p_rows, self._block_solve(cols))
+        """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B, whose
+        diagonal is ignored."""
+        b = _offdiag(np.array(b, dtype=float))
+        a = _diag_of_product(self.p, self._block_solve(b))
         t = (self.coupling_inv @ a.reshape(-1)).reshape(a.shape)
-        cols = cols + self.lam * t[::-1][:, self.keep] * self.r_cols
-        out = np.zeros_like(b)
-        out[:, self.keep, self.col_of] = self._block_solve(cols)
-        return out
+        return self._block_solve(b + self.lam * t[::-1, :, None] * self.r)
 
 
 def solve_r(

@@ -15,7 +15,17 @@ from windwalk.chain import (
     one_parameter_kernel,
     symmetric_kernel,
 )
-from windwalk.groupoid import Arc, Word, append, compose, fenced_metric, inverse, unit, word_metric
+from windwalk.groupoid import (
+    Arc,
+    Word,
+    append,
+    compose,
+    fenced_metric,
+    inverse,
+    unit,
+    weight_array,
+    word_metric,
+)
 from windwalk.limits import build_b, compute_limits, det_h, kms_phi, spectral_radius_k
 from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import (
@@ -164,7 +174,8 @@ def test_criterion_04_jet_vs_finite_difference():
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-15)
             d = solve_r_derivatives(k, r)
-            h = det_h(build_b(k, r, d, metric, +1), build_b(k, r, d, metric, -1))
+            w = weight_array(metric, k.n_windows)
+            h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
             fd = fd_partials(k, metric)
             labels = ("d_lambda", "d_z", "d2_lambda", "d_lambda_z", "d2_z")

@@ -167,6 +167,25 @@ def test_malformed_kernel_json_is_invalid_input(capsys, tmp_path, kernel, named)
     assert named in json.loads(out)["violations"][0]
 
 
+@pytest.mark.parametrize("kernel, named", [
+    ({"asymmetric": {}, "N": 5, "p": 3}, "unknown kernel key 'N'"),
+    ({"symmetric": {"N": 4, "q": 9}, "typo": 1}, "unknown kernel key 'typo'"),
+    ({"symmetric": {"N": 4, "q": 9}}, "unknown key 'q' in 'symmetric'"),
+    ({"one_parameter_q": {"q": 0.2}, "symmetric": {"N": 7}}, "more than one family"),
+    ({"N": 3, "p": [], "name": "x"}, "unknown kernel key 'name'"),
+], ids=["family-with-N-p", "top-level-typo", "family-key", "two-families", "explicit-typo"])
+def test_kernel_key_no_shape_reads_is_invalid_input(capsys, tmp_path, kernel, named):
+    # Each of these used to validate as the first family found, extras ignored.
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, _, err = run(capsys, "limits", "--kernel", str(path))
+    assert code == 2
+    assert named in err
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 2
+    assert named in "; ".join(json.loads(out)["violations"])
+
+
 def _entry_with(position, **changes):
     """The symmetric N=3 kernel's JSON with ``changes`` made to one 'p' entry."""
     kernel = kernel_to_json(symmetric_kernel(3))

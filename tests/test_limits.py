@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
+from windwalk.groupoid import Arc, custom_metric, fenced_metric, weight_array, word_metric
 from windwalk.jets import Jet2, power_jet, series_jet
 from windwalk.limits import (
     DegenerateSystemError,
@@ -56,7 +56,8 @@ def test_h_vanishes_at_1_1():
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-14)
             d = solve_r_derivatives(k, r)
-            h = det_h(build_b(k, r, d, metric, +1), build_b(k, r, d, metric, -1))
+            w = weight_array(metric, k.n_windows)
+            h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             assert abs(h.value) < 1e-11
             assert h.value == pytest.approx(direct_h(k, metric, 1.0, 1.0, tol=1e-14), abs=1e-11)
 
@@ -66,7 +67,8 @@ def test_jet_partials_match_finite_differences():
     metric = fenced_metric(3)
     r = solve_r(k, 1.0, tol=1e-15)
     d = solve_r_derivatives(k, r)
-    h = det_h(build_b(k, r, d, metric, +1), build_b(k, r, d, metric, -1))
+    w = weight_array(metric, k.n_windows)
+    h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
     jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
     fd = fd_partials(k, metric)
     for a, b in zip(jet, fd):
@@ -182,7 +184,7 @@ def test_det_jet_matches_leibniz_in_list_and_array_form():
     assert det_jet(arr) == got
 
 
-@pytest.mark.parametrize("n", [40, 64])
+@pytest.mark.parametrize("n", [40, 64, 100])
 def test_large_symmetric_closed_forms(n):
     cf = closed_form_symmetric(n)
     k = symmetric_kernel(n)
@@ -193,13 +195,21 @@ def test_large_symmetric_closed_forms(n):
         assert constants.sigma2 == pytest.approx(sigma2, rel=1e-10)
 
 
+def test_symmetric_closed_form_at_300_windows():
+    # 2N(N-1) = 179400 unknowns; each factorisation holds O(N^2) floats.
+    cf = closed_form_symmetric(300)
+    constants = compute_limits(symmetric_kernel(300), word_metric(300))
+    assert constants.gamma == pytest.approx(cf.gamma_word, rel=1e-10)
+    assert constants.sigma2 == pytest.approx(cf.sigma2_word, rel=1e-10)
+
+
 def test_build_b_matches_scalar_jets():
     k = asymmetric_kernel()
     metric = fenced_metric(3)
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(k, r)
     for sign in (1, -1):
-        b = build_b(k, r, d, metric, sign)
+        b = build_b(r, d, weight_array(metric, k.n_windows), sign)
         for i in range(1, 4):
             for j in range(1, 4):
                 want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(

@@ -261,3 +261,36 @@ def test_newton_step_count_and_rounding_floor_at_small_q():
 def test_newton_step_cap_raises():
     with pytest.raises(SolverError):
         solve_r(asymmetric_kernel(), 1.0, max_iter=2)
+
+
+@pytest.mark.parametrize("ratio", [0.0, np.inf], ids=["inverse", "fallback"])
+@pytest.mark.parametrize("concentration", [1.0, 0.01])
+@pytest.mark.parametrize("n", [3, 10, 20])
+def test_both_block_solve_paths_match_dense_reference(monkeypatch, n, concentration, ratio):
+    # Ratio 0 reads every column block off G_k^{-1}; ratio inf inverts each
+    # deleted block on its own.
+    monkeypatch.setattr(solver, "FALLBACK_RATIO", ratio)
+    k = dirichlet_kernel(n, concentration, seed=n)
+    r = solve_r(k, 1.0)
+    b = np.random.default_rng(n).normal(size=(2, n, n))
+    b[:, np.arange(n), np.arange(n)] = 0.0
+    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    assert system.fallback_columns == (0 if ratio == 0.0 else 2 * n)
+    got = to_flat(system.solve(b))
+    dense = np.eye(len(got)) - build_m_matrix(k, 1.0, to_flat(r.values))
+    want = np.linalg.solve(dense, to_flat(b))
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_near_singular_chamber_falls_back_to_its_blocks():
+    # This kernel has arcs of probability 1 - O(1e-12), so its G_k^{-1} has
+    # entries near 1e11 and the deleted-index update would lose 11 digits.
+    k = dirichlet_kernel(4, 0.001, seed=4)
+    r = solve_r(k, 1.0)
+    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    assert system.fallback_columns > 0
+    b = np.random.default_rng(4).normal(size=(2, 4, 4))
+    b[:, np.arange(4), np.arange(4)] = 0.0
+    got = to_flat(system.solve(b))
+    want = np.linalg.solve(np.eye(24) - build_m_matrix(k, 1.0, to_flat(r.values)), to_flat(b))
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
