@@ -8,8 +8,8 @@ with dl = lam - 1, dz = z - 1; products truncate above total degree two.
 Propagating jets through a determinant yields all five partial derivatives
 in a single pass, with no finite-difference cancellation.
 
-``Jet2`` is the scalar ring.  ``jet_mul`` and ``jet_inverse`` apply the same
-rules to coefficient arrays whose leading axis of length 6 runs over
+``Jet2`` is the scalar ring.  ``jet_mul`` applies the same product to
+coefficient arrays whose leading axis of length 6 runs over
 (c00, c10, c01, c20, c11, c02), so a whole matrix of jets is propagated with
 a few float array operations (Taylor-mode arithmetic, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13).
@@ -163,20 +163,4 @@ def jet_mul(a, b, product=np.multiply):
         product(a0, b3) + product(a1, b1) + product(a3, b0),
         product(a0, b4) + product(a1, b2) + product(a2, b1) + product(a4, b0),
         product(a0, b5) + product(a2, b2) + product(a5, b0),
-    ])
-
-
-def jet_inverse(a: np.ndarray) -> np.ndarray:
-    """Elementwise inverse of a coefficient-array jet; the constant terms
-    must be non-zero."""
-    inv_a = 1.0 / a[0]
-    inv_a2 = inv_a * inv_a
-    e10, e01, e20, e11, e02 = a[1:]
-    return np.stack([
-        inv_a,
-        -e10 * inv_a2,
-        -e01 * inv_a2,
-        (e10 * e10 * inv_a - e20) * inv_a2,
-        (2.0 * e10 * e01 * inv_a - e11) * inv_a2,
-        (e01 * e01 * inv_a - e02) * inv_a2,
     ])

@@ -5,8 +5,11 @@ drift and variance of the limit theorems.
 A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``):
 ``build_b`` fills it from the matrix form of R and its two lambda
 derivatives, ``det_h`` forms ``B(+1) B(-1)`` with 15 float matrix products,
-and ``det_jet`` eliminates over the jet ring with whole-row array
-operations, so an N-window kernel costs O(N^3) here.
+and ``det_jet`` takes the determinant in closed form: the m null directions
+of the constant term are bordered, the kept block is inverted once and the
+m x m Schur complement, m <= 2, is expanded directly (m >= 3 gives the zero
+jet).  An N-window kernel costs O(N^3) here, with a fixed number of numpy
+calls.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .chain import TransitionKernel
 from .groupoid import Metric, weight_array
-from .jets import Jet2, jet_inverse, jet_mul
+from .jets import Jet2, jet_mul
 from .solver import (
     RDerivatives,
     RSolution,
@@ -80,41 +83,86 @@ def _jet_array(matrix: JetMatrix) -> np.ndarray:
     return np.moveaxis(np.array(coefficients, dtype=float), -1, 0)
 
 
-def det_jet(matrix: JetMatrix) -> Jet2:
-    """Determinant over the jet ring by elimination with complete pivoting on
-    the constant terms; ``matrix`` is a (6, n, n) array or a list of lists of
-    ``Jet2``.
+def _border(basis: np.ndarray) -> List[int]:
+    """Rows of an (n, m) orthonormal null basis, m <= 2, whose m x m block is
+    furthest from singular: the largest entry, then the largest entry of the
+    other column after one complete-pivot elimination step."""
+    row, col = np.unravel_index(np.argmax(np.abs(basis)), basis.shape)
+    if basis.shape[1] == 1:
+        return [int(row)]
+    other = basis[:, 1 - col] - basis[:, col] * (basis[row, 1 - col] / basis[row, col])
+    other[row] = 0.0
+    return [int(row), int(np.argmax(np.abs(other)))]
 
-    Only elimination steps divide by a pivot, so a vanishing constant term in
-    the final pivot (the simple zero of h at (1, 1)) is harmless.  When every
-    constant term of the remaining k x k block is below ``PIVOT_EPS``, its
-    determinant is the exact 2 x 2 formula for k = 2 and the zero jet for
-    k >= 3: every Leibniz term is then a product of at least three jets
-    without constant term, which truncates to zero at order 2.
+
+def _to_end(n: int, picked: List[int]):
+    """The index order that moves ``picked`` (one or two indices) to the
+    end, in order, and the sign of that permutation."""
+    order = np.array([i for i in range(n) if i not in picked] + picked)
+    inversions = sum(n - 1 - i for i in picked) - (len(picked) == 2 and picked[1] > picked[0])
+    return order, -1.0 if inversions % 2 else 1.0
+
+
+def det_jet(matrix: JetMatrix) -> Jet2:
+    """Determinant over the jet ring in closed form; ``matrix`` is a
+    (6, n, n) array or a list of lists of ``Jet2``.
+
+    The constant term A0 is split by its SVD.  Its m singular values at or
+    below ``PIVOT_EPS * sigma_1`` count as zero, with m >= 1 so that the
+    smallest direction is always bordered.  For m >= 3 the determinant is the
+    zero jet: every Leibniz term is then a product of at least three jets
+    without constant term, which truncates to zero at order 2.  Otherwise m
+    rows and m columns, picked from the left and right null vectors, move to
+    the border of [[K, B], [C, D]], and
+
+        det = sign * det K * det(D - C K^-1 B),
+
+    with det K = det K0 * (1 + tr X + ((tr X1)^2 - tr X1^2) / 2) for
+    X = K0^-1 (K - K0) and X1 its first-order part, and K^-1 B solved order
+    by order against K0^-1.  The Schur complement is m x m, so its
+    determinant is the entry itself or the 2 x 2 formula; only K0, never the
+    possibly singular A0, is inverted, so the simple zero of h at (1, 1) is
+    harmless.  The cost is O(n^3) with a fixed number of numpy calls.
+
+    How far K0 is from singular is set by sigma_{n-m} / sigma_1 of A0: that
+    ratio takes the place of the smallest elimination pivot as the measure of
+    how well this determinant is conditioned.
     """
     a = _jet_array(matrix)
     n = a.shape[-1]
-    det = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    for s in range(n):
-        block = np.abs(a[0, s:, s:])
-        row, col = np.unravel_index(np.argmax(block), block.shape)
-        if n - s >= 2 and block[row, col] < PIVOT_EPS:
-            if n - s > 2:
-                return Jet2()
-            minor = jet_mul(a[:, s, s], a[:, s + 1, s + 1]) - jet_mul(a[:, s, s + 1], a[:, s + 1, s])
-            det = jet_mul(det, minor)
-            break
-        if row:
-            a[:, [s, s + row]] = a[:, [s + row, s]]
-            det = -det
-        if col:
-            a[:, :, [s, s + col]] = a[:, :, [s + col, s]]
-            det = -det
-        pivot = a[:, s, s]
-        det = jet_mul(det, pivot)
-        if s < n - 1:
-            factor = jet_mul(a[:, s + 1:, s], jet_inverse(pivot)[:, None])
-            a[:, s + 1:, s + 1:] -= jet_mul(factor[:, :, None], a[:, s, None, s + 1:])
+    u, s, vh = np.linalg.svd(a[0])
+    m = max(1, int(np.count_nonzero(s <= PIVOT_EPS * s[0])))
+    if m >= 3:
+        return Jet2()
+    k = n - m
+    rows, row_sign = _to_end(n, _border(u[:, k:]))
+    cols, col_sign = _to_end(n, _border(vh[k:].T))
+    p = a[:, rows[:, None], cols]
+    kk, b, c, d = p[:, :k, :k], p[:, :k, k:], p[:, k:, :k], p[:, k:, k:]
+    inv = np.linalg.inv(kk[0])
+    # det(I + X) to order 2; tr(K0^-1 K_c) and tr(X_a X_b) are elementwise sums.
+    t = np.einsum("ji,cij->c", inv, kk[1:])
+    x1 = inv @ kk[1:3]
+    q = np.einsum("aij,bji->ab", x1, x1)
+    det_k = np.array([
+        1.0,
+        t[0],
+        t[1],
+        t[2] + 0.5 * (t[0] * t[0] - q[0, 0]),
+        t[3] + t[0] * t[1] - q[0, 1],
+        t[4] + 0.5 * (t[1] * t[1] - q[1, 1]),
+    ])
+    # Y = K^-1 B order by order: K0 y_c = b_c - (sum of K_a y_b over a + b = c, b < c).
+    y0 = inv @ b[0]
+    y1 = inv @ (b[1:3] - kk[1:3] @ y0)
+    ky = kk[1:3, None] @ y1
+    y2 = inv @ (b[3:] - kk[3:] @ y0 - np.stack([ky[0, 0], ky[0, 1] + ky[1, 0], ky[1, 1]]))
+    schur = d - jet_mul(c, np.concatenate([y0[None], y1, y2]), np.matmul)
+    if m == 1:
+        det_s = schur[:, 0, 0]
+    else:
+        det_s = jet_mul(schur[:, 0, 0], schur[:, 1, 1]) - jet_mul(schur[:, 0, 1], schur[:, 1, 0])
+    det = row_sign * col_sign * np.linalg.det(kk[0]) * jet_mul(det_k, det_s)
     return Jet2(*det.tolist())
 
 
@@ -181,16 +229,10 @@ def kms_phi(n: int, x: float, z: float) -> float:
     return phi
 
 
-def b_matrix_values(
-    kernel: TransitionKernel,
-    metric: Metric,
-    sign: int,
-    r: RSolution,
-    z: float,
-) -> np.ndarray:
-    """Plain float N x N matrix of z^w R values (constant terms)."""
-    s = (1 - sign) // 2
-    return z ** weight_array(metric, kernel.n_windows)[s] * r.values[s]
+def b_matrix_values(r: RSolution, weights: np.ndarray, z: float) -> np.ndarray:
+    """Plain float (2, N, N) array of z^w R values (constant terms), one
+    N x N block per sign, from the metric's ``weight_array``."""
+    return z ** weights * r.values
 
 
 def build_k_matrix(
@@ -204,8 +246,7 @@ def build_k_matrix(
     """The 2N x 2N block matrix [[0, B(+1)], [B(-1), 0]] at (lam, z)."""
     r = r if r is not None else solve_r(kernel, lam, tol=tol)
     n = kernel.n_windows
-    b_plus = b_matrix_values(kernel, metric, +1, r, z)
-    b_minus = b_matrix_values(kernel, metric, -1, r, z)
+    b_plus, b_minus = b_matrix_values(r, weight_array(metric, n), z)
     k = np.zeros((2 * n, 2 * n))
     k[:n, n:] = b_plus
     k[n:, :n] = b_minus

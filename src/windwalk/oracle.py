@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
+from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length, weight_array
 
 DEFAULT_STATE_CAP = 5 * 10**6
 
@@ -333,7 +333,6 @@ def direct_h(
     from .solver import solve_r
 
     r = solve_r(kernel, lam, tol=tol)
-    b_plus = b_matrix_values(kernel, metric, +1, r, z)
-    b_minus = b_matrix_values(kernel, metric, -1, r, z)
     n = kernel.n_windows
+    b_plus, b_minus = b_matrix_values(r, weight_array(metric, n), z)
     return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windwalk.jets import Jet2, jet_inverse, jet_mul, power_jet, series_jet
+from windwalk.jets import Jet2, jet_mul, power_jet, series_jet
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False)
 jets = st.builds(Jet2, coeff, coeff, coeff, coeff, coeff, coeff)
@@ -84,12 +84,11 @@ def test_array_jets_match_scalar_ring():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(6, 4, 4))
     b = rng.normal(size=(6, 4, 4))
-    elementwise, product, inverse = jet_mul(a, b), jet_mul(a, b, np.matmul), jet_inverse(a)
+    elementwise, product = jet_mul(a, b), jet_mul(a, b, np.matmul)
     for i in range(4):
         for j in range(4):
             _close(_to_jet(elementwise[:, i, j]), _to_jet(a[:, i, j]) * _to_jet(b[:, i, j]),
                    tol=1e-12)
-            _close(_to_jet(inverse[:, i, j]), _to_jet(a[:, i, j]).inverse(), tol=1e-6)
             acc = Jet2()
             for m in range(4):
                 acc = acc + _to_jet(a[:, i, m]) * _to_jet(b[:, m, j])

@@ -1,7 +1,7 @@
 """Determinant jets, drift/variance extraction, Toeplitz recurrence,
 spectral radius of the transfer block matrix."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -182,6 +182,57 @@ def test_det_jet_matches_leibniz_in_list_and_array_form():
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=1e-12)
     arr = np.array([[[getattr(x, name) for x in row] for row in m] for name in FIELDS])
     assert det_jet(arr) == got
+
+
+def _assert_matches_leibniz(a, tol=1e-12):
+    """``det_jet`` of a (6, n, n) array against the Leibniz sum, every
+    coefficient to ``tol`` relative to max(1, |want|).  The sum runs in
+    ``np.longdouble``: in float64, its own rounding reaches 2e-12 at n = 6."""
+    n = a.shape[-1]
+    m = [[Jet2(*a[:, i, j].astype(np.longdouble)) for j in range(n)] for i in range(n)]
+    got, want = det_jet(a), _leibniz(m)
+    for name in FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert abs(g - w) <= tol * max(1.0, abs(w)), (name, g, w)
+
+
+@pytest.mark.parametrize("n, rank", [(5, 4), (6, 5), (5, 3), (6, 4), (4, 1)])
+def test_det_jet_low_rank_constant_term_matches_leibniz(n, rank):
+    # A constant term of rank n - 1 or n - 2 in a generic basis takes the
+    # bordered path with a 1 x 1 or 2 x 2 Schur complement; rank n - 3 gives
+    # the zero jet.
+    rng = np.random.default_rng(100 * n + rank)
+    for _ in range(20):
+        a = rng.normal(size=(6, n, n))
+        a[0] = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        _assert_matches_leibniz(a)
+
+
+BORDERS = [(rows, cols) for size in (1, 2)
+           for rows in combinations(range(4), size) for cols in combinations(range(4), size)]
+
+
+@pytest.mark.parametrize("case", range(len(BORDERS)))
+def test_det_jet_borders_every_row_and_column(case):
+    # Zero rows and columns in the constant term fix its null vectors, so
+    # exactly these rows and columns move to the border, with the sign of
+    # that move: every single index, and every pair for the 2 x 2 complement.
+    rows, cols = BORDERS[case]
+    a = np.random.default_rng(case).normal(size=(6, 4, 4))
+    a[0, list(rows)] = 0.0
+    a[0, :, list(cols)] = 0.0
+    _assert_matches_leibniz(a)
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e-8, 1e8, 1e16])
+def test_det_jet_is_homogeneous(scale):
+    # The rank test is relative to the largest singular value, so scaling a
+    # 4 x 4 jet matrix by c scales its determinant by c^4 in every coefficient.
+    a = np.random.default_rng(5).normal(size=(6, 4, 4))
+    got, want = det_jet(scale * a), det_jet(a)
+    for name in FIELDS:
+        expected = scale**4 * getattr(want, name)
+        assert abs(getattr(got, name) - expected) <= 1e-12 * abs(expected), name
 
 
 @pytest.mark.parametrize("n", [40, 64, 100])
