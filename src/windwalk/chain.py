@@ -66,6 +66,7 @@ class TransitionKernel:
         cum = np.pad(np.cumsum(rows, axis=1)[:, :-1], pad)
         self._cum_rows = cum.tolist()
         self._cum_t = cum.T.copy()
+        self._count_type = np.min_scalar_type(cum.shape[1])
 
     def arc_index(self, i, u):
         """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
@@ -74,7 +75,7 @@ class TransitionKernel:
         both forms apply this one inequality to the same table."""
         if isinstance(u, float):
             return bisect_left(self._cum_rows[i], u)
-        return (u > self._cum_t.take(i, axis=1)).sum(axis=0)
+        return (u > self._cum_t.take(i, axis=1)).sum(axis=0, dtype=self._count_type)
 
     def check_windows(self, *windows: int) -> None:
         """Raise ``ValueError`` unless every window lies in 1..N."""
@@ -376,16 +377,23 @@ def sample_hitting_times(
     n_samples: int,
 ) -> np.ndarray:
     """Vectorised i.i.d. hitting-time samples; -1 marks censoring at ``cap``."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
     kernel.check_windows(target.i, target.j)
-    state = _BatchState(kernel, word_metric(kernel.n_windows), n_samples,
-                        unit(target.i), seed, max_depth=cap + 1)
+    state = _BatchState(kernel, n_samples, unit(target.i), seed, max_steps=cap)
+    # Every path starts at window target.i, so its first letter leaves
+    # target.i, and a one-letter word is the target arc exactly when that
+    # letter's code and the end window match.  A top position below
+    # 2 * n_paths means a depth of at most 1, and the empty word's sentinel
+    # code never equals `first`.
+    first = state.code(target.i, target.k)
     times = np.full(n_samples, -1, dtype=np.int64)
     active = np.arange(n_samples)
     for n in range(1, cap + 1):
         state.advance()
-        # Every path starts at window target.i, so a one-letter word is the
-        # target arc exactly when its sign and its end window match.
-        hit = (state.depth == 1) & (state.top_k == target.k) & (state.target == target.j)
+        hit = (state.top() == first) & (state.pos < 2 * state.n_paths) & (state.target == target.j)
         if hit.any():
             times[active[hit]] = n
             keep = ~hit
@@ -399,58 +407,58 @@ def sample_hitting_times(
 class _BatchState:
     """Vectorised reduced words for many independent paths of the chain.
 
-    Signs alternate along a reduced word, so a word is fixed by the windows
-    it passes through and the sign of its last letter.  Per path the state
-    holds the depth (word length), ``top_k`` (sign of the last letter, 0 for
-    the empty word), the current target window and the running metric
-    length.  ``stack`` is depth-major, shape ``(cap, n_paths)``: slot ``d``
-    of a path holds the window reached after its first ``d`` letters, so
-    slot 0 is the source, slot ``depth - 1`` the source of the last letter
-    and slot ``depth`` the target.
+    Signs alternate along a reduced word, so a word is fixed by the sign and
+    the source window of each letter and by the target window.  ``stack`` is
+    depth-major, shape ``(cap, n_paths)``: slot ``d`` of a path holds the
+    code of its ``d``-th letter, ``code(i, k) = (s (N+1) + i) * 2 (N+1)``
+    with ``s = 0`` for k = +1 and 1 for k = -1, and slot 0 holds the
+    sentinel code 0 of the empty word.  Per path the state keeps ``pos``,
+    the flat index of its top slot (``depth * n_paths + path``), and its
+    ``target`` window.  ``depth`` and ``top_k`` are derived from these.
 
     One step draws an arc (j, k) from the target window i and rewrites the
-    word with no branch per case.  With ``same = (top_k == k)`` the step is a
-    push when not ``same``, a pop (backtrack) when ``same`` and the last
-    letter starts at j, and a merge otherwise.  With ``a`` the source of the
-    last letter when ``same`` and i when not, the metric changes by
-    ``w[k, a, j] - w[k, a, i]`` in all three cases, because the weight table
-    is zero on its diagonal.  The depth moves by +1, -1 or 0, and j is
-    written into the new slot ``depth``.
+    word with no branch per case.  A table of 4 (N+1)^2 entries, indexed by
+    the top code plus ``s (N+1) + j``, gives the slot move: +1 (push) when
+    the word is empty or the signs differ, -1 (pop) when the last letter
+    starts at j, and 0 (merge) otherwise.  A merge keeps the last letter's
+    sign and source, so its code stays; a pop exposes the letter below.
+    Only a push writes a new code, ``code(i, k)``, into the slot above the
+    top, and every path writes it there: for a merge or a pop that slot is
+    free.  ``metric_lengths`` then sums the weights of each path's final
+    word once, letter by letter, exactly as ``groupoid.metric_length`` does.
     """
 
-    def __init__(self, kernel, metric, n_paths, initial: Word, seed, max_depth):
-        n = kernel.n_windows
+    def __init__(self, kernel, n_paths, initial: Word, seed, max_steps):
+        self._n1 = n1 = kernel.n_windows + 1
+        self._m = m = 2 * n1
         self.n_paths = n_paths
         d0 = len(initial.letters)
-        # Slots needed: the source plus one per letter.
-        self._slots = max_depth + d0 + 1
+        # Slots needed: the sentinel, one per letter, and the free slot above
+        # the top that every step writes.
+        self._slots = d0 + max_steps + 2
         cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
-        self.stack = np.zeros((cap0, n_paths), dtype=np.min_scalar_type(n))
-        self.stack[0] = initial.source
-        for d, arc in enumerate(initial.letters):
-            self.stack[d + 1] = arc.j
-        self._flat = self.stack.reshape(-1)
-        self.depth = np.full(n_paths, d0, dtype=np.int64)
-        self.top_k = np.full(n_paths, initial.letters[-1].k if d0 else 0, dtype=np.int64)
+        # A top code plus a table column stays below m * m.
+        self.stack = np.zeros((cap0, n_paths), dtype=np.min_scalar_type(m * m - 1))
+        for d, arc in enumerate(initial.letters, 1):
+            self.stack[d] = self.code(arc.i, arc.k)
+        self.pos = d0 * n_paths + np.arange(n_paths)
         self.target = np.full(n_paths, initial.target, dtype=np.int64)
-        m0 = sum(metric.weight(arc) for arc in initial.letters)
-        self.metric_len = np.full(n_paths, m0, dtype=np.float64)
-        self._rows = np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.
         self._room = cap0 - 1 - d0
-        # The kernel's arc rule, and its arc tables flat over (window, arc).
+        # The kernel's arc rule, and flat over (window, arc) the arc tables:
+        # the end, the table column (s, end) and the push code (s, window).
         self._arc_index = kernel.arc_index
         self._width = kernel.arc_j.shape[1]
         self._ends = kernel.arc_j.reshape(-1)
-        self._signs = kernel.arc_k.reshape(-1)
-        # The metric's weight array, padded to 1-based windows and flat, and
-        # per arc the offsets of (sign, ., j) and (sign, ., source) in it.
-        # Its zero diagonal makes the metric formula hold.
-        self._stride = n + 1
-        self._weights = np.pad(weight_array(metric, n), ((0, 0), (1, 0), (1, 0))).reshape(-1)
-        sign_base = (1 - self._signs) // 2 * (n + 1) ** 2
-        self._w_end = sign_base + self._ends
-        self._w_start = sign_base + np.repeat(np.arange(n + 1), self._width)
+        dtype = self.stack.dtype
+        self._keys = (self.code(kernel.arc_j, kernel.arc_k) // m).reshape(-1).astype(dtype)
+        self._push = self.code(np.arange(n1)[:, None], kernel.arc_k).reshape(-1).astype(dtype)
+        # The rewrite table: row s (N+1) + i is the top letter, column
+        # s' (N+1) + j the drawn arc; a row with window 0 is the empty word.
+        s, i = np.divmod(np.arange(m), n1)
+        same = (s[:, None] == s) & (i[:, None] != 0)
+        self._moves = ((~same).astype(np.int8) - (same & (i[:, None] == i))).reshape(-1)
+        self._views()
         # One child stream per path, split from the master seed, so path p's
         # randomness depends on (seed, p) alone.  Uniforms are pre-drawn in
         # chunks to keep stepping vectorised.
@@ -466,6 +474,30 @@ class _BatchState:
         self._buf = np.empty((self._chunk, n_paths))
         self._ptr = self._chunk
         self._cols = None
+
+    def code(self, i, k):
+        """The stack code of a letter that leaves window ``i`` with sign ``k``."""
+        return ((1 - k) // 2 * self._n1 + i) * self._m
+
+    def _views(self) -> None:
+        # `_above` is the stack shifted down one slot, so `_above[pos]` is
+        # the slot above the top; the table moves `pos` by whole slot rows.
+        self._flat = self.stack.reshape(-1)
+        self._above = self._flat[self.n_paths :]
+        self._table = self._moves * np.int64(self.n_paths)
+
+    @property
+    def depth(self) -> np.ndarray:
+        return self.pos // max(self.n_paths, 1)
+
+    def top(self) -> np.ndarray:
+        return self._flat.take(self.pos)
+
+    @property
+    def top_k(self) -> np.ndarray:
+        """Sign of each path's last letter, 0 for the empty word."""
+        s, i = np.divmod(self.top() // self._m, self._n1)
+        return np.where(i == 0, 0, 1 - 2 * s.astype(np.int64))
 
     def _next_uniforms(self) -> np.ndarray:
         if self._ptr >= self._chunk:
@@ -484,18 +516,16 @@ class _BatchState:
         return u if self._cols is None else u.take(self._cols)
 
     def select(self, keep: np.ndarray) -> None:
+        depth = self.depth[keep]
         # np.compress keeps the result C-contiguous, as `_flat` needs; a
         # boolean column index would not.
         self.stack = np.compress(keep, self.stack, axis=1)
-        self._flat = self.stack.reshape(-1)
-        self.depth = self.depth[keep]
-        self.top_k = self.top_k[keep]
         self.target = self.target[keep]
-        self.metric_len = self.metric_len[keep]
         self.rngs = list(compress(self.rngs, keep.tolist()))
         self._cols = np.flatnonzero(keep) if self._cols is None else self._cols[keep]
-        self.n_paths = int(keep.sum())
-        self._rows = np.arange(self.n_paths)
+        self.n_paths = len(depth)
+        self.pos = depth * self.n_paths + np.arange(self.n_paths)
+        self._views()
 
     def _grow(self) -> None:
         # The stack grows geometrically; depth increases by at most 1 per step.
@@ -503,33 +533,50 @@ class _BatchState:
         new_cap = min(self._slots, max(2 * cap, cap + 64))
         pad = np.zeros((new_cap - cap, self.n_paths), dtype=self.stack.dtype)
         self.stack = np.concatenate((self.stack, pad))
-        self._flat = self.stack.reshape(-1)
+        self._views()
         self._room = new_cap - 1 - int(self.depth.max(initial=0))
 
     def advance(self) -> None:
         if self._room <= 0:
             self._grow()
         self._room -= 1
-        n_paths = self.n_paths
         target = self.target
-        u = self._next_uniforms()
-        arc = target * self._width + self._arc_index(target, u)
-        gj = self._ends.take(arc)
-        gk = self._signs.take(arc)
-        # Slot depth - 1 holds the source of the last letter.  At depth 0 the
-        # index is negative and reads the stack's last row; `same` is False
-        # there, so the value is never used.
-        top_i = self._flat.take((self.depth - 1) * n_paths + self._rows)
-        same = self.top_k == gk
-        a = np.where(same, top_i, target) * self._stride
-        w = self._weights
-        self.metric_len += w.take(a + self._w_end.take(arc)) - w.take(a + self._w_start.take(arc))
-        pop = same & (top_i == gj)
-        self.depth += ~same
-        self.depth -= pop
-        self.top_k = np.where(pop, -gk, gk) * (self.depth != 0)
-        self._flat[self.depth * n_paths + self._rows] = gj
-        self.target = gj
+        arc = target * self._width + self._arc_index(target, self._next_uniforms())
+        pos = self.pos
+        top = self._flat.take(pos)
+        self._above[pos] = self._push.take(arc)
+        pos += self._table.take(top + self._keys.take(arc))
+        self.target = self._ends.take(arc)
+
+    def metric_lengths(self, metric: Metric) -> np.ndarray:
+        """``groupoid.metric_length`` of each path's word, to the last bit:
+        the letter weights are added from the first letter on, and
+        ``np.add.accumulate`` adds one slot row at a time."""
+        if self._room <= 0:
+            self._grow()
+        n1, m, n_paths = self._n1, self._m, self.n_paths
+        # pair[c + c' // m] = w[k, i, i'] for the code c of a letter (i, k)
+        # and the code c' of the slot above it, whose window i' is where the
+        # letter ends; row 0 and column 0 are the sentinel and weigh nothing.
+        w = np.pad(weight_array(metric, n1 - 1), ((0, 0), (1, 0), (1, 0))).reshape(m, n1)
+        pair = np.tile(w, 2).reshape(-1)
+        # The slot above the top gets the code of the target window, so the
+        # last letter ends there like the others.
+        self._above[self.pos] = self.code(self.target, 1)
+        depth = self.depth
+        lengths = np.zeros(n_paths)
+        # Blocks of about 2**16 weights (512 KiB) of slot rows at a time.
+        rows = max(1, 2**16 // max(n_paths, 1))
+        top = int(depth.max(initial=0))
+        for d0 in range(1, top + 1, rows):
+            d1 = min(d0 + rows, top + 1)
+            index = self.stack[d0 + 1 : d1 + 1] // m
+            index += self.stack[d0:d1]
+            weights = pair.take(index)
+            weights[np.arange(d0, d1)[:, None] > depth] = 0.0
+            weights[0] += lengths
+            lengths = np.add.accumulate(weights, axis=0, out=weights)[-1].copy()
+        return lengths
 
 
 def run_length_paths(
@@ -540,11 +587,18 @@ def run_length_paths(
     seed: int,
     initial: Optional[Word] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Final (word_len, metric_len) arrays over ``n_paths`` independent paths."""
+    """Final (word_len, metric_len) arrays over ``n_paths`` independent paths.
+
+    Path p follows ``simulate`` on the p-th child of ``seed``; its metric
+    length is ``groupoid.metric_length`` of its final word, bit for bit.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
+    if n_paths < 0:
+        raise ValueError("n_paths must be non-negative")
     initial = unit(1) if initial is None else initial
     kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
-    state = _BatchState(kernel, metric, n_paths, initial, seed,
-                        max_depth=n_steps + 1)
+    state = _BatchState(kernel, n_paths, initial, seed, max_steps=n_steps)
     for _ in range(n_steps):
         state.advance()
-    return state.depth.copy(), state.metric_len.copy()
+    return state.depth, state.metric_lengths(metric)

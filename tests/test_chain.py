@@ -1,11 +1,14 @@
 """Kernel validation, stepping statistics, determinism, hitting times."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from windwalk.chain import (
     KernelError,
+    TransitionKernel,
     _BatchState,
     asymmetric_kernel,
     kernel_to_json,
@@ -18,7 +21,8 @@ from windwalk.chain import (
     symmetric_kernel,
     validate_kernel,
 )
-from windwalk.groupoid import Arc, Word, fenced_metric, metric_length, unit, word_metric
+from windwalk.groupoid import (Arc, Word, custom_metric, fenced_metric, metric_length, unit,
+                               word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
@@ -176,13 +180,14 @@ def _first_hit(kernel, target, cap, seed):
 
 
 @pytest.mark.parametrize("kernel", [
-    asymmetric_kernel(), one_parameter_kernel(0.01), symmetric_kernel(5),
-], ids=["asymmetric", "one_parameter:0.01", "symmetric:5"])
+    asymmetric_kernel(), one_parameter_kernel(0.01), symmetric_kernel(5), symmetric_kernel(9),
+], ids=["asymmetric", "one_parameter:0.01", "symmetric:5", "symmetric:9"])
 @pytest.mark.parametrize("initial", ["e1", "e2", "A(1,2,+)A(2,3,-)"])
 def test_batch_equals_scalar_exactly(kernel, initial):
     # Same child streams, so every path's final word length and fenced metric
     # length equal the scalar chain's to the last bit.  600 steps take some
-    # paths past the first stack capacity of 64 letters.
+    # paths past the first stack capacity of 64 letters.  At N=9 the stack
+    # codes run to 380 and no longer fit one byte.
     start = word_from_str(initial)
     fm = fenced_metric(kernel.n_windows)
     n_steps, n_paths = 600, 6
@@ -195,10 +200,59 @@ def test_batch_equals_scalar_exactly(kernel, initial):
         assert ml[p] == traj.metric_lens[-1]
 
 
-@pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)])
-def test_hitting_times_equal_scalar_first_hits(target):
-    # The batch drops paths as they hit; the others keep their streams.
+def test_batch_metric_is_metric_length_of_final_word():
+    # Weights with no short binary form: a running sum of per-step changes
+    # drifts from the sum over the final word in the last bits, and the
+    # batch must return the latter, as groupoid.metric_length adds it.
     k = asymmetric_kernel()
+    arcs = sorted(k.p)
+    m = custom_metric(3, {arc: (0.1, 0.7, 1.3, 0.3)[n % 4] for n, arc in enumerate(arcs)})
+    start = word_from_str("A(1,2,+)A(2,3,-)")
+    n_steps, n_paths = 2000, 8
+    wl, ml = run_length_paths(k, m, n_steps, n_paths, seed=4, initial=start)
+    children = np.random.SeedSequence(4).spawn(n_paths)
+    for p in range(n_paths):
+        traj = simulate(start, k, n_steps, seed=children[p], metric=m)
+        assert wl[p] == len(traj.final)
+        assert ml[p] == metric_length(traj.final, m)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 200])
+def test_batch_word_growing_every_step_fills_stack(n_steps):
+    # The favoured arcs alternate in sign round the cycle 1 2 3 4, so the
+    # word grows by one letter on almost every step and the deepest slot the
+    # stack can hold is reached when a capacity runs out.
+    favoured = {(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 1, -1)}
+    p = {(i, j, k): 1 - 5e-9 if (i, j, k) in favoured else 1e-9
+         for i in range(1, 5) for j in range(1, 5) if i != j for k in (1, -1)}
+    k, fm = TransitionKernel(4, p), fenced_metric(4)
+    wl, ml = run_length_paths(k, fm, n_steps, 3, seed=1)
+    children = np.random.SeedSequence(1).spawn(3)
+    for q in range(3):
+        traj = simulate(unit(1), k, n_steps, seed=children[q], metric=fm)
+        assert wl[q] == len(traj.final) == n_steps
+        assert ml[q] == metric_length(traj.final, fm)
+
+
+def test_batch_tables_stay_quadratic_in_n():
+    # Every table the stepper builds is O(N^2): at N=100 a (top letter, arc)
+    # table would hold 2 * 101 * 19800 entries, some 30 MB even as int8.
+    k = symmetric_kernel(100)
+    _BatchState(k, 1, unit(1), seed=0, max_steps=10)
+    tracemalloc.start()
+    try:
+        _BatchState(k, 1, unit(1), seed=0, max_steps=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("k", [asymmetric_kernel(), symmetric_kernel(9)],
+                         ids=["asymmetric", "symmetric:9"])
+@pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)])
+def test_hitting_times_equal_scalar_first_hits(k, target):
+    # The batch drops paths as they hit; the others keep their streams.
     cap, n_samples = 40, 60
     times = sample_hitting_times(target, k, cap=cap, seed=31, n_samples=n_samples)
     children = np.random.SeedSequence(31).spawn(n_samples)
@@ -248,7 +302,7 @@ def test_arc_rule_at_exact_boundaries(kernel):
         assert kernel.arc_index(np.full(len(us), i), us).tolist() == picked
         stepped = [step(unit(i), kernel, _FixedUniform(float(u))).letters[0] for u in us]
         assert stepped == [arcs[m] for m in picked]
-        state = _BatchState(kernel, word_metric(n), len(us), unit(i), seed=0, max_depth=1)
+        state = _BatchState(kernel, len(us), unit(i), seed=0, max_steps=1)
         state._buf[0] = us
         state._ptr = 0
         state.advance()
@@ -286,4 +340,18 @@ _N3 = symmetric_kernel(3)
         "hitting-times-Arc(1,9,1)"])
 def test_window_beyond_n_is_value_error(call):
     with pytest.raises(ValueError, match="outside 1..3"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_length_paths(_N3, word_metric(3), -3, 3, 0), "n_steps must be non-negative"),
+    (lambda: run_length_paths(_N3, word_metric(3), 5, -1, 0), "n_paths must be non-negative"),
+    (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=0, seed=0, n_samples=4),
+     "cap must be >= 1"),
+    (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=20, seed=0, n_samples=-1),
+     "n_samples must be non-negative"),
+], ids=["run_length_paths-n_steps", "run_length_paths-n_paths", "hitting-times-cap",
+        "hitting-times-n_samples"])
+def test_bad_count_is_named_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
