@@ -8,6 +8,8 @@ together with composition, inversion and metric lengths.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
@@ -149,6 +151,8 @@ class Metric:
 
     def __post_init__(self) -> None:
         for key, value in self.weights.items():
+            if not math.isfinite(value):
+                raise ValueError(f"weight {value} for arc {key} is not finite")
             if value < 0:
                 raise ValueError(f"negative weight {value} for arc {key}")
 
@@ -196,10 +200,13 @@ def chamber_array(table: Mapping[Tuple[int, int, int], float], n_windows: int) -
     """A per-arc table as a (2, N, N) array, ``out[s, i-1, j-1] = table[(i, j, k)]``
     with s = 0 for k = +1 and s = 1 for k = -1; the diagonal is no arc and
     reads 0."""
-    arcs = [(key, value) for key, value in table.items() if key[0] != key[1]]
-    keys = np.array([key for key, _ in arcs], dtype=np.intp).reshape(-1, 3)
+    count = len(table)
+    keys = np.fromiter(itertools.chain.from_iterable(table), np.intp, 3 * count).reshape(count, 3)
+    values = np.fromiter(table.values(), float, count)
+    arcs = keys[:, 0] != keys[:, 1]
+    keys, values = keys[arcs], values[arcs]
     out = np.zeros((2, n_windows, n_windows))
-    out[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = [value for _, value in arcs]
+    out[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = values
     return out
 
 

@@ -24,7 +24,9 @@ system.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
 so one factorisation costs O(N^3) time and O(N^2) memory, against O(N^6)
 and O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).  Near a
 singular ``G_k`` the columns fall back to inverting their own blocks, at
-O(N^4) time and O(N^3) memory.
+O(N^4) time and O(N^3) memory.  Each solve then does one block solve: the
+coupling's right-hand side is read off the factorisation's row table, and
+the 2N x 2N coupling is LU-solved on each call, not inverted.
 
 ``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
 layout.  Its off-diagonal entries in row-major order are the flat
@@ -38,6 +40,7 @@ form, the independent reference for the tests; no library path calls them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -203,14 +206,16 @@ class LinearisedSystem:
     ``H_k >= I`` here, that is every column of a near-singular ``G_k``.
 
     The 2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
-    ``t_k = a_k + T_k t_{-k}``, with row i of ``T_k`` from row i of ``P_k``
-    times the inverse of block i; they solve a 2N x 2N system, also
-    inverted once.
+    ``t_k = a_k + T_k t_{-k}``.  Row i of ``v`` is row i of ``P_k`` times
+    the inverse of block i, so ``a_k = diag(v_k B_k)`` needs no block solve
+    and ``T_k`` is read off ``v``.  The t solve the 2N x 2N ``coupling``,
+    LU-solved on each call, and one block solve of
+    ``B_k + lam diag(t_{-k}) R_k`` then gives D.
     """
 
     def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
         n = p.shape[-1]
-        self.p, self.lam, self.r = p, lam, r
+        self.lam, self.r = lam, r
         u = _diag_of_product(p, r)
         g = np.eye(n) - lam * (u[::-1, :, None] * np.eye(n) + p)
         try:
@@ -237,14 +242,11 @@ class LinearisedSystem:
             p_rows = p[self.sign[:, None], self.col[:, None], self.keep]
             v[self.sign[:, None], self.col[:, None], self.keep] = (
                 p_rows[:, None, :] @ self.blocks_inv)[:, 0, :]
+        self.v = v
         t_map = _offdiag(lam * v * np.swapaxes(r, 1, 2))
-        coupling = np.eye(2 * n)
-        coupling[:n, n:] = -t_map[0]
-        coupling[n:, :n] = -t_map[1]
-        try:
-            self.coupling_inv = np.linalg.inv(coupling)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
+        self.coupling = np.eye(2 * n)
+        self.coupling[:n, n:] = -t_map[0]
+        self.coupling[n:, :n] = -t_map[1]
 
     def _block_solve(self, b: np.ndarray) -> np.ndarray:
         """Every column block's solution for a zero-diagonal (2, N, N) B."""
@@ -260,8 +262,11 @@ class LinearisedSystem:
         """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B, whose
         diagonal is ignored."""
         b = _offdiag(np.array(b, dtype=float))
-        a = _diag_of_product(self.p, self._block_solve(b))
-        t = (self.coupling_inv @ a.reshape(-1)).reshape(a.shape)
+        a = _diag_of_product(self.v, b)
+        try:
+            t = np.linalg.solve(self.coupling, a.reshape(-1)).reshape(a.shape)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
         return self._block_solve(b + self.lam * t[::-1, :, None] * self.r)
 
 
@@ -282,8 +287,8 @@ def solve_r(
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     p = kernel.P

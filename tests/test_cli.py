@@ -274,6 +274,8 @@ def test_limits_symmetric_below_three_windows_is_invalid_input(capsys):
     ({"i": 1, "j": 2, "k": 1, "weight": "heavy"}, "entry 1 of the custom metric is malformed"),
     ({"i": 1, "j": 1, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
     ({"i": 1, "j": 7, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
+    # json.load reads NaN; a NaN weight once came out as "gamma": NaN, exit 0.
+    ({"i": 1, "j": 2, "k": 1, "weight": float("nan")}, "weight nan for arc (1, 2, 1) is not finite"),
 ])
 def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named):
     cfg = tmp_path / "cfg.json"
@@ -282,6 +284,15 @@ def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named
     code, _, err = run(capsys, "limits", "--config", str(cfg))
     assert code == 2
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["solve-r", "limits"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-13"])
+def test_non_finite_or_non_positive_tol_is_invalid_input(capsys, command, tol):
+    code, out, err = run(capsys, command, "--kernel", "asymmetric", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite and positive" in err
 
 
 def test_import_does_not_load_scipy_stats():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from windwalk.chain import symmetric_kernel
 from windwalk.groupoid import (
     Arc,
     CompositionError,
     Word,
     append,
+    chamber_array,
     compose,
     custom_metric,
     fenced_metric,
@@ -123,6 +125,48 @@ def test_weight_array_matches_metric(metric):
 def test_custom_metric_rejects_negative():
     with pytest.raises(ValueError):
         custom_metric(3, {(1, 2, 1): -0.5})
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_custom_metric_rejects_non_finite(weight):
+    with pytest.raises(ValueError, match="is not finite"):
+        custom_metric(3, {(1, 2, 1): weight})
+
+
+def _chamber_array_reference(table, n):
+    out = np.zeros((2, n, n))
+    for (i, j, k), value in table.items():
+        if i != j:
+            out[(1 - k) // 2, i - 1, j - 1] = value
+    return out
+
+
+def _shuffled(table, seed):
+    items = list(table.items())
+    order = np.random.default_rng(seed).permutation(len(items))
+    return {items[n][0]: items[n][1] for n in order}
+
+
+CHAMBER_TABLES = [
+    ("empty", {}, 3),
+    ("diagonal-keys", {(1, 1, 1): 9.0, (2, 2, -1): 7.0, (1, 3, -1): 0.5, (3, 2, 1): 1.5}, 3),
+    ("shuffled", _shuffled(fenced_metric(5).weights, seed=5), 5),
+    ("partial-custom", {(2, 1, 1): 0.25, (3, 1, -1): 0.75, (1, 4, 1): 3.0}, 4),
+] + [
+    (f"{name}-{n}", table_of(n), n)
+    for n in (3, 33)
+    for name, table_of in (("word", lambda n: word_metric(n).weights),
+                           ("fenced", lambda n: fenced_metric(n).weights),
+                           ("kernel", lambda n: symmetric_kernel(n).p))
+]
+
+
+@pytest.mark.parametrize("table, n", [(table, n) for _, table, n in CHAMBER_TABLES],
+                         ids=[name for name, _, _ in CHAMBER_TABLES])
+def test_chamber_array_matches_loop_reference(table, n):
+    got = chamber_array(table, n)
+    assert got.shape == (2, n, n)
+    assert np.array_equal(got, _chamber_array_reference(table, n))
 
 
 def test_parser_roundtrip():

@@ -11,6 +11,7 @@ from windwalk.oracle import closed_form_one_parameter, direct_h, dp_hitting_seri
 from windwalk.solver import (
     IndexMap,
     SolverError,
+    apply_m,
     build_m_matrix,
     perron_root,
     primitivity_pattern_ok,
@@ -44,6 +45,14 @@ def test_lambda_bounds():
         solve_r(symmetric_kernel(3), 1.2)
     with pytest.raises(ValueError):
         solve_r(symmetric_kernel(3), -0.1)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0, -1e-13])
+def test_tol_must_be_finite_and_positive(tol):
+    # An infinite tol would end the iteration after one step, and a NaN tol
+    # would run on to the stall rule.
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_r(asymmetric_kernel(), 1.0, tol=tol)
 
 
 def test_symmetric_closed_form_all_n():
@@ -294,3 +303,34 @@ def test_near_singular_chamber_falls_back_to_its_blocks():
     got = to_flat(system.solve(b))
     want = np.linalg.solve(np.eye(24) - build_m_matrix(k, 1.0, to_flat(r.values)), to_flat(b))
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kernel", [
+    symmetric_kernel(3), symmetric_kernel(20), symmetric_kernel(33), symmetric_kernel(64),
+    asymmetric_kernel(), one_parameter_kernel(1e-5), dirichlet_kernel(4, 0.001, seed=4),
+    dirichlet_kernel(10, 0.01, seed=3),
+], ids=repr)
+def test_one_block_solve_satisfies_the_system(kernel):
+    # Checks (I - M) D = B through apply_m alone, so it runs at N = 64 with
+    # no dense dim x dim matrix; dirichlet(4, 0.001) takes the fallback blocks.
+    n = kernel.n_windows
+    r = solve_r(kernel, 1.0)
+    b = np.random.default_rng(n).normal(size=(2, n, n))
+    b[:, np.arange(n), np.arange(n)] = 0.0
+    system = solver.LinearisedSystem(kernel.P, 1.0, r.values)
+    d = system.solve(b)
+    defect = np.max(np.abs(d - apply_m(kernel.P, 1.0, r.values, d) - b))
+    assert defect <= 1e-13 * (np.max(np.abs(b)) + np.max(np.abs(d)))
+
+
+def test_singular_coupling_is_a_solver_error(monkeypatch):
+    # The coupling is LU-solved inside each solve, so its failure is raised
+    # there, named as the coupling.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    k = asymmetric_kernel()
+    system = solver.LinearisedSystem(k.P, 1.0, solve_r(k, 1.0).values)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="the 2N x 2N coupling of I - M is singular"):
+        system.solve(np.ones((2, 3, 3)))
