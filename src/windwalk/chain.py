@@ -12,13 +12,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, Metric, Word, append, chamber_array, other_windows, unit,
-                       weight_array, word_metric)
+from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, chamber_array,
+                       other_windows, unit, word_metric)
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_HITTING_CAP = 10**6
@@ -33,40 +34,53 @@ class KernelError(ValueError):
 
 
 class TransitionKernel:
-    """Validated jump probabilities p[(i, j, k)] for all ordered window pairs.
+    """Validated jump probabilities for all ordered window pairs.  A copy of
+    the (2, N, N) chamber array ``P`` (``groupoid.chamber_array``) is the one
+    store, validated on the array; ``KernelError`` names every violated arc.
+    ``given`` masks the entries the caller supplied, by default every arc: an
+    arc outside it is missing, and a diagonal entry in it, or nonzero in
+    ``P``, is a degenerate arc.
 
     The kernel is immutable and safe to share across threads.  Its read-only
-    tables are built once, after validation: the chamber array ``P`` of the
-    probabilities (``groupoid.chamber_array``), and in row i of ``arc_j`` and
-    ``arc_k`` the ends and signs of the arcs leaving window i (k = +1, then
-    -1; j ascending), from which ``arc_index`` samples.  ``family`` is the
-    ``(name, params)`` of a family with a closed form, else ``None``.
+    tables are built once, after validation: ``P``, and in row i of ``arc_j``
+    and ``arc_k`` the ends and signs of the arcs leaving window i (k = +1,
+    then -1; j ascending), from which ``arc_index`` samples.  ``family`` is
+    the ``(name, params)`` of a family with a closed form, else ``None``.
     """
 
-    def __init__(self, n_windows: int, p: Dict[Tuple[int, int, int], float],
-                 name: str = "custom", family: Optional[Tuple[str, dict]] = None):
-        violations = _check(n_windows, p)
+    def __init__(self, P: np.ndarray, name: str = "custom",
+                 family: Optional[Tuple[str, dict]] = None,
+                 given: Optional[np.ndarray] = None):
+        P = np.array(P, dtype=float)
+        _check_size(P.shape[-1])
+        violations = _violations(P, given)
         if violations:
             raise KernelError(violations)
-        self.n_windows = n = n_windows
-        self.p = dict(p)
+        self.n_windows = n = P.shape[-1]
+        self.P = P
         self.name = name
         self.family = family
-        self.P = chamber_array(self.p, n)
-        # Row i of P+ then of P-, each without its diagonal entry.  Row 0 of
-        # the arc tables is padding, so that windows index them directly.
-        others, pad = other_windows(n), ((1, 0), (0, 0))
-        rows = self.P[:, np.arange(n)[:, None], others].swapaxes(0, 1).reshape(n, -1)
-        self.arc_j = np.pad(np.tile(others + 1, 2), pad)
+        # Row 0 of the arc tables is padding, so that windows index them directly.
+        pad = ((1, 0), (0, 0))
+        self.arc_j = np.pad(np.tile(other_windows(n) + 1, 2), pad)
         self.arc_k = np.pad(np.tile(np.repeat([1, -1], n - 1), (n, 1)), pad)
         for table in (self.P, self.arc_j, self.arc_k):
             table.flags.writeable = False
-        # The last running sum would be 1.0 up to round-off and lies above
-        # every uniform, so the arc rule leaves it out.
-        cum = np.pad(np.cumsum(rows, axis=1)[:, :-1], pad)
-        self._cum_rows = cum.tolist()
-        self._cum_t = cum.T.copy()
-        self._count_type = np.min_scalar_type(cum.shape[1])
+        # The scalar rule reads row i as a list, made on its first draw: the
+        # lists of all rows would take four times the memory of ``P``.  Two
+        # threads that race there build equal lists.
+        self._cum_rows = [None] * (n + 1)
+        self._count_type = np.min_scalar_type(2 * n - 3)
+
+    @cached_property
+    def _cum_t(self) -> np.ndarray:
+        """Column i holds the running sums of row i of P+ then of P-, each
+        without its diagonal entry, built on the first draw.  The last sum
+        would be 1.0 up to round-off and lies above every uniform, so the
+        arc rule leaves it out; column 0 is padding."""
+        n = self.n_windows
+        rows = self.P[:, np.arange(n)[:, None], other_windows(n)].swapaxes(0, 1).reshape(n, -1)
+        return np.pad(np.cumsum(rows, axis=1)[:, :-1], ((1, 0), (0, 0))).T.copy()
 
     def arc_index(self, i, u):
         """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
@@ -74,7 +88,10 @@ class TransitionKernel:
         are a window and a float, or equal-shape arrays (one draw per path);
         both forms apply this one inequality to the same table."""
         if isinstance(u, float):
-            return bisect_left(self._cum_rows[i], u)
+            row = self._cum_rows[i]
+            if row is None:
+                row = self._cum_rows[i] = self._cum_t[:, i].tolist()
+            return bisect_left(row, u)
         return (u > self._cum_t.take(i, axis=1)).sum(axis=0, dtype=self._count_type)
 
     def check_windows(self, *windows: int) -> None:
@@ -84,11 +101,11 @@ class TransitionKernel:
                 raise ValueError(f"window {w} is outside 1..{self.n_windows}")
 
     def prob(self, i: int, j: int, k: int) -> float:
-        return self.p[(i, j, k)]
+        return arc_entry(self.P, i, j, k)
 
     def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
         return [
-            (Arc(i, j, k), float(self.p[(i, j, k)]))
+            (Arc(i, j, k), self.P.item((1 - k) // 2, i - 1, j - 1))
             for j, k in zip(self.arc_j[i].tolist(), self.arc_k[i].tolist())
         ]
 
@@ -96,47 +113,44 @@ class TransitionKernel:
         return f"TransitionKernel(N={self.n_windows}, name={self.name!r})"
 
 
-def _check(n_windows: int, p: Dict[Tuple[int, int, int], float]) -> List[str]:
-    violations = []
+def _check_size(n_windows: int) -> None:
     if n_windows < 3:
-        violations.append(f"N must be at least 3, got {n_windows}")
-        return violations
-    for i in range(1, n_windows + 1):
-        row = 0.0
-        for j in range(1, n_windows + 1):
-            if i == j:
-                continue
-            for k in (1, -1):
-                if (i, j, k) not in p:
-                    violations.append(f"missing probability for arc ({i},{j},{k:+d})")
-                    continue
-                value = p[(i, j, k)]
-                if not (0.0 < value < 1.0):
-                    violations.append(
-                        f"probability {value} for arc ({i},{j},{k:+d}) outside (0, 1)"
-                    )
-                row += value
+        raise KernelError([f"N must be at least 3, got {n_windows}"])
+
+
+def _violations(P: np.ndarray, given: Optional[np.ndarray]) -> List[str]:
+    """Every arc outside (0, 1) or missing, row whose sum is off 1 by more
+    than ``ROW_SUM_TOL``, and degenerate entry of a chamber array, N >= 3."""
+    n = P.shape[-1]
+    arcs = ~np.eye(n, dtype=bool)
+    given = np.broadcast_to(arcs, P.shape) if given is None else given
+    # Window i's arcs in the order (i, j, s): j ascending, then k = +1, -1.
+    by_row = np.where(arcs & given, P, 0.0).transpose(1, 2, 0)
+    missing = (arcs & ~given).transpose(1, 2, 0)
+    flagged = missing | (arcs & given & ~((P > 0.0) & (P < 1.0))).transpose(1, 2, 0)
+    # The running sum of each row's given arcs, from j = 1 on.
+    sums = np.add.accumulate(by_row.reshape(n, -1), axis=1)[:, -1].tolist()
+    violations = []
+    for i, row in enumerate(sums):
+        for j, s in np.argwhere(flagged[i]).tolist():
+            arc = f"({i + 1},{j + 1},{1 - 2 * s:+d})"
+            violations.append(f"missing probability for arc {arc}" if missing[i, j, s] else
+                              f"probability {by_row[i, j, s].item()} for arc {arc} outside (0, 1)")
         if abs(row - 1.0) > ROW_SUM_TOL:
-            violations.append(f"row for window {i} sums to {row!r} (deficit {1.0 - row:+.3e})")
-    extra = [key for key in p if key[0] == key[1]]
-    if extra:
-        violations.append(f"entries for degenerate arcs not allowed: {sorted(extra)}")
+            violations.append(f"row for window {i + 1} sums to {row!r} (deficit {1.0 - row:+.3e})")
+    diagonal = np.einsum("kii->ik", given) | (np.einsum("kii->ik", P) != 0.0)
+    if diagonal.any():
+        extra = sorted((i + 1, i + 1, 1 - 2 * s) for i, s in np.argwhere(diagonal).tolist())
+        violations.append(f"entries for degenerate arcs not allowed: {extra}")
     return violations
 
 
 def symmetric_kernel(n_windows: int) -> TransitionKernel:
     """The totally symmetric family: every arc has probability 1/(2N-2)."""
-    if n_windows < 3:
-        raise KernelError([f"N must be at least 3, got {n_windows}"])
-    value = 1.0 / (2 * n_windows - 2)
-    p = {
-        (i, j, k): value
-        for i in range(1, n_windows + 1)
-        for j in range(1, n_windows + 1)
-        if i != j
-        for k in (1, -1)
-    }
-    return TransitionKernel(n_windows, p, name=f"symmetric(N={n_windows})",
+    _check_size(n_windows)
+    arcs = (1.0 - np.eye(n_windows)) / (2 * n_windows - 2)
+    return TransitionKernel(np.broadcast_to(arcs, (2, n_windows, n_windows)),
+                            name=f"symmetric(N={n_windows})",
                             family=("symmetric", {"N": n_windows}))
 
 
@@ -144,12 +158,8 @@ def one_parameter_kernel(q: float) -> TransitionKernel:
     """The N=3 one-parameter family with mirror symmetry, 0 < q < 1/2."""
     if not (0.0 < q < 0.5):
         raise KernelError([f"one-parameter q must lie in (0, 1/2), got {q}"])
-    p: Dict[Tuple[int, int, int], float] = {}
-    for k in (1, -1):
-        p[(2, 1, k)] = p[(2, 3, k)] = 0.25
-        p[(1, 2, k)] = p[(3, 2, k)] = q
-        p[(1, 3, k)] = p[(3, 1, k)] = 0.5 - q
-    return TransitionKernel(3, p, name=f"one_parameter(q={q})",
+    chamber = [[0.0, q, 0.5 - q], [0.25, 0.0, 0.25], [0.5 - q, q, 0.0]]
+    return TransitionKernel([chamber, chamber], name=f"one_parameter(q={q})",
                             family=("one_parameter", {"q": q}))
 
 
@@ -171,8 +181,8 @@ ASYMMETRIC_PROBS: Dict[Tuple[int, int, int], Fraction] = {
 
 
 def asymmetric_kernel() -> TransitionKernel:
-    p = {key: float(val) for key, val in ASYMMETRIC_PROBS.items()}
-    return TransitionKernel(3, p, name="asymmetric", family=("asymmetric", {}))
+    P, given = chamber_array(ASYMMETRIC_PROBS, 3)
+    return TransitionKernel(P, name="asymmetric", family=("asymmetric", {}), given=given)
 
 
 def whole_number(value) -> int:
@@ -224,6 +234,7 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         if "N" not in raw or "p" not in raw:
             raise KernelError(["kernel JSON must contain 'N' and 'p' (or a named family)"])
         n = whole_number(raw["N"])
+        _check_size(n)
     except KernelError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -240,17 +251,15 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         if key in p:
             raise KernelError([f"duplicate entry for arc {key}"])
         p[key] = value
-    return TransitionKernel(n, p)
+    try:
+        P, given = chamber_array(p, n)
+    except ValueError as exc:
+        raise KernelError([f"in 'p': {exc}"]) from exc
+    return TransitionKernel(P, given=given)
 
 
 def kernel_to_json(kernel: TransitionKernel) -> dict:
-    return {
-        "N": kernel.n_windows,
-        "p": [
-            {"i": i, "j": j, "k": k, "value": v}
-            for (i, j, k), v in sorted(kernel.p.items(), key=lambda t: (-t[0][2], t[0][0], t[0][1]))
-        ],
-    }
+    return {"N": kernel.n_windows, "p": arc_entries(kernel.P)}
 
 
 @dataclass
@@ -320,21 +329,22 @@ def simulate(
     states = [start] if record_words else None
     word = start
     arc_index, arc_j, arc_k = kernel.arc_index, kernel.arc_j.tolist(), kernel.arc_k.tolist()
-    wt = metric.weights
+    # wt[k][i][j] is the weight of arc (i, j, k); row and column 0 are padding.
+    wt = dict(zip((1, -1), np.pad(metric.W, ((0, 0), (1, 0), (1, 0))).tolist()))
     for n in range(1, n_steps + 1):
         idx = arc_index(target, rng.random())
         gj = arc_j[target][idx]
         gk = arc_k[target][idx]
         if not stack_i or stack_k[-1] != gk:  # push
-            mlen += wt[(target, gj, gk)]
+            mlen += wt[gk][target][gj]
             stack_i.append(target)
             stack_k.append(gk)
         elif stack_i[-1] == gj:  # pop (backtrack)
-            mlen -= wt[(gj, target, gk)]
+            mlen -= wt[gk][gj][target]
             stack_i.pop()
             stack_k.pop()
         else:  # merge with the same-sign last letter
-            mlen += wt[(stack_i[-1], gj, gk)] - wt[(stack_i[-1], target, gk)]
+            mlen += wt[gk][stack_i[-1]][gj] - wt[gk][stack_i[-1]][target]
         target = gj
         word_lens[n] = len(stack_i)
         metric_lens[n] = mlen
@@ -558,7 +568,7 @@ class _BatchState:
         # pair[c + c' // m] = w[k, i, i'] for the code c of a letter (i, k)
         # and the code c' of the slot above it, whose window i' is where the
         # letter ends; row 0 and column 0 are the sentinel and weigh nothing.
-        w = np.pad(weight_array(metric, n1 - 1), ((0, 0), (1, 0), (1, 0))).reshape(m, n1)
+        w = np.pad(metric.W, ((0, 0), (1, 0), (1, 0))).reshape(m, n1)
         pair = np.tile(w, 2).reshape(-1)
         # The slot above the top gets the code of the target window, so the
         # last letter ends there like the others.

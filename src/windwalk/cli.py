@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -379,6 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    # argparse's negative-number pattern (Python 3.11) has no exponent form,
+    # so it takes `--tol -1e-13` for two options: join such a value to its flag.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for n in range(len(argv) - 1, 0, -1):
+        flag = argv[n - 1]
+        if (flag.startswith("--") and "=" not in flag
+                and re.fullmatch(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+", argv[n])):
+            argv[n - 1 : n + 1] = [f"{flag}={argv[n]}"]
     args = parser.parse_args(argv)
     try:
         if args.config is not None:

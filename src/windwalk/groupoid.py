@@ -8,11 +8,10 @@ together with composition, inversion and metric lengths.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -141,49 +140,48 @@ def inverse(w: Word) -> Word:
     return Word(w.target, letters)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """Non-negative letter weights; the length of a word is the sum over its
-    reduced letters, and units have length zero."""
+    """Non-negative letter weights, kept as a read-only copy ``W`` of their
+    (2, N, N) chamber array; the length of a word is the sum over its reduced
+    letters, and units have length zero."""
 
     name: str
-    weights: Mapping[Tuple[int, int, int], float] = field(default_factory=dict)
+    W: np.ndarray
 
     def __post_init__(self) -> None:
-        for key, value in self.weights.items():
-            if not math.isfinite(value):
-                raise ValueError(f"weight {value} for arc {key} is not finite")
-            if value < 0:
-                raise ValueError(f"negative weight {value} for arc {key}")
+        W = np.array(self.W, dtype=float)
+        bad = ~np.isfinite(W) | (W < 0)
+        if bad.any():
+            # The first bad arc with i, then j, then k = +1, -1 ascending.
+            i, j, s = np.argwhere(bad.transpose(1, 2, 0))[0].tolist()
+            value, key = W[s, i, j].item(), (i + 1, j + 1, 1 - 2 * s)
+            raise ValueError(f"weight {value} for arc {key} is not finite"
+                             if not math.isfinite(value) else
+                             f"negative weight {value} for arc {key}")
+        W.flags.writeable = False
+        object.__setattr__(self, "W", W)
 
     def weight(self, arc: Arc) -> float:
-        return self.weights[(arc.i, arc.j, arc.k)]
+        return arc_entry(self.W, arc.i, arc.j, arc.k)
 
 
 def word_metric(n_windows: int) -> Metric:
     """Letter-count length: every arc weighs 1."""
-    return Metric("word", _weight_table(n_windows, lambda i, j: 1.0))
+    return Metric("word", np.broadcast_to(1.0 - np.eye(n_windows), (2, n_windows, n_windows)))
 
 
 def fenced_metric(n_windows: int) -> Metric:
     """Wall-crossing length: an arc from window i to j weighs |i - j|."""
-    return Metric("fenced", _weight_table(n_windows, lambda i, j: float(abs(i - j))))
+    windows = np.arange(n_windows, dtype=float)
+    return Metric("fenced", np.broadcast_to(abs(windows[:, None] - windows),
+                                            (2, n_windows, n_windows)))
 
 
 def custom_metric(n_windows: int, weights: Mapping[Tuple[int, int, int], float]) -> Metric:
-    table = _weight_table(n_windows, lambda i, j: 0.0)
-    table.update({k: float(v) for k, v in weights.items()})
-    return Metric("custom", table)
-
-
-def _weight_table(n_windows, fn) -> Dict[Tuple[int, int, int], float]:
-    return {
-        (i, j, k): fn(i, j)
-        for i in range(1, n_windows + 1)
-        for j in range(1, n_windows + 1)
-        if i != j
-        for k in (1, -1)
-    }
+    """Weights for the arcs ``weights`` names; every other arc weighs 0, and
+    keys on the diagonal are ignored."""
+    return Metric("custom", chamber_array(weights, n_windows)[0])
 
 
 def metric_length(w: Word, m: Metric) -> float:
@@ -196,22 +194,46 @@ def other_windows(n_windows: int) -> np.ndarray:
     return a + (a >= np.arange(n_windows)[:, None])
 
 
-def chamber_array(table: Mapping[Tuple[int, int, int], float], n_windows: int) -> np.ndarray:
-    """A per-arc table as a (2, N, N) array, ``out[s, i-1, j-1] = table[(i, j, k)]``
-    with s = 0 for k = +1 and s = 1 for k = -1; the diagonal is no arc and
-    reads 0."""
-    count = len(table)
-    keys = np.fromiter(itertools.chain.from_iterable(table), np.intp, 3 * count).reshape(count, 3)
-    values = np.fromiter(table.values(), float, count)
-    arcs = keys[:, 0] != keys[:, 1]
-    keys, values = keys[arcs], values[arcs]
+def arc_entry(array: np.ndarray, i: int, j: int, k: int) -> float:
+    """Entry of arc (i, j, k) in a (2, N, N) array; ``KeyError`` for a triple
+    that names no arc, rather than a read of the diagonal or a wrapped index."""
+    n = array.shape[-1]
+    if i == j or not (1 <= i <= n and 1 <= j <= n) or k not in (1, -1):
+        raise KeyError((i, j, k))
+    return array.item((1 - k) // 2, i - 1, j - 1)
+
+
+def arc_entries(array: np.ndarray) -> List[dict]:
+    """The arcs of a (2, N, N) array as JSON entries ``{"i", "j", "k",
+    "value"}``: k = +1 first, then i and j ascending (``solver.IndexMap``)."""
+    n, values = array.shape[-1], array.tolist()
+    return [{"i": i + 1, "j": j + 1, "k": 1 - 2 * s, "value": values[s][i][j]}
+            for s in (0, 1) for i in range(n) for j in range(n) if i != j]
+
+
+def chamber_array(
+    table: Mapping[Tuple[int, int, int], float], n_windows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A per-arc table as a (2, N, N) array and the mask of the keys it holds.
+
+    ``out[s, i-1, j-1] = table[(i, j, k)]`` with s = 0 for k = +1 and s = 1
+    for k = -1; the diagonal is no arc and reads 0, but ``given`` marks a
+    diagonal key.  A key whose window lies outside 1..N or whose sign is not
+    +1 or -1 names no arc, and ``ValueError`` names each such key.
+    """
+    windows = range(1, n_windows + 1)
+    stray = [f"entry {n}, {key}, names no arc" for n, key in enumerate(table)
+             if key[0] not in windows or key[1] not in windows or key[2] not in (1, -1)]
+    if stray:
+        raise ValueError(f"{'; '.join(stray)} (windows run 1..{n_windows}, signs are +1 or -1)")
+    keys = np.array(list(table), dtype=np.intp).reshape(-1, 3)
+    at = ((1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1)
+    given = np.zeros((2, n_windows, n_windows), dtype=bool)
+    given[at] = True
     out = np.zeros((2, n_windows, n_windows))
-    out[(1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1] = values
-    return out
-
-
-def weight_array(metric: Metric, n_windows: int) -> np.ndarray:
-    return chamber_array(metric.weights, n_windows)
+    out[at] = np.fromiter(table.values(), float, len(table))
+    np.einsum("kii->ki", out)[...] = 0.0
+    return out, given
 
 
 _UNIT_RE = re.compile(r"^e(\d+)$")

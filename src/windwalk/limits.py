@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Metric, weight_array
+from .groupoid import Metric
 from .jets import Jet2, jet_mul
 from .solver import (
     RDerivatives,
@@ -64,7 +64,7 @@ def build_b(
     sign: int,
 ) -> np.ndarray:
     """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam),
-    from the metric's (2, N, N) ``weight_array``; the diagonal is zero."""
+    from the metric's (2, N, N) weights ``Metric.W``; the diagonal is zero."""
     s = (1 - sign) // 2
     value, d1, d2 = r.values[s], derivs.d1[s], derivs.d2[s]
     w = weights[s]
@@ -204,8 +204,7 @@ def compute_limits(
     jets and read off gamma and sigma^2."""
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(kernel, r)
-    weights = weight_array(metric, kernel.n_windows)
-    h = det_h(build_b(r, derivs, weights, +1), build_b(r, derivs, weights, -1))
+    h = det_h(build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1))
     if abs(h.value) > SIMPLE_ZERO_TOL:
         raise DegenerateSystemError(
             f"determinant at (1,1) is {h.value!r}, expected a simple zero"
@@ -231,7 +230,7 @@ def kms_phi(n: int, x: float, z: float) -> float:
 
 def b_matrix_values(r: RSolution, weights: np.ndarray, z: float) -> np.ndarray:
     """Plain float (2, N, N) array of z^w R values (constant terms), one
-    N x N block per sign, from the metric's ``weight_array``."""
+    N x N block per sign, from the metric's weights ``Metric.W``."""
     return z ** weights * r.values
 
 
@@ -246,7 +245,7 @@ def build_k_matrix(
     """The 2N x 2N block matrix [[0, B(+1)], [B(-1), 0]] at (lam, z)."""
     r = r if r is not None else solve_r(kernel, lam, tol=tol)
     n = kernel.n_windows
-    b_plus, b_minus = b_matrix_values(r, weight_array(metric, n), z)
+    b_plus, b_minus = b_matrix_values(r, metric.W, z)
     k = np.zeros((2 * n, 2 * n))
     k[:n, n:] = b_plus
     k[n:, :n] = b_minus

@@ -60,6 +60,12 @@ def _default_initial(kernel: TransitionKernel) -> Word:
     return Word(1, (Arc(1, 2, 1), Arc(2, 3, -1)))
 
 
+def _check_finite(**refs) -> None:
+    for name, value in refs.items():
+        if value is not None and not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def verify_lln(
     kernel: TransitionKernel,
     metric: Metric,
@@ -76,6 +82,7 @@ def verify_lln(
     the finite-n rate.  The run is repeated from a short non-unit initial
     word; the rate must not depend on the starting arrow.
     """
+    _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
     if n_steps < 10**3 or n_paths < 50:
         raise ValueError("requires n_steps >= 1000 and n_paths >= 50")
     seed2 = int(np.random.SeedSequence(seed).generate_state(2)[1])
@@ -119,6 +126,7 @@ def verify_clt(
     N(0, sigma2_ref) distribution must stay below 1.63/sqrt(n_paths).
     Centering uses the exact drift, not the empirical mean.
     """
+    _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
     if n_steps < 10**4 or n_paths < 10**3:
         raise ValueError("requires n_steps >= 1e4 and n_paths >= 1e3")
     if sigma2_ref <= 0:
@@ -170,7 +178,7 @@ def verify_lazy_walk(kernel: TransitionKernel, n_steps: int, seed: int) -> LazyW
     (N-1, N-2, 1)/(2(N-1)), and from length zero it always moves up."""
     n = kernel.n_windows
     uniform = 1.0 / (2 * n - 2)
-    if any(abs(v - uniform) > 1e-12 for v in kernel.p.values()):
+    if (abs(kernel.P[:, ~np.eye(n, dtype=bool)] - uniform) > 1e-12).any():
         raise ValueError("the lazy-walk law holds only for the symmetric family")
     traj = simulate(unit(1), kernel, n_steps, seed)
     lens = traj.word_lens

@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length, weight_array
+from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
 
 DEFAULT_STATE_CAP = 5 * 10**6
 
@@ -334,5 +334,5 @@ def direct_h(
 
     r = solve_r(kernel, lam, tol=tol)
     n = kernel.n_windows
-    b_plus, b_minus = b_matrix_values(r, weight_array(metric, n), z)
+    b_plus, b_minus = b_matrix_values(r, metric.W, z)
     return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))

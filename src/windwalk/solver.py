@@ -4,8 +4,9 @@ implicit differentiation.
 
 The solver holds R as a (2, N, N) array: ``R[0]`` is R+ and ``R[1]`` is R-,
 with ``R_k[i-1, j-1] = R_{i,j}^{(k)}`` and a zero diagonal.  The jump
-probabilities ``P`` are the kernel's chamber array ``TransitionKernel.P``,
-in the same layout.  Entry (i, j), i != j, of sign k reads
+probabilities ``P`` are the kernel's one store, its chamber array
+``TransitionKernel.P``, in the same layout.  Entry (i, j), i != j, of sign
+k reads
 
     R_k = lam * (P_k + offdiag(P_k R_k) + diag(u_{-k}) R_k),   u_k = diag(P_k R_k),
 
@@ -36,6 +37,8 @@ layout.  Its off-diagonal entries in row-major order are the flat
 
 ``system_matrices``, ``build_m_matrix`` and ``to_flat`` build that dense
 form, the independent reference for the tests; no library path calls them.
+``system_matrices`` reads the kernel arc by arc through
+``TransitionKernel.prob``, not through ``P``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import other_windows
+from .groupoid import arc_entries, arc_entry, other_windows
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100
@@ -91,15 +94,6 @@ class IndexMap:
         return self._flat[(i, j, k)]
 
 
-def _arc(array: np.ndarray, i: int, j: int, k: int) -> float:
-    """Entry of arc (i, j, k) in a (2, N, N) array; ``KeyError`` for a triple
-    that names no arc, rather than a read of the diagonal or a wrapped index."""
-    windows = range(1, array.shape[-1] + 1)
-    if i == j or i not in windows or j not in windows or k not in (1, -1):
-        raise KeyError((i, j, k))
-    return float(array[(1 - k) // 2, i - 1, j - 1])
-
-
 @dataclass
 class RSolution:
     """Converged (2, N, N) R values at one lambda, with the fixed-point defect."""
@@ -110,7 +104,7 @@ class RSolution:
     iterations: int
 
     def value(self, i: int, j: int, k: int) -> float:
-        return _arc(self.values, i, j, k)
+        return arc_entry(self.values, i, j, k)
 
 
 @dataclass
@@ -121,10 +115,10 @@ class RDerivatives:
     d2: np.ndarray
 
     def first(self, i: int, j: int, k: int) -> float:
-        return _arc(self.d1, i, j, k)
+        return arc_entry(self.d1, i, j, k)
 
     def second(self, i: int, j: int, k: int) -> float:
-        return _arc(self.d2, i, j, k)
+        return arc_entry(self.d2, i, j, k)
 
 
 def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
@@ -374,21 +368,14 @@ def transience_root(kernel: TransitionKernel) -> float:
     return perron_root(lambda d: apply_m(p, 1.0, ones, d), start=ones / ones.sum())
 
 
-def _arc_entries(array: np.ndarray) -> List[dict]:
-    """The arcs of a (2, N, N) array in the documented ``IndexMap`` order."""
-    n = array.shape[-1]
-    return [{"i": i, "j": j, "k": k, "value": float(array[(1 - k) // 2, i - 1, j - 1])}
-            for k in (1, -1) for i in range(1, n + 1) for j in range(1, n + 1) if j != i]
-
-
 def solution_to_json(r: RSolution, derivs: RDerivatives | None = None) -> dict:
     out = {
         "lambda": r.lam,
-        "R": _arc_entries(r.values),
+        "R": arc_entries(r.values),
         "iterations": r.iterations,
         "residual": r.residual,
     }
     if derivs is not None:
-        out["d1"] = _arc_entries(derivs.d1)
-        out["d2"] = _arc_entries(derivs.d2)
+        out["d1"] = arc_entries(derivs.d1)
+        out["d2"] = arc_entries(derivs.d2)
     return out

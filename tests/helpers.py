@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from windwalk.chain import TransitionKernel
-from windwalk.groupoid import Arc, Word, append, unit
+from windwalk.groupoid import Arc, Word, append, chamber_array, unit
 from windwalk.oracle import direct_h
 
 
@@ -34,7 +34,9 @@ def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKerne
         arcs = [(i, j, k) for k in (1, -1) for j in range(1, n + 1) if j != i]
         probs = np.maximum(rng.dirichlet(np.full(len(arcs), concentration)), 1e-12)
         p.update(zip(arcs, probs / probs.sum()))
-    return TransitionKernel(n, p, name=f"dirichlet(N={n}, a={concentration}, seed={seed})")
+    P, given = chamber_array(p, n)
+    return TransitionKernel(P, name=f"dirichlet(N={n}, a={concentration}, seed={seed})",
+                            given=given)
 
 
 def fd_partials(kernel, metric, h: float = 5e-4, tol: float = 1e-15):

@@ -23,16 +23,16 @@ from windwalk.groupoid import (
     fenced_metric,
     inverse,
     unit,
-    weight_array,
     word_metric,
 )
 from windwalk.limits import build_b, compute_limits, det_h, kms_phi, spectral_radius_k
 from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import (
     ASYMMETRIC_REFERENCE,
+    TruncatedSeries,
     closed_form_one_parameter,
     closed_form_symmetric,
-    dp_hitting_series,
+    hitting_step_probabilities,
 )
 from windwalk.solver import (
     IndexMap,
@@ -174,7 +174,7 @@ def test_criterion_04_jet_vs_finite_difference():
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-15)
             d = solve_r_derivatives(k, r)
-            w = weight_array(metric, k.n_windows)
+            w = metric.W
             h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
             fd = fd_partials(k, metric)
@@ -189,8 +189,11 @@ def test_criterion_05_dp_oracle_equivalence():
     t0 = time.monotonic()
     failures = []
     for name, k in (("symmetric N=3", symmetric_kernel(3)), ("asymmetric", asymmetric_kernel())):
+        # One (2, N, N, 81) table serves every arc.
+        table = hitting_step_probabilities(k, 80)
         series = {
-            t: dp_hitting_series(k, Arc(*t), 80) for t in IndexMap(3).tuples
+            t: TruncatedSeries(table[(1 - t[2]) // 2, t[0] - 1, t[1] - 1], 80)
+            for t in IndexMap(3).tuples
         }
         for lam in (0.5, 0.9):
             r = solve_r(k, lam, tol=1e-14)

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from windwalk.chain import (
+    ROW_SUM_TOL,
     KernelError,
     TransitionKernel,
     _BatchState,
@@ -21,8 +22,8 @@ from windwalk.chain import (
     symmetric_kernel,
     validate_kernel,
 )
-from windwalk.groupoid import (Arc, Word, custom_metric, fenced_metric, metric_length, unit,
-                               word_metric)
+from windwalk.groupoid import (Arc, Word, chamber_array, custom_metric, fenced_metric,
+                               metric_length, unit, word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
@@ -72,6 +73,67 @@ def test_probability_one_rejected():
     assert any("outside (0, 1)" in v for v in err.value.violations)
 
 
+def test_array_kernel_names_every_violated_arc():
+    # An explicit NaN is a value outside (0, 1), not a missing arc; an arc
+    # outside ``given`` is missing; a diagonal entry is a degenerate arc.
+    P = np.array(symmetric_kernel(3).P)
+    P[0, 0, 1], P[1, 2, 0], P[1, 1, 1] = np.nan, 0.0, 0.5
+    given = np.broadcast_to(~np.eye(3, dtype=bool), (2, 3, 3)).copy()
+    given[1, 2, 0] = False
+    with pytest.raises(KernelError) as err:
+        TransitionKernel(P, given=given)
+    assert err.value.violations == [
+        "probability nan for arc (1,2,+1) outside (0, 1)",
+        "missing probability for arc (3,1,-1)",
+        "row for window 3 sums to 0.75 (deficit +2.500e-01)",
+        "entries for degenerate arcs not allowed: [(2, 2, -1)]",
+    ]
+
+
+def _violations_reference(n, p):
+    """Kernel validation as a plain loop over a dict of arcs."""
+    violations = []
+    for i in range(1, n + 1):
+        row = 0.0
+        for j in range(1, n + 1):
+            for k in (1, -1):
+                if i == j:
+                    continue
+                if (i, j, k) not in p:
+                    violations.append(f"missing probability for arc ({i},{j},{k:+d})")
+                    continue
+                value = p[(i, j, k)]
+                if not (0.0 < value < 1.0):
+                    violations.append(
+                        f"probability {value} for arc ({i},{j},{k:+d}) outside (0, 1)")
+                row += value
+        if abs(row - 1.0) > ROW_SUM_TOL:
+            violations.append(f"row for window {i} sums to {row!r} (deficit {1.0 - row:+.3e})")
+    extra = sorted(key for key in p if key[0] == key[1])
+    if extra:
+        violations.append(f"entries for degenerate arcs not allowed: {extra}")
+    return violations
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2)])
+def test_array_validation_matches_loop_reference(n, seed):
+    # Rows summed in another order would differ in the last bits of the
+    # printed sum and could flip a row across ROW_SUM_TOL.
+    rng = np.random.default_rng(seed)
+    k = dirichlet_kernel(n, 1.0, seed=seed)
+    p = {(e["i"], e["j"], e["k"]): e["value"] for e in kernel_to_json(k)["p"]}
+    arcs = list(p)
+    for index in rng.choice(len(arcs), size=3, replace=False):
+        p[arcs[index]] *= 1.0 + 1e-11 * rng.standard_normal()
+    del p[arcs[-1]]
+    p[arcs[0]], p[arcs[1]] = float("nan"), 1.25
+    p[(2, 2, -1)] = 0.1
+    entries = [{"i": i, "j": j, "k": s, "value": v} for (i, j, s), v in p.items()]
+    with pytest.raises(KernelError) as err:
+        validate_kernel({"N": n, "p": entries})
+    assert err.value.violations == _violations_reference(n, p)
+
+
 def test_n_windows_minimum():
     with pytest.raises(KernelError):
         symmetric_kernel(2)
@@ -80,7 +142,7 @@ def test_n_windows_minimum():
 def test_kernel_json_roundtrip():
     k = asymmetric_kernel()
     k2 = validate_kernel(kernel_to_json(k))
-    assert k2.p == k.p
+    assert np.array_equal(k2.P, k.P)
 
 
 def test_step_frequencies_uniform():
@@ -205,7 +267,7 @@ def test_batch_metric_is_metric_length_of_final_word():
     # drifts from the sum over the final word in the last bits, and the
     # batch must return the latter, as groupoid.metric_length adds it.
     k = asymmetric_kernel()
-    arcs = sorted(k.p)
+    arcs = sorted((i, j, s) for i in (1, 2, 3) for j in (1, 2, 3) if i != j for s in (1, -1))
     m = custom_metric(3, {arc: (0.1, 0.7, 1.3, 0.3)[n % 4] for n, arc in enumerate(arcs)})
     start = word_from_str("A(1,2,+)A(2,3,-)")
     n_steps, n_paths = 2000, 8
@@ -225,7 +287,7 @@ def test_batch_word_growing_every_step_fills_stack(n_steps):
     favoured = {(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 1, -1)}
     p = {(i, j, k): 1 - 5e-9 if (i, j, k) in favoured else 1e-9
          for i in range(1, 5) for j in range(1, 5) if i != j for k in (1, -1)}
-    k, fm = TransitionKernel(4, p), fenced_metric(4)
+    k, fm = TransitionKernel(chamber_array(p, 4)[0]), fenced_metric(4)
     wl, ml = run_length_paths(k, fm, n_steps, 3, seed=1)
     children = np.random.SeedSequence(1).spawn(3)
     for q in range(3):
@@ -246,6 +308,18 @@ def test_batch_tables_stay_quadratic_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_kernel_and_metric_at_n300_hold_arrays_only():
+    # One (2, N, N) array per kernel and metric: per-arc dicts held 57.7 MiB here.
+    tracemalloc.start()
+    try:
+        kernel, metric = symmetric_kernel(300), fenced_metric(300)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.n_windows == metric.W.shape[-1] == 300
+    assert held < 20 * 2**20
 
 
 @pytest.mark.parametrize("k", [asymmetric_kernel(), symmetric_kernel(9)],

@@ -152,9 +152,21 @@ def test_missing_kernel_is_invalid_input(capsys):
     assert "kernel" in err
 
 
+def _entry_with(position, **changes):
+    """The symmetric N=3 kernel's JSON with ``changes`` made to one 'p' entry."""
+    kernel = kernel_to_json(symmetric_kernel(3))
+    kernel["p"][position].update(changes)
+    return kernel
+
+
 @pytest.mark.parametrize("kernel, named", [
     ({"N": 3, "p": [{"i": 1, "j": 2, "k": 1}]}, "entry 0 of 'p'"),
     ({"N": 3, "p": 5}, "'p' must be a list"),
+    # Keys that name no arc: once an IndexError, a k = 2 wrapped onto the
+    # k = -1 slot, and an i = 0 that overwrote arc (3, 1, +1).
+    (_entry_with(4, i=7), "entry 4, (7, 1, 1), names no arc"),
+    (_entry_with(2, k=2), "entry 2, (2, 1, 2), names no arc"),
+    (_entry_with(0, i=0), "entry 0, (0, 2, 1), names no arc"),
 ])
 def test_malformed_kernel_json_is_invalid_input(capsys, tmp_path, kernel, named):
     path = tmp_path / "kernel.json"
@@ -184,13 +196,6 @@ def test_kernel_key_no_shape_reads_is_invalid_input(capsys, tmp_path, kernel, na
     code, out, _ = run(capsys, "validate", "--kernel", str(path))
     assert code == 2
     assert named in "; ".join(json.loads(out)["violations"])
-
-
-def _entry_with(position, **changes):
-    """The symmetric N=3 kernel's JSON with ``changes`` made to one 'p' entry."""
-    kernel = kernel_to_json(symmetric_kernel(3))
-    kernel["p"][position].update(changes)
-    return kernel
 
 
 @pytest.mark.parametrize("kernel, named", [
@@ -274,6 +279,8 @@ def test_limits_symmetric_below_three_windows_is_invalid_input(capsys):
     ({"i": 1, "j": 2, "k": 1, "weight": "heavy"}, "entry 1 of the custom metric is malformed"),
     ({"i": 1, "j": 1, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
     ({"i": 1, "j": 7, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
+    ({"i": 1, "j": 2, "k": 2, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
+    ({"i": 0, "j": 2, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
     # json.load reads NaN; a NaN weight once came out as "gamma": NaN, exit 0.
     ({"i": 1, "j": 2, "k": 1, "weight": float("nan")}, "weight nan for arc (1, 2, 1) is not finite"),
 ])
@@ -293,6 +300,31 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(capsys, command, tol):
     assert code == 2
     assert out == ""
     assert "tol must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command", ["solve-r", "limits"])
+@pytest.mark.parametrize("tol", ["-1e-13", "-1E+2", "-.5e-3"])
+def test_negative_exponent_tol_as_separate_word_reaches_the_check(capsys, command, tol):
+    # argparse alone reads -1e-13 as an unknown option ("expected one argument").
+    code, out, err = run(capsys, command, "--kernel", "asymmetric", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "tol must be finite and positive" in err
+
+
+@pytest.mark.parametrize("command", ["mc-lln", "mc-clt"])
+@pytest.mark.parametrize("flag, value, named", [
+    ("--gamma", "nan", "gamma_ref must be finite, got nan"),
+    ("--sigma2", "inf", "sigma2_ref must be finite, got inf"),
+])
+def test_non_finite_mc_reference_is_invalid_input(capsys, command, flag, value, named):
+    # A NaN reference once came out as "gamma_ref": NaN, which is not JSON.
+    refs = {"--gamma": "0.25", "--sigma2": "0.6875", flag: value}
+    code, out, err = run(capsys, command, "--kernel", "symmetric:3", "--n-steps", "1000",
+                         "--n-paths", "50", *(word for pair in refs.items() for word in pair))
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 def test_import_does_not_load_scipy_stats():

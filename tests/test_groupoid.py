@@ -1,5 +1,7 @@
 """Word algebra: reduction, composition laws, metrics, parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from windwalk.groupoid import (
     inverse,
     metric_length,
     unit,
-    weight_array,
     word_from_arcs,
     word_from_str,
     word_metric,
@@ -111,7 +112,7 @@ def test_metrics():
     custom_metric(4, {(1, 2, 1): 2.5, (3, 1, -1): 0.75, (2, 2, 1): 9.0}),
 ], ids=["word", "fenced", "custom"])
 def test_weight_array_matches_metric(metric):
-    w = weight_array(metric, 4)
+    w = metric.W
     assert w.shape == (2, 4, 4)
     for i in range(1, 5):
         for j in range(1, 5):
@@ -120,6 +121,12 @@ def test_weight_array_matches_metric(metric):
                 assert w[s, i - 1, j - 1] == want
     if metric.name == "custom":
         assert w[0, 0, 1] == 2.5 and w[1, 2, 0] == 0.75 and w[0, 1, 1] == 0.0
+
+
+@pytest.mark.parametrize("key", [(1, 2, 2), (1, 9, 1), (0, 1, 1), (1, 2, 0)])
+def test_custom_metric_rejects_keys_that_name_no_arc(key):
+    with pytest.raises(ValueError, match=f"entry 1, {re.escape(str(key))}, names no arc"):
+        custom_metric(3, {(2, 1, 1): 1.0, key: 5.0})
 
 
 def test_custom_metric_rejects_negative():
@@ -141,6 +148,14 @@ def _chamber_array_reference(table, n):
     return out
 
 
+def _arc_table(array):
+    """The arcs of a (2, N, N) array as a table keyed by (i, j, k)."""
+    n = array.shape[-1]
+    return {(i, j, k): array[s, i - 1, j - 1].item()
+            for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+            for s, k in enumerate((1, -1))}
+
+
 def _shuffled(table, seed):
     items = list(table.items())
     order = np.random.default_rng(seed).permutation(len(items))
@@ -150,23 +165,25 @@ def _shuffled(table, seed):
 CHAMBER_TABLES = [
     ("empty", {}, 3),
     ("diagonal-keys", {(1, 1, 1): 9.0, (2, 2, -1): 7.0, (1, 3, -1): 0.5, (3, 2, 1): 1.5}, 3),
-    ("shuffled", _shuffled(fenced_metric(5).weights, seed=5), 5),
+    ("shuffled", _shuffled(_arc_table(fenced_metric(5).W), seed=5), 5),
     ("partial-custom", {(2, 1, 1): 0.25, (3, 1, -1): 0.75, (1, 4, 1): 3.0}, 4),
 ] + [
     (f"{name}-{n}", table_of(n), n)
     for n in (3, 33)
-    for name, table_of in (("word", lambda n: word_metric(n).weights),
-                           ("fenced", lambda n: fenced_metric(n).weights),
-                           ("kernel", lambda n: symmetric_kernel(n).p))
+    for name, table_of in (("word", lambda n: _arc_table(word_metric(n).W)),
+                           ("fenced", lambda n: _arc_table(fenced_metric(n).W)),
+                           ("kernel", lambda n: _arc_table(symmetric_kernel(n).P)))
 ]
 
 
 @pytest.mark.parametrize("table, n", [(table, n) for _, table, n in CHAMBER_TABLES],
                          ids=[name for name, _, _ in CHAMBER_TABLES])
 def test_chamber_array_matches_loop_reference(table, n):
-    got = chamber_array(table, n)
+    got, given = chamber_array(table, n)
     assert got.shape == (2, n, n)
     assert np.array_equal(got, _chamber_array_reference(table, n))
+    assert sorted(zip(*np.nonzero(given))) == sorted(
+        ((1 - k) // 2, i - 1, j - 1) for i, j, k in table)
 
 
 def test_parser_roundtrip():

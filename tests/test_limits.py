@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, custom_metric, fenced_metric, weight_array, word_metric
+from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2, power_jet, series_jet
 from windwalk.limits import (
     DegenerateSystemError,
@@ -56,7 +56,7 @@ def test_h_vanishes_at_1_1():
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-14)
             d = solve_r_derivatives(k, r)
-            w = weight_array(metric, k.n_windows)
+            w = metric.W
             h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             assert abs(h.value) < 1e-11
             assert h.value == pytest.approx(direct_h(k, metric, 1.0, 1.0, tol=1e-14), abs=1e-11)
@@ -67,7 +67,7 @@ def test_jet_partials_match_finite_differences():
     metric = fenced_metric(3)
     r = solve_r(k, 1.0, tol=1e-15)
     d = solve_r_derivatives(k, r)
-    w = weight_array(metric, k.n_windows)
+    w = metric.W
     h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
     jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
     fd = fd_partials(k, metric)
@@ -260,7 +260,7 @@ def test_build_b_matches_scalar_jets():
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(k, r)
     for sign in (1, -1):
-        b = build_b(r, d, weight_array(metric, k.n_windows), sign)
+        b = build_b(r, d, metric.W, sign)
         for i in range(1, 4):
             for j in range(1, 4):
                 want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(
