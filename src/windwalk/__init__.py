@@ -8,7 +8,6 @@ from .chain import (
     one_parameter_kernel,
     sample_hitting_time,
     simulate,
-    step,
     symmetric_kernel,
     validate_kernel,
 )
@@ -50,7 +49,6 @@ from .solver import (
     RDerivatives,
     RSolution,
     SolverError,
-    build_m_matrix,
     solve_r,
     solve_r_derivatives,
     transience_root,

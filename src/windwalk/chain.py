@@ -1,5 +1,11 @@
-"""The Markov chain on the arrow set: kernel validation, stepping, trajectory
+"""The Markov chain on the arrow set: kernel validation, trajectory
 generation and hitting-time sampling.
+
+A step rewrites a reduced word by the rule of ``groupoid.append``: push the
+drawn arc, pop the last letter, or merge with it.  ``_RewriteTables`` holds
+that rule as flat tables, and the scalar ``simulate`` and the batched
+``_BatchState`` both step through them; ``groupoid.append`` itself builds
+only the words ``simulate`` records.
 
 Randomness comes from numpy's PCG64 generator.  Every multi-path routine
 derives one child seed per path from the master seed through
@@ -41,11 +47,11 @@ class TransitionKernel:
     arc outside it is missing, and a diagonal entry in it, or nonzero in
     ``P``, is a degenerate arc.
 
-    The kernel is immutable and safe to share across threads.  Its read-only
-    tables are built once, after validation: ``P``, and in row i of ``arc_j``
-    and ``arc_k`` the ends and signs of the arcs leaving window i (k = +1,
-    then -1; j ascending), from which ``arc_index`` samples.  ``family`` is
-    the ``(name, params)`` of a family with a closed form, else ``None``.
+    The kernel is immutable and safe to share across threads.  ``P`` is
+    read-only; ``arc_index`` samples an arc leaving window i in the order of
+    ``arcs_from`` (k = +1, then -1; j ascending), from running sums built on
+    the first draw.  ``family`` is the ``(name, params)`` of a family with a
+    closed form, else ``None``.
     """
 
     def __init__(self, P: np.ndarray, name: str = "custom",
@@ -60,12 +66,7 @@ class TransitionKernel:
         self.P = P
         self.name = name
         self.family = family
-        # Row 0 of the arc tables is padding, so that windows index them directly.
-        pad = ((1, 0), (0, 0))
-        self.arc_j = np.pad(np.tile(other_windows(n) + 1, 2), pad)
-        self.arc_k = np.pad(np.tile(np.repeat([1, -1], n - 1), (n, 1)), pad)
-        for table in (self.P, self.arc_j, self.arc_k):
-            table.flags.writeable = False
+        P.flags.writeable = False
         # The scalar rule reads row i as a list, made on its first draw: the
         # lists of all rows would take four times the memory of ``P``.  Two
         # threads that race there build equal lists.
@@ -104,10 +105,10 @@ class TransitionKernel:
         return arc_entry(self.P, i, j, k)
 
     def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
-        return [
-            (Arc(i, j, k), self.P.item((1 - k) // 2, i - 1, j - 1))
-            for j, k in zip(self.arc_j[i].tolist(), self.arc_k[i].tolist())
-        ]
+        """The arcs leaving window i and their probabilities, in the order
+        that ``arc_index`` counts them."""
+        return [(Arc(i, j, k), self.P.item((1 - k) // 2, i - 1, j - 1))
+                for k in (1, -1) for j in range(1, self.n_windows + 1) if j != i]
 
     def __repr__(self) -> str:
         return f"TransitionKernel(N={self.n_windows}, name={self.name!r})"
@@ -292,11 +293,63 @@ class HittingTimeSample:
         return self.time is None
 
 
-def step(w: Word, kernel: TransitionKernel, rng: np.random.Generator) -> Word:
-    """Advance one step: sample an arc leaving the current target window."""
-    i = w.target
-    m = kernel.arc_index(i, rng.random())
-    return append(w, Arc(i, int(kernel.arc_j[i, m]), int(kernel.arc_k[i, m])))
+class _RewriteTables:
+    """The rewrite rule of ``groupoid.append`` as flat tables over the arcs
+    of N windows.  ``simulate`` and ``_BatchState`` each build one per call
+    and step through it.
+
+    Signs alternate along a reduced word, so a word is fixed by the sign and
+    the source window of each letter and by its target window.  A letter
+    that leaves window i with sign k has the code
+    ``code(i, k) = (s (N+1) + i) * 2 (N+1)``, s = 0 for k = +1 and 1 for
+    k = -1; the empty word has the sentinel code 0.
+
+    ``f = i * width + a`` names arc a leaving window i, in the order of
+    ``TransitionKernel.arcs_from``; window 0 is padding.  ``ends[f]`` is the
+    arc's end j, ``keys[f]`` its column ``s (N+1) + j`` and ``push[f]`` the
+    code of the letter (i, k).  ``moves[top + keys[f]]`` is the move of the
+    top of a word whose top code is ``top``: +1 (push) when the word is
+    empty or the signs differ, -1 (pop) when the last letter starts at j,
+    and 0 (merge) otherwise.  A merge keeps the last letter's sign and
+    source, so its code stays; a pop exposes the letter below.
+    """
+
+    def __init__(self, n_windows: int):
+        self.n1 = n1 = n_windows + 1
+        self.m = m = 2 * n1
+        self.width = 2 * n_windows - 2
+        # A top code plus a column stays below m * m.
+        dtype = np.min_scalar_type(m * m - 1)
+        s = np.repeat([0, 1], n_windows - 1)
+        ends = np.pad(np.tile(other_windows(n_windows) + 1, 2), ((1, 0), (0, 0)))
+        self.ends = ends.reshape(-1)
+        self.keys = (s * n1 + ends).reshape(-1).astype(dtype)
+        self.push = self.code(np.arange(n1)[:, None], 1 - 2 * s).reshape(-1).astype(dtype)
+        # Row s (N+1) + i is the top letter, column s' (N+1) + j the drawn
+        # arc; a row with window 0 is the empty word.
+        s, i = np.divmod(np.arange(m), n1)
+        same = (s[:, None] == s) & (i[:, None] != 0)
+        self.moves = ((~same).astype(np.int8) - (same & (i[:, None] == i))).reshape(-1)
+
+    def code(self, i, k):
+        """The code of a letter that leaves window ``i`` with sign ``k``."""
+        return ((1 - k) // 2 * self.n1 + i) * self.m
+
+    def weights(self, metric: Metric) -> np.ndarray:
+        """Flat table whose entry ``code(i, k) + j`` is the weight of arc
+        (i, j, k), for a column ``j`` or ``s (N+1) + j`` alike.  Window 0
+        and the diagonal weigh nothing, so a push reads its letter's weight
+        less 0 and a pop 0 less its letter's weight."""
+        w = np.pad(metric.W, ((0, 0), (1, 0), (1, 0)))
+        np.einsum("kii->ki", w)[...] = 0.0
+        return np.tile(w.reshape(self.m, self.n1), 2).reshape(-1)
+
+    def word(self, source: int, codes: Sequence[int], target: int) -> Word:
+        """The word from ``source`` whose letters have ``codes`` and whose
+        last letter ends at ``target``."""
+        s, i = np.divmod(np.array(codes, dtype=np.int64) // self.m, self.n1)
+        sources = i.tolist()
+        return Word(source, tuple(map(Arc, sources, sources[1:] + [target], (1 - 2 * s).tolist())))
 
 
 def simulate(
@@ -310,57 +363,49 @@ def simulate(
     """Run the chain for ``n_steps`` steps from ``start``.
 
     In the default streaming mode only the word and metric lengths are kept
-    per step, so memory stays proportional to the current word length.
+    per step, so memory stays proportional to the current word length.  The
+    word is a list of letter codes stepped through ``_RewriteTables``, slot
+    0 the sentinel; recorded words are built by ``groupoid.append``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     kernel.check_windows(start.source, *(arc.j for arc in start.letters))
     metric = metric or word_metric(kernel.n_windows)
     rng = np.random.default_rng(seed)
-    # Internal mutable stack of (source, sign) pairs; the target chains through.
-    stack_i = [arc.i for arc in start.letters]
-    stack_k = [arc.k for arc in start.letters]
+    rules = _RewriteTables(kernel.n_windows)
+    ends, keys, push, moves, wt = (table.tolist() for table in (
+        rules.ends, rules.keys, rules.push, rules.moves, rules.weights(metric)))
+    codes = [0] + [rules.code(arc.i, arc.k) for arc in start.letters]
     target = start.target
     mlen = sum(metric.weight(arc) for arc in start.letters)
     word_lens = np.empty(n_steps + 1, dtype=np.int64)
     metric_lens = np.empty(n_steps + 1, dtype=np.float64)
-    word_lens[0] = len(stack_i)
+    word_lens[0] = len(start.letters)
     metric_lens[0] = mlen
     states = [start] if record_words else None
     word = start
-    arc_index, arc_j, arc_k = kernel.arc_index, kernel.arc_j.tolist(), kernel.arc_k.tolist()
-    # wt[k][i][j] is the weight of arc (i, j, k); row and column 0 are padding.
-    wt = dict(zip((1, -1), np.pad(metric.W, ((0, 0), (1, 0), (1, 0))).tolist()))
+    arc_index, width = kernel.arc_index, rules.width
     for n in range(1, n_steps + 1):
-        idx = arc_index(target, rng.random())
-        gj = arc_j[target][idx]
-        gk = arc_k[target][idx]
-        if not stack_i or stack_k[-1] != gk:  # push
-            mlen += wt[gk][target][gj]
-            stack_i.append(target)
-            stack_k.append(gk)
-        elif stack_i[-1] == gj:  # pop (backtrack)
-            mlen -= wt[gk][gj][target]
-            stack_i.pop()
-            stack_k.pop()
-        else:  # merge with the same-sign last letter
-            mlen += wt[gk][stack_i[-1]][gj] - wt[gk][stack_i[-1]][target]
-        target = gj
-        word_lens[n] = len(stack_i)
+        f = target * width + arc_index(target, rng.random())
+        top = codes[-1]
+        move = moves[top + keys[f]]
+        if move > 0:
+            top = push[f]
+            codes.append(top)
+        elif move:
+            codes.pop()
+        # `top` is now the last letter after a push or a merge, the one
+        # removed by a pop: the letter whose end moves from target to j.
+        j = ends[f]
+        mlen += wt[top + j] - wt[top + target]
+        word_lens[n] = len(codes) - 1
         metric_lens[n] = mlen
         if record_words:
-            word = append(word, Arc(word.target, gj, gk))
+            word = append(word, Arc(target, j, 1 - 2 * (keys[f] // rules.n1)))
             states.append(word)
-    final = _stack_to_word(start.source, stack_i, stack_k, target)
+        target = j
+    final = rules.word(start.source, codes[1:], target)
     return Trajectory(start, seed, final, word_lens, metric_lens, states)
-
-
-def _stack_to_word(source: int, stack_i: List[int], stack_k: List[int], target: int) -> Word:
-    letters = []
-    for idx in range(len(stack_i)):
-        j = stack_i[idx + 1] if idx + 1 < len(stack_i) else target
-        letters.append(Arc(stack_i[idx], j, stack_k[idx]))
-    return Word(source, tuple(letters))
 
 
 def sample_hitting_time(
@@ -372,8 +417,6 @@ def sample_hitting_time(
     """First time the chain started at the unit of ``target.i`` equals the
     one-letter word ``target``; censored (``time=None``) past ``cap``.  The
     chain is transient, so a positive fraction of samples censors."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     times = sample_hitting_times(target, kernel, cap=cap, seed=seed, n_samples=1)
     t = int(times[0])
     return HittingTimeSample(target, None if t < 0 else t, cap)
@@ -398,7 +441,7 @@ def sample_hitting_times(
     # letter's code and the end window match.  A top position below
     # 2 * n_paths means a depth of at most 1, and the empty word's sentinel
     # code never equals `first`.
-    first = state.code(target.i, target.k)
+    first = state.rules.code(target.i, target.k)
     times = np.full(n_samples, -1, dtype=np.int64)
     active = np.arange(n_samples)
     for n in range(1, cap + 1):
@@ -415,59 +458,39 @@ def sample_hitting_times(
 
 
 class _BatchState:
-    """Vectorised reduced words for many independent paths of the chain.
+    """Vectorised reduced words for many independent paths of the chain,
+    stepped through the tables of ``_RewriteTables``.
 
-    Signs alternate along a reduced word, so a word is fixed by the sign and
-    the source window of each letter and by the target window.  ``stack`` is
-    depth-major, shape ``(cap, n_paths)``: slot ``d`` of a path holds the
-    code of its ``d``-th letter, ``code(i, k) = (s (N+1) + i) * 2 (N+1)``
-    with ``s = 0`` for k = +1 and 1 for k = -1, and slot 0 holds the
-    sentinel code 0 of the empty word.  Per path the state keeps ``pos``,
-    the flat index of its top slot (``depth * n_paths + path``), and its
-    ``target`` window.  ``depth`` and ``top_k`` are derived from these.
+    ``stack`` is depth-major, shape ``(cap, n_paths)``: slot ``d`` of a path
+    holds the code of its ``d``-th letter, and slot 0 the sentinel code 0 of
+    the empty word.  Per path the state keeps ``pos``, the flat index of its
+    top slot (``depth * n_paths + path``), and its ``target`` window.
+    ``depth`` and ``top_k`` are derived from these.
 
-    One step draws an arc (j, k) from the target window i and rewrites the
-    word with no branch per case.  A table of 4 (N+1)^2 entries, indexed by
-    the top code plus ``s (N+1) + j``, gives the slot move: +1 (push) when
-    the word is empty or the signs differ, -1 (pop) when the last letter
-    starts at j, and 0 (merge) otherwise.  A merge keeps the last letter's
-    sign and source, so its code stays; a pop exposes the letter below.
-    Only a push writes a new code, ``code(i, k)``, into the slot above the
-    top, and every path writes it there: for a merge or a pop that slot is
-    free.  ``metric_lengths`` then sums the weights of each path's final
-    word once, letter by letter, exactly as ``groupoid.metric_length`` does.
+    One step draws an arc from the target window and rewrites the word with
+    no branch per case: the move table shifts ``pos`` by a slot row, and
+    every path writes the arc's push code into the slot above its top, which
+    for a merge or a pop is free.  ``metric_lengths`` then sums the weights
+    of each path's final word once, letter by letter, exactly as
+    ``groupoid.metric_length`` does.
     """
 
     def __init__(self, kernel, n_paths, initial: Word, seed, max_steps):
-        self._n1 = n1 = kernel.n_windows + 1
-        self._m = m = 2 * n1
+        self.rules = rules = _RewriteTables(kernel.n_windows)
         self.n_paths = n_paths
         d0 = len(initial.letters)
         # Slots needed: the sentinel, one per letter, and the free slot above
         # the top that every step writes.
         self._slots = d0 + max_steps + 2
         cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
-        # A top code plus a table column stays below m * m.
-        self.stack = np.zeros((cap0, n_paths), dtype=np.min_scalar_type(m * m - 1))
+        self.stack = np.zeros((cap0, n_paths), dtype=rules.push.dtype)
         for d, arc in enumerate(initial.letters, 1):
-            self.stack[d] = self.code(arc.i, arc.k)
+            self.stack[d] = rules.code(arc.i, arc.k)
         self.pos = d0 * n_paths + np.arange(n_paths)
         self.target = np.full(n_paths, initial.target, dtype=np.int64)
         # Steps that fit before the deepest path could outgrow the stack.
         self._room = cap0 - 1 - d0
-        # The kernel's arc rule, and flat over (window, arc) the arc tables:
-        # the end, the table column (s, end) and the push code (s, window).
         self._arc_index = kernel.arc_index
-        self._width = kernel.arc_j.shape[1]
-        self._ends = kernel.arc_j.reshape(-1)
-        dtype = self.stack.dtype
-        self._keys = (self.code(kernel.arc_j, kernel.arc_k) // m).reshape(-1).astype(dtype)
-        self._push = self.code(np.arange(n1)[:, None], kernel.arc_k).reshape(-1).astype(dtype)
-        # The rewrite table: row s (N+1) + i is the top letter, column
-        # s' (N+1) + j the drawn arc; a row with window 0 is the empty word.
-        s, i = np.divmod(np.arange(m), n1)
-        same = (s[:, None] == s) & (i[:, None] != 0)
-        self._moves = ((~same).astype(np.int8) - (same & (i[:, None] == i))).reshape(-1)
         self._views()
         # One child stream per path, split from the master seed, so path p's
         # randomness depends on (seed, p) alone.  Uniforms are pre-drawn in
@@ -485,16 +508,12 @@ class _BatchState:
         self._ptr = self._chunk
         self._cols = None
 
-    def code(self, i, k):
-        """The stack code of a letter that leaves window ``i`` with sign ``k``."""
-        return ((1 - k) // 2 * self._n1 + i) * self._m
-
     def _views(self) -> None:
         # `_above` is the stack shifted down one slot, so `_above[pos]` is
         # the slot above the top; the table moves `pos` by whole slot rows.
         self._flat = self.stack.reshape(-1)
         self._above = self._flat[self.n_paths :]
-        self._table = self._moves * np.int64(self.n_paths)
+        self._table = self.rules.moves * np.int64(self.n_paths)
 
     @property
     def depth(self) -> np.ndarray:
@@ -506,7 +525,7 @@ class _BatchState:
     @property
     def top_k(self) -> np.ndarray:
         """Sign of each path's last letter, 0 for the empty word."""
-        s, i = np.divmod(self.top() // self._m, self._n1)
+        s, i = np.divmod(self.top() // self.rules.m, self.rules.n1)
         return np.where(i == 0, 0, 1 - 2 * s.astype(np.int64))
 
     def _next_uniforms(self) -> np.ndarray:
@@ -550,13 +569,13 @@ class _BatchState:
         if self._room <= 0:
             self._grow()
         self._room -= 1
-        target = self.target
-        arc = target * self._width + self._arc_index(target, self._next_uniforms())
+        rules, target = self.rules, self.target
+        arc = target * rules.width + self._arc_index(target, self._next_uniforms())
         pos = self.pos
         top = self._flat.take(pos)
-        self._above[pos] = self._push.take(arc)
-        pos += self._table.take(top + self._keys.take(arc))
-        self.target = self._ends.take(arc)
+        self._above[pos] = rules.push.take(arc)
+        pos += self._table.take(top + rules.keys.take(arc))
+        self.target = rules.ends.take(arc)
 
     def metric_lengths(self, metric: Metric) -> np.ndarray:
         """``groupoid.metric_length`` of each path's word, to the last bit:
@@ -564,15 +583,13 @@ class _BatchState:
         ``np.add.accumulate`` adds one slot row at a time."""
         if self._room <= 0:
             self._grow()
-        n1, m, n_paths = self._n1, self._m, self.n_paths
-        # pair[c + c' // m] = w[k, i, i'] for the code c of a letter (i, k)
-        # and the code c' of the slot above it, whose window i' is where the
-        # letter ends; row 0 and column 0 are the sentinel and weigh nothing.
-        w = np.pad(metric.W, ((0, 0), (1, 0), (1, 0))).reshape(m, n1)
-        pair = np.tile(w, 2).reshape(-1)
+        m, n_paths = self.rules.m, self.n_paths
+        # pair[c + c' // m] is the weight of the letter with code c that ends
+        # at the window of the code c' in the slot above it.
+        pair = self.rules.weights(metric)
         # The slot above the top gets the code of the target window, so the
         # last letter ends there like the others.
-        self._above[self.pos] = self.code(self.target, 1)
+        self._above[self.pos] = self.rules.code(self.target, 1)
         depth = self.depth
         lengths = np.zeros(n_paths)
         # Blocks of about 2**16 weights (512 KiB) of slot rows at a time.

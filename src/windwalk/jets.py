@@ -137,18 +137,6 @@ def _coerce(value) -> Jet2:
     raise TypeError(f"cannot mix Jet2 with {type(value)!r}")
 
 
-def power_jet(exponent: float) -> Jet2:
-    """Jet of z**w about z = 1 for a real (possibly non-integer) weight w,
-    via the generalized binomial expansion."""
-    w = float(exponent)
-    return Jet2(1.0, c01=w, c02=0.5 * w * (w - 1.0))
-
-
-def series_jet(value: float, d1: float, d2: float) -> Jet2:
-    """Jet of a function of lam alone from its value and two derivatives."""
-    return Jet2(float(value), c10=float(d1), c20=0.5 * float(d2))
-
-
 def jet_mul(a, b, product=np.multiply):
     """Truncated product of jets held as coefficient arrays of leading length
     6.  ``product`` multiplies two coefficient blocks: ``np.multiply`` for

@@ -5,17 +5,17 @@ drift and variance of the limit theorems.
 A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``):
 ``build_b`` fills it from the matrix form of R and its two lambda
 derivatives, ``det_h`` forms ``B(+1) B(-1)`` with 15 float matrix products,
-and ``det_jet`` takes the determinant in closed form: the m null directions
-of the constant term are bordered, the kept block is inverted once and the
-m x m Schur complement, m <= 2, is expanded directly (m >= 3 gives the zero
-jet).  An N-window kernel costs O(N^3) here, with a fixed number of numpy
-calls.
+and ``det_jet`` takes the determinant of that array, read in place, in
+closed form: the m null directions of the constant term are bordered, the
+kept block is inverted once and the m x m Schur complement, m <= 2, is
+expanded directly (m >= 3 gives the zero jet).  An N-window kernel costs
+O(N^3) here, with a fixed number of numpy calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -72,17 +72,6 @@ def build_b(
     return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
 
 
-JetMatrix = Union[np.ndarray, List[List[Jet2]]]
-
-
-def _jet_array(matrix: JetMatrix) -> np.ndarray:
-    """A float copy of a jet matrix as a (6, n, n) coefficient array."""
-    if isinstance(matrix, np.ndarray):
-        return np.array(matrix, dtype=float)
-    coefficients = [[(x.c00, x.c10, x.c01, x.c20, x.c11, x.c02) for x in row] for row in matrix]
-    return np.moveaxis(np.array(coefficients, dtype=float), -1, 0)
-
-
 def _border(basis: np.ndarray) -> List[int]:
     """Rows of an (n, m) orthonormal null basis, m <= 2, whose m x m block is
     furthest from singular: the largest entry, then the largest entry of the
@@ -103,9 +92,9 @@ def _to_end(n: int, picked: List[int]):
     return order, -1.0 if inversions % 2 else 1.0
 
 
-def det_jet(matrix: JetMatrix) -> Jet2:
-    """Determinant over the jet ring in closed form; ``matrix`` is a
-    (6, n, n) array or a list of lists of ``Jet2``.
+def det_jet(matrix: np.ndarray) -> Jet2:
+    """Determinant over the jet ring in closed form of a (6, n, n)
+    coefficient array, which is read as it is, not copied.
 
     The constant term A0 is split by its SVD.  Its m singular values at or
     below ``PIVOT_EPS * sigma_1`` count as zero, with m >= 1 so that the
@@ -128,7 +117,7 @@ def det_jet(matrix: JetMatrix) -> Jet2:
     ratio takes the place of the smallest elimination pivot as the measure of
     how well this determinant is conditioned.
     """
-    a = _jet_array(matrix)
+    a = np.asarray(matrix, dtype=float)
     n = a.shape[-1]
     u, s, vh = np.linalg.svd(a[0])
     m = max(1, int(np.count_nonzero(s <= PIVOT_EPS * s[0])))

@@ -1,5 +1,5 @@
-"""Shared test utilities: random word generation, seeded Dirichlet kernels
-and finite-difference stencils for the determinant partials."""
+"""Shared test utilities: random word generation, seeded Dirichlet kernels,
+scalar jets and finite-difference stencils for the determinant partials."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import numpy as np
 
 from windwalk.chain import TransitionKernel
 from windwalk.groupoid import Arc, Word, append, chamber_array, unit
+from windwalk.jets import Jet2
 from windwalk.oracle import direct_h
 
 
@@ -37,6 +38,18 @@ def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKerne
     P, given = chamber_array(p, n)
     return TransitionKernel(P, name=f"dirichlet(N={n}, a={concentration}, seed={seed})",
                             given=given)
+
+
+def power_jet(exponent: float) -> Jet2:
+    """Jet of z**w about z = 1 for a real (possibly non-integer) weight w,
+    via the generalized binomial expansion."""
+    w = float(exponent)
+    return Jet2(1.0, c01=w, c02=0.5 * w * (w - 1.0))
+
+
+def series_jet(value: float, d1: float, d2: float) -> Jet2:
+    """Jet of a function of lam alone from its value and two derivatives."""
+    return Jet2(float(value), c10=float(d1), c20=0.5 * float(d2))
 
 
 def fd_partials(kernel, metric, h: float = 5e-4, tol: float = 1e-15):

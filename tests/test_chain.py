@@ -11,6 +11,7 @@ from windwalk.chain import (
     KernelError,
     TransitionKernel,
     _BatchState,
+    _RewriteTables,
     asymmetric_kernel,
     kernel_to_json,
     one_parameter_kernel,
@@ -18,12 +19,11 @@ from windwalk.chain import (
     sample_hitting_time,
     sample_hitting_times,
     simulate,
-    step,
     symmetric_kernel,
     validate_kernel,
 )
-from windwalk.groupoid import (Arc, Word, chamber_array, custom_metric, fenced_metric,
-                               metric_length, unit, word_metric)
+from windwalk.groupoid import (Arc, Metric, Word, append, chamber_array, custom_metric,
+                               fenced_metric, metric_length, unit, word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
@@ -151,8 +151,8 @@ def test_step_frequencies_uniform():
     counts = {}
     n = 4000
     for _ in range(n):
-        w = step(unit(1), k, rng)
-        counts[w.letters[0]] = counts.get(w.letters[0], 0) + 1
+        arc = k.arcs_from(1)[k.arc_index(1, rng.random())][0]
+        counts[arc] = counts.get(arc, 0) + 1
     p = 1 / 4
     se = np.sqrt(p * (1 - p) / n)
     for arc, c in counts.items():
@@ -310,6 +310,53 @@ def test_batch_tables_stay_quadratic_in_n():
     assert peak < 2**20
 
 
+def test_kernel_at_n1000_holds_little_beyond_its_array():
+    # Per-window arc tables of 2N - 2 int64 entries each held twice as much
+    # as P here; the tables the chains step through are built per call.
+    tracemalloc.start()
+    try:
+        kernel = symmetric_kernel(1000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.2 * kernel.P.nbytes
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_rewrite_tables_match_append_on_every_top_state(n):
+    # Every top state, the empty word at each window or a last letter
+    # (a, b, s) above a letter of the other sign, against every arc leaving
+    # its target window: the move and the new codes from the tables are what
+    # groupoid.append does to that word, and so is the change in a metric
+    # length with non-dyadic weights.  The weights' diagonal names no arc
+    # and must not enter that change.
+    rules, kernel = _RewriteTables(n), symmetric_kernel(n)
+    metric = custom_metric(n, {(i, j, k): 0.1 * i + 0.7 * j + 0.3 * k for i in range(1, n + 1)
+                               for j in range(1, n + 1) if i != j for k in (1, -1)})
+    metric = Metric("diagonal", metric.W + np.eye(n))
+    ends, keys, push, moves, weights = (table.tolist() for table in (
+        rules.ends, rules.keys, rules.push, rules.moves, rules.weights(metric)))
+    words = [unit(i) for i in range(1, n + 1)]
+    words += [Word(a % n + 1, (Arc(a % n + 1, a, -k), Arc(a, b, k)))
+              for a in range(1, n + 1) for b in range(1, n + 1) if a != b for k in (1, -1)]
+    for word in words:
+        codes = [0] + [rules.code(arc.i, arc.k) for arc in word.letters]
+        i = word.target
+        for a, (arc, _) in enumerate(kernel.arcs_from(i)):
+            f = i * rules.width + a
+            assert (ends[f], keys[f]) == (arc.j, (1 - arc.k) // 2 * (n + 1) + arc.j)
+            move = moves[codes[-1] + keys[f]]
+            new = append(word, arc)
+            assert move == len(new) - len(word)
+            row = codes[-1] if move <= 0 else push[f]
+            stepped = codes + [row] if move > 0 else codes[:len(codes) + move]
+            assert stepped == [0] + [rules.code(g.i, g.k) for g in new.letters]
+            assert rules.word(word.source, stepped[1:], arc.j) == new
+            change = weights[row + arc.j] - weights[row + i]
+            assert change == pytest.approx(metric_length(new, metric) - metric_length(word, metric),
+                                           rel=1e-12, abs=1e-12)
+
+
 def test_kernel_and_metric_at_n300_hold_arrays_only():
     # One (2, N, N) array per kernel and metric: per-arc dicts held 57.7 MiB here.
     tracemalloc.start()
@@ -350,22 +397,13 @@ def test_chamber_array_matches_prob(kernel):
     assert not kernel.P.flags.writeable
 
 
-class _FixedUniform:
-    """Stands in for a generator whose next uniform is ``u``."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
 @pytest.mark.parametrize("kernel", [asymmetric_kernel(), symmetric_kernel(3)],
                          ids=["asymmetric", "symmetric:3"])
 def test_arc_rule_at_exact_boundaries(kernel):
     # A uniform equal to the running sum cum[m] of a row picks arc m.  The
-    # kernel's rule, step() and one batched step must agree there, or a
-    # path's stream would drive the scalar and batched chains apart.
+    # kernel's rule, the arc list it indexes and one batched step must agree
+    # there, or a path's stream would drive the scalar and batched chains
+    # apart.
     n = kernel.n_windows
     for i in range(1, n + 1):
         arcs = [arc for arc, _ in kernel.arcs_from(i)]
@@ -374,7 +412,7 @@ def test_arc_rule_at_exact_boundaries(kernel):
         picked = [0] + list(range(len(bounds)))
         assert [kernel.arc_index(i, float(u)) for u in us] == picked
         assert kernel.arc_index(np.full(len(us), i), us).tolist() == picked
-        stepped = [step(unit(i), kernel, _FixedUniform(float(u))).letters[0] for u in us]
+        stepped = [kernel.arcs_from(i)[kernel.arc_index(i, float(u))][0] for u in us]
         assert stepped == [arcs[m] for m in picked]
         state = _BatchState(kernel, len(us), unit(i), seed=0, max_steps=1)
         state._buf[0] = us
@@ -422,10 +460,11 @@ def test_window_beyond_n_is_value_error(call):
     (lambda: run_length_paths(_N3, word_metric(3), 5, -1, 0), "n_paths must be non-negative"),
     (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=0, seed=0, n_samples=4),
      "cap must be >= 1"),
+    (lambda: sample_hitting_time(Arc(1, 2, 1), _N3, cap=0), "cap must be >= 1"),
     (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=20, seed=0, n_samples=-1),
      "n_samples must be non-negative"),
 ], ids=["run_length_paths-n_steps", "run_length_paths-n_paths", "hitting-times-cap",
-        "hitting-times-n_samples"])
+        "hitting-time-cap", "hitting-times-n_samples"])
 def test_bad_count_is_named_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

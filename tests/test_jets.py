@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windwalk.jets import Jet2, jet_mul, power_jet, series_jet
+from windwalk.jets import Jet2, jet_mul
+
+from helpers import power_jet, series_jet
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False)
 jets = st.builds(Jet2, coeff, coeff, coeff, coeff, coeff, coeff)
