@@ -67,18 +67,18 @@ class TransitionKernel:
         self.name = name
         self.family = family
         P.flags.writeable = False
-        # The scalar rule reads row i as a list, made on its first draw: the
-        # lists of all rows would take four times the memory of ``P``.  Two
-        # threads that race there build equal lists.
+        # The scalar rule reads row i as a list, summed on its first draw:
+        # the lists of all rows would take four times the memory of ``P``.
+        # Two threads that race there build equal lists.
         self._cum_rows = [None] * (n + 1)
         self._count_type = np.min_scalar_type(2 * n - 3)
 
     @cached_property
     def _cum_t(self) -> np.ndarray:
         """Column i holds the running sums of row i of P+ then of P-, each
-        without its diagonal entry, built on the first draw.  The last sum
-        would be 1.0 up to round-off and lies above every uniform, so the
-        arc rule leaves it out; column 0 is padding."""
+        without its diagonal entry, built on the first batched draw.  The
+        last sum would be 1.0 up to round-off and lies above every uniform,
+        so the arc rule leaves it out; column 0 is padding."""
         n = self.n_windows
         rows = self.P[:, np.arange(n)[:, None], other_windows(n)].swapaxes(0, 1).reshape(n, -1)
         return np.pad(np.cumsum(rows, axis=1)[:, :-1], ((1, 0), (0, 0))).T.copy()
@@ -87,11 +87,13 @@ class TransitionKernel:
         """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
         being the running sum of the row's probabilities.  ``i`` and ``u``
         are a window and a float, or equal-shape arrays (one draw per path);
-        both forms apply this one inequality to the same table."""
+        both forms apply this one inequality to running sums added in the
+        same order."""
         if isinstance(u, float):
             row = self._cum_rows[i]
             if row is None:
-                row = self._cum_rows[i] = self._cum_t[:, i].tolist()
+                others = np.delete(np.arange(self.n_windows), i - 1)
+                row = self._cum_rows[i] = np.cumsum(self.P[:, i - 1, others])[:-1].tolist()
             return bisect_left(row, u)
         return (u > self._cum_t.take(i, axis=1)).sum(axis=0, dtype=self._count_type)
 
@@ -123,23 +125,32 @@ def _violations(P: np.ndarray, given: Optional[np.ndarray]) -> List[str]:
     """Every arc outside (0, 1) or missing, row whose sum is off 1 by more
     than ``ROW_SUM_TOL``, and degenerate entry of a chamber array, N >= 3."""
     n = P.shape[-1]
-    arcs = ~np.eye(n, dtype=bool)
-    given = np.broadcast_to(arcs, P.shape) if given is None else given
-    # Window i's arcs in the order (i, j, s): j ascending, then k = +1, -1.
-    by_row = np.where(arcs & given, P, 0.0).transpose(1, 2, 0)
-    missing = (arcs & ~given).transpose(1, 2, 0)
-    flagged = missing | (arcs & given & ~((P > 0.0) & (P < 1.0))).transpose(1, 2, 0)
-    # The running sum of each row's given arcs, from j = 1 on.
-    sums = np.add.accumulate(by_row.reshape(n, -1), axis=1)[:, -1].tolist()
     violations = []
-    for i, row in enumerate(sums):
-        for j, s in np.argwhere(flagged[i]).tolist():
-            arc = f"({i + 1},{j + 1},{1 - 2 * s:+d})"
-            violations.append(f"missing probability for arc {arc}" if missing[i, j, s] else
-                              f"probability {by_row[i, j, s].item()} for arc {arc} outside (0, 1)")
-        if abs(row - 1.0) > ROW_SUM_TOL:
-            violations.append(f"row for window {i + 1} sums to {row!r} (deficit {1.0 - row:+.3e})")
-    diagonal = np.einsum("kii->ik", given) | (np.einsum("kii->ik", P) != 0.0)
+    # Blocks of windows keep each (2, rows, N) temporary near 1 MiB at any N.
+    step = max(1, 2**16 // n)
+    for i0 in range(0, n, step):
+        rows = slice(i0, i0 + step)
+        part = P[:, rows]
+        arcs = np.arange(n) != np.arange(n)[rows, None]
+        supplied = np.broadcast_to(arcs, part.shape) if given is None else given[:, rows]
+        # Window i's arcs in the order (i, j, s): j ascending, then k = +1, -1.
+        by_row = np.where(arcs & supplied, part, 0.0).transpose(1, 2, 0)
+        missing = (arcs & ~supplied).transpose(1, 2, 0)
+        flagged = missing | (arcs & supplied & ~((part > 0.0) & (part < 1.0))).transpose(1, 2, 0)
+        # The running sum of each row's given arcs, from j = 1 on.
+        sums = np.add.accumulate(by_row.reshape(len(arcs), -1), axis=1)[:, -1].tolist()
+        for i, row in enumerate(sums):
+            for j, s in np.argwhere(flagged[i]).tolist():
+                arc = f"({i0 + i + 1},{j + 1},{1 - 2 * s:+d})"
+                violations.append(
+                    f"missing probability for arc {arc}" if missing[i, j, s] else
+                    f"probability {by_row[i, j, s].item()} for arc {arc} outside (0, 1)")
+            if abs(row - 1.0) > ROW_SUM_TOL:
+                violations.append(f"row for window {i0 + i + 1} sums to {row!r} "
+                                  f"(deficit {1.0 - row:+.3e})")
+    diagonal = np.einsum("kii->ik", P) != 0.0
+    if given is not None:
+        diagonal |= np.einsum("kii->ik", given)
     if diagonal.any():
         extra = sorted((i + 1, i + 1, 1 - 2 * s) for i, s in np.argwhere(diagonal).tolist())
         violations.append(f"entries for degenerate arcs not allowed: {extra}")
@@ -294,9 +305,10 @@ class HittingTimeSample:
 
 
 class _RewriteTables:
-    """The rewrite rule of ``groupoid.append`` as flat tables over the arcs
-    of N windows.  ``simulate`` and ``_BatchState`` each build one per call
-    and step through it.
+    """The rewrite rule of ``groupoid.append`` as tables over the arcs of N
+    windows.  ``_BatchState`` steps through the numpy arrays of ``tables``;
+    ``simulate`` reads the same rule as Python lists, one row per window or
+    top code it visits (``rows``).
 
     Signs alternate along a reduced word, so a word is fixed by the sign and
     the source window of each letter and by its target window.  A letter
@@ -305,9 +317,9 @@ class _RewriteTables:
     k = -1; the empty word has the sentinel code 0.
 
     ``f = i * width + a`` names arc a leaving window i, in the order of
-    ``TransitionKernel.arcs_from``; window 0 is padding.  ``ends[f]`` is the
-    arc's end j, ``keys[f]`` its column ``s (N+1) + j`` and ``push[f]`` the
-    code of the letter (i, k).  ``moves[top + keys[f]]`` is the move of the
+    ``TransitionKernel.arcs_from``.  ``ends[f]`` is the arc's end j,
+    ``keys[f]`` its column ``s (N+1) + j`` and ``push[f]`` the code of the
+    letter (i, k).  ``moves[top + keys[f]]`` is the move of the
     top of a word whose top code is ``top``: +1 (push) when the word is
     empty or the signs differ, -1 (pop) when the last letter starts at j,
     and 0 (merge) otherwise.  A merge keeps the last letter's sign and
@@ -315,21 +327,36 @@ class _RewriteTables:
     """
 
     def __init__(self, n_windows: int):
-        self.n1 = n1 = n_windows + 1
-        self.m = m = 2 * n1
+        self.n1 = n_windows + 1
+        self.m = 2 * self.n1
         self.width = 2 * n_windows - 2
         # A top code plus a column stays below m * m.
-        dtype = np.min_scalar_type(m * m - 1)
-        s = np.repeat([0, 1], n_windows - 1)
-        ends = np.pad(np.tile(other_windows(n_windows) + 1, 2), ((1, 0), (0, 0)))
-        self.ends = ends.reshape(-1)
-        self.keys = (s * n1 + ends).reshape(-1).astype(dtype)
-        self.push = self.code(np.arange(n1)[:, None], 1 - 2 * s).reshape(-1).astype(dtype)
-        # Row s (N+1) + i is the top letter, column s' (N+1) + j the drawn
-        # arc; a row with window 0 is the empty word.
-        s, i = np.divmod(np.arange(m), n1)
-        same = (s[:, None] == s) & (i[:, None] != 0)
-        self.moves = ((~same).astype(np.int8) - (same & (i[:, None] == i))).reshape(-1)
+        self.dtype = np.min_scalar_type(self.m * self.m - 1)
+
+    def _arcs(self, i):
+        """(ends, keys, push) of the arcs leaving window ``i``, an int or a
+        column of windows, along the last axis."""
+        a = np.arange(self.width)
+        s, b = np.divmod(a, self.n1 - 2)
+        ends = b + 1 + (b + 1 >= i)
+        return ends, s * self.n1 + ends, self.code(i, 1 - 2 * s)
+
+    def _moves(self, row):
+        """Moves of a top letter in ``row`` (an int or a column) for every
+        column ``s' (N+1) + j``.  Row s (N+1) + i is the top letter; a row
+        with window 0 is the empty word."""
+        s, i = np.divmod(row, self.n1)
+        cs, j = np.divmod(np.arange(self.m), self.n1)
+        same = (s == cs) & (i != 0)
+        return (~same).astype(np.int8) - (same & (i == j))
+
+    def tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The flat tables ``(ends, keys, push, moves)`` of the batch; row 0
+        of the first three is padding."""
+        ends, keys, push = self._arcs(np.arange(self.n1)[:, None])
+        return (ends.reshape(-1), keys.reshape(-1).astype(self.dtype),
+                push.reshape(-1).astype(self.dtype),
+                self._moves(np.arange(self.m)[:, None]).reshape(-1))
 
     def code(self, i, k):
         """The code of a letter that leaves window ``i`` with sign ``k``."""
@@ -344,12 +371,47 @@ class _RewriteTables:
         np.einsum("kii->ki", w)[...] = 0.0
         return np.tile(w.reshape(self.m, self.n1), 2).reshape(-1)
 
+    def rows(self, metric: Metric):
+        """Lazy rows for the scalar chain.  ``letters[c]`` is the letter of
+        code c as ``(moves, weights, c)``: its moves by column and its
+        weights by end window, as in ``weights``.  ``arcs[i]`` holds the
+        lists ``(ends, keys, letters)`` of window i's arcs, ``letters[f]``
+        being the letter row of ``push[f]``.  Each row is built on its first
+        lookup."""
+
+        def letter(c):
+            s, i = divmod(c // self.m, self.n1)
+            weights = [0.0] * self.n1
+            if i:
+                weights[1:] = metric.W[s, i - 1].tolist()
+                weights[i] = 0.0
+            return self._moves(c // self.m).tolist(), weights, c
+
+        def arc_row(i):
+            ends, keys, push = self._arcs(i)
+            return ends.tolist(), keys.tolist(), [letters[c] for c in push.tolist()]
+
+        letters = _LazyRows(letter)
+        return _LazyRows(arc_row), letters
+
     def word(self, source: int, codes: Sequence[int], target: int) -> Word:
         """The word from ``source`` whose letters have ``codes`` and whose
         last letter ends at ``target``."""
         s, i = np.divmod(np.array(codes, dtype=np.int64) // self.m, self.n1)
         sources = i.tolist()
         return Word(source, tuple(map(Arc, sources, sources[1:] + [target], (1 - 2 * s).tolist())))
+
+
+class _LazyRows(dict):
+    """Rows built by ``build(key)`` on their first lookup."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        row = self[key] = self._build(key)
+        return row
 
 
 def simulate(
@@ -373,9 +435,8 @@ def simulate(
     metric = metric or word_metric(kernel.n_windows)
     rng = np.random.default_rng(seed)
     rules = _RewriteTables(kernel.n_windows)
-    ends, keys, push, moves, wt = (table.tolist() for table in (
-        rules.ends, rules.keys, rules.push, rules.moves, rules.weights(metric)))
-    codes = [0] + [rules.code(arc.i, arc.k) for arc in start.letters]
+    arcs, letters = rules.rows(metric)
+    stack = [letters[c] for c in [0] + [rules.code(arc.i, arc.k) for arc in start.letters]]
     target = start.target
     mlen = sum(metric.weight(arc) for arc in start.letters)
     word_lens = np.empty(n_steps + 1, dtype=np.int64)
@@ -384,27 +445,29 @@ def simulate(
     metric_lens[0] = mlen
     states = [start] if record_words else None
     word = start
-    arc_index, width = kernel.arc_index, rules.width
+    arc_index = kernel.arc_index
     for n in range(1, n_steps + 1):
-        f = target * width + arc_index(target, rng.random())
-        top = codes[-1]
-        move = moves[top + keys[f]]
+        a = arc_index(target, rng.random())
+        ends, keys, push = arcs[target]
+        top = stack[-1]
+        move = top[0][keys[a]]
         if move > 0:
-            top = push[f]
-            codes.append(top)
+            top = push[a]
+            stack.append(top)
         elif move:
-            codes.pop()
+            stack.pop()
         # `top` is now the last letter after a push or a merge, the one
         # removed by a pop: the letter whose end moves from target to j.
-        j = ends[f]
-        mlen += wt[top + j] - wt[top + target]
-        word_lens[n] = len(codes) - 1
+        j = ends[a]
+        wt = top[1]
+        mlen += wt[j] - wt[target]
+        word_lens[n] = len(stack) - 1
         metric_lens[n] = mlen
         if record_words:
-            word = append(word, Arc(target, j, 1 - 2 * (keys[f] // rules.n1)))
+            word = append(word, Arc(target, j, 1 - 2 * (keys[a] // rules.n1)))
             states.append(word)
         target = j
-    final = rules.word(start.source, codes[1:], target)
+    final = rules.word(start.source, [row[2] for row in stack[1:]], target)
     return Trajectory(start, seed, final, word_lens, metric_lens, states)
 
 
@@ -435,7 +498,7 @@ def sample_hitting_times(
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
     kernel.check_windows(target.i, target.j)
-    state = _BatchState(kernel, n_samples, unit(target.i), seed, max_steps=cap)
+    state = _BatchState(kernel, [(unit(target.i), seed, n_samples)], max_steps=cap)
     # Every path starts at window target.i, so its first letter leaves
     # target.i, and a one-letter word is the target arc exactly when that
     # letter's code and the end window match.  A top position below
@@ -473,29 +536,42 @@ class _BatchState:
     for a merge or a pop is free.  ``metric_lengths`` then sums the weights
     of each path's final word once, letter by letter, exactly as
     ``groupoid.metric_length`` does.
+
+    ``starts`` lists (initial word, master seed, path count) per group; the
+    groups' paths follow each other.  Path p of a group starts at its word
+    and draws from the p-th child of its seed, whatever shares the batch.
     """
 
-    def __init__(self, kernel, n_paths, initial: Word, seed, max_steps):
+    def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int]], max_steps):
         self.rules = rules = _RewriteTables(kernel.n_windows)
-        self.n_paths = n_paths
-        d0 = len(initial.letters)
+        self._ends, self._keys, self._push, self._moves = rules.tables()
+        self.n_paths = n_paths = sum(count for _, _, count in starts)
+        d0 = max(len(initial.letters) for initial, _, _ in starts)
         # Slots needed: the sentinel, one per letter, and the free slot above
         # the top that every step writes.
         self._slots = d0 + max_steps + 2
         cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
-        self.stack = np.zeros((cap0, n_paths), dtype=rules.push.dtype)
-        for d, arc in enumerate(initial.letters, 1):
-            self.stack[d] = rules.code(arc.i, arc.k)
-        self.pos = d0 * n_paths + np.arange(n_paths)
-        self.target = np.full(n_paths, initial.target, dtype=np.int64)
+        self.stack = np.zeros((cap0, n_paths), dtype=rules.dtype)
+        depth = np.empty(n_paths, dtype=np.int64)
+        self.target = np.empty(n_paths, dtype=np.int64)
+        # One child stream per path, split from its group's master seed, so
+        # path p's randomness depends on (seed, p) alone.  Uniforms are
+        # pre-drawn in chunks to keep stepping vectorised.
+        self.rngs = []
+        p0 = 0
+        for initial, seed, count in starts:
+            paths = slice(p0, p0 + count)
+            for d, arc in enumerate(initial.letters, 1):
+                self.stack[d, paths] = rules.code(arc.i, arc.k)
+            depth[paths] = len(initial.letters)
+            self.target[paths] = initial.target
+            self.rngs += map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+            p0 += count
+        self.pos = depth * n_paths + np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.
         self._room = cap0 - 1 - d0
         self._arc_index = kernel.arc_index
         self._views()
-        # One child stream per path, split from the master seed, so path p's
-        # randomness depends on (seed, p) alone.  Uniforms are pre-drawn in
-        # chunks to keep stepping vectorised.
-        self.rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)]
         # `_buf` is step-major, (chunk, n_paths), so each step reads one
         # contiguous row.  Paths draw their chunks into the rows of a small
         # block, which is copied into `_buf` one block of columns at a time.
@@ -513,7 +589,7 @@ class _BatchState:
         # the slot above the top; the table moves `pos` by whole slot rows.
         self._flat = self.stack.reshape(-1)
         self._above = self._flat[self.n_paths :]
-        self._table = self.rules.moves * np.int64(self.n_paths)
+        self._table = self._moves * np.int64(self.n_paths)
 
     @property
     def depth(self) -> np.ndarray:
@@ -569,13 +645,13 @@ class _BatchState:
         if self._room <= 0:
             self._grow()
         self._room -= 1
-        rules, target = self.rules, self.target
-        arc = target * rules.width + self._arc_index(target, self._next_uniforms())
+        target = self.target
+        arc = target * self.rules.width + self._arc_index(target, self._next_uniforms())
         pos = self.pos
         top = self._flat.take(pos)
-        self._above[pos] = rules.push.take(arc)
-        pos += self._table.take(top + rules.keys.take(arc))
-        self.target = rules.ends.take(arc)
+        self._above[pos] = self._push.take(arc)
+        pos += self._table.take(top + self._keys.take(arc))
+        self.target = self._ends.take(arc)
 
     def metric_lengths(self, metric: Metric) -> np.ndarray:
         """``groupoid.metric_length`` of each path's word, to the last bit:
@@ -619,13 +695,30 @@ def run_length_paths(
     Path p follows ``simulate`` on the p-th child of ``seed``; its metric
     length is ``groupoid.metric_length`` of its final word, bit for bit.
     """
+    initial = unit(1) if initial is None else initial
+    return _run_length_groups(kernel, metric, n_steps, [(initial, seed, n_paths)])
+
+
+def _run_length_groups(
+    kernel: TransitionKernel,
+    metric: Metric,
+    n_steps: int,
+    starts: Sequence[Tuple[Word, int, int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``run_length_paths`` for several groups of paths in one batch.
+
+    ``starts`` lists (initial word, seed, n_paths) per group, and the paths
+    of the groups follow each other in the result.  Each group's paths equal
+    ``run_length_paths(kernel, metric, n_steps, n_paths, seed, initial)``
+    bit for bit: the batch shares only the stepping.
+    """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    if n_paths < 0:
-        raise ValueError("n_paths must be non-negative")
-    initial = unit(1) if initial is None else initial
-    kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
-    state = _BatchState(kernel, n_paths, initial, seed, max_steps=n_steps)
+    for initial, _, n_paths in starts:
+        if n_paths < 0:
+            raise ValueError("n_paths must be non-negative")
+        kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
+    state = _BatchState(kernel, starts, max_steps=n_steps)
     for _ in range(n_steps):
         state.advance()
     return state.depth, state.metric_lengths(metric)

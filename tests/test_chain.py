@@ -115,10 +115,11 @@ def _violations_reference(n, p):
     return violations
 
 
-@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2)])
+@pytest.mark.parametrize("n, seed", [(3, 0), (5, 1), (8, 2), (300, 3)])
 def test_array_validation_matches_loop_reference(n, seed):
     # Rows summed in another order would differ in the last bits of the
-    # printed sum and could flip a row across ROW_SUM_TOL.
+    # printed sum and could flip a row across ROW_SUM_TOL.  At N=300 the
+    # windows are validated in two blocks, and the broken arcs fall in both.
     rng = np.random.default_rng(seed)
     k = dirichlet_kernel(n, 1.0, seed=seed)
     p = {(e["i"], e["j"], e["k"]): e["value"] for e in kernel_to_json(k)["p"]}
@@ -299,11 +300,12 @@ def test_batch_word_growing_every_step_fills_stack(n_steps):
 def test_batch_tables_stay_quadratic_in_n():
     # Every table the stepper builds is O(N^2): at N=100 a (top letter, arc)
     # table would hold 2 * 101 * 19800 entries, some 30 MB even as int8.
+    # One step builds the arc tables too.
     k = symmetric_kernel(100)
-    _BatchState(k, 1, unit(1), seed=0, max_steps=10)
+    _BatchState(k, [(unit(1), 0, 1)], max_steps=10).advance()
     tracemalloc.start()
     try:
-        _BatchState(k, 1, unit(1), seed=0, max_steps=10)
+        _BatchState(k, [(unit(1), 0, 1)], max_steps=10).advance()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -322,6 +324,35 @@ def test_kernel_at_n1000_holds_little_beyond_its_array():
     assert held <= 1.2 * kernel.P.nbytes
 
 
+def test_kernel_construction_at_n1000_peaks_near_its_array():
+    # Validation once held several (2, N, N) temporaries at a time, a peak
+    # of 4.8 times P; it now works through blocks of windows.
+    n = 1000
+    arcs = np.broadcast_to((1.0 - np.eye(n)) / (2 * n - 2), (2, n, n))
+    tracemalloc.start()
+    try:
+        kernel = TransitionKernel(arcs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * kernel.P.nbytes
+
+
+def test_simulate_at_n1000_reads_visited_rows_only():
+    # Rewrite and arc-sum tables of every window and top code would take
+    # hundreds of MiB here; ten steps visit at most eleven windows.
+    kernel, metric = symmetric_kernel(1000), fenced_metric(1000)
+    simulate(unit(1), symmetric_kernel(3), 10, seed=0)
+    tracemalloc.start()
+    try:
+        traj = simulate(unit(1), kernel, 10, seed=0, metric=metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.word_lens) == 11
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_rewrite_tables_match_append_on_every_top_state(n):
     # Every top state, the empty word at each window or a last letter
@@ -335,13 +366,21 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
                                for j in range(1, n + 1) if i != j for k in (1, -1)})
     metric = Metric("diagonal", metric.W + np.eye(n))
     ends, keys, push, moves, weights = (table.tolist() for table in (
-        rules.ends, rules.keys, rules.push, rules.moves, rules.weights(metric)))
+        *rules.tables(), rules.weights(metric)))
+    # The scalar chain's lazy rows are the same tables, row by row.
+    arc_rows, letters = rules.rows(metric)
     words = [unit(i) for i in range(1, n + 1)]
     words += [Word(a % n + 1, (Arc(a % n + 1, a, -k), Arc(a, b, k)))
               for a in range(1, n + 1) for b in range(1, n + 1) if a != b for k in (1, -1)]
     for word in words:
         codes = [0] + [rules.code(arc.i, arc.k) for arc in word.letters]
         i = word.target
+        top = codes[-1]
+        assert letters[top] == (moves[top : top + 2 * n + 2], weights[top : top + n + 1], top)
+        f0 = i * rules.width
+        row_ends, row_keys, row_letters = arc_rows[i]
+        assert (row_ends, row_keys) == (ends[f0 : f0 + rules.width], keys[f0 : f0 + rules.width])
+        assert [letter[2] for letter in row_letters] == push[f0 : f0 + rules.width]
         for a, (arc, _) in enumerate(kernel.arcs_from(i)):
             f = i * rules.width + a
             assert (ends[f], keys[f]) == (arc.j, (1 - arc.k) // 2 * (n + 1) + arc.j)
@@ -414,7 +453,7 @@ def test_arc_rule_at_exact_boundaries(kernel):
         assert kernel.arc_index(np.full(len(us), i), us).tolist() == picked
         stepped = [kernel.arcs_from(i)[kernel.arc_index(i, float(u))][0] for u in us]
         assert stepped == [arcs[m] for m in picked]
-        state = _BatchState(kernel, len(us), unit(i), seed=0, max_steps=1)
+        state = _BatchState(kernel, [(unit(i), 0, len(us))], max_steps=1)
         state._buf[0] = us
         state._ptr = 0
         state.advance()

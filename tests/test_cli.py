@@ -345,6 +345,27 @@ def test_import_does_not_load_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
+def test_verify_clt_does_not_load_scipy_stats():
+    # verify_clt takes its chi-square quantiles and KS distance from
+    # scipy.special; scipy.stats would cost about four times its import.
+    import os
+    import subprocess
+    import sys
+
+    import windwalk
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(windwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, windwalk\n"
+            "rep = windwalk.verify_clt(windwalk.symmetric_kernel(3), windwalk.word_metric(3),"
+            " 0.25, 11 / 16, n_steps=10**4, n_paths=1000, seed=6)\n"
+            "print(rep.passed, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["True", "True", "False"]
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("validate", "metric", "word"), ("validate", "seed", 1),
     ("solve-r", "metric", "word"), ("solve-r", "seed", 1),

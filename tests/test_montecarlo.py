@@ -4,9 +4,10 @@ acceptance suite."""
 import numpy as np
 import pytest
 
-from windwalk.chain import asymmetric_kernel, symmetric_kernel
-from windwalk.groupoid import word_metric
-from windwalk.montecarlo import paths_csv, verify_clt, verify_lazy_walk, verify_lln
+from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
+from windwalk.groupoid import custom_metric, fenced_metric, unit, word_metric
+from windwalk.montecarlo import (_default_initial, _ks_distance, paths_csv, verify_clt,
+                                 verify_lazy_walk, verify_lln)
 
 
 def test_lln_smoke_symmetric():
@@ -25,6 +26,74 @@ def test_lln_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def _second_seed(seed):
+    # The master seed of verify_lln's run from the non-unit word.
+    return int(np.random.SeedSequence(seed).generate_state(2)[1])
+
+
+def _non_dyadic_metric(n):
+    arcs = sorted((i, j, s) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
+                  for s in (1, -1))
+    return custom_metric(n, {arc: (0.1, 0.7, 1.3, 0.3)[c % 4] for c, arc in enumerate(arcs)})
+
+
+@pytest.mark.parametrize("kernel", [asymmetric_kernel(), symmetric_kernel(5)],
+                         ids=["asymmetric", "symmetric:5"])
+@pytest.mark.parametrize("metric", ["word", "fenced", "custom"])
+@pytest.mark.parametrize("n_steps, n_paths", [(0, 3), (1, 4), (200, 7), (1000, 50)])
+def test_lln_batch_halves_equal_separate_runs(kernel, metric, n_steps, n_paths):
+    # verify_lln steps both of its runs in one batch.  Each half must equal
+    # its own run to the last bit: word lengths, and metric lengths summed
+    # over the final words, at depths past the first stack capacity of 64.
+    n = kernel.n_windows
+    m = {"word": word_metric, "fenced": fenced_metric, "custom": _non_dyadic_metric}[metric](n)
+    seed = 29
+    wl, ml = _run_length_groups(kernel, m, n_steps, [
+        (unit(1), seed, n_paths), (_default_initial(kernel), _second_seed(seed), n_paths)])
+    wl_unit, ml_unit = run_length_paths(kernel, m, n_steps, n_paths, seed)
+    wl_word, ml_word = run_length_paths(kernel, m, n_steps, n_paths, _second_seed(seed),
+                                        initial=_default_initial(kernel))
+    assert wl.tolist() == wl_unit.tolist() + wl_word.tolist()
+    assert ml.tolist() == ml_unit.tolist() + ml_word.tolist()
+    assert n_steps < 200 or wl.max() > 64
+
+
+# Reports of the two runs stepped one after the other, as verify_lln did
+# before they shared a batch; gamma_ref and sigma2_ref are compute_limits'.
+RECORDED_LLN = [
+    (asymmetric_kernel(), fenced_metric(3), 0.33421184384537, 0.9162768152935068, 0, 50,
+     "{'n_steps': 1000, 'n_paths': 50, 'seed': 0, 'gamma_hat': 0.3354600000000001, "
+     "'gamma_se': 0.004213603818924739, 'sigma2_hat': 0.8877228571428573, "
+     "'normality_stat': None, 'passes': {'lln_unit': True, 'lln_nonunit': True}, "
+     "'details': {'gamma_hat_unit': 0.3354600000000001, "
+     "'band_unit': np.float64(0.13793467396676762), 'gamma_hat_nonunit': 0.34176, "
+     "'band_nonunit': np.float64(0.1408937762372042)}}"),
+    (symmetric_kernel(5), word_metric(5), 0.37500000000000006, None, 1, 73,
+     "{'n_steps': 1000, 'n_paths': 73, 'seed': 1, 'gamma_hat': 0.37456164383561646, "
+     "'gamma_se': 0.0026973820600148975, 'sigma2_hat': 0.5311385083713851, "
+     "'normality_stat': None, 'passes': {'lln_unit': True, 'lln_nonunit': True}, "
+     "'details': {'gamma_hat_unit': 0.37456164383561646, "
+     "'band_unit': np.float64(0.10297529793333797), 'gamma_hat_nonunit': 0.38363013698630133, "
+     "'band_nonunit': np.float64(0.10247814894298923)}}"),
+    (symmetric_kernel(3), fenced_metric(3), 0.333333333333333, 1.2962962962962965, 12345, 50,
+     "{'n_steps': 1000, 'n_paths': 50, 'seed': 12345, 'gamma_hat': 0.33532000000000006, "
+     "'gamma_se': 0.005296470908221119, 'sigma2_hat': 1.4026302040816325, "
+     "'normality_stat': None, 'passes': {'lln_unit': True, 'lln_nonunit': True}, "
+     "'details': {'gamma_hat_unit': 0.33532000000000006, "
+     "'band_unit': np.float64(0.1652023435975036), 'gamma_hat_nonunit': 0.34043999999999996, "
+     "'band_nonunit': np.float64(0.16031776979054466)}}"),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, metric, gamma, sigma2, seed, n_paths, expected", RECORDED_LLN,
+    ids=["asymmetric-fenced-0", "symmetric:5-word-1", "symmetric:3-fenced-12345"])
+def test_lln_report_equals_recorded(kernel, metric, gamma, sigma2, seed, n_paths, expected):
+    rep = verify_lln(kernel, metric, gamma, n_steps=1000, n_paths=n_paths, seed=seed,
+                     sigma2_ref=sigma2)
+    assert repr(rep.to_json()) == expected
+
+
 def test_lln_input_validation():
     with pytest.raises(ValueError):
         verify_lln(symmetric_kernel(3), word_metric(3), 0.25,
@@ -38,6 +107,37 @@ def test_clt_smoke_and_negative_control():
     assert rep.passed
     bad = verify_clt(k, m, 0.30, 11 / 16, n_steps=10**4, n_paths=1000, seed=6)
     assert not bad.passes["ks"]
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 2001])
+def test_ks_distance_equals_scipy_statistic(n):
+    # Rounded normals put ties in the sample, and the odd size makes the
+    # two tails of the KS distance uneven.
+    stats = pytest.importorskip("scipy.stats")
+
+    rng = np.random.default_rng(n)
+    for sd in (0.5, 1.0, 1.7):
+        z = np.round(rng.standard_normal(n) * 1.1, 1)
+        assert len(np.unique(z)) < n
+        expected = stats.kstest(z, "norm", args=(0.0, sd)).statistic
+        assert _ks_distance(z, sd) == expected
+
+
+@pytest.mark.parametrize("n_paths, seed", [(1000, 1), (2000, 2), (2001, 3)])
+def test_clt_bands_and_statistic_equal_scipy_stats(n_paths, seed):
+    # Word lengths are whole numbers, so the simulated z sample has ties.
+    stats = pytest.importorskip("scipy.stats")
+
+    k, m, gamma, sigma2 = asymmetric_kernel(), word_metric(3), 0.2729136101879, 0.5876
+    n_steps = 10**4
+    rep = verify_clt(k, m, gamma, sigma2, n_steps=n_steps, n_paths=n_paths, seed=seed)
+    _, ml = run_length_paths(k, m, n_steps, n_paths, seed)
+    z = (ml - gamma * n_steps) / np.sqrt(n_steps)
+    assert len(np.unique(z)) < n_paths
+    dof = n_paths - 1
+    assert rep.details["var_lo"] == sigma2 * stats.chi2.ppf(0.005, dof) / dof
+    assert rep.details["var_hi"] == sigma2 * stats.chi2.ppf(0.995, dof) / dof
+    assert rep.normality_stat == stats.kstest(z, "norm", args=(0.0, np.sqrt(sigma2))).statistic
 
 
 def test_clt_input_validation():
