@@ -141,6 +141,10 @@ def _build_metric(spec, n_windows: int) -> Metric:
             i, j, k = key
             if not (1 <= i <= n_windows and 1 <= j <= n_windows and i != j and k in (1, -1)):
                 raise ConfigError(f"entry {index} of the custom metric names no arc: {entry!r}")
+            if key in weights:
+                raise ConfigError(
+                    f"entry {index} of the custom metric is a duplicate entry for arc {key}: "
+                    f"{entry!r}")
             weights[key] = value
         return custom_metric(n_windows, weights)
     if spec == "word":
@@ -282,7 +286,11 @@ def cmd_oracle_dp(args) -> int:
     if mode == "hitting":
         if args.target is None:
             raise ConfigError("hitting mode needs --target i,j,k")
-        i, j, k = (int(part) for part in args.target.split(","))
+        try:
+            i, j, k = (int(part) for part in args.target.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"--target must be i,j,k, three integers, got {args.target!r}") from None
         series = dp_hitting_series(kernel, Arc(i, j, k), max_steps, method=method)
         payload = {"mode": mode, "target": [i, j, k]}
     elif mode == "return":

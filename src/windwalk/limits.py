@@ -15,7 +15,7 @@ O(N^3) here, with a fixed number of numpy calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -223,24 +223,6 @@ def b_matrix_values(r: RSolution, weights: np.ndarray, z: float) -> np.ndarray:
     return z ** weights * r.values
 
 
-def build_k_matrix(
-    kernel: TransitionKernel,
-    metric: Metric,
-    lam: float,
-    z: float,
-    tol: float = 1e-13,
-    r: Optional[RSolution] = None,
-) -> np.ndarray:
-    """The 2N x 2N block matrix [[0, B(+1)], [B(-1), 0]] at (lam, z)."""
-    r = r if r is not None else solve_r(kernel, lam, tol=tol)
-    n = kernel.n_windows
-    b_plus, b_minus = b_matrix_values(r, metric.W, z)
-    k = np.zeros((2 * n, 2 * n))
-    k[:n, n:] = b_plus
-    k[n:, :n] = b_minus
-    return k
-
-
 def spectral_radius_k(
     kernel: TransitionKernel,
     metric: Metric,
@@ -248,15 +230,17 @@ def spectral_radius_k(
     z: float,
     tol: float = 1e-13,
 ) -> float:
-    """Perron root of the period-2 block matrix, computed by power iteration
-    on its square."""
+    """Perron root of the period-2 block matrix K = [[0, B(+1)], [B(-1), 0]]
+    at (lam, z).  K^2 = diag(B(+1) B(-1), B(-1) B(+1)), so rho(K) is the
+    square root of the Perron root of B(+1) B(-1), found by power iteration."""
     if not (0.0 < lam <= 1.0 and 0.0 < z <= 1.0):
         raise ValueError("spectral radius is evaluated for lam, z in (0, 1]")
-    k = build_k_matrix(kernel, metric, lam, z, tol=tol)
-    if not k.any():
+    b_plus, b_minus = b_matrix_values(solve_r(kernel, lam, tol=tol), metric.W, z)
+    product = b_plus @ b_minus
+    if not product.any():
         return 0.0
     try:
-        rho_sq = perron_root(k @ k)
+        rho_sq = perron_root(product)
     except SolverError as exc:
         raise DegenerateSystemError(str(exc)) from exc
     return float(np.sqrt(max(rho_sq, 0.0)))

@@ -4,16 +4,18 @@ closed forms of the worked example families.
 
 The default hitting/return series use an exact convolution DP over first
 passage decompositions (each coefficient is a finite sum over path
-decompositions, no fixed-point solve involved).  The ``words`` method
-enumerates probability mass over reduced words directly and is exponential
-in the horizon; it serves as a second, fully mechanical cross-check for
-small step counts.
+decompositions, no fixed-point solve involved).  The word-space oracles, the
+``words`` method of the hitting/return series and ``dp_truncated_G``, share
+one walker, ``_word_laws``, that carries the exact law of the reduced word
+from step to step.  It reads arcs only through ``kernel.arcs_from`` and
+``groupoid.append``, is exponential in the horizon, and serves as a second,
+fully mechanical cross-check for small step counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Callable, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -67,6 +69,40 @@ def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.n
     return np.moveaxis(t, 0, -1)
 
 
+def _word_laws(
+    kernel: TransitionKernel,
+    source: int,
+    max_steps: int,
+    state_cap: int,
+    keep: Optional[Callable[[int, Word], bool]] = None,
+) -> Iterator[Dict[Word, float]]:
+    """The exact law of the reduced word of the chain started at e_source,
+    after each step m = 1..max_steps, as a dict from ``Word`` to probability.
+
+    A word that ``keep(m, word)`` refuses is dropped from the law at step m.
+    The caller may remove words from a yielded law; the next step grows from
+    what is left, and the state cap counts what is left.  The walk stops early
+    once the law is empty.  Arcs are read only through ``kernel.arcs_from``
+    and ``groupoid.append``, never through the chain's rewrite tables, so the
+    enumeration stays independent of the convolution DP and the sampler.
+    """
+    arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
+    law: Dict[Word, float] = {Word(source): 1.0}
+    for m in range(1, max_steps + 1):
+        nxt: Dict[Word, float] = {}
+        for word, prob in law.items():
+            for g, p in arcs[word.target]:
+                new = append(word, g)
+                if keep is None or keep(m, new):
+                    nxt[new] = nxt.get(new, 0.0) + prob * p
+        yield nxt
+        if len(nxt) > state_cap:
+            raise StateSpaceExceeded(len(nxt), state_cap)
+        if not nxt:
+            return
+        law = nxt
+
+
 def dp_hitting_series(
     kernel: TransitionKernel,
     target: Arc,
@@ -83,35 +119,15 @@ def dp_hitting_series(
         t = hitting_step_probabilities(kernel, max_steps)
         coeffs = t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
         return TruncatedSeries(coeffs, max_steps)
-    if method == "words":
-        return _hitting_series_words(kernel, target, max_steps, state_cap)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _hitting_series_words(kernel, target: Arc, max_steps, state_cap) -> TruncatedSeries:
-    target_word = Word(target.i, (target,))
+    if method != "words":
+        raise ValueError(f"unknown method {method!r}")
     coeffs = np.zeros(max_steps + 1)
-    mass: Dict[Tuple, float] = {(): 1.0}  # keys are letter tuples from e_i
-    source = target.i
-    for m in range(1, max_steps + 1):
-        nxt: Dict[Tuple, float] = {}
-        for letters, prob in mass.items():
-            word = Word(source, letters)
-            for g, p in kernel.arcs_from(word.target):
-                new = append(word, g)
-                if new == target_word:
-                    coeffs[m] += prob * p
-                    continue
-                # Keep only words that can still reach the target in time.
-                dist = len(compose(inverse(new), target_word))
-                if m + dist <= max_steps:
-                    key = new.letters
-                    nxt[key] = nxt.get(key, 0.0) + prob * p
-        if len(nxt) > state_cap:
-            raise StateSpaceExceeded(len(nxt), state_cap)
-        mass = nxt
-        if not mass:
-            break
+    target_word = Word(target.i, (target,))
+    # Keep only words that can still reach the target in time.
+    laws = _word_laws(kernel, target.i, max_steps, state_cap,
+                      lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
+    for m, law in enumerate(laws, start=1):
+        coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
     return TruncatedSeries(coeffs, max_steps)
 
 
@@ -127,7 +143,15 @@ def dp_return_series(
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
     if method == "words":
-        return _return_series_words(kernel, i, max_steps, state_cap)
+        coeffs = np.zeros(max_steps + 1)
+        coeffs[0] = 1.0
+        e_i = Word(i)
+        # Keep only words that can still shrink back to e_i in time.
+        laws = _word_laws(kernel, i, max_steps, state_cap,
+                          lambda m, word: len(word) <= max_steps - m)
+        for m, law in enumerate(laws, start=1):
+            coeffs[m] = law.get(e_i, 0.0)
+        return TruncatedSeries(coeffs, max_steps)
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
     t = hitting_step_probabilities(kernel, max_steps)
@@ -140,29 +164,6 @@ def dp_return_series(
     for m in range(1, max_steps + 1):
         s[m] = float(u[1 : m + 1] @ s[m - 1 :: -1][: m])
     return TruncatedSeries(s, max_steps)
-
-
-def _return_series_words(kernel, i, max_steps, state_cap) -> TruncatedSeries:
-    coeffs = np.zeros(max_steps + 1)
-    coeffs[0] = 1.0
-    mass: Dict[Tuple, float] = {(): 1.0}
-    for m in range(1, max_steps + 1):
-        nxt: Dict[Tuple, float] = {}
-        for letters, prob in mass.items():
-            word = Word(i, letters)
-            for g, p in kernel.arcs_from(word.target):
-                new = append(word, g)
-                if len(new) > max_steps - m:  # cannot be back at e_i in time
-                    continue
-                key = new.letters
-                nxt[key] = nxt.get(key, 0.0) + prob * p
-        if len(nxt) > state_cap:
-            raise StateSpaceExceeded(len(nxt), state_cap)
-        mass = nxt
-        coeffs[m] = mass.get((), 0.0)
-        if not mass:
-            break
-    return TruncatedSeries(coeffs, max_steps)
 
 
 def dp_truncated_G(
@@ -181,22 +182,9 @@ def dp_truncated_G(
     if not (0.0 <= lam < 1.0 and 0.0 < z <= 1.0):
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
-    mass: Dict[Tuple, float] = {(): 1.0}
     total = 1.0  # n = 0 term: the unit word has length 0
-    for n in range(1, max_steps + 1):
-        nxt: Dict[Tuple, float] = {}
-        for letters, prob in mass.items():
-            word = Word(i, letters)
-            for g, p in kernel.arcs_from(word.target):
-                key = append(word, g).letters
-                nxt[key] = nxt.get(key, 0.0) + prob * p
-        if len(nxt) > state_cap:
-            raise StateSpaceExceeded(len(nxt), state_cap)
-        mass = nxt
-        expect = sum(
-            prob * z ** metric_length(Word(i, letters), metric)
-            for letters, prob in mass.items()
-        )
+    for n, law in enumerate(_word_laws(kernel, i, max_steps, state_cap), start=1):
+        expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
         total += lam**n * expect
     return total
 

@@ -283,6 +283,9 @@ def test_limits_symmetric_below_three_windows_is_invalid_input(capsys):
     ({"i": 0, "j": 2, "k": 1, "weight": 2.0}, "entry 1 of the custom metric names no arc"),
     # json.load reads NaN; a NaN weight once came out as "gamma": NaN, exit 0.
     ({"i": 1, "j": 2, "k": 1, "weight": float("nan")}, "weight nan for arc (1, 2, 1) is not finite"),
+    # A repeated arc once kept its last weight silently, exit 0.
+    ({"i": 2, "j": 3, "k": -1, "weight": 5.0},
+     "entry 1 of the custom metric is a duplicate entry for arc (2, 3, -1)"),
 ])
 def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named):
     cfg = tmp_path / "cfg.json"
@@ -291,6 +294,22 @@ def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named
     code, _, err = run(capsys, "limits", "--config", str(cfg))
     assert code == 2
     assert named in err
+
+
+@pytest.mark.parametrize("target", ["1,2", "1,2,3,4", "a,b,1"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_target_names_the_flag(capsys, tmp_path, target, source):
+    argv = ["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting"]
+    if source == "flag":
+        argv += ["--target", target]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": target}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--target must be i,j,k, three integers, got {target!r}" in err
 
 
 @pytest.mark.parametrize("command", ["solve-r", "limits"])

@@ -11,8 +11,8 @@ from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import (
     DegenerateSystemError,
+    b_matrix_values,
     build_b,
-    build_k_matrix,
     compute_limits,
     det_h,
     det_jet,
@@ -122,16 +122,6 @@ def test_kms_small_cases():
     assert kms_phi(2, 0.3, 0.5) == pytest.approx(0.7**2 - 0.25)
 
 
-def test_k_matrix_block_structure():
-    k = symmetric_kernel(3)
-    mat = build_k_matrix(k, word_metric(3), 1.0, 1.0)
-    assert mat.shape == (6, 6)
-    assert np.all(mat[:3, :3] == 0.0) and np.all(mat[3:, 3:] == 0.0)
-    assert np.all(np.diag(mat[:3, 3:]) == 0.0)
-    # symmetric kernel at (1,1): off-diagonal entries are R = 1/2
-    assert mat[0, 4] == pytest.approx(0.5, abs=1e-11)
-
-
 def test_spectral_radius_critical_at_1_1():
     for k in KERNELS:
         for metric in (word_metric(3), fenced_metric(3)):
@@ -141,8 +131,12 @@ def test_spectral_radius_critical_at_1_1():
 
 
 def test_spectral_radius_matches_eigenvalues():
+    # The 2N x 2N block matrix [[0, B(+1)], [B(-1), 0]], built here from the
+    # chamber blocks, is the reference for the radius of their product.
     k = asymmetric_kernel()
-    mat = build_k_matrix(k, word_metric(3), 0.8, 0.95)
+    b_plus, b_minus = b_matrix_values(solve_r(k, 0.8), word_metric(3).W, 0.95)
+    zero = np.zeros((3, 3))
+    mat = np.block([[zero, b_plus], [b_minus, zero]])
     rho = spectral_radius_k(k, word_metric(3), 0.8, 0.95)
     assert rho == pytest.approx(np.abs(np.linalg.eigvals(mat)).max(), abs=1e-9)
 

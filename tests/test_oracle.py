@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, word_metric
+from windwalk.groupoid import Arc, fenced_metric, word_metric
 from windwalk.oracle import (
     StateSpaceExceeded,
     closed_form,
@@ -149,11 +149,76 @@ def test_truncated_g_domain():
         dp_truncated_G(k, word_metric(3), 1, 0.5, 0.0, 5)
 
 
-def test_state_cap_guard():
-    with pytest.raises(StateSpaceExceeded):
-        dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30, state_cap=1000)
-    with pytest.raises(StateSpaceExceeded):
-        dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words", state_cap=50)
+@pytest.mark.parametrize("call, count", [
+    (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30,
+                            state_cap=1000), 1021),
+    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words",
+                               state_cap=50), 94),
+    (lambda: dp_return_series(symmetric_kernel(3), 1, 40, method="words", state_cap=50), 61),
+], ids=["G", "hitting", "return"])
+def test_state_cap_guard(call, count):
+    # The count is that of the first step whose kept words exceed the cap.
+    with pytest.raises(StateSpaceExceeded) as info:
+        call()
+    assert info.value.count == count
+
+
+# Word-space results at 8 steps, recorded as exact reprs.  Each law is summed
+# in a fixed order (words as first reached, arcs as ``arcs_from`` lists them),
+# so any change to that order or to the pruning shows up under ``==``.
+WORD_SPACE_RECORD = {
+    "asymmetric": {
+        "hitting": {
+            (1, 2, 1): [0.0, 0.6142857142857143, 0.059722222222222225, 0.03242063492063492,
+                        0.011467919343663391, 0.009947851428931362, 0.006694827097115117,
+                        0.005715257453465379, 0.004327314982658966],
+            (2, 3, -1): [0.0, 0.25, 0.017857142857142856, 0.09959325396825397,
+                         0.021732390873015872, 0.04770501307004284, 0.017167436784775086,
+                         0.025585634849050725, 0.012567038294837473],
+        },
+        "return": {
+            1: [1.0, 0.0, 0.3138492063492063, 0.04721726190476191, 0.15564973623708742,
+                0.04665904549319728, 0.08804205935215428, 0.039462293486193734,
+                0.0549336650757394],
+            2: [1.0, 0.0, 0.4296230158730159, 0.04721726190476191, 0.21636790162824387,
+                0.05330264668367347, 0.1214754669427382, 0.04792765175858462,
+                0.07489033270848232],
+        },
+        "G": {("word", 1.0): 1.99609375, ("word", 0.9): 1.8805498589839649,
+              ("fenced", 1.0): 1.99609375, ("fenced", 0.9): 1.8728787877634998},
+    },
+    "symmetric:4": {
+        "hitting": {
+            (1, 2, 1): [0.0, 0.16666666666666666, 0.05555555555555555, 0.032407407407407406,
+                        0.020061728395061727, 0.01363168724279835, 0.009687928669410149,
+                        0.007140917924096935, 0.005402425316262763],
+            (2, 3, -1): [0.0, 0.16666666666666666, 0.05555555555555555, 0.032407407407407406,
+                         0.020061728395061727, 0.013631687242798354, 0.009687928669410149,
+                         0.007140917924096935, 0.005402425316262763],
+        },
+        "return": {
+            i: [1.0, 0.0, 0.16666666666666669, 0.05555555555555555, 0.06018518518518519,
+                0.038580246913580245, 0.032150205761316865, 0.02460562414266117,
+                0.019979566758116137]
+            for i in (1, 2)
+        },
+        "G": {("word", 1.0): 1.9960937499999982, ("word", 0.9): 1.866372253531822,
+              ("fenced", 1.0): 1.9960937499999982, ("fenced", 0.9): 1.81859793457209},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_SPACE_RECORD))
+def test_word_space_oracles_match_the_record_exactly(name):
+    kernel = asymmetric_kernel() if name == "asymmetric" else symmetric_kernel(4)
+    record = WORD_SPACE_RECORD[name]
+    for target, coeffs in record["hitting"].items():
+        assert dp_hitting_series(kernel, Arc(*target), 8, method="words").coeffs.tolist() == coeffs
+    for i, coeffs in record["return"].items():
+        assert dp_return_series(kernel, i, 8, method="words").coeffs.tolist() == coeffs
+    metrics = {"word": word_metric(kernel.n_windows), "fenced": fenced_metric(kernel.n_windows)}
+    for (metric, z), value in record["G"].items():
+        assert dp_truncated_G(kernel, metrics[metric], 2, 0.5, z, 8) == value
 
 
 def test_closed_form_symmetric():
