@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, chamber_array,
-                       other_windows, unit, word_metric)
+from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, chamber_array, unit,
+                       word_metric)
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_HITTING_CAP = 10**6
@@ -76,12 +76,18 @@ class TransitionKernel:
     @cached_property
     def _cum_t(self) -> np.ndarray:
         """Column i holds the running sums of row i of P+ then of P-, each
-        without its diagonal entry, built on the first batched draw.  The
-        last sum would be 1.0 up to round-off and lies above every uniform,
-        so the arc rule leaves it out; column 0 is padding."""
+        without its diagonal entry, built on the first batched draw one
+        block of windows at a time.  The last sum would be 1.0 up to
+        round-off and lies above every uniform, so the arc rule leaves it
+        out; column 0 is padding."""
         n = self.n_windows
-        rows = self.P[:, np.arange(n)[:, None], other_windows(n)].swapaxes(0, 1).reshape(n, -1)
-        return np.pad(np.cumsum(rows, axis=1)[:, :-1], ((1, 0), (0, 0))).T.copy()
+        cum = np.zeros((2 * n - 3, n + 1))
+        others = np.arange(n - 1)
+        for rows in _row_blocks(n, 2 * n):
+            i = np.arange(n)[rows, None]
+            arcs = self.P[:, i, others + (others >= i)].swapaxes(0, 1).reshape(len(i), -1)
+            cum[:, 1:][:, rows] = np.cumsum(arcs, axis=1)[:, :-1].T
+        return cum
 
     def arc_index(self, i, u):
         """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
@@ -114,6 +120,12 @@ class TransitionKernel:
 
     def __repr__(self) -> str:
         return f"TransitionKernel(N={self.n_windows}, name={self.name!r})"
+
+
+def _row_blocks(n_rows: int, row_size: int) -> List[slice]:
+    """Slices of whole rows, about 2**16 entries each, that cover n_rows."""
+    step = max(1, 2**16 // row_size)
+    return [slice(r, min(r + step, n_rows)) for r in range(0, n_rows, step)]
 
 
 def _check_size(n_windows: int) -> None:
@@ -332,6 +344,12 @@ class _RewriteTables:
         self.width = 2 * n_windows - 2
         # A top code plus a column stays below m * m.
         self.dtype = np.min_scalar_type(self.m * self.m - 1)
+        # A batched step indexes by arc and adds moves to int64 positions,
+        # with no cast while arc ends and moves are intp.  Past N = 127, more
+        # than 2**16 moves, `arc_index` compares 2N - 3 sums per path and
+        # step, which outweighs such a cast, so there the ends take the code
+        # type and the moves the smallest type that holds them.
+        self.wide = self.m <= 256
 
     def _arcs(self, i):
         """(ends, keys, push) of the arcs leaving window ``i``, an int or a
@@ -352,24 +370,31 @@ class _RewriteTables:
 
     def tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The flat tables ``(ends, keys, push, moves)`` of the batch; row 0
-        of the first three is padding."""
-        ends, keys, push = self._arcs(np.arange(self.n1)[:, None])
-        return (ends.reshape(-1), keys.reshape(-1).astype(self.dtype),
-                push.reshape(-1).astype(self.dtype),
-                self._moves(np.arange(self.m)[:, None]).reshape(-1))
+        of the first three is padding.  Each is filled one block of rows at
+        a time, in its own dtype."""
+        ends = np.empty((self.n1, self.width), dtype=np.intp if self.wide else self.dtype)
+        keys = np.empty(ends.shape, dtype=self.dtype)
+        push = np.empty(ends.shape, dtype=self.dtype)
+        moves = np.empty((self.m, self.m), dtype=np.int8)
+        windows = np.arange(self.m)[:, None]
+        for rows in _row_blocks(self.n1, self.width):
+            ends[rows], keys[rows], push[rows] = self._arcs(windows[rows])
+        for rows in _row_blocks(self.m, self.m):
+            moves[rows] = self._moves(windows[rows])
+        return ends.reshape(-1), keys.reshape(-1), push.reshape(-1), moves.reshape(-1)
 
     def code(self, i, k):
         """The code of a letter that leaves window ``i`` with sign ``k``."""
         return ((1 - k) // 2 * self.n1 + i) * self.m
 
     def weights(self, metric: Metric) -> np.ndarray:
-        """Flat table whose entry ``code(i, k) + j`` is the weight of arc
-        (i, j, k), for a column ``j`` or ``s (N+1) + j`` alike.  Window 0
-        and the diagonal weigh nothing, so a push reads its letter's weight
-        less 0 and a pop 0 less its letter's weight."""
+        """Table whose entry ``[code(i, k) // m, j]`` is the weight of arc
+        (i, j, k): ``W`` padded with window 0.  Window 0 and the diagonal
+        weigh nothing, so a push reads its letter's weight less 0 and a pop
+        0 less its letter's weight."""
         w = np.pad(metric.W, ((0, 0), (1, 0), (1, 0)))
         np.einsum("kii->ki", w)[...] = 0.0
-        return np.tile(w.reshape(self.m, self.n1), 2).reshape(-1)
+        return w.reshape(self.m, self.n1)
 
     def rows(self, metric: Metric):
         """Lazy rows for the scalar chain.  ``letters[c]`` is the letter of
@@ -530,6 +555,15 @@ class _BatchState:
     top slot (``depth * n_paths + path``), and its ``target`` window.
     ``depth`` and ``top_k`` are derived from these.
 
+    The capacity follows the depth the paths reach, not the steps taken.
+    A depth rises by at most one per step, so ``cap - 1 - depth.max()``
+    steps fit for sure, and the state counts them down.  When the count
+    runs out it reads that room again; most words rise far slower than one
+    letter per step, so there is often room left.  Only when fewer than 64
+    steps fit does the stack double, in place, at most to the slots
+    ``max_steps`` could fill.  So it holds at most ``2 * depth.max() + 128``
+    slots, unless the deepest word has since shrunk.
+
     One step draws an arc from the target window and rewrites the word with
     no branch per case: the move table shifts ``pos`` by a slot row, and
     every path writes the arc's push code into the slot above its top, which
@@ -553,7 +587,7 @@ class _BatchState:
         cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
         self.stack = np.zeros((cap0, n_paths), dtype=rules.dtype)
         depth = np.empty(n_paths, dtype=np.int64)
-        self.target = np.empty(n_paths, dtype=np.int64)
+        self.target = np.empty(n_paths, dtype=self._ends.dtype)
         # One child stream per path, split from its group's master seed, so
         # path p's randomness depends on (seed, p) alone.  Uniforms are
         # pre-drawn in chunks to keep stepping vectorised.
@@ -572,6 +606,7 @@ class _BatchState:
         self._room = cap0 - 1 - d0
         self._arc_index = kernel.arc_index
         self._views()
+        self._slot_moves()
         # `_buf` is step-major, (chunk, n_paths), so each step reads one
         # contiguous row.  Paths draw their chunks into the rows of a small
         # block, which is copied into `_buf` one block of columns at a time.
@@ -586,10 +621,15 @@ class _BatchState:
 
     def _views(self) -> None:
         # `_above` is the stack shifted down one slot, so `_above[pos]` is
-        # the slot above the top; the table moves `pos` by whole slot rows.
+        # the slot above the top.
         self._flat = self.stack.reshape(-1)
         self._above = self._flat[self.n_paths :]
-        self._table = self._moves * np.int64(self.n_paths)
+
+    def _slot_moves(self) -> None:
+        # The moves in whole slot rows, the steps of `pos`.
+        n = self.n_paths
+        self._table = self._moves * (np.int64(n) if self.rules.wide else
+                                     np.min_scalar_type(-n).type(n))
 
     @property
     def depth(self) -> np.ndarray:
@@ -631,15 +671,20 @@ class _BatchState:
         self.n_paths = len(depth)
         self.pos = depth * self.n_paths + np.arange(self.n_paths)
         self._views()
+        self._slot_moves()
 
     def _grow(self) -> None:
-        # The stack grows geometrically; depth increases by at most 1 per step.
         cap = self.stack.shape[0]
-        new_cap = min(self._slots, max(2 * cap, cap + 64))
-        pad = np.zeros((new_cap - cap, self.n_paths), dtype=self.stack.dtype)
-        self.stack = np.concatenate((self.stack, pad))
-        self._views()
-        self._room = new_cap - 1 - int(self.depth.max(initial=0))
+        room = cap - 1 - int(self.depth.max(initial=0))
+        new_cap = cap if room >= 64 else min(self._slots, 2 * cap)
+        if new_cap > cap:
+            # `resize` extends the buffer with zeroed slot rows by realloc,
+            # not by a second array and a copy, and refuses while a view of
+            # the stack is alive.
+            del self._flat, self._above
+            self.stack.resize((new_cap, self.n_paths))
+            self._views()
+        self._room = room + new_cap - cap
 
     def advance(self) -> None:
         if self._room <= 0:
@@ -659,10 +704,10 @@ class _BatchState:
         ``np.add.accumulate`` adds one slot row at a time."""
         if self._room <= 0:
             self._grow()
-        m, n_paths = self.rules.m, self.n_paths
-        # pair[c + c' // m] is the weight of the letter with code c that ends
-        # at the window of the code c' in the slot above it.
-        pair = self.rules.weights(metric)
+        m, n1, n_paths = self.rules.m, self.rules.n1, self.n_paths
+        # pair[c // 2 + c' // m % n1] is the weight of the letter with code
+        # c that ends at the window of the code c' in the slot above it.
+        pair = self.rules.weights(metric).reshape(-1)
         # The slot above the top gets the code of the target window, so the
         # last letter ends there like the others.
         self._above[self.pos] = self.rules.code(self.target, 1)
@@ -674,7 +719,9 @@ class _BatchState:
         for d0 in range(1, top + 1, rows):
             d1 = min(d0 + rows, top + 1)
             index = self.stack[d0 + 1 : d1 + 1] // m
-            index += self.stack[d0:d1]
+            # index %= n1, which numpy runs many times slower on small ints.
+            index -= index // n1 * n1
+            index += self.stack[d0:d1] // 2
             weights = pair.take(index)
             weights[np.arange(d0, d1)[:, None] > depth] = 0.0
             weights[0] += lengths

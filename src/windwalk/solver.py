@@ -333,10 +333,16 @@ def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: fl
                 max_iter: int = 100000, start: np.ndarray | None = None) -> float:
     """Dominant eigenvalue of a non-negative linear map by power iteration:
     a square matrix from the uniform vector, or a function applying the map
-    to arrays shaped like ``start``."""
+    to arrays shaped like ``start``.
+
+    The Rayleigh quotients approach the root geometrically, their steps
+    shrinking by a ratio r, so the quotients have at most step / (1 - r)
+    left to move.  Iteration stops once that is within ``tol`` times the
+    latest quotient: a bound on the relative error, at small roots as at
+    large ones, rather than on the step alone."""
     apply = matrix if callable(matrix) else matrix.__matmul__
     v = np.full(len(matrix), 1.0 / len(matrix)) if start is None else start
-    mu = 0.0
+    mu, last = 0.0, np.inf
     for _ in range(max_iter):
         w = apply(v)
         norm = float(np.linalg.norm(w))
@@ -344,9 +350,11 @@ def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: fl
             return 0.0
         w /= norm
         mu_next = float(np.vdot(w, apply(w))) / float(np.vdot(w, w))
-        if abs(mu_next - mu) < tol * max(1.0, abs(mu_next)):
+        step = abs(mu_next - mu)
+        # A step that does not shrink (r >= 1) bounds nothing.
+        if step <= tol * abs(mu_next) * max(0.0, 1.0 - step / last):
             return mu_next
-        mu, v = mu_next, w
+        mu, v, last = mu_next, w, step
     raise SolverError(f"power iteration did not converge in {max_iter} iterations")
 
 

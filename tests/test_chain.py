@@ -297,6 +297,57 @@ def test_batch_word_growing_every_step_fills_stack(n_steps):
         assert ml[q] == metric_length(traj.final, fm)
 
 
+@pytest.mark.parametrize("n_paths, n_steps", [(400, 3000), (500, 4000)])
+def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
+    # The deepest word gains about 0.3 letters a step here, so a stack
+    # sized by the steps taken would hold two to three times the slots any
+    # path uses.
+    state = _BatchState(asymmetric_kernel(), [(unit(1), 5, n_paths)], max_steps=n_steps)
+    for _ in range(n_steps):
+        state.advance()
+    state.metric_lengths(fenced_metric(3))
+    assert state.stack.shape[0] <= 2 * state.depth.max() + 128
+
+
+def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():
+    # Paths that hit are dropped from the stack before it grows, so the
+    # growths extend a stack that `select` rebuilt.
+    target, cap, n_samples = Arc(1, 2, 1), 400, 40
+    k = asymmetric_kernel()
+    times = sample_hitting_times(target, k, cap=cap, seed=8, n_samples=n_samples)
+    children = np.random.SeedSequence(8).spawn(n_samples)
+    assert times.tolist() == [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    # Every hit comes before a 64-slot stack could fill; censored paths run on.
+    assert 0 < times.max() < 64 and (times == -1).any()
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_clt_batch_peaks_near_its_stack():
+    # 2000 paths of 10**4 steps reach depth 2989.  A stack doubled on a
+    # count of one letter per step reached 8192 slots, and each growth held
+    # the old stack, a zero pad and their copy at once: a peak of 41 MiB.
+    k, fm = asymmetric_kernel(), fenced_metric(3)
+    peak = _traced_peak(lambda: run_length_paths(k, fm, 10**4, 2000, seed=0))
+    assert peak <= 24 * 2**20
+
+
+def test_batch_at_n1000_peaks_near_its_tables():
+    # Full-size int64 temporaries for the arc sums and the rewrite tables,
+    # and a weight table tiled twice over, made 127 MiB of peak here.
+    kernel, metric = symmetric_kernel(1000), fenced_metric(1000)
+    for _ in range(2):
+        assert _traced_peak(lambda: run_length_paths(kernel, metric, 10, 2, 0)) <= 64 * 2**20
+
+
 def test_batch_tables_stay_quadratic_in_n():
     # Every table the stepper builds is O(N^2): at N=100 a (top letter, arc)
     # table would hold 2 * 101 * 19800 entries, some 30 MB even as int8.
@@ -376,7 +427,7 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
         codes = [0] + [rules.code(arc.i, arc.k) for arc in word.letters]
         i = word.target
         top = codes[-1]
-        assert letters[top] == (moves[top : top + 2 * n + 2], weights[top : top + n + 1], top)
+        assert letters[top] == (moves[top : top + 2 * n + 2], weights[top // rules.m], top)
         f0 = i * rules.width
         row_ends, row_keys, row_letters = arc_rows[i]
         assert (row_ends, row_keys) == (ends[f0 : f0 + rules.width], keys[f0 : f0 + rules.width])
@@ -391,7 +442,7 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
             stepped = codes + [row] if move > 0 else codes[:len(codes) + move]
             assert stepped == [0] + [rules.code(g.i, g.k) for g in new.letters]
             assert rules.word(word.source, stepped[1:], arc.j) == new
-            change = weights[row + arc.j] - weights[row + i]
+            change = weights[row // rules.m][arc.j] - weights[row // rules.m][i]
             assert change == pytest.approx(metric_length(new, metric) - metric_length(word, metric),
                                            rel=1e-12, abs=1e-12)
 

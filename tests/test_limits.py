@@ -130,15 +130,20 @@ def test_spectral_radius_critical_at_1_1():
             assert spectral_radius_k(k, metric, 0.9, 1.0) < 1.0
 
 
-def test_spectral_radius_matches_eigenvalues():
+@pytest.mark.parametrize("kernel, metric, lam, z", [
+    (asymmetric_kernel(), word_metric(3), 0.8, 0.95),
+    # A small root with slow power iteration: a stopping rule on the
+    # absolute step left 3.5e-10 of relative error here.
+    (one_parameter_kernel(0.4), fenced_metric(3), 0.5, 0.3),
+], ids=["asymmetric-word", "one_parameter:0.4-fenced"])
+def test_spectral_radius_matches_eigenvalues(kernel, metric, lam, z):
     # The 2N x 2N block matrix [[0, B(+1)], [B(-1), 0]], built here from the
     # chamber blocks, is the reference for the radius of their product.
-    k = asymmetric_kernel()
-    b_plus, b_minus = b_matrix_values(solve_r(k, 0.8), word_metric(3).W, 0.95)
+    b_plus, b_minus = b_matrix_values(solve_r(kernel, lam), metric.W, z)
     zero = np.zeros((3, 3))
     mat = np.block([[zero, b_plus], [b_minus, zero]])
-    rho = spectral_radius_k(k, word_metric(3), 0.8, 0.95)
-    assert rho == pytest.approx(np.abs(np.linalg.eigvals(mat)).max(), abs=1e-9)
+    rho = spectral_radius_k(kernel, metric, lam, z)
+    assert rho == pytest.approx(np.abs(np.linalg.eigvals(mat)).max(), rel=1e-12, abs=0)
 
 
 def _leibniz(matrix):
