@@ -335,11 +335,11 @@ def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: fl
     a square matrix from the uniform vector, or a function applying the map
     to arrays shaped like ``start``.
 
-    The Rayleigh quotients approach the root geometrically, their steps
-    shrinking by a ratio r, so the quotients have at most step / (1 - r)
-    left to move.  Iteration stops once that is within ``tol`` times the
-    latest quotient: a bound on the relative error, at small roots as at
-    large ones, rather than on the step alone."""
+    The Rayleigh quotients approach the root geometrically: when each step
+    is r times the last, this step and all later ones add up to
+    step / (1 - r).  Iteration stops once that sum is within ``tol`` times
+    the latest quotient, a bound on the relative error at small roots as
+    at large ones, not on the step alone."""
     apply = matrix if callable(matrix) else matrix.__matmul__
     v = np.full(len(matrix), 1.0 / len(matrix)) if start is None else start
     mu, last = 0.0, np.inf
