@@ -344,12 +344,6 @@ class _RewriteTables:
         self.width = 2 * n_windows - 2
         # A top code plus a column stays below m * m.
         self.dtype = np.min_scalar_type(self.m * self.m - 1)
-        # A batched step indexes by arc and adds moves to int64 positions,
-        # with no cast while arc ends and moves are intp.  Past N = 127, more
-        # than 2**16 moves, `arc_index` compares 2N - 3 sums per path and
-        # step, which outweighs such a cast, so there the ends take the code
-        # type and the moves the smallest type that holds them.
-        self.wide = self.m <= 256
 
     def _arcs(self, i):
         """(ends, keys, push) of the arcs leaving window ``i``, an int or a
@@ -371,10 +365,8 @@ class _RewriteTables:
     def tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The flat tables ``(ends, keys, push, moves)`` of the batch; row 0
         of the first three is padding.  Each is filled one block of rows at
-        a time, in its own dtype."""
-        ends = np.empty((self.n1, self.width), dtype=np.intp if self.wide else self.dtype)
-        keys = np.empty(ends.shape, dtype=self.dtype)
-        push = np.empty(ends.shape, dtype=self.dtype)
+        a time, the first three in the code type and the moves in int8."""
+        ends, keys, push = (np.empty((self.n1, self.width), dtype=self.dtype) for _ in range(3))
         moves = np.empty((self.m, self.m), dtype=np.int8)
         windows = np.arange(self.m)[:, None]
         for rows in _row_blocks(self.n1, self.width):
@@ -626,10 +618,10 @@ class _BatchState:
         self._above = self._flat[self.n_paths :]
 
     def _slot_moves(self) -> None:
-        # The moves in whole slot rows, the steps of `pos`.
+        # The moves in whole slot rows, the steps of `pos`, in the smallest
+        # type that holds -n_paths - 1 and so +n_paths too.
         n = self.n_paths
-        self._table = self._moves * (np.int64(n) if self.rules.wide else
-                                     np.min_scalar_type(-n).type(n))
+        self._table = self._moves * np.min_scalar_type(-n - 1).type(n)
 
     @property
     def depth(self) -> np.ndarray:

@@ -321,6 +321,25 @@ def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():
     assert 0 < times.max() < 64 and (times == -1).any()
 
 
+def test_batch_of_128_paths_equals_scalar_at_n130():
+    # Slot moves of ±128 paths need int16; an int8 table cannot hold them.
+    # 129 samples run on as 128 after the first hit, which only one path
+    # makes, then as 127.
+    k, fm = symmetric_kernel(130), fenced_metric(130)
+    n_steps, n_paths = 20, 128
+    wl, ml = run_length_paths(k, fm, n_steps, n_paths, seed=3)
+    children = np.random.SeedSequence(3).spawn(n_paths)
+    for p in range(n_paths):
+        traj = simulate(unit(1), k, n_steps, seed=children[p], metric=fm)
+        assert wl[p] == len(traj.final) and ml[p] == traj.metric_lens[-1]
+    target, cap, n_samples = Arc(1, 2, 1), 30, 129
+    times = sample_hitting_times(target, k, cap=cap, seed=0, n_samples=n_samples)
+    children = np.random.SeedSequence(0).spawn(n_samples)
+    assert times.tolist() == [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    hits = np.sort(times[times >= 0])
+    assert len(hits) >= 2 and hits[0] < hits[1]
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
