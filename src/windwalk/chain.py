@@ -19,7 +19,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,9 +138,8 @@ def _violations(P: np.ndarray, given: Optional[np.ndarray]) -> List[str]:
     n = P.shape[-1]
     violations = []
     # Blocks of windows keep each (2, rows, N) temporary near 1 MiB at any N.
-    step = max(1, 2**16 // n)
-    for i0 in range(0, n, step):
-        rows = slice(i0, i0 + step)
+    for rows in _row_blocks(n, n):
+        i0 = rows.start
         part = P[:, rows]
         arcs = np.arange(n) != np.arange(n)[rows, None]
         supplied = np.broadcast_to(arcs, part.shape) if given is None else given[:, rows]
@@ -509,7 +507,11 @@ def sample_hitting_times(
     seed: int,
     n_samples: int,
 ) -> np.ndarray:
-    """Vectorised i.i.d. hitting-time samples; -1 marks censoring at ``cap``."""
+    """Vectorised i.i.d. hitting-time samples; -1 marks censoring at ``cap``.
+
+    Every path stays in the batch to the end.  A path that hits leaves the
+    ``running`` mask and keeps stepping, its later steps ignored, and the
+    loop stops once no path is running."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if n_samples < 0:
@@ -519,27 +521,25 @@ def sample_hitting_times(
     # Every path starts at window target.i, so its first letter leaves
     # target.i, and a one-letter word is the target arc exactly when that
     # letter's code and the end window match.  A top position below
-    # 2 * n_paths means a depth of at most 1, and the empty word's sentinel
+    # 2 * n_samples means a depth of at most 1, and the empty word's sentinel
     # code never equals `first`.
     first = state.rules.code(target.i, target.k)
     times = np.full(n_samples, -1, dtype=np.int64)
-    active = np.arange(n_samples)
+    running = np.ones(n_samples, dtype=bool)
     for n in range(1, cap + 1):
+        if not running.any():
+            break
         state.advance()
-        hit = (state.top() == first) & (state.pos < 2 * state.n_paths) & (state.target == target.j)
-        if hit.any():
-            times[active[hit]] = n
-            keep = ~hit
-            state.select(keep)
-            active = active[keep]
-            if active.size == 0:
-                break
+        hit = running & (state.top() == first) & (state.pos < 2 * n_samples) & (state.target == target.j)
+        times[hit] = n
+        running &= ~hit
     return times
 
 
 class _BatchState:
-    """Vectorised reduced words for many independent paths of the chain,
-    stepped through the tables of ``_RewriteTables``.
+    """Vectorised reduced words for ``n_paths`` independent paths of the
+    chain, stepped through the tables of ``_RewriteTables``.  The width
+    ``n_paths`` is fixed for the batch's life: no path ever leaves it.
 
     ``stack`` is depth-major, shape ``(cap, n_paths)``: slot ``d`` of a path
     holds the code of its ``d``-th letter, and slot 0 the sentinel code 0 of
@@ -570,7 +570,7 @@ class _BatchState:
 
     def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int]], max_steps):
         self.rules = rules = _RewriteTables(kernel.n_windows)
-        self._ends, self._keys, self._push, self._moves = rules.tables()
+        self._ends, self._keys, self._push, moves = rules.tables()
         self.n_paths = n_paths = sum(count for _, _, count in starts)
         d0 = max(len(initial.letters) for initial, _, _ in starts)
         # Slots needed: the sentinel, one per letter, and the free slot above
@@ -598,30 +598,24 @@ class _BatchState:
         self._room = cap0 - 1 - d0
         self._arc_index = kernel.arc_index
         self._views()
-        self._slot_moves()
+        # The moves in whole slot rows, the steps of `pos`, in the smallest
+        # type that holds -n_paths - 1 and so +n_paths too.
+        self._table = moves * np.min_scalar_type(-n_paths - 1).type(n_paths)
         # `_buf` is step-major, (chunk, n_paths), so each step reads one
         # contiguous row.  Paths draw their chunks into the rows of a small
         # block, which is copied into `_buf` one block of columns at a time.
         # Block rows are one longer than the chunk: a row stride of 4 KiB
-        # would make that transposing copy alias in the cache.  `_cols` lists
-        # the columns of the paths that `select` kept until the next refill.
+        # would make that transposing copy alias in the cache.
         self._chunk = 512
         self._block = np.empty((64, self._chunk + 1))[:, : self._chunk]
         self._buf = np.empty((self._chunk, n_paths))
         self._ptr = self._chunk
-        self._cols = None
 
     def _views(self) -> None:
         # `_above` is the stack shifted down one slot, so `_above[pos]` is
         # the slot above the top.
         self._flat = self.stack.reshape(-1)
         self._above = self._flat[self.n_paths :]
-
-    def _slot_moves(self) -> None:
-        # The moves in whole slot rows, the steps of `pos`, in the smallest
-        # type that holds -n_paths - 1 and so +n_paths too.
-        n = self.n_paths
-        self._table = self._moves * np.min_scalar_type(-n - 1).type(n)
 
     @property
     def depth(self) -> np.ndarray:
@@ -638,8 +632,6 @@ class _BatchState:
 
     def _next_uniforms(self) -> np.ndarray:
         if self._ptr >= self._chunk:
-            if self._cols is not None:
-                self._buf, self._cols = np.empty((self._chunk, self.n_paths)), None
             step = len(self._block)
             for start in range(0, self.n_paths, step):
                 rngs = self.rngs[start : start + step]
@@ -650,20 +642,7 @@ class _BatchState:
             self._ptr = 0
         u = self._buf[self._ptr]
         self._ptr += 1
-        return u if self._cols is None else u.take(self._cols)
-
-    def select(self, keep: np.ndarray) -> None:
-        depth = self.depth[keep]
-        # np.compress keeps the result C-contiguous, as `_flat` needs; a
-        # boolean column index would not.
-        self.stack = np.compress(keep, self.stack, axis=1)
-        self.target = self.target[keep]
-        self.rngs = list(compress(self.rngs, keep.tolist()))
-        self._cols = np.flatnonzero(keep) if self._cols is None else self._cols[keep]
-        self.n_paths = len(depth)
-        self.pos = depth * self.n_paths + np.arange(self.n_paths)
-        self._views()
-        self._slot_moves()
+        return u
 
     def _grow(self) -> None:
         cap = self.stack.shape[0]
@@ -705,11 +684,10 @@ class _BatchState:
         self._above[self.pos] = self.rules.code(self.target, 1)
         depth = self.depth
         lengths = np.zeros(n_paths)
-        # Blocks of about 2**16 weights (512 KiB) of slot rows at a time.
-        rows = max(1, 2**16 // max(n_paths, 1))
+        # Blocks of about 2**16 weights (512 KiB) of the slot rows 1..top.
         top = int(depth.max(initial=0))
-        for d0 in range(1, top + 1, rows):
-            d1 = min(d0 + rows, top + 1)
+        for rows in _row_blocks(top, max(n_paths, 1)):
+            d0, d1 = rows.start + 1, rows.stop + 1
             index = self.stack[d0 + 1 : d1 + 1] // m
             # index %= n1, which numpy runs many times slower on small ints.
             index -= index // n1 * n1

@@ -196,6 +196,8 @@ def verify_lazy_walk(kernel: TransitionKernel, n_steps: int, seed: int) -> LazyW
     """For the symmetric kernel, |W_n| is a lazy nearest-neighbour walk:
     from positive length it moves up/stays/moves down with probabilities
     (N-1, N-2, 1)/(2(N-1)), and from length zero it always moves up."""
+    if n_steps < 2:
+        raise ValueError("requires n_steps >= 2")
     n = kernel.n_windows
     uniform = 1.0 / (2 * n - 2)
     if (abs(kernel.P[:, ~np.eye(n, dtype=bool)] - uniform) > 1e-12).any():

@@ -234,6 +234,16 @@ def test_hitting_time_censoring():
     assert (many[many > 0] >= 1).all()
 
 
+def test_zero_hitting_samples_take_no_step(monkeypatch):
+    # With no path to run there is nothing to step, however long the cap.
+    def advance(self):
+        raise AssertionError("a batch of no paths was stepped")
+
+    monkeypatch.setattr(_BatchState, "advance", advance)
+    times = sample_hitting_times(Arc(1, 2, 1), symmetric_kernel(3), cap=10**6, seed=0, n_samples=0)
+    assert times.dtype == np.int64 and times.shape == (0,)
+
+
 def _first_hit(kernel, target, cap, seed):
     """First n in 1..cap at which the scalar chain from unit(target.i) is the
     one-letter word ``target``, or -1."""
@@ -310,8 +320,8 @@ def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
 
 
 def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():
-    # Paths that hit are dropped from the stack before it grows, so the
-    # growths extend a stack that `select` rebuilt.
+    # Paths that hit stay in the batch, masked, and keep stepping, so the
+    # stack grows under words whose first hits are already recorded.
     target, cap, n_samples = Arc(1, 2, 1), 400, 40
     k = asymmetric_kernel()
     times = sample_hitting_times(target, k, cap=cap, seed=8, n_samples=n_samples)
@@ -323,8 +333,8 @@ def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():
 
 def test_batch_of_128_paths_equals_scalar_at_n130():
     # Slot moves of ±128 paths need int16; an int8 table cannot hold them.
-    # 129 samples run on as 128 after the first hit, which only one path
-    # makes, then as 127.
+    # The 129 hitting-time samples step as one batch of 129 to the end; the
+    # first hit is one path's alone, the next comes later.
     k, fm = symmetric_kernel(130), fenced_metric(130)
     n_steps, n_paths = 20, 128
     wl, ml = run_length_paths(k, fm, n_steps, n_paths, seed=3)
@@ -482,7 +492,7 @@ def test_kernel_and_metric_at_n300_hold_arrays_only():
                          ids=["asymmetric", "symmetric:9"])
 @pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)])
 def test_hitting_times_equal_scalar_first_hits(k, target):
-    # The batch drops paths as they hit; the others keep their streams.
+    # Paths that hit keep stepping, masked; every path keeps its own stream.
     cap, n_samples = 40, 60
     times = sample_hitting_times(target, k, cap=cap, seed=31, n_samples=n_samples)
     children = np.random.SeedSequence(31).spawn(n_samples)

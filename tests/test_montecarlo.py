@@ -160,6 +160,13 @@ def test_lazy_walk_rejects_non_symmetric():
         verify_lazy_walk(asymmetric_kernel(), 1000, seed=0)
 
 
+@pytest.mark.parametrize("n_steps", [0, 1])
+def test_lazy_walk_rejects_too_few_steps(n_steps):
+    # No move from a positive length is seen before the second step.
+    with pytest.raises(ValueError, match="n_steps >= 2"):
+        verify_lazy_walk(symmetric_kernel(4), n_steps, seed=0)
+
+
 def test_paths_csv_format():
     text = paths_csv(np.array([3, 1]), np.array([3.0, 1.5]), np.array([0.25, -0.5]))
     lines = text.strip().split("\n")
