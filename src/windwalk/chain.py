@@ -8,9 +8,12 @@ that rule as flat tables, and the scalar ``simulate`` and the batched
 only the words ``simulate`` records.
 
 Randomness comes from numpy's PCG64 generator.  Every multi-path routine
-derives one child seed per path from the master seed through
+gives path p the generator of the p-th child of
 ``numpy.random.SeedSequence(master).spawn``, so runs are reproducible from
-``(seed, path index)`` alone.
+``(seed, path index)`` alone.  ``_spawn_generators`` seeds a whole batch's
+children in one vectorised pass over the path indices; its generators equal
+``default_rng`` of those children bit for bit, and the tests pin this.
+``numpy.random`` is imported only when a chain runs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,12 @@ from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, chambe
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_HITTING_CAP = 10**6
+
+# The hash constants of numpy's SeedSequence, which `_spawn_generators`
+# replays.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class KernelError(ValueError):
@@ -411,10 +420,16 @@ class _RewriteTables:
 
     def word(self, source: int, codes: Sequence[int], target: int) -> Word:
         """The word from ``source`` whose letters have ``codes`` and whose
-        last letter ends at ``target``."""
-        s, i = np.divmod(np.array(codes, dtype=np.int64) // self.m, self.n1)
-        sources = i.tolist()
-        return Word(source, tuple(map(Arc, sources, sources[1:] + [target], (1 - 2 * s).tolist())))
+        last letter ends at ``target``.  Each distinct arc is built once;
+        arcs are frozen, so the letters share them."""
+        rows = np.array(codes, dtype=np.int64) // self.m
+        # A letter is its row s (N+1) + i and its end j, the next source.
+        ends = np.append(rows[1:] % self.n1, target)[: len(rows)]
+        keys, letters = np.unique(rows * self.n1 + ends, return_inverse=True)
+        rows, j = np.divmod(keys, self.n1)
+        s, i = np.divmod(rows, self.n1)
+        arcs = list(map(Arc, i.tolist(), j.tolist(), (1 - 2 * s).tolist()))
+        return Word(source, tuple(map(arcs.__getitem__, letters.tolist())))
 
 
 class _LazyRows(dict):
@@ -536,6 +551,78 @@ def sample_hitting_times(
     return times
 
 
+def _spawn_generators(seed, count: int) -> list:
+    """``[default_rng(s) for s in SeedSequence(seed).spawn(count)]``, stream
+    for stream, with the children seeded in one pass over a uint32 array of
+    the path indices p.
+
+    ``SeedSequence(seed)`` validates the seed and mixes its entropy into its
+    pool.  Child p mixes the same entropy, padded to at least 4 words, and
+    then one more word, p: ``mix`` each pool word with ``hashmix(p)``, the
+    hash constant continuing after the parent's ``4 + 12 + 4 max(0, L - 4)``
+    hashmix calls (L = the entropy's uint32 word count).  Only that round and
+    ``generate_state(4, np.uint64)``'s hash of the child's pool run here;
+    each PCG64 still seeds itself from those words, through ``_ChildSeed``.
+    The arrays hold every product, since numpy warns when a uint32 scalar
+    product overflows; scalar constants are Python ints reduced mod 2**32.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_ChildSeed)
+    parent = SeedSequence(seed)
+    calls = 4 + 12 + 4 * max(0, _entropy_words(parent.entropy) - 4)
+    hash_const = _INIT_A * pow(_MULT_A, calls, 2**32) % 2**32
+    p = np.arange(count, dtype=np.uint32)
+    pool = np.empty((4, count), dtype=np.uint32)
+    for word, row in zip(parent.pool.tolist(), pool):
+        # row = mix(word, hashmix(p))
+        h = p ^ hash_const
+        hash_const = hash_const * _MULT_A % 2**32
+        h *= hash_const
+        h ^= h >> 16
+        row[:] = _MIX_MULT_L * word % 2**32 - _MIX_MULT_R * h
+        row ^= row >> 16
+    state = np.empty((count, 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        word = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B % 2**32
+        word *= hash_const
+        word ^= word >> 16
+        state[:, i] = word
+    # Word pairs read as little-endian uint64, as generate_state reads them.
+    state = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [Generator(PCG64(_ChildSeed(row))) for row in state]
+
+
+def _entropy_words(entropy) -> int:
+    """The uint32 word count of an entropy that ``SeedSequence`` accepted: an
+    int, or a sequence of ints and numeral strings, each int taking at least
+    one word."""
+    if isinstance(entropy, str):
+        entropy = int(entropy, 16) if entropy.startswith("0x") else int(entropy)
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(map(_entropy_words, entropy))
+
+
+class _ChildSeed:
+    """The seed source of one spawned child's PCG64: a
+    ``numpy.random.bit_generator.ISeedSequence`` that holds the child's
+    ``generate_state(4, np.uint64)`` words, the one request PCG64 makes."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("a spawned child's seed holds only generate_state(4, np.uint64)")
+        return self._state
+
+
 class _BatchState:
     """Vectorised reduced words for ``n_paths`` independent paths of the
     chain, stepped through the tables of ``_RewriteTables``.  The width
@@ -566,6 +653,9 @@ class _BatchState:
     ``starts`` lists (initial word, master seed, path count) per group; the
     groups' paths follow each other.  Path p of a group starts at its word
     and draws from the p-th child of its seed, whatever shares the batch.
+    ``_spawn_generators`` seeds a group's children in one vectorised pass;
+    its generators equal ``default_rng`` of ``SeedSequence(seed).spawn``'s
+    children, stream for stream, and the tests pin this.
     """
 
     def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int]], max_steps):
@@ -591,7 +681,7 @@ class _BatchState:
                 self.stack[d, paths] = rules.code(arc.i, arc.k)
             depth[paths] = len(initial.letters)
             self.target[paths] = initial.target
-            self.rngs += map(np.random.default_rng, np.random.SeedSequence(seed).spawn(count))
+            self.rngs += _spawn_generators(seed, count)
             p0 += count
         self.pos = depth * n_paths + np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.

@@ -1,9 +1,13 @@
 """Kernel validation, stepping statistics, determinism, hitting times."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from windwalk.chain import (
@@ -12,6 +16,7 @@ from windwalk.chain import (
     TransitionKernel,
     _BatchState,
     _RewriteTables,
+    _spawn_generators,
     asymmetric_kernel,
     kernel_to_json,
     one_parameter_kernel,
@@ -587,3 +592,53 @@ def test_window_beyond_n_is_value_error(call):
 def test_bad_count_is_named_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _assert_spawned_like_numpy(seed, count):
+    # numpy warns when a uint32 scalar product overflows; the one-pass
+    # seeding must multiply in arrays only, so any warning fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rngs = _spawn_generators(seed, count)
+        children = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
+    assert len(rngs) == count
+    for rng, child in zip(rngs, children):
+        assert rng.bit_generator.state == child.bit_generator.state
+        assert np.array_equal(rng.random(3), child.random(3))
+        assert np.array_equal(rng.integers(2**63, size=2), child.integers(2**63, size=2))
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 129, 2000])
+@pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**200 - 1,
+                                  [1, 2], [2**40, 7, 9], ["0x1ffffffffff", "12", 3]], ids=repr)
+def test_spawned_generators_equal_numpy_spawn(seed, count):
+    _assert_spawned_like_numpy(seed, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**256), st.integers(0, 40))
+def test_spawned_generators_equal_numpy_spawn_for_any_int_seed(seed, count):
+    _assert_spawned_like_numpy(seed, count)
+
+
+def test_spawned_seed_serves_pcg64_alone():
+    seed_seq = _spawn_generators(3, 1)[0].bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).dtype == np.uint64
+    with pytest.raises(ValueError, match="only generate_state"):
+        seed_seq.generate_state(8)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, [3, -2]], ids=repr)
+def test_bad_seed_raises_as_numpy_spawn(seed):
+    with pytest.raises(Exception) as expected:
+        np.random.SeedSequence(seed).spawn(3)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        run_length_paths(_N3, word_metric(3), 5, 3, seed)
+
+
+def test_decoded_word_equals_appended_word_and_shares_arcs():
+    traj = simulate(unit(2), symmetric_kernel(4), 3000, seed=12, record_words=True)
+    assert traj.final == traj.states[-1]
+    assert len(traj.final) > 100
+    # Arcs are frozen, so the decode builds each distinct arc once.
+    assert len({id(arc) for arc in traj.final.letters}) == len(set(traj.final.letters))

@@ -139,6 +139,18 @@ def test_mc_lln_exit_codes(capsys):
     assert json.loads(out)["passes"]["lln_unit"] is False
 
 
+@pytest.mark.parametrize("command, n_steps, n_paths", [("mc-lln", "1000", "50"),
+                                                      ("mc-clt", "10000", "1000")])
+def test_negative_seed_is_invalid_input(capsys, command, n_steps, n_paths):
+    # numpy's SeedSequence rejects the seed before any path steps.
+    code, out, err = run(capsys, command, "--kernel", "symmetric:3", "--n-steps", n_steps,
+                         "--n-paths", n_paths, "--seed", "-1", "--gamma", "0.25",
+                         "--sigma2", "0.6875")
+    assert code == 2
+    assert out == ""
+    assert "expected non-negative integer" in err
+
+
 def test_seed_echoed_in_report(capsys):
     _, out, _ = run(capsys, "mc-lln", "--kernel", "symmetric:3",
                     "--n-steps", "1000", "--n-paths", "50", "--seed", "99",
@@ -359,6 +371,24 @@ def test_import_does_not_load_scipy_stats():
     src = os.path.dirname(os.path.dirname(windwalk.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, windwalk, windwalk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_does_not_load_numpy_random():
+    # The chain imports numpy.random when it runs, so plain imports and CLI
+    # commands such as `limits` do not pay for it.
+    import os
+    import subprocess
+    import sys
+
+    import windwalk
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(windwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, windwalk, windwalk.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
