@@ -1,11 +1,13 @@
 """The Markov chain on the arrow set: kernel validation, trajectory
 generation and hitting-time sampling.
 
-A step rewrites a reduced word by the rule of ``groupoid.append``: push the
-drawn arc, pop the last letter, or merge with it.  ``_RewriteTables`` holds
-that rule as flat tables, and the scalar ``simulate`` and the batched
-``_BatchState`` both step through them; ``groupoid.append`` itself builds
-only the words ``simulate`` records.
+A step draws an arc leaving the word's target window and rewrites the
+reduced word by the rule of ``groupoid.append``: push the drawn arc, pop the
+last letter, or merge with it.  ``_RewriteTables`` holds the draw's running
+arc sums and that rule as flat tables, built per run from the kernel's
+``P``, and the scalar ``simulate`` and the batched ``_BatchState`` both step
+through them; ``groupoid.append`` itself builds only the words ``simulate``
+records.  The kernel keeps nothing of a run.
 
 Randomness comes from numpy's PCG64 generator.  Every multi-path routine
 gives path p the generator of the p-th child of
@@ -21,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,10 +56,8 @@ class TransitionKernel:
     arc outside it is missing, and a diagonal entry in it, or nonzero in
     ``P``, is a degenerate arc.
 
-    The kernel is immutable and safe to share across threads.  ``P`` is
-    read-only; ``arc_index`` samples an arc leaving window i in the order of
-    ``arcs_from`` (k = +1, then -1; j ascending), from running sums built on
-    the first draw.  ``family`` is the ``(name, params)`` of a family with a
+    The kernel is immutable: ``P`` is read-only and nothing is written after
+    construction.  ``family`` is the ``(name, params)`` of a family with a
     closed form, else ``None``.
     """
 
@@ -70,46 +69,11 @@ class TransitionKernel:
         violations = _violations(P, given)
         if violations:
             raise KernelError(violations)
-        self.n_windows = n = P.shape[-1]
+        self.n_windows = P.shape[-1]
         self.P = P
         self.name = name
         self.family = family
         P.flags.writeable = False
-        # The scalar rule reads row i as a list, summed on its first draw:
-        # the lists of all rows would take four times the memory of ``P``.
-        # Two threads that race there build equal lists.
-        self._cum_rows = [None] * (n + 1)
-        self._count_type = np.min_scalar_type(2 * n - 3)
-
-    @cached_property
-    def _cum_t(self) -> np.ndarray:
-        """Column i holds the running sums of row i of P+ then of P-, each
-        without its diagonal entry, built on the first batched draw one
-        block of windows at a time.  The last sum would be 1.0 up to
-        round-off and lies above every uniform, so the arc rule leaves it
-        out; column 0 is padding."""
-        n = self.n_windows
-        cum = np.zeros((2 * n - 3, n + 1))
-        others = np.arange(n - 1)
-        for rows in _row_blocks(n, 2 * n):
-            i = np.arange(n)[rows, None]
-            arcs = self.P[:, i, others + (others >= i)].swapaxes(0, 1).reshape(len(i), -1)
-            cum[:, 1:][:, rows] = np.cumsum(arcs, axis=1)[:, :-1].T
-        return cum
-
-    def arc_index(self, i, u):
-        """Arc m of row i for a uniform u when cum[m-1] < u <= cum[m], cum
-        being the running sum of the row's probabilities.  ``i`` and ``u``
-        are a window and a float, or equal-shape arrays (one draw per path);
-        both forms apply this one inequality to running sums added in the
-        same order."""
-        if isinstance(u, float):
-            row = self._cum_rows[i]
-            if row is None:
-                others = np.delete(np.arange(self.n_windows), i - 1)
-                row = self._cum_rows[i] = np.cumsum(self.P[:, i - 1, others])[:-1].tolist()
-            return bisect_left(row, u)
-        return (u > self._cum_t.take(i, axis=1)).sum(axis=0, dtype=self._count_type)
 
     def check_windows(self, *windows: int) -> None:
         """Raise ``ValueError`` unless every window lies in 1..N."""
@@ -122,7 +86,9 @@ class TransitionKernel:
 
     def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
         """The arcs leaving window i and their probabilities, in the order
-        that ``arc_index`` counts them."""
+        that the arc draw counts them (``_RewriteTables._arcs``): k = +1,
+        then -1; j ascending.  The word-space oracles read the kernel only
+        through this list."""
         return [(Arc(i, j, k), self.P.item((1 - k) // 2, i - 1, j - 1))
                 for k in (1, -1) for j in range(1, self.n_windows + 1) if j != i]
 
@@ -336,9 +302,13 @@ class _RewriteTables:
     k = -1; the empty word has the sentinel code 0.
 
     ``f = i * width + a`` names arc a leaving window i, in the order of
-    ``TransitionKernel.arcs_from``.  ``ends[f]`` is the arc's end j,
-    ``keys[f]`` its column ``s (N+1) + j`` and ``push[f]`` the code of the
-    letter (i, k).  ``moves[top + keys[f]]`` is the move of the
+    ``TransitionKernel.arcs_from``; ``_arcs`` is the one place that order
+    is built, for the draw and the rewrite alike.  A step draws arc a for a
+    uniform u when ``sums[a-1] < u <= sums[a]``, ``sums`` being the running
+    sums of window i's arc probabilities: ``simulate`` bisects them and
+    ``_BatchState`` counts the sums below u.  ``ends[f]`` is the arc's end
+    j, ``keys[f]`` its column ``s (N+1) + j`` and ``push[f]`` the code of
+    the letter (i, k).  ``moves[top + keys[f]]`` is the move of the
     top of a word whose top code is ``top``: +1 (push) when the word is
     empty or the signs differ, -1 (pop) when the last letter starts at j,
     and 0 (merge) otherwise.  A merge keeps the last letter's sign and
@@ -352,13 +322,17 @@ class _RewriteTables:
         # A top code plus a column stays below m * m.
         self.dtype = np.min_scalar_type(self.m * self.m - 1)
 
-    def _arcs(self, i):
-        """(ends, keys, push) of the arcs leaving window ``i``, an int or a
-        column of windows, along the last axis."""
-        a = np.arange(self.width)
-        s, b = np.divmod(a, self.n1 - 2)
+    def _arcs(self, i, P):
+        """(ends, keys, push, sums) of the arcs leaving window ``i``, an int
+        or a column of windows, along the last axis.  ``sums`` runs over the
+        arcs' probabilities in ``P``; its last entry would be 1.0 up to
+        round-off and lies above every uniform, so it is left out."""
+        # Arc numbers in the code type keep the ends and keys of a block of
+        # windows narrow; the sign k = 1 - 2 s needs a signed s.
+        s, b = np.divmod(np.arange(self.width, dtype=self.dtype), self.n1 - 2)
         ends = b + 1 + (b + 1 >= i)
-        return ends, s * self.n1 + ends, self.code(i, 1 - 2 * s)
+        sums = np.cumsum(P[s, i - 1, ends - 1], axis=-1)[..., :-1]
+        return ends, s * self.n1 + ends, self.code(i, 1 - 2 * s.astype(int)), sums
 
     def _moves(self, row):
         """Moves of a top letter in ``row`` (an int or a column) for every
@@ -369,18 +343,21 @@ class _RewriteTables:
         same = (s == cs) & (i != 0)
         return (~same).astype(np.int8) - (same & (i == j))
 
-    def tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The flat tables ``(ends, keys, push, moves)`` of the batch; row 0
-        of the first three is padding.  Each is filled one block of rows at
-        a time, the first three in the code type and the moves in int8."""
+    def tables(self, P) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The flat tables ``(ends, keys, push, moves)`` of the batch and the
+        ``(2N-3, N+1)`` table ``cum`` whose column i holds window i's arc
+        sums; row 0 of the first three and column 0 of ``cum`` are padding.
+        Each is filled one block of rows at a time, the first three in the
+        code type and the moves in int8."""
         ends, keys, push = (np.empty((self.n1, self.width), dtype=self.dtype) for _ in range(3))
+        cum = np.empty((self.width - 1, self.n1))
         moves = np.empty((self.m, self.m), dtype=np.int8)
         windows = np.arange(self.m)[:, None]
         for rows in _row_blocks(self.n1, self.width):
-            ends[rows], keys[rows], push[rows] = self._arcs(windows[rows])
+            ends[rows], keys[rows], push[rows], cum.T[rows] = self._arcs(windows[rows], P)
         for rows in _row_blocks(self.m, self.m):
             moves[rows] = self._moves(windows[rows])
-        return ends.reshape(-1), keys.reshape(-1), push.reshape(-1), moves.reshape(-1)
+        return ends.reshape(-1), keys.reshape(-1), push.reshape(-1), moves.reshape(-1), cum
 
     def code(self, i, k):
         """The code of a letter that leaves window ``i`` with sign ``k``."""
@@ -395,13 +372,13 @@ class _RewriteTables:
         np.einsum("kii->ki", w)[...] = 0.0
         return w.reshape(self.m, self.n1)
 
-    def rows(self, metric: Metric):
+    def rows(self, P, metric: Metric):
         """Lazy rows for the scalar chain.  ``letters[c]`` is the letter of
         code c as ``(moves, weights, c)``: its moves by column and its
         weights by end window, as in ``weights``.  ``arcs[i]`` holds the
-        lists ``(ends, keys, letters)`` of window i's arcs, ``letters[f]``
-        being the letter row of ``push[f]``.  Each row is built on its first
-        lookup."""
+        lists ``(ends, keys, letters, sums)`` of window i's arcs,
+        ``letters[f]`` being the letter row of ``push[f]``.  Each row is
+        built on its first lookup."""
 
         def letter(c):
             s, i = divmod(c // self.m, self.n1)
@@ -412,8 +389,8 @@ class _RewriteTables:
             return self._moves(c // self.m).tolist(), weights, c
 
         def arc_row(i):
-            ends, keys, push = self._arcs(i)
-            return ends.tolist(), keys.tolist(), [letters[c] for c in push.tolist()]
+            ends, keys, push, sums = (part.tolist() for part in self._arcs(i, P))
+            return ends, keys, [letters[c] for c in push], sums
 
         letters = _LazyRows(letter)
         return _LazyRows(arc_row), letters
@@ -465,7 +442,7 @@ def simulate(
     metric = metric or word_metric(kernel.n_windows)
     rng = np.random.default_rng(seed)
     rules = _RewriteTables(kernel.n_windows)
-    arcs, letters = rules.rows(metric)
+    arcs, letters = rules.rows(kernel.P, metric)
     stack = [letters[c] for c in [0] + [rules.code(arc.i, arc.k) for arc in start.letters]]
     target = start.target
     mlen = sum(metric.weight(arc) for arc in start.letters)
@@ -475,10 +452,9 @@ def simulate(
     metric_lens[0] = mlen
     states = [start] if record_words else None
     word = start
-    arc_index = kernel.arc_index
     for n in range(1, n_steps + 1):
-        a = arc_index(target, rng.random())
-        ends, keys, push = arcs[target]
+        ends, keys, push, cum = arcs[target]
+        a = bisect_left(cum, rng.random())
         top = stack[-1]
         move = top[0][keys[a]]
         if move > 0:
@@ -643,12 +619,13 @@ class _BatchState:
     ``max_steps`` could fill.  So it holds at most ``2 * depth.max() + 128``
     slots, unless the deepest word has since shrunk.
 
-    One step draws an arc from the target window and rewrites the word with
-    no branch per case: the move table shifts ``pos`` by a slot row, and
-    every path writes the arc's push code into the slot above its top, which
-    for a merge or a pop is free.  ``metric_lengths`` then sums the weights
-    of each path's final word once, letter by letter, exactly as
-    ``groupoid.metric_length`` does.
+    One step draws an arc from the target window, by counting the arc sums
+    in column ``target`` of the table ``cum`` that lie below the path's
+    uniform, and rewrites the word with no branch per case: the move table
+    shifts ``pos`` by a slot row, and every path writes the arc's push code
+    into the slot above its top, which for a merge or a pop is free.
+    ``metric_lengths`` then sums the weights of each path's final word once,
+    letter by letter, exactly as ``groupoid.metric_length`` does.
 
     ``starts`` lists (initial word, master seed, path count) per group; the
     groups' paths follow each other.  Path p of a group starts at its word
@@ -660,7 +637,7 @@ class _BatchState:
 
     def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int]], max_steps):
         self.rules = rules = _RewriteTables(kernel.n_windows)
-        self._ends, self._keys, self._push, moves = rules.tables()
+        self._ends, self._keys, self._push, moves, self._cum = rules.tables(kernel.P)
         self.n_paths = n_paths = sum(count for _, _, count in starts)
         d0 = max(len(initial.letters) for initial, _, _ in starts)
         # Slots needed: the sentinel, one per letter, and the free slot above
@@ -686,7 +663,6 @@ class _BatchState:
         self.pos = depth * n_paths + np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.
         self._room = cap0 - 1 - d0
-        self._arc_index = kernel.arc_index
         self._views()
         # The moves in whole slot rows, the steps of `pos`, in the smallest
         # type that holds -n_paths - 1 and so +n_paths too.
@@ -752,7 +728,10 @@ class _BatchState:
             self._grow()
         self._room -= 1
         target = self.target
-        arc = target * self.rules.width + self._arc_index(target, self._next_uniforms())
+        # Arc a is drawn when cum[a-1] < u <= cum[a]: a counts the sums below u.
+        u = self._next_uniforms()
+        drawn = (u > self._cum.take(target, axis=1)).sum(axis=0, dtype=target.dtype)
+        arc = target * self.rules.width + drawn
         pos = self.pos
         top = self._flat.take(pos)
         self._above[pos] = self._push.take(arc)

@@ -6,8 +6,9 @@ defaults, so flags still win.  Its keys are the command's flag names with
 dashes written as underscores, and each value goes through its flag's own
 conversion.  Unknown keys and values the conversion rejects are hard errors,
 so typos never silently change a run.  Exit codes: 0 success, 1 failed
-statistical check, 2 invalid input, 3 numerical failure (non-convergence or
-a singular system).
+statistical check, 2 invalid input (an input too large to allocate, or a
+result that JSON cannot hold, included), 3 numerical failure
+(non-convergence or a singular system).
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _emit_json(payload: dict, output: Optional[str]) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", output)
+    # NaN and Infinity are not JSON: json.dumps raises ValueError on them.
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", output)
 
 
 def cmd_validate(args) -> int:
@@ -402,7 +404,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)
         return args.run(args)
-    except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (SolverError, DegenerateSystemError, StateSpaceExceeded, np.linalg.LinAlgError) as exc:

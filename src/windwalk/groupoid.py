@@ -81,9 +81,6 @@ class Word:
     def target(self) -> int:
         return self.letters[-1].j if self.letters else self.source
 
-    def is_unit(self) -> bool:
-        return not self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -209,6 +209,8 @@ def kms_phi(n: int, x: float, z: float) -> float:
     phi_n = (1 - x - z^2 (1 + x)) phi_{n-1} - x^2 z^2 phi_{n-2}."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not (np.isfinite(x) and np.isfinite(z)):
+        raise ValueError(f"x and z must be finite, got x={x!r}, z={z!r}")
     phi_prev, phi = 1.0, 1.0 - x  # phi_0, phi_1
     if n == 0:
         return phi_prev

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from windwalk.chain import (
     TransitionKernel,
     _BatchState,
     _RewriteTables,
+    _row_blocks,
     _spawn_generators,
     asymmetric_kernel,
     kernel_to_json,
@@ -30,6 +32,7 @@ from windwalk.chain import (
 from windwalk.groupoid import (Arc, Metric, Word, append, chamber_array, custom_metric,
                                fenced_metric, metric_length, unit, word_metric)
 from windwalk.groupoid import word_from_str
+from windwalk.montecarlo import verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
 from helpers import dirichlet_kernel
@@ -153,11 +156,13 @@ def test_kernel_json_roundtrip():
 
 def test_step_frequencies_uniform():
     k = symmetric_kernel(3)
+    arc_rows, _ = _RewriteTables(3).rows(k.P, word_metric(3))
+    sums = arc_rows[1][3]
     rng = np.random.default_rng(42)
     counts = {}
     n = 4000
     for _ in range(n):
-        arc = k.arcs_from(1)[k.arc_index(1, rng.random())][0]
+        arc = k.arcs_from(1)[bisect_left(sums, rng.random())][0]
         counts[arc] = counts.get(arc, 0) + 1
     p = 1 / 4
     se = np.sqrt(p * (1 - p) / n)
@@ -450,10 +455,11 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
     metric = custom_metric(n, {(i, j, k): 0.1 * i + 0.7 * j + 0.3 * k for i in range(1, n + 1)
                                for j in range(1, n + 1) if i != j for k in (1, -1)})
     metric = Metric("diagonal", metric.W + np.eye(n))
+    *tables, _ = rules.tables(kernel.P)
     ends, keys, push, moves, weights = (table.tolist() for table in (
-        *rules.tables(), rules.weights(metric)))
+        *tables, rules.weights(metric)))
     # The scalar chain's lazy rows are the same tables, row by row.
-    arc_rows, letters = rules.rows(metric)
+    arc_rows, letters = rules.rows(kernel.P, metric)
     words = [unit(i) for i in range(1, n + 1)]
     words += [Word(a % n + 1, (Arc(a % n + 1, a, -k), Arc(a, b, k)))
               for a in range(1, n + 1) for b in range(1, n + 1) if a != b for k in (1, -1)]
@@ -463,7 +469,7 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
         top = codes[-1]
         assert letters[top] == (moves[top : top + 2 * n + 2], weights[top // rules.m], top)
         f0 = i * rules.width
-        row_ends, row_keys, row_letters = arc_rows[i]
+        row_ends, row_keys, row_letters, _ = arc_rows[i]
         assert (row_ends, row_keys) == (ends[f0 : f0 + rules.width], keys[f0 : f0 + rules.width])
         assert [letter[2] for letter in row_letters] == push[f0 : f0 + rules.width]
         for a, (arc, _) in enumerate(kernel.arcs_from(i)):
@@ -525,18 +531,22 @@ def test_chamber_array_matches_prob(kernel):
                          ids=["asymmetric", "symmetric:3"])
 def test_arc_rule_at_exact_boundaries(kernel):
     # A uniform equal to the running sum cum[m] of a row picks arc m.  The
-    # kernel's rule, the arc list it indexes and one batched step must agree
-    # there, or a path's stream would drive the scalar and batched chains
-    # apart.
+    # scalar rule, the batched count, the arc list of `arcs_from` and one
+    # batched step must agree there, or a path's stream would drive the
+    # scalar and batched chains apart.
     n = kernel.n_windows
+    rules = _RewriteTables(n)
+    arc_rows, _ = rules.rows(kernel.P, word_metric(n))
+    cum = rules.tables(kernel.P)[4]
     for i in range(1, n + 1):
         arcs = [arc for arc, _ in kernel.arcs_from(i)]
         bounds = np.cumsum([prob for _, prob in kernel.arcs_from(i)])[:-1]
         us = np.concatenate(([0.0], bounds))
         picked = [0] + list(range(len(bounds)))
-        assert [kernel.arc_index(i, float(u)) for u in us] == picked
-        assert kernel.arc_index(np.full(len(us), i), us).tolist() == picked
-        stepped = [kernel.arcs_from(i)[kernel.arc_index(i, float(u))][0] for u in us]
+        ends, keys, _, sums = arc_rows[i]
+        assert [bisect_left(sums, float(u)) for u in us] == picked
+        assert (us > cum[:, i, None]).sum(axis=0).tolist() == picked
+        stepped = [Arc(i, ends[m], 1 - 2 * (keys[m] // rules.n1)) for m in picked]
         assert stepped == [arcs[m] for m in picked]
         state = _BatchState(kernel, [(unit(i), 0, len(us))], max_steps=1)
         state._buf[0] = us
@@ -544,6 +554,50 @@ def test_arc_rule_at_exact_boundaries(kernel):
         state.advance()
         assert state.target.tolist() == [arcs[m].j for m in picked]
         assert state.top_k.tolist() == [arcs[m].k for m in picked]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 300])
+def test_arc_sums_table_equals_scalar_rows(n):
+    # The batched draw reads column i of the sums table and the scalar draw
+    # window i's row list; both come from `_RewriteTables._arcs`, and both
+    # equal the running sums of `arcs_from`'s probabilities.  At N=300 the
+    # table is filled over several blocks of windows.
+    kernel, rules = dirichlet_kernel(n, 1.0, seed=n), _RewriteTables(n)
+    cum = rules.tables(kernel.P)[4]
+    arc_rows, _ = rules.rows(kernel.P, word_metric(n))
+    assert cum.shape == (2 * n - 3, n + 1)
+    assert (n == 300) == (len(_row_blocks(n + 1, rules.width)) > 1)
+    for i in range(1, n + 1):
+        sums = np.cumsum([prob for _, prob in kernel.arcs_from(i)])[:-1].tolist()
+        assert cum[:, i].tolist() == arc_rows[i][3] == sums
+
+
+def test_runs_write_nothing_on_the_kernel():
+    kernel, metric = symmetric_kernel(5), fenced_metric(5)
+    attrs = set(vars(kernel))
+    simulate(unit(1), kernel, 200, seed=0, metric=metric)
+    run_length_paths(kernel, metric, 200, 10, seed=0)
+    sample_hitting_times(Arc(1, 2, 1), kernel, cap=50, seed=0, n_samples=10)
+    verify_lln(kernel, metric, 0.5, n_steps=1000, n_paths=50, seed=0)
+    assert set(vars(kernel)) == attrs
+
+
+def test_runs_at_n300_leave_no_memory_behind():
+    # The kernel once cached the scalar rule's row lists and the batch's
+    # sums table after the first run: 7 MiB here, 77 MiB at N=1000.
+    kernel, metric = symmetric_kernel(300), fenced_metric(300)
+    # Warm-up runs load `numpy.random`, whose modules stay.
+    simulate(unit(1), symmetric_kernel(3), 10, seed=0)
+    run_length_paths(symmetric_kernel(3), word_metric(3), 10, 2, seed=0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        simulate(unit(1), kernel, 4000, seed=0, metric=metric)
+        run_length_paths(kernel, metric, 10, 2, seed=0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held - before < 2**19
 
 
 def test_named_kernels_carry_their_family():

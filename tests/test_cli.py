@@ -119,6 +119,25 @@ def test_kms_value(capsys):
     assert json.loads(out)["phi"] == pytest.approx(0.7**2 - 0.25)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--x", "nan"],
+    ["--n", "3", "--x", "0.3", "--z", "inf"],
+    # Finite inputs whose recurrence overflows: this printed "phi": NaN, exit 0.
+    ["--n", "400", "--x", "1e200", "--z", "2"],
+])
+def test_kms_non_finite_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, "kms", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_input_too_large_to_allocate_is_invalid_input(capsys):
+    # `np.eye` asks for 7 EiB here; the MemoryError ended in a traceback, exit 1.
+    code, out, err = run(capsys, "limits", "--kernel", "symmetric:1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "allocate" in err
+
+
 def test_oracle_dp_hitting(capsys):
     code, out, _ = run(capsys, "oracle-dp", "--kernel", "asymmetric",
                        "--mode", "hitting", "--target", "1,2,1", "--max-steps", "5")

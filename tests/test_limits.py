@@ -122,6 +122,12 @@ def test_kms_small_cases():
     assert kms_phi(2, 0.3, 0.5) == pytest.approx(0.7**2 - 0.25)
 
 
+@pytest.mark.parametrize("x, z", [(float("nan"), 0.5), (0.3, float("inf")), (-float("inf"), 0.5)])
+def test_kms_non_finite_argument_raises(x, z):
+    with pytest.raises(ValueError, match="must be finite"):
+        kms_phi(0, x, z)
+
+
 def test_spectral_radius_critical_at_1_1():
     for k in KERNELS:
         for metric in (word_metric(3), fenced_metric(3)):
