@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, chamber_array, unit,
-                       word_metric)
+from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, arc_table, chamber_array,
+                       unit, whole_number, word_metric)
 
 ROW_SUM_TOL = 1e-12
 DEFAULT_HITTING_CAP = 10**6
@@ -182,14 +182,6 @@ def asymmetric_kernel() -> TransitionKernel:
     return TransitionKernel(P, name="asymmetric", family=("asymmetric", {}), given=given)
 
 
-def whole_number(value) -> int:
-    """``int(value)``, which may parse text but must not change a JSON number:
-    1.9, a non-finite float or a boolean raises ``ValueError``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
-
-
 #: The named families of the kernel JSON and the keys each family's object takes.
 FAMILY_KEYS = {"symmetric": ("N",), "one_parameter_q": ("q",), "asymmetric": ()}
 
@@ -205,7 +197,9 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         {"N": 3, "p": [{"i": 1, "j": 2, "k": 1, "value": 0.25}, ...]}
 
     A value of the wrong shape or type, a key that no shape reads, or more
-    than one named family raises ``KernelError`` naming it.
+    than one named family raises ``KernelError`` naming it.  ``groupoid.arc_table``
+    reads the ``p`` entries, so an entry with a boolean value, an unknown key
+    or an arc already given is such a violation too.
     """
     if not isinstance(raw, dict):
         raise KernelError([f"kernel JSON must be an object, got {raw!r}"])
@@ -236,18 +230,10 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise KernelError([f"malformed kernel JSON ({exc!r}): {raw!r}"]) from exc
-    if not isinstance(raw["p"], list):
-        raise KernelError([f"'p' must be a list of arc entries, got {raw['p']!r}"])
-    p: Dict[Tuple[int, int, int], float] = {}
-    for index, entry in enumerate(raw["p"]):
-        try:
-            key = tuple(whole_number(entry[name]) for name in "ijk")
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise KernelError([f"entry {index} of 'p' is malformed ({exc!r}): {entry!r}"]) from exc
-        if key in p:
-            raise KernelError([f"duplicate entry for arc {key}"])
-        p[key] = value
+    try:
+        p = arc_table(raw["p"], "value", "'p'")
+    except ValueError as exc:
+        raise KernelError([str(exc)]) from exc
     try:
         P, given = chamber_array(p, n)
     except ValueError as exc:

@@ -5,10 +5,11 @@ setting, with its default.  An optional JSON config file replaces those
 defaults, so flags still win.  Its keys are the command's flag names with
 dashes written as underscores, and each value goes through its flag's own
 conversion.  Unknown keys and values the conversion rejects are hard errors,
-so typos never silently change a run.  Exit codes: 0 success, 1 failed
-statistical check, 2 invalid input (an input too large to allocate, or a
-result that JSON cannot hold, included), 3 numerical failure
-(non-convergence or a singular system).
+as is an unknown key in a metric object or an arc entry
+(``groupoid.arc_table``), so typos never silently change a run.  Exit
+codes: 0 success, 1 failed statistical check, 2 invalid input (an input too
+large to allocate, or a result that JSON cannot hold, included), 3
+numerical failure (non-convergence or a singular system).
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from .chain import (
     simulate,
     symmetric_kernel,
     validate_kernel,
-    whole_number,
 )
-from .groupoid import Metric, custom_metric, fenced_metric, word_from_str, word_metric
+from .groupoid import Metric, arc_table, custom_metric, fenced_metric, word_from_str, word_metric
 from .limits import DegenerateSystemError, compute_limits, kms_phi
 from .montecarlo import verify_clt, verify_lln
 from .oracle import (
@@ -125,28 +125,14 @@ def _build_kernel(spec) -> TransitionKernel:
 
 def _build_metric(spec, n_windows: int) -> Metric:
     if isinstance(spec, dict):
-        entries = spec.get("custom")
-        if entries is None:
-            raise ConfigError("metric object must carry a 'custom' weight list")
-        if not isinstance(entries, list):
-            raise ConfigError(f"'custom' must be a list of weight entries, got {entries!r}")
-        weights = {}
-        for index, entry in enumerate(entries):
-            try:
-                key = tuple(whole_number(entry[name]) for name in "ijk")
-                value = float(entry["weight"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"entry {index} of the custom metric is malformed ({exc!r}): {entry!r}"
-                ) from exc
-            i, j, k = key
+        if list(spec) != ["custom"]:
+            raise ConfigError(f"metric object must carry a 'custom' weight list and no other "
+                              f"key, got keys {list(spec)!r}")
+        weights = arc_table(spec["custom"], "weight", "the custom metric")
+        for index, (i, j, k) in enumerate(weights):
             if not (1 <= i <= n_windows and 1 <= j <= n_windows and i != j and k in (1, -1)):
-                raise ConfigError(f"entry {index} of the custom metric names no arc: {entry!r}")
-            if key in weights:
-                raise ConfigError(
-                    f"entry {index} of the custom metric is a duplicate entry for arc {key}: "
-                    f"{entry!r}")
-            weights[key] = value
+                raise ConfigError(f"entry {index} of the custom metric names no arc: "
+                                  f"{spec['custom'][index]!r}")
         return custom_metric(n_windows, weights)
     if spec == "word":
         return word_metric(n_windows)
@@ -195,17 +181,14 @@ def cmd_limits(args) -> int:
     if abs(constants.h_partials["d_z"]) < 1e-12:
         payload["warning"] = "metric is degenerate: the determinant does not depend on z"
     if args.oracle:
+        payload["closed_form"] = None
         if kernel.family is not None:
             cf = closed_form(kernel.family[0], **kernel.family[1])
-            ref_gamma = cf.gamma_word if metric.name == "word" else cf.gamma_fenced
-            ref_sigma2 = cf.sigma2_word if metric.name == "word" else cf.sigma2_fenced
             payload["closed_form"] = cf.to_json()
-            payload["closed_form_delta"] = {
-                "gamma": constants.gamma - ref_gamma,
-                "sigma2": constants.sigma2 - ref_sigma2,
-            }
-        else:
-            payload["closed_form"] = None
+            refs = cf.constants(metric.name)
+            if refs is not None:
+                payload["closed_form_delta"] = {"gamma": constants.gamma - refs[0],
+                                                "sigma2": constants.sigma2 - refs[1]}
     _emit_json(payload, args.output)
     return EXIT_OK
 
@@ -220,7 +203,7 @@ def _sweep_row(q: float) -> str:
     cf_ = compute_limits(kernel, fenced_metric(3))
     cf = closed_form("one_parameter", q=q)
     values = [cw.gamma, cw.sigma2, cf_.gamma, cf_.sigma2]
-    refs = [cf.gamma_word, cf.sigma2_word, cf.gamma_fenced, cf.sigma2_fenced]
+    refs = [*cf.constants("word"), *cf.constants("fenced")]
     delta_max = max(abs(a - b) for a, b in zip(values, refs))
     cells = [repr(float(q))] + [repr(float(v)) for v in values + refs] + [repr(float(delta_max))]
     return ",".join(cells)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -233,6 +233,42 @@ def chamber_array(
     return out, given
 
 
+def whole_number(value) -> int:
+    """``int(value)``, which may parse text but must not change a JSON number:
+    1.9, a non-finite float or a boolean raises ``ValueError``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+def arc_table(entries, field: str, name: str) -> Dict[Tuple[int, int, int], float]:
+    """The JSON list ``entries`` of ``{"i", "j", "k", field}`` objects, named
+    ``name`` in errors, as the ``{(i, j, k): value}`` table of ``chamber_array``.
+    ``ValueError`` names the position of an entry whose i, j or k is not a
+    whole number, whose value is a boolean or not numeric, that has another
+    key, or that repeats an arc.  Whether a key names an arc is not checked."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{name} must be a list of arc entries, got {entries!r}")
+    table: Dict[Tuple[int, int, int], float] = {}
+    for index, entry in enumerate(entries):
+        try:
+            key = tuple(whole_number(entry[axis]) for axis in "ijk")
+            value = entry[field]
+            if isinstance(value, bool):
+                raise ValueError(f"{value!r} is not a number")
+            value = float(value)
+            unknown = [other for other in entry if other not in ("i", "j", "k", field)]
+            if unknown:
+                raise ValueError(f"unknown key {unknown[0]!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"entry {index} of {name} is malformed ({exc!r}): {entry!r}") from exc
+        if key in table:
+            raise ValueError(
+                f"entry {index} of {name} is a duplicate entry for arc {key}: {entry!r}")
+        table[key] = value
+    return table
+
+
 _UNIT_RE = re.compile(r"^e(\d+)$")
 _ARC_RE = re.compile(r"A\((\d+),(\d+),([+-])\)")
 
@@ -257,16 +293,3 @@ def word_from_str(text: str) -> Word:
     if pos != len(text) or not arcs:
         raise ValueError(f"unparseable word text: {text!r}")
     return Word(arcs[0].i, tuple(arcs))
-
-
-def word_from_arcs(arcs: Iterable[Arc], source: int | None = None) -> Word:
-    """Fold arbitrary (possibly unreduced) arcs into their reduced word."""
-    arcs = list(arcs)
-    if source is None:
-        if not arcs:
-            raise ValueError("source window required for an empty word")
-        source = arcs[0].i
-    out = unit(source)
-    for arc in arcs:
-        out = append(out, arc)
-    return out

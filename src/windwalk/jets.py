@@ -8,11 +8,11 @@ with dl = lam - 1, dz = z - 1; products truncate above total degree two.
 Propagating jets through a determinant yields all five partial derivatives
 in a single pass, with no finite-difference cancellation.
 
-``Jet2`` is the scalar ring.  ``jet_mul`` applies the same product to
-coefficient arrays whose leading axis of length 6 runs over
-(c00, c10, c01, c20, c11, c02), so a whole matrix of jets is propagated with
-a few float array operations (Taylor-mode arithmetic, Griewank & Walther,
-*Evaluating Derivatives*, ch. 13).
+``Jet2`` is the scalar ring, with sums and products but no division.
+``jet_mul`` applies the same product to coefficient arrays whose leading
+axis of length 6 runs over (c00, c10, c01, c20, c11, c02), so a whole
+matrix of jets is propagated with a few float array operations (Taylor-mode
+arithmetic, Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 """
 
 from __future__ import annotations
@@ -80,28 +80,6 @@ class Jet2:
         )
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Jet2":
-        if self.c00 == 0.0:
-            raise ZeroDivisionError("Jet2 with zero constant term has no inverse")
-        a = self.c00
-        # 1/(a + e) = 1/a - e/a^2 + e^2/a^3 with e the degree>=1 part.
-        inv_a = 1.0 / a
-        e10, e01, e20, e11, e02 = self.c10, self.c01, self.c20, self.c11, self.c02
-        return Jet2(
-            inv_a,
-            -e10 * inv_a**2,
-            -e01 * inv_a**2,
-            (e10 * e10 * inv_a - e20) * inv_a**2,
-            (2.0 * e10 * e01 * inv_a - e11) * inv_a**2,
-            (e01 * e01 * inv_a - e02) * inv_a**2,
-        )
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
 
     # Partial derivatives of the represented function at (1, 1).
     @property

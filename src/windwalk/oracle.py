@@ -15,7 +15,7 @@ fully mechanical cross-check for small step counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -209,6 +209,12 @@ class ClosedFormCase:
             "sigma2": {"word": self.sigma2_word, "fenced": self.sigma2_fenced},
             "r_values": dict(self.r_values),
         }
+
+    def constants(self, metric: str) -> Optional[Tuple[float, float]]:
+        """(gamma, sigma2) of the metric named ``metric``; None for a metric
+        other than word and fenced, which has no closed form here."""
+        return {"word": (self.gamma_word, self.sigma2_word),
+                "fenced": (self.gamma_fenced, self.sigma2_fenced)}.get(metric)
 
 
 def closed_form_symmetric(n: int) -> ClosedFormCase:

@@ -198,12 +198,18 @@ def _entry_with(position, **changes):
     (_entry_with(4, i=7), "entry 4, (7, 1, 1), names no arc"),
     (_entry_with(2, k=2), "entry 2, (2, 1, 2), names no arc"),
     (_entry_with(0, i=0), "entry 0, (0, 2, 1), names no arc"),
+    # A misspelt key once validated beside the real one, and a boolean
+    # once ran as the probability 1.0.
+    (_entry_with(2, valeu=0.5), "entry 2 of 'p' is malformed (ValueError(\"unknown key 'valeu'\"))"),
+    (_entry_with(1, value=True), "entry 1 of 'p' is malformed (ValueError('True is not a number'))"),
+    (_entry_with(3, j=1), "entry 3 of 'p' is a duplicate entry for arc (2, 1, 1)"),
 ])
 def test_malformed_kernel_json_is_invalid_input(capsys, tmp_path, kernel, named):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(kernel))
-    code, _, err = run(capsys, "limits", "--kernel", str(path))
+    code, out, err = run(capsys, "limits", "--kernel", str(path))
     assert code == 2
+    assert out == ""
     assert named in err
     code, out, _ = run(capsys, "validate", "--kernel", str(path))
     assert code == 2
@@ -317,14 +323,54 @@ def test_limits_symmetric_below_three_windows_is_invalid_input(capsys):
     # A repeated arc once kept its last weight silently, exit 0.
     ({"i": 2, "j": 3, "k": -1, "weight": 5.0},
      "entry 1 of the custom metric is a duplicate entry for arc (2, 3, -1)"),
+    # Booleans once ran as the weights 1.0 and 0.0, and a misspelt key was ignored.
+    ({"i": 1, "j": 2, "k": 1, "weight": True},
+     "entry 1 of the custom metric is malformed (ValueError('True is not a number'))"),
+    ({"i": 1, "j": 2, "k": 1, "weight": False},
+     "entry 1 of the custom metric is malformed (ValueError('False is not a number'))"),
+    ({"i": 1, "j": 2, "k": 1, "weight": 2.0, "wieght": 3.0},
+     "entry 1 of the custom metric is malformed (ValueError(\"unknown key 'wieght'\"))"),
 ])
 def test_malformed_custom_metric_is_invalid_input(capsys, tmp_path, entry, named):
     cfg = tmp_path / "cfg.json"
     good = {"i": 2, "j": 3, "k": -1, "weight": 1.5}
     cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": {"custom": [good, entry]}}))
-    code, _, err = run(capsys, "limits", "--config", str(cfg))
+    code, out, err = run(capsys, "limits", "--config", str(cfg))
     assert code == 2
+    assert out == ""
     assert named in err
+
+
+@pytest.mark.parametrize("metric", [{"custom": [], "name": "heavy"}, {"weights": []}])
+def test_metric_object_key_other_than_custom_is_invalid_input(capsys, tmp_path, metric):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": metric}))
+    code, out, err = run(capsys, "limits", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"got keys {list(metric)!r}" in err
+
+
+@pytest.mark.parametrize("metric, has_delta", [
+    ("word", True),
+    ("fenced", True),
+    # Once compared with the fenced closed form, which is not this metric's.
+    ({"custom": [{"i": i, "j": j, "k": k, "weight": 2.0}
+                 for i in range(1, 4) for j in range(1, 4) if i != j for k in (1, -1)]}, False),
+], ids=["word", "fenced", "custom"])
+def test_limits_oracle_delta_only_for_metrics_with_a_closed_form(capsys, tmp_path, metric,
+                                                                  has_delta):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metric": metric}))
+    code, out, _ = run(capsys, "limits", "--config", str(cfg), "--kernel", "symmetric:3",
+                       "--oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["closed_form"]["family"] == "symmetric"
+    assert ("closed_form_delta" in payload) == has_delta
+    if has_delta:
+        assert abs(payload["closed_form_delta"]["gamma"]) < 1e-12
+        assert abs(payload["closed_form_delta"]["sigma2"]) < 1e-12
 
 
 @pytest.mark.parametrize("target", ["1,2", "1,2,3,4", "a,b,1"])

@@ -18,7 +18,6 @@ from windwalk.groupoid import (
     inverse,
     metric_length,
     unit,
-    word_from_arcs,
     word_from_str,
     word_metric,
     word_to_str,
@@ -90,11 +89,6 @@ def test_associativity_random():
         b = random_word(rng, 5, source=a.target)
         c = random_word(rng, 5, source=b.target)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
-
-
-def test_word_from_arcs_reduces():
-    arcs = [Arc(1, 2, 1), Arc(2, 1, 1), Arc(1, 3, -1)]
-    assert word_from_arcs(arcs) == Word(1, (Arc(1, 3, -1),))
 
 
 def test_metrics():

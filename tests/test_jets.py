@@ -31,20 +31,6 @@ def test_ring_laws(a, b, c):
     _close(a * 0.0, Jet2())
 
 
-@given(jets)
-@settings(max_examples=200, deadline=None)
-def test_inverse(a):
-    if abs(a.c00) < 1e-3:
-        return
-    _close(a * a.inverse(), Jet2.const(1.0), tol=1e-6)
-    _close(a / a, Jet2.const(1.0), tol=1e-6)
-
-
-def test_inverse_of_zero_constant_raises():
-    with pytest.raises(ZeroDivisionError):
-        Jet2(0.0, 1.0).inverse()
-
-
 def test_coordinate_jets():
     lam, z = Jet2.var_lambda(), Jet2.var_z()
     prod = lam * z

@@ -6,7 +6,7 @@ import pytest
 
 from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
 from windwalk.groupoid import custom_metric, fenced_metric, unit, word_metric
-from windwalk.montecarlo import (_default_initial, _ks_distance, paths_csv, verify_clt,
+from windwalk.montecarlo import (_default_initial, _ks_distance, verify_clt,
                                  verify_lazy_walk, verify_lln)
 
 
@@ -49,10 +49,10 @@ def test_lln_batch_halves_equal_separate_runs(kernel, metric, n_steps, n_paths):
     m = {"word": word_metric, "fenced": fenced_metric, "custom": _non_dyadic_metric}[metric](n)
     seed = 29
     wl, ml = _run_length_groups(kernel, m, n_steps, [
-        (unit(1), seed, n_paths), (_default_initial(kernel), _second_seed(seed), n_paths)])
+        (unit(1), seed, n_paths), (_default_initial(), _second_seed(seed), n_paths)])
     wl_unit, ml_unit = run_length_paths(kernel, m, n_steps, n_paths, seed)
     wl_word, ml_word = run_length_paths(kernel, m, n_steps, n_paths, _second_seed(seed),
-                                        initial=_default_initial(kernel))
+                                        initial=_default_initial())
     assert wl.tolist() == wl_unit.tolist() + wl_word.tolist()
     assert ml.tolist() == ml_unit.tolist() + ml_word.tolist()
     assert n_steps < 200 or wl.max() > 64
@@ -165,10 +165,3 @@ def test_lazy_walk_rejects_too_few_steps(n_steps):
     # No move from a positive length is seen before the second step.
     with pytest.raises(ValueError, match="n_steps >= 2"):
         verify_lazy_walk(symmetric_kernel(4), n_steps, seed=0)
-
-
-def test_paths_csv_format():
-    text = paths_csv(np.array([3, 1]), np.array([3.0, 1.5]), np.array([0.25, -0.5]))
-    lines = text.strip().split("\n")
-    assert lines[0] == "path_index,final_word_len,final_metric_len,Z"
-    assert lines[1] == "0,3,3.0,0.25"

@@ -250,6 +250,15 @@ def test_closed_form_asymmetric_table():
     assert len(c.r_values) == 12
 
 
+@pytest.mark.parametrize("family, params", [("symmetric", {"N": 5}), ("asymmetric", {}),
+                                            ("one_parameter", {"q": 0.1})])
+def test_closed_form_constants_by_metric_name(family, params):
+    c = closed_form(family, **params)
+    assert c.constants("word") == (c.gamma_word, c.sigma2_word)
+    assert c.constants("fenced") == (c.gamma_fenced, c.sigma2_fenced)
+    assert c.constants("custom") is None
+
+
 def test_unknown_family():
     with pytest.raises(ValueError):
         closed_form("mystery")
