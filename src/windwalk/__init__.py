@@ -6,7 +6,6 @@ from .chain import (
     TransitionKernel,
     asymmetric_kernel,
     one_parameter_kernel,
-    sample_hitting_time,
     simulate,
     symmetric_kernel,
     validate_kernel,
@@ -25,7 +24,6 @@ from .groupoid import (
     unit,
     word_from_str,
     word_metric,
-    word_to_str,
 )
 from .limits import (
     DegenerateSystemError,

@@ -27,11 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, Metric, Word, append, arc_entries, arc_entry, arc_table, chamber_array,
-                       unit, whole_number, word_metric)
+from .groupoid import (Arc, InputError, Metric, Word, append, arc_entries, arc_entry, arc_table,
+                       chamber_array, unit, whole_number, word_metric)
 
 ROW_SUM_TOL = 1e-12
-DEFAULT_HITTING_CAP = 10**6
 
 # The hash constants of numpy's SeedSequence, which `_spawn_generators`
 # replays.
@@ -40,12 +39,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-class KernelError(ValueError):
+class KernelError(InputError):
     """Invalid transition kernel; ``violations`` lists every broken constraint."""
-
-    def __init__(self, violations: Sequence[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
 
 
 class TransitionKernel:
@@ -196,10 +191,11 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         {"asymmetric": {}}
         {"N": 3, "p": [{"i": 1, "j": 2, "k": 1, "value": 0.25}, ...]}
 
-    A value of the wrong shape or type, a key that no shape reads, or more
-    than one named family raises ``KernelError`` naming it.  ``groupoid.arc_table``
-    reads the ``p`` entries, so an entry with a boolean value, an unknown key
-    or an arc already given is such a violation too.
+    Numbers may be numeral text, as in the CLI's ``symmetric:3``.  A value
+    of the wrong shape or type, a key that no shape reads, or more than one
+    named family raises ``KernelError`` naming it.  ``groupoid.arc_table``
+    reads the ``p`` entries, so each entry with a boolean value, an unknown
+    key or an arc already given is a violation of its own.
     """
     if not isinstance(raw, dict):
         raise KernelError([f"kernel JSON must be an object, got {raw!r}"])
@@ -232,8 +228,8 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         raise KernelError([f"malformed kernel JSON ({exc!r}): {raw!r}"]) from exc
     try:
         p = arc_table(raw["p"], "value", "'p'")
-    except ValueError as exc:
-        raise KernelError([str(exc)]) from exc
+    except InputError as exc:
+        raise KernelError(exc.violations) from exc
     try:
         P, given = chamber_array(p, n)
     except ValueError as exc:
@@ -262,17 +258,6 @@ class Trajectory:
         for n, (wl, ml) in enumerate(zip(self.word_lens, self.metric_lens)):
             lines.append(f"{n},{int(wl)},{float(ml)!r}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass
-class HittingTimeSample:
-    target: Arc
-    time: Optional[int]  # None when censored at the cap
-    cap: int
-
-    @property
-    def censored(self) -> bool:
-        return self.time is None
 
 
 class _RewriteTables:
@@ -463,20 +448,6 @@ def simulate(
     return Trajectory(start, seed, final, word_lens, metric_lens, states)
 
 
-def sample_hitting_time(
-    target: Arc,
-    kernel: TransitionKernel,
-    cap: int = DEFAULT_HITTING_CAP,
-    seed: int = 0,
-) -> HittingTimeSample:
-    """First time the chain started at the unit of ``target.i`` equals the
-    one-letter word ``target``; censored (``time=None``) past ``cap``.  The
-    chain is transient, so a positive fraction of samples censors."""
-    times = sample_hitting_times(target, kernel, cap=cap, seed=seed, n_samples=1)
-    t = int(times[0])
-    return HittingTimeSample(target, None if t < 0 else t, cap)
-
-
 def sample_hitting_times(
     target: Arc,
     kernel: TransitionKernel,
@@ -484,7 +455,9 @@ def sample_hitting_times(
     seed: int,
     n_samples: int,
 ) -> np.ndarray:
-    """Vectorised i.i.d. hitting-time samples; -1 marks censoring at ``cap``.
+    """I.i.d. first times the chain from the unit of ``target.i`` is the
+    one-letter word ``target``; -1 marks censoring at ``cap``, which a
+    positive fraction of samples reach, as the chain is transient.
 
     Every path stays in the batch to the end.  A path that hits leaves the
     ``running`` mask and keeps stepping, its later steps ignored, and the
@@ -594,7 +567,7 @@ class _BatchState:
     holds the code of its ``d``-th letter, and slot 0 the sentinel code 0 of
     the empty word.  Per path the state keeps ``pos``, the flat index of its
     top slot (``depth * n_paths + path``), and its ``target`` window.
-    ``depth`` and ``top_k`` are derived from these.
+    ``depth`` is derived from these.
 
     The capacity follows the depth the paths reach, not the steps taken.
     A depth rises by at most one per step, so ``cap - 1 - depth.max()``
@@ -675,12 +648,6 @@ class _BatchState:
 
     def top(self) -> np.ndarray:
         return self._flat.take(self.pos)
-
-    @property
-    def top_k(self) -> np.ndarray:
-        """Sign of each path's last letter, 0 for the empty word."""
-        s, i = np.divmod(self.top() // self.rules.m, self.rules.n1)
-        return np.where(i == 0, 0, 1 - 2 * s.astype(np.int64))
 
     def _next_uniforms(self) -> np.ndarray:
         if self._ptr >= self._chunk:

@@ -25,14 +25,13 @@ import numpy as np
 from .chain import (
     KernelError,
     TransitionKernel,
-    asymmetric_kernel,
     kernel_to_json,
     one_parameter_kernel,
     simulate,
-    symmetric_kernel,
     validate_kernel,
 )
-from .groupoid import Metric, arc_table, custom_metric, fenced_metric, word_from_str, word_metric
+from .groupoid import (Arc, Metric, arc_table, custom_metric, fenced_metric, whole_number,
+                       word_from_str, word_metric)
 from .limits import DegenerateSystemError, compute_limits, kms_phi
 from .montecarlo import verify_clt, verify_lln
 from .oracle import (
@@ -42,7 +41,6 @@ from .oracle import (
     dp_return_series,
     dp_truncated_G,
 )
-from .groupoid import Arc
 from .solver import SolverError, solve_r, solve_r_derivatives, solution_to_json
 
 EXIT_OK = 0
@@ -108,19 +106,23 @@ def _q_grid(value) -> List[float]:
 
 
 def _build_kernel(spec) -> TransitionKernel:
+    """The kernel that ``validate_kernel`` reads from a JSON object, a kernel
+    file's path or a family's text: ``symmetric:N`` is ``{"symmetric": {"N": "N"}}``."""
     if spec is None:
         raise ConfigError("no kernel specified (flag --kernel or config 'kernel')")
     if isinstance(spec, dict):
         return validate_kernel(spec)
     text = str(spec)
     if text == "asymmetric":
-        return asymmetric_kernel()
-    if text.startswith("symmetric:"):
-        return symmetric_kernel(int(text.split(":", 1)[1]))
-    if text.startswith("one_parameter:"):
-        return one_parameter_kernel(float(text.split(":", 1)[1]))
-    with open(text) as fh:
-        return validate_kernel(json.load(fh))
+        raw = {"asymmetric": {}}
+    elif text.startswith("symmetric:"):
+        raw = {"symmetric": {"N": text.split(":", 1)[1]}}
+    elif text.startswith("one_parameter:"):
+        raw = {"one_parameter_q": {"q": text.split(":", 1)[1]}}
+    else:
+        with open(text) as fh:
+            raw = json.load(fh)
+    return validate_kernel(raw)
 
 
 def _build_metric(spec, n_windows: int) -> Metric:
@@ -129,10 +131,11 @@ def _build_metric(spec, n_windows: int) -> Metric:
             raise ConfigError(f"metric object must carry a 'custom' weight list and no other "
                               f"key, got keys {list(spec)!r}")
         weights = arc_table(spec["custom"], "weight", "the custom metric")
-        for index, (i, j, k) in enumerate(weights):
-            if not (1 <= i <= n_windows and 1 <= j <= n_windows and i != j and k in (1, -1)):
-                raise ConfigError(f"entry {index} of the custom metric names no arc: "
-                                  f"{spec['custom'][index]!r}")
+        stray = [f"entry {n} of the custom metric names no arc: {spec['custom'][n]!r}"
+                 for n, (i, j, k) in enumerate(weights)
+                 if i == j or min(i, j) < 1 or max(i, j) > n_windows or k not in (1, -1)]
+        if stray:
+            raise ConfigError("; ".join(stray))
         return custom_metric(n_windows, weights)
     if spec == "word":
         return word_metric(n_windows)
@@ -272,7 +275,7 @@ def cmd_oracle_dp(args) -> int:
         if args.target is None:
             raise ConfigError("hitting mode needs --target i,j,k")
         try:
-            i, j, k = (int(part) for part in args.target.split(","))
+            i, j, k = (whole_number(part) for part in args.target.split(","))
         except ValueError:
             raise ConfigError(
                 f"--target must be i,j,k, three integers, got {args.target!r}") from None

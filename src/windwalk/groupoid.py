@@ -11,13 +11,21 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 
 class CompositionError(ValueError):
     """Raised when two arrows with mismatched endpoints are composed."""
+
+
+class InputError(ValueError):
+    """Invalid input; ``violations`` lists every problem found, in order."""
+
+    def __init__(self, violations: Sequence[str]):
+        self.violations = list(violations)
+        super().__init__("; ".join(self.violations))
 
 
 @dataclass(frozen=True)
@@ -39,14 +47,6 @@ class Arc:
             raise ValueError(f"window indices are 1-based, got ({self.i}, {self.j})")
         if self.k not in (1, -1):
             raise ValueError(f"chamber sign must be +1 or -1, got {self.k}")
-
-    @property
-    def source(self) -> int:
-        return self.i
-
-    @property
-    def target(self) -> int:
-        return self.j
 
     def inverse(self) -> "Arc":
         return Arc(self.j, self.i, self.k)
@@ -234,8 +234,15 @@ def chamber_array(
 
 
 def whole_number(value) -> int:
-    """``int(value)``, which may parse text but must not change a JSON number:
-    1.9, a non-finite float or a boolean raises ``ValueError``."""
+    """``int(value)``, which may parse text but must not change a number:
+    1.9, a non-finite float or a boolean raises ``ValueError``.  Text that
+    ``int`` does not read is read as a float, as a JSON number is, so
+    ``"3.0"`` is 3 and ``"1.9"`` raises."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
@@ -244,12 +251,13 @@ def whole_number(value) -> int:
 def arc_table(entries, field: str, name: str) -> Dict[Tuple[int, int, int], float]:
     """The JSON list ``entries`` of ``{"i", "j", "k", field}`` objects, named
     ``name`` in errors, as the ``{(i, j, k): value}`` table of ``chamber_array``.
-    ``ValueError`` names the position of an entry whose i, j or k is not a
-    whole number, whose value is a boolean or not numeric, that has another
+    ``InputError`` names the position of every entry whose i, j or k is not
+    a whole number, whose value is a boolean or not numeric, that has another
     key, or that repeats an arc.  Whether a key names an arc is not checked."""
     if not isinstance(entries, list):
-        raise ValueError(f"{name} must be a list of arc entries, got {entries!r}")
+        raise InputError([f"{name} must be a list of arc entries, got {entries!r}"])
     table: Dict[Tuple[int, int, int], float] = {}
+    problems = []
     for index, entry in enumerate(entries):
         try:
             key = tuple(whole_number(entry[axis]) for axis in "ijk")
@@ -261,20 +269,19 @@ def arc_table(entries, field: str, name: str) -> Dict[Tuple[int, int, int], floa
             if unknown:
                 raise ValueError(f"unknown key {unknown[0]!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"entry {index} of {name} is malformed ({exc!r}): {entry!r}") from exc
+            problems.append(f"entry {index} of {name} is malformed ({exc!r}): {entry!r}")
+            continue
         if key in table:
-            raise ValueError(
+            problems.append(
                 f"entry {index} of {name} is a duplicate entry for arc {key}: {entry!r}")
         table[key] = value
+    if problems:
+        raise InputError(problems)
     return table
 
 
 _UNIT_RE = re.compile(r"^e(\d+)$")
 _ARC_RE = re.compile(r"A\((\d+),(\d+),([+-])\)")
-
-
-def word_to_str(w: Word) -> str:
-    return str(w)
 
 
 def word_from_str(text: str) -> Word:

@@ -14,7 +14,7 @@ O(N^3) here, with a fixed number of numpy calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -48,13 +48,7 @@ class LimitConstants:
     metric: str
 
     def to_json(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "sigma2": self.sigma2,
-            "h_value": self.h_value,
-            "h_partials": dict(self.h_partials),
-            "metric": self.metric,
-        }
+        return asdict(self)
 
 
 def build_b(

@@ -11,7 +11,7 @@ an engineering choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -41,18 +41,9 @@ class McReport:
         return all(self.passes.values())
 
     def to_json(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "gamma_hat": self.gamma_hat,
-            "gamma_se": self.gamma_se,
-            "sigma2_hat": self.sigma2_hat,
-            # None when the check did not compute a KS distance (NaN is not JSON)
-            "normality_stat": None if np.isnan(self.normality_stat) else self.normality_stat,
-            "passes": dict(self.passes),
-            "details": dict(self.details),
-        }
+        # None when the check did not compute a KS distance (NaN is not JSON)
+        stat = None if np.isnan(self.normality_stat) else self.normality_stat
+        return {**asdict(self), "normality_stat": stat}
 
 
 def _default_initial() -> Word:

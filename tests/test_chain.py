@@ -23,7 +23,6 @@ from windwalk.chain import (
     kernel_to_json,
     one_parameter_kernel,
     run_length_paths,
-    sample_hitting_time,
     sample_hitting_times,
     simulate,
     symmetric_kernel,
@@ -236,8 +235,8 @@ def test_hitting_time_expectation_matches_generating_function():
 
 def test_hitting_time_censoring():
     k = symmetric_kernel(3)
-    s = sample_hitting_time(Arc(1, 2, 1), k, cap=1, seed=3)
-    assert s.censored or s.time == 1
+    (one,) = sample_hitting_times(Arc(1, 2, 1), k, cap=1, seed=3, n_samples=1)
+    assert one in (-1, 1)
     many = sample_hitting_times(Arc(1, 2, 1), k, cap=2000, seed=8, n_samples=500)
     # transient chain: a positive fraction of paths never hits
     assert (many == -1).any()
@@ -553,7 +552,7 @@ def test_arc_rule_at_exact_boundaries(kernel):
         state._ptr = 0
         state.advance()
         assert state.target.tolist() == [arcs[m].j for m in picked]
-        assert state.top_k.tolist() == [arcs[m].k for m in picked]
+        assert state.top().tolist() == [rules.code(i, arcs[m].k) for m in picked]
 
 
 @pytest.mark.parametrize("n", [3, 4, 6, 300])
@@ -638,11 +637,10 @@ def test_window_beyond_n_is_value_error(call):
     (lambda: run_length_paths(_N3, word_metric(3), 5, -1, 0), "n_paths must be non-negative"),
     (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=0, seed=0, n_samples=4),
      "cap must be >= 1"),
-    (lambda: sample_hitting_time(Arc(1, 2, 1), _N3, cap=0), "cap must be >= 1"),
     (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=20, seed=0, n_samples=-1),
      "n_samples must be non-negative"),
 ], ids=["run_length_paths-n_steps", "run_length_paths-n_paths", "hitting-times-cap",
-        "hitting-time-cap", "hitting-times-n_samples"])
+        "hitting-times-n_samples"])
 def test_bad_count_is_named_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -9,6 +9,7 @@ import pytest
 
 from windwalk.chain import asymmetric_kernel, kernel_to_json, symmetric_kernel
 from windwalk.cli import build_parser, main
+from windwalk.jets import Jet2
 from windwalk.solver import IndexMap, solve_r, solve_r_derivatives
 
 
@@ -595,3 +596,115 @@ def test_readme_settings_table_matches_the_parser():
         settings -= {"command", "run", "config", "output"}
         flags = re.findall(r"`--([a-z0-9-]+)`", cell)
         assert {flag.replace("-", "_") for flag in flags} == settings
+
+
+_GOOD_WEIGHT = {"i": 2, "j": 3, "k": -1, "weight": 1.5}
+
+
+def test_every_malformed_kernel_entry_is_named(capsys, tmp_path):
+    # Reading once stopped at entry 2, so entry 4 went unreported.
+    kernel = _entry_with(2, value="heavy")
+    kernel["p"][4]["wieght"] = 0.5
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    named = ["entry 2 of 'p' is malformed",
+             "entry 4 of 'p' is malformed (ValueError(\"unknown key 'wieght'\"))"]
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 2
+    violations = json.loads(out)["violations"]
+    assert len(violations) == 2
+    assert all(name in violation for name, violation in zip(named, violations))
+    code, out, err = run(capsys, "limits", "--kernel", str(path))
+    assert code == 2
+    assert out == ""
+    assert all(name in err for name in named)
+
+
+@pytest.mark.parametrize("entries, named", [
+    ([{"i": 1, "j": 2, "k": 1, "weight": "heavy"}, _GOOD_WEIGHT,
+      {"i": 1.5, "j": 2, "k": 1, "weight": 1.0}, _GOOD_WEIGHT],
+     ["entry 0 of the custom metric is malformed", "entry 2 of the custom metric is malformed",
+      "entry 3 of the custom metric is a duplicate entry for arc (2, 3, -1)"]),
+    ([{"i": 1, "j": 1, "k": 1, "weight": 2.0}, _GOOD_WEIGHT,
+      {"i": 1, "j": 7, "k": 1, "weight": 2.0}],
+     ["entry 0 of the custom metric names no arc", "entry 2 of the custom metric names no arc"]),
+], ids=["malformed", "no-arc"])
+def test_every_bad_custom_metric_entry_is_named(capsys, tmp_path, entries, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": {"custom": entries}}))
+    code, out, err = run(capsys, "limits", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert all(name in err for name in named)
+
+
+@pytest.mark.parametrize("text", ["symmetric:3", "symmetric:3.0", "symmetric:+3"])
+def test_kernel_text_reads_as_the_kernel_json(capsys, tmp_path, text):
+    # The text of a family is its JSON object, so N may be written 3.0 in both.
+    payloads = []
+    for spec in (text, {"symmetric": {"N": 3.0}}, {"symmetric": {"N": "3.0"}}):
+        if isinstance(spec, dict):
+            path = tmp_path / "kernel.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        code, out, _ = run(capsys, "validate", "--kernel", spec)
+        assert code == 0
+        payloads.append(json.loads(out))
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0] == {"valid": True, "kernel": kernel_to_json(symmetric_kernel(3)),
+                           "name": "symmetric(N=3)"}
+
+
+@pytest.mark.parametrize("text, named", [
+    ("symmetric:3.5", "3.5"), ("symmetric:abc", "abc"), ("symmetric:nan", "nan"),
+    ("symmetric:", "''"), ("one_parameter:abc", "abc"), ("one_parameter:0.5", "0.5"),
+])
+def test_bad_kernel_text_is_invalid_input(capsys, text, named):
+    code, out, err = run(capsys, "limits", "--kernel", text)
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_target_is_read_as_whole_numbers(capsys):
+    argv = ["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting", "--max-steps", "8",
+            "--target"]
+    code, want, _ = run(capsys, *argv, "1,2,1")
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "1,2,1.0")
+    assert code == 0
+    assert out == want
+    code, out, err = run(capsys, *argv, "1,2,1.5")
+    assert code == 2
+    assert out == ""
+    assert "got '1,2,1.5'" in err
+
+
+def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(1e-6, 1.0, 0.5))
+    code, out, err = run(capsys, "limits", "--kernel", "symmetric:3")
+    assert code == 3
+    assert out == ""
+    assert "expected a simple zero" in err
+
+
+def test_limits_prints_a_negative_variance(capsys, monkeypatch):
+    # `limits` reports the constants as computed; only the library call checks sigma2.
+    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
+    code, out, _ = run(capsys, "limits", "--kernel", "symmetric:3")
+    assert code == 0
+    assert json.loads(out)["sigma2"] == -1.25
+
+
+@pytest.mark.parametrize("metric, degenerate", [({"custom": []}, True), ("word", False)])
+def test_degenerate_metric_carries_a_warning(capsys, tmp_path, metric, degenerate):
+    # With every weight 0 the determinant does not depend on z.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": metric}))
+    code, out, _ = run(capsys, "limits", "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert ("warning" in payload) == degenerate
+    if degenerate:
+        assert payload["warning"] == "metric is degenerate: the determinant does not depend on z"
+        assert payload["gamma"] == 0.0

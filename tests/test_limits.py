@@ -10,6 +10,7 @@ from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_ke
 from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import (
+    SIMPLE_ZERO_TOL,
     DegenerateSystemError,
     b_matrix_values,
     build_b,
@@ -276,3 +277,26 @@ def test_build_b_matches_scalar_jets():
                 got = b[:, i - 1, j - 1]
                 for c, name in zip(got, FIELDS):
                     assert c == pytest.approx(getattr(want, name), rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("value, raises", [(SIMPLE_ZERO_TOL, False), (-SIMPLE_ZERO_TOL, False),
+                                           (2 * SIMPLE_ZERO_TOL, True),
+                                           (-2 * SIMPLE_ZERO_TOL, True)])
+def test_determinant_off_its_simple_zero_raises(monkeypatch, value, raises):
+    # h(1, 1) must vanish; a value beyond SIMPLE_ZERO_TOL means the solve or
+    # the kernel is off, and no constants are read from it.
+    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(value, 1.0, 0.5))
+    if raises:
+        with pytest.raises(DegenerateSystemError, match="expected a simple zero"):
+            compute_limits(symmetric_kernel(3), word_metric(3))
+    else:
+        assert compute_limits(symmetric_kernel(3), word_metric(3)).gamma == 0.5
+
+
+def test_negative_variance_raises_unless_unchecked(monkeypatch):
+    # h_l = 1, h_z = 0.5, d2_z = 2 c02 = -2: sigma2 = -2 + 0.5 + 0.25 = -1.25.
+    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
+    with pytest.raises(DegenerateSystemError, match="negative variance -1.25"):
+        compute_limits(symmetric_kernel(3), word_metric(3))
+    constants = compute_limits(symmetric_kernel(3), word_metric(3), check_sigma=False)
+    assert (constants.gamma, constants.sigma2) == (0.5, -1.25)
