@@ -32,6 +32,7 @@ from .limits import (
     det_h,
     kms_phi,
     limit_constants,
+    perron_jet,
     spectral_radius_k,
 )
 from .montecarlo import McReport, verify_clt, verify_lazy_walk, verify_lln

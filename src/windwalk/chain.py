@@ -232,8 +232,8 @@ def validate_kernel(raw: dict) -> TransitionKernel:
         raise KernelError(exc.violations) from exc
     try:
         P, given = chamber_array(p, n)
-    except ValueError as exc:
-        raise KernelError([f"in 'p': {exc}"]) from exc
+    except InputError as exc:
+        raise KernelError([f"in 'p': {v}" for v in exc.violations]) from exc
     return TransitionKernel(P, given=given)
 
 
@@ -669,10 +669,14 @@ class _BatchState:
         new_cap = cap if room >= 64 else min(self._slots, 2 * cap)
         if new_cap > cap:
             # `resize` extends the buffer with zeroed slot rows by realloc,
-            # not by a second array and a copy, and refuses while a view of
-            # the stack is alive.
+            # not by a second array and a copy.  Its reference check would
+            # refuse while a view of the stack is alive, but it counts
+            # references, and a profiler hook holds one more to the array
+            # during the call.  The only views, `_flat` and `_above`, are
+            # dropped here and rebuilt after, and no other object keeps the
+            # buffer, so the check is skipped.
             del self._flat, self._above
-            self.stack.resize((new_cap, self.n_paths))
+            self.stack.resize((new_cap, self.n_paths), refcheck=False)
             self._views()
         self._room = room + new_cap - cap
 

@@ -107,7 +107,8 @@ def _q_grid(value) -> List[float]:
 
 def _build_kernel(spec) -> TransitionKernel:
     """The kernel that ``validate_kernel`` reads from a JSON object, a kernel
-    file's path or a family's text: ``symmetric:N`` is ``{"symmetric": {"N": "N"}}``."""
+    file's path or a family's text: ``symmetric:N`` is ``{"symmetric": {"N": "N"}}``.
+    An error in a family's text quotes that text, not the object it stands for."""
     if spec is None:
         raise ConfigError("no kernel specified (flag --kernel or config 'kernel')")
     if isinstance(spec, dict):
@@ -121,8 +122,14 @@ def _build_kernel(spec) -> TransitionKernel:
         raw = {"one_parameter_q": {"q": text.split(":", 1)[1]}}
     else:
         with open(text) as fh:
-            raw = json.load(fh)
-    return validate_kernel(raw)
+            return validate_kernel(json.load(fh))
+    try:
+        return validate_kernel(raw)
+    except KernelError as exc:
+        # A malformed value's cause is the conversion's own message, which
+        # quotes the bad value.
+        reason = exc.__cause__ or exc
+        raise KernelError([f"--kernel text {text!r} is invalid: {reason}"]) from exc
 
 
 def _build_metric(spec, n_windows: int) -> Metric:
@@ -181,7 +188,7 @@ def cmd_limits(args) -> int:
     constants = compute_limits(kernel, metric, tol=args.tol, check_sigma=False)
     payload = constants.to_json()
     payload["kernel"] = kernel.name
-    if abs(constants.h_partials["d_z"]) < 1e-12:
+    if abs(constants.rho_partials["d_z"]) < 1e-12:
         payload["warning"] = "metric is degenerate: the determinant does not depend on z"
     if args.oracle:
         payload["closed_form"] = None

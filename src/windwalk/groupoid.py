@@ -216,13 +216,15 @@ def chamber_array(
     ``out[s, i-1, j-1] = table[(i, j, k)]`` with s = 0 for k = +1 and s = 1
     for k = -1; the diagonal is no arc and reads 0, but ``given`` marks a
     diagonal key.  A key whose window lies outside 1..N or whose sign is not
-    +1 or -1 names no arc, and ``ValueError`` names each such key.
+    +1 or -1 names no arc, and ``InputError`` lists each such key as a
+    violation of its own.
     """
     windows = range(1, n_windows + 1)
-    stray = [f"entry {n}, {key}, names no arc" for n, key in enumerate(table)
+    stray = [f"entry {n}, {key}, names no arc (windows run 1..{n_windows}, signs are +1 or -1)"
+             for n, key in enumerate(table)
              if key[0] not in windows or key[1] not in windows or key[2] not in (1, -1)]
     if stray:
-        raise ValueError(f"{'; '.join(stray)} (windows run 1..{n_windows}, signs are +1 or -1)")
+        raise InputError(stray)
     keys = np.array(list(table), dtype=np.intp).reshape(-1, 3)
     at = ((1 - keys[:, 2]) // 2, keys[:, 0] - 1, keys[:, 1] - 1)
     given = np.zeros((2, n_windows, n_windows), dtype=bool)

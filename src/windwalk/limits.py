@@ -1,15 +1,24 @@
-"""Assemble the chamber matrices, differentiate the determinant
-h(lam, z) = det[I - B(+1) B(-1)] through second-order jets, and produce the
-drift and variance of the limit theorems.
+"""Assemble the chamber matrices, expand the Perron root of the transfer
+operator B(+1) B(-1) to second order about (lam, z) = (1, 1), and produce
+the drift and variance of the limit theorems.
 
 A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``):
 ``build_b`` fills it from the matrix form of R and its two lambda
-derivatives, ``det_h`` forms ``B(+1) B(-1)`` with 15 float matrix products,
-and ``det_jet`` takes the determinant of that array, read in place, in
-closed form: the m null directions of the constant term are bordered, the
-kept block is inverted once and the m x m Schur complement, m <= 2, is
-expanded directly (m >= 3 gives the zero jet).  An N-window kernel costs
-O(N^3) here, with a fixed number of numpy calls.
+derivatives.  ``perron_jet``, the route ``compute_limits`` takes, inverts one
+bordered (N+1)-square matrix for the two Perron vectors at (1, 1) and reads
+rho's Taylor coefficients off first- and second-order eigenvalue
+perturbation; only matrix-vector products touch the jets, so it costs one
+O(N^3) inverse and a fixed number of numpy calls.
+
+``det_h`` is the independent reference for the same curve rho = 1: it forms
+``B(+1) B(-1)`` with 15 float matrix products, and ``det_jet`` takes the
+determinant of that array, read in place, in closed form: the m null
+directions of the constant term are bordered, the kept block is inverted
+once and the m x m Schur complement, m <= 2, is expanded directly (m >= 3
+gives the zero jet).  Write h = det[I - B(+1) B(-1)] = (1 - rho) c with
+c(1, 1) != 0: every partial of c cancels in the implicit derivatives of the
+curve, so ``limit_constants`` gives the same gamma and sigma^2 from either
+jet.
 """
 
 from __future__ import annotations
@@ -36,15 +45,19 @@ SIMPLE_ZERO_TOL = 1e-10
 
 
 class DegenerateSystemError(RuntimeError):
-    """The determinant or its lambda-slope degenerates; upstream inputs are bad."""
+    """The Perron root is not simple, or it or its lambda-slope degenerates;
+    upstream inputs are bad."""
 
 
 @dataclass
 class LimitConstants:
+    """gamma and sigma^2 with the value and five partials at (1, 1) of the
+    jet they were read from: rho - 1 on ``compute_limits``' route."""
+
     gamma: float
     sigma2: float
-    h_value: float
-    h_partials: Dict[str, float]
+    rho_minus_one: float
+    rho_partials: Dict[str, float]
     metric: str
 
     def to_json(self) -> dict:
@@ -64,6 +77,65 @@ def build_b(
     w = weights[s]
     # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
     return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
+
+
+def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
+    """Second-order jet of rho - 1 about (1, 1), rho the Perron root of
+    K = B(+1) B(-1), from the (6, N, N) arrays of ``build_b``.
+
+    The inverse of the bordered matrix [[I - K0, 1], [1^T, 0]] holds the
+    right Perron vector v in its last column and the left one u in its last
+    row; u is scaled so that u^T v = 1.  With K_c the Taylor coefficients of
+    K (c = 1, 2 for dl, dz), rho_c = u^T K_c v.  The first-order parts y_c
+    of v solve (I - K0) y_c = (K_c - rho_c) v through the same inverse,
+    projected so that u^T y_c = 0, and a second-order coefficient is
+    u^T K_ab v plus u^T K_a y_b for each ordered split of ab (Kato,
+    *Perturbation Theory for Linear Operators*, ch. II; Meyer & Stewart,
+    SIAM J. Numer. Anal. 1988).  Every product with a jet coefficient is a
+    vector times a matrix, so the only O(N^3) step is the inverse.
+
+    A second null direction of I - K0 means the root is not simple: the
+    bordered matrix is then singular, or its condition number, read off the
+    explicit inverse, exceeds 1 / ``PIVOT_EPS``, and DegenerateSystemError
+    is raised.  So it is when u^T v vanishes against |u| |v| (a Jordan
+    block).
+    """
+    n = b_plus.shape[-1]
+    border = np.zeros((n + 1, n + 1))
+    border[:n, :n] = np.eye(n) - b_plus[0] @ b_minus[0]
+    border[n, :n] = border[:n, n] = 1.0
+    try:
+        inv = np.linalg.inv(border)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSystemError(
+            "bordered Perron system is singular: the root is not simple") from exc
+    cond = np.abs(border).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    if not cond * PIVOT_EPS <= 1.0:
+        raise DegenerateSystemError(
+            f"bordered Perron system has condition number {cond:.3g}: the root is not simple")
+    v, u = inv[:n, n], inv[n, :n]
+    uv = u @ v
+    if not abs(uv) > PIVOT_EPS * np.linalg.norm(u) * np.linalg.norm(v):
+        raise DegenerateSystemError(
+            "left and right Perron vectors are orthogonal: the root is not simple")
+    u = u / uv
+    # t[i, j] = (u^T B+_i)(B-_j v); u^T K_c v sums it over the pairs (i, j)
+    # whose monomials multiply to the c-th, as ``jet_mul`` pairs them.
+    p, q = u @ b_plus, b_minus @ v
+    t = p @ q.T
+    rho = np.array([t[0, 0], t[0, 1] + t[1, 0], t[0, 2] + t[2, 0],
+                    t[0, 3] + t[1, 1] + t[3, 0], t[0, 4] + t[1, 2] + t[2, 1] + t[4, 0],
+                    t[0, 5] + t[2, 2] + t[5, 0]])
+    # y_c for c = dl, dz as the columns of y.
+    k1v = b_plus[0] @ q[1:3].T + (b_plus[1:3] @ q[0]).T
+    y = inv[:n, :n] @ (k1v - np.outer(v, rho[1:3]))
+    y -= np.outer(v, u @ y)
+    # uk1[c] = u^T K_c, so uk1 @ y holds u^T K_a y_b at [a, b].
+    uk1 = p[0] @ b_minus[1:3] + p[1:3] @ b_minus[0]
+    s = uk1 @ y
+    rho[3:] += (s[0, 0], s[0, 1] + s[1, 0], s[1, 1])
+    rho[0] -= 1.0
+    return Jet2(*rho.tolist())
 
 
 def _border(basis: np.ndarray) -> List[int]:
@@ -157,24 +229,26 @@ def det_h(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
     return det_jet(matrix)
 
 
-def limit_constants(h: Jet2, metric_name: str = "custom") -> LimitConstants:
-    """Drift and variance from the five partials of h at (1, 1)."""
-    h_l = h.d_lambda
-    h_z = h.d_z
-    if abs(h_l) < 1e-12:
-        raise DegenerateSystemError("lambda-slope of the determinant vanishes")
-    gamma = h_z / h_l
+def limit_constants(jet: Jet2, metric_name: str = "custom") -> LimitConstants:
+    """Drift and variance from the five partials at (1, 1) of a jet whose
+    zero curve is rho(lam, z) = 1: ``perron_jet``'s rho - 1, or ``det_h``'s
+    h, which differs from it by a factor nonzero at (1, 1) that cancels."""
+    f_l = jet.d_lambda
+    f_z = jet.d_z
+    if abs(f_l) < 1e-12:
+        raise DegenerateSystemError("lambda-slope of the Perron root vanishes")
+    gamma = f_z / f_l
     sigma2 = (
-        h.d2_z + h_z - 2.0 * gamma * h.d_lambda_z + gamma**2 * (h.d2_lambda + h_l)
-    ) / h_l
+        jet.d2_z + f_z - 2.0 * gamma * jet.d_lambda_z + gamma**2 * (jet.d2_lambda + f_l)
+    ) / f_l
     partials = {
-        "d_lambda": h_l,
-        "d_z": h_z,
-        "d2_lambda": h.d2_lambda,
-        "d_lambda_z": h.d_lambda_z,
-        "d2_z": h.d2_z,
+        "d_lambda": f_l,
+        "d_z": f_z,
+        "d2_lambda": jet.d2_lambda,
+        "d_lambda_z": jet.d_lambda_z,
+        "d2_z": jet.d2_z,
     }
-    return LimitConstants(gamma, sigma2, h.value, partials, metric_name)
+    return LimitConstants(gamma, sigma2, jet.value, partials, metric_name)
 
 
 def compute_limits(
@@ -184,15 +258,15 @@ def compute_limits(
     check_sigma: bool = True,
 ) -> LimitConstants:
     """Full pipeline: solve R at lambda=1, differentiate implicitly, build the
-    jets and read off gamma and sigma^2."""
+    jets and read gamma and sigma^2 off the Perron root of B(+1) B(-1)."""
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(kernel, r)
-    h = det_h(build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1))
-    if abs(h.value) > SIMPLE_ZERO_TOL:
+    rho = perron_jet(build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1))
+    if abs(rho.value) > SIMPLE_ZERO_TOL:
         raise DegenerateSystemError(
-            f"determinant at (1,1) is {h.value!r}, expected a simple zero"
+            f"Perron root at (1,1) is off 1 by {rho.value!r}, expected a simple zero"
         )
-    constants = limit_constants(h, metric.name)
+    constants = limit_constants(rho, metric.name)
     if check_sigma and constants.sigma2 < 0:
         raise DegenerateSystemError(f"negative variance {constants.sigma2!r}")
     return constants

@@ -1,5 +1,6 @@
 """Kernel validation, stepping statistics, determinism, hitting times."""
 
+import cProfile
 import re
 import tracemalloc
 import warnings
@@ -326,6 +327,22 @@ def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
         state.advance()
     state.metric_lengths(fenced_metric(3))
     assert state.stack.shape[0] <= 2 * state.depth.max() + 128
+
+
+def test_batch_stack_grows_under_a_profiler():
+    # A profiler holds one more reference to the stack while `resize` runs,
+    # which its reference check once refused with a ValueError.
+    k, m = symmetric_kernel(3), word_metric(3)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        profiled = run_length_paths(k, m, 1000, 200, seed=1)
+    finally:
+        profiler.disable()
+    plain = run_length_paths(k, m, 1000, 200, seed=1)
+    assert int(profiled[0].max()) > 64
+    for got, want in zip(profiled, plain):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():

@@ -620,6 +620,20 @@ def test_every_malformed_kernel_entry_is_named(capsys, tmp_path):
     assert all(name in err for name in named)
 
 
+def test_every_stray_kernel_entry_is_its_own_violation(capsys, tmp_path):
+    # Keys that name no arc were once joined into one violation.
+    kernel = _entry_with(2, i=7)
+    kernel["p"][4]["k"] = 2
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, out, _ = run(capsys, "validate", "--kernel", str(path))
+    assert code == 2
+    violations = json.loads(out)["violations"]
+    assert len(violations) == 2
+    assert "entry 2, (7, 1, 1), names no arc" in violations[0]
+    assert "entry 4, (3, 1, 2), names no arc" in violations[1]
+
+
 @pytest.mark.parametrize("entries, named", [
     ([{"i": 1, "j": 2, "k": 1, "weight": "heavy"}, _GOOD_WEIGHT,
       {"i": 1.5, "j": 2, "k": 1, "weight": 1.0}, _GOOD_WEIGHT],
@@ -666,6 +680,20 @@ def test_bad_kernel_text_is_invalid_input(capsys, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("symmetric:abc", "'abc'"), ("symmetric:3.5", "3.5 is not a whole number"),
+    ("symmetric:2", "got 2"), ("one_parameter:x", "'x'"),
+])
+def test_bad_kernel_text_is_quoted_as_written(capsys, text, named):
+    # The error once quoted the JSON object the text stands for.
+    code, out, err = run(capsys, "limits", "--kernel", text)
+    assert code == 2
+    assert out == ""
+    assert f"--kernel text {text!r} is invalid" in err
+    assert named in err
+    assert "{" not in err
+
+
 def test_target_is_read_as_whole_numbers(capsys):
     argv = ["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting", "--max-steps", "8",
             "--target"]
@@ -681,7 +709,7 @@ def test_target_is_read_as_whole_numbers(capsys):
 
 
 def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatch):
-    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(1e-6, 1.0, 0.5))
+    monkeypatch.setattr("windwalk.limits.perron_jet", lambda *_: Jet2(1e-6, 1.0, 0.5))
     code, out, err = run(capsys, "limits", "--kernel", "symmetric:3")
     assert code == 3
     assert out == ""
@@ -690,7 +718,7 @@ def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatc
 
 def test_limits_prints_a_negative_variance(capsys, monkeypatch):
     # `limits` reports the constants as computed; only the library call checks sigma2.
-    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
+    monkeypatch.setattr("windwalk.limits.perron_jet", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
     code, out, _ = run(capsys, "limits", "--kernel", "symmetric:3")
     assert code == 0
     assert json.loads(out)["sigma2"] == -1.25

@@ -1,6 +1,7 @@
-"""Determinant jets, drift/variance extraction, Toeplitz recurrence,
-spectral radius of the transfer block matrix."""
+"""Determinant and Perron-root jets, drift/variance extraction, Toeplitz
+recurrence, spectral radius of the transfer block matrix."""
 
+import json
 from itertools import combinations, permutations
 
 import numpy as np
@@ -19,12 +20,13 @@ from windwalk.limits import (
     det_jet,
     kms_phi,
     limit_constants,
+    perron_jet,
     spectral_radius_k,
 )
-from windwalk.oracle import closed_form_symmetric, direct_h
+from windwalk.oracle import closed_form, closed_form_symmetric, direct_h
 from windwalk.solver import solve_r, solve_r_derivatives
 
-from helpers import fd_partials, power_jet, series_jet
+from helpers import dirichlet_kernel, fd_partials, power_jet, series_jet
 
 KERNELS = [symmetric_kernel(3), one_parameter_kernel(0.1), asymmetric_kernel()]
 FIELDS = ("c00", "c10", "c01", "c20", "c11", "c02")
@@ -285,7 +287,7 @@ def test_build_b_matches_scalar_jets():
 def test_determinant_off_its_simple_zero_raises(monkeypatch, value, raises):
     # h(1, 1) must vanish; a value beyond SIMPLE_ZERO_TOL means the solve or
     # the kernel is off, and no constants are read from it.
-    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(value, 1.0, 0.5))
+    monkeypatch.setattr("windwalk.limits.perron_jet", lambda *_: Jet2(value, 1.0, 0.5))
     if raises:
         with pytest.raises(DegenerateSystemError, match="expected a simple zero"):
             compute_limits(symmetric_kernel(3), word_metric(3))
@@ -295,8 +297,112 @@ def test_determinant_off_its_simple_zero_raises(monkeypatch, value, raises):
 
 def test_negative_variance_raises_unless_unchecked(monkeypatch):
     # h_l = 1, h_z = 0.5, d2_z = 2 c02 = -2: sigma2 = -2 + 0.5 + 0.25 = -1.25.
-    monkeypatch.setattr("windwalk.limits.det_h", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
+    monkeypatch.setattr("windwalk.limits.perron_jet", lambda *_: Jet2(0.0, 1.0, 0.5, 0.0, 0.0, -1.0))
     with pytest.raises(DegenerateSystemError, match="negative variance -1.25"):
         compute_limits(symmetric_kernel(3), word_metric(3))
     constants = compute_limits(symmetric_kernel(3), word_metric(3), check_sigma=False)
     assert (constants.gamma, constants.sigma2) == (0.5, -1.25)
+
+
+def _backward_partials(f, h):
+    """The five partials at (1, 1) of f(lam, z), both arguments <= 1, by
+    second-order backward stencils."""
+    d1 = (1.5, -2.0, 0.5)
+    d2 = (2.0, -5.0, 4.0, -1.0)
+    d_l = sum(c * f(1 - i * h, 1.0) for i, c in enumerate(d1)) / h
+    d_z = sum(c * f(1.0, 1 - i * h) for i, c in enumerate(d1)) / h
+    d2_l = sum(c * f(1 - i * h, 1.0) for i, c in enumerate(d2)) / h**2
+    d2_z = sum(c * f(1.0, 1 - i * h) for i, c in enumerate(d2)) / h**2
+    d_lz = sum(a * b * f(1 - i * h, 1 - j * h)
+               for i, a in enumerate(d1) for j, b in enumerate(d1)) / h**2
+    return d_l, d_z, d2_l, d_lz, d2_z
+
+
+def test_perron_jet_partials_match_finite_differences():
+    # spectral_radius_k is the square root of the Perron root of B(+1) B(-1).
+    k, metric = asymmetric_kernel(), fenced_metric(3)
+    r = solve_r(k, 1.0, tol=1e-15)
+    d = solve_r_derivatives(k, r)
+    rho = perron_jet(build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1))
+    fd = _backward_partials(lambda lam, z: spectral_radius_k(k, metric, lam, z, tol=1e-15) ** 2,
+                            5e-4)
+    jet = (rho.d_lambda, rho.d_z, rho.d2_lambda, rho.d_lambda_z, rho.d2_z)
+    for a, b in zip(jet, fd):
+        assert a == pytest.approx(b, rel=1e-3)
+
+
+def _jet_pair(k0_plus, k0_minus):
+    """(6, n, n) jet arrays with the given constant terms and random
+    non-negative higher coefficients."""
+    rng = np.random.default_rng(3)
+    n = len(k0_plus)
+    return tuple(np.concatenate([np.asarray(a, float)[None], rng.uniform(0, 1, (5, n, n))])
+                 for a in (k0_plus, k0_minus))
+
+
+_HALVES = np.full((2, 2), 0.5)
+_CLASSES = np.kron(np.eye(2), _HALVES)
+
+
+@pytest.mark.parametrize("b0_plus, b0_minus, reason", [
+    # B(+1)B(-1) at (1, 1) with two closed classes: two null directions.
+    (_CLASSES, _CLASSES, "singular"),
+    # The same two classes leaking into each other by 1e-15: the bordered
+    # matrix inverts, with a condition number near 2e15.
+    ((1 - 1e-15) * _CLASSES + 1e-15 * np.kron(1 - np.eye(2), _HALVES), np.eye(4),
+     "condition number"),
+    # A Jordan block: u^T v = 0 with a well-conditioned border.
+    ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), "orthogonal"),
+], ids=["two-classes", "leak-1e-15", "jordan"])
+def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason):
+    with pytest.raises(DegenerateSystemError, match=f"{reason}.*the root is not simple"):
+        perron_jet(*_jet_pair(b0_plus, b0_minus))
+
+
+def _both_routes(kernel, metric):
+    r = solve_r(kernel, 1.0)
+    d = solve_r_derivatives(kernel, r)
+    b_plus, b_minus = build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1)
+    return limit_constants(perron_jet(b_plus, b_minus)), limit_constants(det_h(b_plus, b_minus))
+
+
+SAME_NUMBER_KERNELS = (
+    [(f"symmetric:{n}", lambda n=n: symmetric_kernel(n)) for n in range(3, 34)]
+    + [("asymmetric", asymmetric_kernel)]
+    + [(f"one_parameter:{q}", lambda q=q: one_parameter_kernel(q)) for q in (1e-2, 0.1, 0.25, 0.49)]
+    + [(f"dirichlet:{n}/{c}", lambda n=n, c=c: dirichlet_kernel(n, c, seed=n))
+       for n in range(4, 11) for c in (1.0, 0.1)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in SAME_NUMBER_KERNELS],
+                         ids=[name for name, _ in SAME_NUMBER_KERNELS])
+def test_perron_route_gives_the_determinant_route_constants(make):
+    # h = (1 - rho) c with c(1, 1) != 0, and c's partials cancel.
+    kernel = make()
+    for metric in (word_metric(kernel.n_windows), fenced_metric(kernel.n_windows)):
+        rho, det = _both_routes(kernel, metric)
+        assert rho.gamma == pytest.approx(det.gamma, rel=1e-13, abs=1e-300)
+        assert rho.sigma2 == pytest.approx(det.sigma2, rel=1e-13)
+        # rho's partials have the sign opposite to h's.
+        assert rho.rho_partials["d_lambda"] > 0 > det.rho_partials["d_lambda"]
+
+
+@pytest.mark.parametrize("q", [1e-4, 1.2e-5, 1e-6, 1e-8])
+def test_perron_route_is_no_less_accurate_at_small_q(q):
+    kernel, cf = one_parameter_kernel(q), closed_form("one_parameter", q=q)
+    for metric in (word_metric(3), fenced_metric(3)):
+        gamma, sigma2 = cf.constants(metric.name)
+        rho, det = _both_routes(kernel, metric)
+        assert abs(rho.gamma - gamma) <= abs(det.gamma - gamma)
+        assert abs(rho.sigma2 - sigma2) <= abs(det.sigma2 - sigma2)
+
+
+def test_compute_limits_returns_python_floats():
+    # A numpy scalar here would reach the JSON writers of callers that do
+    # not pass it through the CLI.
+    c = compute_limits(asymmetric_kernel(), fenced_metric(3))
+    values = [c.gamma, c.sigma2, c.rho_minus_one, *c.rho_partials.values()]
+    assert len(values) == 8
+    assert all(type(v) is float for v in values)
+    json.dumps(c.to_json(), allow_nan=False)
