@@ -77,6 +77,16 @@ class Word:
                     raise ValueError(f"letters {prev} and {arc} violate sign alternation")
             prev = arc
 
+    def __hash__(self) -> int:
+        # The dataclass hash would rehash every letter on each dict lookup.
+        # It is kept on first use, not at construction: the chain's final
+        # word runs to 10^5 letters and is never hashed.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.source, self.letters))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     @property
     def target(self) -> int:
         return self.letters[-1].j if self.letters else self.source

@@ -23,6 +23,7 @@ jet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
@@ -75,8 +76,18 @@ def build_b(
     s = (1 - sign) // 2
     value, d1, d2 = r.values[s], derivs.d1[s], derivs.d2[s]
     w = weights[s]
-    # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2.
-    return np.stack([value, d1, w * value, 0.5 * d2, w * d1, 0.5 * w * (w - 1.0) * value])
+    # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2, filled
+    # coefficient by coefficient in the jet order of ``windwalk.jets``.
+    b = np.empty((6,) + value.shape)
+    b[0] = value
+    b[1] = d1
+    np.multiply(w, value, out=b[2])
+    np.multiply(0.5, d2, out=b[3])
+    np.multiply(w, d1, out=b[4])
+    np.multiply(0.5, w, out=b[5])
+    b[5] *= w - 1.0
+    b[5] *= value
+    return b
 
 
 def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
@@ -115,21 +126,22 @@ def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
             f"bordered Perron system has condition number {cond:.3g}: the root is not simple")
     v, u = inv[:n, n], inv[n, :n]
     uv = u @ v
-    if not abs(uv) > PIVOT_EPS * np.linalg.norm(u) * np.linalg.norm(v):
+    # |u| and |v| as ``np.linalg.norm`` computes them.
+    if not abs(uv) > PIVOT_EPS * math.sqrt(u.dot(u)) * math.sqrt(v.dot(v)):
         raise DegenerateSystemError(
             "left and right Perron vectors are orthogonal: the root is not simple")
     u = u / uv
     # t[i, j] = (u^T B+_i)(B-_j v); u^T K_c v sums it over the pairs (i, j)
     # whose monomials multiply to the c-th, as ``jet_mul`` pairs them.
     p, q = u @ b_plus, b_minus @ v
-    t = p @ q.T
-    rho = np.array([t[0, 0], t[0, 1] + t[1, 0], t[0, 2] + t[2, 0],
-                    t[0, 3] + t[1, 1] + t[3, 0], t[0, 4] + t[1, 2] + t[2, 1] + t[4, 0],
-                    t[0, 5] + t[2, 2] + t[5, 0]])
+    t = (p @ q.T).tolist()
+    rho = np.array([t[0][0], t[0][1] + t[1][0], t[0][2] + t[2][0],
+                    t[0][3] + t[1][1] + t[3][0], t[0][4] + t[1][2] + t[2][1] + t[4][0],
+                    t[0][5] + t[2][2] + t[5][0]])
     # y_c for c = dl, dz as the columns of y.
     k1v = b_plus[0] @ q[1:3].T + (b_plus[1:3] @ q[0]).T
-    y = inv[:n, :n] @ (k1v - np.outer(v, rho[1:3]))
-    y -= np.outer(v, u @ y)
+    y = inv[:n, :n] @ (k1v - v[:, None] * rho[1:3])
+    y -= v[:, None] * (u @ y)
     # uk1[c] = u^T K_c, so uk1 @ y holds u^T K_a y_b at [a, b].
     uk1 = p[0] @ b_minus[1:3] + p[1:3] @ b_minus[0]
     s = uk1 @ y
@@ -261,7 +273,10 @@ def compute_limits(
     jets and read gamma and sigma^2 off the Perron root of B(+1) B(-1)."""
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(kernel, r)
-    rho = perron_jet(build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1))
+    b_plus, b_minus = build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1)
+    # perron_jet reads only the jets: R and its derivatives are freed first.
+    del r, derivs
+    rho = perron_jet(b_plus, b_minus)
     if abs(rho.value) > SIMPLE_ZERO_TOL:
         raise DegenerateSystemError(
             f"Perron root at (1,1) is off 1 by {rho.value!r}, expected a simple zero"

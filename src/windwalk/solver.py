@@ -29,6 +29,13 @@ O(N^4) time and O(N^3) memory.  Each solve then does one block solve: the
 coupling's right-hand side is read off the factorisation's row table, and
 the 2N x 2N coupling is LU-solved on each call, not inverted.
 
+At the sizes where numpy's per-call cost, not arithmetic, sets the time of a
+Newton step, each of the step's arrays is allocated once and filled in place:
+``G_k`` starts as ``-lam P_k`` and takes its diagonal through a strided view,
+sums accumulate into the matrix product that opens them, and a buffer that is
+spent is reused.  Every sum and product keeps the order of the formulas, so
+the results are the same bits as with fresh temporaries.
+
 ``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
 layout.  Its off-diagonal entries in row-major order are the flat
 ``IndexMap`` order, in which the same system reads
@@ -161,23 +168,37 @@ def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kim,kmi->ki", a, b)
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable (2, N) view of the diagonals of a C-contiguous (2, N, N) array."""
+    return a.reshape(2, -1)[:, ::a.shape[-1] + 1]
+
+
 def _offdiag(a: np.ndarray) -> np.ndarray:
-    """Zero the diagonal of both signs of ``a`` in place, and return it."""
-    np.einsum("kii->ki", a)[...] = 0.0
+    """Zero the diagonal of both signs of a C-contiguous ``a`` in place, and
+    return it."""
+    _diagonal(a)[...] = 0.0
     return a
 
 
 def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
     """Right-hand side f(R) of the fixed-point form R = f(R)."""
     u = _diag_of_product(p, r)
-    return _offdiag(lam * (p + p @ r + u[::-1, :, None] * r))
+    f = p @ r
+    f += p
+    f += u[::-1, :, None] * r
+    f *= lam
+    return _offdiag(f)
 
 
 def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray) -> np.ndarray:
     """M D, the Jacobian of f at R applied to a (2, N, N) array D."""
     u = _diag_of_product(p, r)
     t = _diag_of_product(p, d)
-    return _offdiag(lam * (p @ d + u[::-1, :, None] * d + t[::-1, :, None] * r))
+    md = p @ d
+    md += u[::-1, :, None] * d
+    md += t[::-1, :, None] * r
+    md *= lam
+    return _offdiag(md)
 
 
 class LinearisedSystem:
@@ -202,29 +223,39 @@ class LinearisedSystem:
     The 2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
     ``t_k = a_k + T_k t_{-k}``.  Row i of ``v`` is row i of ``P_k`` times
     the inverse of block i, so ``a_k = diag(v_k B_k)`` needs no block solve
-    and ``T_k`` is read off ``v``.  The t solve the 2N x 2N ``coupling``,
-    LU-solved on each call, and one block solve of
-    ``B_k + lam diag(t_{-k}) R_k`` then gives D.
+    and ``T_k = offdiag(lam v_k R_k^T)`` is read off ``v``.  The t solve the
+    2N x 2N ``coupling`` ``[[I, -T_+], [-T_-, I]]``, LU-solved on each call,
+    and one block solve of ``B_k + lam diag(t_{-k}) R_k`` then gives D.
+
+    ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
+    ``1 - lam u_{-k}`` written through a strided view; once ``H`` is formed,
+    its buffer holds ``T`` while the coupling's blocks are written.  ``h_diag``
+    is a view of ``H`` unless some column falls back.  A solve copies B once
+    and writes into the copy, never into B.
     """
 
     def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
         n = p.shape[-1]
         self.lam, self.r = lam, r
         u = _diag_of_product(p, r)
-        g = np.eye(n) - lam * (u[::-1, :, None] * np.eye(n) + p)
+        # C order, whatever the layout of P, so that _diagonal is a view.
+        g = np.multiply(p, -lam, order="C")
+        _diagonal(g)[...] = 1.0 - lam * u[::-1]
         try:
-            self.h = np.linalg.inv(g)
+            h = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"a chamber block of I - M is singular: {exc}") from exc
-        h_diag = np.diagonal(self.h, axis1=1, axis2=2)
+        h_diag = _diagonal(h)
         fallback = np.minimum(np.abs(h_diag), 1.0) < (
-            FALLBACK_RATIO * np.max(np.abs(self.h), axis=(1, 2))[:, None])
+            FALLBACK_RATIO * np.abs(h).max(axis=(1, 2))[:, None])
         self.fallback_columns = int(np.count_nonzero(fallback))
-        # A fallback column divides by 1 here and is overwritten after.
-        self.h_diag = np.where(fallback, 1.0, h_diag)
-        ph = p @ self.h
+        if self.fallback_columns:
+            # A fallback column divides by 1 here and is overwritten after.
+            h_diag = np.where(fallback, 1.0, h_diag)
+        self.h, self.h_diag = h, h_diag
         # Row i of v: row i of P_k times the inverse of block i.
-        v = ph - (np.diagonal(ph, axis1=1, axis2=2) / self.h_diag)[:, :, None] * self.h
+        v = p @ h
+        v -= h * (_diagonal(v) / h_diag)[:, :, None]
         if self.fallback_columns:
             self.sign, self.col = np.nonzero(fallback)
             self.keep = other_windows(n)[self.col]
@@ -237,31 +268,37 @@ class LinearisedSystem:
             v[self.sign[:, None], self.col[:, None], self.keep] = (
                 p_rows[:, None, :] @ self.blocks_inv)[:, 0, :]
         self.v = v
-        t_map = _offdiag(lam * v * np.swapaxes(r, 1, 2))
+        # G is spent: its buffer takes (lam v) * R^T, the map t_{-k} -> t_k.
+        t_map = np.multiply(v, lam, out=g)
+        t_map *= np.swapaxes(r, 1, 2)
+        _offdiag(t_map)
         self.coupling = np.eye(2 * n)
-        self.coupling[:n, n:] = -t_map[0]
-        self.coupling[n:, :n] = -t_map[1]
+        np.negative(t_map[0], out=self.coupling[:n, n:])
+        np.negative(t_map[1], out=self.coupling[n:, :n])
 
     def _block_solve(self, b: np.ndarray) -> np.ndarray:
-        """Every column block's solution for a zero-diagonal (2, N, N) B."""
-        y = self.h @ b
-        x = y - self.h * (np.diagonal(y, axis1=1, axis2=2) / self.h_diag)[:, None, :]
+        """Every column block's solution for a zero-diagonal (2, N, N) B,
+        whose buffer is then spent as scratch space."""
         if self.fallback_columns:
             cols = b[self.sign[:, None], self.keep, self.col[:, None]]
+        x = self.h @ b
+        x -= np.multiply(self.h, (_diagonal(x) / self.h_diag)[:, None, :], out=b)
+        if self.fallback_columns:
             x[self.sign[:, None], self.keep, self.col[:, None]] = (
                 self.blocks_inv @ cols[..., None])[..., 0]
         return _offdiag(x)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B, whose
-        diagonal is ignored."""
-        b = _offdiag(np.array(b, dtype=float))
+        diagonal is ignored; B itself is not written."""
+        b = _offdiag(np.array(b, dtype=float, order="C"))
         a = _diag_of_product(self.v, b)
         try:
             t = np.linalg.solve(self.coupling, a.reshape(-1)).reshape(a.shape)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
-        return self._block_solve(b + self.lam * t[::-1, :, None] * self.r)
+        b += self.lam * t[::-1, :, None] * self.r
+        return self._block_solve(b)
 
 
 def solve_r(
@@ -287,24 +324,28 @@ def solve_r(
         raise ValueError("max_iter must be at least 1")
     p = kernel.P
     r = np.zeros_like(p)
-    defect = _rhs(p, lam, r) - r
+    # At R = 0 the defect f(R) - R is f(R) itself.
+    defect = _rhs(p, lam, r)
     prev_step = np.inf
     for iterations in range(1, max_iter + 1):
         delta = LinearisedSystem(p, lam, r).solve(defect)
-        r = r + delta
-        defect = _rhs(p, lam, r) - r
-        step = float(np.max(np.abs(delta)))
-        if not np.isfinite(step):
+        step = float(np.abs(delta).max())
+        if not math.isfinite(step):
             raise SolverError(f"Newton step {iterations} is not finite")
+        r += delta
+        # Only R and its defect stay live into the next factorisation.
+        del delta
+        defect = _rhs(p, lam, r)
+        defect -= r
         if step <= tol or (step <= STALL_STEP and step >= prev_step):
             break
         prev_step = step
     else:
         raise SolverError(
             f"Newton's method did not converge in {max_iter} steps (last step {step:.3e})",
-            residual=float(np.max(np.abs(defect))),
+            residual=float(np.abs(defect).max()),
         )
-    residual = float(np.max(np.abs(defect)))
+    residual = float(np.abs(defect).max())
     return RSolution(lam, r, residual, iterations)
 
 
@@ -324,9 +365,11 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     system = LinearisedSystem(p, lam, r.values)
     d1 = system.solve(r.values / lam)
     t1 = _diag_of_product(p, d1)
-    d2 = system.solve(2.0 * apply_m(p, lam, r.values, d1) / lam
-                      + 2.0 * lam * t1[::-1, :, None] * d1)
-    return RDerivatives(d1, d2)
+    b2 = apply_m(p, lam, r.values, d1)
+    b2 *= 2.0
+    b2 /= lam
+    b2 += 2.0 * lam * t1[::-1, :, None] * d1
+    return RDerivatives(d1, system.solve(b2))
 
 
 def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: float = 1e-12,

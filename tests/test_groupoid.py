@@ -204,3 +204,21 @@ def test_metric_length_additive_under_append():
         assert abs(len(append(w, g)) - len(w)) <= 1
         assert np.isfinite(after) and after >= 0
         assert isinstance(before, float)
+
+
+def test_equal_words_from_different_routes_hash_equal():
+    # Word keeps its hash after the first call; words equal by value must
+    # still hash equal however they were built.
+    text = "A(1,3,+)A(3,2,-)A(2,4,+)"
+    parsed = word_from_str(text)
+    grown = unit(1)
+    for arc in (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, -1), Arc(2, 4, 1)):
+        grown = append(grown, arc)
+    composed = compose(word_from_str("A(1,3,+)"), word_from_str("A(3,2,-)A(2,4,+)"))
+    direct = Word(1, (Arc(1, 3, 1), Arc(3, 2, -1), Arc(2, 4, 1)))
+    hash(parsed)
+    for word in (grown, composed, direct):
+        assert word == parsed
+        assert hash(word) == hash(parsed) == hash((1, parsed.letters))
+    assert len({parsed, grown, composed, direct}) == 1
+    assert {parsed: 1.0}[grown] == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from windwalk import solver
-from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
+from windwalk.chain import TransitionKernel, asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import Arc, fenced_metric, word_metric
 from windwalk.limits import compute_limits, spectral_radius_k
 from windwalk.oracle import closed_form_one_parameter, direct_h, dp_hitting_series, dp_return_series
@@ -334,3 +334,37 @@ def test_singular_coupling_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverError, match="the 2N x 2N coupling of I - M is singular"):
         system.solve(np.ones((2, 3, 3)))
+
+
+def test_solve_leaves_b_unwritten_and_returns_a_zero_diagonal():
+    # The solve zeroes the diagonal of its own copy of B, and the block solve
+    # spends that copy as scratch space; the caller's B must survive both.
+    k = asymmetric_kernel()
+    system = solver.LinearisedSystem(k.P, 1.0, solve_r(k, 1.0).values)
+    b = np.random.default_rng(3).normal(size=(2, 3, 3))
+    kept = b.copy()
+    d = system.solve(b)
+    assert np.array_equal(b, kept)
+    assert np.all(np.diagonal(d, axis1=1, axis2=2) == 0.0)
+    b[:, np.arange(3), np.arange(3)] = 0.0
+    assert np.array_equal(d, system.solve(b))
+
+
+def test_non_finite_newton_step_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(solver.LinearisedSystem, "solve",
+                        lambda self, b: np.full_like(b, np.nan))
+    with pytest.raises(SolverError, match="not finite"):
+        solve_r(asymmetric_kernel(), 1.0)
+
+
+def test_array_layout_does_not_change_the_solve():
+    # The diagonals are written through strided views of C-ordered buffers;
+    # a Fortran-ordered P or a transposed B must give the same bits.
+    k = asymmetric_kernel()
+    k_fortran = TransitionKernel(np.asfortranarray(k.P))
+    r, r_fortran = solve_r(k, 1.0), solve_r(k_fortran, 1.0)
+    assert np.array_equal(r.values, r_fortran.values)
+    assert np.array_equal(solve_r_derivatives(k, r).d2, solve_r_derivatives(k_fortran, r_fortran).d2)
+    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    b = np.random.default_rng(5).normal(size=(2, 3, 3)).transpose(0, 2, 1)
+    assert np.array_equal(system.solve(b), system.solve(np.ascontiguousarray(b)))
