@@ -228,8 +228,9 @@ class LinearisedSystem:
     and one block solve of ``B_k + lam diag(t_{-k}) R_k`` then gives D.
 
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
-    ``1 - lam u_{-k}`` written through a strided view; once ``H`` is formed,
-    its buffer holds ``T`` while the coupling's blocks are written.  ``h_diag``
+    ``1 - lam u_{-k}`` written through a strided view; once ``H`` and ``v``
+    are formed, the buffer of G holds ``T`` while the coupling's blocks are
+    written.  ``h_diag``
     is a view of ``H`` unless some column falls back.  A solve copies B once
     and writes into the copy, never into B.
     """

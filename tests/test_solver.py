@@ -364,7 +364,8 @@ def test_array_layout_does_not_change_the_solve():
     k_fortran = TransitionKernel(np.asfortranarray(k.P))
     r, r_fortran = solve_r(k, 1.0), solve_r(k_fortran, 1.0)
     assert np.array_equal(r.values, r_fortran.values)
-    assert np.array_equal(solve_r_derivatives(k, r).d2, solve_r_derivatives(k_fortran, r_fortran).d2)
+    d2, d2_fortran = solve_r_derivatives(k, r).d2, solve_r_derivatives(k_fortran, r_fortran).d2
+    assert np.array_equal(d2, d2_fortran)
     system = solver.LinearisedSystem(k.P, 1.0, r.values)
     b = np.random.default_rng(5).normal(size=(2, 3, 3)).transpose(0, 2, 1)
     assert np.array_equal(system.solve(b), system.solve(np.ascontiguousarray(b)))
