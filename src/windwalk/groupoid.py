@@ -192,7 +192,22 @@ def custom_metric(n_windows: int, weights: Mapping[Tuple[int, int, int], float])
 
 
 def metric_length(w: Word, m: Metric) -> float:
-    return float(sum(m.weight(arc) for arc in w.letters))
+    """Sum of the letters' weights, added left to right from 0 as ``sum``
+    adds them; ``KeyError`` for a letter past the metric's N."""
+    # The weights as nested lists, kept on first use: a plain list index
+    # costs less than a per-letter ``arc_entry``, and a large-N metric that
+    # never measures a word never builds them.
+    rows = m.__dict__.get("_rows")
+    if rows is None:
+        rows = m.W.tolist()
+        object.__setattr__(m, "_rows", rows)
+    total = 0
+    try:
+        for arc in w.letters:
+            total += rows[(1 - arc.k) // 2][arc.i - 1][arc.j - 1]
+    except IndexError:
+        raise KeyError((arc.i, arc.j, arc.k)) from None
+    return float(total)
 
 
 def other_windows(n_windows: int) -> np.ndarray:

@@ -16,8 +16,8 @@ Newton's method started from R = 0 increases monotonically to the least
 root of this monotone polynomial system (Etessami & Yannakakis, JACM 2009),
 which is the probabilistically correct one.
 
-Every linear solve ``(I - M) D = B``, with M the Jacobian of the right-hand
-side, is done in structured form.  Column j of sign k solves the
+Above ``DENSE_MAX_N`` windows every linear solve ``(I - M) D = B``, with M
+the Jacobian of the right-hand side, is done in structured form.  Column j of sign k solves the
 (N-1)-square system whose matrix is ``G_k = I - lam diag(u_{-k}) - lam P_k``
 with row and column j deleted; the 2N column blocks are coupled only
 through the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N
@@ -42,14 +42,25 @@ layout.  Its off-diagonal entries in row-major order are the flat
 
     R = lam * (p + A1 @ R + (C @ R) * R).
 
-``system_matrices``, ``build_m_matrix`` and ``to_flat`` build that dense
-form, the independent reference for the tests; no library path calls them.
-``system_matrices`` reads the kernel arc by arc through
+Up to ``DENSE_MAX_N`` windows, at most 60 unknowns, Newton's method and the
+derivatives work on this flat form instead: its lam-scaled constant part
+(``p``, ``A1`` and ``C``) is placed once per call from ``P`` by index
+arithmetic, each step adds the R-dependent terms of the Jacobian
+``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array operations and
+does one dense LU solve, and the results are scattered back into the
+(2, N, N) layout.  There one LU solve costs less than the structured
+solve's many small numpy calls.  One Newton loop, with one stop rule, serves
+both forms.
+
+``system_matrices``, ``build_m_matrix`` and ``to_flat`` build the dense form
+arc by arc, the independent reference for the tests; no library path calls
+them.  ``system_matrices`` reads the kernel through
 ``TransitionKernel.prob``, not through ``P``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -68,6 +79,11 @@ STALL_STEP = 1e-8
 #: ``H_k = G_k^{-1}``, when ``min(1, |H_jj|)`` is below this share of
 #: ``max |H_k|``: the deleted-index update would cancel to noise there.
 FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
+#: Up to this many windows Newton's method works on the dense flat system,
+#: at most 2N(N-1) = 60 unknowns, with one LU solve per step: up to N = 6
+#: that costs less than the structured solve's numpy calls, from N = 7 more
+#: (the crossover table in README, "Costs as N grows").
+DENSE_MAX_N = 6
 
 
 class SolverError(RuntimeError):
@@ -180,9 +196,9 @@ def _offdiag(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
-    """Right-hand side f(R) of the fixed-point form R = f(R)."""
-    u = _diag_of_product(p, r)
+def _rhs(p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Right-hand side f(R) of the fixed-point form R = f(R), with
+    ``u = diag(P R)``."""
     f = p @ r
     f += p
     f += u[::-1, :, None] * r
@@ -232,13 +248,15 @@ class LinearisedSystem:
     are formed, the buffer of G holds ``T`` while the coupling's blocks are
     written.  ``h_diag``
     is a view of ``H`` unless some column falls back.  A solve copies B once
-    and writes into the copy, never into B.
+    and writes into the copy, never into B.  ``u = diag(P R)`` is formed here
+    unless the caller, which has it from the defect at R, passes it.
     """
 
-    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray):
+    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray | None = None):
         n = p.shape[-1]
         self.lam, self.r = lam, r
-        u = _diag_of_product(p, r)
+        if u is None:
+            u = _diag_of_product(p, r)
         # C order, whatever the layout of P, so that _diagonal is a view.
         g = np.multiply(p, -lam, order="C")
         _diagonal(g)[...] = 1.0 - lam * u[::-1]
@@ -302,6 +320,142 @@ class LinearisedSystem:
         return self._block_solve(b)
 
 
+class _ChamberNewton:
+    """Newton's method on the (2, N, N) arrays, one ``LinearisedSystem`` per
+    step; ``u = diag(P R)`` is formed once per step, with the defect."""
+
+    def __init__(self, p: np.ndarray, lam: float):
+        self.p, self.lam = p, lam
+
+    def start(self) -> np.ndarray:
+        return np.zeros_like(self.p)
+
+    def defect(self, r: np.ndarray) -> np.ndarray:
+        """f(R) - R, keeping ``u`` at R for the step from R."""
+        self.u = _diag_of_product(self.p, r)
+        f = _rhs(self.p, self.lam, r, self.u)
+        f -= r
+        return f
+
+    def step(self, r: np.ndarray, defect: np.ndarray) -> np.ndarray:
+        return LinearisedSystem(self.p, self.lam, r, self.u).solve(defect)
+
+    def values(self, r: np.ndarray) -> np.ndarray:
+        return r
+
+    def derivatives(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        p, lam = self.p, self.lam
+        system = LinearisedSystem(p, lam, r)
+        d1 = system.solve(r / lam)
+        t1 = _diag_of_product(p, d1)
+        b2 = apply_m(p, lam, r, d1)
+        b2 *= 2.0
+        b2 /= lam
+        b2 += 2.0 * lam * t1[::-1, :, None] * d1
+        return d1, system.solve(b2)
+
+
+def _lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``matrix^{-1} b`` by one LU solve, for the dense ``I - M``."""
+    try:
+        return np.linalg.solve(matrix, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"I - M is singular: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_pattern(n: int) -> Tuple[np.ndarray, ...]:
+    """Where the flat system's entries come from in the raveled (2, N, N)
+    ``P``, for N windows: the arcs in flat order, then the row, column and
+    source of each entry of the same-chamber block A1 and of the return-term
+    block C (the ``system_matrices`` formulas).  Read-only, and kept for each
+    N up to ``DENSE_MAX_N``, the only sizes that build a flat system."""
+    flat = np.full((2, n, n), -1)
+    flat[:, ~np.eye(n, dtype=bool)] = np.arange(2 * n * (n - 1)).reshape(2, -1)
+    s, i, j, m = np.indices((2, n, n, n))
+    arc = i != j
+    # A1: the walk from i to m != j in chamber k, then on from m to j.
+    same = arc & (m != i) & (m != j)
+    # C: the return from i to m and back in the other chamber.
+    back = arc & (m != i)
+    pattern = (np.flatnonzero(flat >= 0),
+               flat[s, i, j][same], flat[s, m, j][same], ((s * n + i) * n + m)[same],
+               flat[s, i, j][back], flat[1 - s, m, i][back], (((1 - s) * n + i) * n + m)[back])
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
+
+
+class _FlatNewton:
+    """Newton's method on the dense flat system for small N, in ``IndexMap``
+    order: ``R = p' + A1' R + (C' R) * R`` with the primes scaled by lam.
+    The constant parts are assembled once, and each step adds the
+    R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and does one
+    LU solve.  ``C' R``, the return term of each row, is formed once per
+    step, with the defect."""
+
+    def __init__(self, p: np.ndarray, lam: float):
+        n = p.shape[-1]
+        self.lam, self.shape = lam, p.shape
+        self.arcs, a_rows, a_cols, a_src, c_rows, c_cols, c_src = _flat_pattern(n)
+        lam_p = lam * np.ravel(p)
+        dim = len(self.arcs)
+        self.lam_p = lam_p[self.arcs]
+        self.lam_a1 = np.zeros((dim, dim))
+        self.lam_a1[a_rows, a_cols] = lam_p[a_src]
+        self.lam_c = np.zeros((dim, dim))
+        self.lam_c[c_rows, c_cols] = lam_p[c_src]
+        self.i_minus_a1 = np.eye(dim) - self.lam_a1
+
+    def start(self) -> np.ndarray:
+        return np.zeros(len(self.arcs))
+
+    def defect(self, r: np.ndarray) -> np.ndarray:
+        """f(R) - R, keeping the return term ``C' R`` for the step from R."""
+        self.ret = self.lam_c @ r
+        f = self.lam_a1 @ r
+        f += self.lam_p
+        f += self.ret * r
+        f -= r
+        return f
+
+    def _jacobian(self, r: np.ndarray, ret: np.ndarray) -> np.ndarray:
+        """``I - M`` at R, whose return term is ``ret``."""
+        j = np.multiply(r[:, None], self.lam_c)
+        np.subtract(self.i_minus_a1, j, out=j)
+        j.reshape(-1)[::len(r) + 1] -= ret
+        return j
+
+    def step(self, r: np.ndarray, defect: np.ndarray) -> np.ndarray:
+        return _lu_solve(self._jacobian(r, self.ret), defect)
+
+    def values(self, r: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out.reshape(-1)[self.arcs] = r
+        return out
+
+    def derivatives(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        lam = self.lam
+        r = np.ravel(r)[self.arcs]
+        ret = self.lam_c @ r
+        jacobian = self._jacobian(r, ret)
+        d1 = _lu_solve(jacobian, r / lam)
+        t1 = self.lam_c @ d1
+        # b2 = 2 (M / lam) d1 + 2 t1 * d1, with M d1 = A1' d1 + ret * d1 + R * t1.
+        b2 = self.lam_a1 @ d1
+        b2 += ret * d1
+        b2 += r * t1
+        b2 *= 2.0
+        b2 /= lam
+        b2 += 2.0 * t1 * d1
+        d2 = _lu_solve(jacobian, b2)
+        return self.values(d1), self.values(d2)
+
+
+def _newton_system(p: np.ndarray, lam: float) -> _ChamberNewton | _FlatNewton:
+    return (_FlatNewton if p.shape[-1] <= DENSE_MAX_N else _ChamberNewton)(p, lam)
+
+
 def solve_r(
     kernel: TransitionKernel,
     lam: float,
@@ -315,7 +469,8 @@ def solve_r(
     ``STALL_STEP`` is no smaller than the one before it: the iterate then sits
     at the rounding floor of the solve, which can lie above a small ``tol``.
     ``iterations`` counts Newton steps and ``residual`` is the true defect
-    ``max |f(R) - R|`` at the returned R.
+    ``max |f(R) - R|`` at the returned R.  Up to ``DENSE_MAX_N`` windows the
+    steps are taken on the dense flat system, above it on the structured one.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
@@ -323,21 +478,19 @@ def solve_r(
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    p = kernel.P
-    r = np.zeros_like(p)
-    # At R = 0 the defect f(R) - R is f(R) itself.
-    defect = _rhs(p, lam, r)
+    system = _newton_system(kernel.P, lam)
+    r = system.start()
+    defect = system.defect(r)
     prev_step = np.inf
     for iterations in range(1, max_iter + 1):
-        delta = LinearisedSystem(p, lam, r).solve(defect)
+        delta = system.step(r, defect)
         step = float(np.abs(delta).max())
         if not math.isfinite(step):
             raise SolverError(f"Newton step {iterations} is not finite")
         r += delta
         # Only R and its defect stay live into the next factorisation.
         del delta
-        defect = _rhs(p, lam, r)
-        defect -= r
+        defect = system.defect(r)
         if step <= tol or (step <= STALL_STEP and step >= prev_step):
             break
         prev_step = step
@@ -347,7 +500,7 @@ def solve_r(
             residual=float(np.abs(defect).max()),
         )
     residual = float(np.abs(defect).max())
-    return RSolution(lam, r, residual, iterations)
+    return RSolution(lam, system.values(r), residual, iterations)
 
 
 def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
@@ -356,21 +509,13 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     Differentiating the fixed point once gives (I - M) d1 = R / lam, and a
     second time (I - M) d2 = 2 (M / lam) d1 + 2 lam (C d1) * d1 with the
     quadratic cross terms from the return products; in the matrix form
-    ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` is factored
-    once at the root and serves both solves.
+    ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` at the root
+    serves both solves: factored once on the structured path, and LU-solved
+    twice on the dense flat one, which takes up to ``DENSE_MAX_N`` windows.
     """
     if r.lam <= 0:
         raise ValueError("derivatives require lambda > 0")
-    p = kernel.P
-    lam = r.lam
-    system = LinearisedSystem(p, lam, r.values)
-    d1 = system.solve(r.values / lam)
-    t1 = _diag_of_product(p, d1)
-    b2 = apply_m(p, lam, r.values, d1)
-    b2 *= 2.0
-    b2 /= lam
-    b2 += 2.0 * lam * t1[::-1, :, None] * d1
-    return RDerivatives(d1, system.solve(b2))
+    return RDerivatives(*_newton_system(kernel.P, r.lam).derivatives(r.values))
 
 
 def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: float = 1e-12,
@@ -383,9 +528,14 @@ def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: fl
     is r times the last, this step and all later ones add up to
     step / (1 - r).  Iteration stops once that sum is within ``tol`` times
     the latest quotient, a bound on the relative error at small roots as
-    at large ones, not on the step alone."""
+    at large ones, not on the step alone.  A function has no size to start
+    from, so it needs ``start``."""
+    if start is None:
+        if callable(matrix):
+            raise ValueError("perron_root needs a start vector to iterate a function")
+        start = np.full(len(matrix), 1.0 / len(matrix))
     apply = matrix if callable(matrix) else matrix.__matmul__
-    v = np.full(len(matrix), 1.0 / len(matrix)) if start is None else start
+    v = start
     mu, last = 0.0, np.inf
     for _ in range(max_iter):
         w = apply(v)

@@ -222,3 +222,26 @@ def test_equal_words_from_different_routes_hash_equal():
         assert hash(word) == hash(parsed) == hash((1, parsed.letters))
     assert len({parsed, grown, composed, direct}) == 1
     assert {parsed: 1.0}[grown] == 1.0
+
+
+def test_metric_length_adds_weights_left_to_right():
+    # Weights with no exact binary sum: the length must be the bits of the
+    # left-to-right sum of the per-letter weights, from 0.
+    rng = np.random.default_rng(11)
+    n = 5
+    metric = custom_metric(n, {(i, j, k): float(rng.uniform(0.1, 3.0)) / 3.0
+                               for i in range(1, n + 1) for j in range(1, n + 1) for k in (1, -1)
+                               if i != j})
+    for _ in range(200):
+        w = random_word(rng, n, max_len=30)
+        want = 0
+        for arc in w.letters:
+            want += metric.weight(arc)
+        assert metric_length(w, metric).hex() == float(want).hex()
+
+
+def test_metric_length_refuses_a_letter_past_the_metric():
+    w = append(unit(1), Arc(1, 4, -1))
+    with pytest.raises(KeyError, match=r"\(1, 4, -1\)"):
+        metric_length(w, word_metric(3))
+    assert metric_length(w, word_metric(4)) == 1.0

@@ -350,11 +350,17 @@ def test_solve_leaves_b_unwritten_and_returns_a_zero_diagonal():
     assert np.array_equal(d, system.solve(b))
 
 
-def test_non_finite_newton_step_is_a_solver_error(monkeypatch):
-    monkeypatch.setattr(solver.LinearisedSystem, "solve",
-                        lambda self, b: np.full_like(b, np.nan))
+@pytest.mark.parametrize("path", ["structured", "dense"])
+def test_non_finite_newton_step_is_a_solver_error(monkeypatch, path):
+    if path == "structured":
+        monkeypatch.setattr(solver.LinearisedSystem, "solve",
+                            lambda self, b: np.full_like(b, np.nan))
+        kernel = symmetric_kernel(solver.DENSE_MAX_N + 1)
+    else:
+        monkeypatch.setattr(solver.np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        kernel = asymmetric_kernel()
     with pytest.raises(SolverError, match="not finite"):
-        solve_r(asymmetric_kernel(), 1.0)
+        solve_r(kernel, 1.0)
 
 
 def test_array_layout_does_not_change_the_solve():
@@ -369,3 +375,111 @@ def test_array_layout_does_not_change_the_solve():
     system = solver.LinearisedSystem(k.P, 1.0, r.values)
     b = np.random.default_rng(5).normal(size=(2, 3, 3)).transpose(0, 2, 1)
     assert np.array_equal(system.solve(b), system.solve(np.ascontiguousarray(b)))
+
+
+# Kernels for the parity of the two Newton paths, with the relative bound on
+# gamma and sigma^2 for each: the one-parameter family loses about eps/q.
+PATH_PARITY_CASES = (
+    [(asymmetric_kernel(), 1e-14)]
+    + [(one_parameter_kernel(q), 1e-11) for q in (1e-5, 1e-3, 0.3)]
+    + [(symmetric_kernel(n), 1e-14) for n in range(3, 7)]
+    + [(dirichlet_kernel(n, concentration, seed=n), 1e-12)
+       for n in range(3, 6) for concentration in (1.0, 0.1)]
+)
+
+
+def _both_paths(monkeypatch, run):
+    """``run()`` on the structured path, then on the dense flat one."""
+    out = []
+    for dense_max_n in (0, 100):
+        monkeypatch.setattr(solver, "DENSE_MAX_N", dense_max_n)
+        out.append(run())
+    return out
+
+
+@pytest.mark.parametrize("kernel, rel", PATH_PARITY_CASES, ids=[repr(k) for k, _ in PATH_PARITY_CASES])
+def test_dense_and_structured_newton_paths_agree(monkeypatch, kernel, rel):
+    def solve():
+        r = solve_r(kernel, 1.0)
+        d = solve_r_derivatives(kernel, r)
+        return r, d, [compute_limits(kernel, metric(kernel.n_windows))
+                      for metric in (word_metric, fenced_metric)]
+
+    (r_s, d_s, limits_s), (r_d, d_d, limits_d) = _both_paths(monkeypatch, solve)
+    # d1 and d2 solve with I - M at R, so a rounding-level change of R reaches
+    # them times beta = ||(I - M)^{-1}||_inf, about 2.1/sqrt(q) at small q: the
+    # largest entry of the solve on the all-ones array, as (I - M)^{-1} >= 0.
+    ones = np.ones_like(r_s.values)
+    beta = solver.LinearisedSystem(kernel.P, 1.0, r_s.values).solve(ones).max()
+    for structured, dense, scale in ((r_s.values, r_d.values, 1.0), (d_s.d1, d_d.d1, beta),
+                                     (d_s.d2, d_d.d2, beta)):
+        assert dense.shape == structured.shape
+        assert np.all(np.diagonal(dense, axis1=1, axis2=2) == 0.0)
+        assert np.max(np.abs(dense - structured)) <= 1e-13 * scale * np.max(np.abs(structured))
+    assert r_d.residual <= 1e-13
+    for structured, dense in zip(limits_s, limits_d):
+        assert dense.gamma == pytest.approx(structured.gamma, rel=rel, abs=0)
+        assert dense.sigma2 == pytest.approx(structured.sigma2, rel=rel, abs=0)
+
+
+def test_dense_path_runs_up_to_dense_max_n(monkeypatch):
+    # The crossover table in README puts the switch between N = 6 and N = 7.
+    assert solver.DENSE_MAX_N == 6
+    built = []
+
+    class Counted(solver.LinearisedSystem):
+        def __init__(self, *args, **kwargs):
+            built.append(args[0].shape[-1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "LinearisedSystem", Counted)
+    for n in (5, 6, 7):
+        k = symmetric_kernel(n)
+        solve_r_derivatives(k, solve_r(k, 1.0))
+    assert set(built) == {7}
+
+
+@pytest.mark.parametrize("dense_max_n", [0, 100], ids=["structured", "dense"])
+def test_step_cap_and_rounding_floor_on_both_paths(monkeypatch, dense_max_n):
+    monkeypatch.setattr(solver, "DENSE_MAX_N", dense_max_n)
+    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        solve_r(asymmetric_kernel(), 1.0, max_iter=2)
+    k = one_parameter_kernel(1e-5)
+    for tol in (1e-13, 1e-15, 1e-18):
+        r = solve_r(k, 1.0, tol=tol)
+        assert r.iterations < 30
+        if tol < 1e-13:
+            assert r.residual <= 1e-15
+
+
+def test_singular_dense_system_is_a_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    k = asymmetric_kernel()
+    r = solve_r(k, 1.0)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for call in (lambda: solve_r(k, 1.0), lambda: solve_r_derivatives(k, r)):
+        with pytest.raises(SolverError, match="I - M is singular"):
+            call()
+
+
+def test_structured_newton_step_forms_u_once(monkeypatch):
+    # Each step's defect forms u = diag(P R), and the step's factorisation
+    # reuses it: one product for the defect and one for the solve's a_k.
+    calls = []
+    product = solver._diag_of_product
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(solver, "_diag_of_product", counted)
+    r = solve_r(symmetric_kernel(solver.DENSE_MAX_N + 2), 1.0)
+    assert len(calls) == 1 + 2 * r.iterations
+
+
+def test_perron_root_of_a_function_needs_a_start():
+    with pytest.raises(ValueError, match="needs a start vector"):
+        perron_root(lambda v: 0.5 * v)
+    assert perron_root(lambda v: 0.5 * v, start=np.ones(3)) == pytest.approx(0.5)
