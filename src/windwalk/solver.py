@@ -17,11 +17,11 @@ root of this monotone polynomial system (Etessami & Yannakakis, JACM 2009),
 which is the probabilistically correct one.
 
 Above ``DENSE_MAX_N`` windows every linear solve ``(I - M) D = B``, with M
-the Jacobian of the right-hand side, is done in structured form.  Column j of sign k solves the
-(N-1)-square system whose matrix is ``G_k = I - lam diag(u_{-k}) - lam P_k``
-with row and column j deleted; the 2N column blocks are coupled only
-through the 2N scalars ``t_k = diag(P_k D_k)``, which solve a 2N x 2N
-system.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
+the Jacobian of the right-hand side, is done in structured form.  Column j
+of sign k solves the (N-1)-square system whose matrix is
+``G_k = I - lam diag(u_{-k}) - lam P_k`` with row and column j deleted;
+the 2N column blocks are coupled only through the 2N scalars
+``t_k = diag(P_k D_k)``, which solve a 2N x 2N system.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
 so one factorisation costs O(N^3) time and O(N^2) memory, against O(N^6)
 and O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).  Near a
 singular ``G_k`` the columns fall back to inverting their own blocks, at
