@@ -189,7 +189,7 @@ def cmd_limits(args) -> int:
     payload = constants.to_json()
     payload["kernel"] = kernel.name
     if abs(constants.rho_partials["d_z"]) < 1e-12:
-        payload["warning"] = "metric is degenerate: the determinant does not depend on z"
+        payload["warning"] = "metric is degenerate: the Perron root does not depend on z"
     if args.oracle:
         payload["closed_form"] = None
         if kernel.family is not None:

@@ -12,34 +12,29 @@ O(N^3) inverse and a fixed number of numpy calls.
 
 ``det_h`` is the independent reference for the same curve rho = 1: it forms
 ``B(+1) B(-1)`` with 15 float matrix products, and ``det_jet`` takes the
-determinant of that array, read in place, in closed form: the m null
-directions of the constant term are bordered, the kept block is inverted
-once and the m x m Schur complement, m <= 2, is expanded directly (m >= 3
-gives the zero jet).  Write h = det[I - B(+1) B(-1)] = (1 - rho) c with
-c(1, 1) != 0: every partial of c cancels in the implicit derivatives of the
-curve, so ``limit_constants`` gives the same gamma and sigma^2 from either
-jet.
+determinant of that array, read in place, in closed form: the one null
+direction of the constant term is bordered, the kept block is inverted once
+and the scalar Schur complement closes the expansion; a constant term with
+two or more null directions is refused.  Write h = det[I - B(+1) B(-1)] =
+(1 - rho) c with c(1, 1) != 0: every partial of c cancels in the implicit
+derivatives of the curve, so ``limit_constants`` gives the same gamma and
+sigma^2 from either jet.  ``spectral_radius_k`` reads the Perron root off
+the eigenvalues of the float product at any (lam, z) in (0, 1]^2.  Neither
+is on ``compute_limits``' route; they are its cross-checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
 from .chain import TransitionKernel
 from .groupoid import Metric
 from .jets import Jet2, jet_mul
-from .solver import (
-    RDerivatives,
-    RSolution,
-    SolverError,
-    perron_root,
-    solve_r,
-    solve_r_derivatives,
-)
+from .solver import RDerivatives, RSolution, solve_r, solve_r_derivatives
 
 PIVOT_EPS = 1e-14
 SIMPLE_ZERO_TOL = 1e-10
@@ -150,61 +145,38 @@ def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
     return Jet2(*rho.tolist())
 
 
-def _border(basis: np.ndarray) -> List[int]:
-    """Rows of an (n, m) orthonormal null basis, m <= 2, whose m x m block is
-    furthest from singular: the largest entry, then the largest entry of the
-    other column after one complete-pivot elimination step."""
-    row, col = np.unravel_index(np.argmax(np.abs(basis)), basis.shape)
-    if basis.shape[1] == 1:
-        return [int(row)]
-    other = basis[:, 1 - col] - basis[:, col] * (basis[row, 1 - col] / basis[row, col])
-    other[row] = 0.0
-    return [int(row), int(np.argmax(np.abs(other)))]
-
-
-def _to_end(n: int, picked: List[int]):
-    """The index order that moves ``picked`` (one or two indices) to the
-    end, in order, and the sign of that permutation."""
-    order = np.array([i for i in range(n) if i not in picked] + picked)
-    inversions = sum(n - 1 - i for i in picked) - (len(picked) == 2 and picked[1] > picked[0])
-    return order, -1.0 if inversions % 2 else 1.0
-
-
 def det_jet(matrix: np.ndarray) -> Jet2:
     """Determinant over the jet ring in closed form of a (6, n, n)
     coefficient array, which is read as it is, not copied.
 
-    The constant term A0 is split by its SVD.  Its m singular values at or
-    below ``PIVOT_EPS * sigma_1`` count as zero, with m >= 1 so that the
-    smallest direction is always bordered.  For m >= 3 the determinant is the
-    zero jet: every Leibniz term is then a product of at least three jets
-    without constant term, which truncates to zero at order 2.  Otherwise m
-    rows and m columns, picked from the left and right null vectors, move to
-    the border of [[K, B], [C, D]], and
+    The constant term A0 is split by its SVD.  The row and column at the
+    largest entries of its left and right null vectors move to the border of
+    [[K, b], [c, d]], and
 
-        det = sign * det K * det(D - C K^-1 B),
+        det = (-1)^(row + col) * det K * (d - c K^-1 b),
 
     with det K = det K0 * (1 + tr X + ((tr X1)^2 - tr X1^2) / 2) for
-    X = K0^-1 (K - K0) and X1 its first-order part, and K^-1 B solved order
-    by order against K0^-1.  The Schur complement is m x m, so its
-    determinant is the entry itself or the 2 x 2 formula; only K0, never the
-    possibly singular A0, is inverted, so the simple zero of h at (1, 1) is
-    harmless.  The cost is O(n^3) with a fixed number of numpy calls.
+    X = K0^-1 (K - K0) and X1 its first-order part, and K^-1 b solved order
+    by order against K0^-1.  Only K0, never the possibly singular A0, is
+    inverted, so the simple zero of h at (1, 1) is harmless, and
+    sigma_{n-1} / sigma_1 of A0 measures how well K0 is conditioned.  The
+    cost is O(n^3) with a fixed number of numpy calls.
 
-    How far K0 is from singular is set by sigma_{n-m} / sigma_1 of A0: that
-    ratio takes the place of the smallest elimination pivot as the measure of
-    how well this determinant is conditioned.
+    A second singular value at or below ``PIVOT_EPS * sigma_1`` means the
+    zero is not simple: the determinant's value and slopes all vanish, and
+    DegenerateSystemError is raised, as ``perron_jet`` raises it.
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[-1]
     u, s, vh = np.linalg.svd(a[0])
-    m = max(1, int(np.count_nonzero(s <= PIVOT_EPS * s[0])))
-    if m >= 3:
-        return Jet2()
-    k = n - m
-    rows, row_sign = _to_end(n, _border(u[:, k:]))
-    cols, col_sign = _to_end(n, _border(vh[k:].T))
+    if np.count_nonzero(s <= PIVOT_EPS * s[0]) >= 2:
+        raise DegenerateSystemError(
+            "constant term has two or more null directions: the zero is not simple")
+    row, col = int(np.argmax(np.abs(u[:, -1]))), int(np.argmax(np.abs(vh[-1])))
+    rows = np.append(np.delete(np.arange(n), row), row)
+    cols = np.append(np.delete(np.arange(n), col), col)
     p = a[:, rows[:, None], cols]
+    k = n - 1
     kk, b, c, d = p[:, :k, :k], p[:, :k, k:], p[:, k:, :k], p[:, k:, k:]
     inv = np.linalg.inv(kk[0])
     # det(I + X) to order 2; tr(K0^-1 K_c) and tr(X_a X_b) are elementwise sums.
@@ -219,17 +191,14 @@ def det_jet(matrix: np.ndarray) -> Jet2:
         t[3] + t[0] * t[1] - q[0, 1],
         t[4] + 0.5 * (t[1] * t[1] - q[1, 1]),
     ])
-    # Y = K^-1 B order by order: K0 y_c = b_c - (sum of K_a y_b over a + b = c, b < c).
+    # Y = K^-1 b order by order: K0 y_c = b_c - (sum of K_a y_b over a + b = c, b < c).
     y0 = inv @ b[0]
     y1 = inv @ (b[1:3] - kk[1:3] @ y0)
     ky = kk[1:3, None] @ y1
     y2 = inv @ (b[3:] - kk[3:] @ y0 - np.stack([ky[0, 0], ky[0, 1] + ky[1, 0], ky[1, 1]]))
     schur = d - jet_mul(c, np.concatenate([y0[None], y1, y2]), np.matmul)
-    if m == 1:
-        det_s = schur[:, 0, 0]
-    else:
-        det_s = jet_mul(schur[:, 0, 0], schur[:, 1, 1]) - jet_mul(schur[:, 0, 1], schur[:, 1, 0])
-    det = row_sign * col_sign * np.linalg.det(kk[0]) * jet_mul(det_k, det_s)
+    sign = -1.0 if (row + col) % 2 else 1.0
+    det = sign * np.linalg.det(kk[0]) * jet_mul(det_k, schur[:, 0, 0])
     return Jet2(*det.tolist())
 
 
@@ -315,17 +284,12 @@ def spectral_radius_k(
     z: float,
     tol: float = 1e-13,
 ) -> float:
-    """Perron root of the period-2 block matrix K = [[0, B(+1)], [B(-1), 0]]
+    """Spectral radius of the period-2 block matrix K = [[0, B(+1)], [B(-1), 0]]
     at (lam, z).  K^2 = diag(B(+1) B(-1), B(-1) B(+1)), so rho(K) is the
-    square root of the Perron root of B(+1) B(-1), found by power iteration."""
+    square root of the spectral radius of B(+1) B(-1), read off its
+    eigenvalues: the product is non-negative, so by Perron-Frobenius its
+    largest eigenvalue in modulus is its Perron root."""
     if not (0.0 < lam <= 1.0 and 0.0 < z <= 1.0):
         raise ValueError("spectral radius is evaluated for lam, z in (0, 1]")
     b_plus, b_minus = b_matrix_values(solve_r(kernel, lam, tol=tol), metric.W, z)
-    product = b_plus @ b_minus
-    if not product.any():
-        return 0.0
-    try:
-        rho_sq = perron_root(product)
-    except SolverError as exc:
-        raise DegenerateSystemError(str(exc)) from exc
-    return float(np.sqrt(max(rho_sq, 0.0)))
+    return math.sqrt(float(np.abs(np.linalg.eigvals(b_plus @ b_minus)).max()))

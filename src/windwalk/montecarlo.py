@@ -80,6 +80,8 @@ def verify_lln(
     corresponding path of ``run_length_paths``, bit for bit.
     """
     _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
+    if sigma2_ref is not None and sigma2_ref < 0:
+        raise ValueError("sigma2_ref must be non-negative")
     if n_steps < 10**3 or n_paths < 50:
         raise ValueError("requires n_steps >= 1000 and n_paths >= 50")
     seed2 = int(np.random.SeedSequence(seed).generate_state(2)[1])

@@ -63,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -84,6 +84,10 @@ FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
 #: that costs less than the structured solve's numpy calls, from N = 7 more
 #: (the crossover table in README, "Costs as N grows").
 DENSE_MAX_N = 6
+#: ``transience_root``'s power iteration stops at this bound on its relative
+#: error and raises after ``POWER_MAX_ITER`` steps.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100000
 
 
 class SolverError(RuntimeError):
@@ -518,40 +522,6 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     return RDerivatives(*_newton_system(kernel.P, r.lam).derivatives(r.values))
 
 
-def perron_root(matrix: np.ndarray | Callable[[np.ndarray], np.ndarray], tol: float = 1e-12,
-                max_iter: int = 100000, start: np.ndarray | None = None) -> float:
-    """Dominant eigenvalue of a non-negative linear map by power iteration:
-    a square matrix from the uniform vector, or a function applying the map
-    to arrays shaped like ``start``.
-
-    The Rayleigh quotients approach the root geometrically: when each step
-    is r times the last, this step and all later ones add up to
-    step / (1 - r).  Iteration stops once that sum is within ``tol`` times
-    the latest quotient, a bound on the relative error at small roots as
-    at large ones, not on the step alone.  A function has no size to start
-    from, so it needs ``start``."""
-    if start is None:
-        if callable(matrix):
-            raise ValueError("perron_root needs a start vector to iterate a function")
-        start = np.full(len(matrix), 1.0 / len(matrix))
-    apply = matrix if callable(matrix) else matrix.__matmul__
-    v = start
-    mu, last = 0.0, np.inf
-    for _ in range(max_iter):
-        w = apply(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        w /= norm
-        mu_next = float(np.vdot(w, apply(w))) / float(np.vdot(w, w))
-        step = abs(mu_next - mu)
-        # A step that does not shrink (r >= 1) bounds nothing.
-        if step <= tol * abs(mu_next) * max(0.0, 1.0 - step / last):
-            return mu_next
-        mu, v, last = mu_next, w, step
-    raise SolverError(f"power iteration did not converge in {max_iter} iterations")
-
-
 def primitivity_pattern_ok(matrix: np.ndarray) -> bool:
     """True when the 0/1 pattern of the matrix cubed is all ones."""
     pattern = (matrix > 0).astype(np.int64)
@@ -564,10 +534,27 @@ def transience_root(kernel: TransitionKernel) -> float:
 
     This is the recurrence-hypothesis matrix: its root strictly above 1
     certifies that the chain escapes to infinity.
+
+    The Rayleigh quotients approach the root geometrically: when each step
+    is r times the last, this step and all later ones add up to
+    step / (1 - r).  Iteration stops once that sum is within ``POWER_TOL``
+    times the latest quotient, a bound on the relative error, not on the
+    step alone; ``POWER_MAX_ITER`` steps without it raise SolverError.
     """
     p = kernel.P
     ones = _offdiag(np.ones_like(p))
-    return perron_root(lambda d: apply_m(p, 1.0, ones, d), start=ones / ones.sum())
+    v = ones / ones.sum()
+    mu, last = 0.0, np.inf
+    for _ in range(POWER_MAX_ITER):
+        w = apply_m(p, 1.0, ones, v)
+        w /= float(np.linalg.norm(w))
+        mu_next = float(np.vdot(w, apply_m(p, 1.0, ones, w))) / float(np.vdot(w, w))
+        step = abs(mu_next - mu)
+        # A step that does not shrink (r >= 1) bounds nothing.
+        if step <= POWER_TOL * abs(mu_next) * max(0.0, 1.0 - step / last):
+            return mu_next
+        mu, v, last = mu_next, w, step
+    raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations")
 
 
 def solution_to_json(r: RSolution, derivs: RDerivatives | None = None) -> dict:

@@ -9,7 +9,9 @@ import pytest
 
 from windwalk.chain import asymmetric_kernel, kernel_to_json, symmetric_kernel
 from windwalk.cli import build_parser, main
+from windwalk.groupoid import fenced_metric
 from windwalk.jets import Jet2
+from windwalk.limits import compute_limits
 from windwalk.solver import IndexMap, solve_r, solve_r_derivatives
 
 
@@ -424,6 +426,31 @@ def test_non_finite_mc_reference_is_invalid_input(capsys, command, flag, value, 
     assert named in err
 
 
+def test_negative_mc_lln_variance_is_invalid_input(capsys):
+    # It once ran the batch and exited 2 on NaN bands, which are not JSON.
+    code, out, err = run(capsys, "mc-lln", "--kernel", "symmetric:3", "--n-steps", "1000",
+                         "--n-paths", "50", "--gamma", "0.3", "--sigma2", "-1")
+    assert code == 2
+    assert out == ""
+    assert "sigma2_ref must be non-negative" in err
+
+
+def test_limits_takes_no_cross_check_route(capsys, monkeypatch):
+    # det_h, det_jet, spectral_radius_k and transience_root only check
+    # compute_limits' numbers; neither it nor `limits --oracle` calls them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cross-check route was called")
+
+    for target in ("limits.det_h", "limits.det_jet", "limits.spectral_radius_k",
+                   "solver.transience_root", "det_h", "spectral_radius_k", "transience_root"):
+        monkeypatch.setattr(f"windwalk.{target}", refuse)
+    assert compute_limits(asymmetric_kernel(), fenced_metric(3)).gamma > 0
+    code, out, _ = run(capsys, "limits", "--kernel", "one_parameter:0.1", "--metric", "fenced",
+                       "--oracle")
+    assert code == 0
+    assert json.loads(out)["closed_form_delta"]["gamma"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_import_does_not_load_scipy_stats():
     # scipy.stats is imported by verify_clt alone, so plain imports and CLI
     # commands such as `limits` do not pay for it.
@@ -726,7 +753,7 @@ def test_limits_prints_a_negative_variance(capsys, monkeypatch):
 
 @pytest.mark.parametrize("metric, degenerate", [({"custom": []}, True), ("word", False)])
 def test_degenerate_metric_carries_a_warning(capsys, tmp_path, metric, degenerate):
-    # With every weight 0 the determinant does not depend on z.
+    # With every weight 0 the Perron root does not depend on z.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": metric}))
     code, out, _ = run(capsys, "limits", "--config", str(cfg))
@@ -734,5 +761,5 @@ def test_degenerate_metric_carries_a_warning(capsys, tmp_path, metric, degenerat
     payload = json.loads(out)
     assert ("warning" in payload) == degenerate
     if degenerate:
-        assert payload["warning"] == "metric is degenerate: the determinant does not depend on z"
+        assert payload["warning"] == "metric is degenerate: the Perron root does not depend on z"
         assert payload["gamma"] == 0.0

@@ -3,7 +3,7 @@ recurrence, spectral radius of the transfer block matrix."""
 
 import json
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -47,8 +47,10 @@ def test_det_jet_against_numpy_on_constant_matrix():
 
 
 def test_det_jet_zero_matrix():
+    # Every direction of the zero constant term is null: no simple zero.
     zero = [[Jet2() for _ in range(3)] for _ in range(3)]
-    assert det_jet(_jet_array(zero)).value == 0.0
+    with pytest.raises(DegenerateSystemError, match="two or more null directions"):
+        det_jet(_jet_array(zero))
 
 
 def test_det_jet_tracks_derivatives():
@@ -173,21 +175,6 @@ def _random_jet(rng, constant):
     return Jet2(constant, *rng.normal(size=5))
 
 
-@pytest.mark.parametrize("zero_columns", [2, 3])
-def test_det_jet_degenerate_columns_match_leibniz(zero_columns):
-    # With the constant terms of the first columns zero, complete pivoting
-    # ends on a block whose constant terms all vanish: the exact 2 x 2 formula
-    # for two such columns, the zero jet for three.
-    rng = np.random.default_rng(7 + zero_columns)
-    m = [[_random_jet(rng, 0.0 if col < zero_columns else rng.normal()) for col in range(4)]
-         for _ in range(4)]
-    got, want = det_jet(_jet_array(m)), _leibniz(m)
-    for name in FIELDS:
-        assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
-    if zero_columns == 2:
-        assert abs(want.c20) + abs(want.c11) + abs(want.c02) > 1e-3
-
-
 def test_det_jet_matches_leibniz_in_list_and_array_form():
     rng = np.random.default_rng(11)
     m = [[_random_jet(rng, rng.normal()) for _ in range(5)] for _ in range(5)]
@@ -208,31 +195,45 @@ def _assert_matches_leibniz(a, tol=1e-12):
         assert abs(g - w) <= tol * max(1.0, abs(w)), (name, g, w)
 
 
-@pytest.mark.parametrize("n, rank", [(5, 4), (6, 5), (5, 3), (6, 4), (4, 1)])
-def test_det_jet_low_rank_constant_term_matches_leibniz(n, rank):
-    # A constant term of rank n - 1 or n - 2 in a generic basis takes the
-    # bordered path with a 1 x 1 or 2 x 2 Schur complement; rank n - 3 gives
-    # the zero jet.
+def _low_rank(n, rank):
+    """(6, n, n) arrays with random coefficients and a constant term of
+    ``rank`` in a generic basis, from a seed fixed by (n, rank)."""
     rng = np.random.default_rng(100 * n + rank)
     for _ in range(20):
         a = rng.normal(size=(6, n, n))
         a[0] = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n))
+        yield a
+
+
+@pytest.mark.parametrize("n, rank", [(5, 4), (6, 5)])
+def test_det_jet_low_rank_constant_term_matches_leibniz(n, rank):
+    # A constant term of rank n - 1 takes the bordered path with a scalar
+    # Schur complement.
+    for a in _low_rank(n, rank):
         _assert_matches_leibniz(a)
 
 
-BORDERS = [(rows, cols) for size in (1, 2)
-           for rows in combinations(range(4), size) for cols in combinations(range(4), size)]
+@pytest.mark.parametrize("n, rank", [(5, 3), (6, 4), (4, 1)])
+def test_det_jet_refuses_a_constant_term_of_rank_below_n_minus_1(n, rank):
+    # Rank n - 2 or n - 3: the zero is not simple, and the determinant's
+    # slopes vanish with its value.
+    for a in _low_rank(n, rank):
+        with pytest.raises(DegenerateSystemError, match="two or more null directions"):
+            det_jet(a)
+
+
+BORDERS = [(row, col) for row in range(4) for col in range(4)]
 
 
 @pytest.mark.parametrize("case", range(len(BORDERS)))
 def test_det_jet_borders_every_row_and_column(case):
-    # Zero rows and columns in the constant term fix its null vectors, so
-    # exactly these rows and columns move to the border, with the sign of
-    # that move: every single index, and every pair for the 2 x 2 complement.
-    rows, cols = BORDERS[case]
+    # A zero row and column in the constant term fix its null vectors, so
+    # exactly this row and column move to the border, with the sign of that
+    # move.
+    row, col = BORDERS[case]
     a = np.random.default_rng(case).normal(size=(6, 4, 4))
-    a[0, list(rows)] = 0.0
-    a[0, :, list(cols)] = 0.0
+    a[0, row] = 0.0
+    a[0, :, col] = 0.0
     _assert_matches_leibniz(a)
 
 
@@ -358,6 +359,24 @@ _CLASSES = np.kron(np.eye(2), _HALVES)
 def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason):
     with pytest.raises(DegenerateSystemError, match=f"{reason}.*the root is not simple"):
         perron_jet(*_jet_pair(b0_plus, b0_minus))
+
+
+@pytest.mark.parametrize("b0_plus, b0_minus, det_h_refuses", [
+    (_CLASSES, _CLASSES, True),
+    ((1 - 1e-15) * _CLASSES + 1e-15 * np.kron(1 - np.eye(2), _HALVES), np.eye(4), True),
+    # I - K0 = [[0, -1], [0, 0]] has one null direction, so det_h returns a
+    # jet (with a vanishing lambda-slope), while perron_jet sees u^T v = 0.
+    ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), False),
+], ids=["two-classes", "leak-1e-15", "jordan"])
+def test_det_h_refuses_where_perron_jet_does(b0_plus, b0_minus, det_h_refuses):
+    b_plus, b_minus = _jet_pair(b0_plus, b0_minus)
+    with pytest.raises(DegenerateSystemError, match="the root is not simple"):
+        perron_jet(b_plus, b_minus)
+    if det_h_refuses:
+        with pytest.raises(DegenerateSystemError, match="the zero is not simple"):
+            det_h(b_plus, b_minus)
+    else:
+        assert det_h(b_plus, b_minus).value == 0.0
 
 
 def _both_routes(kernel, metric):

@@ -26,6 +26,25 @@ def test_lln_deterministic():
     assert a.to_json() == b.to_json()
 
 
+def test_lln_negative_sigma2_ref_raises_before_stepping(monkeypatch):
+    # A negative variance once gave NaN bands, a failed verdict and a
+    # RuntimeWarning from the square root, after the whole batch had run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("paths were stepped")
+
+    monkeypatch.setattr("windwalk.montecarlo._run_length_groups", refuse)
+    with pytest.raises(ValueError, match="sigma2_ref must be non-negative"):
+        verify_lln(symmetric_kernel(3), word_metric(3), 0.25, n_steps=1000, n_paths=50,
+                   seed=0, sigma2_ref=-1.0)
+
+
+def test_lln_zero_sigma2_ref_is_valid():
+    # A degenerate metric has variance 0: the band is then the sampling SE.
+    rep = verify_lln(symmetric_kernel(3), word_metric(3), 0.25, n_steps=1000, n_paths=50,
+                     seed=0, sigma2_ref=0.0)
+    assert np.isfinite(rep.details["band_unit"]) and rep.details["band_unit"] > 0
+
+
 def _second_seed(seed):
     # The master seed of verify_lln's run from the non-unit word.
     return int(np.random.SeedSequence(seed).generate_state(2)[1])
