@@ -365,7 +365,7 @@ def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason)
     (_CLASSES, _CLASSES, True),
     ((1 - 1e-15) * _CLASSES + 1e-15 * np.kron(1 - np.eye(2), _HALVES), np.eye(4), True),
     # I - K0 = [[0, -1], [0, 0]] has one null direction, so det_h returns a
-    # jet (with a vanishing lambda-slope), while perron_jet sees u^T v = 0.
+    # jet, while perron_jet sees u^T v = 0.  That difference stays.
     ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), False),
 ], ids=["two-classes", "leak-1e-15", "jordan"])
 def test_det_h_refuses_where_perron_jet_does(b0_plus, b0_minus, det_h_refuses):

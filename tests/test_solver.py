@@ -470,4 +470,3 @@ def test_structured_newton_step_forms_u_once(monkeypatch):
     monkeypatch.setattr(solver, "_diag_of_product", counted)
     r = solve_r(symmetric_kernel(solver.DENSE_MAX_N + 2), 1.0)
     assert len(calls) == 1 + 2 * r.iterations
-
