@@ -3,7 +3,7 @@ recurrence, spectral radius of the transfer block matrix."""
 
 import json
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -222,7 +222,18 @@ def test_det_jet_refuses_a_constant_term_of_rank_below_n_minus_1(n, rank):
             det_jet(a)
 
 
-BORDERS = [(row, col) for row in range(4) for col in range(4)]
+@pytest.mark.parametrize("zero_columns", [2, 3])
+def test_det_jet_refuses_degenerate_columns(zero_columns):
+    # With the constant terms of the first two or three columns zero, the
+    # constant term has that many null directions: no simple zero.
+    rng = np.random.default_rng(7 + zero_columns)
+    a = rng.normal(size=(6, 4, 4))
+    a[0, :, :zero_columns] = 0.0
+    with pytest.raises(DegenerateSystemError, match="two or more null directions"):
+        det_jet(a)
+
+
+BORDERS =[(row, col) for row in range(4) for col in range(4)]
 
 
 @pytest.mark.parametrize("case", range(len(BORDERS)))
@@ -235,6 +246,24 @@ def test_det_jet_borders_every_row_and_column(case):
     a[0, row] = 0.0
     a[0, :, col] = 0.0
     _assert_matches_leibniz(a)
+
+
+BORDER_PAIRS = [(rows, cols) for rows in combinations(range(4), 2)
+                for cols in combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize("case", range(len(BORDER_PAIRS)))
+def test_det_jet_refuses_every_pair_of_zero_rows_and_columns(case):
+    # Two zero rows and columns leave two null directions wherever they sit:
+    # the determinant's value and slopes all vanish, and det_jet refuses.
+    rows, cols = BORDER_PAIRS[case]
+    a = np.random.default_rng(len(BORDERS) + case).normal(size=(6, 4, 4))
+    a[0, list(rows)] = 0.0
+    a[0, :, list(cols)] = 0.0
+    want = _leibniz([[Jet2(*a[:, i, j]) for j in range(4)] for i in range(4)])
+    assert max(abs(want.c00), abs(want.c10), abs(want.c01)) <= 1e-12
+    with pytest.raises(DegenerateSystemError, match="two or more null directions"):
+        det_jet(a)
 
 
 @pytest.mark.parametrize("scale", [1e-16, 1e-8, 1e8, 1e16])
