@@ -41,7 +41,7 @@ from .oracle import (
     dp_return_series,
     dp_truncated_G,
 )
-from .solver import SolverError, solve_r, solve_r_derivatives, solution_to_json
+from .solver import DEFAULT_TOL, SolverError, solve_r, solve_r_derivatives, solution_to_json
 
 EXIT_OK = 0
 EXIT_STATISTICAL = 1
@@ -333,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("solve-r", cmd_solve_r, "solve the hitting generating functions at one lambda")
     p.add_argument("--lam", type=float, default=1.0, help="evaluation point in [0, 1] (default 1)")
-    p.add_argument("--tol", type=float, default=1e-13,
-                   help="Newton step tolerance (default 1e-13)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="Newton step tolerance (default %(default)g)")
     p.add_argument("--derivatives", action="store_true",
                    help="also emit first/second lambda-derivatives")
 
     p = command("limits", cmd_limits, "compute the drift gamma and variance sigma^2",
                 metric=True)
-    p.add_argument("--tol", type=float, default=1e-13)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--oracle", action="store_true",
                    help="compare against the closed form of a named family")
 

@@ -34,7 +34,7 @@ import numpy as np
 from .chain import TransitionKernel
 from .groupoid import Metric
 from .jets import Jet2, jet_mul
-from .solver import RDerivatives, RSolution, solve_r, solve_r_derivatives
+from .solver import DEFAULT_TOL, RDerivatives, RSolution, solve_r, solve_r_derivatives
 
 PIVOT_EPS = 1e-14
 SIMPLE_ZERO_TOL = 1e-10
@@ -235,7 +235,7 @@ def limit_constants(jet: Jet2, metric_name: str = "custom") -> LimitConstants:
 def compute_limits(
     kernel: TransitionKernel,
     metric: Metric,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
     check_sigma: bool = True,
 ) -> LimitConstants:
     """Full pipeline: solve R at lambda=1, differentiate implicitly, build the
@@ -282,7 +282,7 @@ def spectral_radius_k(
     metric: Metric,
     lam: float,
     z: float,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Spectral radius of the period-2 block matrix K = [[0, B(+1)], [B(-1), 0]]
     at (lam, z).  K^2 = diag(B(+1) B(-1), B(-1) B(+1)), so rho(K) is the

@@ -21,6 +21,8 @@ import numpy as np
 
 from .chain import TransitionKernel
 from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
+from .limits import b_matrix_values
+from .solver import DEFAULT_TOL, solve_r
 
 DEFAULT_STATE_CAP = 5 * 10**6
 
@@ -37,7 +39,6 @@ class TruncatedSeries:
     """Per-step probability mass c_0..c_M; partial sums never exceed 1."""
 
     coeffs: np.ndarray
-    truncation: int
 
     def eval(self, lam: float) -> float:
         powers = lam ** np.arange(len(self.coeffs))
@@ -73,7 +74,6 @@ def _word_laws(
     kernel: TransitionKernel,
     source: int,
     max_steps: int,
-    state_cap: int,
     keep: Optional[Callable[[int, Word], bool]] = None,
 ) -> Iterator[Dict[Word, float]]:
     """The exact law of the reduced word of the chain started at e_source,
@@ -81,8 +81,8 @@ def _word_laws(
 
     A word that ``keep(m, word)`` refuses is dropped from the law at step m.
     The caller may remove words from a yielded law; the next step grows from
-    what is left, and the state cap counts what is left.  The walk stops early
-    once the law is empty.  Arcs are read only through ``kernel.arcs_from``
+    what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
+    stops early once the law is empty.  Arcs are read only through ``kernel.arcs_from``
     and ``groupoid.append``, never through the chain's rewrite tables, so the
     enumeration stays independent of the convolution DP and the sampler.
     """
@@ -96,8 +96,8 @@ def _word_laws(
                 if keep is None or keep(m, new):
                     nxt[new] = nxt.get(new, 0.0) + prob * p
         yield nxt
-        if len(nxt) > state_cap:
-            raise StateSpaceExceeded(len(nxt), state_cap)
+        if len(nxt) > DEFAULT_STATE_CAP:
+            raise StateSpaceExceeded(len(nxt), DEFAULT_STATE_CAP)
         if not nxt:
             return
         law = nxt
@@ -108,7 +108,6 @@ def dp_hitting_series(
     target: Arc,
     max_steps: int,
     method: str = "convolution",
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> TruncatedSeries:
     """Distribution of the first hitting time of the one-letter word ``target``
     from the unit at its source window, truncated at ``max_steps``."""
@@ -118,17 +117,17 @@ def dp_hitting_series(
     if method == "convolution":
         t = hitting_step_probabilities(kernel, max_steps)
         coeffs = t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
-        return TruncatedSeries(coeffs, max_steps)
+        return TruncatedSeries(coeffs)
     if method != "words":
         raise ValueError(f"unknown method {method!r}")
     coeffs = np.zeros(max_steps + 1)
     target_word = Word(target.i, (target,))
     # Keep only words that can still reach the target in time.
-    laws = _word_laws(kernel, target.i, max_steps, state_cap,
+    laws = _word_laws(kernel, target.i, max_steps,
                       lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
-    return TruncatedSeries(coeffs, max_steps)
+    return TruncatedSeries(coeffs)
 
 
 def dp_return_series(
@@ -136,7 +135,6 @@ def dp_return_series(
     i: int,
     max_steps: int,
     method: str = "convolution",
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> TruncatedSeries:
     """P(the chain started at e_i sits at e_i after m steps), m <= max_steps."""
     if max_steps < 1:
@@ -147,11 +145,10 @@ def dp_return_series(
         coeffs[0] = 1.0
         e_i = Word(i)
         # Keep only words that can still shrink back to e_i in time.
-        laws = _word_laws(kernel, i, max_steps, state_cap,
-                          lambda m, word: len(word) <= max_steps - m)
+        laws = _word_laws(kernel, i, max_steps, lambda m, word: len(word) <= max_steps - m)
         for m, law in enumerate(laws, start=1):
             coeffs[m] = law.get(e_i, 0.0)
-        return TruncatedSeries(coeffs, max_steps)
+        return TruncatedSeries(coeffs)
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
     t = hitting_step_probabilities(kernel, max_steps)
@@ -163,7 +160,7 @@ def dp_return_series(
     s[0] = 1.0
     for m in range(1, max_steps + 1):
         s[m] = float(u[1 : m + 1] @ s[m - 1 :: -1][: m])
-    return TruncatedSeries(s, max_steps)
+    return TruncatedSeries(s)
 
 
 def dp_truncated_G(
@@ -173,7 +170,6 @@ def dp_truncated_G(
     lam: float,
     z: float,
     max_steps: int,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> float:
     """Partial sum over n <= max_steps of lam^n E[z^(metric length at n)],
     by exact enumeration of the word distribution at every step."""
@@ -183,7 +179,7 @@ def dp_truncated_G(
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
     total = 1.0  # n = 0 term: the unit word has length 0
-    for n, law in enumerate(_word_laws(kernel, i, max_steps, state_cap), start=1):
+    for n, law in enumerate(_word_laws(kernel, i, max_steps), start=1):
         expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
         total += lam**n * expect
     return total
@@ -319,13 +315,10 @@ def direct_h(
     metric: Metric,
     lam: float,
     z: float,
-    tol: float = 1e-13,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Plain-float determinant det[I - B(+1)B(-1)] with R freshly solved at
     ``lam``; the finite-difference oracle against the jet pipeline."""
-    from .limits import b_matrix_values
-    from .solver import solve_r
-
     r = solve_r(kernel, lam, tol=tol)
     n = kernel.n_windows
     b_plus, b_minus = b_matrix_values(r, metric.W, z)

@@ -84,8 +84,9 @@ FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
 #: that costs less than the structured solve's numpy calls, from N = 7 more
 #: (the crossover table in README, "Costs as N grows").
 DENSE_MAX_N = 6
-#: ``transience_root``'s power iteration stops at this bound on its relative
-#: error and raises after ``POWER_MAX_ITER`` steps.
+#: ``transience_root``'s power iteration stops once its Collatz-Wielandt
+#: bracket bounds the relative error by this, and raises after
+#: ``POWER_MAX_ITER`` steps.
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100000
 
@@ -464,7 +465,6 @@ def solve_r(
     kernel: TransitionKernel,
     lam: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> RSolution:
     """Least root of the quadratic system at ``lam`` in [0, 1], by Newton's
     method from R = 0.
@@ -472,6 +472,7 @@ def solve_r(
     The iteration stops when a step is at most ``tol``, or when a step below
     ``STALL_STEP`` is no smaller than the one before it: the iterate then sits
     at the rounding floor of the solve, which can lie above a small ``tol``.
+    ``DEFAULT_MAX_ITER`` steps without either raise SolverError.
     ``iterations`` counts Newton steps and ``residual`` is the true defect
     ``max |f(R) - R|`` at the returned R.  Up to ``DENSE_MAX_N`` windows the
     steps are taken on the dense flat system, above it on the structured one.
@@ -480,13 +481,11 @@ def solve_r(
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     system = _newton_system(kernel.P, lam)
     r = system.start()
     defect = system.defect(r)
     prev_step = np.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DEFAULT_MAX_ITER + 1):
         delta = system.step(r, defect)
         step = float(np.abs(delta).max())
         if not math.isfinite(step):
@@ -500,7 +499,7 @@ def solve_r(
         prev_step = step
     else:
         raise SolverError(
-            f"Newton's method did not converge in {max_iter} steps (last step {step:.3e})",
+            f"Newton's method did not converge in {DEFAULT_MAX_ITER} steps (last step {step:.3e})",
             residual=float(np.abs(defect).max()),
         )
     residual = float(np.abs(defect).max())
@@ -535,26 +534,27 @@ def transience_root(kernel: TransitionKernel) -> float:
     This is the recurrence-hypothesis matrix: its root strictly above 1
     certifies that the chain escapes to infinity.
 
-    The Rayleigh quotients approach the root geometrically: when each step
-    is r times the last, this step and all later ones add up to
-    step / (1 - r).  Iteration stops once that sum is within ``POWER_TOL``
-    times the latest quotient, a bound on the relative error, not on the
-    step alone; ``POWER_MAX_ITER`` steps without it raise SolverError.
+    M is non-negative and every arc's row of it is positive, so D stays
+    positive from the all-ones start, and the least and greatest of the
+    ratios ``(M D) / D`` over the arcs bracket the root (Collatz-Wielandt;
+    Horn & Johnson, *Matrix Analysis*, section 8.1).  Each step takes one
+    product.  Iteration stops once the bracket is within ``POWER_TOL`` times
+    its lower end and returns its midpoint; ``POWER_MAX_ITER`` steps without
+    that raise SolverError, naming the bracket.
     """
     p = kernel.P
     ones = _offdiag(np.ones_like(p))
-    v = ones / ones.sum()
-    mu, last = 0.0, np.inf
+    arcs = ones > 0
+    d = ones
     for _ in range(POWER_MAX_ITER):
-        w = apply_m(p, 1.0, ones, v)
-        w /= float(np.linalg.norm(w))
-        mu_next = float(np.vdot(w, apply_m(p, 1.0, ones, w))) / float(np.vdot(w, w))
-        step = abs(mu_next - mu)
-        # A step that does not shrink (r >= 1) bounds nothing.
-        if step <= POWER_TOL * abs(mu_next) * max(0.0, 1.0 - step / last):
-            return mu_next
-        mu, v, last = mu_next, w, step
-    raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations")
+        md = apply_m(p, 1.0, ones, d)
+        ratios = md[arcs] / d[arcs]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= POWER_TOL * lo:
+            return 0.5 * (lo + hi)
+        d = md / hi
+    raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations: "
+                      f"the root lies in [{lo!r}, {hi!r}]")
 
 
 def solution_to_json(r: RSolution, derivs: RDerivatives | None = None) -> dict:

@@ -192,7 +192,7 @@ def test_criterion_05_dp_oracle_equivalence():
         # One (2, N, N, 81) table serves every arc.
         table = hitting_step_probabilities(k, 80)
         series = {
-            t: TruncatedSeries(table[(1 - t[2]) // 2, t[0] - 1, t[1] - 1], 80)
+            t: TruncatedSeries(table[(1 - t[2]) // 2, t[0] - 1, t[1] - 1])
             for t in IndexMap(3).tuples
         }
         for lam in (0.5, 0.9):

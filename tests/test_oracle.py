@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from windwalk import oracle
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import Arc, fenced_metric, word_metric
 from windwalk.oracle import (
@@ -149,15 +150,14 @@ def test_truncated_g_domain():
         dp_truncated_G(k, word_metric(3), 1, 0.5, 0.0, 5)
 
 
-@pytest.mark.parametrize("call, count", [
-    (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30,
-                            state_cap=1000), 1021),
-    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words",
-                               state_cap=50), 94),
-    (lambda: dp_return_series(symmetric_kernel(3), 1, 40, method="words", state_cap=50), 61),
+@pytest.mark.parametrize("call, cap, count", [
+    (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
+    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words"), 50, 94),
+    (lambda: dp_return_series(symmetric_kernel(3), 1, 40, method="words"), 50, 61),
 ], ids=["G", "hitting", "return"])
-def test_state_cap_guard(call, count):
+def test_state_cap_guard(monkeypatch, call, cap, count):
     # The count is that of the first step whose kept words exceed the cap.
+    monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceExceeded) as info:
         call()
     assert info.value.count == count

@@ -1,9 +1,13 @@
 """Newton solver, structured linear solves and implicit derivatives."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 from windwalk import solver
+from windwalk.cli import build_parser
 from windwalk.chain import TransitionKernel, asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import Arc, fenced_metric, word_metric
 from windwalk.limits import compute_limits, spectral_radius_k
@@ -212,6 +216,54 @@ def test_transience_root_matches_dense_reference(kernel):
     assert transience_root(kernel) == pytest.approx(dense, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [6, 10])
+def test_transience_root_error_is_bounded_on_sparse_kernels(n):
+    # Concentration 0.01 leaves a few large arcs per window; a stop rule on
+    # the step alone stopped 1e-11 short of the root here.
+    kernel = dirichlet_kernel(n, 0.01, seed=1)
+    ones = np.ones(len(IndexMap(n)))
+    dense = np.abs(np.linalg.eigvals(build_m_matrix(kernel, 1.0, ones))).max()
+    assert transience_root(kernel) == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", DIRICHLET_KERNELS[:4] + [asymmetric_kernel()], ids=repr)
+def test_transience_root_returns_inside_its_last_bracket(monkeypatch, kernel):
+    arcs = ~np.eye(kernel.n_windows, dtype=bool)
+    brackets = []
+
+    def recorded(p, lam, r, d):
+        md = apply_m(p, lam, r, d)
+        ratios = md[:, arcs] / d[:, arcs]
+        brackets.append((ratios.min(), ratios.max()))
+        return md
+
+    monkeypatch.setattr(solver, "apply_m", recorded)
+    root = transience_root(kernel)
+    lo, hi = brackets[-1]
+    assert lo <= root <= hi
+    assert hi - lo <= solver.POWER_TOL * lo
+    # One product per step, and no earlier bracket was narrow enough to stop.
+    assert all(h - l > solver.POWER_TOL * l for l, h in brackets[:-1])
+
+
+def test_transience_root_refuses_with_its_bracket(monkeypatch):
+    # Here the bracket narrows too slowly for the cap.  Its lower end still
+    # certifies transience.  (Dense eigvals reads 2e-9 below the bracket on
+    # this kernel, so it is no reference here.)
+    monkeypatch.setattr(solver, "POWER_MAX_ITER", 2000)
+    with pytest.raises(SolverError, match="did not converge in 2000 iterations") as info:
+        transience_root(dirichlet_kernel(4, 0.01, seed=0))
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
+    assert 1.0 < lo < hi
+
+
+def test_newton_tolerance_has_one_default():
+    defaults = [inspect.signature(f).parameters["tol"].default
+                for f in (solve_r, compute_limits, spectral_radius_k, direct_h)]
+    defaults += [build_parser().parse_args([command]).tol for command in ("solve-r", "limits")]
+    assert all(default is solver.DEFAULT_TOL for default in defaults)
+
+
 def test_dense_reference_is_off_the_library_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense reference was called")
@@ -260,9 +312,10 @@ def test_newton_step_count_and_rounding_floor_at_small_q():
     assert r.iterations < 30
 
 
-def test_newton_step_cap_raises():
-    with pytest.raises(SolverError):
-        solve_r(asymmetric_kernel(), 1.0, max_iter=2)
+def test_newton_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(solver, "DEFAULT_MAX_ITER", 2)
+    with pytest.raises(SolverError, match="did not converge in 2 steps"):
+        solve_r(asymmetric_kernel(), 1.0)
 
 
 @pytest.mark.parametrize("ratio", [0.0, np.inf], ids=["inverse", "fallback"])
@@ -435,8 +488,10 @@ def test_dense_path_runs_up_to_dense_max_n(monkeypatch):
 @pytest.mark.parametrize("dense_max_n", [0, 100], ids=["structured", "dense"])
 def test_step_cap_and_rounding_floor_on_both_paths(monkeypatch, dense_max_n):
     monkeypatch.setattr(solver, "DENSE_MAX_N", dense_max_n)
-    with pytest.raises(SolverError, match="did not converge in 2 steps"):
-        solve_r(asymmetric_kernel(), 1.0, max_iter=2)
+    with monkeypatch.context() as capped:
+        capped.setattr(solver, "DEFAULT_MAX_ITER", 2)
+        with pytest.raises(SolverError, match="did not converge in 2 steps"):
+            solve_r(asymmetric_kernel(), 1.0)
     k = one_parameter_kernel(1e-5)
     for tol in (1e-13, 1e-15, 1e-18):
         r = solve_r(k, 1.0, tol=tol)
