@@ -6,8 +6,8 @@ import pytest
 
 from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
 from windwalk.groupoid import custom_metric, fenced_metric, unit, word_metric
-from windwalk.montecarlo import (_default_initial, _ks_distance, verify_clt,
-                                 verify_lazy_walk, verify_lln)
+from windwalk.montecarlo import (_chi2_quantile, _default_initial, _ks_distance, _normal_cdf,
+                                 verify_clt, verify_lazy_walk, verify_lln)
 
 
 def test_lln_smoke_symmetric():
@@ -131,7 +131,8 @@ def test_clt_smoke_and_negative_control():
 @pytest.mark.parametrize("n", [1000, 2000, 2001])
 def test_ks_distance_equals_scipy_statistic(n):
     # Rounded normals put ties in the sample, and the odd size makes the
-    # two tails of the KS distance uneven.
+    # two tails of the KS distance uneven.  The CDF is computed here, not by
+    # scipy's ndtr, so the distance may differ from kstest's in its last bit.
     stats = pytest.importorskip("scipy.stats")
 
     rng = np.random.default_rng(n)
@@ -139,12 +140,14 @@ def test_ks_distance_equals_scipy_statistic(n):
         z = np.round(rng.standard_normal(n) * 1.1, 1)
         assert len(np.unique(z)) < n
         expected = stats.kstest(z, "norm", args=(0.0, sd)).statistic
-        assert _ks_distance(z, sd) == expected
+        assert abs(_ks_distance(z, sd) - expected) <= 4.5e-16
 
 
 @pytest.mark.parametrize("n_paths, seed", [(1000, 1), (2000, 2), (2001, 3)])
 def test_clt_bands_and_statistic_equal_scipy_stats(n_paths, seed):
     # Word lengths are whole numbers, so the simulated z sample has ties.
+    # The bands and the KS distance agree with scipy.stats to rounding, and
+    # the verdicts are the ones scipy's numbers give.
     stats = pytest.importorskip("scipy.stats")
 
     k, m, gamma, sigma2 = asymmetric_kernel(), word_metric(3), 0.2729136101879, 0.5876
@@ -154,9 +157,40 @@ def test_clt_bands_and_statistic_equal_scipy_stats(n_paths, seed):
     z = (ml - gamma * n_steps) / np.sqrt(n_steps)
     assert len(np.unique(z)) < n_paths
     dof = n_paths - 1
-    assert rep.details["var_lo"] == sigma2 * stats.chi2.ppf(0.005, dof) / dof
-    assert rep.details["var_hi"] == sigma2 * stats.chi2.ppf(0.995, dof) / dof
-    assert rep.normality_stat == stats.kstest(z, "norm", args=(0.0, np.sqrt(sigma2))).statistic
+    var_lo = sigma2 * stats.chi2.ppf(0.005, dof) / dof
+    var_hi = sigma2 * stats.chi2.ppf(0.995, dof) / dof
+    ks = stats.kstest(z, "norm", args=(0.0, np.sqrt(sigma2))).statistic
+    assert rep.details["var_lo"] == pytest.approx(var_lo, rel=6e-16, abs=0)
+    assert rep.details["var_hi"] == pytest.approx(var_hi, rel=6e-16, abs=0)
+    assert abs(rep.normality_stat - ks) <= 4.5e-16
+    sigma2_hat = float(np.var(z, ddof=1))
+    assert rep.passes == {"variance_band": bool(var_lo <= sigma2_hat <= var_hi),
+                          "ks": bool(ks < 1.63 / np.sqrt(n_paths))}
+
+
+QUANTILE_DOFS = [*range(999, 1030), 1999, 2000, 2001, 4999, 2 * 10**4, 10**5, 10**6]
+
+
+@pytest.mark.parametrize("q", [0.005, 0.995])
+def test_chi2_quantile_matches_a_50_digit_root(q):
+    # The root y of P(dof/2, y) = q, to 50 digits; the quantile is 2y.
+    mpmath = pytest.importorskip("mpmath")
+
+    with mpmath.workdps(50):
+        for dof in QUANTILE_DOFS:
+            a = mpmath.mpf(dof) / 2
+            y = mpmath.findroot(lambda y: mpmath.gammainc(a, 0, y, regularized=True) - q,
+                                mpmath.mpf(_chi2_quantile(q, dof)) / 2)
+            assert abs(_chi2_quantile(q, dof) / (2 * y) - 1) <= 4e-16, dof
+
+
+def test_normal_cdf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    xs = np.random.default_rng(0).standard_normal(5000) * 1.7
+    with mpmath.workdps(50):
+        for x in xs.tolist():
+            assert abs(_normal_cdf(x) - mpmath.ncdf(x)) <= 2.3e-16, x
 
 
 def test_clt_input_validation():
