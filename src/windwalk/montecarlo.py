@@ -193,7 +193,7 @@ def _chi2_quantile(q: float, dof: int) -> float:
     t = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
     z = t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t))
     x = a * (1.0 - 1.0 / (9.0 * a) + math.copysign(z, q - 0.5) / (3.0 * math.sqrt(a))) ** 3
-    for _ in range(20):  # 4 steps from the guess at a >= 499.5
+    for _ in range(20):  # 3 or 4 steps from this guess reach the root at a >= 499.5
         d = _gamma_prefactor(a, x)
         if q > 0.5:
             residual = (1.0 - q) - a * d * _gamma_q_fraction(a, x)
