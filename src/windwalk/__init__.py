@@ -33,7 +33,6 @@ from .limits import (
     kms_phi,
     limit_constants,
     perron_jet,
-    spectral_radius_k,
 )
 from .montecarlo import McReport, verify_clt, verify_lazy_walk, verify_lln
 from .oracle import (

@@ -76,6 +76,12 @@ class TransitionKernel:
             if not 1 <= w <= self.n_windows:
                 raise ValueError(f"window {w} is outside 1..{self.n_windows}")
 
+    def check_metric(self, metric: Metric) -> None:
+        """Raise ``ValueError`` unless ``metric`` weighs the arcs of N windows."""
+        if metric.W.shape[-1] != self.n_windows:
+            raise ValueError(f"metric {metric.name!r} is sized for N={metric.W.shape[-1]} "
+                             f"windows, the kernel for N={self.n_windows}")
+
     def prob(self, i: int, j: int, k: int) -> float:
         return arc_entry(self.P, i, j, k)
 
@@ -411,6 +417,7 @@ def simulate(
         raise ValueError("n_steps must be non-negative")
     kernel.check_windows(start.source, *(arc.j for arc in start.letters))
     metric = metric or word_metric(kernel.n_windows)
+    kernel.check_metric(metric)
     rng = np.random.default_rng(seed)
     rules = _RewriteTables(kernel.n_windows)
     arcs, letters = rules.rows(kernel.P, metric)
@@ -757,6 +764,7 @@ def _run_length_groups(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+    kernel.check_metric(metric)
     for initial, _, n_paths in starts:
         if n_paths < 0:
             raise ValueError("n_paths must be non-negative")

@@ -10,17 +10,12 @@ rho's Taylor coefficients off first- and second-order eigenvalue
 perturbation; only matrix-vector products touch the jets, so it costs one
 O(N^3) inverse and a fixed number of numpy calls.
 
-``det_h`` is the independent reference for the same curve rho = 1: it forms
-``B(+1) B(-1)`` with 15 float matrix products, and ``det_jet`` takes the
-determinant of that array, read in place, in closed form: the one null
-direction of the constant term is bordered, the kept block is inverted once
-and the scalar Schur complement closes the expansion; a constant term with
-two or more null directions is refused.  Write h = det[I - B(+1) B(-1)] =
-(1 - rho) c with c(1, 1) != 0: every partial of c cancels in the implicit
-derivatives of the curve, so ``limit_constants`` gives the same gamma and
-sigma^2 from either jet.  ``spectral_radius_k`` reads the Perron root off
-the eigenvalues of the float product at any (lam, z) in (0, 1]^2.  Neither
-is on ``compute_limits``' route; they are its cross-checks.
+``det_h`` is the independent reference for the same curve rho = 1: the jet
+(``det_jet``) of h = det[I - B(+1) B(-1)] = (1 - rho) c, c(1, 1) != 0.  Every
+partial of c cancels in the implicit derivatives of the curve, so
+``limit_constants`` gives the same gamma and sigma^2 from either jet.  It is
+off ``compute_limits``' route and stays here only because perfbench's tracer
+patches it; the float cross-checks live in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -240,6 +235,7 @@ def compute_limits(
 ) -> LimitConstants:
     """Full pipeline: solve R at lambda=1, differentiate implicitly, build the
     jets and read gamma and sigma^2 off the Perron root of B(+1) B(-1)."""
+    kernel.check_metric(metric)
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(kernel, r)
     b_plus, b_minus = build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1)
@@ -269,27 +265,3 @@ def kms_phi(n: int, x: float, z: float) -> float:
     for _ in range(n - 1):
         phi_prev, phi = phi, (1.0 - x - z * z * (1.0 + x)) * phi - x * x * z * z * phi_prev
     return phi
-
-
-def b_matrix_values(r: RSolution, weights: np.ndarray, z: float) -> np.ndarray:
-    """Plain float (2, N, N) array of z^w R values (constant terms), one
-    N x N block per sign, from the metric's weights ``Metric.W``."""
-    return z ** weights * r.values
-
-
-def spectral_radius_k(
-    kernel: TransitionKernel,
-    metric: Metric,
-    lam: float,
-    z: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Spectral radius of the period-2 block matrix K = [[0, B(+1)], [B(-1), 0]]
-    at (lam, z).  K^2 = diag(B(+1) B(-1), B(-1) B(+1)), so rho(K) is the
-    square root of the spectral radius of B(+1) B(-1), read off its
-    eigenvalues: the product is non-negative, so by Perron-Frobenius its
-    largest eigenvalue in modulus is its Perron root."""
-    if not (0.0 < lam <= 1.0 and 0.0 < z <= 1.0):
-        raise ValueError("spectral radius is evaluated for lam, z in (0, 1]")
-    b_plus, b_minus = b_matrix_values(solve_r(kernel, lam, tol=tol), metric.W, z)
-    return math.sqrt(float(np.abs(np.linalg.eigvals(b_plus @ b_minus)).max()))

@@ -2,8 +2,9 @@
 dynamic programming, brute-force enumeration over the word space, and the
 closed forms of the worked example families.
 
-The default hitting/return series use an exact convolution DP over first
-passage decompositions (each coefficient is a finite sum over path
+They import only ``chain`` and ``groupoid``, no code of the pipeline they
+check.  The default hitting/return series use an exact convolution DP over
+first passage decompositions (each coefficient is a finite sum over path
 decompositions, no fixed-point solve involved).  The word-space oracles, the
 ``words`` method of the hitting/return series and ``dp_truncated_G``, share
 one walker, ``_word_laws``, that carries the exact law of the reduced word
@@ -21,8 +22,6 @@ import numpy as np
 
 from .chain import TransitionKernel
 from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
-from .limits import b_matrix_values
-from .solver import DEFAULT_TOL, solve_r
 
 DEFAULT_STATE_CAP = 5 * 10**6
 
@@ -178,6 +177,7 @@ def dp_truncated_G(
     if not (0.0 <= lam < 1.0 and 0.0 < z <= 1.0):
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
+    kernel.check_metric(metric)
     total = 1.0  # n = 0 term: the unit word has length 0
     for n, law in enumerate(_word_laws(kernel, i, max_steps), start=1):
         expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
@@ -308,18 +308,3 @@ def closed_form(family: str, **params) -> ClosedFormCase:
     if family == "asymmetric":
         return closed_form_asymmetric()
     raise ValueError(f"unknown closed-form family {family!r}")
-
-
-def direct_h(
-    kernel: TransitionKernel,
-    metric: Metric,
-    lam: float,
-    z: float,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Plain-float determinant det[I - B(+1)B(-1)] with R freshly solved at
-    ``lam``; the finite-difference oracle against the jet pipeline."""
-    r = solve_r(kernel, lam, tol=tol)
-    n = kernel.n_windows
-    b_plus, b_minus = b_matrix_values(r, metric.W, z)
-    return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))

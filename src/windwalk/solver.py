@@ -52,10 +52,10 @@ does one dense LU solve, and the results are scattered back into the
 solve's many small numpy calls.  One Newton loop, with one stop rule, serves
 both forms.
 
-``system_matrices``, ``build_m_matrix`` and ``to_flat`` build the dense form
-arc by arc, the independent reference for the tests; no library path calls
-them.  ``system_matrices`` reads the kernel through
-``TransitionKernel.prob``, not through ``P``.
+``system_matrices`` builds ``p``, ``A1`` and ``C`` arc by arc through
+``TransitionKernel.prob``, not ``P``: the tests' reference for the flat
+form.  No library path calls it; it stays, with ``IndexMap``, only because
+perfbench's tracer patches it.  The rest is in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -164,24 +164,6 @@ def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.
             if m != i:
                 c[row, index.flat(m, i, -k)] = kernel.prob(i, m, -k)
     return index, p_vec, a1, c
-
-
-def build_m_matrix(
-    kernel: TransitionKernel, lam: float, values: np.ndarray
-) -> np.ndarray:
-    """Jacobian-style matrix of the system linearised at ``values``.
-
-    Entry cases: same-(j, k) column block lam*p, opposite-sign block
-    lam*p*R, and the diagonal lam * sum of opposite-sign return terms.
-    """
-    _, _, a1, c = system_matrices(kernel)
-    return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
-
-
-def to_flat(matrix: np.ndarray) -> np.ndarray:
-    """Off-diagonal entries of a (2, N, N) array in ``IndexMap`` order."""
-    n = matrix.shape[-1]
-    return matrix[:, ~np.eye(n, dtype=bool)].reshape(-1)
 
 
 def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -519,12 +501,6 @@ def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
     if r.lam <= 0:
         raise ValueError("derivatives require lambda > 0")
     return RDerivatives(*_newton_system(kernel.P, r.lam).derivatives(r.values))
-
-
-def primitivity_pattern_ok(matrix: np.ndarray) -> bool:
-    """True when the 0/1 pattern of the matrix cubed is all ones."""
-    pattern = (matrix > 0).astype(np.int64)
-    return bool((np.linalg.matrix_power(pattern, 3) > 0).all())
 
 
 def transience_root(kernel: TransitionKernel) -> float:

@@ -8,7 +8,8 @@ import numpy as np
 from windwalk.chain import TransitionKernel
 from windwalk.groupoid import Arc, Word, append, chamber_array, unit
 from windwalk.jets import Jet2
-from windwalk.oracle import direct_h
+
+from reference import direct_h
 
 
 def random_word(rng: np.random.Generator, n_windows: int, max_len: int = 12,

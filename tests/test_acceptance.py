@@ -25,7 +25,7 @@ from windwalk.groupoid import (
     unit,
     word_metric,
 )
-from windwalk.limits import build_b, compute_limits, det_h, kms_phi, spectral_radius_k
+from windwalk.limits import build_b, compute_limits, det_h, kms_phi
 from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import (
     ASYMMETRIC_REFERENCE,
@@ -36,15 +36,13 @@ from windwalk.oracle import (
 )
 from windwalk.solver import (
     IndexMap,
-    build_m_matrix,
-    primitivity_pattern_ok,
     solve_r,
     solve_r_derivatives,
-    to_flat,
     transience_root,
 )
 
 from helpers import fd_partials, printed_tolerance, random_word
+from reference import build_m_matrix, primitivity_pattern_ok, spectral_radius_k, to_flat
 
 THREE_KERNELS = [
     ("symmetric N=3", symmetric_kernel(3)),

@@ -32,6 +32,7 @@ from windwalk.chain import (
 from windwalk.groupoid import (Arc, Metric, Word, append, chamber_array, custom_metric,
                                fenced_metric, metric_length, unit, word_metric)
 from windwalk.groupoid import word_from_str
+from windwalk.limits import compute_limits
 from windwalk.montecarlo import verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
@@ -647,6 +648,19 @@ _N3 = symmetric_kernel(3)
 def test_window_beyond_n_is_value_error(call):
     with pytest.raises(ValueError, match="outside 1..3"):
         call()
+
+
+@pytest.mark.parametrize("kernel_n, metric_n", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("call", [
+    lambda k, m: simulate(unit(1), k, 50, 0, metric=m),
+    lambda k, m: run_length_paths(k, m, 50, 3, 0),
+    lambda k, m: verify_lln(k, m, 0.3, 1000, 50, 0),
+    lambda k, m: compute_limits(k, m),
+    lambda k, m: dp_truncated_G(k, m, 1, 0.5, 0.9, 3),
+], ids=["simulate", "run_length_paths", "verify_lln", "compute_limits", "G"])
+def test_metric_for_another_n_is_value_error(call, kernel_n, metric_n):
+    with pytest.raises(ValueError, match=f"sized for N={metric_n} windows, the kernel for N={kernel_n}"):
+        call(symmetric_kernel(kernel_n), fenced_metric(metric_n))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -436,13 +436,13 @@ def test_negative_mc_lln_variance_is_invalid_input(capsys):
 
 
 def test_limits_takes_no_cross_check_route(capsys, monkeypatch):
-    # det_h, det_jet, spectral_radius_k and transience_root only check
-    # compute_limits' numbers; neither it nor `limits --oracle` calls them.
+    # det_h, det_jet and transience_root only check compute_limits'
+    # numbers; neither it nor `limits --oracle` calls them.
     def refuse(*args, **kwargs):
         raise AssertionError("a cross-check route was called")
 
-    for target in ("limits.det_h", "limits.det_jet", "limits.spectral_radius_k",
-                   "solver.transience_root", "det_h", "spectral_radius_k", "transience_root"):
+    for target in ("limits.det_h", "limits.det_jet", "solver.transience_root", "det_h",
+                   "transience_root"):
         monkeypatch.setattr(f"windwalk.{target}", refuse)
     assert compute_limits(asymmetric_kernel(), fenced_metric(3)).gamma > 0
     code, out, _ = run(capsys, "limits", "--kernel", "one_parameter:0.1", "--metric", "fenced",

@@ -14,7 +14,6 @@ from windwalk.jets import Jet2
 from windwalk.limits import (
     SIMPLE_ZERO_TOL,
     DegenerateSystemError,
-    b_matrix_values,
     build_b,
     compute_limits,
     det_h,
@@ -22,12 +21,12 @@ from windwalk.limits import (
     kms_phi,
     limit_constants,
     perron_jet,
-    spectral_radius_k,
 )
-from windwalk.oracle import closed_form, closed_form_symmetric, direct_h
+from windwalk.oracle import closed_form, closed_form_symmetric
 from windwalk.solver import solve_r, solve_r_derivatives
 
 from helpers import dirichlet_kernel, fd_partials, power_jet, series_jet
+from reference import b_matrix_values, direct_h, spectral_radius_k
 
 KERNELS = [symmetric_kernel(3), one_parameter_kernel(0.1), asymmetric_kernel()]
 FIELDS = ("c00", "c10", "c01", "c20", "c11", "c02")

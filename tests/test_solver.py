@@ -10,23 +10,21 @@ from windwalk import solver
 from windwalk.cli import build_parser
 from windwalk.chain import TransitionKernel, asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import Arc, fenced_metric, word_metric
-from windwalk.limits import compute_limits, spectral_radius_k
-from windwalk.oracle import closed_form_one_parameter, direct_h, dp_hitting_series, dp_return_series
+from windwalk.limits import compute_limits
+from windwalk.oracle import closed_form_one_parameter, dp_hitting_series, dp_return_series
 from windwalk.solver import (
     IndexMap,
     SolverError,
     apply_m,
-    build_m_matrix,
-    primitivity_pattern_ok,
     solution_to_json,
     solve_r,
     solve_r_derivatives,
     system_matrices,
-    to_flat,
     transience_root,
 )
 
 from helpers import dirichlet_kernel
+from reference import build_m_matrix, direct_h, primitivity_pattern_ok, spectral_radius_k, to_flat
 
 
 def test_index_map_order():
@@ -268,7 +266,7 @@ def test_dense_reference_is_off_the_library_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense reference was called")
 
-    for name in ("system_matrices", "build_m_matrix", "IndexMap", "to_flat"):
+    for name in ("system_matrices", "IndexMap"):
         monkeypatch.setattr(solver, name, refuse)
     k = asymmetric_kernel()
     r = solve_r(k, 1.0)
@@ -280,6 +278,21 @@ def test_dense_reference_is_off_the_library_path(monkeypatch):
     assert transience_root(k) > 1
     assert dp_hitting_series(k, Arc(1, 2, 1), 10).total_mass() > 0
     assert dp_return_series(k, 1, 10).total_mass() > 1
+
+
+def test_library_holds_no_test_only_route():
+    # The cross-checks that only tests call live in tests/reference.py, and
+    # the oracles share no code with the solve pipeline they check.
+    import windwalk
+    from windwalk import limits, oracle
+
+    moved = ("build_m_matrix", "to_flat", "primitivity_pattern_ok", "b_matrix_values",
+             "spectral_radius_k", "direct_h")
+    for module in (windwalk, solver, limits, oracle):
+        for name in moved:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for name, value in vars(oracle).items():
+        assert getattr(value, "__module__", None) not in ("windwalk.solver", "windwalk.limits"), name
 
 
 @pytest.mark.parametrize("q, rel", [(1e-3, 1e-12), (1e-5, 1e-10)])
