@@ -1,5 +1,5 @@
 """The Markov chain on the arrow set: kernel validation, trajectory
-generation and hitting-time sampling.
+generation and batched runs of many paths.
 
 A step draws an arc leaving the word's target window and rewrites the
 reduced word by the rule of ``groupoid.append``: push the drawn arc, pop the
@@ -455,44 +455,6 @@ def simulate(
     return Trajectory(start, seed, final, word_lens, metric_lens, states)
 
 
-def sample_hitting_times(
-    target: Arc,
-    kernel: TransitionKernel,
-    cap: int,
-    seed: int,
-    n_samples: int,
-) -> np.ndarray:
-    """I.i.d. first times the chain from the unit of ``target.i`` is the
-    one-letter word ``target``; -1 marks censoring at ``cap``, which a
-    positive fraction of samples reach, as the chain is transient.
-
-    Every path stays in the batch to the end.  A path that hits leaves the
-    ``running`` mask and keeps stepping, its later steps ignored, and the
-    loop stops once no path is running."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if n_samples < 0:
-        raise ValueError("n_samples must be non-negative")
-    kernel.check_windows(target.i, target.j)
-    state = _BatchState(kernel, [(unit(target.i), seed, n_samples)], max_steps=cap)
-    # Every path starts at window target.i, so its first letter leaves
-    # target.i, and a one-letter word is the target arc exactly when that
-    # letter's code and the end window match.  A top position below
-    # 2 * n_samples means a depth of at most 1, and the empty word's sentinel
-    # code never equals `first`.
-    first = state.rules.code(target.i, target.k)
-    times = np.full(n_samples, -1, dtype=np.int64)
-    running = np.ones(n_samples, dtype=bool)
-    for n in range(1, cap + 1):
-        if not running.any():
-            break
-        state.advance()
-        hit = running & (state.top() == first) & (state.pos < 2 * n_samples) & (state.target == target.j)
-        times[hit] = n
-        running &= ~hit
-    return times
-
-
 def _spawn_generators(seed, count: int) -> list:
     """``[default_rng(s) for s in SeedSequence(seed).spawn(count)]``, stream
     for stream, with the children seeded in one pass over a uint32 array of
@@ -581,9 +543,13 @@ class _BatchState:
     steps fit for sure, and the state counts them down.  When the count
     runs out it reads that room again; most words rise far slower than one
     letter per step, so there is often room left.  Only when fewer than 64
-    steps fit does the stack double, in place, at most to the slots
-    ``max_steps`` could fill.  So it holds at most ``2 * depth.max() + 128``
-    slots, unless the deepest word has since shrunk.
+    steps fit does the stack grow, in place, to the deepest word plus
+    ``65 + depth.max() // 16`` slots, at most to the slots ``max_steps``
+    could fill.  So once it has grown it holds at most
+    ``depth.max() + 65 + depth.max() // 16`` slots, unless the deepest word
+    has since shrunk.  A margin that scales with the depth keeps growths,
+    each a reallocation, few as words deepen; doubling would leave up to
+    twice the slots any path uses.
 
     One step draws an arc from the target window, by counting the arc sums
     in column ``target`` of the table ``cum`` that lie below the path's
@@ -653,9 +619,6 @@ class _BatchState:
     def depth(self) -> np.ndarray:
         return self.pos // max(self.n_paths, 1)
 
-    def top(self) -> np.ndarray:
-        return self._flat.take(self.pos)
-
     def _next_uniforms(self) -> np.ndarray:
         if self._ptr >= self._chunk:
             step = len(self._block)
@@ -672,8 +635,9 @@ class _BatchState:
 
     def _grow(self) -> None:
         cap = self.stack.shape[0]
-        room = cap - 1 - int(self.depth.max(initial=0))
-        new_cap = cap if room >= 64 else min(self._slots, 2 * cap)
+        depth = int(self.depth.max(initial=0))
+        room = cap - 1 - depth
+        new_cap = cap if room >= 64 else min(self._slots, depth + 65 + depth // 16)
         if new_cap > cap:
             # `resize` extends the buffer with zeroed slot rows by realloc,
             # not by a second array and a copy.  Its reference check would
@@ -772,4 +736,7 @@ def _run_length_groups(
     state = _BatchState(kernel, starts, max_steps=n_steps)
     for _ in range(n_steps):
         state.advance()
+    # The uniforms and generators are spent: free them before the metric
+    # pass adds its own blocks.
+    del state._buf, state._block, state.rngs
     return state.depth, state.metric_lengths(metric)

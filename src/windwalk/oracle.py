@@ -39,10 +39,6 @@ class TruncatedSeries:
 
     coeffs: np.ndarray
 
-    def eval(self, lam: float) -> float:
-        powers = lam ** np.arange(len(self.coeffs))
-        return float(self.coeffs @ powers)
-
     def total_mass(self) -> float:
         return float(self.coeffs.sum())
 

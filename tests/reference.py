@@ -1,7 +1,8 @@
 """Reference routes that only the tests call: the dense Jacobian of the flat
 system built arc by arc, the float transfer matrices and their spectral
-radius, and the plain-float determinant that the finite-difference stencils
-of ``helpers.fd_partials`` evaluate.
+radius, the plain-float determinant that the finite-difference stencils
+of ``helpers.fd_partials`` evaluate, a truncated series' partial sum, and
+hitting times sampled on the batched chain.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -14,8 +15,9 @@ import math
 
 import numpy as np
 
-from windwalk.chain import TransitionKernel
-from windwalk.groupoid import Metric
+from windwalk.chain import TransitionKernel, _BatchState
+from windwalk.groupoid import Arc, Metric, unit
+from windwalk.oracle import TruncatedSeries
 from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices
 
 
@@ -80,3 +82,52 @@ def direct_h(
     n = kernel.n_windows
     b_plus, b_minus = b_matrix_values(r, metric.W, z)
     return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))
+
+
+def series_eval(series: TruncatedSeries, lam: float) -> float:
+    """The partial sum of ``series.coeffs[m] * lam**m`` over m <= M."""
+    powers = lam ** np.arange(len(series.coeffs))
+    return float(series.coeffs @ powers)
+
+
+def batch_top(state: _BatchState) -> np.ndarray:
+    """The code of each path's top letter; the sentinel 0 for an empty word."""
+    return state._flat.take(state.pos)
+
+
+def sample_hitting_times(
+    target: Arc,
+    kernel: TransitionKernel,
+    cap: int,
+    seed: int,
+    n_samples: int,
+) -> np.ndarray:
+    """I.i.d. first times the chain from the unit of ``target.i`` is the
+    one-letter word ``target``; -1 marks censoring at ``cap``, which a
+    positive fraction of samples reach, as the chain is transient.
+
+    Every path stays in the batch to the end.  A path that hits leaves the
+    ``running`` mask and keeps stepping, its later steps ignored, and the
+    loop stops once no path is running."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if n_samples < 0:
+        raise ValueError("n_samples must be non-negative")
+    kernel.check_windows(target.i, target.j)
+    state = _BatchState(kernel, [(unit(target.i), seed, n_samples)], max_steps=cap)
+    # Every path starts at window target.i, so its first letter leaves
+    # target.i, and a one-letter word is the target arc exactly when that
+    # letter's code and the end window match.  A top position below
+    # 2 * n_samples means a depth of at most 1, and the empty word's sentinel
+    # code never equals `first`.
+    first = state.rules.code(target.i, target.k)
+    times = np.full(n_samples, -1, dtype=np.int64)
+    running = np.ones(n_samples, dtype=bool)
+    for n in range(1, cap + 1):
+        if not running.any():
+            break
+        state.advance()
+        hit = running & (batch_top(state) == first) & (state.pos < 2 * n_samples) & (state.target == target.j)
+        times[hit] = n
+        running &= ~hit
+    return times

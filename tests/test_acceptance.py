@@ -42,7 +42,8 @@ from windwalk.solver import (
 )
 
 from helpers import fd_partials, printed_tolerance, random_word
-from reference import build_m_matrix, primitivity_pattern_ok, spectral_radius_k, to_flat
+from reference import (build_m_matrix, primitivity_pattern_ok, series_eval, spectral_radius_k,
+                       to_flat)
 
 THREE_KERNELS = [
     ("symmetric N=3", symmetric_kernel(3)),
@@ -197,7 +198,7 @@ def test_criterion_05_dp_oracle_equivalence():
             r = solve_r(k, lam, tol=1e-14)
             bound = lam**80 / (1 - lam) + 1e-8
             for t, s in series.items():
-                gap = r.value(*t) - s.eval(lam)
+                gap = r.value(*t) - series_eval(s, lam)
                 if not (-1e-10 <= gap <= bound):
                     failures.append(f"{name} {t} lam={lam}: gap {gap} vs bound {bound}")
     _verdict(5, "hitting-series DP vs solver within geometric tail bound, M=80", failures, t0, 30.0)

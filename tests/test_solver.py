@@ -295,6 +295,17 @@ def test_library_holds_no_test_only_route():
         assert getattr(value, "__module__", None) not in ("windwalk.solver", "windwalk.limits"), name
 
 
+def test_library_holds_no_test_only_sampler():
+    # The hitting-time sampler, the batch's top-letter read it alone used
+    # and a truncated series' partial sum live in tests/reference.py too.
+    from windwalk import chain, oracle
+
+    assert not hasattr(chain, "sample_hitting_times")
+    assert not hasattr(chain._BatchState, "top")
+    assert not hasattr(oracle.TruncatedSeries, "eval")
+    assert oracle.TruncatedSeries(np.array([0.25, 0.5])).total_mass() == 0.75
+
+
 @pytest.mark.parametrize("q, rel", [(1e-3, 1e-12), (1e-5, 1e-10)])
 def test_newton_small_q_closed_forms(q, rel):
     k = one_parameter_kernel(q)
