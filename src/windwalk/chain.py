@@ -16,14 +16,25 @@ gives path p the generator of the p-th child of
 children in one vectorised pass over the path indices; its generators equal
 ``default_rng`` of those children bit for bit, and the tests pin this.
 ``numpy.random`` is imported only when a chain runs.
+
+A large batch is stepped on every CPU the process may use.  On Linux,
+``_run_length_groups`` cuts the batch's path range into contiguous shards,
+steps the first itself and each other one in a forked child, and joins
+their results in path order.  Path p still draws only from child p of its
+group's seed, so the shards change no bit of any result, and the memory of
+the batch is spread over the processes.  A batch of fewer than
+``SHARD_PATH_STEPS`` path-steps per extra shard, and every batch off Linux,
+stays in one process and never forks.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +42,14 @@ from .groupoid import (Arc, InputError, Metric, Word, append, arc_entries, arc_e
                        chamber_array, unit, whole_number, word_metric)
 
 ROW_SUM_TOL = 1e-12
+
+#: Path-steps each shard of a batch must hold before ``_run_length_groups``
+#: forks a process for it.  On a shared 2-vCPU host, two shards of a batch
+#: of 2*10**6 path-steps took 0.78-1.03 times as long as one, and of 8*10**6
+#: 0.63-0.93 times (1.0 for 50 paths of 160000 steps, whose time is per-step
+#: overhead); 400 paths of 1000 steps, ``verify_lln``'s benchmark size, took
+#: 1.14 times as long.
+SHARD_PATH_STEPS = 4 * 10**6
 
 # The hash constants of numpy's SeedSequence, which `_spawn_generators`
 # replays.
@@ -455,10 +474,10 @@ def simulate(
     return Trajectory(start, seed, final, word_lens, metric_lens, states)
 
 
-def _spawn_generators(seed, count: int) -> list:
-    """``[default_rng(s) for s in SeedSequence(seed).spawn(count)]``, stream
-    for stream, with the children seeded in one pass over a uint32 array of
-    the path indices p.
+def _spawn_generators(seed, count: int, first: int = 0) -> list:
+    """``[default_rng(s) for s in SeedSequence(seed).spawn(first + count)[first:]]``,
+    stream for stream: the ``count`` children from index ``first`` on, seeded
+    in one pass over a uint32 array of their path indices p.
 
     ``SeedSequence(seed)`` validates the seed and mixes its entropy into its
     pool.  Child p mixes the same entropy, padded to at least 4 words, and
@@ -477,7 +496,7 @@ def _spawn_generators(seed, count: int) -> list:
     parent = SeedSequence(seed)
     calls = 4 + 12 + 4 * max(0, _entropy_words(parent.entropy) - 4)
     hash_const = _INIT_A * pow(_MULT_A, calls, 2**32) % 2**32
-    p = np.arange(count, dtype=np.uint32)
+    p = np.arange(first, first + count, dtype=np.uint32)
     pool = np.empty((4, count), dtype=np.uint32)
     for word, row in zip(parent.pool.tolist(), pool):
         # row = mix(word, hashmix(p))
@@ -543,13 +562,13 @@ class _BatchState:
     steps fit for sure, and the state counts them down.  When the count
     runs out it reads that room again; most words rise far slower than one
     letter per step, so there is often room left.  Only when fewer than 64
-    steps fit does the stack grow, in place, to the deepest word plus
-    ``65 + depth.max() // 16`` slots, at most to the slots ``max_steps``
-    could fill.  So once it has grown it holds at most
-    ``depth.max() + 65 + depth.max() // 16`` slots, unless the deepest word
-    has since shrunk.  A margin that scales with the depth keeps growths,
-    each a reallocation, few as words deepen; doubling would leave up to
-    twice the slots any path uses.
+    steps fit does the stack grow, in place.  A new stack and a grown one
+    alike get ``_capacity(d)`` slots for a deepest word of d letters: d plus
+    ``65 + d // 16``, at most the slots ``max_steps`` could fill.  So the
+    stack holds at most that many for its deepest word, unless that word has
+    since shrunk.  A margin that scales with the depth keeps growths, each a
+    reallocation, few as words deepen; doubling would leave up to twice the
+    slots any path uses.
 
     One step draws an arc from the target window, by counting the arc sums
     in column ``target`` of the table ``cum`` that lie below the path's
@@ -559,23 +578,25 @@ class _BatchState:
     ``metric_lengths`` then sums the weights of each path's final word once,
     letter by letter, exactly as ``groupoid.metric_length`` does.
 
-    ``starts`` lists (initial word, master seed, path count) per group; the
-    groups' paths follow each other.  Path p of a group starts at its word
-    and draws from the p-th child of its seed, whatever shares the batch.
-    ``_spawn_generators`` seeds a group's children in one vectorised pass;
-    its generators equal ``default_rng`` of ``SeedSequence(seed).spawn``'s
-    children, stream for stream, and the tests pin this.
+    ``starts`` lists (initial word, master seed, first child, path count)
+    per group; the groups' paths follow each other.  The q-th path of a
+    group starts at its word and draws from child ``first + q`` of its seed,
+    whatever shares the batch, so a group's paths can be split between
+    batches.  ``_spawn_generators`` seeds a group's children in one
+    vectorised pass; its generators equal ``default_rng`` of
+    ``SeedSequence(seed).spawn``'s children, stream for stream, and the
+    tests pin this.
     """
 
-    def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int]], max_steps):
+    def __init__(self, kernel, starts: Sequence[Tuple[Word, int, int, int]], max_steps):
         self.rules = rules = _RewriteTables(kernel.n_windows)
         self._ends, self._keys, self._push, moves, self._cum = rules.tables(kernel.P)
-        self.n_paths = n_paths = sum(count for _, _, count in starts)
-        d0 = max(len(initial.letters) for initial, _, _ in starts)
+        self.n_paths = n_paths = sum(count for *_, count in starts)
+        d0 = max(len(initial.letters) for initial, *_ in starts)
         # Slots needed: the sentinel, one per letter, and the free slot above
         # the top that every step writes.
         self._slots = d0 + max_steps + 2
-        cap0 = min(self._slots, max(64, 2 * (d0 + 1)))
+        cap0 = self._capacity(d0)
         self.stack = np.zeros((cap0, n_paths), dtype=rules.dtype)
         depth = np.empty(n_paths, dtype=np.int64)
         self.target = np.empty(n_paths, dtype=self._ends.dtype)
@@ -584,13 +605,13 @@ class _BatchState:
         # pre-drawn in chunks to keep stepping vectorised.
         self.rngs = []
         p0 = 0
-        for initial, seed, count in starts:
+        for initial, seed, first, count in starts:
             paths = slice(p0, p0 + count)
             for d, arc in enumerate(initial.letters, 1):
                 self.stack[d, paths] = rules.code(arc.i, arc.k)
             depth[paths] = len(initial.letters)
             self.target[paths] = initial.target
-            self.rngs += _spawn_generators(seed, count)
+            self.rngs += _spawn_generators(seed, count, first)
             p0 += count
         self.pos = depth * n_paths + np.arange(n_paths)
         # Steps that fit before the deepest path could outgrow the stack.
@@ -633,11 +654,14 @@ class _BatchState:
         self._ptr += 1
         return u
 
+    def _capacity(self, depth: int) -> int:
+        return min(self._slots, depth + 65 + depth // 16)
+
     def _grow(self) -> None:
         cap = self.stack.shape[0]
         depth = int(self.depth.max(initial=0))
         room = cap - 1 - depth
-        new_cap = cap if room >= 64 else min(self._slots, depth + 65 + depth // 16)
+        new_cap = cap if room >= 64 else self._capacity(depth)
         if new_cap > cap:
             # `resize` extends the buffer with zeroed slot rows by realloc,
             # not by a second array and a copy.  Its reference check would
@@ -725,6 +749,14 @@ def _run_length_groups(
     of the groups follow each other in the result.  Each group's paths equal
     ``run_length_paths(kernel, metric, n_steps, n_paths, seed, initial)``
     bit for bit: the batch shares only the stepping.
+
+    The batch's path range is cut into ``_shard_count`` contiguous shards,
+    and a cut may fall inside a group.  Shard 0 is stepped here and every
+    other shard in a child forked for it, each writing its arrays back
+    through a pipe; the parts are joined in path order.  No child outlives
+    the call: each is reaped before it returns or raises, also when a shard
+    raises or the call is interrupted, and an exception raised in a child
+    is raised here with its type and message.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
@@ -733,6 +765,43 @@ def _run_length_groups(
         if n_paths < 0:
             raise ValueError("n_paths must be non-negative")
         kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
+    total = sum(n_paths for *_, n_paths in starts)
+    shards = _shards(starts, _shard_count(total, n_steps))
+    if len(shards) < 2:
+        return _run_shard(kernel, metric, n_steps, [(w, seed, 0, n) for w, seed, n in starts])
+    return _run_forked(kernel, metric, n_steps, shards)
+
+
+def _shard_count(n_paths: int, n_steps: int) -> int:
+    """How many processes step a batch: one per CPU this process may run on,
+    at most one per path and one per ``SHARD_PATH_STEPS`` path-steps, and
+    one off Linux, where ``fork`` is not used."""
+    if not sys.platform.startswith("linux"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_paths, n_paths * n_steps // SHARD_PATH_STEPS))
+
+
+def _shards(starts: Sequence[Tuple[Word, int, int]], k: int) -> List[List[Tuple[Word, int, int, int]]]:
+    """The path range of ``starts`` cut into ``k`` contiguous shards, paths
+    ``total * s // k`` up to ``total * (s + 1) // k`` for shard s, each as
+    the (initial word, seed, first path, count) of its parts of the groups.
+    Empty shards are left out."""
+    total = sum(n_paths for *_, n_paths in starts)
+    cuts = sorted({total * s // k for s in range(k + 1)})
+    shards = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        shard, p0 = [], 0
+        for initial, seed, n_paths in starts:
+            first, stop = max(lo - p0, 0), min(hi - p0, n_paths)
+            if first < stop:
+                shard.append((initial, seed, first, stop - first))
+            p0 += n_paths
+        shards.append(shard)
+    return shards
+
+
+def _run_shard(kernel, metric, n_steps, starts) -> Tuple[np.ndarray, np.ndarray]:
+    """Final (word_len, metric_len) arrays of one batch, in this process."""
     state = _BatchState(kernel, starts, max_steps=n_steps)
     for _ in range(n_steps):
         state.advance()
@@ -740,3 +809,86 @@ def _run_length_groups(
     # pass adds its own blocks.
     del state._buf, state._block, state.rngs
     return state.depth, state.metric_lengths(metric)
+
+
+def _run_forked(kernel, metric, n_steps, shards) -> Tuple[np.ndarray, np.ndarray]:
+    """Shard 0 stepped here and every other shard in a forked child.
+
+    It starts no thread, and a child runs only the stepper and one write
+    to its pipe before ``os._exit``.  stdout and stderr are flushed before
+    each fork, so no child holds a copy of output still to be written.
+    ``children`` maps the pid of each child not yet reaped to the read end
+    of its pipe; the ``finally`` kills and reaps every child left in it."""
+    import pickle
+    import signal
+
+    children = {}
+    parts = []
+    try:
+        for shard in shards[1:]:
+            read, write = os.pipe()
+            try:
+                for stream in (sys.stdout, sys.stderr):
+                    if stream is not None:
+                        stream.flush()
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                inherited = [read] + [pipe.fileno() for pipe in children.values()]
+                _shard_child(kernel, metric, n_steps, shard, write, inherited)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        parts.append(_run_shard(kernel, metric, n_steps, shards[0]))
+        for pid, pipe in list(children.items()):
+            with pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not message:
+                raise ChildProcessError(f"a path shard's process ended with exit code "
+                                        f"{os.waitstatus_to_exitcode(status)} and sent no result")
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise pickle.loads(value)
+            parts.append(value)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _shard_child(kernel, metric, n_steps, shard, write: int, inherited: List[int]) -> NoReturn:
+    """The body of a forked child: step ``shard`` and write ``(True,
+    arrays)``, or ``(False, pickled exception)``, to the pipe ``write``.  It
+    leaves only through ``os._exit``, so no ``finally``, handler or exit
+    hook of the frames it inherited runs twice.  An exception that does not
+    survive pickling is sent as a ``RuntimeError`` naming its type and
+    message."""
+    import pickle
+
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            result = (True, _run_shard(kernel, metric, n_steps, shard))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                value = pickle.dumps(exc)
+                pickle.loads(value)
+            except Exception:
+                value = pickle.dumps(RuntimeError(f"{type(exc).__qualname__}: {exc}"))
+            result = (False, value)
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)

@@ -76,9 +76,11 @@ def verify_lln(
 
     Both runs step in one batch: ``n_paths`` paths from the unit of window 1
     on the children of ``seed``, then ``n_paths`` from the non-unit word on
-    the children of a second seed drawn from ``seed``.  Each path is
-    reproducible from its (seed, path index) alone and equals the
-    corresponding path of ``run_length_paths``, bit for bit.
+    the children of a second seed drawn from ``seed``.  A batch large enough
+    is cut into path shards stepped in forked processes on Linux
+    (``chain._run_length_groups``).  Each path is reproducible from its
+    (seed, path index) alone and equals the corresponding path of
+    ``run_length_paths``, bit for bit, however the batch is cut.
     """
     _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
     if sigma2_ref is not None and sigma2_ref < 0:

@@ -23,7 +23,11 @@ import numpy as np
 from .chain import TransitionKernel
 from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
 
-DEFAULT_STATE_CAP = 5 * 10**6
+#: Words a law of ``_word_laws`` may hold before it refuses.  A word state
+#: costs about 613 bytes (the ``tracemalloc`` peak over 131069 states of
+#: ``symmetric_kernel(3)`` at step 15), and the last law stays alive while
+#: the next one grows, so two laws at the cap hold about 1 GiB.
+DEFAULT_STATE_CAP = 8 * 10**5
 
 
 class StateSpaceExceeded(RuntimeError):

@@ -114,7 +114,7 @@ def sample_hitting_times(
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
     kernel.check_windows(target.i, target.j)
-    state = _BatchState(kernel, [(unit(target.i), seed, n_samples)], max_steps=cap)
+    state = _BatchState(kernel, [(unit(target.i), seed, 0, n_samples)], max_steps=cap)
     # Every path starts at window target.i, so its first letter leaves
     # target.i, and a one-letter word is the target arc exactly when that
     # letter's code and the end window match.  A top position below

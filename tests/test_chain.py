@@ -310,7 +310,7 @@ def _one_letter_per_step_kernel():
     return TransitionKernel(chamber_array(p, 4)[0])
 
 
-@pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 200])
+@pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 65, 200])
 def test_batch_word_growing_every_step_fills_stack(n_steps):
     # The deepest slot the stack can hold is reached when a capacity runs
     # out.
@@ -345,12 +345,30 @@ def test_batch_word_growing_every_step_through_many_growths(monkeypatch):
         assert ml[q] == metric_length(traj.final, fm)
 
 
+def test_batch_from_a_deep_word_starts_with_the_grown_stack_size():
+    # A new stack gets the slots a grown one would: 200 letters, the
+    # sentinel and a margin of 64 + 200 // 16, not 2 * 201 by doubling.
+    k, fm = asymmetric_kernel(), fenced_metric(3)
+    initial = unit(1)
+    for n in range(200):  # signs alternate, so every arc is pushed
+        initial = append(initial, Arc(initial.target, initial.target % 3 + 1, 1 - 2 * (n % 2)))
+    assert len(initial) == 200
+    state = _BatchState(k, [(initial, 9, 0, 5)], max_steps=300)
+    assert state.stack.shape[0] == 200 + 65 + 200 // 16
+    wl, ml = run_length_paths(k, fm, 300, 5, 9, initial=initial)
+    children = np.random.SeedSequence(9).spawn(5)
+    for q in range(5):
+        traj = simulate(initial, k, 300, seed=children[q], metric=fm)
+        assert wl[q] == len(traj.final)
+        assert ml[q] == metric_length(traj.final, fm)
+
+
 @pytest.mark.parametrize("n_paths, n_steps", [(400, 3000), (500, 4000)])
 def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
     # The deepest word gains about 0.3 letters a step here, so a stack
     # sized by the steps taken would hold two to three times the slots any
     # path uses.
-    state = _BatchState(asymmetric_kernel(), [(unit(1), 5, n_paths)], max_steps=n_steps)
+    state = _BatchState(asymmetric_kernel(), [(unit(1), 5, 0, n_paths)], max_steps=n_steps)
     for _ in range(n_steps):
         state.advance()
     state.metric_lengths(fenced_metric(3))
@@ -358,10 +376,17 @@ def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
     assert state.stack.shape[0] <= depth + 65 + depth // 16
 
 
+def _one_shard(monkeypatch):
+    # A batch stepped in one process, whatever its size, so that this
+    # process sees all of it.
+    monkeypatch.setattr("windwalk.chain._shard_count", lambda n_paths, n_steps: 1)
+
+
 def test_clt_batch_frees_its_draws_before_the_metric_pass(monkeypatch):
     # When the metric pass starts, the uniform buffer, its block and the
     # generators are spent and gone, and the stack holds about 1/16 more
     # slots than the deepest of 2000 words.
+    _one_shard(monkeypatch)
     seen = []
     metric_lengths = _BatchState.metric_lengths
 
@@ -435,12 +460,13 @@ def _traced_peak(call):
     return peak
 
 
-def test_clt_batch_peaks_near_its_stack():
+def test_clt_batch_peaks_near_its_stack(monkeypatch):
     # 2000 paths of 10**4 steps reach depth 2989.  A stack doubled on a
     # count of one letter per step reached 8192 slots, and each growth held
     # the old stack, a zero pad and their copy at once: a peak of 41 MiB.
     # Doubling on the depth reached left 4096 slots and 18.9 MiB; a margin of
     # depth // 16, and the draws freed before the metric pass, 3218 and 15.7.
+    _one_shard(monkeypatch)
     k, fm = asymmetric_kernel(), fenced_metric(3)
     peak = _traced_peak(lambda: run_length_paths(k, fm, 10**4, 2000, seed=0))
     assert peak <= 17.3 * 2**20
@@ -459,10 +485,10 @@ def test_batch_tables_stay_quadratic_in_n():
     # table would hold 2 * 101 * 19800 entries, some 30 MB even as int8.
     # One step builds the arc tables too.
     k = symmetric_kernel(100)
-    _BatchState(k, [(unit(1), 0, 1)], max_steps=10).advance()
+    _BatchState(k, [(unit(1), 0, 0, 1)], max_steps=10).advance()
     tracemalloc.start()
     try:
-        _BatchState(k, [(unit(1), 0, 1)], max_steps=10).advance()
+        _BatchState(k, [(unit(1), 0, 0, 1)], max_steps=10).advance()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -615,7 +641,7 @@ def test_arc_rule_at_exact_boundaries(kernel):
         assert (us > cum[:, i, None]).sum(axis=0).tolist() == picked
         stepped = [Arc(i, ends[m], 1 - 2 * (keys[m] // rules.n1)) for m in picked]
         assert stepped == [arcs[m] for m in picked]
-        state = _BatchState(kernel, [(unit(i), 0, len(us))], max_steps=1)
+        state = _BatchState(kernel, [(unit(i), 0, 0, len(us))], max_steps=1)
         state._buf[0] = us
         state._ptr = 0
         state.advance()

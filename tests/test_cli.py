@@ -762,6 +762,15 @@ def test_target_is_read_as_whole_numbers(capsys):
     assert "got '1,2,1.5'" in err
 
 
+def test_refused_word_space_walk_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr("windwalk.oracle.DEFAULT_STATE_CAP", 50)
+    code, out, err = run(capsys, "oracle-dp", "--kernel", "symmetric:3", "--mode", "hitting",
+                         "--target", "1,2,1", "--max-steps", "40", "--method", "words")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: word-state count 94 exceeds the cap 50\n"
+
+
 def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr("windwalk.limits.perron_jet", lambda *_: Jet2(1e-6, 1.0, 0.5))
     code, out, err = run(capsys, "limits", "--kernel", "symmetric:3")
