@@ -1,10 +1,10 @@
-"""The forked path shards of ``chain._run_length_groups``: shard 0 of a
+"""The forked path shards of ``_stepper.run_length_groups``: shard 0 of a
 batch stepped in this process, every other shard in a child made by
 ``os.fork``, and the parts joined in path order.
 
-``chain`` imports this module only when a batch is cut into shards, so a
-process that never shards a batch, such as every ``windwalk limits`` call,
-neither loads nor compiles it.
+``_stepper`` imports this module only when a batch is cut into shards, so a
+process that never shards a batch, such as every ``windwalk limits`` call or
+a small ``verify_lln``, neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 # fork, it is not imported again in every child.
 import numpy.random  # noqa: F401
 
-from .chain import _run_shard
+from ._stepper import _run_shard
 
 
 def run_forked(kernel, metric, n_steps, shards) -> Tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from windwalk.chain import TransitionKernel, _BatchState
+from windwalk._stepper import _BatchState
+from windwalk.chain import TransitionKernel
 from windwalk.groupoid import Arc, Metric, unit
 from windwalk.oracle import TruncatedSeries
 from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices

@@ -1,10 +1,12 @@
 """Kernel validation, stepping statistics, determinism, hitting times."""
 
 import cProfile
+import inspect
 import re
 import tracemalloc
 import warnings
 from bisect import bisect_left
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,14 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from windwalk._stepper import _BatchState, _RewriteTables, _spawn_generators
 from windwalk.chain import (
+    ASYMMETRIC_PROBS,
     ROW_SUM_TOL,
     KernelError,
     TransitionKernel,
-    _BatchState,
-    _RewriteTables,
     _row_blocks,
-    _spawn_generators,
     asymmetric_kernel,
     kernel_to_json,
     one_parameter_kernel,
@@ -58,6 +59,40 @@ def test_asymmetric_rows_sum_to_one():
     for i in (1, 2, 3):
         row = sum(k.prob(i, j, s) for j in (1, 2, 3) if j != i for s in (1, -1))
         assert row == pytest.approx(1.0, abs=1e-15)
+
+
+def test_asymmetric_probs_are_the_nearest_floats_of_their_rationals():
+    # The values are quotients n / d; each is float(Fraction(n, d)), and the
+    # kernel's array holds the bits it held when they were Fractions.
+    published = {
+        (2, 1, 1): (17, 40), (2, 3, 1): (1, 5), (2, 1, -1): (1, 8), (2, 3, -1): (1, 4),
+        (1, 2, 1): (43, 70), (3, 2, 1): (43, 72), (1, 2, -1): (1, 7), (3, 2, -1): (1, 8),
+        (1, 3, 1): (1, 10), (3, 1, 1): (1, 9), (1, 3, -1): (1, 7), (3, 1, -1): (1, 6),
+    }
+    assert ASYMMETRIC_PROBS.keys() == published.keys()
+    for arc, (n, d) in published.items():
+        assert type(ASYMMETRIC_PROBS[arc]) is float
+        assert ASYMMETRIC_PROBS[arc] == float(Fraction(n, d)), arc
+    hexes = ["0x0.0p+0", "0x1.3a83a83a83a84p-1", "0x1.999999999999ap-4", "0x1.b333333333333p-2",
+             "0x0.0p+0", "0x1.999999999999ap-3", "0x1.c71c71c71c71cp-4", "0x1.31c71c71c71c7p-1",
+             "0x0.0p+0", "0x0.0p+0", "0x1.2492492492492p-3", "0x1.2492492492492p-3",
+             "0x1.0000000000000p-3", "0x0.0p+0", "0x1.0000000000000p-2", "0x1.5555555555555p-3",
+             "0x1.0000000000000p-3", "0x0.0p+0"]
+    assert asymmetric_kernel().P.ravel().tolist() == list(map(float.fromhex, hexes))
+
+
+def test_chain_entries_are_the_names_the_tracer_patches():
+    # perfbench's tracer patches every module attribute that is
+    # `chain.run_length_paths` and binds its `n_paths` and `n_steps` by name;
+    # the entries stay in `chain` while their bodies live in `_stepper`.
+    import windwalk
+    from windwalk import chain, montecarlo
+
+    assert montecarlo.run_length_paths is chain.run_length_paths
+    assert windwalk.simulate is chain.simulate
+    call = inspect.signature(chain.run_length_paths).bind(
+        asymmetric_kernel(), word_metric(3), n_steps=5, n_paths=2, seed=0).arguments
+    assert (call["n_steps"], call["n_paths"]) == (5, 2)
 
 
 def test_validation_collects_all_violations():
@@ -379,7 +414,7 @@ def test_batch_stack_follows_the_depth_reached(n_paths, n_steps):
 def _one_shard(monkeypatch):
     # A batch stepped in one process, whatever its size, so that this
     # process sees all of it.
-    monkeypatch.setattr("windwalk.chain._shard_count", lambda n_paths, n_steps: 1)
+    monkeypatch.setattr("windwalk._stepper._shard_count", lambda n_paths, n_steps: 1)
 
 
 def test_clt_batch_frees_its_draws_before_the_metric_pass(monkeypatch):

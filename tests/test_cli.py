@@ -535,6 +535,44 @@ def test_runtime_runs_without_scipy():
     assert out.returncode == 0, out.stderr
 
 
+def test_cold_limits_loads_no_stepper():
+    # The steppers, the fork runner and the modules only a chain run needs
+    # stay off the import path: `windwalk.cli` loads none of them, and
+    # `limits --oracle` prints the same bytes under a finder that refuses
+    # `windwalk._stepper` and `fractions`.
+    import os
+    import subprocess
+    import sys
+
+    import windwalk
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(windwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, windwalk, windwalk.cli\n"
+            "print(sorted({'windwalk._stepper', 'windwalk._forked', 'fractions', 'decimal',"
+            " 'numpy.random'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    argv = ["limits", "--kernel", "asymmetric", "--metric", "fenced", "--oracle"]
+    refusing = ("import sys\n"
+                "class NoStepper:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name in ('windwalk._stepper', 'fractions'):\n"
+                "            raise ImportError(f'{name} is refused')\n"
+                "sys.meta_path.insert(0, NoStepper())\n"
+                "import windwalk.cli\n"
+                f"sys.exit(windwalk.cli.main({argv!r}))")
+    plain = subprocess.run([sys.executable, "-m", "windwalk.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    refused = subprocess.run([sys.executable, "-c", refusing], env=env, capture_output=True,
+                             text=True)
+    assert (plain.returncode, refused.returncode) == (0, 0), refused.stderr
+    assert refused.stdout == plain.stdout
+    assert json.loads(refused.stdout)["gamma"] > 0
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("validate", "metric", "word"), ("validate", "seed", 1),
     ("solve-r", "metric", "word"), ("solve-r", "seed", 1),

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from windwalk import chain
-from windwalk.chain import (SHARD_PATH_STEPS, _run_length_groups, _shard_count, _shards,
-                            asymmetric_kernel, run_length_paths, symmetric_kernel)
+from windwalk import _stepper
+from windwalk._stepper import SHARD_PATH_STEPS, _shard_count, _shards
+from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
 from windwalk.cli import main
 from windwalk.groupoid import Arc, Word, fenced_metric, unit, word_metric
 from windwalk.limits import compute_limits
@@ -32,7 +32,7 @@ def shards(monkeypatch):
     monkeypatch.setattr(os, "fork", counted)
 
     def plan(k):
-        monkeypatch.setattr(chain, "_shard_count", lambda n_paths, n_steps: k)
+        monkeypatch.setattr(_stepper, "_shard_count", lambda n_paths, n_steps: k)
         forked.clear()
         return forked
 
@@ -135,14 +135,14 @@ def test_shard_exception_is_raised_with_its_type_and_message(shards, monkeypatch
                                                              expected, message):
     # Shard s seeds paths from 4 s on.  Whichever shard raises, the call
     # raises that exception, and every child is reaped (conftest).
-    spawn = chain._spawn_generators
+    spawn = _stepper._spawn_generators
 
     def failing(seed, count, first=0):
         if first == 4 * shard:
             raise raised
         return spawn(seed, count, first)
 
-    monkeypatch.setattr(chain, "_spawn_generators", failing)
+    monkeypatch.setattr(_stepper, "_spawn_generators", failing)
     forked = shards(3)
     with pytest.raises(expected, match=message):
         run_length_paths(symmetric_kernel(3), word_metric(3), 50, 12, seed=0)
@@ -179,11 +179,12 @@ def test_output_written_before_a_sharded_run_is_written_once():
     # leaves through os._exit, so the parent's text appears once.
     script = (
         "import sys\n"
-        "from windwalk import chain\n"
-        "chain._shard_count = lambda n_paths, n_steps: 3\n"
+        "from windwalk import _stepper, chain\n"
+        "from windwalk.groupoid import word_metric\n"
+        "_stepper._shard_count = lambda n_paths, n_steps: 3\n"
         "sys.stdout.write('before ')\n"
         "sys.stderr.write('err ')\n"
-        "wl, _ = chain.run_length_paths(chain.symmetric_kernel(3), chain.word_metric(3), 20, 9, 0)\n"
+        "wl, _ = chain.run_length_paths(chain.symmetric_kernel(3), word_metric(3), 20, 9, 0)\n"
         "print(len(wl))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

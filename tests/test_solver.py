@@ -298,10 +298,10 @@ def test_library_holds_no_test_only_route():
 def test_library_holds_no_test_only_sampler():
     # The hitting-time sampler, the batch's top-letter read it alone used
     # and a truncated series' partial sum live in tests/reference.py too.
-    from windwalk import chain, oracle
+    from windwalk import _stepper, chain, oracle
 
     assert not hasattr(chain, "sample_hitting_times")
-    assert not hasattr(chain._BatchState, "top")
+    assert not hasattr(_stepper._BatchState, "top")
     assert not hasattr(oracle.TruncatedSeries, "eval")
     assert oracle.TruncatedSeries(np.array([0.25, 0.5])).total_mass() == 0.75
 
