@@ -9,13 +9,21 @@ as is an unknown key in a metric object or an arc entry
 (``groupoid.arc_table``), so typos never silently change a run.  Exit
 codes: 0 success, 1 failed statistical check, 2 invalid input (an input too
 large to allocate, or a result that JSON cannot hold, included), 3
-numerical failure (non-convergence or a singular system).
+numerical failure (non-convergence or a singular system), 141 standard
+output closed by its reader (128 + SIGPIPE, as a shell reports it).
+
+``run`` is the script entry (``python -m windwalk.cli`` and the installed
+``windwalk`` command); ``main`` is the in-process API.  ``run`` freezes the
+garbage collector's heap on its way out, so the interpreter's exit-time
+collections do not walk numpy's and windwalk's objects; ``main`` never
+touches the collector.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -47,6 +55,7 @@ EXIT_OK = 0
 EXIT_STATISTICAL = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+EXIT_CLOSED_STDOUT = 141
 
 DEFAULT_Q_GRID = [round(0.02 * i, 10) for i in range(1, 25)]  # 0.02 .. 0.48
 
@@ -397,6 +406,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)
         return args.run(args)
+    except BrokenPipeError:
+        return _stdout_closed()
     except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -406,5 +417,34 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_NUMERICAL
 
 
+def _stdout_closed() -> int:
+    """Point fd 1 at ``os.devnull``, so that the interpreter's final flush of
+    whatever stdout still buffers cannot fail again (the ``signal`` module
+    docs' recipe), and give the status of a writer whose reader left."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    return EXIT_CLOSED_STDOUT
+
+
+def run(argv: Optional[List[str]] = None) -> int:
+    """The script entry: ``main(argv)`` with stdout flushed, also when
+    argparse exits for ``--help`` or a usage error.  Every way out freezes
+    the collector's heap once, so the exit-time collections skip every
+    object the process built; atexit handlers and the final flushes still
+    run."""
+    import gc  # built in; imported here, `import windwalk.cli` does not load it
+
+    try:
+        try:
+            return main(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        return _stdout_closed()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -837,3 +837,111 @@ def test_degenerate_metric_carries_a_warning(capsys, tmp_path, metric, degenerat
     if degenerate:
         assert payload["warning"] == "metric is degenerate: the Perron root does not depend on z"
         assert payload["gamma"] == 0.0
+
+
+def _child_env(**extra):
+    """The environment of a fresh interpreter that imports this windwalk."""
+    import os
+
+    import windwalk
+
+    env = dict(os.environ, **extra)
+    src = os.path.dirname(os.path.dirname(windwalk.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_run_freezes_the_heap_and_main_does_not(capsys):
+    import gc
+    import subprocess
+    import sys
+
+    code = ("import gc, sys, windwalk.cli\n"
+            "before = gc.get_freeze_count()\n"
+            "status = windwalk.cli.run(['limits', '--kernel', 'symmetric:3', '--oracle'])\n"
+            "print(status, before, gc.get_freeze_count(), file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                         text=True, check=True)
+    status, before, after = map(int, out.stderr.split())
+    assert (status, before) == (0, 0)
+    assert after > 0
+    assert json.loads(out.stdout)["closed_form_delta"]
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "limits", "--kernel", "symmetric:3", "--oracle")[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_run():
+    # The installed `windwalk` command takes the path of `python -m windwalk.cli`.
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["windwalk", "=", '"windwalk.cli:run"']
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["limits", "--kernel", "asymmetric", "--metric", "fenced", "--oracle"], 0),
+    (["limits", "--kernel", "symmetric:1"], 2),
+    (["limits", "--kernel", "symmetric:3", "--bogus"], 2),
+    (["--help"], 0),
+])
+def test_module_entry_matches_main(capsys, monkeypatch, argv, status):
+    # argparse wraps its help and usage to the terminal's width.
+    import subprocess
+    import sys
+
+    monkeypatch.setenv("COLUMNS", "80")
+    child = subprocess.run([sys.executable, "-m", "windwalk.cli", *argv],
+                           env=_child_env(COLUMNS="80"), capture_output=True, text=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == status
+    assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+
+
+def test_module_entry_matches_main_on_numerical_failure(capsys, monkeypatch):
+    # The refused word-space walk of test_refused_word_space_walk_is_numerical_failure:
+    # the child patches the cap, then runs the module as `python -m` does.
+    import subprocess
+    import sys
+
+    argv = ["oracle-dp", "--kernel", "symmetric:3", "--mode", "hitting", "--target", "1,2,1",
+            "--max-steps", "40", "--method", "words"]
+    code = ("import runpy, sys, windwalk.oracle\n"
+            "windwalk.oracle.DEFAULT_STATE_CAP = 50\n"
+            f"sys.argv = ['windwalk'] + {argv!r}\n"
+            "runpy.run_module('windwalk.cli', run_name='__main__', alter_sys=True)")
+    child = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                           text=True)
+    monkeypatch.setattr("windwalk.oracle.DEFAULT_STATE_CAP", 50)
+    assert run(capsys, *argv) == (3, child.stdout, child.stderr)
+    assert child.returncode == 3
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_in_silence(tmp_path, unbuffered):
+    # A reader that left before the writer started: a closed pipe is not
+    # invalid input, but an --output file that cannot be written still is.
+    import os
+    import subprocess
+    import sys
+
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "windwalk.cli", "limits", "--kernel", "symmetric:5",
+            "--metric", "word", "--oracle"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (141, b"")
+    unwritable = str(tmp_path / "missing" / "out.json")
+    child = subprocess.run(argv + ["--output", unwritable], capture_output=True, env=env)
+    assert child.returncode == 2
+    assert child.stderr.startswith(b"error: ")
