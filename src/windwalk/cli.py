@@ -13,10 +13,8 @@ numerical failure (non-convergence or a singular system), 141 standard
 output closed by its reader (128 + SIGPIPE, as a shell reports it).
 
 ``run`` is the script entry (``python -m windwalk.cli`` and the installed
-``windwalk`` command); ``main`` is the in-process API.  ``run`` freezes the
-garbage collector's heap on its way out, so the interpreter's exit-time
-collections do not walk numpy's and windwalk's objects; ``main`` never
-touches the collector.
+``windwalk`` command) and ``main`` the in-process API; only ``run`` touches
+the garbage collector.
 """
 
 from __future__ import annotations
