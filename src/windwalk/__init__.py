@@ -37,7 +37,6 @@ from .limits import (
 from .montecarlo import McReport, verify_clt, verify_lazy_walk, verify_lln
 from .oracle import (
     ClosedFormCase,
-    TruncatedSeries,
     closed_form,
     dp_hitting_series,
     dp_return_series,

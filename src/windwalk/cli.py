@@ -293,10 +293,10 @@ def cmd_oracle_dp(args) -> int:
         except ValueError:
             raise ConfigError(
                 f"--target must be i,j,k, three integers, got {args.target!r}") from None
-        series = dp_hitting_series(kernel, Arc(i, j, k), max_steps, method=method)
+        coeffs = dp_hitting_series(kernel, Arc(i, j, k), max_steps, method=method)
         payload = {"mode": mode, "target": [i, j, k]}
     elif mode == "return":
-        series = dp_return_series(kernel, args.window, max_steps, method=method)
+        coeffs = dp_return_series(kernel, args.window, max_steps, method=method)
         payload = {"mode": mode, "window": args.window}
     else:
         metric = _build_metric(args.metric, kernel.n_windows)
@@ -307,8 +307,8 @@ def cmd_oracle_dp(args) -> int:
     payload.update({
         "max_steps": max_steps,
         "method": method,
-        "coeffs": [float(c) for c in series.coeffs],
-        "total_mass": series.total_mass(),
+        "coeffs": coeffs.tolist(),
+        "total_mass": float(coeffs.sum()),
     })
     _emit_json(payload, args.output)
     return EXIT_OK

@@ -16,7 +16,7 @@ fully mechanical cross-check for small step counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -35,16 +35,6 @@ class StateSpaceExceeded(RuntimeError):
         super().__init__(f"word-state count {count} exceeds the cap {cap}")
         self.count = count
         self.cap = cap
-
-
-@dataclass
-class TruncatedSeries:
-    """Per-step probability mass c_0..c_M; partial sums never exceed 1."""
-
-    coeffs: np.ndarray
-
-    def total_mass(self) -> float:
-        return float(self.coeffs.sum())
 
 
 def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.ndarray:
@@ -81,8 +71,11 @@ def _word_laws(
     A word that ``keep(m, word)`` refuses is dropped from the law at step m.
     The caller may remove words from a yielded law; the next step grows from
     what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
-    stops early once the law is empty.  Arcs are read only through ``kernel.arcs_from``
-    and ``groupoid.append``, never through the chain's rewrite tables, so the
+    stops early once the law is empty.  The return and ``G`` walks keep
+    every reduced word within reach, so ``_check_law_sizes`` checks their
+    sizes before the first step; the hitting walk's pruned laws are counted
+    as they grow.  Arcs are read only through ``kernel.arcs_from`` and
+    ``groupoid.append``, never through the chain's rewrite tables, so the
     enumeration stays independent of the convolution DP and the sampler.
     """
     arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
@@ -102,21 +95,42 @@ def _word_laws(
         law = nxt
 
 
+def _law_size(n_windows: int, m: int, r: int) -> int:
+    """The size of the law at step m >= 1 of a word-law walk that keeps
+    every reduced word of length at most r <= m.  There are 2 (N-1)^L
+    reduced words of length L >= 1 from a window.  Every arc has positive
+    probability, and a merge keeps a word's length, so each of them is
+    reached, and so is the empty word from step 2 on."""
+    b = n_windows - 1
+    return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
+
+
+def _check_law_sizes(n_windows: int, radii: Iterable[int]) -> None:
+    """Raise ``StateSpaceExceeded``, before any step, for a walk that keeps
+    every reduced word of length at most the m-th of ``radii`` at step m,
+    with the size of its first law above ``DEFAULT_STATE_CAP``: the count
+    at which ``_word_laws`` would stop."""
+    for m, r in enumerate(radii, start=1):
+        count = _law_size(n_windows, m, r)
+        if count > DEFAULT_STATE_CAP:
+            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
+
+
 def dp_hitting_series(
     kernel: TransitionKernel,
     target: Arc,
     max_steps: int,
     method: str = "convolution",
-) -> TruncatedSeries:
+) -> np.ndarray:
     """Distribution of the first hitting time of the one-letter word ``target``
-    from the unit at its source window, truncated at ``max_steps``."""
+    from the unit at its source window, truncated at ``max_steps``: the
+    probabilities c_0..c_M of a hit at each step, whose sum never exceeds 1."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(target.i, target.j)
     if method == "convolution":
         t = hitting_step_probabilities(kernel, max_steps)
-        coeffs = t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
-        return TruncatedSeries(coeffs)
+        return t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
     if method != "words":
         raise ValueError(f"unknown method {method!r}")
     coeffs = np.zeros(max_steps + 1)
@@ -126,7 +140,7 @@ def dp_hitting_series(
                       lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
-    return TruncatedSeries(coeffs)
+    return coeffs
 
 
 def dp_return_series(
@@ -134,12 +148,14 @@ def dp_return_series(
     i: int,
     max_steps: int,
     method: str = "convolution",
-) -> TruncatedSeries:
-    """P(the chain started at e_i sits at e_i after m steps), m <= max_steps."""
+) -> np.ndarray:
+    """P(the chain started at e_i sits at e_i after m steps), m <= max_steps,
+    as the array c_0..c_M."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
     if method == "words":
+        _check_law_sizes(kernel.n_windows, (min(m, max_steps - m) for m in range(1, max_steps + 1)))
         coeffs = np.zeros(max_steps + 1)
         coeffs[0] = 1.0
         e_i = Word(i)
@@ -147,7 +163,7 @@ def dp_return_series(
         laws = _word_laws(kernel, i, max_steps, lambda m, word: len(word) <= max_steps - m)
         for m, law in enumerate(laws, start=1):
             coeffs[m] = law.get(e_i, 0.0)
-        return TruncatedSeries(coeffs)
+        return coeffs
     if method != "convolution":
         raise ValueError(f"unknown method {method!r}")
     t = hitting_step_probabilities(kernel, max_steps)
@@ -159,7 +175,7 @@ def dp_return_series(
     s[0] = 1.0
     for m in range(1, max_steps + 1):
         s[m] = float(u[1 : m + 1] @ s[m - 1 :: -1][: m])
-    return TruncatedSeries(s)
+    return s
 
 
 def dp_truncated_G(
@@ -178,6 +194,7 @@ def dp_truncated_G(
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
     kernel.check_metric(metric)
+    _check_law_sizes(kernel.n_windows, range(1, max_steps + 1))
     total = 1.0  # n = 0 term: the unit word has length 0
     for n, law in enumerate(_word_laws(kernel, i, max_steps), start=1):
         expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())

@@ -18,7 +18,6 @@ import numpy as np
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel
 from windwalk.groupoid import Arc, Metric, unit
-from windwalk.oracle import TruncatedSeries
 from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices
 
 
@@ -85,10 +84,9 @@ def direct_h(
     return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))
 
 
-def series_eval(series: TruncatedSeries, lam: float) -> float:
-    """The partial sum of ``series.coeffs[m] * lam**m`` over m <= M."""
-    powers = lam ** np.arange(len(series.coeffs))
-    return float(series.coeffs @ powers)
+def series_eval(coeffs: np.ndarray, lam: float) -> float:
+    """The partial sum of ``coeffs[m] * lam**m`` over m <= M."""
+    return float(coeffs @ lam ** np.arange(len(coeffs)))
 
 
 def batch_top(state: _BatchState) -> np.ndarray:

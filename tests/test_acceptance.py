@@ -29,7 +29,6 @@ from windwalk.limits import build_b, compute_limits, det_h, kms_phi
 from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import (
     ASYMMETRIC_REFERENCE,
-    TruncatedSeries,
     closed_form_one_parameter,
     closed_form_symmetric,
     hitting_step_probabilities,
@@ -191,7 +190,7 @@ def test_criterion_05_dp_oracle_equivalence():
         # One (2, N, N, 81) table serves every arc.
         table = hitting_step_probabilities(k, 80)
         series = {
-            t: TruncatedSeries(table[(1 - t[2]) // 2, t[0] - 1, t[1] - 1])
+            t: table[(1 - t[2]) // 2, t[0] - 1, t[1] - 1]
             for t in IndexMap(3).tuples
         }
         for lam in (0.5, 0.9):

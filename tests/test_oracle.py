@@ -26,8 +26,8 @@ def test_first_coefficient_is_one_step_probability():
     k = asymmetric_kernel()
     for method in ("convolution", "words"):
         s = dp_hitting_series(k, Arc(1, 2, 1), 3, method=method)
-        assert s.coeffs[0] == 0.0
-        assert s.coeffs[1] == pytest.approx(k.prob(1, 2, 1))
+        assert s[0] == 0.0
+        assert s[1] == pytest.approx(k.prob(1, 2, 1))
 
 
 def test_convolution_and_word_dp_agree():
@@ -35,19 +35,19 @@ def test_convolution_and_word_dp_agree():
     # the other enumerates probability mass over reduced words
     for k in (symmetric_kernel(3), asymmetric_kernel()):
         for target in (Arc(1, 2, 1), Arc(2, 3, -1), Arc(3, 1, 1)):
-            a = dp_hitting_series(k, target, 12).coeffs
-            b = dp_hitting_series(k, target, 12, method="words").coeffs
+            a = dp_hitting_series(k, target, 12)
+            b = dp_hitting_series(k, target, 12, method="words")
             assert np.allclose(a, b, atol=1e-15)
         for i in (1, 2):
-            a = dp_return_series(k, i, 12).coeffs
-            b = dp_return_series(k, i, 12, method="words").coeffs
+            a = dp_return_series(k, i, 12)
+            b = dp_return_series(k, i, 12, method="words")
             assert np.allclose(a, b, atol=1e-15)
 
 
 def test_partial_sums_increase_and_stay_below_one():
     k = asymmetric_kernel()
     s = dp_hitting_series(k, Arc(2, 1, 1), 60)
-    partial = np.cumsum(s.coeffs)
+    partial = np.cumsum(s)
     assert np.all(np.diff(partial) >= 0)
     assert partial[-1] < 1.0  # transience
 
@@ -114,15 +114,15 @@ def test_hitting_table_within_tail_bound_of_solver(n, concentration):
 
 def test_return_series_start():
     s = dp_return_series(symmetric_kernel(3), 1, 6)
-    assert s.coeffs[0] == 1.0
-    assert s.coeffs[1] == 0.0  # one step always leaves the unit
-    assert s.coeffs[2] == pytest.approx(0.25)  # immediate backtrack
-    assert np.all(s.coeffs >= 0)
+    assert s[0] == 1.0
+    assert s[1] == 0.0  # one step always leaves the unit
+    assert s[2] == pytest.approx(0.25)  # immediate backtrack
+    assert np.all(s >= 0)
 
 
 def test_return_series_decays_exponentially():
     s = dp_return_series(symmetric_kernel(3), 1, 40)
-    logs = np.log(s.coeffs[6:])
+    logs = np.log(s[6:])
     slope = np.polyfit(np.arange(len(logs)), logs, 1)[0]
     assert slope < -1e-3
 
@@ -162,6 +162,36 @@ def test_state_cap_guard(monkeypatch, call, cap, count):
     with pytest.raises(StateSpaceExceeded) as info:
         call()
     assert info.value.count == count
+
+
+@pytest.mark.parametrize("kernel, steps", [
+    (asymmetric_kernel(), 11), (symmetric_kernel(4), 7), (symmetric_kernel(5), 6),
+], ids=["asymmetric", "symmetric:4", "symmetric:5"])
+def test_law_sizes_are_the_reduced_word_counts(kernel, steps):
+    # The return walk to horizon M keeps the words of length at most
+    # min(m, M - m) at step m, and the G walk those of length at most m.
+    n = kernel.n_windows
+    for horizon in range(1, steps + 1):
+        laws = oracle._word_laws(kernel, 1, horizon, lambda m, word: len(word) <= horizon - m)
+        assert [len(law) for law in laws] == [oracle._law_size(n, m, min(m, horizon - m))
+                                              for m in range(1, horizon + 1)]
+    sizes = [len(law) for law in oracle._word_laws(kernel, 2, steps)]
+    assert sizes == [oracle._law_size(n, m, m) for m in range(1, steps + 1)]
+
+
+def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
+    # At the default cap and horizon, the law passes the cap at step 18: the
+    # running count stepped there for about 50 s before it refused.
+    def walk(*args):
+        raise AssertionError("the word laws were stepped")
+
+    monkeypatch.setattr(oracle, "_word_laws", walk)
+    kernel = symmetric_kernel(3)
+    for call in (lambda: dp_return_series(kernel, 1, 40, method="words"),
+                 lambda: dp_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
+        with pytest.raises(StateSpaceExceeded) as info:
+            call()
+        assert (info.value.count, info.value.cap) == (2**20 - 3, oracle.DEFAULT_STATE_CAP)
 
 
 # Word-space results at 8 steps, recorded as exact reprs.  Each law is summed
@@ -214,9 +244,9 @@ def test_word_space_oracles_match_the_record_exactly(name):
     kernel = asymmetric_kernel() if name == "asymmetric" else symmetric_kernel(4)
     record = WORD_SPACE_RECORD[name]
     for target, coeffs in record["hitting"].items():
-        assert dp_hitting_series(kernel, Arc(*target), 8, method="words").coeffs.tolist() == coeffs
+        assert dp_hitting_series(kernel, Arc(*target), 8, method="words").tolist() == coeffs
     for i, coeffs in record["return"].items():
-        assert dp_return_series(kernel, i, 8, method="words").coeffs.tolist() == coeffs
+        assert dp_return_series(kernel, i, 8, method="words").tolist() == coeffs
     metrics = {"word": word_metric(kernel.n_windows), "fenced": fenced_metric(kernel.n_windows)}
     for (metric, z), value in record["G"].items():
         assert dp_truncated_G(kernel, metrics[metric], 2, 0.5, z, 8) == value
