@@ -1,6 +1,6 @@
 """The chain's steppers: the rewrite tables, the scalar ``simulate``, the
-seeding of many paths, the batched ``_BatchState`` and the plan of its
-forked path shards.
+seeding of many paths, the batched ``_BatchState``, and the plan and the
+forked runner of its path shards.
 
 ``chain`` keeps the kernel and the entries ``simulate``,
 ``run_length_paths`` and ``_run_length_groups``; each imports this module
@@ -12,8 +12,8 @@ reduced word by the rule of ``groupoid.append``: push the drawn arc, pop the
 last letter, or merge with it.  ``_RewriteTables`` holds the draw's running
 arc sums and that rule as flat tables, built per run from the kernel's
 ``P``, and the scalar ``simulate`` and the batched ``_BatchState`` both step
-through them; ``groupoid.append`` itself builds only the words ``simulate``
-records.  The kernel keeps nothing of a run.
+through them.  The tests check both against ``groupoid.append``.  The
+kernel keeps nothing of a run.
 
 Randomness comes from numpy's PCG64 generator.  Every multi-path routine
 gives path p the generator of the p-th child of
@@ -21,12 +21,13 @@ gives path p the generator of the p-th child of
 ``(seed, path index)`` alone.  ``_spawn_generators`` seeds a whole batch's
 children in one vectorised pass over the path indices; its generators equal
 ``default_rng`` of those children bit for bit, and the tests pin this.
-``numpy.random`` is imported only when a chain runs.
+``numpy.random`` is imported with this module, so only when a chain runs,
+and always before a fork.
 
 A large batch is stepped on every CPU the process may use.  On Linux,
 ``run_length_groups`` cuts the batch's path range into contiguous shards,
 steps the first itself and each other one in a forked child
-(``_forked``), and joins their results in path order.  Path p still draws
+(``run_forked``), and joins their results in path order.  Path p still draws
 only from child p of its group's seed, so the shards change no bit of any
 result, and the memory of the batch is spread over the processes.  A batch
 of fewer than ``SHARD_PATH_STEPS`` path-steps per extra shard, and every
@@ -36,15 +37,21 @@ batch off Linux, stays in one process and never forks.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
+# Every chain run draws from numpy.random; imported here, before any fork,
+# it is not imported again in every child.
+from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random.bit_generator import ISeedSequence
 
 from .chain import TransitionKernel, _row_blocks
-from .groupoid import Arc, Metric, Word, append, word_metric
+from .groupoid import Arc, Metric, Word, word_metric
 
 #: Path-steps each shard of a batch must hold before ``run_length_groups``
 #: forks a process for it.  On a shared 2-vCPU host, two shards of a batch
@@ -63,15 +70,12 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 @dataclass
 class Trajectory:
-    """One realisation of the chain.  ``word_lens``/``metric_lens`` hold the
-    two lengths after every step; full words are kept only on request."""
+    """One realisation of the chain: its final word, and in ``word_lens``
+    and ``metric_lens`` the two lengths after every step."""
 
-    initial: Word
-    seed: int
     final: Word
     word_lens: np.ndarray
     metric_lens: np.ndarray
-    states: Optional[List[Word]] = None
 
     def to_csv(self) -> str:
         lines = ["n,word_len,metric_len"]
@@ -218,11 +222,9 @@ def simulate(
     n_steps: int,
     seed: int,
     metric: Optional[Metric] = None,
-    record_words: bool = False,
 ) -> Trajectory:
     """The body of ``chain.simulate``.  The word is a list of letter codes
-    stepped through ``_RewriteTables``, slot 0 the sentinel; recorded words
-    are built by ``groupoid.append``."""
+    stepped through ``_RewriteTables``, slot 0 the sentinel."""
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     kernel.check_windows(start.source, *(arc.j for arc in start.letters))
@@ -238,8 +240,6 @@ def simulate(
     metric_lens = np.empty(n_steps + 1, dtype=np.float64)
     word_lens[0] = len(start.letters)
     metric_lens[0] = mlen
-    states = [start] if record_words else None
-    word = start
     for n in range(1, n_steps + 1):
         ends, keys, push, cum = arcs[target]
         a = bisect_left(cum, rng.random())
@@ -257,12 +257,9 @@ def simulate(
         mlen += wt[j] - wt[target]
         word_lens[n] = len(stack) - 1
         metric_lens[n] = mlen
-        if record_words:
-            word = append(word, Arc(target, j, 1 - 2 * (keys[a] // rules.n1)))
-            states.append(word)
         target = j
     final = rules.word(start.source, [row[2] for row in stack[1:]], target)
-    return Trajectory(start, seed, final, word_lens, metric_lens, states)
+    return Trajectory(final, word_lens, metric_lens)
 
 
 def _spawn_generators(seed, count: int, first: int = 0) -> list:
@@ -280,10 +277,6 @@ def _spawn_generators(seed, count: int, first: int = 0) -> list:
     The arrays hold every product, since numpy warns when a uint32 scalar
     product overflows; scalar constants are Python ints reduced mod 2**32.
     """
-    from numpy.random import PCG64, Generator, SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_ChildSeed)
     parent = SeedSequence(seed)
     calls = 4 + 12 + 4 * max(0, _entropy_words(parent.entropy) - 4)
     hash_const = _INIT_A * pow(_MULT_A, calls, 2**32) % 2**32
@@ -335,6 +328,9 @@ class _ChildSeed:
         if (n_words, dtype) != (4, np.uint64):
             raise ValueError("a spawned child's seed holds only generate_state(4, np.uint64)")
         return self._state
+
+
+ISeedSequence.register(_ChildSeed)
 
 
 class _BatchState:
@@ -519,8 +515,8 @@ def run_length_groups(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The body of ``chain._run_length_groups``: the batch cut by
     ``_shards`` into ``_shard_count`` shards, read at call time, and stepped
-    by ``_run_shard`` here, or by ``_forked.run_forked`` when there are two
-    or more."""
+    by ``_run_shard`` here, or by ``run_forked`` when there are two or
+    more."""
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     kernel.check_metric(metric)
@@ -532,8 +528,6 @@ def run_length_groups(
     shards = _shards(starts, _shard_count(total, n_steps))
     if len(shards) < 2:
         return _run_shard(kernel, metric, n_steps, [(w, seed, 0, n) for w, seed, n in starts])
-    from ._forked import run_forked
-
     return run_forked(kernel, metric, n_steps, shards)
 
 
@@ -574,3 +568,81 @@ def _run_shard(kernel, metric, n_steps, starts) -> Tuple[np.ndarray, np.ndarray]
     # pass adds its own blocks.
     del state._buf, state._block, state.rngs
     return state.depth, state.metric_lengths(metric)
+
+
+def run_forked(kernel, metric, n_steps, shards) -> Tuple[np.ndarray, np.ndarray]:
+    """Shard 0 stepped here and every other shard in a forked child.
+
+    It starts no thread, and a child runs only the stepper and one write
+    to its pipe before ``os._exit``.  stdout and stderr are flushed before
+    each fork, so no child holds a copy of output still to be written.
+    ``children`` maps the pid of each child not yet reaped to the read end
+    of its pipe; the ``finally`` kills and reaps every child left in it."""
+    children = {}
+    parts = []
+    try:
+        for shard in shards[1:]:
+            read, write = os.pipe()
+            try:
+                for stream in (sys.stdout, sys.stderr):
+                    if stream is not None:
+                        stream.flush()
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                inherited = [read] + [pipe.fileno() for pipe in children.values()]
+                _shard_child(kernel, metric, n_steps, shard, write, inherited)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        parts.append(_run_shard(kernel, metric, n_steps, shards[0]))
+        for pid, pipe in list(children.items()):
+            with pipe:
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not message:
+                raise ChildProcessError(f"a path shard's process ended with exit code "
+                                        f"{os.waitstatus_to_exitcode(status)} and sent no result")
+            ok, value = pickle.loads(message)
+            if not ok:
+                raise pickle.loads(value)
+            parts.append(value)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _shard_child(kernel, metric, n_steps, shard, write: int, inherited: List[int]) -> NoReturn:
+    """The body of a forked child: step ``shard`` and write ``(True,
+    arrays)``, or ``(False, pickled exception)``, to the pipe ``write``.  It
+    leaves only through ``os._exit``, so no ``finally``, handler or exit
+    hook of the frames it inherited runs twice.  An exception that does not
+    survive pickling is sent as a ``RuntimeError`` naming its type and
+    message."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            result = (True, _run_shard(kernel, metric, n_steps, shard))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                value = pickle.dumps(exc)
+                pickle.loads(value)
+            except Exception:
+                value = pickle.dumps(RuntimeError(f"{type(exc).__qualname__}: {exc}"))
+            result = (False, value)
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        code = 0
+    finally:
+        os._exit(code)

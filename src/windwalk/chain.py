@@ -2,8 +2,8 @@
 named families and its JSON form, and the entries that run the chain.
 
 The steppers live in ``_stepper``: the rewrite tables, the trajectories of
-``simulate``, the seeding of many paths, the batched stepper and the plan of
-its forked path shards.  ``simulate``, ``run_length_paths`` and
+``simulate``, the seeding of many paths, the batched stepper and its forked
+path shards.  ``simulate``, ``run_length_paths`` and
 ``_run_length_groups`` keep their signatures here and import ``_stepper`` on
 their first run, so a process that runs no chain, such as every
 ``windwalk limits`` call, neither loads nor compiles it, nor ``numpy.random``.
@@ -239,18 +239,17 @@ def simulate(
     n_steps: int,
     seed: int,
     metric: Optional[Metric] = None,
-    record_words: bool = False,
 ) -> Trajectory:
     """Run the chain for ``n_steps`` steps from ``start``.
 
-    In the default streaming mode only the word and metric lengths are kept
-    per step, so memory stays proportional to the current word length.  The
-    word is a list of letter codes stepped through ``_RewriteTables``, slot
-    0 the sentinel; recorded words are built by ``groupoid.append``.
+    Only the word and metric lengths are kept per step, with the final word,
+    so memory beyond the two length arrays stays proportional to the current
+    word length.  The word is a list of letter codes stepped through
+    ``_RewriteTables``, slot 0 the sentinel.
     """
     from . import _stepper
 
-    return _stepper.simulate(start, kernel, n_steps, seed, metric, record_words)
+    return _stepper.simulate(start, kernel, n_steps, seed, metric)
 
 
 def run_length_paths(

@@ -62,6 +62,23 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops every ``OSError`` of a message's write.  This parser
+    lets ``BrokenPipeError`` out of a write to stdout, so that ``--help``
+    into a closed pipe exits 141 also when stdout is unbuffered;
+    ``add_subparsers`` makes each command's parser of this class too."""
+
+    def _print_message(self, message, file=None):
+        if file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except BrokenPipeError:
+            raise
+        except OSError:
+            pass
+
+
 def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
     """Make the JSON object in ``path`` the defaults of ``command``'s flags.
 
@@ -315,7 +332,7 @@ def cmd_oracle_dp(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="windwalk",
         description="Drift and variance of the word-length random walk on the "
                     "two-chamber window groupoid.",
@@ -398,8 +415,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if (flag.startswith("--") and "=" not in flag
                 and re.fullmatch(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+", argv[n])):
             argv[n - 1 : n + 1] = [f"{flag}={argv[n]}"]
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.config is not None:
             _apply_config(parser, args.command, args.config)
             args = parser.parse_args(argv)

@@ -8,7 +8,7 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
     """Fail a test that leaves a child process running or unreaped, such as a
-    path shard that ``_forked.run_forked`` steps for
+    path shard that ``_stepper.run_forked`` steps for
     ``chain._run_length_groups``: after the test,
     ``waitpid(-1, WNOHANG)`` must find no child at all."""
     yield

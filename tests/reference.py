@@ -1,8 +1,9 @@
 """Reference routes that only the tests call: the dense Jacobian of the flat
 system built arc by arc, the float transfer matrices and their spectral
 radius, the plain-float determinant that the finite-difference stencils
-of ``helpers.fd_partials`` evaluate, a truncated series' partial sum, and
-hitting times sampled on the batched chain.
+of ``helpers.fd_partials`` evaluate, a truncated series' partial sum,
+hitting times sampled on the batched chain, and the scalar chain replayed
+word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -12,12 +13,15 @@ on a library path, CLI command or benchmark.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel
-from windwalk.groupoid import Arc, Metric, unit
+from windwalk.groupoid import Arc, Metric, Word, append, unit
 from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices
 
 
@@ -130,3 +134,33 @@ def sample_hitting_times(
         times[hit] = n
         running &= ~hit
     return times
+
+
+class Replay:
+    """The scalar chain on ``kernel``, replayed word by word apart from the
+    stepper's tables.  A step draws one uniform u of ``default_rng(seed)``,
+    as ``simulate`` does, and takes arc a of ``kernel.arcs_from(target)``
+    for the a that ``bisect_left`` finds for u in the running sums of the
+    arcs' probabilities, the last sum left out; ``groupoid.append`` rewrites
+    the word.  Each window's arcs and sums are built on its first draw and
+    kept for every later walk on the kernel."""
+
+    def __init__(self, kernel: TransitionKernel):
+        self.kernel = kernel
+        self._rows = {}
+
+    def _row(self, i: int):
+        if i not in self._rows:
+            arcs, probs = zip(*self.kernel.arcs_from(i))
+            self._rows[i] = arcs, list(accumulate(probs))[:-1]
+        return self._rows[i]
+
+    def words(self, start: Word, n_steps: int, seed) -> Iterator[Word]:
+        """``start``, then the word after each of ``n_steps`` steps."""
+        rng = np.random.default_rng(seed)
+        word = start
+        yield word
+        for _ in range(n_steps):
+            arcs, sums = self._row(word.target)
+            word = append(word, arcs[bisect_left(sums, rng.random())])
+            yield word

@@ -37,7 +37,7 @@ from windwalk.montecarlo import verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
 from helpers import dirichlet_kernel
-from reference import batch_top, sample_hitting_times
+from reference import Replay, batch_top, sample_hitting_times
 
 
 def test_symmetric_kernel_valid():
@@ -206,14 +206,18 @@ def test_step_frequencies_uniform():
         assert abs(c / n - p) < 3 * se, arc
 
 
-def test_simulate_streaming_matches_recorded_words():
+def test_simulate_streaming_matches_replayed_words():
+    # The replay draws the same uniforms through its own arc sums and
+    # rewrites each word with groupoid.append.
     k = asymmetric_kernel()
     fm = fenced_metric(3)
-    traj = simulate(unit(2), k, 300, seed=9, metric=fm, record_words=True)
-    for n, w in enumerate(traj.states):
+    traj = simulate(unit(2), k, 300, seed=9, metric=fm)
+    words = list(Replay(k).words(unit(2), 300, seed=9))
+    assert len(words) == len(traj.word_lens) == 301
+    for n, w in enumerate(words):
         assert traj.word_lens[n] == len(w)
         assert traj.metric_lens[n] == pytest.approx(metric_length(w, fm))
-    assert traj.states[-1] == traj.final
+    assert words[-1] == traj.final
 
 
 def test_simulate_deterministic():
@@ -290,12 +294,12 @@ def test_zero_hitting_samples_take_no_step(monkeypatch):
     assert times.dtype == np.int64 and times.shape == (0,)
 
 
-def _first_hit(kernel, target, cap, seed):
-    """First n in 1..cap at which the scalar chain from unit(target.i) is the
-    one-letter word ``target``, or -1."""
-    traj = simulate(unit(target.i), kernel, cap, seed=seed, record_words=True)
-    goal = Word(target.i, (target,))
-    return next((n for n, w in enumerate(traj.states) if n and w == goal), -1)
+def _first_hits(kernel, target, cap, seeds):
+    """Per seed, the first n in 1..cap at which the replayed scalar chain
+    from unit(target.i) is the one-letter word ``target``, or -1."""
+    replay, goal = Replay(kernel), Word(target.i, (target,))
+    return [next((n for n, w in enumerate(replay.words(unit(target.i), cap, seed))
+                  if n and w == goal), -1) for seed in seeds]
 
 
 @pytest.mark.parametrize("kernel", [
@@ -461,7 +465,7 @@ def test_hitting_times_past_a_stack_growth_equal_scalar_first_hits():
     k = asymmetric_kernel()
     times = sample_hitting_times(target, k, cap=cap, seed=8, n_samples=n_samples)
     children = np.random.SeedSequence(8).spawn(n_samples)
-    assert times.tolist() == [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    assert times.tolist() == _first_hits(k, target, cap, children)
     # Every hit comes before a 64-slot stack could fill; censored paths run on.
     assert 0 < times.max() < 64 and (times == -1).any()
 
@@ -480,7 +484,7 @@ def test_batch_of_128_paths_equals_scalar_at_n130():
     target, cap, n_samples = Arc(1, 2, 1), 30, 129
     times = sample_hitting_times(target, k, cap=cap, seed=0, n_samples=n_samples)
     children = np.random.SeedSequence(0).spawn(n_samples)
-    assert times.tolist() == [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    assert times.tolist() == _first_hits(k, target, cap, children)
     hits = np.sort(times[times >= 0])
     assert len(hits) >= 2 and hits[0] < hits[1]
 
@@ -635,7 +639,7 @@ def test_hitting_times_equal_scalar_first_hits(k, target):
     cap, n_samples = 40, 60
     times = sample_hitting_times(target, k, cap=cap, seed=31, n_samples=n_samples)
     children = np.random.SeedSequence(31).spawn(n_samples)
-    expected = [_first_hit(k, target, cap, children[p]) for p in range(n_samples)]
+    expected = _first_hits(k, target, cap, children)
     assert times.tolist() == expected
     assert -1 in expected and any(t > 1 for t in expected)
 
@@ -831,8 +835,10 @@ def test_bad_seed_raises_as_numpy_spawn(seed):
 
 
 def test_decoded_word_equals_appended_word_and_shares_arcs():
-    traj = simulate(unit(2), symmetric_kernel(4), 3000, seed=12, record_words=True)
-    assert traj.final == traj.states[-1]
+    k = symmetric_kernel(4)
+    traj = simulate(unit(2), k, 3000, seed=12)
+    *_, last = Replay(k).words(unit(2), 3000, seed=12)
+    assert traj.final == last
     assert len(traj.final) > 100
     # Arcs are frozen, so the decode builds each distinct arc once.
     assert len({id(arc) for arc in traj.final.letters}) == len(set(traj.final.letters))
