@@ -155,7 +155,8 @@ def dp_return_series(
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
     if method == "words":
-        _check_law_sizes(kernel.n_windows, (min(m, max_steps - m) for m in range(1, max_steps + 1)))
+        _check_law_sizes(kernel.n_windows,
+                         (min(m, max_steps - m) for m in range(1, max_steps + 1)))
         coeffs = np.zeros(max_steps + 1)
         coeffs[0] = 1.0
         e_i = Word(i)
