@@ -201,7 +201,7 @@ def cmd_validate(args) -> int:
 def cmd_solve_r(args) -> int:
     kernel = _build_kernel(args.kernel)
     r = solve_r(kernel, args.lam, tol=args.tol)
-    derivs = solve_r_derivatives(kernel, r) if args.derivatives else None
+    derivs = solve_r_derivatives(r) if args.derivatives else None
     _emit_json(solution_to_json(r, derivs), args.output)
     return EXIT_OK
 

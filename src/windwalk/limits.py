@@ -237,7 +237,7 @@ def compute_limits(
     jets and read gamma and sigma^2 off the Perron root of B(+1) B(-1)."""
     kernel.check_metric(metric)
     r = solve_r(kernel, 1.0, tol=tol)
-    derivs = solve_r_derivatives(kernel, r)
+    derivs = solve_r_derivatives(r)
     b_plus, b_minus = build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1)
     # perron_jet reads only the jets: R and its derivatives are freed first.
     del r, derivs

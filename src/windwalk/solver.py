@@ -44,13 +44,13 @@ layout.  Its off-diagonal entries in row-major order are the flat
 
 Up to ``DENSE_MAX_N`` windows, at most 60 unknowns, Newton's method and the
 derivatives work on this flat form instead: its lam-scaled constant part
-(``p``, ``A1`` and ``C``) is placed once per call from ``P`` by index
+(``p``, ``A1`` and ``C``) is placed once per ``solve_r`` from ``P`` by index
 arithmetic, each step adds the R-dependent terms of the Jacobian
 ``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array operations and
 does one dense LU solve, and the results are scattered back into the
 (2, N, N) layout.  There one LU solve costs less than the structured
 solve's many small numpy calls.  One Newton loop, with one stop rule, serves
-both forms.
+both forms, and ``solve_r_derivatives`` reuses the system it stopped in.
 
 ``system_matrices`` builds ``p``, ``A1`` and ``C`` arc by arc through
 ``TransitionKernel.prob``, not ``P``: the tests' reference for the flat
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -124,12 +124,14 @@ class IndexMap:
 
 @dataclass
 class RSolution:
-    """Converged (2, N, N) R values at one lambda, with the fixed-point defect."""
+    """Converged (2, N, N) R values at one lambda, with the fixed-point defect
+    and the Newton ``system`` that stopped there, for ``solve_r_derivatives``."""
 
     lam: float
     values: np.ndarray
     residual: float
     iterations: int
+    system: _ChamberNewton | _FlatNewton = field(repr=False, compare=False)
 
     def value(self, i: int, j: int, k: int) -> float:
         return arc_entry(self.values, i, j, k)
@@ -318,21 +320,21 @@ class _ChamberNewton:
         return np.zeros_like(self.p)
 
     def defect(self, r: np.ndarray) -> np.ndarray:
-        """f(R) - R, keeping ``u`` at R for the step from R."""
-        self.u = _diag_of_product(self.p, r)
+        """f(R) - R, keeping R and ``u`` at R for the step from R."""
+        self.r, self.u = r, _diag_of_product(self.p, r)
         f = _rhs(self.p, self.lam, r, self.u)
         f -= r
         return f
 
-    def step(self, r: np.ndarray, defect: np.ndarray) -> np.ndarray:
-        return LinearisedSystem(self.p, self.lam, r, self.u).solve(defect)
+    def step(self, defect: np.ndarray) -> np.ndarray:
+        return LinearisedSystem(self.p, self.lam, self.r, self.u).solve(defect)
 
     def values(self, r: np.ndarray) -> np.ndarray:
         return r
 
-    def derivatives(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        p, lam = self.p, self.lam
-        system = LinearisedSystem(p, lam, r)
+    def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
+        p, lam, r = self.p, self.lam, self.r
+        system = LinearisedSystem(p, lam, r, self.u)
         d1 = system.solve(r / lam)
         t1 = _diag_of_product(p, d1)
         b2 = apply_m(p, lam, r, d1)
@@ -379,7 +381,7 @@ class _FlatNewton:
     The constant parts are assembled once, and each step adds the
     R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and does one
     LU solve.  ``C' R``, the return term of each row, is formed once per
-    step, with the defect."""
+    step, with the defect, and the derivatives reuse the one at the root."""
 
     def __init__(self, p: np.ndarray, lam: float):
         n = p.shape[-1]
@@ -398,34 +400,32 @@ class _FlatNewton:
         return np.zeros(len(self.arcs))
 
     def defect(self, r: np.ndarray) -> np.ndarray:
-        """f(R) - R, keeping the return term ``C' R`` for the step from R."""
-        self.ret = self.lam_c @ r
+        """f(R) - R, keeping R and its return term ``C' R`` for the step."""
+        self.r, self.ret = r, self.lam_c @ r
         f = self.lam_a1 @ r
         f += self.lam_p
         f += self.ret * r
         f -= r
         return f
 
-    def _jacobian(self, r: np.ndarray, ret: np.ndarray) -> np.ndarray:
-        """``I - M`` at R, whose return term is ``ret``."""
-        j = np.multiply(r[:, None], self.lam_c)
+    def _jacobian(self) -> np.ndarray:
+        """``I - M`` at the R of the last defect."""
+        j = np.multiply(self.r[:, None], self.lam_c)
         np.subtract(self.i_minus_a1, j, out=j)
-        j.reshape(-1)[::len(r) + 1] -= ret
+        j.reshape(-1)[::len(self.r) + 1] -= self.ret
         return j
 
-    def step(self, r: np.ndarray, defect: np.ndarray) -> np.ndarray:
-        return _lu_solve(self._jacobian(r, self.ret), defect)
+    def step(self, defect: np.ndarray) -> np.ndarray:
+        return _lu_solve(self._jacobian(), defect)
 
     def values(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
         out.reshape(-1)[self.arcs] = r
         return out
 
-    def derivatives(self, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lam = self.lam
-        r = np.ravel(r)[self.arcs]
-        ret = self.lam_c @ r
-        jacobian = self._jacobian(r, ret)
+    def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
+        lam, r, ret = self.lam, self.r, self.ret
+        jacobian = self._jacobian()
         d1 = _lu_solve(jacobian, r / lam)
         t1 = self.lam_c @ d1
         # b2 = 2 (M / lam) d1 + 2 t1 * d1, with M d1 = A1' d1 + ret * d1 + R * t1.
@@ -437,10 +437,6 @@ class _FlatNewton:
         b2 += 2.0 * t1 * d1
         d2 = _lu_solve(jacobian, b2)
         return self.values(d1), self.values(d2)
-
-
-def _newton_system(p: np.ndarray, lam: float) -> _ChamberNewton | _FlatNewton:
-    return (_FlatNewton if p.shape[-1] <= DENSE_MAX_N else _ChamberNewton)(p, lam)
 
 
 def solve_r(
@@ -463,12 +459,12 @@ def solve_r(
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    system = _newton_system(kernel.P, lam)
+    system = (_FlatNewton if kernel.n_windows <= DENSE_MAX_N else _ChamberNewton)(kernel.P, lam)
     r = system.start()
     defect = system.defect(r)
     prev_step = np.inf
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        delta = system.step(r, defect)
+        delta = system.step(defect)
         step = float(np.abs(delta).max())
         if not math.isfinite(step):
             raise SolverError(f"Newton step {iterations} is not finite")
@@ -485,22 +481,24 @@ def solve_r(
             residual=float(np.abs(defect).max()),
         )
     residual = float(np.abs(defect).max())
-    return RSolution(lam, system.values(r), residual, iterations)
+    return RSolution(lam, system.values(r), residual, iterations, system)
 
 
-def solve_r_derivatives(kernel: TransitionKernel, r: RSolution) -> RDerivatives:
-    """Implicit first and second derivatives of R in lambda at ``r.lam``.
+def solve_r_derivatives(r: RSolution) -> RDerivatives:
+    """Implicit first and second lambda-derivatives of the root ``r`` that
+    ``solve_r`` returned, at ``r.lam`` and on the same path.
 
     Differentiating the fixed point once gives (I - M) d1 = R / lam, and a
     second time (I - M) d2 = 2 (M / lam) d1 + 2 lam (C d1) * d1 with the
     quadratic cross terms from the return products; in the matrix form
-    ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` at the root
-    serves both solves: factored once on the structured path, and LU-solved
-    twice on the dense flat one, which takes up to ``DENSE_MAX_N`` windows.
+    ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` is that of
+    ``r.system`` at its last defect, the root, and serves both solves:
+    factored once on the structured path, and LU-solved twice on the dense
+    flat one, which takes up to ``DENSE_MAX_N`` windows.
     """
     if r.lam <= 0:
         raise ValueError("derivatives require lambda > 0")
-    return RDerivatives(*_newton_system(kernel.P, r.lam).derivatives(r.values))
+    return RDerivatives(*r.system.derivatives())
 
 
 def transience_root(kernel: TransitionKernel) -> float:

@@ -65,7 +65,7 @@ def test_criterion_01_asymmetric_reference_tables():
     failures = []
     k = asymmetric_kernel()
     r = solve_r(k, 1.0, tol=1e-14)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     for tag, getter, table in (
         ("r", r.value, ASYMMETRIC_REFERENCE["r"]),
         ("d", d.first, ASYMMETRIC_REFERENCE["d"]),
@@ -103,7 +103,7 @@ def test_criterion_02_symmetric_family():
             ("sigma2_F", cf.sigma2, c.sigma2_fenced),
         ]
         r = solve_r(k, 1.0)
-        d = solve_r_derivatives(k, r)
+        d = solve_r_derivatives(r)
         checks += [
             ("R", r.value(1, 2, 1), c.r_values["R"]),
             ("R'", d.first(1, 2, 1), c.r_values["R1"]),
@@ -171,7 +171,7 @@ def test_criterion_04_jet_vs_finite_difference():
     for name, k in THREE_KERNELS:
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-15)
-            d = solve_r_derivatives(k, r)
+            d = solve_r_derivatives(r)
             w = metric.W
             h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)

@@ -291,7 +291,7 @@ def test_solve_r_json_lists_arcs_in_index_map_order(capsys, spec, kernel):
     assert code == 0
     payload = json.loads(out)
     r = solve_r(kernel, 1.0)
-    d = solve_r_derivatives(kernel, r)
+    d = solve_r_derivatives(r)
     for key, accessor in (("R", r.value), ("d1", d.first), ("d2", d.second)):
         arcs = [(e["i"], e["j"], e["k"]) for e in payload[key]]
         assert arcs == IndexMap(kernel.n_windows).tuples

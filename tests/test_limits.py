@@ -65,7 +65,7 @@ def test_h_vanishes_at_1_1():
     for k in KERNELS:
         for metric in (word_metric(3), fenced_metric(3)):
             r = solve_r(k, 1.0, tol=1e-14)
-            d = solve_r_derivatives(k, r)
+            d = solve_r_derivatives(r)
             w = metric.W
             h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
             assert abs(h.value) < 1e-11
@@ -76,7 +76,7 @@ def test_jet_partials_match_finite_differences():
     k = asymmetric_kernel()
     metric = fenced_metric(3)
     r = solve_r(k, 1.0, tol=1e-15)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     w = metric.W
     h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
     jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
@@ -299,7 +299,7 @@ def test_build_b_matches_scalar_jets():
     k = asymmetric_kernel()
     metric = fenced_metric(3)
     r = solve_r(k, 1.0)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     for sign in (1, -1):
         b = build_b(r, d, metric.W, sign)
         for i in range(1, 4):
@@ -352,7 +352,7 @@ def test_perron_jet_partials_match_finite_differences():
     # spectral_radius_k is the square root of the Perron root of B(+1) B(-1).
     k, metric = asymmetric_kernel(), fenced_metric(3)
     r = solve_r(k, 1.0, tol=1e-15)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     rho = perron_jet(build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1))
     fd = _backward_partials(lambda lam, z: spectral_radius_k(k, metric, lam, z, tol=1e-15) ** 2,
                             5e-4)
@@ -409,7 +409,7 @@ def test_det_h_refuses_where_perron_jet_does(b0_plus, b0_minus, det_h_refuses):
 
 def _both_routes(kernel, metric):
     r = solve_r(kernel, 1.0)
-    d = solve_r_derivatives(kernel, r)
+    d = solve_r_derivatives(r)
     b_plus, b_minus = build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1)
     return limit_constants(perron_jet(b_plus, b_minus)), limit_constants(det_h(b_plus, b_minus))
 

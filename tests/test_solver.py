@@ -60,7 +60,7 @@ def test_symmetric_closed_form_all_n():
     for n in range(3, 8):
         r = solve_r(symmetric_kernel(n), 1.0)
         assert np.allclose(to_flat(r.values), 1 / (n - 1), atol=1e-11)
-        d = solve_r_derivatives(symmetric_kernel(n), r)
+        d = solve_r_derivatives(r)
         assert np.allclose(to_flat(d.d1), 2 / (n - 2), rtol=1e-10)
         assert np.allclose(to_flat(d.d2), 4 * (n**2 - 2) / (n - 2) ** 3, rtol=1e-9)
 
@@ -69,7 +69,7 @@ def test_one_parameter_closed_forms():
     for q in (0.1, 0.3, 0.45):
         k = one_parameter_kernel(q)
         r = solve_r(k, 1.0)
-        d = solve_r_derivatives(k, r)
+        d = solve_r_derivatives(r)
         cf = closed_form_one_parameter(q).r_values
         assert r.value(2, 1, 1) == pytest.approx(cf["R1"], abs=1e-11)
         assert r.value(1, 2, 1) == pytest.approx(cf["R2"], abs=1e-11)
@@ -100,7 +100,7 @@ def test_residual_small():
 def test_derivatives_match_finite_differences():
     k = asymmetric_kernel()
     r1 = solve_r(k, 1.0, tol=1e-15)
-    d = solve_r_derivatives(k, r1)
+    d = solve_r_derivatives(r1)
     h = 1e-3
     # backward stencils: the solver domain ends at lambda = 1
     vals = [solve_r(k, 1.0 - i * h, tol=1e-15).values for i in range(6)]
@@ -143,7 +143,7 @@ def test_derivatives_require_positive_lambda():
     k = symmetric_kernel(3)
     r = solve_r(k, 0.0)
     with pytest.raises(ValueError):
-        solve_r_derivatives(k, r)
+        solve_r_derivatives(r)
 
 
 DIRICHLET_KERNELS = [
@@ -153,17 +153,21 @@ DIRICHLET_KERNELS = [
 ]
 
 
+@pytest.mark.parametrize("lam", [1.0, 0.6])
 @pytest.mark.parametrize("kernel", DIRICHLET_KERNELS, ids=repr)
-def test_structured_solve_matches_flat_system(kernel):
+def test_structured_solve_matches_flat_system(kernel, lam):
+    # N = 3..8 takes the dense path up to DENSE_MAX_N and the structured one
+    # above it; below lam = 1 the derivatives must use the system's own lam.
     _, p, a1, c = system_matrices(kernel)
-    r = solve_r(kernel, 1.0)
+    r = solve_r(kernel, lam)
     q = to_flat(r.values)
-    assert np.max(np.abs(q - (p + a1 @ q + (c @ q) * q))) <= 1e-13
+    assert np.max(np.abs(q - lam * (p + a1 @ q + (c @ q) * q))) <= 1e-13
     assert r.residual <= 1e-13
-    d = solve_r_derivatives(kernel, r)
-    m = build_m_matrix(kernel, 1.0, q)
-    d1 = np.linalg.solve(np.eye(len(q)) - m, q)
-    d2 = np.linalg.solve(np.eye(len(q)) - m, 2.0 * m @ d1 + 2.0 * (c @ d1) * d1)
+    d = solve_r_derivatives(r)
+    m = build_m_matrix(kernel, lam, q)
+    d1 = np.linalg.solve(np.eye(len(q)) - m, q / lam)
+    d2 = np.linalg.solve(np.eye(len(q)) - m,
+                         2.0 * (m / lam) @ d1 + 2.0 * lam * (c @ d1) * d1)
     assert np.max(np.abs(to_flat(d.d1) - d1)) <= 1e-10 * np.max(np.abs(d1))
     assert np.max(np.abs(to_flat(d.d2) - d2)) <= 1e-10 * np.max(np.abs(d2))
 
@@ -177,7 +181,7 @@ def test_matrix_form_follows_index_map_order():
         assert matrix[(1 - k) // 2, i - 1, j - 1] == values[flat]
     k = asymmetric_kernel()
     r = solve_r(k, 1.0)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     for array in (r.values, d.d1, d.d2):
         assert array.shape == (2, 3, 3)
         assert np.all(np.diagonal(array, axis1=1, axis2=2) == 0.0)
@@ -193,7 +197,7 @@ def test_accessors_raise_for_a_triple_that_names_no_arc(arc):
     # pass for a value.
     k = symmetric_kernel(3)
     r = solve_r(k, 1.0)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     for accessor in (r.value, d.first, d.second):
         with pytest.raises(KeyError):
             accessor(*arc)
@@ -270,7 +274,7 @@ def test_dense_reference_is_off_the_library_path(monkeypatch):
         monkeypatch.setattr(solver, name, refuse)
     k = asymmetric_kernel()
     r = solve_r(k, 1.0)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     assert len(solution_to_json(r, d)["d2"]) == 12
     assert compute_limits(k, word_metric(3)).gamma > 0
     assert spectral_radius_k(k, word_metric(3), 0.9, 1.0) < 1
@@ -310,7 +314,7 @@ def test_library_holds_no_test_only_sampler():
 def test_newton_small_q_closed_forms(q, rel):
     k = one_parameter_kernel(q)
     r = solve_r(k, 1.0)
-    d = solve_r_derivatives(k, r)
+    d = solve_r_derivatives(r)
     cf = closed_form_one_parameter(q)
     for got, key in ((r.value(2, 1, 1), "R1"), (r.value(1, 2, 1), "R2"), (r.value(1, 3, 1), "R3"),
                      (d.first(2, 1, 1), "R1p"), (d.first(1, 2, 1), "R2p"),
@@ -440,7 +444,7 @@ def test_array_layout_does_not_change_the_solve():
     k_fortran = TransitionKernel(np.asfortranarray(k.P))
     r, r_fortran = solve_r(k, 1.0), solve_r(k_fortran, 1.0)
     assert np.array_equal(r.values, r_fortran.values)
-    d2, d2_fortran = solve_r_derivatives(k, r).d2, solve_r_derivatives(k_fortran, r_fortran).d2
+    d2, d2_fortran = solve_r_derivatives(r).d2, solve_r_derivatives(r_fortran).d2
     assert np.array_equal(d2, d2_fortran)
     system = solver.LinearisedSystem(k.P, 1.0, r.values)
     b = np.random.default_rng(5).normal(size=(2, 3, 3)).transpose(0, 2, 1)
@@ -471,7 +475,7 @@ def _both_paths(monkeypatch, run):
 def test_dense_and_structured_newton_paths_agree(monkeypatch, kernel, rel):
     def solve():
         r = solve_r(kernel, 1.0)
-        d = solve_r_derivatives(kernel, r)
+        d = solve_r_derivatives(r)
         return r, d, [compute_limits(kernel, metric(kernel.n_windows))
                       for metric in (word_metric, fenced_metric)]
 
@@ -505,7 +509,7 @@ def test_dense_path_runs_up_to_dense_max_n(monkeypatch):
     monkeypatch.setattr(solver, "LinearisedSystem", Counted)
     for n in (5, 6, 7):
         k = symmetric_kernel(n)
-        solve_r_derivatives(k, solve_r(k, 1.0))
+        solve_r_derivatives(solve_r(k, 1.0))
     assert set(built) == {7}
 
 
@@ -531,7 +535,7 @@ def test_singular_dense_system_is_a_solver_error(monkeypatch):
     k = asymmetric_kernel()
     r = solve_r(k, 1.0)
     monkeypatch.setattr(np.linalg, "solve", singular)
-    for call in (lambda: solve_r(k, 1.0), lambda: solve_r_derivatives(k, r)):
+    for call in (lambda: solve_r(k, 1.0), lambda: solve_r_derivatives(r)):
         with pytest.raises(SolverError, match="I - M is singular"):
             call()
 
@@ -539,6 +543,9 @@ def test_singular_dense_system_is_a_solver_error(monkeypatch):
 def test_structured_newton_step_forms_u_once(monkeypatch):
     # Each step's defect forms u = diag(P R), and the step's factorisation
     # reuses it: one product for the defect and one for the solve's a_k.
+    # The derivatives' factorisation reuses the u of the last defect, at the
+    # root: their five products are the two solves' a_k, t1 = diag(P d1), and
+    # the two of apply_m for the second right-hand side.
     calls = []
     product = solver._diag_of_product
 
@@ -549,3 +556,20 @@ def test_structured_newton_step_forms_u_once(monkeypatch):
     monkeypatch.setattr(solver, "_diag_of_product", counted)
     r = solve_r(symmetric_kernel(solver.DENSE_MAX_N + 2), 1.0)
     assert len(calls) == 1 + 2 * r.iterations
+    solve_r_derivatives(r)
+    assert len(calls) == 1 + 2 * r.iterations + 5
+
+
+def test_dense_compute_limits_builds_one_flat_system(monkeypatch):
+    # solve_r_derivatives differentiates the system solve_r stopped in, so
+    # one compute_limits places the flat system's constant part once.
+    built = []
+    init = solver._FlatNewton.__init__
+
+    def counted(self, *args):
+        built.append(args[0].shape[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(solver._FlatNewton, "__init__", counted)
+    compute_limits(asymmetric_kernel(), word_metric(3))
+    assert built == [3]
