@@ -1,6 +1,8 @@
 """Exact drift and variance of the word-length random walk on the
 two-chamber window groupoid, with simulation and oracle cross-checks."""
 
+from types import ModuleType as _ModuleType
+
 from .chain import (
     KernelError,
     TransitionKernel,
@@ -32,9 +34,10 @@ from .limits import (
     det_h,
     kms_phi,
     limit_constants,
+    limits_from_jets,
     perron_jet,
 )
-from .montecarlo import McReport, verify_clt, verify_lazy_walk, verify_lln
+from .montecarlo import McReport, verify_clt, verify_lln
 from .oracle import (
     ClosedFormCase,
     closed_form,
@@ -51,5 +54,6 @@ from .solver import (
     transience_root,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "1.0.0"

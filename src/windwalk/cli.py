@@ -38,7 +38,7 @@ from .chain import (
 )
 from .groupoid import (Arc, Metric, arc_table, custom_metric, fenced_metric, whole_number,
                        word_from_str, word_metric)
-from .limits import DegenerateSystemError, compute_limits, kms_phi
+from .limits import DegenerateSystemError, build_b, compute_limits, kms_phi, limits_from_jets
 from .montecarlo import verify_clt, verify_lln
 from .oracle import (
     StateSpaceExceeded,
@@ -232,11 +232,12 @@ SWEEP_HEADER = ("q,gamma_word,sigma2_word,gamma_F,sigma2_F,"
 
 
 def _sweep_row(q: float) -> str:
-    kernel = one_parameter_kernel(q)
-    cw = compute_limits(kernel, word_metric(3))
-    cf_ = compute_limits(kernel, fenced_metric(3))
+    r = solve_r(one_parameter_kernel(q), 1.0)
+    derivs = solve_r_derivatives(r)
+    word, fenced = (limits_from_jets(build_b(r, derivs, m.W, +1), build_b(r, derivs, m.W, -1),
+                                     m.name) for m in (word_metric(3), fenced_metric(3)))
     cf = closed_form("one_parameter", q=q)
-    values = [cw.gamma, cw.sigma2, cf_.gamma, cf_.sigma2]
+    values = [word.gamma, word.sigma2, fenced.gamma, fenced.sigma2]
     refs = [*cf.constants("word"), *cf.constants("fenced")]
     delta_max = max(abs(a - b) for a, b in zip(values, refs))
     cells = [repr(float(q))] + [repr(float(v)) for v in values + refs] + [repr(float(delta_max))]

@@ -32,20 +32,6 @@ class Jet2:
     c11: float = 0.0
     c02: float = 0.0
 
-    @staticmethod
-    def const(value: float) -> "Jet2":
-        return Jet2(float(value))
-
-    @staticmethod
-    def var_lambda() -> "Jet2":
-        """The coordinate function lam, expanded about 1."""
-        return Jet2(1.0, c10=1.0)
-
-    @staticmethod
-    def var_z() -> "Jet2":
-        """The coordinate function z, expanded about 1."""
-        return Jet2(1.0, c01=1.0)
-
     def __add__(self, other):
         other = _coerce(other)
         return Jet2(

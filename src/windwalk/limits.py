@@ -227,6 +227,21 @@ def limit_constants(jet: Jet2, metric_name: str = "custom") -> LimitConstants:
     return LimitConstants(gamma, sigma2, jet.value, partials, metric_name)
 
 
+def limits_from_jets(b_plus: np.ndarray, b_minus: np.ndarray, metric_name: str,
+                     check_sigma: bool = True) -> LimitConstants:
+    """gamma and sigma^2 off the Perron jet of one metric's ``build_b`` arrays,
+    checked for a simple zero at (1, 1).  R and its derivatives do not read
+    the metric, so one root serves the jets of every metric."""
+    rho = perron_jet(b_plus, b_minus)
+    if abs(rho.value) > SIMPLE_ZERO_TOL:
+        raise DegenerateSystemError(
+            f"Perron root at (1,1) is off 1 by {rho.value!r}, expected a simple zero")
+    constants = limit_constants(rho, metric_name)
+    if check_sigma and constants.sigma2 < 0:
+        raise DegenerateSystemError(f"negative variance {constants.sigma2!r}")
+    return constants
+
+
 def compute_limits(
     kernel: TransitionKernel,
     metric: Metric,
@@ -241,15 +256,7 @@ def compute_limits(
     b_plus, b_minus = build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1)
     # perron_jet reads only the jets: R and its derivatives are freed first.
     del r, derivs
-    rho = perron_jet(b_plus, b_minus)
-    if abs(rho.value) > SIMPLE_ZERO_TOL:
-        raise DegenerateSystemError(
-            f"Perron root at (1,1) is off 1 by {rho.value!r}, expected a simple zero"
-        )
-    constants = limit_constants(rho, metric.name)
-    if check_sigma and constants.sigma2 < 0:
-        raise DegenerateSystemError(f"negative variance {constants.sigma2!r}")
-    return constants
+    return limits_from_jets(b_plus, b_minus, metric.name, check_sigma)
 
 
 def kms_phi(n: int, x: float, z: float) -> float:

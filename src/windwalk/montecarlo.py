@@ -1,6 +1,6 @@
 """Statistical verification of the limit theorems: law-of-large-numbers and
 central-limit checks of the simulated word lengths against the exact drift
-and variance, plus the lazy-nearest-neighbour check for the symmetric family.
+and variance.
 
 Band choices: the LLN uses a generous 4-standard-error acceptance band and
 the CLT a 99% chi-square band plus the asymptotic 1% Kolmogorov-Smirnov
@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .chain import TransitionKernel, _run_length_groups, run_length_paths, simulate
+from .chain import TransitionKernel, _run_length_groups, run_length_paths
 from .groupoid import Arc, Metric, Word, unit
 
 KS_CRITICAL = 1.63  # asymptotic 1% point of the Kolmogorov distribution
@@ -248,50 +248,3 @@ def _gamma_q_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) <= 1e-15:
             return h
-
-
-@dataclass
-class LazyWalkReport:
-    n_steps: int
-    seed: int
-    freqs: Dict[str, float]       # empirical up/stay/down from length >= 1
-    expected: Dict[str, float]
-    passes: Dict[str, bool]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.passes.values())
-
-
-def verify_lazy_walk(kernel: TransitionKernel, n_steps: int, seed: int) -> LazyWalkReport:
-    """For the symmetric kernel, |W_n| is a lazy nearest-neighbour walk:
-    from positive length it moves up/stays/moves down with probabilities
-    (N-1, N-2, 1)/(2(N-1)), and from length zero it always moves up."""
-    if n_steps < 2:
-        raise ValueError("requires n_steps >= 2")
-    n = kernel.n_windows
-    uniform = 1.0 / (2 * n - 2)
-    if (abs(kernel.P[:, ~np.eye(n, dtype=bool)] - uniform) > 1e-12).any():
-        raise ValueError("the lazy-walk law holds only for the symmetric family")
-    traj = simulate(unit(1), kernel, n_steps, seed)
-    lens = traj.word_lens
-    diffs = np.diff(lens)
-    from_zero = diffs[lens[:-1] == 0]
-    moves = diffs[lens[:-1] >= 1]
-    m = len(moves)
-    expected = {
-        "up": (n - 1) / (2 * (n - 1)),
-        "stay": (n - 2) / (2 * (n - 1)),
-        "down": 1 / (2 * (n - 1)),
-    }
-    observed = {
-        "up": float((moves == 1).mean()),
-        "stay": float((moves == 0).mean()),
-        "down": float((moves == -1).mean()),
-    }
-    passes = {}
-    for key, p_exp in expected.items():
-        se = np.sqrt(p_exp * (1 - p_exp) / m)
-        passes[key] = bool(abs(observed[key] - p_exp) <= 3 * se)
-    passes["up_from_zero"] = bool((from_zero == 1).all())
-    return LazyWalkReport(n_steps, seed, observed, expected, passes)

@@ -68,7 +68,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import arc_entries, arc_entry, other_windows
+from .groupoid import arc_entries, other_windows
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100
@@ -133,9 +133,6 @@ class RSolution:
     iterations: int
     system: _ChamberNewton | _FlatNewton = field(repr=False, compare=False)
 
-    def value(self, i: int, j: int, k: int) -> float:
-        return arc_entry(self.values, i, j, k)
-
 
 @dataclass
 class RDerivatives:
@@ -143,12 +140,6 @@ class RDerivatives:
 
     d1: np.ndarray
     d2: np.ndarray
-
-    def first(self, i: int, j: int, k: int) -> float:
-        return arc_entry(self.d1, i, j, k)
-
-    def second(self, i: int, j: int, k: int) -> float:
-        return arc_entry(self.d2, i, j, k)
 
 
 def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
@@ -195,10 +186,10 @@ def _rhs(p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _offdiag(f)
 
 
-def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M D, the Jacobian of f at R applied to a (2, N, N) array D."""
-    u = _diag_of_product(p, r)
-    t = _diag_of_product(p, d)
+def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray, u: np.ndarray,
+            t: np.ndarray) -> np.ndarray:
+    """M D, the Jacobian of f at R applied to a (2, N, N) array D, with
+    ``u = diag(P R)`` and ``t = diag(P D)``."""
     md = p @ d
     md += u[::-1, :, None] * d
     md += t[::-1, :, None] * r
@@ -235,17 +226,14 @@ class LinearisedSystem:
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
     ``1 - lam u_{-k}`` written through a strided view; once ``H`` and ``v``
     are formed, the buffer of G holds ``T`` while the coupling's blocks are
-    written.  ``h_diag``
-    is a view of ``H`` unless some column falls back.  A solve copies B once
-    and writes into the copy, never into B.  ``u = diag(P R)`` is formed here
-    unless the caller, which has it from the defect at R, passes it.
+    written.  ``h_diag`` is a view of ``H`` unless some column falls back.
+    A solve copies B once and writes into the copy, never into B.  The
+    caller passes ``u = diag(P R)``, which it has from the defect at R.
     """
 
-    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray | None = None):
+    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray):
         n = p.shape[-1]
         self.lam, self.r = lam, r
-        if u is None:
-            u = _diag_of_product(p, r)
         # C order, whatever the layout of P, so that _diagonal is a view.
         g = np.multiply(p, -lam, order="C")
         _diagonal(g)[...] = 1.0 - lam * u[::-1]
@@ -333,11 +321,11 @@ class _ChamberNewton:
         return r
 
     def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
-        p, lam, r = self.p, self.lam, self.r
-        system = LinearisedSystem(p, lam, r, self.u)
+        p, lam, r, u = self.p, self.lam, self.r, self.u
+        system = LinearisedSystem(p, lam, r, u)
         d1 = system.solve(r / lam)
         t1 = _diag_of_product(p, d1)
-        b2 = apply_m(p, lam, r, d1)
+        b2 = apply_m(p, lam, r, d1, u, t1)
         b2 *= 2.0
         b2 /= lam
         b2 += 2.0 * lam * t1[::-1, :, None] * d1
@@ -512,16 +500,17 @@ def transience_root(kernel: TransitionKernel) -> float:
     positive from the all-ones start, and the least and greatest of the
     ratios ``(M D) / D`` over the arcs bracket the root (Collatz-Wielandt;
     Horn & Johnson, *Matrix Analysis*, section 8.1).  Each step takes one
-    product.  Iteration stops once the bracket is within ``POWER_TOL`` times
-    its lower end and returns its midpoint; ``POWER_MAX_ITER`` steps without
-    that raise SolverError, naming the bracket.
+    product, ``u = diag(P 1)`` formed once.  It stops once the bracket is
+    within ``POWER_TOL`` times its lower end and returns its midpoint;
+    ``POWER_MAX_ITER`` steps without that raise SolverError, naming the bracket.
     """
     p = kernel.P
     ones = _offdiag(np.ones_like(p))
+    u = _diag_of_product(p, ones)
     arcs = ones > 0
     d = ones
     for _ in range(POWER_MAX_ITER):
-        md = apply_m(p, 1.0, ones, d)
+        md = apply_m(p, 1.0, ones, d, u, _diag_of_product(p, d))
         ratios = md[arcs] / d[arcs]
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= POWER_TOL * lo:

@@ -1,7 +1,10 @@
 """Shared test utilities: random word generation, seeded Dirichlet kernels,
-scalar jets and finite-difference stencils for the determinant partials."""
+scalar jets, finite-difference stencils for the determinant partials and the
+closed-form hitting function of the symmetric N = 3 kernel."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +42,14 @@ def dirichlet_kernel(n: int, concentration: float, seed: int) -> TransitionKerne
     P, given = chamber_array(p, n)
     return TransitionKernel(P, name=f"dirichlet(N={n}, a={concentration}, seed={seed})",
                             given=given)
+
+
+def symmetric3_hitting_root(lam: float) -> float:
+    """R_{1,2}^{(+)}(lam) of the symmetric kernel at N = 3: the least root of
+    r = (lam/4)(1 + r + 2 r^2), by the quadratic formula in the form
+    2c / (-b + sqrt(b^2 - 4ac)), which does not cancel."""
+    b = 1.0 - lam / 4
+    return (lam / 2) / (b + math.sqrt(b * b - lam * lam / 2))
 
 
 def power_jet(exponent: float) -> Jet2:

@@ -2,8 +2,9 @@
 system built arc by arc, the float transfer matrices and their spectral
 radius, the plain-float determinant that the finite-difference stencils
 of ``helpers.fd_partials`` evaluate, a truncated series' partial sum,
-hitting times sampled on the batched chain, and the scalar chain replayed
-word by word.
+hitting times sampled on the batched chain, the lazy-nearest-neighbour law
+of the symmetric family's word lengths checked on one simulated path, and
+the scalar chain replayed word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -14,13 +15,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Dict, Iterator
 
 import numpy as np
 
 from windwalk._stepper import _BatchState
-from windwalk.chain import TransitionKernel
+from windwalk.chain import TransitionKernel, simulate
 from windwalk.groupoid import Arc, Metric, Word, append, unit
 from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices
 
@@ -134,6 +136,53 @@ def sample_hitting_times(
         times[hit] = n
         running &= ~hit
     return times
+
+
+@dataclass
+class LazyWalkReport:
+    n_steps: int
+    seed: int
+    freqs: Dict[str, float]       # empirical up/stay/down from length >= 1
+    expected: Dict[str, float]
+    passes: Dict[str, bool]
+
+    @property
+    def passed(self) -> bool:
+        return all(self.passes.values())
+
+
+def verify_lazy_walk(kernel: TransitionKernel, n_steps: int, seed: int) -> LazyWalkReport:
+    """For the symmetric kernel, |W_n| is a lazy nearest-neighbour walk:
+    from positive length it moves up/stays/moves down with probabilities
+    (N-1, N-2, 1)/(2(N-1)), and from length zero it always moves up."""
+    if n_steps < 2:
+        raise ValueError("requires n_steps >= 2")
+    n = kernel.n_windows
+    uniform = 1.0 / (2 * n - 2)
+    if (abs(kernel.P[:, ~np.eye(n, dtype=bool)] - uniform) > 1e-12).any():
+        raise ValueError("the lazy-walk law holds only for the symmetric family")
+    traj = simulate(unit(1), kernel, n_steps, seed)
+    lens = traj.word_lens
+    diffs = np.diff(lens)
+    from_zero = diffs[lens[:-1] == 0]
+    moves = diffs[lens[:-1] >= 1]
+    m = len(moves)
+    expected = {
+        "up": (n - 1) / (2 * (n - 1)),
+        "stay": (n - 2) / (2 * (n - 1)),
+        "down": 1 / (2 * (n - 1)),
+    }
+    observed = {
+        "up": float((moves == 1).mean()),
+        "stay": float((moves == 0).mean()),
+        "down": float((moves == -1).mean()),
+    }
+    passes = {}
+    for key, p_exp in expected.items():
+        se = np.sqrt(p_exp * (1 - p_exp) / m)
+        passes[key] = bool(abs(observed[key] - p_exp) <= 3 * se)
+    passes["up_from_zero"] = bool((from_zero == 1).all())
+    return LazyWalkReport(n_steps, seed, observed, expected, passes)
 
 
 class Replay:

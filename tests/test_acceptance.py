@@ -19,6 +19,7 @@ from windwalk.groupoid import (
     Arc,
     Word,
     append,
+    arc_entry,
     compose,
     fenced_metric,
     inverse,
@@ -66,13 +67,13 @@ def test_criterion_01_asymmetric_reference_tables():
     k = asymmetric_kernel()
     r = solve_r(k, 1.0, tol=1e-14)
     d = solve_r_derivatives(r)
-    for tag, getter, table in (
-        ("r", r.value, ASYMMETRIC_REFERENCE["r"]),
-        ("d", d.first, ASYMMETRIC_REFERENCE["d"]),
-        ("v", d.second, ASYMMETRIC_REFERENCE["v"]),
+    for tag, array, table in (
+        ("r", r.values, ASYMMETRIC_REFERENCE["r"]),
+        ("d", d.d1, ASYMMETRIC_REFERENCE["d"]),
+        ("v", d.d2, ASYMMETRIC_REFERENCE["v"]),
     ):
         for key, printed in table.items():
-            got = getter(*key)
+            got = arc_entry(array, *key)
             if abs(got - printed) > printed_tolerance(printed):
                 failures.append(f"{tag}{key}: {got} vs printed {printed}")
     cw = compute_limits(k, word_metric(3))
@@ -105,9 +106,9 @@ def test_criterion_02_symmetric_family():
         r = solve_r(k, 1.0)
         d = solve_r_derivatives(r)
         checks += [
-            ("R", r.value(1, 2, 1), c.r_values["R"]),
-            ("R'", d.first(1, 2, 1), c.r_values["R1"]),
-            ("R''", d.second(1, 2, 1), c.r_values["R2"]),
+            ("R", arc_entry(r.values, 1, 2, 1), c.r_values["R"]),
+            ("R'", arc_entry(d.d1, 1, 2, 1), c.r_values["R1"]),
+            ("R''", arc_entry(d.d2, 1, 2, 1), c.r_values["R2"]),
         ]
         for name, got, ref in checks:
             if abs(got - ref) > 1e-10 * abs(ref):
@@ -197,7 +198,7 @@ def test_criterion_05_dp_oracle_equivalence():
             r = solve_r(k, lam, tol=1e-14)
             bound = lam**80 / (1 - lam) + 1e-8
             for t, s in series.items():
-                gap = r.value(*t) - series_eval(s, lam)
+                gap = arc_entry(r.values, *t) - series_eval(s, lam)
                 if not (-1e-10 <= gap <= bound):
                     failures.append(f"{name} {t} lam={lam}: gap {gap} vs bound {bound}")
     _verdict(5, "hitting-series DP vs solver within geometric tail bound, M=80", failures, t0, 30.0)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from windwalk._stepper import _BatchState, _RewriteTables, _spawn_generators
 from windwalk.chain import (
@@ -36,7 +35,7 @@ from windwalk.limits import compute_limits
 from windwalk.montecarlo import verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
-from helpers import dirichlet_kernel
+from helpers import dirichlet_kernel, symmetric3_hitting_root
 from reference import Replay, batch_top, sample_hitting_times
 
 
@@ -266,7 +265,7 @@ def test_hitting_time_expectation_matches_generating_function():
     # E[lam^T] (censored contributions vanish) equals the solved R at lam
     k = symmetric_kernel(3)
     lam = 0.9
-    root = brentq(lambda r: r - (lam / 4) * (1 + r + 2 * r * r), 0.0, 0.999)
+    root = symmetric3_hitting_root(lam)
     times = sample_hitting_times(Arc(1, 2, 1), k, cap=300, seed=123, n_samples=6000)
     vals = np.where(times > 0, lam ** np.where(times > 0, times, 1), 0.0)
     est = vals.mean()

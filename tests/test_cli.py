@@ -7,11 +7,14 @@ import shlex
 
 import pytest
 
-from windwalk.chain import asymmetric_kernel, kernel_to_json, symmetric_kernel
-from windwalk.cli import build_parser, main
-from windwalk.groupoid import fenced_metric
+from windwalk import cli
+from windwalk.chain import (asymmetric_kernel, kernel_to_json, one_parameter_kernel,
+                            symmetric_kernel)
+from windwalk.cli import DEFAULT_Q_GRID, build_parser, main
+from windwalk.groupoid import arc_entry, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import compute_limits
+from windwalk.oracle import closed_form
 from windwalk.solver import IndexMap, solve_r, solve_r_derivatives
 
 
@@ -88,6 +91,30 @@ def test_sweep_q_csv(capsys):
     assert float(row[0]) == 0.25
     assert float(row[1]) == pytest.approx(0.25, abs=1e-10)
     assert float(row[-1]) < 1e-9  # delta_max
+
+
+def _sweep_row_per_metric(q):
+    """The sweep-q row built with one ``compute_limits``, and so one solve,
+    per metric."""
+    kernel = one_parameter_kernel(q)
+    word, fenced = compute_limits(kernel, word_metric(3)), compute_limits(kernel, fenced_metric(3))
+    cf = closed_form("one_parameter", q=q)
+    values = [word.gamma, word.sigma2, fenced.gamma, fenced.sigma2]
+    refs = [*cf.constants("word"), *cf.constants("fenced")]
+    delta_max = max(abs(a - b) for a, b in zip(values, refs))
+    cells = [repr(float(q))] + [repr(float(v)) for v in values + refs] + [repr(float(delta_max))]
+    return ",".join(cells)
+
+
+def test_sweep_row_solves_once_for_both_metrics(monkeypatch):
+    # R and its derivatives do not read the metric: one solve per q gives the
+    # same bits as one compute_limits per metric.
+    solves = []
+    solve = cli.solve_r
+    monkeypatch.setattr(cli, "solve_r", lambda *args: solves.append(1) or solve(*args))
+    for q in DEFAULT_Q_GRID + [1e-5, 1e-3, 0.49]:
+        assert cli._sweep_row(q) == _sweep_row_per_metric(q), q
+    assert len(solves) == len(DEFAULT_Q_GRID) + 3
 
 
 def test_threads_option_and_config_key_are_invalid(capsys, tmp_path):
@@ -292,10 +319,10 @@ def test_solve_r_json_lists_arcs_in_index_map_order(capsys, spec, kernel):
     payload = json.loads(out)
     r = solve_r(kernel, 1.0)
     d = solve_r_derivatives(r)
-    for key, accessor in (("R", r.value), ("d1", d.first), ("d2", d.second)):
+    for key, array in (("R", r.values), ("d1", d.d1), ("d2", d.d2)):
         arcs = [(e["i"], e["j"], e["k"]) for e in payload[key]]
         assert arcs == IndexMap(kernel.n_windows).tuples
-        assert [e["value"] for e in payload[key]] == [accessor(*arc) for arc in arcs]
+        assert [e["value"] for e in payload[key]] == [arc_entry(array, *arc) for arc in arcs]
 
 
 def test_limits_symmetric_100_meets_closed_form(capsys):
@@ -449,6 +476,25 @@ def test_limits_takes_no_cross_check_route(capsys, monkeypatch):
                        "--oracle")
     assert code == 0
     assert json.loads(out)["closed_form_delta"]["gamma"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_star_import_binds_public_names_not_submodules():
+    # ``__all__`` lists what the package exports, so ``from windwalk import *``
+    # binds no submodule, and the lazy-walk check lives with the tests.
+    import types
+
+    import windwalk
+
+    assert windwalk.__all__
+    for name in windwalk.__all__:
+        assert not isinstance(getattr(windwalk, name), types.ModuleType), name
+    assert "compute_limits" in windwalk.__all__
+    assert not hasattr(windwalk, "verify_lazy_walk")
+    assert not hasattr(windwalk.montecarlo, "verify_lazy_walk")
+    namespace = {}
+    exec("from windwalk import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(windwalk.__all__)
 
 
 def test_import_does_not_load_scipy_stats():

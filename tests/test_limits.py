@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, custom_metric, fenced_metric, word_metric
+from windwalk.groupoid import Arc, arc_entry, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import (
     SIMPLE_ZERO_TOL,
@@ -20,6 +20,7 @@ from windwalk.limits import (
     det_jet,
     kms_phi,
     limit_constants,
+    limits_from_jets,
     perron_jet,
 )
 from windwalk.oracle import closed_form, closed_form_symmetric
@@ -41,7 +42,7 @@ def test_det_jet_against_numpy_on_constant_matrix():
     rng = np.random.default_rng(0)
     for n in (2, 3, 5):
         a = rng.normal(size=(n, n))
-        m = [[Jet2.const(a[i, j]) for j in range(n)] for i in range(n)]
+        m = [[Jet2(float(a[i, j])) for j in range(n)] for i in range(n)]
         assert det_jet(_jet_array(m)).value == pytest.approx(np.linalg.det(a), rel=1e-10)
 
 
@@ -54,7 +55,7 @@ def test_det_jet_zero_matrix():
 
 def test_det_jet_tracks_derivatives():
     # det [[lam, z], [1, 1]] = lam - z: all partials known exactly
-    m = [[Jet2.var_lambda(), Jet2.var_z()], [Jet2.const(1.0), Jet2.const(1.0)]]
+    m = [[Jet2(1.0, c10=1.0), Jet2(1.0, c01=1.0)], [Jet2(1.0), Jet2(1.0)]]
     d = det_jet(_jet_array(m))
     assert d.value == 0.0
     assert d.d_lambda == 1.0 and d.d_z == -1.0
@@ -163,7 +164,7 @@ def _leibniz(matrix):
     total = Jet2()
     for perm in permutations(range(n)):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        term = Jet2.const(-1.0 if inversions % 2 else 1.0)
+        term = Jet2(-1.0 if inversions % 2 else 1.0)
         for row, col in enumerate(perm):
             term = term * matrix[row][col]
         total = total + term
@@ -305,7 +306,7 @@ def test_build_b_matches_scalar_jets():
         for i in range(1, 4):
             for j in range(1, 4):
                 want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(
-                    r.value(i, j, sign), d.first(i, j, sign), d.second(i, j, sign))
+                    *(arc_entry(a, i, j, sign) for a in (r.values, d.d1, d.d2)))
                 got = b[:, i - 1, j - 1]
                 for c, name in zip(got, FIELDS):
                     assert c == pytest.approx(getattr(want, name), rel=1e-14, abs=1e-15)
@@ -471,3 +472,28 @@ def test_compute_limits_peaks_under_ten_chamber_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 10.0 * 2 * n * n * 8
+
+
+@pytest.mark.parametrize("n, concentration, seed", [
+    (n, concentration, seed) for n in range(3, 11) for concentration in (1.0, 0.3)
+    for seed in range(3)])
+def test_gamma_is_linear_and_sigma2_a_quadratic_form_in_the_weights(n, concentration, seed):
+    # R and its derivatives do not read the metric, so one root serves every
+    # weighting.  rho_z = u^T K_z v is linear in W and rho_lambda does not
+    # read W, so gamma is linear; in sigma^2 the -W part of the W(W - 1)
+    # terms cancels rho_z, so sigma^2 is a quadratic form with no linear term,
+    # and sigma^2(W1 + W2) gives its cross term.
+    kernel = dirichlet_kernel(n, concentration, seed)
+    r = solve_r(kernel, 1.0)
+    d = solve_r_derivatives(r)
+    w1, w2 = np.random.default_rng([n, seed]).uniform(0.1, 2.0, size=(2, 2, n, n))
+    a, b = 0.7, 1.9
+
+    def limits(w):
+        return limits_from_jets(build_b(r, d, w, +1), build_b(r, d, w, -1), "custom")
+
+    one, two, both, mixed = limits(w1), limits(w2), limits(w1 + w2), limits(a * w1 + b * w2)
+    assert mixed.gamma == pytest.approx(a * one.gamma + b * two.gamma, rel=1e-14, abs=0)
+    cross = both.sigma2 - one.sigma2 - two.sigma2
+    assert mixed.sigma2 == pytest.approx(a * a * one.sigma2 + b * b * two.sigma2 + a * b * cross,
+                                         rel=1e-14, abs=0)

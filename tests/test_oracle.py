@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from windwalk import oracle
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
@@ -18,7 +17,7 @@ from windwalk.oracle import (
 )
 from windwalk.solver import IndexMap, solve_r
 
-from helpers import dirichlet_kernel
+from helpers import dirichlet_kernel, symmetric3_hitting_root
 from reference import series_eval
 
 
@@ -54,7 +53,7 @@ def test_partial_sums_increase_and_stay_below_one():
 
 def test_partial_sum_against_scalar_cubic():
     s = dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 60)
-    root = brentq(lambda r: r - (0.9 / 4) * (1 + r + 2 * r * r), 0, 0.999)
+    root = symmetric3_hitting_root(0.9)
     assert abs(series_eval(s, 0.9) - root) < 1e-6
 
 

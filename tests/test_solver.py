@@ -9,7 +9,7 @@ import pytest
 from windwalk import solver
 from windwalk.cli import build_parser
 from windwalk.chain import TransitionKernel, asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, fenced_metric, word_metric
+from windwalk.groupoid import Arc, arc_entry, fenced_metric, word_metric
 from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form_one_parameter, dp_hitting_series, dp_return_series
 from windwalk.solver import (
@@ -25,6 +25,16 @@ from windwalk.solver import (
 
 from helpers import dirichlet_kernel
 from reference import build_m_matrix, direct_h, primitivity_pattern_ok, spectral_radius_k, to_flat
+
+
+def _linearised(p, r):
+    """``LinearisedSystem`` at R and lambda = 1, with ``u = diag(P R)``."""
+    return solver.LinearisedSystem(p, 1.0, r, solver._diag_of_product(p, r))
+
+
+def _apply_m(p, r, d):
+    """M D at R and lambda = 1, with ``u = diag(P R)`` and ``t = diag(P D)``."""
+    return apply_m(p, 1.0, r, d, solver._diag_of_product(p, r), solver._diag_of_product(p, d))
 
 
 def test_index_map_order():
@@ -71,14 +81,15 @@ def test_one_parameter_closed_forms():
         r = solve_r(k, 1.0)
         d = solve_r_derivatives(r)
         cf = closed_form_one_parameter(q).r_values
-        assert r.value(2, 1, 1) == pytest.approx(cf["R1"], abs=1e-11)
-        assert r.value(1, 2, 1) == pytest.approx(cf["R2"], abs=1e-11)
-        assert r.value(1, 3, 1) == pytest.approx(cf["R3"], abs=1e-11)
-        assert d.first(2, 1, 1) == pytest.approx(cf["R1p"], rel=1e-9)
-        assert d.first(1, 2, 1) == pytest.approx(cf["R2p"], rel=1e-9)
-        assert d.first(1, 3, 1) == pytest.approx(cf["R3p"], rel=1e-9)
+        assert arc_entry(r.values, 2, 1, 1) == pytest.approx(cf["R1"], abs=1e-11)
+        assert arc_entry(r.values, 1, 2, 1) == pytest.approx(cf["R2"], abs=1e-11)
+        assert arc_entry(r.values, 1, 3, 1) == pytest.approx(cf["R3"], abs=1e-11)
+        assert arc_entry(d.d1, 2, 1, 1) == pytest.approx(cf["R1p"], rel=1e-9)
+        assert arc_entry(d.d1, 1, 2, 1) == pytest.approx(cf["R2p"], rel=1e-9)
+        assert arc_entry(d.d1, 1, 3, 1) == pytest.approx(cf["R3p"], rel=1e-9)
         # mirror symmetry of the kernel: both chambers solve identically
-        assert r.value(1, 2, 1) == pytest.approx(r.value(1, 2, -1), abs=1e-12)
+        assert arc_entry(r.values, 1, 2, 1) == pytest.approx(arc_entry(r.values, 1, 2, -1),
+                                                             abs=1e-12)
 
 
 def test_monotone_in_lambda_and_below_one():
@@ -186,9 +197,9 @@ def test_matrix_form_follows_index_map_order():
         assert array.shape == (2, 3, 3)
         assert np.all(np.diagonal(array, axis1=1, axis2=2) == 0.0)
     for flat, (i, j, sign) in enumerate(IndexMap(3).tuples):
-        assert r.value(i, j, sign) == to_flat(r.values)[flat]
-        assert d.first(i, j, sign) == to_flat(d.d1)[flat]
-        assert d.second(i, j, sign) == to_flat(d.d2)[flat]
+        assert arc_entry(r.values, i, j, sign) == to_flat(r.values)[flat]
+        assert arc_entry(d.d1, i, j, sign) == to_flat(d.d1)[flat]
+        assert arc_entry(d.d2, i, j, sign) == to_flat(d.d2)[flat]
 
 
 @pytest.mark.parametrize("arc", [(1, 1, 1), (0, 1, 1), (4, 1, 1), (1, 2, 0)])
@@ -198,9 +209,9 @@ def test_accessors_raise_for_a_triple_that_names_no_arc(arc):
     k = symmetric_kernel(3)
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(r)
-    for accessor in (r.value, d.first, d.second):
+    for array in (r.values, d.d1, d.d2):
         with pytest.raises(KeyError):
-            accessor(*arc)
+            arc_entry(array, *arc)
 
 
 @pytest.mark.parametrize("n", [3, 8, 40, 100])
@@ -233,8 +244,8 @@ def test_transience_root_returns_inside_its_last_bracket(monkeypatch, kernel):
     arcs = ~np.eye(kernel.n_windows, dtype=bool)
     brackets = []
 
-    def recorded(p, lam, r, d):
-        md = apply_m(p, lam, r, d)
+    def recorded(p, lam, r, d, u, t):
+        md = apply_m(p, lam, r, d, u, t)
         ratios = md[:, arcs] / d[:, arcs]
         brackets.append((ratios.min(), ratios.max()))
         return md
@@ -316,10 +327,10 @@ def test_newton_small_q_closed_forms(q, rel):
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(r)
     cf = closed_form_one_parameter(q)
-    for got, key in ((r.value(2, 1, 1), "R1"), (r.value(1, 2, 1), "R2"), (r.value(1, 3, 1), "R3"),
-                     (d.first(2, 1, 1), "R1p"), (d.first(1, 2, 1), "R2p"),
-                     (d.first(1, 3, 1), "R3p")):
-        assert got == pytest.approx(cf.r_values[key], rel=rel), key
+    for array, suffix in ((r.values, ""), (d.d1, "p")):
+        for arc, key in (((2, 1, 1), "R1"), ((1, 2, 1), "R2"), ((1, 3, 1), "R3")):
+            got = arc_entry(array, *arc)
+            assert got == pytest.approx(cf.r_values[key + suffix], rel=rel), key + suffix
     for metric, gamma, sigma2 in ((word_metric(3), cf.gamma_word, cf.sigma2_word),
                                   (fenced_metric(3), cf.gamma_fenced, cf.sigma2_fenced)):
         constants = compute_limits(k, metric)
@@ -357,7 +368,7 @@ def test_both_block_solve_paths_match_dense_reference(monkeypatch, n, concentrat
     r = solve_r(k, 1.0)
     b = np.random.default_rng(n).normal(size=(2, n, n))
     b[:, np.arange(n), np.arange(n)] = 0.0
-    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    system = _linearised(k.P, r.values)
     assert system.fallback_columns == (0 if ratio == 0.0 else 2 * n)
     got = to_flat(system.solve(b))
     dense = np.eye(len(got)) - build_m_matrix(k, 1.0, to_flat(r.values))
@@ -370,7 +381,7 @@ def test_near_singular_chamber_falls_back_to_its_blocks():
     # entries near 1e11 and the deleted-index update would lose 11 digits.
     k = dirichlet_kernel(4, 0.001, seed=4)
     r = solve_r(k, 1.0)
-    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    system = _linearised(k.P, r.values)
     assert system.fallback_columns > 0
     b = np.random.default_rng(4).normal(size=(2, 4, 4))
     b[:, np.arange(4), np.arange(4)] = 0.0
@@ -391,9 +402,9 @@ def test_one_block_solve_satisfies_the_system(kernel):
     r = solve_r(kernel, 1.0)
     b = np.random.default_rng(n).normal(size=(2, n, n))
     b[:, np.arange(n), np.arange(n)] = 0.0
-    system = solver.LinearisedSystem(kernel.P, 1.0, r.values)
+    system = _linearised(kernel.P, r.values)
     d = system.solve(b)
-    defect = np.max(np.abs(d - apply_m(kernel.P, 1.0, r.values, d) - b))
+    defect = np.max(np.abs(d - _apply_m(kernel.P, r.values, d) - b))
     assert defect <= 1e-13 * (np.max(np.abs(b)) + np.max(np.abs(d)))
 
 
@@ -404,7 +415,7 @@ def test_singular_coupling_is_a_solver_error(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     k = asymmetric_kernel()
-    system = solver.LinearisedSystem(k.P, 1.0, solve_r(k, 1.0).values)
+    system = _linearised(k.P, solve_r(k, 1.0).values)
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(SolverError, match="the 2N x 2N coupling of I - M is singular"):
         system.solve(np.ones((2, 3, 3)))
@@ -414,7 +425,7 @@ def test_solve_leaves_b_unwritten_and_returns_a_zero_diagonal():
     # The solve zeroes the diagonal of its own copy of B, and the block solve
     # spends that copy as scratch space; the caller's B must survive both.
     k = asymmetric_kernel()
-    system = solver.LinearisedSystem(k.P, 1.0, solve_r(k, 1.0).values)
+    system = _linearised(k.P, solve_r(k, 1.0).values)
     b = np.random.default_rng(3).normal(size=(2, 3, 3))
     kept = b.copy()
     d = system.solve(b)
@@ -446,7 +457,7 @@ def test_array_layout_does_not_change_the_solve():
     assert np.array_equal(r.values, r_fortran.values)
     d2, d2_fortran = solve_r_derivatives(r).d2, solve_r_derivatives(r_fortran).d2
     assert np.array_equal(d2, d2_fortran)
-    system = solver.LinearisedSystem(k.P, 1.0, r.values)
+    system = _linearised(k.P, r.values)
     b = np.random.default_rng(5).normal(size=(2, 3, 3)).transpose(0, 2, 1)
     assert np.array_equal(system.solve(b), system.solve(np.ascontiguousarray(b)))
 
@@ -484,7 +495,7 @@ def test_dense_and_structured_newton_paths_agree(monkeypatch, kernel, rel):
     # them times beta = ||(I - M)^{-1}||_inf, about 2.1/sqrt(q) at small q: the
     # largest entry of the solve on the all-ones array, as (I - M)^{-1} >= 0.
     ones = np.ones_like(r_s.values)
-    beta = solver.LinearisedSystem(kernel.P, 1.0, r_s.values).solve(ones).max()
+    beta = _linearised(kernel.P, r_s.values).solve(ones).max()
     for structured, dense, scale in ((r_s.values, r_d.values, 1.0), (d_s.d1, d_d.d1, beta),
                                      (d_s.d2, d_d.d2, beta)):
         assert dense.shape == structured.shape
@@ -543,9 +554,9 @@ def test_singular_dense_system_is_a_solver_error(monkeypatch):
 def test_structured_newton_step_forms_u_once(monkeypatch):
     # Each step's defect forms u = diag(P R), and the step's factorisation
     # reuses it: one product for the defect and one for the solve's a_k.
-    # The derivatives' factorisation reuses the u of the last defect, at the
-    # root: their five products are the two solves' a_k, t1 = diag(P d1), and
-    # the two of apply_m for the second right-hand side.
+    # The derivatives' factorisation and their second right-hand side reuse
+    # the u of the last defect, at the root: their three products are the two
+    # solves' a_k and t1 = diag(P d1), which apply_m takes as it is.
     calls = []
     product = solver._diag_of_product
 
@@ -557,7 +568,28 @@ def test_structured_newton_step_forms_u_once(monkeypatch):
     r = solve_r(symmetric_kernel(solver.DENSE_MAX_N + 2), 1.0)
     assert len(calls) == 1 + 2 * r.iterations
     solve_r_derivatives(r)
-    assert len(calls) == 1 + 2 * r.iterations + 5
+    assert len(calls) == 1 + 2 * r.iterations + 3
+
+
+def test_transience_root_forms_u_once(monkeypatch):
+    # u = diag(P 1) is formed once per call; each power step forms only its
+    # t = diag(P D).
+    calls, steps = [], []
+    product, apply = solver._diag_of_product, solver.apply_m
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    def stepped(*args):
+        steps.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(solver, "_diag_of_product", counted)
+    monkeypatch.setattr(solver, "apply_m", stepped)
+    transience_root(dirichlet_kernel(6, 1.0, seed=1))
+    assert len(steps) > 1
+    assert len(calls) == len(steps) + 1
 
 
 def test_dense_compute_limits_builds_one_flat_system(monkeypatch):
