@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, InputError, Metric, Word, arc_entries, arc_entry, arc_table,
+from .groupoid import (Arc, InputError, Metric, Word, arc_entries, arc_table,
                        chamber_array, unit, whole_number)
 
 if TYPE_CHECKING:
@@ -66,9 +66,6 @@ class TransitionKernel:
         if metric.W.shape[-1] != self.n_windows:
             raise ValueError(f"metric {metric.name!r} is sized for N={metric.W.shape[-1]} "
                              f"windows, the kernel for N={self.n_windows}")
-
-    def prob(self, i: int, j: int, k: int) -> float:
-        return arc_entry(self.P, i, j, k)
 
     def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
         """The arcs leaving window i and their probabilities, in the order

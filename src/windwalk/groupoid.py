@@ -227,7 +227,8 @@ def arc_entry(array: np.ndarray, i: int, j: int, k: int) -> float:
 
 def arc_entries(array: np.ndarray) -> List[dict]:
     """The arcs of a (2, N, N) array as JSON entries ``{"i", "j", "k",
-    "value"}``: k = +1 first, then i and j ascending (``solver.IndexMap``)."""
+    "value"}``: k = +1 first, then i and j ascending (the solver's flat
+    order)."""
     n, values = array.shape[-1], array.tolist()
     return [{"i": i + 1, "j": j + 1, "k": 1 - 2 * s, "value": values[s][i][j]}
             for s in (0, 1) for i in range(n) for j in range(n) if i != j]

@@ -71,12 +71,12 @@ def _word_laws(
     A word that ``keep(m, word)`` refuses is dropped from the law at step m.
     The caller may remove words from a yielded law; the next step grows from
     what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
-    stops early once the law is empty.  The return and ``G`` walks keep
-    every reduced word within reach, so ``_check_law_sizes`` checks their
-    sizes before the first step; the hitting walk's pruned laws are counted
-    as they grow.  Arcs are read only through ``kernel.arcs_from`` and
-    ``groupoid.append``, never through the chain's rewrite tables, so the
-    enumeration stays independent of the convolution DP and the sampler.
+    stops early once the law is empty.  Each walk's caller checks the sizes
+    of its laws, or floors on them, with ``_check_law_sizes`` before the
+    first step; the count here refuses the walks those floors miss.  Arcs
+    are read only through ``kernel.arcs_from`` and ``groupoid.append``,
+    never through the chain's rewrite tables, so the enumeration stays
+    independent of the convolution DP and the sampler.
     """
     arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
     law: Dict[Word, float] = {Word(source): 1.0}
@@ -105,13 +105,32 @@ def _law_size(n_windows: int, m: int, r: int) -> int:
     return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
 
 
-def _check_law_sizes(n_windows: int, radii: Iterable[int]) -> None:
-    """Raise ``StateSpaceExceeded``, before any step, for a walk that keeps
-    every reduced word of length at most the m-th of ``radii`` at step m,
-    with the size of its first law above ``DEFAULT_STATE_CAP``: the count
-    at which ``_word_laws`` would stop."""
-    for m, r in enumerate(radii, start=1):
-        count = _law_size(n_windows, m, r)
+def _hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
+    """A floor on the size of the hitting walk's law at step m >= 1, after
+    absorption, to horizon ``max_steps``: the reduced words of length
+    2..min(m, r) whose first letter is not the target, where r is
+    ``max_steps - m`` for a first letter of the target's sign (the target
+    merges into that letter's inverse) and one less for the other sign.
+    Push a word's letters, then keep its length by merges on the last
+    letter: every word on the way has the same first letter and no greater
+    length, so the keep rule keeps it and it is never the target.  From a
+    window, N - 2 first letters besides the target have its sign and N - 1
+    the other, and (N-1)^(L-1) words of length L follow each."""
+    b = n_windows - 1
+
+    def words(r: int) -> int:
+        # (N-1) + ... + (N-1)^(r-1): the lengths 2..r after one first letter.
+        return b * (b ** (max(r, 1) - 1) - 1) // (b - 1)
+
+    return (b - 1) * words(min(m, max_steps - m)) + b * words(min(m, max_steps - m - 1))
+
+
+def _check_law_sizes(counts: Iterable[int]) -> None:
+    """Raise ``StateSpaceExceeded``, before any step, with the first of
+    ``counts``, the sizes of a walk's laws at steps 1, 2, ... or floors on
+    them, above ``DEFAULT_STATE_CAP``: a count at which ``_word_laws``
+    would stop, at that step or an earlier one."""
+    for count in counts:
         if count > DEFAULT_STATE_CAP:
             raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
 
@@ -133,6 +152,8 @@ def dp_hitting_series(
         return t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
     if method != "words":
         raise ValueError(f"unknown method {method!r}")
+    _check_law_sizes(_hitting_law_floor(kernel.n_windows, m, max_steps)
+                     for m in range(1, max_steps + 1))
     coeffs = np.zeros(max_steps + 1)
     target_word = Word(target.i, (target,))
     # Keep only words that can still reach the target in time.
@@ -155,8 +176,8 @@ def dp_return_series(
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
     if method == "words":
-        _check_law_sizes(kernel.n_windows,
-                         (min(m, max_steps - m) for m in range(1, max_steps + 1)))
+        _check_law_sizes(_law_size(kernel.n_windows, m, min(m, max_steps - m))
+                         for m in range(1, max_steps + 1))
         coeffs = np.zeros(max_steps + 1)
         coeffs[0] = 1.0
         e_i = Word(i)
@@ -195,7 +216,7 @@ def dp_truncated_G(
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
     kernel.check_metric(metric)
-    _check_law_sizes(kernel.n_windows, range(1, max_steps + 1))
+    _check_law_sizes(_law_size(kernel.n_windows, m, m) for m in range(1, max_steps + 1))
     total = 1.0  # n = 0 term: the unit word has length 0
     for n, law in enumerate(_word_laws(kernel, i, max_steps), start=1):
         expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())

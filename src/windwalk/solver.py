@@ -37,25 +37,23 @@ spent is reused.  Every sum and product keeps the order of the formulas, so
 the results are the same bits as with fresh temporaries.
 
 ``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
-layout.  Its off-diagonal entries in row-major order are the flat
-``IndexMap`` order, in which the same system reads
+layout.  Its off-diagonal entries in row-major order are the flat order
+(sign +1 then -1, then source i, then target j != i), in which the same
+system reads
 
     R = lam * (p + A1 @ R + (C @ R) * R).
 
 Up to ``DENSE_MAX_N`` windows, at most 60 unknowns, Newton's method and the
-derivatives work on this flat form instead: its lam-scaled constant part
-(``p``, ``A1`` and ``C``) is placed once per ``solve_r`` from ``P`` by index
-arithmetic, each step adds the R-dependent terms of the Jacobian
-``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array operations and
-does one dense LU solve, and the results are scattered back into the
-(2, N, N) layout.  There one LU solve costs less than the structured
-solve's many small numpy calls.  One Newton loop, with one stop rule, serves
-both forms, and ``solve_r_derivatives`` reuses the system it stopped in.
-
-``system_matrices`` builds ``p``, ``A1`` and ``C`` arc by arc through
-``TransitionKernel.prob``, not ``P``: the tests' reference for the flat
-form.  No library path calls it; it stays, with ``IndexMap``, only because
-perfbench's tracer patches it.  The rest is in ``tests/reference.py``.
+derivatives work on this flat form instead: ``system_matrices`` places its
+constant part (``p``, ``A1`` and ``C``) once per ``solve_r`` from ``P`` by
+index arithmetic, scaled by lam after, each step adds the R-dependent terms
+of the Jacobian ``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array
+operations and does one dense LU solve, and the results are scattered back
+into the (2, N, N) layout.  There one LU solve costs less than the
+structured solve's many small numpy calls.  One Newton loop, with one stop
+rule, serves both forms, and ``solve_r_derivatives`` reuses the system it
+stopped in.  The tests check ``system_matrices`` against the flat system
+built arc by arc, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -99,29 +97,6 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-class IndexMap:
-    """Documented flat order for the 2N(N-1) arc indices: the sign k runs
-    outermost (+1 then -1), then the source i, then the target j skipping
-    j = i.  Matrices built on this order are reproducible everywhere."""
-
-    def __init__(self, n_windows: int):
-        self.n_windows = n_windows
-        self.tuples: List[Tuple[int, int, int]] = [
-            (i, j, k)
-            for k in (1, -1)
-            for i in range(1, n_windows + 1)
-            for j in range(1, n_windows + 1)
-            if j != i
-        ]
-        self._flat = {t: n for n, t in enumerate(self.tuples)}
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def flat(self, i: int, j: int, k: int) -> int:
-        return self._flat[(i, j, k)]
-
-
 @dataclass
 class RSolution:
     """Converged (2, N, N) R values at one lambda, with the fixed-point defect
@@ -140,23 +115,6 @@ class RDerivatives:
 
     d1: np.ndarray
     d2: np.ndarray
-
-
-def system_matrices(kernel: TransitionKernel) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
-    """Flat-index data (index, p, A1, C) for the quadratic system."""
-    index = IndexMap(kernel.n_windows)
-    dim = len(index)
-    n = kernel.n_windows
-    p_vec = np.array([kernel.prob(i, j, k) for (i, j, k) in index.tuples])
-    a1 = np.zeros((dim, dim))
-    c = np.zeros((dim, dim))
-    for row, (i, j, k) in enumerate(index.tuples):
-        for m in range(1, n + 1):
-            if m != i and m != j:
-                a1[row, index.flat(m, j, k)] = kernel.prob(i, m, k)
-            if m != i:
-                c[row, index.flat(m, i, -k)] = kernel.prob(i, m, -k)
-    return index, p_vec, a1, c
 
 
 def _diag_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -345,8 +303,8 @@ def _flat_pattern(n: int) -> Tuple[np.ndarray, ...]:
     """Where the flat system's entries come from in the raveled (2, N, N)
     ``P``, for N windows: the arcs in flat order, then the row, column and
     source of each entry of the same-chamber block A1 and of the return-term
-    block C (the ``system_matrices`` formulas).  Read-only, and kept for each
-    N up to ``DENSE_MAX_N``, the only sizes that build a flat system."""
+    block C.  Read-only, and kept for each N up to ``DENSE_MAX_N``, the only
+    sizes that build a flat system."""
     flat = np.full((2, n, n), -1)
     flat[:, ~np.eye(n, dtype=bool)] = np.arange(2 * n * (n - 1)).reshape(2, -1)
     s, i, j, m = np.indices((2, n, n, n))
@@ -363,26 +321,40 @@ def _flat_pattern(n: int) -> Tuple[np.ndarray, ...]:
     return pattern
 
 
+def system_matrices(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The flat system ``R = p + A1 R + (C R) * R`` at lam = 1 of a (2, N, N)
+    chamber array ``p``, as ``(arcs, p, A1, C)``: ``arcs`` holds the arcs'
+    positions in the raveled array, in flat order (sign +1 then -1, then
+    source i, then target j != i), and the unscaled ``p``, ``A1`` and ``C``
+    are placed from ``p`` by ``_flat_pattern``, which caches the pattern
+    for each N."""
+    arcs, a_rows, a_cols, a_src, c_rows, c_cols, c_src = _flat_pattern(p.shape[-1])
+    flat = np.ravel(p)
+    dim = len(arcs)
+    a1 = np.zeros((dim, dim))
+    a1[a_rows, a_cols] = flat[a_src]
+    c = np.zeros((dim, dim))
+    c[c_rows, c_cols] = flat[c_src]
+    return arcs, flat[arcs], a1, c
+
+
 class _FlatNewton:
-    """Newton's method on the dense flat system for small N, in ``IndexMap``
-    order: ``R = p' + A1' R + (C' R) * R`` with the primes scaled by lam.
-    The constant parts are assembled once, and each step adds the
-    R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and does one
-    LU solve.  ``C' R``, the return term of each row, is formed once per
-    step, with the defect, and the derivatives reuse the one at the root."""
+    """Newton's method on the dense flat system for small N, in flat order:
+    ``R = p' + A1' R + (C' R) * R`` with the primes scaled by lam.  The
+    constant parts are assembled once, by ``system_matrices``, and each step
+    adds the R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and
+    does one LU solve.  ``C' R``, the return term of each row, is formed once
+    per step, with the defect, and the derivatives reuse the one at the root."""
 
     def __init__(self, p: np.ndarray, lam: float):
-        n = p.shape[-1]
         self.lam, self.shape = lam, p.shape
-        self.arcs, a_rows, a_cols, a_src, c_rows, c_cols, c_src = _flat_pattern(n)
-        lam_p = lam * np.ravel(p)
-        dim = len(self.arcs)
-        self.lam_p = lam_p[self.arcs]
-        self.lam_a1 = np.zeros((dim, dim))
-        self.lam_a1[a_rows, a_cols] = lam_p[a_src]
-        self.lam_c = np.zeros((dim, dim))
-        self.lam_c[c_rows, c_cols] = lam_p[c_src]
-        self.i_minus_a1 = np.eye(dim) - self.lam_a1
+        self.arcs, self.lam_p, self.lam_a1, self.lam_c = system_matrices(p)
+        # lam * P_ij is one product, so scaling after placement gives the
+        # same bits as placing lam * P.
+        self.lam_p *= lam
+        self.lam_a1 *= lam
+        self.lam_c *= lam
+        self.i_minus_a1 = np.eye(len(self.arcs)) - self.lam_a1
 
     def start(self) -> np.ndarray:
         return np.zeros(len(self.arcs))

@@ -14,11 +14,14 @@ stdout is read as JSON when it is JSON, and otherwise as lines of
 comma-separated cells, each an integer, a float or text.  numpy may change
 its ``Generator`` streams between versions (NEP 19), so the record names the
 numpy and Python versions it was made with.  A change that moves an output
-on purpose regenerates the record with::
+on purpose lists each changed field, and writes nothing, with::
+
+    PYTHONPATH=src python tests/cli_contract.py --diff
+
+which exits 1 if any case differs, names each changed field in CHANGES.md
+and regenerates the record with::
 
     PYTHONPATH=src python tests/cli_contract.py
-
-and names each changed field in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -198,7 +201,10 @@ CASES: Dict[str, Case] = {
         patch=_CAP),
     "oracle-dp-G-refused": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G"],
                                 patch=_CAP),
-    # The default cap and horizon: the law passes the cap at step 18.
+    # The default cap and horizon: the law passes the cap at step 18, and
+    # the hitting walk's floor on it at step 19.
+    "oracle-dp-hitting-words-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--target",
+                                             "1,2,1", "--method", "words"]),
     "oracle-dp-return-words-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode",
                                             "return", "--method", "words"]),
     "oracle-dp-G-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "G"]),
@@ -289,6 +295,23 @@ def record() -> dict:
     return {"regenerate": REGENERATE, **versions(), "cases": cases}
 
 
+def diff() -> int:
+    """Print where each case departs from the record, one line per field,
+    and return 1 if any case does, else 0."""
+    recorded = json.loads(RECORD.read_text())["cases"]
+    found = [f"{name}: not a case" for name in recorded.keys() - CASES.keys()]
+    with tempfile.TemporaryDirectory() as directory:
+        write_files(directory)
+        for name, case in CASES.items():
+            lines = (differences(recorded[name], run_case(case, directory), case.seeded)
+                     if name in recorded else ["not in the record"])
+            found += [f"{name}: {line}" for line in lines]
+    sys.stdout.writelines(line + "\n" for line in found)
+    return int(bool(found))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
     RECORD.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(CASES)} cases to {RECORD}\n")

@@ -1,10 +1,10 @@
-"""Reference routes that only the tests call: the dense Jacobian of the flat
-system built arc by arc, the float transfer matrices and their spectral
-radius, the plain-float determinant that the finite-difference stencils
-of ``helpers.fd_partials`` evaluate, a truncated series' partial sum,
-hitting times sampled on the batched chain, the lazy-nearest-neighbour law
-of the symmetric family's word lengths checked on one simulated path, and
-the scalar chain replayed word by word.
+"""Reference routes that only the tests call: the flat order of the arcs,
+the flat system and its dense Jacobian built arc by arc, the float
+transfer matrices and their spectral radius, the plain-float determinant
+that the finite-difference stencils of ``helpers.fd_partials`` evaluate, a
+truncated series' partial sum, hitting times sampled on the batched chain,
+the lazy-nearest-neighbour law of the symmetric family's word lengths
+checked on one simulated path, and the scalar chain replayed word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -17,14 +17,62 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel, simulate
-from windwalk.groupoid import Arc, Metric, Word, append, unit
-from windwalk.solver import DEFAULT_TOL, RSolution, solve_r, system_matrices
+from windwalk.groupoid import Arc, Metric, Word, append, arc_entry, unit
+from windwalk.solver import DEFAULT_TOL, RSolution, solve_r
+
+
+class IndexMap:
+    """Documented flat order for the 2N(N-1) arc indices: the sign k runs
+    outermost (+1 then -1), then the source i, then the target j skipping
+    j = i.  Matrices built on this order are reproducible everywhere."""
+
+    def __init__(self, n_windows: int):
+        self.n_windows = n_windows
+        self.tuples: List[Tuple[int, int, int]] = [
+            (i, j, k)
+            for k in (1, -1)
+            for i in range(1, n_windows + 1)
+            for j in range(1, n_windows + 1)
+            if j != i
+        ]
+        self._flat = {t: n for n, t in enumerate(self.tuples)}
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def flat(self, i: int, j: int, k: int) -> int:
+        return self._flat[(i, j, k)]
+
+
+def flat_system_by_arc(
+    kernel: TransitionKernel,
+) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat-index data (index, p, A1, C) of the quadratic system at lam = 1,
+    built arc by arc through ``arc_entry``: the reference for
+    ``solver.system_matrices``."""
+    index = IndexMap(kernel.n_windows)
+    dim = len(index)
+    n = kernel.n_windows
+
+    def prob(i: int, j: int, k: int) -> float:
+        return arc_entry(kernel.P, i, j, k)
+
+    p_vec = np.array([prob(i, j, k) for (i, j, k) in index.tuples])
+    a1 = np.zeros((dim, dim))
+    c = np.zeros((dim, dim))
+    for row, (i, j, k) in enumerate(index.tuples):
+        for m in range(1, n + 1):
+            if m != i and m != j:
+                a1[row, index.flat(m, j, k)] = prob(i, m, k)
+            if m != i:
+                c[row, index.flat(m, i, -k)] = prob(i, m, -k)
+    return index, p_vec, a1, c
 
 
 def build_m_matrix(
@@ -35,7 +83,7 @@ def build_m_matrix(
     Entry cases: same-(j, k) column block lam*p, opposite-sign block
     lam*p*R, and the diagonal lam * sum of opposite-sign return terms.
     """
-    _, _, a1, c = system_matrices(kernel)
+    _, _, a1, c = flat_system_by_arc(kernel)
     return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
 
 

@@ -35,15 +35,14 @@ from windwalk.oracle import (
     hitting_step_probabilities,
 )
 from windwalk.solver import (
-    IndexMap,
     solve_r,
     solve_r_derivatives,
     transience_root,
 )
 
 from helpers import fd_partials, printed_tolerance, random_word
-from reference import (build_m_matrix, primitivity_pattern_ok, series_eval, spectral_radius_k,
-                       to_flat)
+from reference import (IndexMap, build_m_matrix, primitivity_pattern_ok, series_eval,
+                       spectral_radius_k, to_flat)
 
 THREE_KERNELS = [
     ("symmetric N=3", symmetric_kernel(3)),

@@ -28,8 +28,9 @@ from windwalk.chain import (
     symmetric_kernel,
     validate_kernel,
 )
-from windwalk.groupoid import (Arc, Metric, Word, append, chamber_array, custom_metric,
-                               fenced_metric, metric_length, unit, word_metric)
+from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, chamber_array,
+                               custom_metric, fenced_metric, metric_length, unit,
+                               word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.limits import compute_limits
 from windwalk.montecarlo import verify_lln
@@ -41,8 +42,9 @@ from reference import Replay, batch_top, sample_hitting_times
 
 def test_symmetric_kernel_valid():
     k = symmetric_kernel(5)
-    assert k.prob(1, 2, 1) == pytest.approx(1 / 8)
-    assert sum(k.prob(3, j, s) for j in range(1, 6) if j != 3 for s in (1, -1)) == pytest.approx(1.0)
+    assert arc_entry(k.P, 1, 2, 1) == pytest.approx(1 / 8)
+    row = sum(arc_entry(k.P, 3, j, s) for j in range(1, 6) if j != 3 for s in (1, -1))
+    assert row == pytest.approx(1.0)
 
 
 def test_one_parameter_bounds():
@@ -56,7 +58,7 @@ def test_one_parameter_bounds():
 def test_asymmetric_rows_sum_to_one():
     k = asymmetric_kernel()
     for i in (1, 2, 3):
-        row = sum(k.prob(i, j, s) for j in (1, 2, 3) if j != i for s in (1, -1))
+        row = sum(arc_entry(k.P, i, j, s) for j in (1, 2, 3) if j != i for s in (1, -1))
         assert row == pytest.approx(1.0, abs=1e-15)
 
 
@@ -653,7 +655,7 @@ def test_chamber_array_matches_prob(kernel):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for s, k in enumerate((1, -1)):
-                want = 0.0 if i == j else kernel.prob(i, j, k)
+                want = 0.0 if i == j else arc_entry(kernel.P, i, j, k)
                 assert kernel.P[s, i - 1, j - 1] == want
     assert not kernel.P.flags.writeable
 

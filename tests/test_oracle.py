@@ -5,7 +5,8 @@ import pytest
 
 from windwalk import oracle
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, fenced_metric, word_metric
+from windwalk.groupoid import (Arc, Word, arc_entry, compose, fenced_metric, inverse,
+                               word_metric)
 from windwalk.oracle import (
     StateSpaceExceeded,
     closed_form,
@@ -15,10 +16,10 @@ from windwalk.oracle import (
     dp_truncated_G,
     hitting_step_probabilities,
 )
-from windwalk.solver import IndexMap, solve_r
+from windwalk.solver import solve_r
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import series_eval
+from reference import IndexMap, series_eval
 
 
 def test_first_coefficient_is_one_step_probability():
@@ -26,7 +27,7 @@ def test_first_coefficient_is_one_step_probability():
     for method in ("convolution", "words"):
         s = dp_hitting_series(k, Arc(1, 2, 1), 3, method=method)
         assert s[0] == 0.0
-        assert s[1] == pytest.approx(k.prob(1, 2, 1))
+        assert s[1] == pytest.approx(arc_entry(k.P, 1, 2, 1))
 
 
 def test_convolution_and_word_dp_agree():
@@ -74,15 +75,15 @@ def _looped_hitting_table(kernel, max_steps):
     index = IndexMap(kernel.n_windows)
     t = np.zeros((len(index), max_steps + 1))
     for row, (i, j, k) in enumerate(index.tuples):
-        t[row, 1] = kernel.prob(i, j, k)
+        t[row, 1] = arc_entry(kernel.P, i, j, k)
     for m in range(2, max_steps + 1):
         for row, (i, j, k) in enumerate(index.tuples):
             for l in range(1, kernel.n_windows + 1):
                 if l != i and l != j:
-                    t[row, m] += kernel.prob(i, l, k) * t[index.flat(l, j, k), m - 1]
+                    t[row, m] += arc_entry(kernel.P, i, l, k) * t[index.flat(l, j, k), m - 1]
                 if l != i:
                     ret = t[index.flat(l, i, -k), 1:m - 1] @ t[row, m - 2:0:-1]
-                    t[row, m] += kernel.prob(i, l, -k) * ret
+                    t[row, m] += arc_entry(kernel.P, i, l, -k) * ret
     return index, t
 
 
@@ -152,7 +153,7 @@ def test_truncated_g_domain():
 
 @pytest.mark.parametrize("call, cap, count", [
     (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
-    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words"), 50, 94),
+    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words"), 50, 90),
     (lambda: dp_return_series(symmetric_kernel(3), 1, 40, method="words"), 50, 61),
 ], ids=["G", "hitting", "return"])
 def test_state_cap_guard(monkeypatch, call, cap, count):
@@ -191,6 +192,23 @@ def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
         with pytest.raises(StateSpaceExceeded) as info:
             call()
         assert (info.value.count, info.value.cap) == (2**20 - 3, oracle.DEFAULT_STATE_CAP)
+
+
+@pytest.mark.parametrize("n, horizon", [(3, 12), (4, 8), (5, 6)])
+@pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)], ids=str)
+def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
+    # The floor counts the words of length 2 and more that the walk must
+    # hold; the rest of a law is its unit and its one-letter words.
+    kernel = dirichlet_kernel(n, 1.0, seed=n)
+    target_word = Word(target.i, (target,))
+    for m_max in range(1, horizon + 1):
+        laws = oracle._word_laws(
+            kernel, target.i, m_max,
+            lambda m, word: m + len(compose(inverse(word), target_word)) <= m_max)
+        for m, law in enumerate(laws, start=1):
+            law.pop(target_word, None)
+            floor = oracle._hitting_law_floor(n, m, m_max)
+            assert len(law) - 2 * (n - 1) <= floor <= len(law), (m_max, m)
 
 
 # Word-space results at 8 steps, recorded as exact reprs.  Each law is summed

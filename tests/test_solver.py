@@ -13,7 +13,6 @@ from windwalk.groupoid import Arc, arc_entry, fenced_metric, word_metric
 from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form_one_parameter, dp_hitting_series, dp_return_series
 from windwalk.solver import (
-    IndexMap,
     SolverError,
     apply_m,
     solution_to_json,
@@ -23,8 +22,10 @@ from windwalk.solver import (
     transience_root,
 )
 
+import reference
 from helpers import dirichlet_kernel
-from reference import build_m_matrix, direct_h, primitivity_pattern_ok, spectral_radius_k, to_flat
+from reference import (IndexMap, build_m_matrix, direct_h, flat_system_by_arc,
+                       primitivity_pattern_ok, spectral_radius_k, to_flat)
 
 
 def _linearised(p, r):
@@ -133,7 +134,7 @@ def test_m_matrix_structure():
     assert np.allclose(np.diag(m), 0.25, atol=1e-11)
     assert np.all(m >= 0.0)
     assert not build_m_matrix(k, 0.0, np.zeros(12)).any()
-    _, _, a1, c = system_matrices(k)
+    _, _, a1, c = flat_system_by_arc(k)
     q = to_flat(r.values)
     assert np.allclose(m, a1 / 1 + np.diag(c @ q) + np.diag(q) @ c)
 
@@ -169,7 +170,7 @@ DIRICHLET_KERNELS = [
 def test_structured_solve_matches_flat_system(kernel, lam):
     # N = 3..8 takes the dense path up to DENSE_MAX_N and the structured one
     # above it; below lam = 1 the derivatives must use the system's own lam.
-    _, p, a1, c = system_matrices(kernel)
+    _, p, a1, c = flat_system_by_arc(kernel)
     r = solve_r(kernel, lam)
     q = to_flat(r.values)
     assert np.max(np.abs(q - lam * (p + a1 @ q + (c @ q) * q))) <= 1e-13
@@ -181,6 +182,27 @@ def test_structured_solve_matches_flat_system(kernel, lam):
                          2.0 * (m / lam) @ d1 + 2.0 * lam * (c @ d1) * d1)
     assert np.max(np.abs(to_flat(d.d1) - d1)) <= 1e-10 * np.max(np.abs(d1))
     assert np.max(np.abs(to_flat(d.d2) - d2)) <= 1e-10 * np.max(np.abs(d2))
+
+
+SYSTEM_KERNELS = (
+    [symmetric_kernel(n) for n in range(3, 7)]
+    + [asymmetric_kernel(), one_parameter_kernel(1e-5), one_parameter_kernel(0.25)]
+    + [dirichlet_kernel(n, 1.0, seed=n) for n in range(3, 7)]
+)
+
+
+@pytest.mark.parametrize("kernel", SYSTEM_KERNELS, ids=repr)
+def test_system_matrices_match_the_arc_by_arc_build(kernel):
+    # The library's one assembly of the flat system, placed from P by index
+    # arithmetic, equals the loop over the arcs entry for entry.
+    arcs, p, a1, c = system_matrices(kernel.P)
+    index, want_p, want_a1, want_c = flat_system_by_arc(kernel)
+    n = kernel.n_windows
+    assert np.array_equal(arcs, [np.ravel_multi_index(((1 - k) // 2, i - 1, j - 1), (2, n, n))
+                                 for i, j, k in index.tuples])
+    assert np.array_equal(p, want_p)
+    assert np.array_equal(a1, want_a1)
+    assert np.array_equal(c, want_c)
 
 
 def test_matrix_form_follows_index_map_order():
@@ -278,11 +300,15 @@ def test_newton_tolerance_has_one_default():
 
 
 def test_dense_reference_is_off_the_library_path(monkeypatch):
+    # The arc-by-arc flat system and its flat order live in the tests alone.
+    assert not hasattr(solver, "IndexMap")
+    assert not hasattr(TransitionKernel, "prob")
+
     def refuse(*args, **kwargs):
         raise AssertionError("the dense reference was called")
 
-    for name in ("system_matrices", "IndexMap"):
-        monkeypatch.setattr(solver, name, refuse)
+    for name in ("flat_system_by_arc", "IndexMap"):
+        monkeypatch.setattr(reference, name, refuse)
     k = asymmetric_kernel()
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(r)

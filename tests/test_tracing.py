@@ -6,6 +6,9 @@ import pathlib
 import sys
 
 import windwalk.cli  # noqa: F401  (loads every module the tracer patches)
+from windwalk import limits
+from windwalk.chain import asymmetric_kernel, symmetric_kernel
+from windwalk.groupoid import word_metric
 from windwalk.jets import Jet2
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +46,23 @@ def test_tracer_patches_every_traced_name_and_restores_it():
     after = _windwalk_attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_assembly_layer_is_live_on_the_dense_path():
+    # compute_limits assembles the flat system once up to DENSE_MAX_N
+    # windows and never above; the jet determinant det_h stays off the path.
+    tracer = _load_tracing().Tracer()
+    entered = {}
+    try:
+        tracer.install()
+        for name, kernel in (("asymmetric", asymmetric_kernel()),
+                             ("symmetric:8", symmetric_kernel(8))):
+            start = len(tracer.spans)
+            limits.compute_limits(kernel, word_metric(kernel.n_windows))
+            entered[name] = [span[0] for span in tracer.spans[start:]]
+    finally:
+        tracer.uninstall()
+    assert entered["asymmetric"].count("solver.system_matrices") == 1
+    assert "solver.system_matrices" not in entered["symmetric:8"]
+    for names in entered.values():
+        assert "limits.det_h" not in names
