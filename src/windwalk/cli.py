@@ -212,7 +212,9 @@ def cmd_limits(args) -> int:
     constants = compute_limits(kernel, metric, tol=args.tol, check_sigma=False)
     payload = constants.to_json()
     payload["kernel"] = kernel.name
-    if abs(constants.rho_partials["d_z"]) < 1e-12:
+    # Every arc of a valid kernel has a positive frequency, so the root
+    # moves with z unless every weight is 0.
+    if not metric.W.any():
         payload["warning"] = "metric is degenerate: the Perron root does not depend on z"
     if args.oracle:
         payload["closed_form"] = None

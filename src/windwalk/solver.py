@@ -50,18 +50,22 @@ index arithmetic, scaled by lam after, each step adds the R-dependent terms
 of the Jacobian ``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array
 operations and does one dense LU solve, and the results are scattered back
 into the (2, N, N) layout.  There one LU solve costs less than the
-structured solve's many small numpy calls.  One Newton loop, with one stop
-rule, serves both forms, and ``solve_r_derivatives`` reuses the system it
-stopped in.  The tests check ``system_matrices`` against the flat system
-built arc by arc, in ``tests/reference.py``.
+structured solve's many small numpy calls.  Either form is a Newton system
+with ``start``, ``defect`` (f(R) - R), ``linearised`` (the solve with
+``I - M`` at the last defect's R), ``m_times`` (M D and its return term) and
+``values``.  ``solve_r`` is the one Newton loop over both, and
+``solve_r_derivatives`` states the derivative rule once, over the system
+that ``solve_r`` stopped in.  The tests check ``system_matrices`` against
+the flat system built arc by arc, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -272,22 +276,17 @@ class _ChamberNewton:
         f -= r
         return f
 
-    def step(self, defect: np.ndarray) -> np.ndarray:
-        return LinearisedSystem(self.p, self.lam, self.r, self.u).solve(defect)
+    def linearised(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve with ``I - M`` at the R of the last defect, factored once."""
+        return LinearisedSystem(self.p, self.lam, self.r, self.u).solve
+
+    def m_times(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """M D and the return term ``lam diag(P_{-k} D_{-k})`` on each row."""
+        t = _diag_of_product(self.p, d)
+        return apply_m(self.p, self.lam, self.r, d, self.u, t), self.lam * t[::-1, :, None]
 
     def values(self, r: np.ndarray) -> np.ndarray:
         return r
-
-    def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
-        p, lam, r, u = self.p, self.lam, self.r, self.u
-        system = LinearisedSystem(p, lam, r, u)
-        d1 = system.solve(r / lam)
-        t1 = _diag_of_product(p, d1)
-        b2 = apply_m(p, lam, r, d1, u, t1)
-        b2 *= 2.0
-        b2 /= lam
-        b2 += 2.0 * lam * t1[::-1, :, None] * d1
-        return d1, system.solve(b2)
 
 
 def _lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -344,7 +343,7 @@ class _FlatNewton:
     constant parts are assembled once, by ``system_matrices``, and each step
     adds the R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and
     does one LU solve.  ``C' R``, the return term of each row, is formed once
-    per step, with the defect, and the derivatives reuse the one at the root."""
+    per step, with the defect, and ``m_times`` reuses the one at the root."""
 
     def __init__(self, p: np.ndarray, lam: float):
         self.lam, self.shape = lam, p.shape
@@ -368,35 +367,25 @@ class _FlatNewton:
         f -= r
         return f
 
-    def _jacobian(self) -> np.ndarray:
-        """``I - M`` at the R of the last defect."""
+    def linearised(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve with ``I - M`` at the R of the last defect, by LU."""
         j = np.multiply(self.r[:, None], self.lam_c)
         np.subtract(self.i_minus_a1, j, out=j)
         j.reshape(-1)[::len(self.r) + 1] -= self.ret
-        return j
+        return functools.partial(_lu_solve, j)
 
-    def step(self, defect: np.ndarray) -> np.ndarray:
-        return _lu_solve(self._jacobian(), defect)
+    def m_times(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``M D = A1' D + (C' R) * D + R * (C' D)`` and the return term ``C' D``."""
+        t = self.lam_c @ d
+        md = self.lam_a1 @ d
+        md += self.ret * d
+        md += self.r * t
+        return md, t
 
     def values(self, r: np.ndarray) -> np.ndarray:
         out = np.zeros(self.shape)
         out.reshape(-1)[self.arcs] = r
         return out
-
-    def derivatives(self) -> Tuple[np.ndarray, np.ndarray]:
-        lam, r, ret = self.lam, self.r, self.ret
-        jacobian = self._jacobian()
-        d1 = _lu_solve(jacobian, r / lam)
-        t1 = self.lam_c @ d1
-        # b2 = 2 (M / lam) d1 + 2 t1 * d1, with M d1 = A1' d1 + ret * d1 + R * t1.
-        b2 = self.lam_a1 @ d1
-        b2 += ret * d1
-        b2 += r * t1
-        b2 *= 2.0
-        b2 /= lam
-        b2 += 2.0 * t1 * d1
-        d2 = _lu_solve(jacobian, b2)
-        return self.values(d1), self.values(d2)
 
 
 def solve_r(
@@ -424,7 +413,7 @@ def solve_r(
     defect = system.defect(r)
     prev_step = np.inf
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        delta = system.step(defect)
+        delta = system.linearised()(defect)
         step = float(np.abs(delta).max())
         if not math.isfinite(step):
             raise SolverError(f"Newton step {iterations} is not finite")
@@ -454,11 +443,20 @@ def solve_r_derivatives(r: RSolution) -> RDerivatives:
     ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` is that of
     ``r.system`` at its last defect, the root, and serves both solves:
     factored once on the structured path, and LU-solved twice on the dense
-    flat one, which takes up to ``DENSE_MAX_N`` windows.
+    flat one, which takes up to ``DENSE_MAX_N`` windows.  A lam below the
+    smallest normal float is refused: ``R ~ lam P`` underflows there.
     """
-    if r.lam <= 0:
-        raise ValueError("derivatives require lambda > 0")
-    return RDerivatives(*r.system.derivatives())
+    lam, system = r.lam, r.system
+    if lam < sys.float_info.min:
+        raise ValueError(f"derivatives require lambda >= {sys.float_info.min!r}, "
+                         f"the smallest normal float, got {lam!r}")
+    solve = system.linearised()
+    d1 = solve(system.r / lam)
+    b2, ret = system.m_times(d1)
+    b2 *= 2.0
+    b2 /= lam
+    b2 += 2.0 * ret * d1
+    return RDerivatives(system.values(d1), system.values(solve(b2)))
 
 
 def transience_root(kernel: TransitionKernel) -> float:

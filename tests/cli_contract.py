@@ -18,8 +18,10 @@ on purpose lists each changed field, and writes nothing, with::
 
     PYTHONPATH=src python tests/cli_contract.py --diff
 
-which exits 1 if any case differs, names each changed field in CHANGES.md
-and regenerates the record with::
+which exits 1 if any case differs, and then lists every float that moved at
+all, within ``REL_TOL``, so that an empty listing shows the outputs
+bit-identical.  A change that moves outputs names each changed field in
+CHANGES.md and regenerates the record with::
 
     PYTHONPATH=src python tests/cli_contract.py
 """
@@ -55,11 +57,23 @@ class Case(NamedTuple):
 
 
 def _kernel(rows) -> str:
-    """A kernel file of N = 3 windows: ``rows[i-1]`` lists window i's arcs as
-    (j, k, value)."""
+    """A kernel file of ``len(rows)`` windows: ``rows[i-1]`` lists window i's
+    arcs as (j, k, value)."""
     p = [{"i": i, "j": j, "k": k, "value": value}
          for i, row in enumerate(rows, 1) for j, k, value in row]
-    return json.dumps({"N": 3, "p": p})
+    return json.dumps({"N": len(rows), "p": p})
+
+
+def _unequal7() -> List[list]:
+    """N = 7 rows of 12 arcs weighing 1 to 10 64ths, the weights rotated one
+    place from row to row, so that no two rows agree."""
+    weights = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 4, 5]
+    rows = []
+    for i in range(1, 8):
+        arcs = [(j, k) for j in range(1, 8) if j != i for k in (1, -1)]
+        shifted = weights[i:] + weights[:i]
+        rows.append([(j, k, w / 64) for (j, k), w in zip(arcs, shifted)])
+    return rows
 
 
 def _symmetric3(first: float) -> List[list]:
@@ -78,12 +92,16 @@ FILES = {
         [(1, 1, 0.0625), (2, 1, 0.4375), (1, -1, 0.25), (2, -1, 0.25)],
     ]),
     "deficit.json": _kernel(_symmetric3(0.125 - 0.01)),
+    "unequal7.json": _kernel(_unequal7()),
     "broken.json": '{"N": 3, "p": [',
     "custom_metric.json": json.dumps({"kernel": "asymmetric", "metric": {"custom": [
         {"i": i, "j": j, "k": k, "weight": (0.5, 1.0, 2.0, 3.5)[n % 4]}
         for n, (i, j, k) in enumerate((i, j, k) for i in (1, 2, 3) for j in (1, 2, 3)
                                       if i != j for k in (1, -1))]}}),
     "zero_metric.json": json.dumps({"kernel": "symmetric:3", "metric": {"custom": []}}),
+    "tiny_metric.json": json.dumps({"kernel": "asymmetric", "metric": {"custom": [
+        {"i": i, "j": j, "k": k, "weight": 1e-13}
+        for i in (1, 2, 3) for j in (1, 2, 3) if i != j for k in (1, -1)]}}),
     "bad_metric.json": json.dumps({"kernel": "symmetric:3",
                                    "metric": {"custom": [], "extra": 1}}),
     "unknown_key.json": json.dumps({"kernel": "symmetric:3", "lamda": 0.9}),
@@ -101,6 +119,11 @@ CASES: Dict[str, Case] = {
     "validate-file": Case(["validate", "--kernel", "{dir}/custom.json"]),
     "solve-r-derivatives": Case(["solve-r", "--kernel", "asymmetric", "--lam", "1.0",
                                  "--derivatives"]),
+    # Away from lam = 1, on the dense path (N = 3) and the structured one (N = 7).
+    "solve-r-derivatives-below-one": Case(["solve-r", "--kernel", "asymmetric", "--lam", "0.6",
+                                           "--derivatives"]),
+    "solve-r-derivatives-structured": Case(["solve-r", "--kernel", "{dir}/unequal7.json",
+                                            "--lam", "0.6", "--derivatives"]),
     "solve-r-below-one": Case(["solve-r", "--kernel", "symmetric:4", "--lam", "0.5"]),
     "limits-asymmetric-word": Case(["limits", "--kernel", "asymmetric", "--oracle"]),
     "limits-asymmetric-fenced": Case(["limits", "--kernel", "asymmetric", "--metric", "fenced",
@@ -116,6 +139,8 @@ CASES: Dict[str, Case] = {
     "limits-file-fenced": Case(["limits", "--kernel", "{dir}/custom.json", "--metric", "fenced",
                                 "--oracle"]),
     "limits-degenerate-metric": Case(["limits", "--config", "{dir}/zero_metric.json"]),
+    # Small weights on every arc: no warning.
+    "limits-tiny-metric": Case(["limits", "--config", "{dir}/tiny_metric.json"]),
     "sweep-q": Case(["sweep-q", "--q-grid", "0.05,0.1,0.25"]),
     "kms": Case(["kms", "--n", "6", "--x", "0.3", "--z", "0.8"]),
     "oracle-dp-hitting": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting",
@@ -170,6 +195,8 @@ CASES: Dict[str, Case] = {
     "tol-zero": Case(["solve-r", "--kernel", "asymmetric", "--tol", "0"]),
     "tol-negative": Case(["limits", "--kernel", "asymmetric", "--tol", "-1e-13"]),
     "lam-outside": Case(["solve-r", "--kernel", "asymmetric", "--lam", "1.5"]),
+    "lam-subnormal-derivatives": Case(["solve-r", "--kernel", "asymmetric", "--lam", "5e-324",
+                                       "--derivatives"]),
     "kms-not-finite": Case(["kms", "--n", "3", "--x", "nan"]),
     "kms-overflow": Case(["kms", "--n", "400", "--x", "1e200", "--z", "2"]),
     "sweep-q-outside": Case(["sweep-q", "--q-grid", "0.1,0.6"]),
@@ -243,15 +270,17 @@ def versions() -> dict:
     return {"numpy": numpy.__version__, "python": ".".join(platform.python_version_tuple()[:2])}
 
 
-def differences(want: dict, got: dict, seeded: bool) -> List[str]:
-    """Where ``got`` departs from the recorded ``want``, one line each."""
+def differences(want: dict, got: dict, seeded: bool,
+                moved: Optional[List[str]] = None) -> List[str]:
+    """Where ``got`` departs from the recorded ``want``, one line each; a
+    float that differs within ``REL_TOL`` is added to ``moved``, if given."""
     found = [f"{key}: {got[key]!r} != {want[key]!r}"
              for key in ("exit", "stderr") if got[key] != want[key]]
     try:
         values = json.loads(want["stdout"]), json.loads(got["stdout"])
     except ValueError:
         values = _cells(want["stdout"]), _cells(got["stdout"])
-    _compare(*values, "stdout", seeded, found)
+    _compare(*values, "stdout", seeded, found, moved)
     return found
 
 
@@ -267,22 +296,25 @@ def _scalar(cell: str):
     return cell
 
 
-def _compare(want, got, where: str, seeded: bool, found: List[str]) -> None:
+def _compare(want, got, where: str, seeded: bool, found: List[str],
+             moved: Optional[List[str]]) -> None:
     if type(want) is not type(got):
         found.append(f"{where}: {got!r} != {want!r}")
     elif isinstance(want, dict):
         if want.keys() != got.keys():
             found.append(f"{where}: keys {sorted(got)} != {sorted(want)}")
         for key in want.keys() & got.keys():
-            _compare(want[key], got[key], f"{where}.{key}", seeded, found)
+            _compare(want[key], got[key], f"{where}.{key}", seeded, found, moved)
     elif isinstance(want, list):
         if len(want) != len(got):
             found.append(f"{where}: {len(got)} items != {len(want)}")
         for n, (a, b) in enumerate(zip(want, got)):
-            _compare(a, b, f"{where}[{n}]", seeded, found)
+            _compare(a, b, f"{where}[{n}]", seeded, found, moved)
     elif isinstance(want, float) and not seeded:
         if not math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0):
             found.append(f"{where}: {got!r} != {want!r} to {REL_TOL:g} relative")
+        elif got != want and moved is not None:
+            moved.append(f"{where}: {got!r} != {want!r}, within {REL_TOL:g} relative")
     elif got != want:
         found.append(f"{where}: {got!r} != {want!r}")
 
@@ -297,16 +329,20 @@ def record() -> dict:
 
 def diff() -> int:
     """Print where each case departs from the record, one line per field,
-    and return 1 if any case does, else 0."""
+    then each float that moved within ``REL_TOL``, and return 1 if any case
+    departs, else 0."""
     recorded = json.loads(RECORD.read_text())["cases"]
     found = [f"{name}: not a case" for name in recorded.keys() - CASES.keys()]
+    moved: List[str] = []
     with tempfile.TemporaryDirectory() as directory:
         write_files(directory)
         for name, case in CASES.items():
-            lines = (differences(recorded[name], run_case(case, directory), case.seeded)
+            within: List[str] = []
+            lines = (differences(recorded[name], run_case(case, directory), case.seeded, within)
                      if name in recorded else ["not in the record"])
             found += [f"{name}: {line}" for line in lines]
-    sys.stdout.writelines(line + "\n" for line in found)
+            moved += [f"{name}: {line}" for line in within]
+    sys.stdout.writelines(line + "\n" for line in found + moved)
     return int(bool(found))
 
 

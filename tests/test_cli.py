@@ -873,9 +873,16 @@ def test_limits_prints_a_negative_variance(capsys, monkeypatch):
     assert json.loads(out)["sigma2"] == -1.25
 
 
-@pytest.mark.parametrize("metric, degenerate", [({"custom": []}, True), ("word", False)])
+#: The word metric scaled down to 1e-13 on every arc: small, not degenerate.
+TINY_METRIC = {"custom": [{"i": i, "j": j, "k": k, "weight": 1e-13}
+                          for i in (1, 2, 3) for j in (1, 2, 3) if i != j for k in (1, -1)]}
+
+
+@pytest.mark.parametrize("metric, degenerate",
+                         [({"custom": []}, True), ("word", False), (TINY_METRIC, False)])
 def test_degenerate_metric_carries_a_warning(capsys, tmp_path, metric, degenerate):
-    # With every weight 0 the Perron root does not depend on z.
+    # With every weight 0 the Perron root does not depend on z; with every
+    # weight small it still does.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kernel": "asymmetric", "metric": metric}))
     code, out, _ = run(capsys, "limits", "--config", str(cfg))

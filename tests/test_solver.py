@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +159,21 @@ def test_derivatives_require_positive_lambda():
         solve_r_derivatives(r)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-315, 1e-308])
+def test_derivatives_refuse_a_subnormal_lambda(lam):
+    # R ~ lam P underflows there, and R / lam keeps no digits: at 5e-324 the
+    # first derivative of arc (1, 2, +) read 1.0 against its limit P = 43/70.
+    r = solve_r(asymmetric_kernel(), lam)
+    with pytest.raises(ValueError, match=f"got {lam!r}$"):
+        solve_r_derivatives(r)
+
+
+def test_derivatives_take_the_smallest_normal_lambda():
+    k = asymmetric_kernel()
+    d = solve_r_derivatives(solve_r(k, sys.float_info.min))
+    assert np.max(np.abs(d.d1 - k.P)) <= 1e-12
+
+
 DIRICHLET_KERNELS = [
     dirichlet_kernel(n, concentration, seed=100 * n + idx)
     for n in range(3, 9)
@@ -182,6 +198,34 @@ def test_structured_solve_matches_flat_system(kernel, lam):
                          2.0 * (m / lam) @ d1 + 2.0 * lam * (c @ d1) * d1)
     assert np.max(np.abs(to_flat(d.d1) - d1)) <= 1e-10 * np.max(np.abs(d1))
     assert np.max(np.abs(to_flat(d.d2) - d2)) <= 1e-10 * np.max(np.abs(d2))
+
+
+PRIMITIVE_KERNELS = [asymmetric_kernel()] + [dirichlet_kernel(n, 1.0, seed=n) for n in (4, 6, 7, 9)]
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.6])
+@pytest.mark.parametrize("kernel", PRIMITIVE_KERNELS, ids=repr)
+def test_newton_system_primitives_match_the_arc_by_arc_system(kernel, lam):
+    # N <= DENSE_MAX_N takes the flat layout, N = 7 and 9 the (2, N, N) one.
+    # Every kernel here is asymmetric, so a return term read off the wrong
+    # chamber shows.
+    n = kernel.n_windows
+    _, _, _, c = flat_system_by_arc(kernel)
+    r = solve_r(kernel, lam)
+    system = r.system
+    layout = to_flat if n <= solver.DENSE_MAX_N else (lambda a: a)
+    d = np.random.default_rng(n).normal(size=(2, n, n))
+    d[:, np.arange(n), np.arange(n)] = 0.0
+    m = build_m_matrix(kernel, lam, to_flat(r.values))
+    md, ret = system.m_times(layout(d))
+    want = m @ to_flat(d)
+    assert np.max(np.abs(to_flat(system.values(md)) - want)) <= 1e-13 * np.max(np.abs(want))
+    want = lam * (c @ to_flat(d))
+    got = to_flat(np.broadcast_to(system.values(ret), d.shape))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    x = to_flat(system.values(system.linearised()(layout(d))))
+    residual = np.max(np.abs(x - m @ x - to_flat(d)))
+    assert residual <= 1e-12 * (np.max(np.abs(d)) + np.max(np.abs(x)))
 
 
 SYSTEM_KERNELS = (
