@@ -31,7 +31,6 @@ from .limits import (
     DegenerateSystemError,
     LimitConstants,
     compute_limits,
-    det_h,
     kms_phi,
     limit_constants,
     limits_from_jets,

@@ -426,13 +426,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return _stdout_closed()
-    except (ConfigError, KernelError, ValueError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    # LinAlgError is a ValueError, and ConfigError, KernelError and
+    # json.JSONDecodeError are too: the numerical clause goes first.
     except (SolverError, DegenerateSystemError, StateSpaceExceeded, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def _stdout_closed() -> int:

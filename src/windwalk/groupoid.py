@@ -94,9 +94,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return compose(self, other)
-
     def __str__(self) -> str:
         if not self.letters:
             return f"e{self.source}"

@@ -51,9 +51,6 @@ class Jet2:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         o = _coerce(other)
         return Jet2(

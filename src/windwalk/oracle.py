@@ -16,7 +16,7 @@ fully mechanical cross-check for small step counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,7 @@ def _word_laws(
     kernel: TransitionKernel,
     source: int,
     max_steps: int,
+    size: Callable[[int], int],
     keep: Optional[Callable[[int, Word], bool]] = None,
 ) -> Iterator[Dict[Word, float]]:
     """The exact law of the reduced word of the chain started at e_source,
@@ -71,13 +72,17 @@ def _word_laws(
     A word that ``keep(m, word)`` refuses is dropped from the law at step m.
     The caller may remove words from a yielded law; the next step grows from
     what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
-    stops early once the law is empty.  Each walk's caller checks the sizes
-    of its laws, or floors on them, with ``_check_law_sizes`` before the
-    first step; the count here refuses the walks those floors miss.  Arcs
+    stops early once the law is empty.  ``size(m)`` is the size of the law
+    at step m, or a floor on it: before its first step the walk raises
+    ``StateSpaceExceeded`` with the first of them above the cap, and it
+    counts each law as it is built, for the walks a floor misses.  Arcs
     are read only through ``kernel.arcs_from`` and ``groupoid.append``,
     never through the chain's rewrite tables, so the enumeration stays
     independent of the convolution DP and the sampler.
     """
+    for count in map(size, range(1, max_steps + 1)):
+        if count > DEFAULT_STATE_CAP:
+            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
     arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
     law: Dict[Word, float] = {Word(source): 1.0}
     for m in range(1, max_steps + 1):
@@ -125,16 +130,6 @@ def _hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
     return (b - 1) * words(min(m, max_steps - m)) + b * words(min(m, max_steps - m - 1))
 
 
-def _check_law_sizes(counts: Iterable[int]) -> None:
-    """Raise ``StateSpaceExceeded``, before any step, with the first of
-    ``counts``, the sizes of a walk's laws at steps 1, 2, ... or floors on
-    them, above ``DEFAULT_STATE_CAP``: a count at which ``_word_laws``
-    would stop, at that step or an earlier one."""
-    for count in counts:
-        if count > DEFAULT_STATE_CAP:
-            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
-
-
 def dp_hitting_series(
     kernel: TransitionKernel,
     target: Arc,
@@ -152,12 +147,11 @@ def dp_hitting_series(
         return t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
     if method != "words":
         raise ValueError(f"unknown method {method!r}")
-    _check_law_sizes(_hitting_law_floor(kernel.n_windows, m, max_steps)
-                     for m in range(1, max_steps + 1))
     coeffs = np.zeros(max_steps + 1)
     target_word = Word(target.i, (target,))
     # Keep only words that can still reach the target in time.
     laws = _word_laws(kernel, target.i, max_steps,
+                      lambda m: _hitting_law_floor(kernel.n_windows, m, max_steps),
                       lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
@@ -176,13 +170,13 @@ def dp_return_series(
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
     if method == "words":
-        _check_law_sizes(_law_size(kernel.n_windows, m, min(m, max_steps - m))
-                         for m in range(1, max_steps + 1))
         coeffs = np.zeros(max_steps + 1)
         coeffs[0] = 1.0
         e_i = Word(i)
         # Keep only words that can still shrink back to e_i in time.
-        laws = _word_laws(kernel, i, max_steps, lambda m, word: len(word) <= max_steps - m)
+        laws = _word_laws(kernel, i, max_steps,
+                          lambda m: _law_size(kernel.n_windows, m, min(m, max_steps - m)),
+                          lambda m, word: len(word) <= max_steps - m)
         for m, law in enumerate(laws, start=1):
             coeffs[m] = law.get(e_i, 0.0)
         return coeffs
@@ -216,9 +210,9 @@ def dp_truncated_G(
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
     kernel.check_metric(metric)
-    _check_law_sizes(_law_size(kernel.n_windows, m, m) for m in range(1, max_steps + 1))
     total = 1.0  # n = 0 term: the unit word has length 0
-    for n, law in enumerate(_word_laws(kernel, i, max_steps), start=1):
+    laws = _word_laws(kernel, i, max_steps, lambda m: _law_size(kernel.n_windows, m, m))
+    for n, law in enumerate(laws, start=1):
         expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
         total += lam**n * expect
     return total

@@ -96,10 +96,6 @@ POWER_MAX_ITER = 100000
 class SolverError(RuntimeError):
     """Iteration failed to converge, or the implicit linear system is singular."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass
 class RSolution:
@@ -426,9 +422,7 @@ def solve_r(
         prev_step = step
     else:
         raise SolverError(
-            f"Newton's method did not converge in {DEFAULT_MAX_ITER} steps (last step {step:.3e})",
-            residual=float(np.abs(defect).max()),
-        )
+            f"Newton's method did not converge in {DEFAULT_MAX_ITER} steps (last step {step:.3e})")
     residual = float(np.abs(defect).max())
     return RSolution(lam, system.values(r), residual, iterations, system)
 

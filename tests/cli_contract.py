@@ -107,6 +107,9 @@ FILES = {
     "unknown_key.json": json.dumps({"kernel": "symmetric:3", "lamda": 0.9}),
     "bad_value.json": json.dumps({"n_steps": 2.5}),
     "not_object.json": json.dumps([1, 2]),
+    "family_not_object.json": json.dumps({"symmetric": 4}),
+    "no_arcs.json": json.dumps({"N": 3}),
+    "object_kernel.json": json.dumps({"kernel": {"asymmetric": {}}, "metric": "word"}),
 }
 
 _MC = ["--n-steps", "1000", "--n-paths", "50"]
@@ -141,6 +144,8 @@ CASES: Dict[str, Case] = {
     "limits-degenerate-metric": Case(["limits", "--config", "{dir}/zero_metric.json"]),
     # Small weights on every arc: no warning.
     "limits-tiny-metric": Case(["limits", "--config", "{dir}/tiny_metric.json"]),
+    # A config's kernel given as a JSON object, as README's example.
+    "limits-config-kernel-object": Case(["limits", "--config", "{dir}/object_kernel.json"]),
     "sweep-q": Case(["sweep-q", "--q-grid", "0.05,0.1,0.25"]),
     "kms": Case(["kms", "--n", "6", "--x", "0.3", "--z", "0.8"]),
     "oracle-dp-hitting": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting",
@@ -182,6 +187,9 @@ CASES: Dict[str, Case] = {
     "kernel-too-large": Case(["limits", "--kernel", "symmetric:1000000000"]),
     "kernel-file-missing": Case(["limits", "--kernel", "{dir}/missing.json"]),
     "kernel-file-broken": Case(["limits", "--kernel", "{dir}/broken.json"]),
+    "kernel-file-not-object": Case(["validate", "--kernel", "{dir}/not_object.json"]),
+    "kernel-family-not-object": Case(["validate", "--kernel", "{dir}/family_not_object.json"]),
+    "kernel-file-no-arcs": Case(["validate", "--kernel", "{dir}/no_arcs.json"]),
     "kernel-absent": Case(["limits"]),
     "metric-unknown": Case(["limits", "--kernel", "symmetric:3", "--metric", "bogus"]),
     "metric-bad-object": Case(["limits", "--config", "{dir}/bad_metric.json"]),
@@ -228,6 +236,11 @@ CASES: Dict[str, Case] = {
         patch=_CAP),
     "oracle-dp-G-refused": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G"],
                                 patch=_CAP),
+    # The hitting walk's floors stay at or below 26, and its law after step
+    # 4 holds 30 words: the count after a step refuses it.
+    "oracle-dp-hitting-words-refused-mid-walk": Case(
+        ["oracle-dp", "--kernel", "asymmetric", "--target", "1,2,1", "--max-steps", "8",
+         "--method", "words"], patch={"windwalk.oracle.DEFAULT_STATE_CAP": 26}),
     # The default cap and horizon: the law passes the cap at step 18, and
     # the hitting walk's floor on it at step 19.
     "oracle-dp-hitting-words-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--target",

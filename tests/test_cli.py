@@ -5,6 +5,7 @@ import pathlib
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 from windwalk import cli
@@ -470,7 +471,7 @@ def test_limits_takes_no_cross_check_route(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cross-check route was called")
 
-    for target in ("limits.det_h", "limits.det_jet", "solver.transience_root", "det_h",
+    for target in ("limits.det_h", "limits.det_jet", "solver.transience_root",
                    "transience_root"):
         monkeypatch.setattr(f"windwalk.{target}", refuse)
     assert compute_limits(asymmetric_kernel(), fenced_metric(3)).gamma > 0
@@ -863,6 +864,18 @@ def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatc
     assert code == 3
     assert out == ""
     assert "expected a simple zero" in err
+
+
+def test_singular_system_is_numerical_failure(capsys, monkeypatch):
+    # LinAlgError is a ValueError, so an invalid-input clause tried first would take it.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("windwalk.limits.perron_jet", singular)
+    code, out, err = run(capsys, "limits", "--kernel", "asymmetric")
+    assert code == 3
+    assert out == ""
+    assert err == "numerical failure: Singular matrix\n"
 
 
 def test_limits_prints_a_negative_variance(capsys, monkeypatch):

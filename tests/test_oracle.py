@@ -172,26 +172,46 @@ def test_law_sizes_are_the_reduced_word_counts(kernel, steps):
     # min(m, M - m) at step m, and the G walk those of length at most m.
     n = kernel.n_windows
     for horizon in range(1, steps + 1):
-        laws = oracle._word_laws(kernel, 1, horizon, lambda m, word: len(word) <= horizon - m)
-        assert [len(law) for law in laws] == [oracle._law_size(n, m, min(m, horizon - m))
-                                              for m in range(1, horizon + 1)]
-    sizes = [len(law) for law in oracle._word_laws(kernel, 2, steps)]
-    assert sizes == [oracle._law_size(n, m, m) for m in range(1, steps + 1)]
+        sizes = [oracle._law_size(n, m, min(m, horizon - m)) for m in range(1, horizon + 1)]
+        laws = oracle._word_laws(kernel, 1, horizon, lambda m: sizes[m - 1],
+                                 lambda m, word: len(word) <= horizon - m)
+        assert [len(law) for law in laws] == sizes
+    sizes = [oracle._law_size(n, m, m) for m in range(1, steps + 1)]
+    laws = oracle._word_laws(kernel, 2, steps, lambda m: sizes[m - 1])
+    assert [len(law) for law in laws] == sizes
 
 
 def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
     # At the default cap and horizon, the law passes the cap at step 18: the
     # running count stepped there for about 50 s before it refused.
-    def walk(*args):
+    def step(*args):
         raise AssertionError("the word laws were stepped")
 
-    monkeypatch.setattr(oracle, "_word_laws", walk)
+    monkeypatch.setattr(oracle, "append", step)
     kernel = symmetric_kernel(3)
     for call in (lambda: dp_return_series(kernel, 1, 40, method="words"),
                  lambda: dp_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
         with pytest.raises(StateSpaceExceeded) as info:
             call()
         assert (info.value.count, info.value.cap) == (2**20 - 3, oracle.DEFAULT_STATE_CAP)
+
+
+@pytest.mark.parametrize("cap, count, stepped", [(26, 30, True), (25, 26, False)],
+                         ids=["count", "floor"])
+def test_hitting_walk_refuses_by_its_count_where_the_floor_passes(monkeypatch, cap, count,
+                                                                  stepped):
+    # Toward (1,2,+) on asymmetric at horizon 8 the floors peak at 26, and
+    # the law after step 4 holds 30 words: at cap 26 only the count after a
+    # step refuses the walk, and at cap 25 the floor does before any step.
+    def step(*args):
+        raise AssertionError("the word laws were stepped")
+
+    monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
+    if not stepped:
+        monkeypatch.setattr(oracle, "append", step)
+    with pytest.raises(StateSpaceExceeded,
+                       match=f"^word-state count {count} exceeds the cap {cap}$"):
+        dp_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8, method="words")
 
 
 @pytest.mark.parametrize("n, horizon", [(3, 12), (4, 8), (5, 6)])
@@ -203,7 +223,7 @@ def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
     target_word = Word(target.i, (target,))
     for m_max in range(1, horizon + 1):
         laws = oracle._word_laws(
-            kernel, target.i, m_max,
+            kernel, target.i, m_max, lambda m: oracle._hitting_law_floor(n, m, m_max),
             lambda m, word: m + len(compose(inverse(word), target_word)) <= m_max)
         for m, law in enumerate(laws, start=1):
             law.pop(target_word, None)
