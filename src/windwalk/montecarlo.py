@@ -52,8 +52,11 @@ def _default_initial() -> Word:
     return Word(1, (Arc(1, 2, 1), Arc(2, 3, -1)))
 
 
-def _check_finite(**refs) -> None:
-    for name, value in refs.items():
+def _check_refs(gamma_ref: float, sigma2_ref: Optional[float], n_steps: int) -> None:
+    """Refuse a non-finite reference, or a drift whose centring term
+    ``gamma_ref * n_steps`` overflows, before any path is stepped."""
+    for name, value in (("gamma_ref", gamma_ref), ("sigma2_ref", sigma2_ref),
+                        ("gamma_ref * n_steps", gamma_ref * n_steps)):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -82,7 +85,7 @@ def verify_lln(
     (seed, path index) alone and equals the corresponding path of
     ``run_length_paths``, bit for bit, however the batch is cut.
     """
-    _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
+    _check_refs(gamma_ref, sigma2_ref, n_steps)
     if sigma2_ref is not None and sigma2_ref < 0:
         raise ValueError("sigma2_ref must be non-negative")
     if n_steps < 10**3 or n_paths < 50:
@@ -129,7 +132,7 @@ def verify_clt(
     and the normal CDF are computed with ``math`` alone, within rounding of
     scipy's (``_chi2_quantile``, ``_normal_cdf``).
     """
-    _check_finite(gamma_ref=gamma_ref, sigma2_ref=sigma2_ref)
+    _check_refs(gamma_ref, sigma2_ref, n_steps)
     if n_steps < 10**4 or n_paths < 10**3:
         raise ValueError("requires n_steps >= 1e4 and n_paths >= 1e3")
     if sigma2_ref <= 0:

@@ -77,9 +77,8 @@ DEFAULT_MAX_ITER = 100
 #: Below this step size a Newton step that no longer shrinks is rounding
 #: noise, and the iteration stops there.
 STALL_STEP = 1e-8
-#: Column j of a chamber is solved on its own deleted block, not read off
-#: ``H_k = G_k^{-1}``, when ``min(1, |H_jj|)`` is below this share of
-#: ``max |H_k|``: the deleted-index update would cancel to noise there.
+#: A chamber with ``FALLBACK_RATIO max |H_k| > 1``, ``H_k = G_k^{-1}``, solves
+#: each column on its own deleted block (``LinearisedSystem`` gives why).
 FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
 #: Up to this many windows Newton's method works on the dense flat system,
 #: at most 2N(N-1) = 60 unknowns, with one LU solve per step: up to N = 6
@@ -169,10 +168,14 @@ class LinearisedSystem:
     *Matrix Computations*, section 2.1).
 
     That update cancels terms of size ``max |H_k| |B|``, so it loses digits
-    as ``G_k`` nears singularity.  A column with
-    ``min(1, |H_jj|) < FALLBACK_RATIO max |H_k|`` inverts its gathered
-    block directly instead; ``fallback_columns`` counts them.  As
-    ``H_k >= I`` here, that is every column of a near-singular ``G_k``.
+    as ``G_k`` nears singularity.  ``G_k = I - B_k`` with
+    ``B_k = lam (diag(u_{-k}) + P_k) >= 0`` is a nonsingular M-matrix, so
+    ``H_k >= 0`` and ``H_k = I + B_k H_k >= I`` (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6): every
+    ``H_jj`` is at least 1, and the update's loss is set by ``max |H_k|``
+    alone.  A chamber with ``FALLBACK_RATIO max |H_k| > 1`` therefore
+    inverts each of its N gathered column blocks directly instead;
+    ``fallback_columns`` counts them, 0, N or 2N.
 
     The 2N scalars ``t_k = diag(P_k D_k)`` are linear in ``t_{-k}``,
     ``t_k = a_k + T_k t_{-k}``.  Row i of ``v`` is row i of ``P_k`` times
@@ -184,9 +187,9 @@ class LinearisedSystem:
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
     ``1 - lam u_{-k}`` written through a strided view; once ``H`` and ``v``
     are formed, the buffer of G holds ``T`` while the coupling's blocks are
-    written.  ``h_diag`` is a view of ``H`` unless some column falls back.
-    A solve copies B once and writes into the copy, never into B.  The
-    caller passes ``u = diag(P R)``, which it has from the defect at R.
+    written, and ``h_diag`` is a view of ``H``.  A solve copies B once and
+    writes into the copy, never into B.  The caller passes ``u = diag(P R)``,
+    which it has from the defect at R.
     """
 
     def __init__(self, p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray):
@@ -199,19 +202,14 @@ class LinearisedSystem:
             h = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"a chamber block of I - M is singular: {exc}") from exc
-        h_diag = _diagonal(h)
-        fallback = np.minimum(np.abs(h_diag), 1.0) < (
-            FALLBACK_RATIO * np.abs(h).max(axis=(1, 2))[:, None])
-        self.fallback_columns = int(np.count_nonzero(fallback))
-        if self.fallback_columns:
-            # A fallback column divides by 1 here and is overwritten after.
-            h_diag = np.where(fallback, 1.0, h_diag)
-        self.h, self.h_diag = h, h_diag
+        fallback = FALLBACK_RATIO * np.abs(h).max(axis=(1, 2)) > 1.0
+        self.fallback_columns = n * int(np.count_nonzero(fallback))
+        self.h, self.h_diag = h, _diagonal(h)
         # Row i of v: row i of P_k times the inverse of block i.
         v = p @ h
-        v -= h * (_diagonal(v) / h_diag)[:, :, None]
+        v -= h * (_diagonal(v) / self.h_diag)[:, :, None]
         if self.fallback_columns:
-            self.sign, self.col = np.nonzero(fallback)
+            self.sign, self.col = np.nonzero(np.repeat(fallback[:, None], n, axis=1))
             self.keep = other_windows(n)[self.col]
             blocks = g[self.sign[:, None, None], self.keep[:, :, None], self.keep[:, None, :]]
             try:

@@ -207,14 +207,21 @@ CASES: Dict[str, Case] = {
                                        "--derivatives"]),
     "kms-not-finite": Case(["kms", "--n", "3", "--x", "nan"]),
     "kms-overflow": Case(["kms", "--n", "400", "--x", "1e200", "--z", "2"]),
+    "kms-negative-n": Case(["kms", "--n", "-1"]),
     "sweep-q-outside": Case(["sweep-q", "--q-grid", "0.1,0.6"]),
     "simulate-negative-steps": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "-1"]),
     "simulate-bad-word": Case(["simulate", "--kernel", "symmetric:3", "--initial", "A(1,1,+)"]),
     "simulate-window-outside": Case(["simulate", "--kernel", "symmetric:3", "--initial", "e4"]),
+    "simulate-word-unparseable": Case(["simulate", "--kernel", "symmetric:3",
+                                       "--initial", "xA(1,2,+)"]),
+    "simulate-window-zero": Case(["simulate", "--kernel", "symmetric:3", "--initial", "e0"]),
     "mc-lln-gamma-not-finite": Case(["mc-lln", "--kernel", "symmetric:3", *_MC,
                                      "--gamma", "nan", "--sigma2", "0.6875"]),
     "mc-lln-negative-variance": Case(["mc-lln", "--kernel", "symmetric:3", *_MC,
                                       "--gamma", "0.3", "--sigma2", "-1"]),
+    # gamma * n_steps overflows: refused before any path is stepped.
+    "mc-lln-drift-overflow": Case(["mc-lln", "--kernel", "symmetric:3", *_MC,
+                                   "--gamma", "2e305", "--sigma2", "1"]),
     "mc-clt-too-small": Case(["mc-clt", "--kernel", "symmetric:3", *_MC]),
     "mc-clt-zero-variance": Case(["mc-clt", "--kernel", "symmetric:3", *_CLT,
                                   "--gamma", "0.25", "--sigma2", "0"]),
@@ -224,6 +231,10 @@ CASES: Dict[str, Case] = {
     "oracle-dp-bad-target": Case(["oracle-dp", "--kernel", "asymmetric", "--target", "1,2,1.5"]),
     "oracle-dp-no-steps": Case(["oracle-dp", "--kernel", "asymmetric", "--target", "1,2,1",
                                 "--max-steps", "0"]),
+    "oracle-dp-return-no-steps": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "return",
+                                       "--max-steps", "0"]),
+    "oracle-dp-G-negative-steps": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "G",
+                                        "--max-steps", "-1"]),
     "oracle-dp-window-outside": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "return",
                                       "--window", "4"]),
     # Exit 3: numerical failure.

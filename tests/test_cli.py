@@ -445,6 +445,7 @@ def test_negative_exponent_tol_as_separate_word_reaches_the_check(capsys, comman
 @pytest.mark.parametrize("flag, value, named", [
     ("--gamma", "nan", "gamma_ref must be finite, got nan"),
     ("--sigma2", "inf", "sigma2_ref must be finite, got inf"),
+    ("--gamma", "1e308", "gamma_ref * n_steps must be finite, got inf"),
 ])
 def test_non_finite_mc_reference_is_invalid_input(capsys, command, flag, value, named):
     # A NaN reference once came out as "gamma_ref": NaN, which is not JSON.

@@ -64,6 +64,11 @@ def test_append_endpoint_mismatch():
         append(unit(1), Arc(2, 3, 1))
 
 
+def test_compose_endpoint_mismatch():
+    with pytest.raises(CompositionError, match="target 1 of the left word differs from source 2"):
+        compose(unit(1), unit(2))
+
+
 def test_units_at_distinct_windows_differ():
     assert unit(1) != unit(2)
     assert unit(3).target == 3

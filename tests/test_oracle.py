@@ -22,6 +22,14 @@ from helpers import dirichlet_kernel, symmetric3_hitting_root
 from reference import IndexMap, series_eval
 
 
+@pytest.mark.parametrize("series, where", [(dp_hitting_series, Arc(1, 2, 1)),
+                                           (dp_return_series, 1)])
+def test_unknown_dp_method_is_refused(series, where):
+    # The CLI's --method choices never reach this refusal.
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        series(asymmetric_kernel(), where, 4, method="nope")
+
+
 def test_first_coefficient_is_one_step_probability():
     k = asymmetric_kernel()
     for method in ("convolution", "words"):

@@ -1,6 +1,7 @@
 """Newton solver, structured linear solves and implicit derivatives."""
 
 import inspect
+import itertools
 import re
 import sys
 
@@ -458,6 +459,87 @@ def test_near_singular_chamber_falls_back_to_its_blocks():
     got = to_flat(system.solve(b))
     want = np.linalg.solve(np.eye(24) - build_m_matrix(k, 1.0, to_flat(r.values)), to_flat(b))
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_every_structured_factorisation_has_h_at_least_i(monkeypatch):
+    # G_k = I - lam (diag(u_{-k}) + P_k) is a nonsingular M-matrix, so
+    # H_k = G_k^{-1} >= I entrywise and every H_jj >= 1: the fallback is a
+    # per-chamber rule, 0, N or 2N columns.  Factorisations built before a
+    # refused solve count too.
+    built = []
+
+    class Recording(solver.LinearisedSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(solver, "LinearisedSystem", Recording)
+    for n, concentration, seed, lam in itertools.product((7, 9, 12), (1.0, 0.01, 0.001),
+                                                         range(3), (1.0, 0.6)):
+        try:
+            solve_r_derivatives(solve_r(dirichlet_kernel(n, concentration, seed), lam))
+        except SolverError:
+            pass
+    for system in built:
+        n = system.h.shape[-1]
+        assert np.all(system.h >= np.eye(n))
+        assert system.fallback_columns in (0, n, 2 * n)
+    assert {system.fallback_columns for system in built} >= {0, 18}
+
+
+def test_a_root_that_falls_back_in_both_chambers_matches_the_dense_solve():
+    # At this kernel's root both chambers fall back, and I - M has condition
+    # number 1e10.  The fallback agrees with the dense solve to 5e-16 and
+    # 1e-15 relative; the deleted-index update alone (FALLBACK_RATIO = 0)
+    # is off by 5e-10 in d1 and 1e-7 in d2.
+    k = dirichlet_kernel(9, 0.001, seed=0)
+    r = solve_r(k, 1.0)
+    derivs = solve_r_derivatives(r)
+    assert solver.LinearisedSystem(k.P, 1.0, r.system.r, r.system.u).fallback_columns == 18
+    values = to_flat(r.values)
+    m = build_m_matrix(k, 1.0, values)
+    _, _, _, c = flat_system_by_arc(k)
+    d1 = np.linalg.solve(np.eye(len(values)) - m, values)
+    d2 = np.linalg.solve(np.eye(len(values)) - m, 2.0 * (m @ d1) + 2.0 * (c @ d1) * d1)
+    for got, want in ((derivs.d1, d1), (derivs.d2, d2)):
+        assert np.max(np.abs(to_flat(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kernel, failing_call, block", [
+    (symmetric_kernel(7), 1, "a chamber block"),
+    (dirichlet_kernel(4, 0.001, seed=4), 2, "a column block"),
+], ids=["chamber", "column"])
+def test_singular_factorisation_is_a_solver_error(monkeypatch, kernel, failing_call, block):
+    # The first inverse is of the chambers' G_k, the second of the gathered
+    # column blocks, which only a chamber that falls back forms.
+    r = solve_r(kernel, 1.0)
+    inv, calls = np.linalg.inv, []
+
+    def failing_inv(a):
+        calls.append(a)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", failing_inv)
+    with pytest.raises(SolverError, match=f"{block} of I - M is singular: Singular matrix"):
+        _linearised(kernel.P, r.values)
+
+
+def test_bit_dump_prints_the_same_text_twice(capsys):
+    import bit_dump
+
+    texts = []
+    for _ in range(2):
+        assert bit_dump.main(["asymmetric", "symmetric:8"]) == 0
+        texts.append(capsys.readouterr().out)
+    lines = texts[0].splitlines()
+    assert texts[0] == texts[1]
+    assert [line.split(" | ")[0] for line in lines] == [
+        "asymmetric lam=1.0", "asymmetric lam=0.6",
+        "symmetric(N=8) lam=1.0", "symmetric(N=8) lam=0.6"]
+    assert "fallback=-" in lines[0] and "fallback=0" in lines[2]
+    assert all(line.count(" | ") == 8 for line in lines[::2])
 
 
 @pytest.mark.parametrize("kernel", [
