@@ -44,14 +44,7 @@ from .oracle import (
     dp_return_series,
     dp_truncated_G,
 )
-from .solver import (
-    RDerivatives,
-    RSolution,
-    SolverError,
-    solve_r,
-    solve_r_derivatives,
-    transience_root,
-)
+from .solver import RDerivatives, RSolution, SolverError, solve_r, solve_r_derivatives
 
 __all__ = [name for name, value in sorted(globals().items())
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -53,10 +53,15 @@ def _default_initial() -> Word:
 
 
 def _check_refs(gamma_ref: float, sigma2_ref: Optional[float], n_steps: int) -> None:
-    """Refuse a non-finite reference, or a drift whose centring term
-    ``gamma_ref * n_steps`` overflows, before any path is stepped."""
+    """Refuse a non-finite reference, an ``n_steps`` beyond the float range,
+    or a drift whose centring term ``gamma_ref * n_steps`` overflows, before
+    any path is stepped."""
+    try:
+        drift = gamma_ref * n_steps
+    except OverflowError:
+        raise ValueError("n_steps must convert to a finite float") from None
     for name, value in (("gamma_ref", gamma_ref), ("sigma2_ref", sigma2_ref),
-                        ("gamma_ref * n_steps", gamma_ref * n_steps)):
+                        ("gamma_ref * n_steps", drift)):
         if value is not None and not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
 

@@ -85,11 +85,6 @@ FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
 #: that costs less than the structured solve's numpy calls, from N = 7 more
 #: (the crossover table in README, "Costs as N grows").
 DENSE_MAX_N = 6
-#: ``transience_root``'s power iteration stops once its Collatz-Wielandt
-#: bracket bounds the relative error by this, and raises after
-#: ``POWER_MAX_ITER`` steps.
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100000
 
 
 class SolverError(RuntimeError):
@@ -449,37 +444,6 @@ def solve_r_derivatives(r: RSolution) -> RDerivatives:
     b2 /= lam
     b2 += 2.0 * ret * d1
     return RDerivatives(system.values(d1), system.values(solve(b2)))
-
-
-def transience_root(kernel: TransitionKernel) -> float:
-    """Perron root of the linearised map at lambda=1 with all R set to 1, by
-    power iteration on ``apply_m`` at O(N^3) per product.
-
-    This is the recurrence-hypothesis matrix: its root strictly above 1
-    certifies that the chain escapes to infinity.
-
-    M is non-negative and every arc's row of it is positive, so D stays
-    positive from the all-ones start, and the least and greatest of the
-    ratios ``(M D) / D`` over the arcs bracket the root (Collatz-Wielandt;
-    Horn & Johnson, *Matrix Analysis*, section 8.1).  Each step takes one
-    product, ``u = diag(P 1)`` formed once.  It stops once the bracket is
-    within ``POWER_TOL`` times its lower end and returns its midpoint;
-    ``POWER_MAX_ITER`` steps without that raise SolverError, naming the bracket.
-    """
-    p = kernel.P
-    ones = _offdiag(np.ones_like(p))
-    u = _diag_of_product(p, ones)
-    arcs = ones > 0
-    d = ones
-    for _ in range(POWER_MAX_ITER):
-        md = apply_m(p, 1.0, ones, d, u, _diag_of_product(p, d))
-        ratios = md[arcs] / d[arcs]
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= POWER_TOL * lo:
-            return 0.5 * (lo + hi)
-        d = md / hi
-    raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations: "
-                      f"the root lies in [{lo!r}, {hi!r}]")
 
 
 def solution_to_json(r: RSolution, derivs: RDerivatives | None = None) -> dict:

@@ -222,6 +222,10 @@ CASES: Dict[str, Case] = {
     # gamma * n_steps overflows: refused before any path is stepped.
     "mc-lln-drift-overflow": Case(["mc-lln", "--kernel", "symmetric:3", *_MC,
                                    "--gamma", "2e305", "--sigma2", "1"]),
+    # n_steps beyond the float range: refused before any path is stepped.
+    "mc-lln-steps-beyond-float": Case(["mc-lln", "--kernel", "symmetric:3", "--n-steps",
+                                       str(10**400), "--n-paths", "50", "--gamma", "0.25",
+                                       "--sigma2", "0.6875"]),
     "mc-clt-too-small": Case(["mc-clt", "--kernel", "symmetric:3", *_MC]),
     "mc-clt-zero-variance": Case(["mc-clt", "--kernel", "symmetric:3", *_CLT,
                                   "--gamma", "0.25", "--sigma2", "0"]),

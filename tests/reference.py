@@ -1,7 +1,8 @@
 """Reference routes that only the tests call: the flat order of the arcs,
 the flat system and its dense Jacobian built arc by arc, the float
 transfer matrices and their spectral radius, the plain-float determinant
-that the finite-difference stencils of ``helpers.fd_partials`` evaluate, a
+that the finite-difference stencils of ``helpers.fd_partials`` evaluate,
+the transience root by power iteration on ``solver.apply_m``, a
 truncated series' partial sum, hitting times sampled on the batched chain,
 the lazy-nearest-neighbour law of the symmetric family's word lengths
 checked on one simulated path, and the scalar chain replayed word by word.
@@ -21,10 +22,17 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from windwalk import solver
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel, simulate
 from windwalk.groupoid import Arc, Metric, Word, append, arc_entry, unit
-from windwalk.solver import DEFAULT_TOL, RSolution, solve_r
+from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
+
+#: ``transience_root``'s power iteration stops once its Collatz-Wielandt
+#: bracket bounds the relative error by this, and raises after
+#: ``POWER_MAX_ITER`` steps.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100000
 
 
 class IndexMap:
@@ -136,6 +144,37 @@ def direct_h(
     n = kernel.n_windows
     b_plus, b_minus = b_matrix_values(r, metric.W, z)
     return float(np.linalg.det(np.eye(n) - b_plus @ b_minus))
+
+
+def transience_root(kernel: TransitionKernel) -> float:
+    """Perron root of the linearised map at lambda=1 with all R set to 1, by
+    power iteration on ``solver.apply_m`` at O(N^3) per product.
+
+    This is the recurrence-hypothesis matrix: its root strictly above 1
+    certifies that the chain escapes to infinity.
+
+    M is non-negative and every arc's row of it is positive, so D stays
+    positive from the all-ones start, and the least and greatest of the
+    ratios ``(M D) / D`` over the arcs bracket the root (Collatz-Wielandt;
+    Horn & Johnson, *Matrix Analysis*, section 8.1).  Each step takes one
+    product, ``u = diag(P 1)`` formed once.  It stops once the bracket is
+    within ``POWER_TOL`` times its lower end and returns its midpoint;
+    ``POWER_MAX_ITER`` steps without that raise SolverError, naming the bracket.
+    """
+    p = kernel.P
+    ones = solver._offdiag(np.ones_like(p))
+    u = solver._diag_of_product(p, ones)
+    arcs = ones > 0
+    d = ones
+    for _ in range(POWER_MAX_ITER):
+        md = solver.apply_m(p, 1.0, ones, d, u, solver._diag_of_product(p, d))
+        ratios = md[arcs] / d[arcs]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= POWER_TOL * lo:
+            return 0.5 * (lo + hi)
+        d = md / hi
+    raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations: "
+                      f"the root lies in [{lo!r}, {hi!r}]")
 
 
 def series_eval(coeffs: np.ndarray, lam: float) -> float:

@@ -37,12 +37,11 @@ from windwalk.oracle import (
 from windwalk.solver import (
     solve_r,
     solve_r_derivatives,
-    transience_root,
 )
 
 from helpers import fd_partials, printed_tolerance, random_word
 from reference import (IndexMap, build_m_matrix, primitivity_pattern_ok, series_eval,
-                       spectral_radius_k, to_flat)
+                       spectral_radius_k, to_flat, transience_root)
 
 THREE_KERNELS = [
     ("symmetric N=3", symmetric_kernel(3)),

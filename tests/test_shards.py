@@ -149,6 +149,40 @@ def test_shard_exception_is_raised_with_its_type_and_message(shards, monkeypatch
     assert len(forked) == 2
 
 
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"), key=int)
+
+
+def test_a_failed_fork_is_raised_and_closes_its_pipe(shards, monkeypatch):
+    # The second of two forks fails: the call raises its error, closes both
+    # pipes and reaps the first child (conftest).
+    forked = shards(3)
+    fork, calls = os.fork, []
+
+    def failing():
+        calls.append(1)
+        if len(calls) == 2:
+            raise BlockingIOError("no process left to fork")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+    before = _open_descriptors()
+    with pytest.raises(BlockingIOError, match="no process left to fork"):
+        run_length_paths(symmetric_kernel(3), word_metric(3), 50, 12, seed=0)
+    assert _open_descriptors() == before
+    assert len(forked) == 1
+
+
+def test_a_child_that_sends_no_result_is_refused_with_its_exit_code(shards, monkeypatch):
+    forked = shards(2)
+    monkeypatch.setattr(_stepper, "_shard_child", lambda *args: os._exit(7))
+    before = _open_descriptors()
+    with pytest.raises(ChildProcessError, match="exit code 7 and sent no result"):
+        run_length_paths(symmetric_kernel(3), word_metric(3), 50, 12, seed=0)
+    assert _open_descriptors() == before
+    assert len(forked) == 1
+
+
 def test_batches_below_the_threshold_never_fork(monkeypatch):
     def no_fork():
         raise AssertionError("forked")

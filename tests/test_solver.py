@@ -21,13 +21,12 @@ from windwalk.solver import (
     solve_r,
     solve_r_derivatives,
     system_matrices,
-    transience_root,
 )
 
 import reference
 from helpers import dirichlet_kernel
 from reference import (IndexMap, build_m_matrix, direct_h, flat_system_by_arc,
-                       primitivity_pattern_ok, spectral_radius_k, to_flat)
+                       primitivity_pattern_ok, spectral_radius_k, to_flat, transience_root)
 
 
 def _linearised(p, r):
@@ -321,16 +320,16 @@ def test_transience_root_returns_inside_its_last_bracket(monkeypatch, kernel):
     root = transience_root(kernel)
     lo, hi = brackets[-1]
     assert lo <= root <= hi
-    assert hi - lo <= solver.POWER_TOL * lo
+    assert hi - lo <= reference.POWER_TOL * lo
     # One product per step, and no earlier bracket was narrow enough to stop.
-    assert all(h - l > solver.POWER_TOL * l for l, h in brackets[:-1])
+    assert all(h - l > reference.POWER_TOL * l for l, h in brackets[:-1])
 
 
 def test_transience_root_refuses_with_its_bracket(monkeypatch):
     # Here the bracket narrows too slowly for the cap.  Its lower end still
     # certifies transience.  (Dense eigvals reads 2e-9 below the bracket on
     # this kernel, so it is no reference here.)
-    monkeypatch.setattr(solver, "POWER_MAX_ITER", 2000)
+    monkeypatch.setattr(reference, "POWER_MAX_ITER", 2000)
     with pytest.raises(SolverError, match="did not converge in 2000 iterations") as info:
         transience_root(dirichlet_kernel(4, 0.01, seed=0))
     lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(info.value)).groups())
@@ -373,7 +372,7 @@ def test_library_holds_no_test_only_route():
     from windwalk import limits, oracle
 
     moved = ("build_m_matrix", "to_flat", "primitivity_pattern_ok", "b_matrix_values",
-             "spectral_radius_k", "direct_h")
+             "spectral_radius_k", "direct_h", "transience_root", "POWER_TOL", "POWER_MAX_ITER")
     for module in (windwalk, solver, limits, oracle):
         for name in moved:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
