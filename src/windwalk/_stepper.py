@@ -60,6 +60,15 @@ from .groupoid import Arc, Metric, Word, word_metric
 #: overhead); 400 paths of 1000 steps, ``verify_lln``'s benchmark size, took
 #: 1.14 times as long.
 SHARD_PATH_STEPS = 4 * 10**6
+#: Path-steps, paths times steps summed over the groups, that one batch of
+#: ``run_length_groups`` may take.  README's ``mc-clt`` default of 2000
+#: paths of 20000 steps took 1.6 s as a whole process on a shared 2-vCPU
+#: host, so a batch at the cap takes minutes.
+MAX_PATH_STEPS = 5 * 10**9
+#: Steps one ``simulate`` walk may take.  It keeps two 8-byte lengths per
+#: step, 160 MB at the cap, and 10**6 steps took 3.7 s as a whole
+#: ``windwalk simulate`` process on a shared 2-vCPU host.
+MAX_WALK_STEPS = 10**7
 
 # The hash constants of numpy's SeedSequence, which `_spawn_generators`
 # replays.
@@ -227,6 +236,8 @@ def simulate(
     stepped through ``_RewriteTables``, slot 0 the sentinel."""
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
+    if n_steps > MAX_WALK_STEPS:
+        raise ValueError(f"n_steps={n_steps} is above the cap {MAX_WALK_STEPS} on one walk's steps")
     kernel.check_windows(start.source, *(arc.j for arc in start.letters))
     metric = metric or word_metric(kernel.n_windows)
     kernel.check_metric(metric)
@@ -525,6 +536,9 @@ def run_length_groups(
             raise ValueError("n_paths must be non-negative")
         kernel.check_windows(initial.source, *(arc.j for arc in initial.letters))
     total = sum(n_paths for *_, n_paths in starts)
+    if total * n_steps > MAX_PATH_STEPS:
+        raise ValueError(f"{total} paths of {n_steps} steps are {total * n_steps} path-steps, "
+                         f"above the cap {MAX_PATH_STEPS}")
     shards = _shards(starts, _shard_count(total, n_steps))
     if len(shards) < 2:
         return _run_shard(kernel, metric, n_steps, [(w, seed, 0, n) for w, seed, n in starts])

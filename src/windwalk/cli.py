@@ -236,8 +236,8 @@ SWEEP_HEADER = ("q,gamma_word,sigma2_word,gamma_F,sigma2_F,"
 def _sweep_row(q: float) -> str:
     r = solve_r(one_parameter_kernel(q), 1.0)
     derivs = solve_r_derivatives(r)
-    word, fenced = (limits_from_jets(build_b(r, derivs, m.W, +1), build_b(r, derivs, m.W, -1),
-                                     m.name) for m in (word_metric(3), fenced_metric(3)))
+    word, fenced = (limits_from_jets(build_b(r, derivs, m.W), m.name)
+                    for m in (word_metric(3), fenced_metric(3)))
     cf = closed_form("one_parameter", q=q)
     values = [word.gamma, word.sigma2, fenced.gamma, fenced.sigma2]
     refs = [*cf.constants("word"), *cf.constants("fenced")]

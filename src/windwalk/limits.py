@@ -2,13 +2,14 @@
 operator B(+1) B(-1) to second order about (lam, z) = (1, 1), and produce
 the drift and variance of the limit theorems.
 
-A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``):
-``build_b`` fills it from the matrix form of R and its two lambda
-derivatives.  ``perron_jet``, the route ``compute_limits`` takes, inverts one
-bordered (N+1)-square matrix for the two Perron vectors at (1, 1) and reads
-rho's Taylor coefficients off first- and second-order eigenvalue
-perturbation; only matrix-vector products touch the jets, so it costs one
-O(N^3) inverse and a fixed number of numpy calls.
+A matrix of jets is a (6, N, N) coefficient array (see ``windwalk.jets``).
+``build_b`` fills B(+1) and B(-1) as one (2, 6, N, N) chamber array from the
+(2, N, N) arrays of R and its two lambda derivatives.  ``perron_jet``, the
+route ``compute_limits`` takes, inverts one bordered (N+1)-square matrix for
+the two Perron vectors at (1, 1) and reads rho's Taylor coefficients off
+first- and second-order eigenvalue perturbation; only matrix-vector products
+touch the jets, so it costs one O(N^3) inverse and a fixed number of numpy
+calls.
 
 ``det_h`` is the independent reference for the same curve rho = 1: the jet
 (``det_jet``) of h = det[I - B(+1) B(-1)] = (1 - rho) c, c(1, 1) != 0.  Every
@@ -33,6 +34,9 @@ from .solver import DEFAULT_TOL, RDerivatives, RSolution, solve_r, solve_r_deriv
 
 PIVOT_EPS = 1e-14
 SIMPLE_ZERO_TOL = 1e-10
+#: Largest n ``kms_phi`` steps its recurrence to, one step per n: a whole
+#: ``windwalk kms --n 1000000`` process took 0.66 s on a shared 2-vCPU host.
+KMS_MAX_N = 10**6
 
 
 class DegenerateSystemError(RuntimeError):
@@ -55,34 +59,31 @@ class LimitConstants:
         return asdict(self)
 
 
-def build_b(
-    r: RSolution,
-    derivs: RDerivatives,
-    weights: np.ndarray,
-    sign: int,
-) -> np.ndarray:
-    """(6, N, N) jet array with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam),
-    from the metric's (2, N, N) weights ``Metric.W``; the diagonal is zero."""
-    s = (1 - sign) // 2
-    value, d1, d2 = r.values[s], derivs.d1[s], derivs.d2[s]
-    w = weights[s]
+def build_b(r: RSolution, derivs: RDerivatives, weights: np.ndarray) -> np.ndarray:
+    """(2, 6, N, N) chamber array of jets, B(+1) in chamber 0 and B(-1) in
+    chamber 1, with entries z^w(i,j,sign) * R_{i,j}^{(sign)}(lam), from the
+    (2, N, N) arrays of R, its lambda derivatives and the metric's weights
+    ``Metric.W``; the diagonal is zero."""
+    value, d1, d2, w = r.values, derivs.d1, derivs.d2, weights
     # z^w = 1 + w dz + w(w-1)/2 dz^2 times value + d1 dl + d2/2 dl^2, filled
-    # coefficient by coefficient in the jet order of ``windwalk.jets``.
-    b = np.empty((6,) + value.shape)
-    b[0] = value
-    b[1] = d1
-    np.multiply(w, value, out=b[2])
-    np.multiply(0.5, d2, out=b[3])
-    np.multiply(w, d1, out=b[4])
-    np.multiply(0.5, w, out=b[5])
-    b[5] *= w - 1.0
-    b[5] *= value
+    # coefficient by coefficient in the jet order of ``windwalk.jets``; w - 1
+    # is held in coefficient 4 until that is filled, so no temporary is made.
+    b = np.empty((2, 6) + value.shape[1:])
+    b[:, 0] = value
+    b[:, 1] = d1
+    np.multiply(w, value, out=b[:, 2])
+    np.multiply(0.5, d2, out=b[:, 3])
+    np.subtract(w, 1.0, out=b[:, 4])
+    np.multiply(0.5, w, out=b[:, 5])
+    b[:, 5] *= b[:, 4]
+    b[:, 5] *= value
+    np.multiply(w, d1, out=b[:, 4])
     return b
 
 
-def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
+def perron_jet(b: np.ndarray) -> Jet2:
     """Second-order jet of rho - 1 about (1, 1), rho the Perron root of
-    K = B(+1) B(-1), from the (6, N, N) arrays of ``build_b``.
+    K = B(+1) B(-1), from the (2, 6, N, N) chamber array of ``build_b``.
 
     The inverse of the bordered matrix [[I - K0, 1], [1^T, 0]] holds the
     right Perron vector v in its last column and the left one u in its last
@@ -101,7 +102,8 @@ def perron_jet(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
     is raised.  So it is when u^T v vanishes against |u| |v| (a Jordan
     block).
     """
-    n = b_plus.shape[-1]
+    b_plus, b_minus = b
+    n = b.shape[-1]
     border = np.zeros((n + 1, n + 1))
     border[:n, :n] = np.eye(n) - b_plus[0] @ b_minus[0]
     border[n, :n] = border[:n, n] = 1.0
@@ -197,10 +199,10 @@ def det_jet(matrix: np.ndarray) -> Jet2:
     return Jet2(*det.tolist())
 
 
-def det_h(b_plus: np.ndarray, b_minus: np.ndarray) -> Jet2:
+def det_h(b: np.ndarray) -> Jet2:
     """Full second-order jet of h = det[I - B(+1) B(-1)] about (1, 1), from
-    the (6, N, N) arrays of ``build_b``."""
-    matrix = -jet_mul(b_plus, b_minus, np.matmul)
+    the (2, 6, N, N) chamber array of ``build_b``."""
+    matrix = -jet_mul(b[0], b[1], np.matmul)
     matrix[0] += np.eye(matrix.shape[-1])
     return det_jet(matrix)
 
@@ -227,12 +229,12 @@ def limit_constants(jet: Jet2, metric_name: str = "custom") -> LimitConstants:
     return LimitConstants(gamma, sigma2, jet.value, partials, metric_name)
 
 
-def limits_from_jets(b_plus: np.ndarray, b_minus: np.ndarray, metric_name: str,
+def limits_from_jets(b: np.ndarray, metric_name: str,
                      check_sigma: bool = True) -> LimitConstants:
-    """gamma and sigma^2 off the Perron jet of one metric's ``build_b`` arrays,
+    """gamma and sigma^2 off the Perron jet of one metric's ``build_b`` array,
     checked for a simple zero at (1, 1).  R and its derivatives do not read
     the metric, so one root serves the jets of every metric."""
-    rho = perron_jet(b_plus, b_minus)
+    rho = perron_jet(b)
     if abs(rho.value) > SIMPLE_ZERO_TOL:
         raise DegenerateSystemError(
             f"Perron root at (1,1) is off 1 by {rho.value!r}, expected a simple zero")
@@ -253,10 +255,10 @@ def compute_limits(
     kernel.check_metric(metric)
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(r)
-    b_plus, b_minus = build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1)
+    b = build_b(r, derivs, metric.W)
     # perron_jet reads only the jets: R and its derivatives are freed first.
     del r, derivs
-    return limits_from_jets(b_plus, b_minus, metric.name, check_sigma)
+    return limits_from_jets(b, metric.name, check_sigma)
 
 
 def kms_phi(n: int, x: float, z: float) -> float:
@@ -264,6 +266,8 @@ def kms_phi(n: int, x: float, z: float) -> float:
     phi_n = (1 - x - z^2 (1 + x)) phi_{n-1} - x^2 z^2 phi_{n-2}."""
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n > KMS_MAX_N:
+        raise ValueError(f"n={n} is above the cap {KMS_MAX_N} on the recurrence's steps")
     if not (np.isfinite(x) and np.isfinite(z)):
         raise ValueError(f"x and z must be finite, got x={x!r}, z={z!r}")
     phi_prev, phi = 1.0, 1.0 - x  # phi_0, phi_1

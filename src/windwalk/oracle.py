@@ -28,6 +28,11 @@ from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
 #: ``symmetric_kernel(3)`` at step 15), and the last law stays alive while
 #: the next one grows, so two laws at the cap hold about 1 GiB.
 DEFAULT_STATE_CAP = 8 * 10**5
+#: Work, max_steps^2 N^2, that ``hitting_step_probabilities`` may take: its
+#: convolution at step m sums m terms of a (2, N, N) table.  On a shared
+#: 2-vCPU host 4000 steps took 0.65 s at N = 3 (1.4e8), 2000 steps 0.47 s at
+#: N = 8 (2.6e8) and 1200 steps 0.53 s at N = 20 (5.8e8).
+CONVOLUTION_WORK_CAP = 10**9
 
 
 class StateSpaceExceeded(RuntimeError):
@@ -45,8 +50,17 @@ def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.n
     source window, ``offdiag(P_k T_k[m-1])``; an opposite-chamber move
     forces a return to the start window first, in a steps with probability
     ``diag(P_{-k} T_{-k}[a])``, then a fresh hit in the remaining m-1-a.
-    Coefficients at horizon m only need horizons below m.
+    Coefficients at horizon m only need horizons below m.  A horizon whose
+    work max_steps^2 N^2 exceeds ``CONVOLUTION_WORK_CAP`` is refused before
+    the table is allocated.
     """
+    work = max_steps**2 * kernel.n_windows**2
+    if work > CONVOLUTION_WORK_CAP:
+        table = 8 * (max_steps + 1) * kernel.P.size
+        raise ValueError(
+            f"the convolution to max_steps={max_steps} at N={kernel.n_windows} fills a "
+            f"{table}-byte table with work max_steps^2 N^2 = {work}, "
+            f"above the cap {CONVOLUTION_WORK_CAP}")
     p = kernel.P
     off = ~np.eye(kernel.n_windows, dtype=bool)
     t = np.zeros((max_steps + 1,) + p.shape)

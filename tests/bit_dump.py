@@ -65,8 +65,7 @@ def _refusal(exc: Exception) -> str:
 
 def _limits(r, derivs, metric) -> str:
     try:
-        c = limits_from_jets(build_b(r, derivs, metric.W, +1), build_b(r, derivs, metric.W, -1),
-                             metric.name)
+        c = limits_from_jets(build_b(r, derivs, metric.W), metric.name)
     except REFUSALS as exc:
         return f"{metric.name} {_refusal(exc)}"
     values = [c.gamma, c.sigma2, c.rho_minus_one] + [c.rho_partials[p] for p in PARTIALS]

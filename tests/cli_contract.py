@@ -208,6 +208,19 @@ CASES: Dict[str, Case] = {
     "kms-not-finite": Case(["kms", "--n", "3", "--x", "nan"]),
     "kms-overflow": Case(["kms", "--n", "400", "--x", "1e200", "--z", "2"]),
     "kms-negative-n": Case(["kms", "--n", "-1"]),
+    # Above a stated cap: refused before the loop, the walk, the first step
+    # or the table.
+    "kms-n-above-cap": Case(["kms", "--n", "100000000", "--x", "0.1", "--z", "0.5"]),
+    "simulate-steps-above-cap": Case(["simulate", "--kernel", "symmetric:3",
+                                      "--n-steps", "1000000000000"]),
+    "mc-lln-work-above-cap": Case(["mc-lln", "--kernel", "symmetric:3",
+                                   "--n-steps", "1000000000000", "--n-paths", "50"]),
+    "mc-clt-work-above-cap": Case(["mc-clt", "--kernel", "symmetric:3",
+                                   "--n-steps", "10000000", "--n-paths", "1000"]),
+    "oracle-dp-hitting-above-cap": Case(["oracle-dp", "--kernel", "symmetric:3", "--target",
+                                         "1,2,1", "--max-steps", "1000000000"]),
+    "oracle-dp-return-above-cap": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode",
+                                        "return", "--max-steps", "100000"]),
     "sweep-q-outside": Case(["sweep-q", "--q-grid", "0.1,0.6"]),
     "simulate-negative-steps": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "-1"]),
     "simulate-bad-word": Case(["simulate", "--kernel", "symmetric:3", "--initial", "A(1,1,+)"]),

@@ -172,7 +172,7 @@ def test_criterion_04_jet_vs_finite_difference():
             r = solve_r(k, 1.0, tol=1e-15)
             d = solve_r_derivatives(r)
             w = metric.W
-            h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
+            h = det_h(build_b(r, d, w))
             jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
             fd = fd_partials(k, metric)
             labels = ("d_lambda", "d_z", "d2_lambda", "d_lambda_z", "d2_z")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from windwalk import _stepper
 from windwalk._stepper import _BatchState, _RewriteTables, _spawn_generators
 from windwalk.chain import (
     ASYMMETRIC_PROBS,
@@ -33,7 +34,7 @@ from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, chamber_arr
                                word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.limits import compute_limits
-from windwalk.montecarlo import verify_lln
+from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
@@ -777,6 +778,42 @@ def test_window_beyond_n_is_value_error(call):
 def test_metric_for_another_n_is_value_error(call, kernel_n, metric_n):
     with pytest.raises(ValueError, match=f"sized for N={metric_n} windows, the kernel for N={kernel_n}"):
         call(symmetric_kernel(kernel_n), fenced_metric(metric_n))
+
+
+def test_work_caps_sit_far_above_what_runs():
+    # README's mc-clt default is 2000 paths of 20000 steps, and the longest
+    # walk of a test takes 50000 steps.
+    assert _stepper.MAX_PATH_STEPS >= 100 * 2000 * 20000
+    assert _stepper.MAX_WALK_STEPS >= 100 * 50000
+
+
+def test_batch_above_the_work_cap_is_refused_before_a_step(monkeypatch):
+    monkeypatch.setattr(_stepper, "MAX_PATH_STEPS", 10**5)
+    # At the cap: 1000 paths of 100 steps, and verify_lln's two groups of 50
+    # paths of 1000 steps.
+    run_length_paths(_N3, word_metric(3), 100, 1000, 0)
+    verify_lln(_N3, word_metric(3), 0.25, 1000, 50, 0)
+
+    def stepped(*args):
+        raise AssertionError("a path was stepped")
+
+    monkeypatch.setattr(_stepper, "_run_shard", stepped)
+    monkeypatch.setattr(_stepper, "run_forked", stepped)
+    for call, work in ((lambda: run_length_paths(_N3, word_metric(3), 101, 1000, 0), 101000),
+                       (lambda: verify_lln(_N3, word_metric(3), 0.25, 1001, 50, 0), 100100),
+                       (lambda: verify_clt(_N3, word_metric(3), 0.25, 11 / 16, 10**4, 10**3, 0),
+                        10**7)):
+        with pytest.raises(ValueError, match=f"are {work} path-steps, above the cap 100000"):
+            call()
+
+
+def test_walk_above_its_step_cap_is_refused(monkeypatch):
+    with pytest.raises(ValueError, match=f"above the cap {_stepper.MAX_WALK_STEPS}"):
+        simulate(unit(1), _N3, 10**12, seed=0)
+    monkeypatch.setattr(_stepper, "MAX_WALK_STEPS", 10)
+    assert len(simulate(unit(1), _N3, 10, seed=0).word_lens) == 11
+    with pytest.raises(ValueError, match="n_steps=11 is above the cap 10 on one walk's steps"):
+        simulate(unit(1), _N3, 11, seed=0)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from windwalk import limits
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
 from windwalk.groupoid import Arc, arc_entry, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
@@ -68,7 +69,7 @@ def test_h_vanishes_at_1_1():
             r = solve_r(k, 1.0, tol=1e-14)
             d = solve_r_derivatives(r)
             w = metric.W
-            h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
+            h = det_h(build_b(r, d, w))
             assert abs(h.value) < 1e-11
             assert h.value == pytest.approx(direct_h(k, metric, 1.0, 1.0, tol=1e-14), abs=1e-11)
 
@@ -79,7 +80,7 @@ def test_jet_partials_match_finite_differences():
     r = solve_r(k, 1.0, tol=1e-15)
     d = solve_r_derivatives(r)
     w = metric.W
-    h = det_h(build_b(r, d, w, +1), build_b(r, d, w, -1))
+    h = det_h(build_b(r, d, w))
     jet = (h.d_lambda, h.d_z, h.d2_lambda, h.d_lambda_z, h.d2_z)
     fd = fd_partials(k, metric)
     for a, b in zip(jet, fd):
@@ -126,6 +127,17 @@ def test_kms_small_cases():
     assert kms_phi(1, 0.25, 0.7) == pytest.approx(0.75)
     # n=2: det([[1-x, z], [z, 1-x]]) = (1-x)^2 - z^2
     assert kms_phi(2, 0.3, 0.5) == pytest.approx(0.7**2 - 0.25)
+
+
+def test_kms_refuses_n_above_its_cap(monkeypatch):
+    # The tests run n <= 400; the cap sits far above that.
+    assert limits.KMS_MAX_N >= 100 * 400
+    with pytest.raises(ValueError, match=f"above the cap {limits.KMS_MAX_N}"):
+        kms_phi(10**8, 0.1, 0.5)
+    monkeypatch.setattr(limits, "KMS_MAX_N", 5)
+    assert np.isfinite(kms_phi(5, 0.3, 0.8))
+    with pytest.raises(ValueError, match="n=6 is above the cap 5"):
+        kms_phi(6, 0.3, 0.8)
 
 
 @pytest.mark.parametrize("x, z", [(float("nan"), 0.5), (0.3, float("inf")), (-float("inf"), 0.5)])
@@ -301,13 +313,15 @@ def test_build_b_matches_scalar_jets():
     metric = fenced_metric(3)
     r = solve_r(k, 1.0)
     d = solve_r_derivatives(r)
-    for sign in (1, -1):
-        b = build_b(r, d, metric.W, sign)
+    b = build_b(r, d, metric.W)
+    # One C-contiguous chamber array: B(+1) in chamber 0, B(-1) in chamber 1.
+    assert b.shape == (2, 6, 3, 3) and b.flags.c_contiguous
+    for chamber, sign in enumerate((1, -1)):
         for i in range(1, 4):
             for j in range(1, 4):
                 want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(
                     *(arc_entry(a, i, j, sign) for a in (r.values, d.d1, d.d2)))
-                got = b[:, i - 1, j - 1]
+                got = b[chamber, :, i - 1, j - 1]
                 for c, name in zip(got, FIELDS):
                     assert c == pytest.approx(getattr(want, name), rel=1e-14, abs=1e-15)
 
@@ -354,7 +368,7 @@ def test_perron_jet_partials_match_finite_differences():
     k, metric = asymmetric_kernel(), fenced_metric(3)
     r = solve_r(k, 1.0, tol=1e-15)
     d = solve_r_derivatives(r)
-    rho = perron_jet(build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1))
+    rho = perron_jet(build_b(r, d, metric.W))
     fd = _backward_partials(lambda lam, z: spectral_radius_k(k, metric, lam, z, tol=1e-15) ** 2,
                             5e-4)
     jet = (rho.d_lambda, rho.d_z, rho.d2_lambda, rho.d_lambda_z, rho.d2_z)
@@ -363,12 +377,12 @@ def test_perron_jet_partials_match_finite_differences():
 
 
 def _jet_pair(k0_plus, k0_minus):
-    """(6, n, n) jet arrays with the given constant terms and random
-    non-negative higher coefficients."""
+    """(2, 6, n, n) chamber array of jets with the given constant terms and
+    random non-negative higher coefficients."""
     rng = np.random.default_rng(3)
     n = len(k0_plus)
-    return tuple(np.concatenate([np.asarray(a, float)[None], rng.uniform(0, 1, (5, n, n))])
-                 for a in (k0_plus, k0_minus))
+    return np.stack([np.concatenate([np.asarray(a, float)[None], rng.uniform(0, 1, (5, n, n))])
+                     for a in (k0_plus, k0_minus)])
 
 
 _HALVES = np.full((2, 2), 0.5)
@@ -387,7 +401,7 @@ _CLASSES = np.kron(np.eye(2), _HALVES)
 ], ids=["two-classes", "leak-1e-15", "jordan"])
 def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason):
     with pytest.raises(DegenerateSystemError, match=f"{reason}.*the root is not simple"):
-        perron_jet(*_jet_pair(b0_plus, b0_minus))
+        perron_jet(_jet_pair(b0_plus, b0_minus))
 
 
 @pytest.mark.parametrize("b0_plus, b0_minus, det_h_refuses", [
@@ -398,21 +412,21 @@ def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason)
     ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), False),
 ], ids=["two-classes", "leak-1e-15", "jordan"])
 def test_det_h_refuses_where_perron_jet_does(b0_plus, b0_minus, det_h_refuses):
-    b_plus, b_minus = _jet_pair(b0_plus, b0_minus)
+    b = _jet_pair(b0_plus, b0_minus)
     with pytest.raises(DegenerateSystemError, match="the root is not simple"):
-        perron_jet(b_plus, b_minus)
+        perron_jet(b)
     if det_h_refuses:
         with pytest.raises(DegenerateSystemError, match="the zero is not simple"):
-            det_h(b_plus, b_minus)
+            det_h(b)
     else:
-        assert det_h(b_plus, b_minus).value == 0.0
+        assert det_h(b).value == 0.0
 
 
 def _both_routes(kernel, metric):
     r = solve_r(kernel, 1.0)
     d = solve_r_derivatives(r)
-    b_plus, b_minus = build_b(r, d, metric.W, +1), build_b(r, d, metric.W, -1)
-    return limit_constants(perron_jet(b_plus, b_minus)), limit_constants(det_h(b_plus, b_minus))
+    b = build_b(r, d, metric.W)
+    return limit_constants(perron_jet(b)), limit_constants(det_h(b))
 
 
 SAME_NUMBER_KERNELS = (
@@ -461,7 +475,8 @@ def test_compute_limits_peaks_under_ten_chamber_arrays():
     # Measured in (2, N, N) float arrays.  Each Newton-step array is filled in
     # place, the block solve writes into its copy of B, and R and its
     # derivatives are freed before the Perron step: the peak fell from 12.0
-    # to 9.5 arrays at N = 200 and 300.
+    # to 9.5 arrays at N = 200 and 300, and to 9.1 once ``build_b`` filled
+    # both chambers' jets with no temporary.
     n = 200
     kernel, metric = symmetric_kernel(n), word_metric(n)
     compute_limits(kernel, metric)
@@ -490,7 +505,7 @@ def test_gamma_is_linear_and_sigma2_a_quadratic_form_in_the_weights(n, concentra
     a, b = 0.7, 1.9
 
     def limits(w):
-        return limits_from_jets(build_b(r, d, w, +1), build_b(r, d, w, -1), "custom")
+        return limits_from_jets(build_b(r, d, w), "custom")
 
     one, two, both, mixed = limits(w1), limits(w2), limits(w1 + w2), limits(a * w1 + b * w2)
     assert mixed.gamma == pytest.approx(a * one.gamma + b * two.gamma, rel=1e-14, abs=0)

@@ -338,3 +338,17 @@ def test_closed_form_constants_by_metric_name(family, params):
 def test_unknown_family():
     with pytest.raises(ValueError):
         closed_form("mystery")
+
+
+def test_convolution_above_its_work_cap_is_refused_before_the_table(monkeypatch):
+    # The tests run the convolution to at most 60 steps at N = 20.
+    assert oracle.CONVOLUTION_WORK_CAP >= 100 * 60**2 * 20**2
+    # A table of 134 GiB: refused, not left to numpy's allocation failure.
+    with pytest.raises(ValueError, match=r"a 144000000144-byte table with work max_steps\^2 N\^2 "
+                                         r"= 9000000000000000000, above the cap"):
+        dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 10**9)
+    monkeypatch.setattr(oracle, "CONVOLUTION_WORK_CAP", 40**2 * 3**2)
+    assert len(dp_return_series(symmetric_kernel(3), 1, 40)) == 41
+    with pytest.raises(ValueError, match="at N=3 fills a 6048-byte table with work "
+                                         r"max_steps\^2 N\^2 = 15129, above the cap 14400"):
+        dp_return_series(symmetric_kernel(3), 1, 41)

@@ -50,7 +50,8 @@ def test_tracer_patches_every_traced_name_and_restores_it():
 
 def test_traced_assembly_layer_is_live_on_the_dense_path():
     # compute_limits assembles the flat system once up to DENSE_MAX_N
-    # windows and never above; the jet determinant det_h stays off the path.
+    # windows and never above, and builds both chambers' jets in one
+    # build_b call; the jet determinant det_h stays off the path.
     tracer = _load_tracing().Tracer()
     entered = {}
     try:
@@ -65,4 +66,5 @@ def test_traced_assembly_layer_is_live_on_the_dense_path():
     assert entered["asymmetric"].count("solver.system_matrices") == 1
     assert "solver.system_matrices" not in entered["symmetric:8"]
     for names in entered.values():
+        assert names.count("limits.build_b") == 1
         assert "limits.det_h" not in names
