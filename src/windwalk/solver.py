@@ -21,20 +21,28 @@ the Jacobian of the right-hand side, is done in structured form.  Column j
 of sign k solves the (N-1)-square system whose matrix is
 ``G_k = I - lam diag(u_{-k}) - lam P_k`` with row and column j deleted;
 the 2N column blocks are coupled only through the 2N scalars
-``t_k = diag(P_k D_k)``, which solve a 2N x 2N system.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
+``t_k = diag(P_k D_k)``, which solve a 2N x 2N system whose top-left block
+is I.  Every block solve is read off one inverse ``G_k^{-1}`` per sign,
 so one factorisation costs O(N^3) time and O(N^2) memory, against O(N^6)
 and O(N^4) for the dense ``dim x dim`` matrix, dim = 2N(N-1).  Near a
 singular ``G_k`` the columns fall back to inverting their own blocks, at
 O(N^4) time and O(N^3) memory.  Each solve then does one block solve: the
 coupling's right-hand side is read off the factorisation's row table, and
-the 2N x 2N coupling is LU-solved on each call, not inverted.
+the coupling's N x N Schur complement, formed once per factorisation, is
+LU-solved on each call, not inverted.
+
+Newton's method stops after a step of at most ``tol``, at the rounding floor,
+or once its own quadratic model puts the next step below half an ulp of R
+(``solve_r``): that step would mostly round away.
 
 At the sizes where numpy's per-call cost, not arithmetic, sets the time of a
 Newton step, each of the step's arrays is allocated once and filled in place:
 ``G_k`` starts as ``-lam P_k`` and takes its diagonal through a strided view,
 sums accumulate into the matrix product that opens them, and a buffer that is
-spent is reused.  Every sum and product keeps the order of the formulas, so
-the results are the same bits as with fresh temporaries.
+spent is reused.  ``u = diag(P R)`` and ``t = diag(P D)`` are read off the
+diagonals of the products ``P @ R`` and ``P @ D`` that f(R) and M D open
+with.  Every sum and product keeps the order of the formulas, so the results
+are the same bits as with fresh temporaries.
 
 ``RSolution`` and ``RDerivatives`` hold R and its derivatives in this
 layout.  Its off-diagonal entries in row-major order are the flat order
@@ -77,6 +85,10 @@ DEFAULT_MAX_ITER = 100
 #: Below this step size a Newton step that no longer shrinks is rounding
 #: noise, and the iteration stops there.
 STALL_STEP = 1e-8
+#: Newton's quadratic model ``s_{k+1} ~ (s_k / s_{k-1}^2) s_k^2`` of the next
+#: step is trusted only while its observed constant is at most this.
+QUADRATIC_MAX = 2.0
+HALF_EPS = float(np.finfo(float).eps) / 2.0
 #: A chamber with ``FALLBACK_RATIO max |H_k| > 1``, ``H_k = G_k^{-1}``, solves
 #: each column on its own deleted block (``LinearisedSystem`` gives why).
 FALLBACK_RATIO = float(np.sqrt(np.finfo(float).eps))
@@ -128,25 +140,28 @@ def _offdiag(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rhs(p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Right-hand side f(R) of the fixed-point form R = f(R), with
-    ``u = diag(P R)``."""
+def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Right-hand side f(R) of the fixed-point form R = f(R), and
+    ``u = diag(P R)``, read off the product ``P @ R`` that f opens with."""
     f = p @ r
+    u = _diagonal(f).copy()
     f += p
     f += u[::-1, :, None] * r
     f *= lam
-    return _offdiag(f)
+    return _offdiag(f), u
 
 
-def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray, u: np.ndarray,
-            t: np.ndarray) -> np.ndarray:
+def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray,
+            u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """M D, the Jacobian of f at R applied to a (2, N, N) array D, with
-    ``u = diag(P R)`` and ``t = diag(P D)``."""
+    ``u = diag(P R)``, and ``t = diag(P D)``, read off the product ``P @ D``
+    that M D opens with."""
     md = p @ d
+    t = _diagonal(md).copy()
     md += u[::-1, :, None] * d
     md += t[::-1, :, None] * r
     md *= lam
-    return _offdiag(md)
+    return _offdiag(md), t
 
 
 class LinearisedSystem:
@@ -176,13 +191,18 @@ class LinearisedSystem:
     ``t_k = a_k + T_k t_{-k}``.  Row i of ``v`` is row i of ``P_k`` times
     the inverse of block i, so ``a_k = diag(v_k B_k)`` needs no block solve
     and ``T_k = offdiag(lam v_k R_k^T)`` is read off ``v``.  The t solve the
-    2N x 2N ``coupling`` ``[[I, -T_+], [-T_-, I]]``, LU-solved on each call,
-    and one block solve of ``B_k + lam diag(t_{-k}) R_k`` then gives D.
+    2N x 2N coupling ``[[I, -T_+], [-T_-, I]]``.  Its top-left block is I,
+    so block elimination leaves the N x N Schur complement
+    ``coupling = I - T_+ T_-``, formed once (Golub & Van Loan, section 3.2):
+    each solve LU-solves ``coupling t_+ = a_+ + T_+ a_-`` and sets
+    ``t_- = a_- + T_- t_+``.  The complement has the coupling's determinant,
+    so it is singular exactly when the coupling is.  One block solve of
+    ``B_k + lam diag(t_{-k}) R_k`` then gives D.
 
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
     ``1 - lam u_{-k}`` written through a strided view; once ``H`` and ``v``
-    are formed, the buffer of G holds ``T`` while the coupling's blocks are
-    written, and ``h_diag`` is a view of ``H``.  A solve copies B once and
+    are formed, the buffer of G holds ``T``, and ``h_diag`` is a view of
+    ``H``.  A solve copies B once and
     writes into the copy, never into B.  The caller passes ``u = diag(P R)``,
     which it has from the defect at R.
     """
@@ -218,10 +238,11 @@ class LinearisedSystem:
         # G is spent: its buffer takes (lam v) * R^T, the map t_{-k} -> t_k.
         t_map = np.multiply(v, lam, out=g)
         t_map *= np.swapaxes(r, 1, 2)
-        _offdiag(t_map)
-        self.coupling = np.eye(2 * n)
-        np.negative(t_map[0], out=self.coupling[:n, n:])
-        np.negative(t_map[1], out=self.coupling[n:, :n])
+        self.t_map = _offdiag(t_map)
+        coupling = np.matmul(t_map[0], t_map[1])
+        np.negative(coupling, out=coupling)
+        coupling.reshape(-1)[::n + 1] += 1.0
+        self.coupling = coupling
 
     def _block_solve(self, b: np.ndarray) -> np.ndarray:
         """Every column block's solution for a zero-diagonal (2, N, N) B,
@@ -239,18 +260,21 @@ class LinearisedSystem:
         """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B, whose
         diagonal is ignored; B itself is not written."""
         b = _offdiag(np.array(b, dtype=float, order="C"))
-        a = _diag_of_product(self.v, b)
+        # t starts as a = diag(v B), and t_+ is solved in place.
+        t = _diag_of_product(self.v, b)
+        t[0] += self.t_map[0] @ t[1]
         try:
-            t = np.linalg.solve(self.coupling, a.reshape(-1)).reshape(a.shape)
+            t[0] = np.linalg.solve(self.coupling, t[0])
         except np.linalg.LinAlgError as exc:
-            raise SolverError(f"the 2N x 2N coupling of I - M is singular: {exc}") from exc
+            raise SolverError(f"the N x N coupling of I - M is singular: {exc}") from exc
+        t[1] += self.t_map[1] @ t[0]
         b += self.lam * t[::-1, :, None] * self.r
         return self._block_solve(b)
 
 
 class _ChamberNewton:
     """Newton's method on the (2, N, N) arrays, one ``LinearisedSystem`` per
-    step; ``u = diag(P R)`` is formed once per step, with the defect."""
+    step; ``u = diag(P R)`` is read off the defect's product ``P @ R``."""
 
     def __init__(self, p: np.ndarray, lam: float):
         self.p, self.lam = p, lam
@@ -260,8 +284,8 @@ class _ChamberNewton:
 
     def defect(self, r: np.ndarray) -> np.ndarray:
         """f(R) - R, keeping R and ``u`` at R for the step from R."""
-        self.r, self.u = r, _diag_of_product(self.p, r)
-        f = _rhs(self.p, self.lam, r, self.u)
+        f, self.u = _rhs(self.p, self.lam, r)
+        self.r = r
         f -= r
         return f
 
@@ -271,8 +295,8 @@ class _ChamberNewton:
 
     def m_times(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """M D and the return term ``lam diag(P_{-k} D_{-k})`` on each row."""
-        t = _diag_of_product(self.p, d)
-        return apply_m(self.p, self.lam, self.r, d, self.u, t), self.lam * t[::-1, :, None]
+        md, t = apply_m(self.p, self.lam, self.r, d, self.u)
+        return md, self.lam * t[::-1, :, None]
 
     def values(self, r: np.ndarray) -> np.ndarray:
         return r
@@ -377,6 +401,19 @@ class _FlatNewton:
         return out
 
 
+def _next_step_rounds_away(step: float, prev_step: float, r: np.ndarray) -> bool:
+    """Whether Newton's quadratic model puts the step after ``step`` below half
+    an ulp of ``max R`` (Kelley, *Iterative Methods for Linear and Nonlinear
+    Equations*, SIAM 1995, ch. 5): the step shrank from a finite
+    ``prev_step``, the observed constant ``step / prev_step^2`` is at most
+    ``QUADRATIC_MAX``, and ``step^3 / prev_step^2 <= (eps / 2) max R``.
+    The scalar tests come first, the last with ``max R <= 1`` in place of
+    ``max R``, so that R is read only when the rule can fire."""
+    bound = HALF_EPS * prev_step * prev_step
+    return (step < prev_step < math.inf and step <= QUADRATIC_MAX * prev_step * prev_step
+            and step ** 3 <= bound and step ** 3 <= bound * float(r.max()))
+
+
 def solve_r(
     kernel: TransitionKernel,
     lam: float,
@@ -385,10 +422,13 @@ def solve_r(
     """Least root of the quadratic system at ``lam`` in [0, 1], by Newton's
     method from R = 0.
 
-    The iteration stops when a step is at most ``tol``, or when a step below
-    ``STALL_STEP`` is no smaller than the one before it: the iterate then sits
-    at the rounding floor of the solve, which can lie above a small ``tol``.
-    ``DEFAULT_MAX_ITER`` steps without either raise SolverError.
+    The iteration stops after a step that is at most ``tol``; or below
+    ``STALL_STEP`` and no smaller than the one before it, as the iterate then
+    sits at the rounding floor of the solve, which can lie above a small
+    ``tol``; or after which Newton's quadratic model puts the next step below
+    half an ulp of ``max R`` (``_next_step_rounds_away``), a step that would
+    mostly round away.  ``DEFAULT_MAX_ITER`` steps without any of these raise
+    SolverError.
     ``iterations`` counts Newton steps and ``residual`` is the true defect
     ``max |f(R) - R|`` at the returned R.  Up to ``DENSE_MAX_N`` windows the
     steps are taken on the dense flat system, above it on the structured one.
@@ -410,7 +450,8 @@ def solve_r(
         # Only R and its defect stay live into the next factorisation.
         del delta
         defect = system.defect(r)
-        if step <= tol or (step <= STALL_STEP and step >= prev_step):
+        if (step <= tol or (step <= STALL_STEP and step >= prev_step)
+                or _next_step_rounds_away(step, prev_step, r)):
             break
         prev_step = step
     else:

@@ -19,10 +19,19 @@ texts as the CLI's ``--kernel`` takes them (``asymmetric``,
     PYTHONPATH=<old>/src python tests/bit_dump.py > old.txt
     PYTHONPATH=<new>/src python tests/bit_dump.py > new.txt
     cmp old.txt new.txt
+
+``--ulp`` prints instead, one line per kernel, the one-ulp sensitivity of
+gamma and sigma^2 for each metric: their largest relative move when every
+entry of the root at lambda = 1 is nudged one ulp by ``np.nextafter``, up
+or down as ``ULP_DRAWS`` seeded draws pick, before the derivatives and the
+jets are formed.  A change that rounds R differently can move an output by
+about its sensitivity, however right both roots are.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import hashlib
 import sys
 from typing import Iterable, Iterator, List
@@ -41,6 +50,8 @@ LAMBDAS = (1.0, 0.6)
 PARTIALS = ("d_lambda", "d_z", "d2_lambda", "d_lambda_z", "d2_z")
 #: What the library raises to refuse a kernel; anything else stops the dump.
 REFUSALS = (solver.SolverError, DegenerateSystemError, ValueError)
+#: The seeded up-or-down draws over the root's entries that ``--ulp`` takes.
+ULP_DRAWS = 4
 
 
 def kernels() -> Iterator[TransitionKernel]:
@@ -96,9 +107,50 @@ def dump(chosen: Iterable[TransitionKernel]) -> Iterator[str]:
             yield line(kernel, lam)
 
 
+def _gamma_sigma2(r, metrics) -> List[np.ndarray]:
+    """(gamma, sigma^2) of each metric, from the root ``r``."""
+    derivs = solver.solve_r_derivatives(r)
+    out = []
+    for m in metrics:
+        c = limits_from_jets(build_b(r, derivs, m.W), m.name)
+        out.append(np.array([c.gamma, c.sigma2]))
+    return out
+
+
+def ulp_line(kernel: TransitionKernel) -> str:
+    """The kernel's one-ulp sensitivity of gamma and sigma^2, per metric."""
+    n = kernel.n_windows
+    metrics = (word_metric(n), fenced_metric(n))
+    try:
+        r = solver.solve_r(kernel, 1.0)
+        base = _gamma_sigma2(r, metrics)
+        root, system = r.system.r.copy(), r.system
+        moves = [np.zeros(2) for _ in metrics]
+        for seed in range(ULP_DRAWS):
+            up = np.random.default_rng(seed).random(root.shape) < 0.5
+            nudged = np.nextafter(root, np.where(up, np.inf, -np.inf))
+            if nudged.ndim == 3:
+                solver._offdiag(nudged)
+            # The defect at the nudged root keeps what the derivatives read.
+            system.defect(nudged)
+            got = _gamma_sigma2(dataclasses.replace(r, values=system.values(nudged)), metrics)
+            for move, want, value in zip(moves, base, got):
+                np.maximum(move, np.abs(value - want) / np.abs(want), out=move)
+    except REFUSALS as exc:
+        return f"{kernel.name} {_refusal(exc)}"
+    return " | ".join([kernel.name] + [f"{m.name} gamma={g:.1e} sigma2={s:.1e}"
+                                       for m, (g, s) in zip(metrics, moves)])
+
+
 def main(argv: List[str]) -> int:
-    chosen = [_build_kernel(text) for text in argv] if argv else kernels()
-    sys.stdout.writelines(text + "\n" for text in dump(chosen))
+    parser = argparse.ArgumentParser(description="Print the solver's results bit for bit.")
+    parser.add_argument("kernels", nargs="*", help="kernel texts, as --kernel takes them")
+    parser.add_argument("--ulp", action="store_true",
+                        help="print the one-ulp sensitivity of gamma and sigma^2 instead")
+    args = parser.parse_args(argv)
+    chosen = [_build_kernel(text) for text in args.kernels] if args.kernels else kernels()
+    lines = map(ulp_line, chosen) if args.ulp else dump(chosen)
+    sys.stdout.writelines(text + "\n" for text in lines)
     return 0
 
 

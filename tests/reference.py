@@ -1,5 +1,6 @@
 """Reference routes that only the tests call: the flat order of the arcs,
-the flat system and its dense Jacobian built arc by arc, the float
+the flat system and its dense Jacobian built arc by arc, the structured
+solve with its 2N x 2N coupling solved whole, the float
 transfer matrices and their spectral radius, the plain-float determinant
 that the finite-difference stencils of ``helpers.fd_partials`` evaluate,
 the transience root by power iteration on ``solver.apply_m``, a
@@ -95,6 +96,21 @@ def build_m_matrix(
     return lam * (a1 + np.diag(c @ values) + np.diag(values) @ c)
 
 
+def coupled_solve_2n(system: solver.LinearisedSystem, b: np.ndarray) -> np.ndarray:
+    """``system.solve(b)`` with the t of the whole 2N x 2N coupling
+    ``[[I, -T+], [-T-, I]]`` LU-solved, with no block elimination: the
+    reference for the N x N Schur complement ``system.coupling``."""
+    n = b.shape[-1]
+    b = solver._offdiag(np.array(b, dtype=float, order="C"))
+    a = solver._diag_of_product(system.v, b)
+    coupling = np.eye(2 * n)
+    coupling[:n, n:] = -system.t_map[0]
+    coupling[n:, :n] = -system.t_map[1]
+    t = np.linalg.solve(coupling, a.reshape(-1)).reshape(a.shape)
+    b += system.lam * t[::-1, :, None] * system.r
+    return system._block_solve(b)
+
+
 def to_flat(matrix: np.ndarray) -> np.ndarray:
     """Off-diagonal entries of a (2, N, N) array in ``IndexMap`` order."""
     n = matrix.shape[-1]
@@ -157,7 +173,8 @@ def transience_root(kernel: TransitionKernel) -> float:
     positive from the all-ones start, and the least and greatest of the
     ratios ``(M D) / D`` over the arcs bracket the root (Collatz-Wielandt;
     Horn & Johnson, *Matrix Analysis*, section 8.1).  Each step takes one
-    product, ``u = diag(P 1)`` formed once.  It stops once the bracket is
+    product, which reads its own ``t = diag(P D)``; ``u = diag(P 1)`` is
+    formed once.  It stops once the bracket is
     within ``POWER_TOL`` times its lower end and returns its midpoint;
     ``POWER_MAX_ITER`` steps without that raise SolverError, naming the bracket.
     """
@@ -167,7 +184,7 @@ def transience_root(kernel: TransitionKernel) -> float:
     arcs = ones > 0
     d = ones
     for _ in range(POWER_MAX_ITER):
-        md = solver.apply_m(p, 1.0, ones, d, u, solver._diag_of_product(p, d))
+        md, _ = solver.apply_m(p, 1.0, ones, d, u)
         ratios = md[arcs] / d[arcs]
         lo, hi = float(ratios.min()), float(ratios.max())
         if hi - lo <= POWER_TOL * lo:

@@ -25,7 +25,7 @@ from windwalk.solver import (
 
 import reference
 from helpers import dirichlet_kernel
-from reference import (IndexMap, build_m_matrix, direct_h, flat_system_by_arc,
+from reference import (IndexMap, build_m_matrix, coupled_solve_2n, direct_h, flat_system_by_arc,
                        primitivity_pattern_ok, spectral_radius_k, to_flat, transience_root)
 
 
@@ -35,8 +35,8 @@ def _linearised(p, r):
 
 
 def _apply_m(p, r, d):
-    """M D at R and lambda = 1, with ``u = diag(P R)`` and ``t = diag(P D)``."""
-    return apply_m(p, 1.0, r, d, solver._diag_of_product(p, r), solver._diag_of_product(p, d))
+    """M D at R and lambda = 1, with ``u = diag(P R)``."""
+    return apply_m(p, 1.0, r, d, solver._diag_of_product(p, r))[0]
 
 
 def test_index_map_order():
@@ -310,11 +310,11 @@ def test_transience_root_returns_inside_its_last_bracket(monkeypatch, kernel):
     arcs = ~np.eye(kernel.n_windows, dtype=bool)
     brackets = []
 
-    def recorded(p, lam, r, d, u, t):
-        md = apply_m(p, lam, r, d, u, t)
+    def recorded(p, lam, r, d, u):
+        md, t = apply_m(p, lam, r, d, u)
         ratios = md[:, arcs] / d[:, arcs]
         brackets.append((ratios.min(), ratios.max()))
-        return md
+        return md, t
 
     monkeypatch.setattr(solver, "apply_m", recorded)
     root = transience_root(kernel)
@@ -419,6 +419,55 @@ def test_newton_step_count_and_rounding_floor_at_small_q():
     r = solve_r(k, 1.0, tol=1e-18)
     assert r.residual <= 1e-15
     assert r.iterations < 30
+
+
+@pytest.mark.parametrize("n", [14, 20, 33])
+def test_symmetric_newton_stops_before_a_step_below_rounding(n):
+    # The fourth step, below 1e-9, puts the model's fifth below half an ulp
+    # of R = 1 / (N - 1); that fifth step was taken before the rule.
+    r = solve_r(symmetric_kernel(n), 1.0)
+    assert r.iterations == 4
+    assert np.max(np.abs(to_flat(r.values) - 1 / (n - 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("step, prev_step, r_max, qmax, fires", [
+    (1e-30, np.inf, 1.0, 2.0, False),    # step 1: no step before it
+    (1e-17, 1e-17, 1.0, np.inf, False),  # the step did not shrink
+    (0.9e-17, 1e-17, 1.0, np.inf, True),
+    (2.5e-10, 1e-5, 1.0, 2.0, False),    # the observed constant is 2.5
+    (2e-10, 1e-5, 1.0, 2.0, True),
+    (1e-8, 1e-4, 1.0, 2.0, True),
+    (1e-8, 1e-4, 1e-3, 2.0, False),      # below half an ulp of 1, not of 1e-3
+    (1e-9, 1e-4, 1e-3, 2.0, True),
+])
+def test_rounding_stop_rule(monkeypatch, step, prev_step, r_max, qmax, fires):
+    # An infinite QUADRATIC_MAX leaves the shrink test alone to keep the
+    # rule from firing.
+    monkeypatch.setattr(solver, "QUADRATIC_MAX", qmax)
+    r = np.full((2, 3, 3), r_max)
+    assert solver._next_step_rounds_away(step, prev_step, r) is fires
+
+
+def test_rounding_stop_rule_keeps_the_limits_edge_lattice(monkeypatch):
+    # perfbench's limits-edge lattice: 8 log-even q in each decade over
+    # 1e-5..0.49.  The rule takes no step more than the solve without it,
+    # and keeps the worst closed-form error at 2.19e-12; without the cap
+    # on the observed constant it skipped a 2.0e-14 correction at
+    # q = 1.54e-5 and that error read 5.54e-12.
+    decades = [(-5.0, -4.0), (-4.0, -3.0), (-3.0, -2.0), (-2.0, -1.0), (-1.0, np.log10(0.49))]
+    worst = 0.0
+    for lo, hi in decades:
+        for q in 10.0 ** (lo + (np.arange(8) + 0.5) * (hi - lo) / 8):
+            kernel, cf = one_parameter_kernel(float(q)), closed_form_one_parameter(float(q))
+            with monkeypatch.context() as off:
+                off.setattr(solver, "QUADRATIC_MAX", 0.0)
+                steps_without = solve_r(kernel, 1.0).iterations
+            assert solve_r(kernel, 1.0).iterations <= steps_without
+            for metric in (word_metric(3), fenced_metric(3)):
+                gamma, sigma2 = cf.constants(metric.name)
+                c = compute_limits(kernel, metric)
+                worst = max(worst, abs(c.gamma - gamma) / gamma, abs(c.sigma2 - sigma2) / sigma2)
+    assert worst <= 2.5e-12
 
 
 def test_newton_step_cap_raises(monkeypatch):
@@ -541,6 +590,26 @@ def test_bit_dump_prints_the_same_text_twice(capsys):
     assert all(line.count(" | ") == 8 for line in lines[::2])
 
 
+def test_bit_dump_ulp_prints_each_metrics_sensitivity(capsys):
+    # One line per kernel, on both Newton paths; on these well-conditioned
+    # kernels a one-ulp nudge of the root moves gamma and sigma^2 by a few
+    # ulps at most.
+    import bit_dump
+
+    texts = []
+    for _ in range(2):
+        assert bit_dump.main(["--ulp", "asymmetric", "symmetric:8"]) == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert [line.split(" | ")[0] for line in lines] == ["asymmetric", "symmetric(N=8)"]
+    for line in lines:
+        cells = line.split(" | ")[1:]
+        assert [cell.split()[0] for cell in cells] == ["word", "fenced"]
+        moves = [float(x) for x in re.findall(r"(?:gamma|sigma2)=(\S+)", line)]
+        assert len(moves) == 4 and all(0.0 <= move <= 1e-14 for move in moves)
+
+
 @pytest.mark.parametrize("kernel", [
     symmetric_kernel(3), symmetric_kernel(20), symmetric_kernel(33), symmetric_kernel(64),
     asymmetric_kernel(), one_parameter_kernel(1e-5), dirichlet_kernel(4, 0.001, seed=4),
@@ -560,16 +629,43 @@ def test_one_block_solve_satisfies_the_system(kernel):
 
 
 def test_singular_coupling_is_a_solver_error(monkeypatch):
-    # The coupling is LU-solved inside each solve, so its failure is raised
-    # there, named as the coupling.
+    # The N x N coupling I - T+ T- is LU-solved inside each solve, so its
+    # failure is raised there, named as the coupling.
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
     k = asymmetric_kernel()
     system = _linearised(k.P, solve_r(k, 1.0).values)
     monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(SolverError, match="the 2N x 2N coupling of I - M is singular"):
+    with pytest.raises(SolverError, match="the N x N coupling of I - M is singular"):
         system.solve(np.ones((2, 3, 3)))
+
+
+# Kernels for the N x N coupling, with the FALLBACK_RATIO to solve them at.
+COUPLING_CASES = (
+    [(symmetric_kernel(n), solver.FALLBACK_RATIO) for n in (7, 20, 33)]
+    + [(dirichlet_kernel(n, concentration, seed=n), solver.FALLBACK_RATIO)
+       for n in range(7, 13) for concentration in (1.0, 0.1)]
+    + [(dirichlet_kernel(9, 0.1, seed=9), np.inf)]
+)
+
+
+@pytest.mark.parametrize("kernel, ratio", COUPLING_CASES,
+                         ids=[f"{k!r}-ratio{r:g}" for k, r in COUPLING_CASES])
+def test_n_by_n_coupling_matches_the_2n_coupling(monkeypatch, kernel, ratio):
+    # Eliminating t_- leaves the Schur complement I - T+ T-, which has the
+    # 2N x 2N coupling's determinant and gives the same D; ratio inf sends
+    # every column through the fallback blocks.
+    monkeypatch.setattr(solver, "FALLBACK_RATIO", ratio)
+    n = kernel.n_windows
+    system = _linearised(kernel.P, solve_r(kernel, 1.0).values)
+    assert system.fallback_columns == (2 * n if ratio == np.inf else 0)
+    whole = np.block([[np.eye(n), -system.t_map[0]], [-system.t_map[1], np.eye(n)]])
+    assert np.linalg.det(system.coupling) == pytest.approx(np.linalg.det(whole), rel=1e-13)
+    b = np.random.default_rng(n).normal(size=(2, n, n))
+    b[:, np.arange(n), np.arange(n)] = 0.0
+    want = coupled_solve_2n(system, b)
+    assert np.max(np.abs(system.solve(b) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_solve_leaves_b_unwritten_and_returns_a_zero_diagonal():
@@ -703,28 +799,38 @@ def test_singular_dense_system_is_a_solver_error(monkeypatch):
 
 
 def test_structured_newton_step_forms_u_once(monkeypatch):
-    # Each step's defect forms u = diag(P R), and the step's factorisation
-    # reuses it: one product for the defect and one for the solve's a_k.
-    # The derivatives' factorisation and their second right-hand side reuse
-    # the u of the last defect, at the root: their three products are the two
-    # solves' a_k and t1 = diag(P d1), which apply_m takes as it is.
-    calls = []
-    product = solver._diag_of_product
+    # Each defect forms one product P @ R and reads u = diag(P R) off its
+    # diagonal, and the step's factorisation reuses it: the only separate
+    # diagonal product is each solve's a_k = diag(v B).  The derivatives'
+    # factorisation and their second right-hand side reuse the u of the last
+    # defect, at the root, and apply_m reads t1 = diag(P d1) off its own
+    # product P @ d1: their two diagonal products are the two solves' a_k.
+    calls, defects = [], []
+    product, rhs = solver._diag_of_product, solver._rhs
 
     def counted(a, b):
         calls.append(1)
         return product(a, b)
 
+    def counted_rhs(*args):
+        defects.append(1)
+        return rhs(*args)
+
     monkeypatch.setattr(solver, "_diag_of_product", counted)
-    r = solve_r(symmetric_kernel(solver.DENSE_MAX_N + 2), 1.0)
-    assert len(calls) == 1 + 2 * r.iterations
+    monkeypatch.setattr(solver, "_rhs", counted_rhs)
+    k = symmetric_kernel(solver.DENSE_MAX_N + 2)
+    r = solve_r(k, 1.0)
+    assert len(defects) == 1 + r.iterations
+    assert len(calls) == r.iterations
+    assert np.array_equal(r.system.u, np.diagonal(k.P @ r.values, axis1=1, axis2=2))
     solve_r_derivatives(r)
-    assert len(calls) == 1 + 2 * r.iterations + 3
+    assert len(defects) == 1 + r.iterations
+    assert len(calls) == r.iterations + 2
 
 
 def test_transience_root_forms_u_once(monkeypatch):
-    # u = diag(P 1) is formed once per call; each power step forms only its
-    # t = diag(P D).
+    # u = diag(P 1) is formed once per call; each power step reads its
+    # t = diag(P D) off the product P @ D that apply_m forms anyway.
     calls, steps = [], []
     product, apply = solver._diag_of_product, solver.apply_m
 
@@ -740,7 +846,7 @@ def test_transience_root_forms_u_once(monkeypatch):
     monkeypatch.setattr(solver, "apply_m", stepped)
     transience_root(dirichlet_kernel(6, 1.0, seed=1))
     assert len(steps) > 1
-    assert len(calls) == len(steps) + 1
+    assert len(calls) == 1
 
 
 def test_dense_compute_limits_builds_one_flat_system(monkeypatch):
