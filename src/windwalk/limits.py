@@ -255,6 +255,9 @@ def compute_limits(
     kernel.check_metric(metric)
     r = solve_r(kernel, 1.0, tol=tol)
     derivs = solve_r_derivatives(r)
+    # The jets read R and its derivatives alone: the root's factorisation,
+    # which served d1 and d2, is freed before they are built.
+    r.system = None
     b = build_b(r, derivs, metric.W)
     # perron_jet reads only the jets: R and its derivatives are freed first.
     del r, derivs

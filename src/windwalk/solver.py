@@ -14,7 +14,10 @@ where the product term walks to a window m != i, j in the same chamber and
 then hits j, and ``u_{-k}`` is the return to i through the other chamber.
 Newton's method started from R = 0 increases monotonically to the least
 root of this monotone polynomial system (Etessami & Yannakakis, JACM 2009),
-which is the probabilistically correct one.
+which is the probabilistically correct one.  At a fixed u the system is
+linear in R, so above ``DENSE_MAX_N`` windows R is eliminated and Newton's
+method runs on the 2N unknowns u alone (``_ChamberNewton``); it too rises
+monotonically from u = 0 to the least root.
 
 Above ``DENSE_MAX_N`` windows every linear solve ``(I - M) D = B``, with M
 the Jacobian of the right-hand side, is done in structured form.  Column j
@@ -31,9 +34,12 @@ coupling's right-hand side is read off the factorisation's row table, and
 the coupling's N x N Schur complement, formed once per factorisation, is
 LU-solved on each call, not inverted.
 
-Newton's method stops after a step of at most ``tol``, at the rounding floor,
-or once its own quadratic model puts the next step below half an ulp of R
-(``solve_r``): that step would mostly round away.
+Each Newton step on u factors ``G`` once, at the new u, and brings R to it
+before the coupling measures the next step, so the last step's
+factorisation sits at the root and serves the derivatives too.  The
+iteration stops once the step that reached u is at most ``tol``, once the
+measured next step would move R by at most half an ulp of ``max R``, or
+at the rounding floor (``solve_r``).
 
 At the sizes where numpy's per-call cost, not arithmetic, sets the time of a
 Newton step, each of the step's arrays is allocated once and filled in place:
@@ -59,12 +65,13 @@ of the Jacobian ``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array
 operations and does one dense LU solve, and the results are scattered back
 into the (2, N, N) layout.  There one LU solve costs less than the
 structured solve's many small numpy calls.  Either form is a Newton system
-with ``start``, ``defect`` (f(R) - R), ``linearised`` (the solve with
-``I - M`` at the last defect's R), ``m_times`` (M D and its return term) and
-``values``.  ``solve_r`` is the one Newton loop over both, and
-``solve_r_derivatives`` states the derivative rule once, over the system
-that ``solve_r`` stopped in.  The tests check ``system_matrices`` against
-the flat system built arc by arc, in ``tests/reference.py``.
+with ``step`` (one Newton step and its stop rule), ``finish`` (the true
+defect at the root), ``linearised`` (the solve with ``I - M`` at the root),
+``m_times`` (M D and its return term) and ``values``.  ``solve_r`` is the
+one loop over both, with its step cap, and ``solve_r_derivatives`` states
+the derivative rule once, over the system that ``solve_r`` stopped in.  The
+tests check ``system_matrices`` against the flat system built arc by arc,
+in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -106,13 +113,15 @@ class SolverError(RuntimeError):
 @dataclass
 class RSolution:
     """Converged (2, N, N) R values at one lambda, with the fixed-point defect
-    and the Newton ``system`` that stopped there, for ``solve_r_derivatives``."""
+    and the Newton ``system`` that stopped there, for ``solve_r_derivatives``:
+    on the structured path it holds the factorisation at the root.  A caller
+    done with the derivatives may set it to None to free that."""
 
     lam: float
     values: np.ndarray
     residual: float
     iterations: int
-    system: _ChamberNewton | _FlatNewton = field(repr=False, compare=False)
+    system: _ChamberNewton | _FlatNewton | None = field(repr=False, compare=False)
 
 
 @dataclass
@@ -140,15 +149,15 @@ def _offdiag(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rhs(p: np.ndarray, lam: float, r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Right-hand side f(R) of the fixed-point form R = f(R), and
-    ``u = diag(P R)``, read off the product ``P @ R`` that f opens with."""
-    f = p @ r
-    u = _diagonal(f).copy()
+def _complete_rhs(f: np.ndarray, p: np.ndarray, lam: float, r: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """The right-hand side ``lam (P + offdiag(P R) + diag(u_{-k}) R)`` at a
+    given u, completed in place from the product ``f = P @ R``; f(R) when
+    ``u = diag(P R)``."""
     f += p
     f += u[::-1, :, None] * r
     f *= lam
-    return _offdiag(f), u
+    return _offdiag(f)
 
 
 def apply_m(p: np.ndarray, lam: float, r: np.ndarray, d: np.ndarray,
@@ -200,16 +209,17 @@ class LinearisedSystem:
     ``B_k + lam diag(t_{-k}) R_k`` then gives D.
 
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
-    ``1 - lam u_{-k}`` written through a strided view; once ``H`` and ``v``
-    are formed, the buffer of G holds ``T``, and ``h_diag`` is a view of
-    ``H``.  A solve copies B once and
-    writes into the copy, never into B.  The caller passes ``u = diag(P R)``,
-    which it has from the defect at R.
+    ``1 - lam u_{-k}`` written through a strided view, and ``h_diag`` is a
+    view of ``H``.  A solve copies B once and writes into the copy, never
+    into B.  The caller passes ``u = diag(P R)``, which it has read off a
+    product ``P @ R``.  With R None only ``G`` is factored, at u, for block
+    solves; ``couple(r)`` then forms ``T`` and the coupling, as Newton's
+    method on u needs R at u before it can.
     """
 
-    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray, u: np.ndarray):
+    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray | None, u: np.ndarray):
         n = p.shape[-1]
-        self.lam, self.r = lam, r
+        self.lam = lam
         # C order, whatever the layout of P, so that _diagonal is a view.
         g = np.multiply(p, -lam, order="C")
         _diagonal(g)[...] = 1.0 - lam * u[::-1]
@@ -217,7 +227,8 @@ class LinearisedSystem:
             h = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"a chamber block of I - M is singular: {exc}") from exc
-        fallback = FALLBACK_RATIO * np.abs(h).max(axis=(1, 2)) > 1.0
+        # One flat reduction per chamber: numpy reduces over two axes slower.
+        fallback = FALLBACK_RATIO * np.abs(h).reshape(2, -1).max(axis=1) > 1.0
         self.fallback_columns = n * int(np.count_nonzero(fallback))
         self.h, self.h_diag = h, _diagonal(h)
         # Row i of v: row i of P_k times the inverse of block i.
@@ -235,14 +246,33 @@ class LinearisedSystem:
             v[self.sign[:, None], self.col[:, None], self.keep] = (
                 p_rows[:, None, :] @ self.blocks_inv)[:, 0, :]
         self.v = v
-        # G is spent: its buffer takes (lam v) * R^T, the map t_{-k} -> t_k.
-        t_map = np.multiply(v, lam, out=g)
+        if r is not None:
+            self.couple(r)
+
+    def couple(self, r: np.ndarray) -> None:
+        """Form ``T`` and the N x N coupling at R, which ``solve`` reads."""
+        n = r.shape[-1]
+        self.r = r
+        # (lam v) * R^T, the map t_{-k} -> t_k.
+        t_map = np.multiply(self.v, self.lam)
         t_map *= np.swapaxes(r, 1, 2)
         self.t_map = _offdiag(t_map)
         coupling = np.matmul(t_map[0], t_map[1])
         np.negative(coupling, out=coupling)
         coupling.reshape(-1)[::n + 1] += 1.0
         self.coupling = coupling
+
+    def solve_coupling(self, t: np.ndarray) -> np.ndarray:
+        """x with ``[[I, -T_+], [-T_-, I]] x = t`` for a (2, N) t, which is
+        written: ``coupling x_+ = t_+ + T_+ t_-`` is LU-solved, then
+        ``x_- = t_- + T_- x_+``."""
+        t[0] += self.t_map[0] @ t[1]
+        try:
+            t[0] = np.linalg.solve(self.coupling, t[0])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"the N x N coupling of I - M is singular: {exc}") from exc
+        t[1] += self.t_map[1] @ t[0]
+        return t
 
     def _block_solve(self, b: np.ndarray) -> np.ndarray:
         """Every column block's solution for a zero-diagonal (2, N, N) B,
@@ -260,38 +290,77 @@ class LinearisedSystem:
         """D with ``(I - M) D = B`` for a (2, N, N) right-hand side B, whose
         diagonal is ignored; B itself is not written."""
         b = _offdiag(np.array(b, dtype=float, order="C"))
-        # t starts as a = diag(v B), and t_+ is solved in place.
-        t = _diag_of_product(self.v, b)
-        t[0] += self.t_map[0] @ t[1]
-        try:
-            t[0] = np.linalg.solve(self.coupling, t[0])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"the N x N coupling of I - M is singular: {exc}") from exc
-        t[1] += self.t_map[1] @ t[0]
+        t = self.solve_coupling(_diag_of_product(self.v, b))
         b += self.lam * t[::-1, :, None] * self.r
         return self._block_solve(b)
 
 
 class _ChamberNewton:
-    """Newton's method on the (2, N, N) arrays, one ``LinearisedSystem`` per
-    step; ``u = diag(P R)`` is read off the defect's product ``P @ R``."""
+    """Newton's method on the 2N return probabilities ``u = diag(P R)``,
+    with R eliminated: at a given u the system is linear in R, and R(u)
+    solves it block by block (nonlinear elimination; Lanzkron, Rose &
+    Wilkes, SIAM J. Sci. Comput. 17, 1996).  The map
+    ``u -> diag(P R(u))`` is isotone and order-convex, so Newton's method
+    from u = 0 rises monotonically to its least fixed point (Ortega &
+    Rheinboldt, *Iterative Solution of Nonlinear Equations*, section 13.3),
+    the ``u`` of the least root R.
+
+    Step j factors ``G`` at ``u_j`` (a ``LinearisedSystem``), then moves R
+    by the block solve of the linear part's residual at the last R and
+    ``u_j``, so that R solves the linear system at ``u_j`` to its rounding.
+    One product ``P @ R`` then gives ``g = diag(P R) - u_j``, the next
+    residual and the true defect, and the coupling, formed from the same
+    factorisation and R, measures the next step ``Δu`` by one N x N solve:
+    the Jacobian of g is ``-[[I, -T_+], [-T_-, I]]``.  The factorisation
+    of the last step thus sits at the root and serves the derivatives."""
 
     def __init__(self, p: np.ndarray, lam: float):
         self.p, self.lam = p, lam
+        self.r = np.zeros(p.shape)
+        # u_0 = 0, reached by a step of 0, and P R = 0 at R = 0.
+        self.u, self.du, self.pr = np.zeros(p.shape[:2]), np.zeros(p.shape[:2]), np.zeros(p.shape)
+        self.linear: LinearisedSystem | None = None
+        self.last_step = np.inf
 
-    def start(self) -> np.ndarray:
-        return np.zeros_like(self.p)
+    def step(self, iterations: int, tol: float) -> bool:
+        """Apply the measured step to u, factor at the new u, bring R to it and
+        measure the next step; whether the iteration stops at this u."""
+        p, lam, r, u = self.p, self.lam, self.r, self.u
+        u += self.du
+        # The linear part's residual at the last R and the new u, filled in
+        # the buffer of the last P R.
+        residual = _complete_rhs(self.pr, p, lam, r, u)
+        residual -= r
+        # Free the last factorisation before the next is built.
+        self.pr = self.linear = None
+        self.linear = linear = LinearisedSystem(p, lam, None, u)
+        r += linear._block_solve(residual)
+        del residual
+        self.pr = p @ r
+        linear.couple(r)
+        self.du = linear.solve_coupling(_diagonal(self.pr) - u)
+        step = _step_size(self.du, iterations)
+        applied, self.last_step = self.last_step, step
+        # Taking the next step would move each entry of R by at most
+        # lam ||H||_inf step max R, as H_k bounds the inverse of each of its
+        # deleted blocks entrywise: within half an ulp of max R it rounds
+        # away.  ||H||_inf >= 1 is read only when the rule can fire.
+        return (applied <= tol or (step <= STALL_STEP and step >= applied)
+                or (lam * step <= HALF_EPS
+                    and lam * float(linear.h.sum(axis=2).max()) * step <= HALF_EPS))
 
-    def defect(self, r: np.ndarray) -> np.ndarray:
-        """f(R) - R, keeping R and ``u`` at R for the step from R."""
-        f, self.u = _rhs(self.p, self.lam, r)
-        self.r = r
-        f -= r
-        return f
+    def finish(self) -> float:
+        """The true defect ``max |f(R) - R|`` at the root, read off the last
+        ``P @ R``, whose diagonal becomes the ``u`` the derivatives read."""
+        f, self.pr = self.pr, None
+        self.u = _diagonal(f).copy()
+        f = _complete_rhs(f, self.p, self.lam, self.r, self.u)
+        f -= self.r
+        return float(np.abs(f).max())
 
     def linearised(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve with ``I - M`` at the R of the last defect, factored once."""
-        return LinearisedSystem(self.p, self.lam, self.r, self.u).solve
+        """The solve with ``I - M`` at the root: the last step's factorisation."""
+        return self.linear.solve
 
     def m_times(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """M D and the return term ``lam diag(P_{-k} D_{-k})`` on each row."""
@@ -367,9 +436,9 @@ class _FlatNewton:
         self.lam_a1 *= lam
         self.lam_c *= lam
         self.i_minus_a1 = np.eye(len(self.arcs)) - self.lam_a1
-
-    def start(self) -> np.ndarray:
-        return np.zeros(len(self.arcs))
+        self.r = np.zeros(len(self.arcs))
+        self.f = self.defect(self.r)
+        self.last_step = np.inf
 
     def defect(self, r: np.ndarray) -> np.ndarray:
         """f(R) - R, keeping R and its return term ``C' R`` for the step."""
@@ -379,6 +448,22 @@ class _FlatNewton:
         f += self.ret * r
         f -= r
         return f
+
+    def step(self, iterations: int, tol: float) -> bool:
+        """One Newton step on R; whether the iteration stops after it."""
+        delta = self.linearised()(self.f)
+        step = _step_size(delta, iterations)
+        self.r += delta
+        # Only R and its defect stay live into the next factorisation.
+        del delta
+        self.f = self.defect(self.r)
+        prev_step, self.last_step = self.last_step, step
+        return (step <= tol or (step <= STALL_STEP and step >= prev_step)
+                or _next_step_rounds_away(step, prev_step, self.r))
+
+    def finish(self) -> float:
+        """The true defect ``max |f(R) - R|`` at the root."""
+        return float(np.abs(self.f).max())
 
     def linearised(self) -> Callable[[np.ndarray], np.ndarray]:
         """The solve with ``I - M`` at the R of the last defect, by LU."""
@@ -414,6 +499,14 @@ def _next_step_rounds_away(step: float, prev_step: float, r: np.ndarray) -> bool
             and step ** 3 <= bound and step ** 3 <= bound * float(r.max()))
 
 
+def _step_size(delta: np.ndarray, iterations: int) -> float:
+    """``max |delta|`` of Newton step ``iterations``, which must be finite."""
+    step = float(np.abs(delta).max())
+    if not math.isfinite(step):
+        raise SolverError(f"Newton step {iterations} is not finite")
+    return step
+
+
 def solve_r(
     kernel: TransitionKernel,
     lam: float,
@@ -422,43 +515,38 @@ def solve_r(
     """Least root of the quadratic system at ``lam`` in [0, 1], by Newton's
     method from R = 0.
 
-    The iteration stops after a step that is at most ``tol``; or below
-    ``STALL_STEP`` and no smaller than the one before it, as the iterate then
-    sits at the rounding floor of the solve, which can lie above a small
-    ``tol``; or after which Newton's quadratic model puts the next step below
-    half an ulp of ``max R`` (``_next_step_rounds_away``), a step that would
-    mostly round away.  ``DEFAULT_MAX_ITER`` steps without any of these raise
-    SolverError.
-    ``iterations`` counts Newton steps and ``residual`` is the true defect
-    ``max |f(R) - R|`` at the returned R.  Up to ``DENSE_MAX_N`` windows the
-    steps are taken on the dense flat system, above it on the structured one.
+    Up to ``DENSE_MAX_N`` windows the steps are taken on R, in the dense flat
+    system.  The iteration stops after a step that is at most ``tol``; or
+    below ``STALL_STEP`` and no smaller than the one before it, as the
+    iterate then sits at the rounding floor of the solve, which can lie above
+    a small ``tol``; or after which Newton's quadratic model puts the next
+    step below half an ulp of ``max R`` (``_next_step_rounds_away``), a step
+    that would mostly round away.
+
+    Above it the steps are taken on ``u = diag(P R)`` (``_ChamberNewton``),
+    each of which measures the next before it is taken.  The iteration stops
+    at u once the step that reached u is at most ``tol``; or once the
+    measured next step would move R by at most half an ulp of ``max R``
+    (``lam ||H||_inf step <= eps / 2``), or is below ``STALL_STEP`` and no
+    smaller than the step that reached u.
+
+    ``DEFAULT_MAX_ITER`` steps without a stop raise SolverError.
+    ``iterations`` counts Newton steps, one factorisation each, and
+    ``residual`` is the true defect ``max |f(R) - R|`` at the returned R.
     """
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     system = (_FlatNewton if kernel.n_windows <= DENSE_MAX_N else _ChamberNewton)(kernel.P, lam)
-    r = system.start()
-    defect = system.defect(r)
-    prev_step = np.inf
     for iterations in range(1, DEFAULT_MAX_ITER + 1):
-        delta = system.linearised()(defect)
-        step = float(np.abs(delta).max())
-        if not math.isfinite(step):
-            raise SolverError(f"Newton step {iterations} is not finite")
-        r += delta
-        # Only R and its defect stay live into the next factorisation.
-        del delta
-        defect = system.defect(r)
-        if (step <= tol or (step <= STALL_STEP and step >= prev_step)
-                or _next_step_rounds_away(step, prev_step, r)):
+        if system.step(iterations, tol):
             break
-        prev_step = step
     else:
-        raise SolverError(
-            f"Newton's method did not converge in {DEFAULT_MAX_ITER} steps (last step {step:.3e})")
-    residual = float(np.abs(defect).max())
-    return RSolution(lam, system.values(r), residual, iterations, system)
+        raise SolverError(f"Newton's method did not converge in {DEFAULT_MAX_ITER} steps "
+                          f"(last step {system.last_step:.3e})")
+    residual = system.finish()
+    return RSolution(lam, system.values(system.r), residual, iterations, system)
 
 
 def solve_r_derivatives(r: RSolution) -> RDerivatives:
@@ -469,10 +557,11 @@ def solve_r_derivatives(r: RSolution) -> RDerivatives:
     second time (I - M) d2 = 2 (M / lam) d1 + 2 lam (C d1) * d1 with the
     quadratic cross terms from the return products; in the matrix form
     ``(C d1)`` is ``diag(P_{-k} d1_{-k})`` on row i.  ``I - M`` is that of
-    ``r.system`` at its last defect, the root, and serves both solves:
-    factored once on the structured path, and LU-solved twice on the dense
-    flat one, which takes up to ``DENSE_MAX_N`` windows.  A lam below the
-    smallest normal float is refused: ``R ~ lam P`` underflows there.
+    ``r.system`` at the root, and serves both solves: on the structured path
+    it is the last Newton step's factorisation, so none is built here, and
+    on the dense flat one, which takes up to ``DENSE_MAX_N`` windows, it is
+    LU-solved twice.  A lam below the smallest normal float is refused:
+    ``R ~ lam P`` underflows there.
     """
     lam, system = r.lam, r.system
     if lam < sys.float_info.min:

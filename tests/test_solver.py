@@ -423,8 +423,9 @@ def test_newton_step_count_and_rounding_floor_at_small_q():
 
 @pytest.mark.parametrize("n", [14, 20, 33])
 def test_symmetric_newton_stops_before_a_step_below_rounding(n):
-    # The fourth step, below 1e-9, puts the model's fifth below half an ulp
-    # of R = 1 / (N - 1); that fifth step was taken before the rule.
+    # The fourth factorisation measures a next step near 2e-17 in u, which
+    # would move R by at most lam ||H||_inf 2e-17 max R, below half an ulp
+    # of max R = 1 / (N - 1): that fifth factorisation is not built.
     r = solve_r(symmetric_kernel(n), 1.0)
     assert r.iterations == 4
     assert np.max(np.abs(to_flat(r.values) - 1 / (n - 1))) <= 1e-15
@@ -610,6 +611,33 @@ def test_bit_dump_ulp_prints_each_metrics_sensitivity(capsys):
         assert len(moves) == 4 and all(0.0 <= move <= 1e-14 for move in moves)
 
 
+def test_bit_dump_moves_lists_only_a_kernel_that_moved(tmp_path, capsys):
+    # Two equal dumps list nothing; moving one gamma by 1e-12 relative lists
+    # that kernel alone, with its move and its one-ulp sensitivity.
+    import bit_dump
+
+    chosen = ["asymmetric", "symmetric:8"]
+    assert bit_dump.main(chosen) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("".join(lines))
+    new.write_text("".join(lines))
+    assert bit_dump.main(["--moves", str(old), str(new), *chosen]) == 0
+    assert capsys.readouterr().out == ""
+    cells = lines[2].split(" | ")
+    words = cells[7].split()
+    words[1] = (float.fromhex(words[1]) * (1.0 + 1e-12)).hex()
+    cells[7] = " ".join(words)
+    lines[2] = " | ".join(cells)
+    new.write_text("".join(lines))
+    assert bit_dump.main(["--moves", str(old), str(new), *chosen]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert len(listed) == 1
+    assert listed[0].startswith("symmetric(N=8) | steps=5 residual=")
+    assert (" | word gamma=1.0e-12 sigma2=0.0e+00 | fenced gamma=0.0e+00 sigma2=0.0e+00"
+            " | ulp word gamma=") in listed[0]
+
+
 @pytest.mark.parametrize("kernel", [
     symmetric_kernel(3), symmetric_kernel(20), symmetric_kernel(33), symmetric_kernel(64),
     asymmetric_kernel(), one_parameter_kernel(1e-5), dirichlet_kernel(4, 0.001, seed=4),
@@ -685,8 +713,9 @@ def test_solve_leaves_b_unwritten_and_returns_a_zero_diagonal():
 @pytest.mark.parametrize("path", ["structured", "dense"])
 def test_non_finite_newton_step_is_a_solver_error(monkeypatch, path):
     if path == "structured":
-        monkeypatch.setattr(solver.LinearisedSystem, "solve",
-                            lambda self, b: np.full_like(b, np.nan))
+        # The NaN enters the Newton step on u, the coupling solve of g.
+        monkeypatch.setattr(solver.LinearisedSystem, "solve_coupling",
+                            lambda self, t: np.full_like(t, np.nan))
         kernel = symmetric_kernel(solver.DENSE_MAX_N + 1)
     else:
         monkeypatch.setattr(solver.np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
@@ -798,34 +827,67 @@ def test_singular_dense_system_is_a_solver_error(monkeypatch):
             call()
 
 
-def test_structured_newton_step_forms_u_once(monkeypatch):
-    # Each defect forms one product P @ R and reads u = diag(P R) off its
-    # diagonal, and the step's factorisation reuses it: the only separate
-    # diagonal product is each solve's a_k = diag(v B).  The derivatives'
-    # factorisation and their second right-hand side reuse the u of the last
-    # defect, at the root, and apply_m reads t1 = diag(P d1) off its own
-    # product P @ d1: their two diagonal products are the two solves' a_k.
-    calls, defects = [], []
-    product, rhs = solver._diag_of_product, solver._rhs
+@pytest.mark.parametrize("kernel", [
+    symmetric_kernel(solver.DENSE_MAX_N + 2), symmetric_kernel(20),
+    dirichlet_kernel(9, 0.01, seed=1), dirichlet_kernel(9, 0.001, seed=0),
+], ids=repr)
+def test_structured_newton_factors_once_per_step(monkeypatch, kernel):
+    # Each Newton step on u factors G once, and the last step's
+    # factorisation, at the root, serves d1 and d2: compute_limits builds
+    # r.iterations factorisations and solve_r_derivatives none (the parent
+    # design built one more there).  u at the root is read off P @ R.
+    built = []
 
-    def counted(a, b):
-        calls.append(1)
-        return product(a, b)
+    class Counted(solver.LinearisedSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
 
-    def counted_rhs(*args):
-        defects.append(1)
-        return rhs(*args)
-
-    monkeypatch.setattr(solver, "_diag_of_product", counted)
-    monkeypatch.setattr(solver, "_rhs", counted_rhs)
-    k = symmetric_kernel(solver.DENSE_MAX_N + 2)
-    r = solve_r(k, 1.0)
-    assert len(defects) == 1 + r.iterations
-    assert len(calls) == r.iterations
-    assert np.array_equal(r.system.u, np.diagonal(k.P @ r.values, axis1=1, axis2=2))
+    monkeypatch.setattr(solver, "LinearisedSystem", Counted)
+    r = solve_r(kernel, 1.0)
+    assert len(built) == r.iterations
+    assert r.system.linear is built[-1]
+    assert np.array_equal(r.system.u, np.diagonal(kernel.P @ r.values, axis1=1, axis2=2))
     solve_r_derivatives(r)
-    assert len(defects) == 1 + r.iterations
-    assert len(calls) == r.iterations + 2
+    assert len(built) == r.iterations
+    built.clear()
+    compute_limits(kernel, word_metric(kernel.n_windows))
+    assert len(built) == r.iterations
+
+
+def test_newton_on_u_rises_to_the_root(monkeypatch):
+    # Newton's method from u = 0 on the isotone, order-convex map
+    # u -> diag(P R(u)) rises monotonically, and R(u) with it, so no u
+    # iterate falls and no R iterate rises above the returned root beyond
+    # rounding: 4 eps ||H||_inf times max u or max R, as ||H||_inf bounds
+    # how far the block solves amplify it.
+    iterates = []
+    step = solver._ChamberNewton.step
+
+    def recorded(self, *args):
+        stop = step(self, *args)
+        iterates.append((self.u.copy(), self.r.copy()))
+        return stop
+
+    monkeypatch.setattr(solver._ChamberNewton, "step", recorded)
+    eps, solved = np.finfo(float).eps, 0
+    for n, concentration, seed, lam in itertools.product((7, 9, 12), (1.0, 0.01, 0.001),
+                                                         range(3), (1.0, 0.6)):
+        iterates.clear()
+        try:
+            r = solve_r(dirichlet_kernel(n, concentration, seed), lam)
+        except SolverError:
+            continue
+        solved += 1
+        rounding = 4.0 * eps * float(r.system.linear.h.sum(axis=2).max())
+        us, rs = zip(*iterates)
+        for before, after in zip(us, us[1:]):
+            assert np.all(after >= before - rounding * us[-1].max())
+        for values in rs:
+            assert np.all(values <= r.values + rounding * r.values.max())
+    # Only dirichlet_kernel(12, 0.001, seed=0) at lam = 1 is refused, at the
+    # step cap.
+    assert solved == 53
 
 
 def test_transience_root_forms_u_once(monkeypatch):
