@@ -59,12 +59,13 @@ system reads
 
 Up to ``DENSE_MAX_N`` windows, at most 60 unknowns, Newton's method and the
 derivatives work on this flat form instead: ``system_matrices`` places its
-constant part (``p``, ``A1`` and ``C``) once per ``solve_r`` from ``P`` by
-index arithmetic, scaled by lam after, each step adds the R-dependent terms
-of the Jacobian ``M = lam (A1 + diag(C R) + diag(R) C)`` with a few array
-operations and does one dense LU solve, and the results are scattered back
-into the (2, N, N) layout.  There one LU solve costs less than the
-structured solve's many small numpy calls.  Either form is a Newton system
+constant part, ``p`` and the (2 dim, dim) stack ``K = [A1; C]``, once per
+``solve_r`` from ``P`` by one index pattern, scaled by lam after.  Each step
+reads ``A1 R`` and ``C R`` off one product ``K @ R``, forms ``I - M``, with
+``M = lam (A1 + diag(C R) + diag(R) C)`` the Jacobian, from views of K and
+does one dense LU solve, and the results are scattered back into the
+(2, N, N) layout.  There one LU solve costs less than the structured
+solve's many small numpy calls.  Either form is a Newton system
 with ``step`` (one Newton step and its stop rule), ``finish`` (the true
 defect at the root), ``linearised`` (the solve with ``I - M`` at the root),
 ``m_times`` (M D and its return term) and ``values``.  ``solve_r`` is the
@@ -211,13 +212,13 @@ class LinearisedSystem:
     ``G_k`` is assembled in place from ``-lam P_k``, its diagonal
     ``1 - lam u_{-k}`` written through a strided view, and ``h_diag`` is a
     view of ``H``.  A solve copies B once and writes into the copy, never
-    into B.  The caller passes ``u = diag(P R)``, which it has read off a
-    product ``P @ R``.  With R None only ``G`` is factored, at u, for block
-    solves; ``couple(r)`` then forms ``T`` and the coupling, as Newton's
-    method on u needs R at u before it can.
+    into B.  The constructor factors ``G`` at the return probabilities u,
+    which is all that block solves need; ``couple(r)`` then forms ``T`` and
+    the coupling at an R with ``u = diag(P R)``, as Newton's method on u
+    brings R to u by a block solve before it can, and ``solve`` reads both.
     """
 
-    def __init__(self, p: np.ndarray, lam: float, r: np.ndarray | None, u: np.ndarray):
+    def __init__(self, p: np.ndarray, lam: float, u: np.ndarray):
         n = p.shape[-1]
         self.lam = lam
         # C order, whatever the layout of P, so that _diagonal is a view.
@@ -246,8 +247,6 @@ class LinearisedSystem:
             v[self.sign[:, None], self.col[:, None], self.keep] = (
                 p_rows[:, None, :] @ self.blocks_inv)[:, 0, :]
         self.v = v
-        if r is not None:
-            self.couple(r)
 
     def couple(self, r: np.ndarray) -> None:
         """Form ``T`` and the N x N coupling at R, which ``solve`` reads."""
@@ -333,7 +332,7 @@ class _ChamberNewton:
         residual -= r
         # Free the last factorisation before the next is built.
         self.pr = self.linear = None
-        self.linear = linear = LinearisedSystem(p, lam, None, u)
+        self.linear = linear = LinearisedSystem(p, lam, u)
         r += linear._block_solve(residual)
         del residual
         self.pr = p @ r
@@ -380,14 +379,15 @@ def _lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _flat_pattern(n: int) -> Tuple[np.ndarray, ...]:
+def _flat_pattern(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Where the flat system's entries come from in the raveled (2, N, N)
     ``P``, for N windows: the arcs in flat order, then the row, column and
-    source of each entry of the same-chamber block A1 and of the return-term
-    block C.  Read-only, and kept for each N up to ``DENSE_MAX_N``, the only
-    sizes that build a flat system."""
+    source of each entry of ``K = [A1; C]``, the return-term block C's rows
+    offset by dim.  Read-only, and kept for each N up to ``DENSE_MAX_N``,
+    the only sizes that build a flat system."""
+    dim = 2 * n * (n - 1)
     flat = np.full((2, n, n), -1)
-    flat[:, ~np.eye(n, dtype=bool)] = np.arange(2 * n * (n - 1)).reshape(2, -1)
+    flat[:, ~np.eye(n, dtype=bool)] = np.arange(dim).reshape(2, -1)
     s, i, j, m = np.indices((2, n, n, n))
     arc = i != j
     # A1: the walk from i to m != j in chamber k, then on from m to j.
@@ -395,55 +395,54 @@ def _flat_pattern(n: int) -> Tuple[np.ndarray, ...]:
     # C: the return from i to m and back in the other chamber.
     back = arc & (m != i)
     pattern = (np.flatnonzero(flat >= 0),
-               flat[s, i, j][same], flat[s, m, j][same], ((s * n + i) * n + m)[same],
-               flat[s, i, j][back], flat[1 - s, m, i][back], (((1 - s) * n + i) * n + m)[back])
+               np.concatenate((flat[s, i, j][same], dim + flat[s, i, j][back])),
+               np.concatenate((flat[s, m, j][same], flat[1 - s, m, i][back])),
+               np.concatenate((((s * n + i) * n + m)[same], (((1 - s) * n + i) * n + m)[back])))
     for a in pattern:
         a.flags.writeable = False
     return pattern
 
 
-def system_matrices(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def system_matrices(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat system ``R = p + A1 R + (C R) * R`` at lam = 1 of a (2, N, N)
-    chamber array ``p``, as ``(arcs, p, A1, C)``: ``arcs`` holds the arcs'
+    chamber array ``p``, as ``(arcs, p, K)``: ``arcs`` holds the arcs'
     positions in the raveled array, in flat order (sign +1 then -1, then
-    source i, then target j != i), and the unscaled ``p``, ``A1`` and ``C``
-    are placed from ``p`` by ``_flat_pattern``, which caches the pattern
-    for each N."""
-    arcs, a_rows, a_cols, a_src, c_rows, c_cols, c_src = _flat_pattern(p.shape[-1])
+    source i, then target j != i), and the unscaled ``p`` and the
+    ``(2 dim, dim)`` stack ``K = [A1; C]`` are placed from ``p`` by
+    ``_flat_pattern``, which caches the pattern for each N."""
+    arcs, rows, cols, src = _flat_pattern(p.shape[-1])
     flat = np.ravel(p)
-    dim = len(arcs)
-    a1 = np.zeros((dim, dim))
-    a1[a_rows, a_cols] = flat[a_src]
-    c = np.zeros((dim, dim))
-    c[c_rows, c_cols] = flat[c_src]
-    return arcs, flat[arcs], a1, c
+    stack = np.zeros((2 * len(arcs), len(arcs)))
+    stack[rows, cols] = flat[src]
+    return arcs, flat[arcs], stack
 
 
 class _FlatNewton:
     """Newton's method on the dense flat system for small N, in flat order:
     ``R = p' + A1' R + (C' R) * R`` with the primes scaled by lam.  The
-    constant parts are assembled once, by ``system_matrices``, and each step
-    adds the R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'`` and
-    does one LU solve.  ``C' R``, the return term of each row, is formed once
-    per step, with the defect, and ``m_times`` reuses the one at the root."""
+    constant parts are assembled once, by ``system_matrices``, as the stack
+    ``K' = [A1'; C']``, and each step adds the R-dependent terms
+    ``diag(C' R) + diag(R) C'`` to ``I - A1'``, read off views of K', and
+    does one LU solve.  One product ``K' R`` gives ``A1' R`` and the return
+    term ``C' R`` of each row, once per step, with the defect, and
+    ``m_times`` reuses the ``C' R`` at the root."""
 
     def __init__(self, p: np.ndarray, lam: float):
         self.lam, self.shape = lam, p.shape
-        self.arcs, self.lam_p, self.lam_a1, self.lam_c = system_matrices(p)
+        self.arcs, self.lam_p, self.lam_k = system_matrices(p)
         # lam * P_ij is one product, so scaling after placement gives the
         # same bits as placing lam * P.
         self.lam_p *= lam
-        self.lam_a1 *= lam
-        self.lam_c *= lam
-        self.i_minus_a1 = np.eye(len(self.arcs)) - self.lam_a1
+        self.lam_k *= lam
         self.r = np.zeros(len(self.arcs))
+        self.i_minus_a1 = np.eye(len(self.r)) - self.lam_k[:len(self.r)]
         self.f = self.defect(self.r)
         self.last_step = np.inf
 
     def defect(self, r: np.ndarray) -> np.ndarray:
         """f(R) - R, keeping R and its return term ``C' R`` for the step."""
-        self.r, self.ret = r, self.lam_c @ r
-        f = self.lam_a1 @ r
+        self.r, x = r, self.lam_k @ r
+        f, self.ret = x[:len(r)], x[len(r):]
         f += self.lam_p
         f += self.ret * r
         f -= r
@@ -467,15 +466,15 @@ class _FlatNewton:
 
     def linearised(self) -> Callable[[np.ndarray], np.ndarray]:
         """The solve with ``I - M`` at the R of the last defect, by LU."""
-        j = np.multiply(self.r[:, None], self.lam_c)
+        j = np.multiply(self.r[:, None], self.lam_k[len(self.r):])
         np.subtract(self.i_minus_a1, j, out=j)
         j.reshape(-1)[::len(self.r) + 1] -= self.ret
         return functools.partial(_lu_solve, j)
 
     def m_times(self, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``M D = A1' D + (C' R) * D + R * (C' D)`` and the return term ``C' D``."""
-        t = self.lam_c @ d
-        md = self.lam_a1 @ d
+        x = self.lam_k @ d
+        md, t = x[:len(d)], x[len(d):]
         md += self.ret * d
         md += self.r * t
         return md, t

@@ -145,7 +145,8 @@ def ulp_line(kernel: TransitionKernel) -> str:
                 # The factorisation at the nudged root, which the derivatives read.
                 solver._offdiag(nudged)
                 system.r, system.u = nudged, solver._diag_of_product(p, nudged)
-                system.linear = solver.LinearisedSystem(p, 1.0, nudged, system.u)
+                system.linear = solver.LinearisedSystem(p, 1.0, system.u)
+                system.linear.couple(nudged)
             else:
                 # The defect at the nudged root keeps what the derivatives read.
                 system.defect(nudged)

@@ -64,7 +64,7 @@ def flat_system_by_arc(
 ) -> Tuple[IndexMap, np.ndarray, np.ndarray, np.ndarray]:
     """Flat-index data (index, p, A1, C) of the quadratic system at lam = 1,
     built arc by arc through ``arc_entry``: the reference for
-    ``solver.system_matrices``."""
+    ``solver.system_matrices``, whose stack ``K = [A1; C]`` holds A1 over C."""
     index = IndexMap(kernel.n_windows)
     dim = len(index)
     n = kernel.n_windows

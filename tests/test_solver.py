@@ -31,7 +31,9 @@ from reference import (IndexMap, build_m_matrix, coupled_solve_2n, direct_h, fla
 
 def _linearised(p, r):
     """``LinearisedSystem`` at R and lambda = 1, with ``u = diag(P R)``."""
-    return solver.LinearisedSystem(p, 1.0, r, solver._diag_of_product(p, r))
+    system = solver.LinearisedSystem(p, 1.0, solver._diag_of_product(p, r))
+    system.couple(r)
+    return system
 
 
 def _apply_m(p, r, d):
@@ -239,14 +241,31 @@ SYSTEM_KERNELS = (
 def test_system_matrices_match_the_arc_by_arc_build(kernel):
     # The library's one assembly of the flat system, placed from P by index
     # arithmetic, equals the loop over the arcs entry for entry.
-    arcs, p, a1, c = system_matrices(kernel.P)
+    arcs, p, stack = system_matrices(kernel.P)
     index, want_p, want_a1, want_c = flat_system_by_arc(kernel)
     n = kernel.n_windows
     assert np.array_equal(arcs, [np.ravel_multi_index(((1 - k) // 2, i - 1, j - 1), (2, n, n))
                                  for i, j, k in index.tuples])
     assert np.array_equal(p, want_p)
-    assert np.array_equal(a1, want_a1)
-    assert np.array_equal(c, want_c)
+    assert np.array_equal(stack[:len(arcs)], want_a1)
+    assert np.array_equal(stack[len(arcs):], want_c)
+
+
+@pytest.mark.parametrize("n", range(3, solver.DENSE_MAX_N + 1))
+def test_system_matrices_place_one_stack_from_one_pattern(n):
+    # K = [A1; C] is placed by one fancy-index write, so a (row, col) placed
+    # twice would keep only one of its sources.
+    arcs, _, stack = system_matrices(symmetric_kernel(n).P)
+    dim = len(arcs)
+    assert dim == 2 * n * (n - 1)
+    assert stack.shape == (2 * dim, dim)
+    pattern = solver._flat_pattern(n)
+    assert len(pattern) == 4
+    assert all(not a.flags.writeable for a in pattern)
+    _, rows, cols, src = pattern
+    assert len(rows) == len(cols) == len(src)
+    assert len(np.unique(rows * dim + cols)) == len(rows)
+    assert rows.min() == 0 and rows.max() == 2 * dim - 1
 
 
 def test_matrix_form_follows_index_map_order():
@@ -544,7 +563,7 @@ def test_a_root_that_falls_back_in_both_chambers_matches_the_dense_solve():
     k = dirichlet_kernel(9, 0.001, seed=0)
     r = solve_r(k, 1.0)
     derivs = solve_r_derivatives(r)
-    assert solver.LinearisedSystem(k.P, 1.0, r.system.r, r.system.u).fallback_columns == 18
+    assert solver.LinearisedSystem(k.P, 1.0, r.system.u).fallback_columns == 18
     values = to_flat(r.values)
     m = build_m_matrix(k, 1.0, values)
     _, _, _, c = flat_system_by_arc(k)
