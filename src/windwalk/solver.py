@@ -59,9 +59,9 @@ system reads
 
 Up to ``DENSE_MAX_N`` windows, at most 60 unknowns, Newton's method and the
 derivatives work on this flat form instead: ``system_matrices`` places its
-constant part, ``p`` and the (2 dim, dim) stack ``K = [A1; C]``, once per
-``solve_r`` from ``P`` by one index pattern, scaled by lam after.  Each step
-reads ``A1 R`` and ``C R`` off one product ``K @ R``, forms ``I - M``, with
+constant part, ``lam p`` and the (2 dim, dim) stack ``lam K = lam [A1; C]``,
+once per ``solve_r`` from ``lam P`` by one index pattern.  Each step
+reads ``A1 R`` and ``C R``, times lam, off one product, forms ``I - M``, with
 ``M = lam (A1 + diag(C R) + diag(R) C)`` the Jacobian, from views of K and
 does one dense LU solve, and the results are scattered back into the
 (2, N, N) layout.  There one LU solve costs less than the structured
@@ -403,40 +403,37 @@ def _flat_pattern(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return pattern
 
 
-def system_matrices(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The flat system ``R = p + A1 R + (C R) * R`` at lam = 1 of a (2, N, N)
-    chamber array ``p``, as ``(arcs, p, K)``: ``arcs`` holds the arcs'
-    positions in the raveled array, in flat order (sign +1 then -1, then
-    source i, then target j != i), and the unscaled ``p`` and the
-    ``(2 dim, dim)`` stack ``K = [A1; C]`` are placed from ``p`` by
+def system_matrices(p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat system ``R = p + A1 R + (C R) * R`` of a (2, N, N) chamber
+    array ``p``, as ``(p, K)``: the arcs' probabilities in flat order (sign
+    +1 then -1, then source i, then target j != i) and the ``(2 dim, dim)``
+    stack ``K = [A1; C]``, each entry one entry of ``p``, placed by
     ``_flat_pattern``, which caches the pattern for each N."""
     arcs, rows, cols, src = _flat_pattern(p.shape[-1])
     flat = np.ravel(p)
     stack = np.zeros((2 * len(arcs), len(arcs)))
     stack[rows, cols] = flat[src]
-    return arcs, flat[arcs], stack
+    return flat[arcs], stack
 
 
 class _FlatNewton:
     """Newton's method on the dense flat system for small N, in flat order:
     ``R = p' + A1' R + (C' R) * R`` with the primes scaled by lam.  The
-    constant parts are assembled once, by ``system_matrices``, as the stack
-    ``K' = [A1'; C']``, and each step adds the R-dependent terms
-    ``diag(C' R) + diag(R) C'`` to ``I - A1'``, read off views of K', and
-    does one LU solve.  One product ``K' R`` gives ``A1' R`` and the return
-    term ``C' R`` of each row, once per step, with the defect, and
-    ``m_times`` reuses the ``C' R`` at the root."""
+    constant parts are placed once from ``lam P``, by ``system_matrices``,
+    as ``p'`` and the stack ``K' = [A1'; C']``, and each step adds the
+    R-dependent terms ``diag(C' R) + diag(R) C'`` to ``I - A1'``, read off
+    views of K', and does one LU solve.  One product ``K' R`` gives
+    ``A1' R`` and the return term ``C' R`` of each row, once per step, with
+    the defect, and ``m_times`` reuses the ``C' R`` at the root."""
 
     def __init__(self, p: np.ndarray, lam: float):
         self.lam, self.shape = lam, p.shape
-        self.arcs, self.lam_p, self.lam_k = system_matrices(p)
-        # lam * P_ij is one product, so scaling after placement gives the
-        # same bits as placing lam * P.
-        self.lam_p *= lam
-        self.lam_k *= lam
-        self.r = np.zeros(len(self.arcs))
+        self.arcs = _flat_pattern(p.shape[-1])[0]
+        self.lam_p, self.lam_k = system_matrices(lam * p)
+        # At R = 0 the return term is 0 and the defect is p'.
+        self.r, self.ret = np.zeros(len(self.arcs)), np.zeros(len(self.arcs))
         self.i_minus_a1 = np.eye(len(self.r)) - self.lam_k[:len(self.r)]
-        self.f = self.defect(self.r)
+        self.f = self.lam_p
         self.last_step = np.inf
 
     def defect(self, r: np.ndarray) -> np.ndarray:

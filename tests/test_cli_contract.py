@@ -9,6 +9,12 @@ import pytest
 from cli_contract import CASES, RECORD, REGENERATE, differences, run_case, versions, write_files
 
 RECORDED = json.loads(RECORD.read_text())
+#: Why the seeded cases and the help texts are not compared here, or "" under
+#: the versions the record was made with: numpy may change its seeded
+#: streams, and Python its help text.
+OTHER_VERSIONS = "" if {key: RECORDED[key] for key in versions()} == versions() else (
+    f"the record was made under Python {RECORDED['python']} and numpy {RECORDED['numpy']}, "
+    f"this is Python {versions()['python']} and numpy {versions()['numpy']}")
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +25,10 @@ def directory(tmp_path_factory):
 
 
 def test_record_holds_every_case_under_these_versions():
-    # The seeded streams may change with numpy, help text with Python.
-    assert {key: RECORDED[key] for key in versions()} == versions(), \
-        f"the record was made under other versions; regenerate it: {REGENERATE}"
     assert {name: case["argv"] for name, case in RECORDED["cases"].items()} == \
         {name: case.argv for name, case in CASES.items()}, f"regenerate the record: {REGENERATE}"
+    if OTHER_VERSIONS:
+        pytest.skip(f"{OTHER_VERSIONS}; to compare every case, regenerate it: {REGENERATE}")
 
 
 def test_contract_covers_every_subcommand_and_exit_code():
@@ -38,5 +43,7 @@ def test_contract_covers_every_subcommand_and_exit_code():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_output_matches_the_record(directory, name):
+    if OTHER_VERSIONS and (CASES[name].seeded or "--help" in CASES[name].argv):
+        pytest.skip(OTHER_VERSIONS)
     got = run_case(CASES[name], directory)
     assert differences(RECORDED["cases"][name], got, CASES[name].seeded) == []

@@ -1,14 +1,17 @@
-"""Scaled-down statistical checks; the full-size runs live in the
-acceptance suite."""
+"""Scaled-down statistical checks, and full-size LLN runs at N >= 7, where
+the limits come from the structured Newton solve; the full-size runs at
+N = 3 live in the acceptance suite."""
 
 import numpy as np
 import pytest
 
 from windwalk.chain import _run_length_groups, asymmetric_kernel, run_length_paths, symmetric_kernel
 from windwalk.groupoid import custom_metric, fenced_metric, unit, word_metric
+from windwalk.limits import compute_limits
 from windwalk.montecarlo import (_chi2_quantile, _default_initial, _ks_distance, _normal_cdf,
                                  verify_clt, verify_lln)
 
+from helpers import dirichlet_kernel
 from reference import verify_lazy_walk
 
 
@@ -113,6 +116,18 @@ def test_lln_report_equals_recorded(kernel, metric, gamma, sigma2, seed, n_paths
     rep = verify_lln(kernel, metric, gamma, n_steps=1000, n_paths=n_paths, seed=seed,
                      sigma2_ref=sigma2)
     assert repr(rep.to_json()) == expected
+
+
+@pytest.mark.parametrize("n, concentration, seed, metric", [
+    (8, 1.0, 0, word_metric), (20, 1.0, 2, word_metric), (12, 0.1, 1, fenced_metric)])
+def test_lln_agrees_with_compute_limits_on_the_structured_path(n, concentration, seed, metric):
+    # Above solver.DENSE_MAX_N, gamma and sigma^2 come from the structured
+    # Newton solve; the sampled walk is a route independent of it.
+    kernel = dirichlet_kernel(n, concentration, seed=seed)
+    lim = compute_limits(kernel, metric(n))
+    rep = verify_lln(kernel, metric(n), lim.gamma, n_steps=2 * 10**4, n_paths=200, seed=5,
+                     sigma2_ref=lim.sigma2)
+    assert rep.passed, rep.to_json()
 
 
 def test_lln_input_validation():

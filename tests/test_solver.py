@@ -241,25 +241,30 @@ SYSTEM_KERNELS = (
 def test_system_matrices_match_the_arc_by_arc_build(kernel):
     # The library's one assembly of the flat system, placed from P by index
     # arithmetic, equals the loop over the arcs entry for entry.
-    arcs, p, stack = system_matrices(kernel.P)
+    p, stack = system_matrices(kernel.P)
     index, want_p, want_a1, want_c = flat_system_by_arc(kernel)
     n = kernel.n_windows
+    arcs = solver._flat_pattern(n)[0]
     assert np.array_equal(arcs, [np.ravel_multi_index(((1 - k) // 2, i - 1, j - 1), (2, n, n))
                                  for i, j, k in index.tuples])
     assert np.array_equal(p, want_p)
     assert np.array_equal(stack[:len(arcs)], want_a1)
     assert np.array_equal(stack[len(arcs):], want_c)
+    # Each entry is one entry of P, so placing lam P gives lam times each
+    # array bit for bit: _FlatNewton places the system at lam.
+    for got, want in zip(system_matrices(0.6 * kernel.P), (p, stack)):
+        assert np.array_equal(got, 0.6 * want)
 
 
 @pytest.mark.parametrize("n", range(3, solver.DENSE_MAX_N + 1))
 def test_system_matrices_place_one_stack_from_one_pattern(n):
     # K = [A1; C] is placed by one fancy-index write, so a (row, col) placed
     # twice would keep only one of its sources.
-    arcs, _, stack = system_matrices(symmetric_kernel(n).P)
-    dim = len(arcs)
-    assert dim == 2 * n * (n - 1)
-    assert stack.shape == (2 * dim, dim)
+    p, stack = system_matrices(symmetric_kernel(n).P)
     pattern = solver._flat_pattern(n)
+    dim = len(pattern[0])
+    assert dim == len(p) == 2 * n * (n - 1)
+    assert stack.shape == (2 * dim, dim)
     assert len(pattern) == 4
     assert all(not a.flags.writeable for a in pattern)
     _, rows, cols, src = pattern
@@ -765,6 +770,10 @@ PATH_PARITY_CASES = (
     + [(symmetric_kernel(n), 1e-14) for n in range(3, 7)]
     + [(dirichlet_kernel(n, concentration, seed=n), 1e-12)
        for n in range(3, 6) for concentration in (1.0, 0.1)]
+    # Where compute_limits takes the structured path, the dense one is the
+    # independent route: dim = 84..264 unknowns.
+    + [(dirichlet_kernel(n, concentration, seed=seed), 1e-12)
+       for n in (7, 8, 10, 12) for concentration in (1.0, 0.1) for seed in (0, 1)]
 )
 
 
