@@ -367,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("limits", cmd_limits, "compute the drift gamma and variance sigma^2",
                 metric=True)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="Newton step tolerance (default %(default)g)")
     p.add_argument("--oracle", action="store_true",
                    help="compare against the closed form of a named family")
 

@@ -65,7 +65,9 @@ reads ``A1 R`` and ``C R``, times lam, off one product, forms ``I - M``, with
 ``M = lam (A1 + diag(C R) + diag(R) C)`` the Jacobian, from views of K and
 does one dense LU solve, and the results are scattered back into the
 (2, N, N) layout.  There one LU solve costs less than the structured
-solve's many small numpy calls.  Either form is a Newton system
+solve's many small numpy calls.  The dense iteration stops on a step it
+has taken: one of at most ``tol``, or one below ``STALL_STEP`` that did not
+shrink, at the rounding floor (``solve_r``).  Either form is a Newton system
 with ``step`` (one Newton step and its stop rule), ``finish`` (the true
 defect at the root), ``linearised`` (the solve with ``I - M`` at the root),
 ``m_times`` (M D and its return term) and ``values``.  ``solve_r`` is the
@@ -93,9 +95,6 @@ DEFAULT_MAX_ITER = 100
 #: Below this step size a Newton step that no longer shrinks is rounding
 #: noise, and the iteration stops there.
 STALL_STEP = 1e-8
-#: Newton's quadratic model ``s_{k+1} ~ (s_k / s_{k-1}^2) s_k^2`` of the next
-#: step is trusted only while its observed constant is at most this.
-QUADRATIC_MAX = 2.0
 HALF_EPS = float(np.finfo(float).eps) / 2.0
 #: A chamber with ``FALLBACK_RATIO max |H_k| > 1``, ``H_k = G_k^{-1}``, solves
 #: each column on its own deleted block (``LinearisedSystem`` gives why).
@@ -454,8 +453,7 @@ class _FlatNewton:
         del delta
         self.f = self.defect(self.r)
         prev_step, self.last_step = self.last_step, step
-        return (step <= tol or (step <= STALL_STEP and step >= prev_step)
-                or _next_step_rounds_away(step, prev_step, self.r))
+        return step <= tol or (step <= STALL_STEP and step >= prev_step)
 
     def finish(self) -> float:
         """The true defect ``max |f(R) - R|`` at the root."""
@@ -482,19 +480,6 @@ class _FlatNewton:
         return out
 
 
-def _next_step_rounds_away(step: float, prev_step: float, r: np.ndarray) -> bool:
-    """Whether Newton's quadratic model puts the step after ``step`` below half
-    an ulp of ``max R`` (Kelley, *Iterative Methods for Linear and Nonlinear
-    Equations*, SIAM 1995, ch. 5): the step shrank from a finite
-    ``prev_step``, the observed constant ``step / prev_step^2`` is at most
-    ``QUADRATIC_MAX``, and ``step^3 / prev_step^2 <= (eps / 2) max R``.
-    The scalar tests come first, the last with ``max R <= 1`` in place of
-    ``max R``, so that R is read only when the rule can fire."""
-    bound = HALF_EPS * prev_step * prev_step
-    return (step < prev_step < math.inf and step <= QUADRATIC_MAX * prev_step * prev_step
-            and step ** 3 <= bound and step ** 3 <= bound * float(r.max()))
-
-
 def _step_size(delta: np.ndarray, iterations: int) -> float:
     """``max |delta|`` of Newton step ``iterations``, which must be finite."""
     step = float(np.abs(delta).max())
@@ -512,12 +497,10 @@ def solve_r(
     method from R = 0.
 
     Up to ``DENSE_MAX_N`` windows the steps are taken on R, in the dense flat
-    system.  The iteration stops after a step that is at most ``tol``; or
+    system.  The iteration stops after a step that is at most ``tol``, or
     below ``STALL_STEP`` and no smaller than the one before it, as the
     iterate then sits at the rounding floor of the solve, which can lie above
-    a small ``tol``; or after which Newton's quadratic model puts the next
-    step below half an ulp of ``max R`` (``_next_step_rounds_away``), a step
-    that would mostly round away.
+    a small ``tol``.  Both rules read a step that was taken.
 
     Above it the steps are taken on ``u = diag(P R)`` (``_ChamberNewton``),
     each of which measures the next before it is taken.  The iteration stops

@@ -455,44 +455,46 @@ def test_symmetric_newton_stops_before_a_step_below_rounding(n):
     assert np.max(np.abs(to_flat(r.values) - 1 / (n - 1))) <= 1e-15
 
 
-@pytest.mark.parametrize("step, prev_step, r_max, qmax, fires", [
-    (1e-30, np.inf, 1.0, 2.0, False),    # step 1: no step before it
-    (1e-17, 1e-17, 1.0, np.inf, False),  # the step did not shrink
-    (0.9e-17, 1e-17, 1.0, np.inf, True),
-    (2.5e-10, 1e-5, 1.0, 2.0, False),    # the observed constant is 2.5
-    (2e-10, 1e-5, 1.0, 2.0, True),
-    (1e-8, 1e-4, 1.0, 2.0, True),
-    (1e-8, 1e-4, 1e-3, 2.0, False),      # below half an ulp of 1, not of 1e-3
-    (1e-9, 1e-4, 1e-3, 2.0, True),
-])
-def test_rounding_stop_rule(monkeypatch, step, prev_step, r_max, qmax, fires):
-    # An infinite QUADRATIC_MAX leaves the shrink test alone to keep the
-    # rule from firing.
-    monkeypatch.setattr(solver, "QUADRATIC_MAX", qmax)
-    r = np.full((2, 3, 3), r_max)
-    assert solver._next_step_rounds_away(step, prev_step, r) is fires
+# perfbench's limits-edge lattice: 8 log-even q in each decade over 1e-5..0.49.
+LIMITS_EDGE_QS = [float(q) for lo, hi in [(-5.0, -4.0), (-4.0, -3.0), (-3.0, -2.0), (-2.0, -1.0),
+                                          (-1.0, np.log10(0.49))]
+                  for q in 10.0 ** (lo + (np.arange(8) + 0.5) * (hi - lo) / 8)]
 
 
-def test_rounding_stop_rule_keeps_the_limits_edge_lattice(monkeypatch):
-    # perfbench's limits-edge lattice: 8 log-even q in each decade over
-    # 1e-5..0.49.  The rule takes no step more than the solve without it,
-    # and keeps the worst closed-form error at 2.19e-12; without the cap
-    # on the observed constant it skipped a 2.0e-14 correction at
-    # q = 1.54e-5 and that error read 5.54e-12.
-    decades = [(-5.0, -4.0), (-4.0, -3.0), (-3.0, -2.0), (-2.0, -1.0), (-1.0, np.log10(0.49))]
+def test_limits_edge_lattice_keeps_its_closed_form_error():
+    # The worst closed-form error reads 2.19e-12; a stop that skipped the
+    # 2.0e-14 correction at q = 1.54e-5 read 5.54e-12.
     worst = 0.0
-    for lo, hi in decades:
-        for q in 10.0 ** (lo + (np.arange(8) + 0.5) * (hi - lo) / 8):
-            kernel, cf = one_parameter_kernel(float(q)), closed_form_one_parameter(float(q))
-            with monkeypatch.context() as off:
-                off.setattr(solver, "QUADRATIC_MAX", 0.0)
-                steps_without = solve_r(kernel, 1.0).iterations
-            assert solve_r(kernel, 1.0).iterations <= steps_without
-            for metric in (word_metric(3), fenced_metric(3)):
-                gamma, sigma2 = cf.constants(metric.name)
-                c = compute_limits(kernel, metric)
-                worst = max(worst, abs(c.gamma - gamma) / gamma, abs(c.sigma2 - sigma2) / sigma2)
+    for q in LIMITS_EDGE_QS:
+        kernel, cf = one_parameter_kernel(q), closed_form_one_parameter(q)
+        for metric in (word_metric(3), fenced_metric(3)):
+            gamma, sigma2 = cf.constants(metric.name)
+            c = compute_limits(kernel, metric)
+            worst = max(worst, abs(c.gamma - gamma) / gamma, abs(c.sigma2 - sigma2) / sigma2)
     assert worst <= 2.5e-12
+
+
+DENSE_STOP_KERNELS = ([one_parameter_kernel(q) for q in LIMITS_EDGE_QS]
+                      + [asymmetric_kernel()] + [symmetric_kernel(n) for n in range(3, 7)]
+                      + [dirichlet_kernel(n, c, seed=seed)
+                         for n in range(4, 7) for c in (1.0, 0.1) for seed in (0, 1)])
+
+
+@pytest.mark.parametrize("kernel", DENSE_STOP_KERNELS, ids=repr)
+def test_dense_newton_stops_on_a_measured_step(monkeypatch, kernel):
+    # The dense path stops only on the size of a step it has taken: one of
+    # at most tol, or one below STALL_STEP that did not shrink.
+    steps, step_size = [], solver._step_size
+
+    def recorded(delta, iterations):
+        steps.append(step_size(delta, iterations))
+        return steps[-1]
+
+    monkeypatch.setattr(solver, "_step_size", recorded)
+    r = solve_r(kernel, 1.0)
+    assert len(steps) == r.iterations >= 2
+    last, before = steps[-1], steps[-2]
+    assert last <= solver.DEFAULT_TOL or before <= last <= solver.STALL_STEP
 
 
 def test_newton_step_cap_raises(monkeypatch):
