@@ -304,7 +304,7 @@ def cmd_kms(args) -> int:
 
 def cmd_oracle_dp(args) -> int:
     kernel = _build_kernel(args.kernel)
-    mode, max_steps, method = args.mode, args.max_steps, args.method
+    mode, max_steps = args.mode, args.max_steps
     if mode == "hitting":
         if args.target is None:
             raise ConfigError("hitting mode needs --target i,j,k")
@@ -313,10 +313,10 @@ def cmd_oracle_dp(args) -> int:
         except ValueError:
             raise ConfigError(
                 f"--target must be i,j,k, three integers, got {args.target!r}") from None
-        coeffs = dp_hitting_series(kernel, Arc(i, j, k), max_steps, method=method)
+        coeffs = dp_hitting_series(kernel, Arc(i, j, k), max_steps)
         payload = {"mode": mode, "target": [i, j, k]}
     elif mode == "return":
-        coeffs = dp_return_series(kernel, args.window, max_steps, method=method)
+        coeffs = dp_return_series(kernel, args.window, max_steps)
         payload = {"mode": mode, "window": args.window}
     else:
         metric = _build_metric(args.metric, kernel.n_windows)
@@ -326,7 +326,7 @@ def cmd_oracle_dp(args) -> int:
         return EXIT_OK
     payload.update({
         "max_steps": max_steps,
-        "method": method,
+        "method": "convolution",
         "coeffs": coeffs.tolist(),
         "total_mass": float(coeffs.sum()),
     })
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_text, help="arc i,j,k for hitting mode")
     p.add_argument("--window", type=int, default=1, help="window index for return/G modes")
     p.add_argument("--max-steps", dest="max_steps", type=int, default=40)
-    p.add_argument("--method", choices=["convolution", "words"], default="convolution")
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--z", type=float, default=1.0)
 

@@ -3,14 +3,15 @@ dynamic programming, brute-force enumeration over the word space, and the
 closed forms of the worked example families.
 
 They import only ``chain`` and ``groupoid``, no code of the pipeline they
-check.  The default hitting/return series use an exact convolution DP over
-first passage decompositions (each coefficient is a finite sum over path
-decompositions, no fixed-point solve involved).  The word-space oracles, the
-``words`` method of the hitting/return series and ``dp_truncated_G``, share
-one walker, ``_word_laws``, that carries the exact law of the reduced word
-from step to step.  It reads arcs only through ``kernel.arcs_from`` and
-``groupoid.append``, is exponential in the horizon, and serves as a second,
-fully mechanical cross-check for small step counts.
+check.  The hitting/return series use an exact convolution DP over first
+passage decompositions (each coefficient is a finite sum over path
+decompositions, no fixed-point solve involved).  ``dp_truncated_G`` runs
+the word-law walker, ``_word_laws``, that carries the exact law of the
+reduced word from step to step.  It reads arcs only through
+``kernel.arcs_from`` and ``groupoid.append`` and is exponential in the
+horizon.  The tests' word-space hitting and return series
+(``tests/reference.py``) run the same walker, as a second, fully mechanical
+cross-check of the convolution DP for small step counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric, Word, append, compose, inverse, metric_length
+from .groupoid import Arc, Metric, Word, append, metric_length
 
 #: Words a law of ``_word_laws`` may hold before it refuses.  A word state
 #: costs about 613 bytes (the ``tracemalloc`` peak over 131069 states of
@@ -124,78 +125,23 @@ def _law_size(n_windows: int, m: int, r: int) -> int:
     return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
 
 
-def _hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
-    """A floor on the size of the hitting walk's law at step m >= 1, after
-    absorption, to horizon ``max_steps``: the reduced words of length
-    2..min(m, r) whose first letter is not the target, where r is
-    ``max_steps - m`` for a first letter of the target's sign (the target
-    merges into that letter's inverse) and one less for the other sign.
-    Push a word's letters, then keep its length by merges on the last
-    letter: every word on the way has the same first letter and no greater
-    length, so the keep rule keeps it and it is never the target.  From a
-    window, N - 2 first letters besides the target have its sign and N - 1
-    the other, and (N-1)^(L-1) words of length L follow each."""
-    b = n_windows - 1
-
-    def words(r: int) -> int:
-        # (N-1) + ... + (N-1)^(r-1): the lengths 2..r after one first letter.
-        return b * (b ** (max(r, 1) - 1) - 1) // (b - 1)
-
-    return (b - 1) * words(min(m, max_steps - m)) + b * words(min(m, max_steps - m - 1))
-
-
-def dp_hitting_series(
-    kernel: TransitionKernel,
-    target: Arc,
-    max_steps: int,
-    method: str = "convolution",
-) -> np.ndarray:
+def dp_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -> np.ndarray:
     """Distribution of the first hitting time of the one-letter word ``target``
     from the unit at its source window, truncated at ``max_steps``: the
     probabilities c_0..c_M of a hit at each step, whose sum never exceeds 1."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(target.i, target.j)
-    if method == "convolution":
-        t = hitting_step_probabilities(kernel, max_steps)
-        return t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
-    if method != "words":
-        raise ValueError(f"unknown method {method!r}")
-    coeffs = np.zeros(max_steps + 1)
-    target_word = Word(target.i, (target,))
-    # Keep only words that can still reach the target in time.
-    laws = _word_laws(kernel, target.i, max_steps,
-                      lambda m: _hitting_law_floor(kernel.n_windows, m, max_steps),
-                      lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
-    for m, law in enumerate(laws, start=1):
-        coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
-    return coeffs
+    t = hitting_step_probabilities(kernel, max_steps)
+    return t[(1 - target.k) // 2, target.i - 1, target.j - 1].copy()
 
 
-def dp_return_series(
-    kernel: TransitionKernel,
-    i: int,
-    max_steps: int,
-    method: str = "convolution",
-) -> np.ndarray:
+def dp_return_series(kernel: TransitionKernel, i: int, max_steps: int) -> np.ndarray:
     """P(the chain started at e_i sits at e_i after m steps), m <= max_steps,
     as the array c_0..c_M."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
-    if method == "words":
-        coeffs = np.zeros(max_steps + 1)
-        coeffs[0] = 1.0
-        e_i = Word(i)
-        # Keep only words that can still shrink back to e_i in time.
-        laws = _word_laws(kernel, i, max_steps,
-                          lambda m: _law_size(kernel.n_windows, m, min(m, max_steps - m)),
-                          lambda m, word: len(word) <= max_steps - m)
-        for m, law in enumerate(laws, start=1):
-            coeffs[m] = law.get(e_i, 0.0)
-        return coeffs
-    if method != "convolution":
-        raise ValueError(f"unknown method {method!r}")
     t = hitting_step_probabilities(kernel, max_steps)
     # First return at step m: one step out to an arc, then a first passage
     # back up to the unit, whose law mirrors the hit of the reversed arc.

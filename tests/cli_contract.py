@@ -150,12 +150,8 @@ CASES: Dict[str, Case] = {
     "kms": Case(["kms", "--n", "6", "--x", "0.3", "--z", "0.8"]),
     "oracle-dp-hitting": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting",
                                "--target", "1,2,1", "--max-steps", "40"]),
-    "oracle-dp-hitting-words": Case(["oracle-dp", "--kernel", "asymmetric", "--target", "2,3,-1",
-                                     "--max-steps", "10", "--method", "words"]),
     "oracle-dp-return": Case(["oracle-dp", "--kernel", "symmetric:4", "--mode", "return",
                               "--window", "2", "--max-steps", "30"]),
-    "oracle-dp-return-words": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "return",
-                                    "--max-steps", "12", "--method", "words"]),
     "oracle-dp-G": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G", "--metric",
                          "fenced", "--z", "0.8", "--max-steps", "8"]),
     "simulate": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "1000", "--seed", "7"],
@@ -179,6 +175,9 @@ CASES: Dict[str, Case] = {
     "usage-unknown-flag": Case(["limits", "--kernel", "symmetric:3", "--bogus"]),
     "usage-bad-choice": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "bogus"]),
     "usage-bad-number": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "many"]),
+    # The hitting and return series have one route, the convolution DP.
+    "oracle-dp-method-removed": Case(["oracle-dp", "--kernel", "asymmetric", "--target", "1,2,1",
+                                      "--method", "words"]),
     # Exit 2: invalid input.
     "validate-bad-q": Case(["validate", "--kernel", "one_parameter:0.6"]),
     "validate-deficit": Case(["validate", "--kernel", "{dir}/deficit.json"]),
@@ -256,25 +255,9 @@ CASES: Dict[str, Case] = {
                                       "--window", "4"]),
     # Exit 3: numerical failure.
     "limits-off-a-simple-zero": Case(["limits", "--kernel", "one_parameter:1e-12"]),
-    "oracle-dp-hitting-words-refused": Case(
-        ["oracle-dp", "--kernel", "symmetric:3", "--target", "1,2,1", "--method", "words"],
-        patch=_CAP),
-    "oracle-dp-return-words-refused": Case(
-        ["oracle-dp", "--kernel", "symmetric:3", "--mode", "return", "--method", "words"],
-        patch=_CAP),
     "oracle-dp-G-refused": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G"],
                                 patch=_CAP),
-    # The hitting walk's floors stay at or below 26, and its law after step
-    # 4 holds 30 words: the count after a step refuses it.
-    "oracle-dp-hitting-words-refused-mid-walk": Case(
-        ["oracle-dp", "--kernel", "asymmetric", "--target", "1,2,1", "--max-steps", "8",
-         "--method", "words"], patch={"windwalk.oracle.DEFAULT_STATE_CAP": 26}),
-    # The default cap and horizon: the law passes the cap at step 18, and
-    # the hitting walk's floor on it at step 19.
-    "oracle-dp-hitting-words-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--target",
-                                             "1,2,1", "--method", "words"]),
-    "oracle-dp-return-words-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode",
-                                            "return", "--method", "words"]),
+    # The default cap and horizon: the law passes the cap at step 18.
     "oracle-dp-G-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "G"]),
 }
 
@@ -387,8 +370,18 @@ def diff() -> int:
     return int(bool(found))
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] == ["--diff"]:
-        sys.exit(diff())
+def main(argv: List[str]) -> int:
+    """With no arguments, write the record; with ``--diff``, diff it.  Any
+    other arguments print the usage to stderr, return 2 and write nothing."""
+    if argv == ["--diff"]:
+        return diff()
+    if argv:
+        sys.stderr.write("usage: python tests/cli_contract.py [--diff]\n")
+        return 2
     RECORD.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
     sys.stdout.write(f"wrote {len(CASES)} cases to {RECORD}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

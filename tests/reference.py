@@ -3,7 +3,8 @@ the flat system and its dense Jacobian built arc by arc, the structured
 solve with its 2N x 2N coupling solved whole, the float
 transfer matrices and their spectral radius, the plain-float determinant
 that the finite-difference stencils of ``helpers.fd_partials`` evaluate,
-the transience root by power iteration on ``solver.apply_m``, a
+the transience root by power iteration on ``solver.apply_m``, the
+hitting and return series by the word-law walk of ``oracle._word_laws``, a
 truncated series' partial sum, hitting times sampled on the batched chain,
 the lazy-nearest-neighbour law of the symmetric family's word lengths
 checked on one simulated path, and the scalar chain replayed word by word.
@@ -23,10 +24,10 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from windwalk import solver
+from windwalk import oracle, solver
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel, simulate
-from windwalk.groupoid import Arc, Metric, Word, append, arc_entry, unit
+from windwalk.groupoid import Arc, Metric, Word, append, arc_entry, compose, inverse, unit
 from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
 
 #: ``transience_root``'s power iteration stops once its Collatz-Wielandt
@@ -192,6 +193,63 @@ def transience_root(kernel: TransitionKernel) -> float:
         d = md / hi
     raise SolverError(f"power iteration did not converge in {POWER_MAX_ITER} iterations: "
                       f"the root lies in [{lo!r}, {hi!r}]")
+
+
+def hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
+    """A floor on the size of the hitting walk's law at step m >= 1, after
+    absorption, to horizon ``max_steps``: the reduced words of length
+    2..min(m, r) whose first letter is not the target, where r is
+    ``max_steps - m`` for a first letter of the target's sign (the target
+    merges into that letter's inverse) and one less for the other sign.
+    Push a word's letters, then keep its length by merges on the last
+    letter: every word on the way has the same first letter and no greater
+    length, so the keep rule keeps it and it is never the target.  From a
+    window, N - 2 first letters besides the target have its sign and N - 1
+    the other, and (N-1)^(L-1) words of length L follow each."""
+    b = n_windows - 1
+
+    def words(r: int) -> int:
+        # (N-1) + ... + (N-1)^(r-1): the lengths 2..r after one first letter.
+        return b * (b ** (max(r, 1) - 1) - 1) // (b - 1)
+
+    return (b - 1) * words(min(m, max_steps - m)) + b * words(min(m, max_steps - m - 1))
+
+
+def word_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -> np.ndarray:
+    """``oracle.dp_hitting_series`` by the word-law walk: the law of the
+    reduced word, with the target absorbed at each step and every word too
+    long to reach it in time dropped."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    kernel.check_windows(target.i, target.j)
+    coeffs = np.zeros(max_steps + 1)
+    target_word = Word(target.i, (target,))
+    laws = oracle._word_laws(
+        kernel, target.i, max_steps,
+        lambda m: hitting_law_floor(kernel.n_windows, m, max_steps),
+        lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
+    for m, law in enumerate(laws, start=1):
+        coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
+    return coeffs
+
+
+def word_return_series(kernel: TransitionKernel, i: int, max_steps: int) -> np.ndarray:
+    """``oracle.dp_return_series`` by the word-law walk: the law of the
+    reduced word, with every word too long to shrink back to e_i in time
+    dropped."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    kernel.check_windows(i)
+    coeffs = np.zeros(max_steps + 1)
+    coeffs[0] = 1.0
+    e_i = Word(i)
+    laws = oracle._word_laws(
+        kernel, i, max_steps,
+        lambda m: oracle._law_size(kernel.n_windows, m, min(m, max_steps - m)),
+        lambda m, word: len(word) <= max_steps - m)
+    for m, law in enumerate(laws, start=1):
+        coeffs[m] = law.get(e_i, 0.0)
+    return coeffs
 
 
 def series_eval(coeffs: np.ndarray, lam: float) -> float:

@@ -38,7 +38,7 @@ from windwalk.montecarlo import verify_clt, verify_lln
 from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import Replay, batch_top, sample_hitting_times
+from reference import Replay, batch_top, sample_hitting_times, word_hitting_series
 
 
 def test_symmetric_kernel_valid():
@@ -752,7 +752,7 @@ _N3 = symmetric_kernel(3)
     lambda: simulate(word_from_str("A(1,5,+)"), _N3, 5, 0),
     lambda: run_length_paths(_N3, word_metric(3), 5, 3, 0, initial=word_from_str("e7")),
     lambda: dp_hitting_series(asymmetric_kernel(), Arc(1, 9, 1), 5),
-    lambda: dp_hitting_series(asymmetric_kernel(), Arc(1, 9, 1), 5, method="words"),
+    lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 9, 1), 5),
     lambda: dp_return_series(asymmetric_kernel(), 0, 5),
     lambda: dp_return_series(asymmetric_kernel(), 9, 5),
     lambda: dp_return_series(asymmetric_kernel(), 4, 5),

@@ -699,7 +699,7 @@ FLAG_CALLS = [
     ["oracle-dp", "--kernel", "asymmetric", "--mode", "hitting", "--target", "1,2,1",
      "--max-steps", "6"],
     ["oracle-dp", "--kernel", "asymmetric", "--mode", "return", "--window", "2",
-     "--max-steps", "6", "--method", "words"],
+     "--max-steps", "6"],
     ["oracle-dp", "--kernel", "asymmetric", "--mode", "G", "--window", "2", "--metric", "fenced",
      "--lam", "0.4", "--z", "0.7", "--max-steps", "4"],
 ]
@@ -863,11 +863,11 @@ def test_target_is_read_as_whole_numbers(capsys):
 
 def test_refused_word_space_walk_is_numerical_failure(capsys, monkeypatch):
     monkeypatch.setattr("windwalk.oracle.DEFAULT_STATE_CAP", 50)
-    code, out, err = run(capsys, "oracle-dp", "--kernel", "symmetric:3", "--mode", "hitting",
-                         "--target", "1,2,1", "--max-steps", "40", "--method", "words")
+    code, out, err = run(capsys, "oracle-dp", "--kernel", "symmetric:3", "--mode", "G",
+                         "--max-steps", "40")
     assert code == 3
     assert out == ""
-    assert err == "numerical failure: word-state count 90 exceeds the cap 50\n"
+    assert err == "numerical failure: word-state count 61 exceeds the cap 50\n"
 
 
 def test_determinant_off_its_simple_zero_is_numerical_failure(capsys, monkeypatch):
@@ -987,8 +987,7 @@ def test_module_entry_matches_main_on_numerical_failure(capsys, monkeypatch):
     import subprocess
     import sys
 
-    argv = ["oracle-dp", "--kernel", "symmetric:3", "--mode", "hitting", "--target", "1,2,1",
-            "--max-steps", "40", "--method", "words"]
+    argv = ["oracle-dp", "--kernel", "symmetric:3", "--mode", "G", "--max-steps", "40"]
     code = ("import runpy, sys, windwalk.oracle\n"
             "windwalk.oracle.DEFAULT_STATE_CAP = 50\n"
             f"sys.argv = ['windwalk'] + {argv!r}\n"

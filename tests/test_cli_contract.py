@@ -3,9 +3,11 @@
 record)."""
 
 import json
+import shutil
 
 import pytest
 
+import cli_contract
 from cli_contract import CASES, RECORD, REGENERATE, differences, run_case, versions, write_files
 
 RECORDED = json.loads(RECORD.read_text())
@@ -47,3 +49,13 @@ def test_cli_output_matches_the_record(directory, name):
         pytest.skip(OTHER_VERSIONS)
     got = run_case(CASES[name], directory)
     assert differences(RECORDED["cases"][name], got, CASES[name].seeded) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--diff", "x"]])
+def test_contract_script_writes_nothing_for_other_arguments(monkeypatch, tmp_path, capsys, argv):
+    copy = tmp_path / RECORD.name
+    shutil.copyfile(RECORD, copy)
+    monkeypatch.setattr(cli_contract, "RECORD", copy)
+    assert cli_contract.main(argv) == 2
+    assert copy.read_bytes() == RECORD.read_bytes()
+    assert capsys.readouterr() == ("", "usage: python tests/cli_contract.py [--diff]\n")

@@ -19,21 +19,14 @@ from windwalk.oracle import (
 from windwalk.solver import solve_r
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import IndexMap, series_eval
-
-
-@pytest.mark.parametrize("series, where", [(dp_hitting_series, Arc(1, 2, 1)),
-                                           (dp_return_series, 1)])
-def test_unknown_dp_method_is_refused(series, where):
-    # The CLI's --method choices never reach this refusal.
-    with pytest.raises(ValueError, match="unknown method 'nope'"):
-        series(asymmetric_kernel(), where, 4, method="nope")
+from reference import (IndexMap, hitting_law_floor, series_eval, word_hitting_series,
+                       word_return_series)
 
 
 def test_first_coefficient_is_one_step_probability():
     k = asymmetric_kernel()
-    for method in ("convolution", "words"):
-        s = dp_hitting_series(k, Arc(1, 2, 1), 3, method=method)
+    for series in (dp_hitting_series, word_hitting_series):
+        s = series(k, Arc(1, 2, 1), 3)
         assert s[0] == 0.0
         assert s[1] == pytest.approx(arc_entry(k.P, 1, 2, 1))
 
@@ -44,11 +37,11 @@ def test_convolution_and_word_dp_agree():
     for k in (symmetric_kernel(3), asymmetric_kernel()):
         for target in (Arc(1, 2, 1), Arc(2, 3, -1), Arc(3, 1, 1)):
             a = dp_hitting_series(k, target, 12)
-            b = dp_hitting_series(k, target, 12, method="words")
+            b = word_hitting_series(k, target, 12)
             assert np.allclose(a, b, atol=1e-15)
         for i in (1, 2):
             a = dp_return_series(k, i, 12)
-            b = dp_return_series(k, i, 12, method="words")
+            b = word_return_series(k, i, 12)
             assert np.allclose(a, b, atol=1e-15)
 
 
@@ -161,8 +154,8 @@ def test_truncated_g_domain():
 
 @pytest.mark.parametrize("call, cap, count", [
     (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
-    (lambda: dp_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40, method="words"), 50, 90),
-    (lambda: dp_return_series(symmetric_kernel(3), 1, 40, method="words"), 50, 61),
+    (lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50, 90),
+    (lambda: word_return_series(symmetric_kernel(3), 1, 40), 50, 61),
 ], ids=["G", "hitting", "return"])
 def test_state_cap_guard(monkeypatch, call, cap, count):
     # The count is that of the first step whose kept words exceed the cap.
@@ -197,7 +190,7 @@ def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
 
     monkeypatch.setattr(oracle, "append", step)
     kernel = symmetric_kernel(3)
-    for call in (lambda: dp_return_series(kernel, 1, 40, method="words"),
+    for call in (lambda: word_return_series(kernel, 1, 40),
                  lambda: dp_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
         with pytest.raises(StateSpaceExceeded) as info:
             call()
@@ -219,7 +212,7 @@ def test_hitting_walk_refuses_by_its_count_where_the_floor_passes(monkeypatch, c
         monkeypatch.setattr(oracle, "append", step)
     with pytest.raises(StateSpaceExceeded,
                        match=f"^word-state count {count} exceeds the cap {cap}$"):
-        dp_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8, method="words")
+        word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8)
 
 
 @pytest.mark.parametrize("n, horizon", [(3, 12), (4, 8), (5, 6)])
@@ -231,11 +224,11 @@ def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
     target_word = Word(target.i, (target,))
     for m_max in range(1, horizon + 1):
         laws = oracle._word_laws(
-            kernel, target.i, m_max, lambda m: oracle._hitting_law_floor(n, m, m_max),
+            kernel, target.i, m_max, lambda m: hitting_law_floor(n, m, m_max),
             lambda m, word: m + len(compose(inverse(word), target_word)) <= m_max)
         for m, law in enumerate(laws, start=1):
             law.pop(target_word, None)
-            floor = oracle._hitting_law_floor(n, m, m_max)
+            floor = hitting_law_floor(n, m, m_max)
             assert len(law) - 2 * (n - 1) <= floor <= len(law), (m_max, m)
 
 
@@ -289,9 +282,9 @@ def test_word_space_oracles_match_the_record_exactly(name):
     kernel = asymmetric_kernel() if name == "asymmetric" else symmetric_kernel(4)
     record = WORD_SPACE_RECORD[name]
     for target, coeffs in record["hitting"].items():
-        assert dp_hitting_series(kernel, Arc(*target), 8, method="words").tolist() == coeffs
+        assert word_hitting_series(kernel, Arc(*target), 8).tolist() == coeffs
     for i, coeffs in record["return"].items():
-        assert dp_return_series(kernel, i, 8, method="words").tolist() == coeffs
+        assert word_return_series(kernel, i, 8).tolist() == coeffs
     metrics = {"word": word_metric(kernel.n_windows), "fenced": fenced_metric(kernel.n_windows)}
     for (metric, z), value in record["G"].items():
         assert dp_truncated_G(kernel, metrics[metric], 2, 0.5, z, 8) == value
