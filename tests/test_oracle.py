@@ -215,6 +215,61 @@ def test_hitting_walk_refuses_by_its_count_where_the_floor_passes(monkeypatch, c
         word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8)
 
 
+# What ``oracle-dp --method words`` printed before the hitting and return
+# series kept one route: the coefficients with their total mass, or the
+# refusal at the cap (None: the default).  The walks live on as the tests'
+# reference.
+WORDS_CLI_SERIES = {
+    "oracle-dp-hitting-words": (
+        lambda: word_hitting_series(asymmetric_kernel(), Arc(2, 3, -1), 10),
+        [0.0, 0.25, 0.017857142857142856, 0.09959325396825397, 0.021732390873015872,
+         0.04770501307004284, 0.017167436784775086, 0.025585634849050725,
+         0.012567038294837473, 0.015073841984612263, 0.00907757537485816],
+        0.5163593280565894),
+    "oracle-dp-return-words": (
+        lambda: word_return_series(asymmetric_kernel(), 1, 12),
+        [1.0, 0.0, 0.3138492063492063, 0.04721726190476191, 0.15564973623708742,
+         0.04665904549319728, 0.08804205935215428, 0.039462293486193734, 0.0549336650757394,
+         0.03183377296508704, 0.03696247563142335, 0.025244009405190327, 0.02629403292811058],
+        1.8661475588281515),
+}
+WORDS_CLI_REFUSALS = {
+    "oracle-dp-hitting-words-refused": (
+        lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50,
+        "word-state count 90 exceeds the cap 50"),
+    "oracle-dp-return-words-refused": (
+        lambda: word_return_series(symmetric_kernel(3), 1, 40), 50,
+        "word-state count 61 exceeds the cap 50"),
+    "oracle-dp-hitting-words-refused-mid-walk": (
+        lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8), 26,
+        "word-state count 30 exceeds the cap 26"),
+    "oracle-dp-hitting-words-default": (
+        lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), None,
+        "word-state count 1572858 exceeds the cap 800000"),
+    "oracle-dp-return-words-default": (
+        lambda: word_return_series(symmetric_kernel(3), 1, 40), None,
+        "word-state count 1048573 exceeds the cap 800000"),
+}
+
+
+@pytest.mark.parametrize("name", WORDS_CLI_SERIES)
+def test_reference_walks_reproduce_the_words_cli_series(name):
+    call, coeffs, total_mass = WORDS_CLI_SERIES[name]
+    got = call()
+    assert got.tolist() == coeffs
+    assert float(got.sum()) == total_mass
+
+
+@pytest.mark.parametrize("name", WORDS_CLI_REFUSALS)
+def test_reference_walks_reproduce_the_words_cli_refusals(monkeypatch, name):
+    call, cap, message = WORDS_CLI_REFUSALS[name]
+    if cap is not None:
+        monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
+    with pytest.raises(StateSpaceExceeded) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n, horizon", [(3, 12), (4, 8), (5, 6)])
 @pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)], ids=str)
 def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
