@@ -40,13 +40,7 @@ from .groupoid import (Arc, Metric, arc_table, custom_metric, fenced_metric, who
                        word_from_str, word_metric)
 from .limits import DegenerateSystemError, build_b, compute_limits, kms_phi, limits_from_jets
 from .montecarlo import verify_clt, verify_lln
-from .oracle import (
-    StateSpaceExceeded,
-    closed_form,
-    dp_hitting_series,
-    dp_return_series,
-    dp_truncated_G,
-)
+from .oracle import closed_form, dp_hitting_series, dp_return_series, dp_truncated_G
 from .solver import DEFAULT_TOL, SolverError, solve_r, solve_r_derivatives, solution_to_json
 
 EXIT_OK = 0
@@ -428,7 +422,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _stdout_closed()
     # LinAlgError is a ValueError, and ConfigError, KernelError and
     # json.JSONDecodeError are too: the numerical clause goes first.
-    except (SolverError, DegenerateSystemError, StateSpaceExceeded, np.linalg.LinAlgError) as exc:
+    except (SolverError, DegenerateSystemError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:

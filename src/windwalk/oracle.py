@@ -1,46 +1,32 @@
 """Independent oracles: exact per-step probability series computed by
-dynamic programming, brute-force enumeration over the word space, and the
-closed forms of the worked example families.
+dynamic programming, and the closed forms of the worked example families.
 
 They import only ``chain`` and ``groupoid``, no code of the pipeline they
-check.  The hitting/return series use an exact convolution DP over first
-passage decompositions (each coefficient is a finite sum over path
-decompositions, no fixed-point solve involved).  ``dp_truncated_G`` runs
-the word-law walker, ``_word_laws``, that carries the exact law of the
-reduced word from step to step.  It reads arcs only through
-``kernel.arcs_from`` and ``groupoid.append`` and is exponential in the
-horizon.  The tests' word-space hitting and return series
-(``tests/reference.py``) run the same walker, as a second, fully mechanical
-cross-check of the convolution DP for small step counts.
+check.  Every series comes from one table, the first-hit law of each
+one-letter word (``hitting_step_probabilities``), by exact convolutions
+over first-passage decompositions: each coefficient is a finite sum over
+path decompositions, with no fixed-point solve involved.  The hitting
+series is a row of the table, the return series a renewal sum over it, and
+``dp_truncated_G`` chains its rows along the reduced words.  The tests
+check all three against the word-law walk of ``tests/reference.py``, which
+carries the exact law of the reduced word from step to step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric, Word, append, metric_length
+from .groupoid import Arc, Metric
 
-#: Words a law of ``_word_laws`` may hold before it refuses.  A word state
-#: costs about 613 bytes (the ``tracemalloc`` peak over 131069 states of
-#: ``symmetric_kernel(3)`` at step 15), and the last law stays alive while
-#: the next one grows, so two laws at the cap hold about 1 GiB.
-DEFAULT_STATE_CAP = 8 * 10**5
 #: Work, max_steps^2 N^2, that ``hitting_step_probabilities`` may take: its
 #: convolution at step m sums m terms of a (2, N, N) table.  On a shared
 #: 2-vCPU host 4000 steps took 0.65 s at N = 3 (1.4e8), 2000 steps 0.47 s at
 #: N = 8 (2.6e8) and 1200 steps 0.53 s at N = 20 (5.8e8).
 CONVOLUTION_WORK_CAP = 10**9
-
-
-class StateSpaceExceeded(RuntimeError):
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"word-state count {count} exceeds the cap {cap}")
-        self.count = count
-        self.cap = cap
 
 
 def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.ndarray:
@@ -66,7 +52,7 @@ def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.n
     off = ~np.eye(kernel.n_windows, dtype=bool)
     t = np.zeros((max_steps + 1,) + p.shape)
     back = np.zeros(t.shape[:-1])  # back[a, s, i]: return to i through sign -k in a steps
-    t[1] = p
+    t[1:2] = p  # nothing at max_steps = 0
     for m in range(2, max_steps + 1):
         back[m - 1] = np.einsum("kim,kmi->ki", p, t[m - 1])[::-1]
         ret = np.einsum("aki,akij->kij", back[1:m - 1], t[m - 2:0:-1])
@@ -74,55 +60,19 @@ def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.n
     return np.moveaxis(t, 0, -1)
 
 
-def _word_laws(
-    kernel: TransitionKernel,
-    source: int,
-    max_steps: int,
-    size: Callable[[int], int],
-    keep: Optional[Callable[[int, Word], bool]] = None,
-) -> Iterator[Dict[Word, float]]:
-    """The exact law of the reduced word of the chain started at e_source,
-    after each step m = 1..max_steps, as a dict from ``Word`` to probability.
-
-    A word that ``keep(m, word)`` refuses is dropped from the law at step m.
-    The caller may remove words from a yielded law; the next step grows from
-    what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
-    stops early once the law is empty.  ``size(m)`` is the size of the law
-    at step m, or a floor on it: before its first step the walk raises
-    ``StateSpaceExceeded`` with the first of them above the cap, and it
-    counts each law as it is built, for the walks a floor misses.  Arcs
-    are read only through ``kernel.arcs_from`` and ``groupoid.append``,
-    never through the chain's rewrite tables, so the enumeration stays
-    independent of the convolution DP and the sampler.
-    """
-    for count in map(size, range(1, max_steps + 1)):
-        if count > DEFAULT_STATE_CAP:
-            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
-    arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
-    law: Dict[Word, float] = {Word(source): 1.0}
+def _return_law(p: np.ndarray, t: np.ndarray, i: int) -> np.ndarray:
+    """P(the chain started at e_i sits at e_i after m steps), m <= M, from
+    the table t of ``hitting_step_probabilities`` to horizon M."""
+    max_steps = t.shape[-1] - 1
+    # First return at step m: one step out to an arc, then a first passage
+    # back up to the unit, whose law mirrors the hit of the reversed arc.
+    u = np.zeros(max_steps + 1)
+    u[2:] = np.einsum("kj,kjm->m", p[:, i - 1], t[:, :, i - 1, 1:max_steps])
+    s = np.zeros(max_steps + 1)
+    s[0] = 1.0
     for m in range(1, max_steps + 1):
-        nxt: Dict[Word, float] = {}
-        for word, prob in law.items():
-            for g, p in arcs[word.target]:
-                new = append(word, g)
-                if keep is None or keep(m, new):
-                    nxt[new] = nxt.get(new, 0.0) + prob * p
-        yield nxt
-        if len(nxt) > DEFAULT_STATE_CAP:
-            raise StateSpaceExceeded(len(nxt), DEFAULT_STATE_CAP)
-        if not nxt:
-            return
-        law = nxt
-
-
-def _law_size(n_windows: int, m: int, r: int) -> int:
-    """The size of the law at step m >= 1 of a word-law walk that keeps
-    every reduced word of length at most r <= m.  There are 2 (N-1)^L
-    reduced words of length L >= 1 from a window.  Every arc has positive
-    probability, and a merge keeps a word's length, so each of them is
-    reached, and so is the empty word from step 2 on."""
-    b = n_windows - 1
-    return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
+        s[m] = float(u[1 : m + 1] @ s[m - 1 :: -1][: m])
+    return s
 
 
 def dp_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -> np.ndarray:
@@ -142,16 +92,7 @@ def dp_return_series(kernel: TransitionKernel, i: int, max_steps: int) -> np.nda
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     kernel.check_windows(i)
-    t = hitting_step_probabilities(kernel, max_steps)
-    # First return at step m: one step out to an arc, then a first passage
-    # back up to the unit, whose law mirrors the hit of the reversed arc.
-    u = np.zeros(max_steps + 1)
-    u[2:] = np.einsum("kj,kjm->m", kernel.P[:, i - 1], t[:, :, i - 1, 1:max_steps])
-    s = np.zeros(max_steps + 1)
-    s[0] = 1.0
-    for m in range(1, max_steps + 1):
-        s[m] = float(u[1 : m + 1] @ s[m - 1 :: -1][: m])
-    return s
+    return _return_law(kernel.P, hitting_step_probabilities(kernel, max_steps), i)
 
 
 def dp_truncated_G(
@@ -163,19 +104,42 @@ def dp_truncated_G(
     max_steps: int,
 ) -> float:
     """Partial sum over n <= max_steps of lam^n E[z^(metric length at n)],
-    by exact enumeration of the word distribution at every step."""
+    by the first-passage decomposition of the reduced word.
+
+    Each prefix of a reduced word g_1...g_L is a cut point of the walk to
+    it, and the walk is the same from every word, so the chain first
+    reaches the word at step n with probability (T_1 * ... * T_L)(n): T_l
+    is the first-hit law of the letter g_l, a row of
+    ``hitting_step_probabilities``, and * the convolution in the step
+    count.  It sits at the word at step n with probability
+    (T_1 * ... * T_L * s_j)(n), s_j the return law at the word's end
+    window j.  Signs alternate along the word and lengths add over its
+    letters, so one recursion over d[m, k, j], the z^length-weighted
+    probability of first reaching at step m a word that ends at j with a
+    letter of sign index k, covers every word: a word grows by a letter of
+    the other sign.  The recursion's work is of the table's order,
+    max_steps^2 N^2, so the table's ``CONVOLUTION_WORK_CAP`` bounds both.
+    """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     if not (0.0 <= lam < 1.0 and 0.0 < z <= 1.0):
         raise ValueError("requires lam in [0, 1) and z in (0, 1]")
     kernel.check_windows(i)
     kernel.check_metric(metric)
-    total = 1.0  # n = 0 term: the unit word has length 0
-    laws = _word_laws(kernel, i, max_steps, lambda m: _law_size(kernel.n_windows, m, m))
-    for n, law in enumerate(laws, start=1):
-        expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
-        total += lam**n * expect
-    return total
+    table = hitting_step_probabilities(kernel, max_steps)
+    a = np.moveaxis(table, -1, 0) * z**metric.W  # a[m, k, l, j]: letter A(l, j, k) at step m
+    d = np.zeros(a.shape[:-1])
+    for m in range(1, max_steps + 1):
+        d[m] = a[m, :, i - 1] + np.einsum("bkl,bklj->kj", d[1:m, ::-1], a[m - 1:0:-1])
+    # weighted[j, c]: the partial sum over steps <= c of lam^step s_j(step).
+    powers = lam ** np.arange(max_steps + 1)
+    returns = np.array([_return_law(kernel.P, table, j) for j in range(1, kernel.n_windows + 1)])
+    weighted = np.cumsum(returns * powers, axis=1)
+    # A word first reached at step b, ending at j, is the chain's word at
+    # step b + c with probability s_j(c), for c <= M - b.
+    reached = d.sum(axis=1) * powers[:, None]
+    return float(weighted[i - 1, -1]
+                 + np.einsum("bj,jb->", reached[1:], weighted[:, :-1][:, ::-1]))
 
 
 @dataclass

@@ -52,8 +52,6 @@ class Case(NamedTuple):
     argv: List[str]
     #: the floats of a seeded Monte Carlo output are compared exactly
     seeded: bool = False
-    #: ``{"module.attribute": value}`` set while the command runs
-    patch: Optional[Dict[str, object]] = None
 
 
 def _kernel(rows) -> str:
@@ -114,7 +112,6 @@ FILES = {
 
 _MC = ["--n-steps", "1000", "--n-paths", "50"]
 _CLT = ["--n-steps", "10000", "--n-paths", "1000"]
-_CAP = {"windwalk.oracle.DEFAULT_STATE_CAP": 50}
 
 CASES: Dict[str, Case] = {
     # Exit 0 and 1, one or more per subcommand.
@@ -154,6 +151,7 @@ CASES: Dict[str, Case] = {
                               "--window", "2", "--max-steps", "30"]),
     "oracle-dp-G": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G", "--metric",
                          "fenced", "--z", "0.8", "--max-steps", "8"]),
+    "oracle-dp-G-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "G"]),
     "simulate": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "1000", "--seed", "7"],
                      seeded=True),
     "simulate-from-a-word": Case(["simulate", "--kernel", "asymmetric", "--metric", "fenced",
@@ -220,6 +218,8 @@ CASES: Dict[str, Case] = {
                                          "1,2,1", "--max-steps", "1000000000"]),
     "oracle-dp-return-above-cap": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode",
                                         "return", "--max-steps", "100000"]),
+    "oracle-dp-G-above-cap": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G",
+                                   "--max-steps", "20000"]),
     "sweep-q-outside": Case(["sweep-q", "--q-grid", "0.1,0.6"]),
     "simulate-negative-steps": Case(["simulate", "--kernel", "symmetric:3", "--n-steps", "-1"]),
     "simulate-bad-word": Case(["simulate", "--kernel", "symmetric:3", "--initial", "A(1,1,+)"]),
@@ -255,10 +255,6 @@ CASES: Dict[str, Case] = {
                                       "--window", "4"]),
     # Exit 3: numerical failure.
     "limits-off-a-simple-zero": Case(["limits", "--kernel", "one_parameter:1e-12"]),
-    "oracle-dp-G-refused": Case(["oracle-dp", "--kernel", "asymmetric", "--mode", "G"],
-                                patch=_CAP),
-    # The default cap and horizon: the law passes the cap at step 18.
-    "oracle-dp-G-default": Case(["oracle-dp", "--kernel", "symmetric:3", "--mode", "G"]),
 }
 
 
@@ -276,8 +272,6 @@ def run_case(case: Case, directory: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.dict(os.environ, {"COLUMNS": COLUMNS}))
-        for target, value in (case.patch or {}).items():
-            stack.enter_context(mock.patch(target, value))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:

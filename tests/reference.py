@@ -4,10 +4,11 @@ solve with its 2N x 2N coupling solved whole, the float
 transfer matrices and their spectral radius, the plain-float determinant
 that the finite-difference stencils of ``helpers.fd_partials`` evaluate,
 the transience root by power iteration on ``solver.apply_m``, the
-hitting and return series by the word-law walk of ``oracle._word_laws``, a
-truncated series' partial sum, hitting times sampled on the batched chain,
-the lazy-nearest-neighbour law of the symmetric family's word lengths
-checked on one simulated path, and the scalar chain replayed word by word.
+word-law walk, ``word_laws``, with the hitting series, the return series
+and the truncated ``G`` that it gives, a truncated series' partial sum,
+hitting times sampled on the batched chain, the lazy-nearest-neighbour law
+of the symmetric family's word lengths checked on one simulated path, and
+the scalar chain replayed word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -20,14 +21,15 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from windwalk import oracle, solver
+from windwalk import solver
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel, simulate
-from windwalk.groupoid import Arc, Metric, Word, append, arc_entry, compose, inverse, unit
+from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, compose, inverse,
+                               metric_length, unit)
 from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
 
 #: ``transience_root``'s power iteration stops once its Collatz-Wielandt
@@ -35,6 +37,18 @@ from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
 #: ``POWER_MAX_ITER`` steps.
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100000
+#: Words a law of ``word_laws`` may hold before it refuses.  A word state
+#: costs about 613 bytes (the ``tracemalloc`` peak over 131069 states of
+#: ``symmetric_kernel(3)`` at step 15), and the last law stays alive while
+#: the next one grows, so two laws at the cap hold about 1 GiB.
+DEFAULT_STATE_CAP = 8 * 10**5
+
+
+class StateSpaceExceeded(RuntimeError):
+    def __init__(self, count: int, cap: int):
+        super().__init__(f"word-state count {count} exceeds the cap {cap}")
+        self.count = count
+        self.cap = cap
 
 
 class IndexMap:
@@ -195,6 +209,57 @@ def transience_root(kernel: TransitionKernel) -> float:
                       f"the root lies in [{lo!r}, {hi!r}]")
 
 
+def word_laws(
+    kernel: TransitionKernel,
+    source: int,
+    max_steps: int,
+    size: Callable[[int], int],
+    keep: Optional[Callable[[int, Word], bool]] = None,
+) -> Iterator[Dict[Word, float]]:
+    """The exact law of the reduced word of the chain started at e_source,
+    after each step m = 1..max_steps, as a dict from ``Word`` to probability.
+
+    A word that ``keep(m, word)`` refuses is dropped from the law at step m.
+    The caller may remove words from a yielded law; the next step grows from
+    what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
+    stops early once the law is empty.  ``size(m)`` is the size of the law
+    at step m, or a floor on it: before its first step the walk raises
+    ``StateSpaceExceeded`` with the first of them above the cap, and it
+    counts each law as it is built, for the walks a floor misses.  Arcs
+    are read only through ``kernel.arcs_from`` and ``groupoid.append``,
+    never through the chain's rewrite tables, so the enumeration stays
+    independent of the convolution DP and the sampler.
+    """
+    for count in map(size, range(1, max_steps + 1)):
+        if count > DEFAULT_STATE_CAP:
+            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
+    arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
+    law: Dict[Word, float] = {Word(source): 1.0}
+    for m in range(1, max_steps + 1):
+        nxt: Dict[Word, float] = {}
+        for word, prob in law.items():
+            for g, p in arcs[word.target]:
+                new = append(word, g)
+                if keep is None or keep(m, new):
+                    nxt[new] = nxt.get(new, 0.0) + prob * p
+        yield nxt
+        if len(nxt) > DEFAULT_STATE_CAP:
+            raise StateSpaceExceeded(len(nxt), DEFAULT_STATE_CAP)
+        if not nxt:
+            return
+        law = nxt
+
+
+def law_size(n_windows: int, m: int, r: int) -> int:
+    """The size of the law at step m >= 1 of a word-law walk that keeps
+    every reduced word of length at most r <= m.  There are 2 (N-1)^L
+    reduced words of length L >= 1 from a window.  Every arc has positive
+    probability, and a merge keeps a word's length, so each of them is
+    reached, and so is the empty word from step 2 on."""
+    b = n_windows - 1
+    return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
+
+
 def hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
     """A floor on the size of the hitting walk's law at step m >= 1, after
     absorption, to horizon ``max_steps``: the reduced words of length
@@ -224,7 +289,7 @@ def word_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -
     kernel.check_windows(target.i, target.j)
     coeffs = np.zeros(max_steps + 1)
     target_word = Word(target.i, (target,))
-    laws = oracle._word_laws(
+    laws = word_laws(
         kernel, target.i, max_steps,
         lambda m: hitting_law_floor(kernel.n_windows, m, max_steps),
         lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
@@ -243,13 +308,32 @@ def word_return_series(kernel: TransitionKernel, i: int, max_steps: int) -> np.n
     coeffs = np.zeros(max_steps + 1)
     coeffs[0] = 1.0
     e_i = Word(i)
-    laws = oracle._word_laws(
+    laws = word_laws(
         kernel, i, max_steps,
-        lambda m: oracle._law_size(kernel.n_windows, m, min(m, max_steps - m)),
+        lambda m: law_size(kernel.n_windows, m, min(m, max_steps - m)),
         lambda m, word: len(word) <= max_steps - m)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.get(e_i, 0.0)
     return coeffs
+
+
+def word_truncated_G(
+    kernel: TransitionKernel,
+    metric: Metric,
+    i: int,
+    lam: float,
+    z: float,
+    max_steps: int,
+) -> float:
+    """``oracle.dp_truncated_G`` by the word-law walk: the whole law of the
+    reduced word at every step, each law summed in the order its words were
+    first reached."""
+    total = 1.0  # n = 0 term: the unit word has length 0
+    laws = word_laws(kernel, i, max_steps, lambda m: law_size(kernel.n_windows, m, m))
+    for n, law in enumerate(laws, start=1):
+        expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
+        total += lam**n * expect
+    return total
 
 
 def series_eval(coeffs: np.ndarray, lam: float) -> float:

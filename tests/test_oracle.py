@@ -8,7 +8,6 @@ from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_ke
 from windwalk.groupoid import (Arc, Word, arc_entry, compose, fenced_metric, inverse,
                                word_metric)
 from windwalk.oracle import (
-    StateSpaceExceeded,
     closed_form,
     closed_form_one_parameter,
     dp_hitting_series,
@@ -19,8 +18,9 @@ from windwalk.oracle import (
 from windwalk.solver import solve_r
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import (IndexMap, hitting_law_floor, series_eval, word_hitting_series,
-                       word_return_series)
+import reference
+from reference import (IndexMap, StateSpaceExceeded, hitting_law_floor, law_size, series_eval,
+                       word_hitting_series, word_laws, word_return_series, word_truncated_G)
 
 
 def test_first_coefficient_is_one_step_probability():
@@ -113,6 +113,12 @@ def test_hitting_table_within_tail_bound_of_solver(n, concentration):
     assert np.all(gap <= lam**60 / (1 - lam) + 1e-12)
 
 
+def test_zero_horizon_hitting_table_is_empty_of_hits():
+    table = hitting_step_probabilities(asymmetric_kernel(), 0)
+    assert table.shape == (2, 3, 3, 1)
+    assert not table.any()
+
+
 def test_return_series_start():
     s = dp_return_series(symmetric_kernel(3), 1, 6)
     assert s[0] == 1.0
@@ -128,20 +134,43 @@ def test_return_series_decays_exponentially():
     assert slope < -1e-3
 
 
-def test_truncated_g_geometric_at_z_one():
+@pytest.mark.parametrize("lam", [0.5, 0.99])
+def test_truncated_g_geometric_at_z_one(lam):
     k = asymmetric_kernel()
-    for m in (0, 5, 12):
-        g = dp_truncated_G(k, word_metric(3), 1, 0.5, 1.0, m)
-        assert g == pytest.approx((1 - 0.5 ** (m + 1)) / 0.5, rel=1e-13)
+    for m in (0, 5, 12, 1000):
+        g = dp_truncated_G(k, word_metric(3), 1, lam, 1.0, m)
+        assert g == pytest.approx((1 - lam ** (m + 1)) / (1 - lam), rel=1e-13)
 
 
-def test_truncated_g_monotone_and_tail_bounded():
+@pytest.mark.parametrize("lam, short, long", [
+    (0.5, 10, 14), (0.5, 200, 400), (0.9, 200, 400), (0.99, 200, 400)])
+def test_truncated_g_monotone_and_tail_bounded(lam, short, long):
     k = symmetric_kernel(3)
     m = word_metric(3)
-    lo = dp_truncated_G(k, m, 1, 0.5, 0.9, 10)
-    hi = dp_truncated_G(k, m, 1, 0.5, 0.9, 14)
+    lo = dp_truncated_G(k, m, 1, lam, 0.9, short)
+    hi = dp_truncated_G(k, m, 1, lam, 0.9, long)
     assert hi >= lo
-    assert hi - lo <= 0.5**11 / 0.5
+    assert hi - lo <= lam ** (short + 1) / (1 - lam)
+
+
+@pytest.mark.parametrize("kernel", [
+    asymmetric_kernel(), symmetric_kernel(3), symmetric_kernel(4), one_parameter_kernel(0.1),
+    dirichlet_kernel(4, 1.0, seed=1), dirichlet_kernel(5, 0.1, seed=2),
+], ids=["asymmetric", "symmetric:3", "symmetric:4", "one_parameter:0.1", "dirichlet:4",
+        "dirichlet:5"])
+def test_truncated_g_matches_the_word_walk(kernel):
+    # The word laws to at most 2729 words: horizon 9 at N = 3, 6 at N = 4
+    # and 5 at N = 5.  Further out the walk's plain sum over a law drifts:
+    # at symmetric:4, horizon 7, lam 0.99 and z 0.8 it lies 4.1e-14 from the
+    # exact rational value, and the convolution 4e-17.
+    n = kernel.n_windows
+    horizon = {3: 9, 4: 6, 5: 5}[n]
+    for metric in (word_metric(n), fenced_metric(n)):
+        for lam, z in ((0.5, 1.0), (0.5, 0.9), (0.9, 0.3), (0.99, 0.8)):
+            for m in range(horizon + 1):
+                want = word_truncated_G(kernel, metric, 1, lam, z, m)
+                got = dp_truncated_G(kernel, metric, 1, lam, z, m)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (metric.name, lam, z, m)
 
 
 def test_truncated_g_domain():
@@ -153,13 +182,13 @@ def test_truncated_g_domain():
 
 
 @pytest.mark.parametrize("call, cap, count", [
-    (lambda: dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
+    (lambda: word_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
     (lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50, 90),
     (lambda: word_return_series(symmetric_kernel(3), 1, 40), 50, 61),
 ], ids=["G", "hitting", "return"])
 def test_state_cap_guard(monkeypatch, call, cap, count):
     # The count is that of the first step whose kept words exceed the cap.
-    monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
+    monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceExceeded) as info:
         call()
     assert info.value.count == count
@@ -173,12 +202,12 @@ def test_law_sizes_are_the_reduced_word_counts(kernel, steps):
     # min(m, M - m) at step m, and the G walk those of length at most m.
     n = kernel.n_windows
     for horizon in range(1, steps + 1):
-        sizes = [oracle._law_size(n, m, min(m, horizon - m)) for m in range(1, horizon + 1)]
-        laws = oracle._word_laws(kernel, 1, horizon, lambda m: sizes[m - 1],
-                                 lambda m, word: len(word) <= horizon - m)
+        sizes = [law_size(n, m, min(m, horizon - m)) for m in range(1, horizon + 1)]
+        laws = word_laws(kernel, 1, horizon, lambda m: sizes[m - 1],
+                         lambda m, word: len(word) <= horizon - m)
         assert [len(law) for law in laws] == sizes
-    sizes = [oracle._law_size(n, m, m) for m in range(1, steps + 1)]
-    laws = oracle._word_laws(kernel, 2, steps, lambda m: sizes[m - 1])
+    sizes = [law_size(n, m, m) for m in range(1, steps + 1)]
+    laws = word_laws(kernel, 2, steps, lambda m: sizes[m - 1])
     assert [len(law) for law in laws] == sizes
 
 
@@ -188,13 +217,13 @@ def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
     def step(*args):
         raise AssertionError("the word laws were stepped")
 
-    monkeypatch.setattr(oracle, "append", step)
+    monkeypatch.setattr(reference, "append", step)
     kernel = symmetric_kernel(3)
     for call in (lambda: word_return_series(kernel, 1, 40),
-                 lambda: dp_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
+                 lambda: word_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
         with pytest.raises(StateSpaceExceeded) as info:
             call()
-        assert (info.value.count, info.value.cap) == (2**20 - 3, oracle.DEFAULT_STATE_CAP)
+        assert (info.value.count, info.value.cap) == (2**20 - 3, reference.DEFAULT_STATE_CAP)
 
 
 @pytest.mark.parametrize("cap, count, stepped", [(26, 30, True), (25, 26, False)],
@@ -207,9 +236,9 @@ def test_hitting_walk_refuses_by_its_count_where_the_floor_passes(monkeypatch, c
     def step(*args):
         raise AssertionError("the word laws were stepped")
 
-    monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
+    monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
     if not stepped:
-        monkeypatch.setattr(oracle, "append", step)
+        monkeypatch.setattr(reference, "append", step)
     with pytest.raises(StateSpaceExceeded,
                        match=f"^word-state count {count} exceeds the cap {cap}$"):
         word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8)
@@ -264,7 +293,7 @@ def test_reference_walks_reproduce_the_words_cli_series(name):
 def test_reference_walks_reproduce_the_words_cli_refusals(monkeypatch, name):
     call, cap, message = WORDS_CLI_REFUSALS[name]
     if cap is not None:
-        monkeypatch.setattr(oracle, "DEFAULT_STATE_CAP", cap)
+        monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceExceeded) as info:
         call()
     assert str(info.value) == message
@@ -278,7 +307,7 @@ def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
     kernel = dirichlet_kernel(n, 1.0, seed=n)
     target_word = Word(target.i, (target,))
     for m_max in range(1, horizon + 1):
-        laws = oracle._word_laws(
+        laws = word_laws(
             kernel, target.i, m_max, lambda m: hitting_law_floor(n, m, m_max),
             lambda m, word: m + len(compose(inverse(word), target_word)) <= m_max)
         for m, law in enumerate(laws, start=1):
@@ -342,7 +371,7 @@ def test_word_space_oracles_match_the_record_exactly(name):
         assert word_return_series(kernel, i, 8).tolist() == coeffs
     metrics = {"word": word_metric(kernel.n_windows), "fenced": fenced_metric(kernel.n_windows)}
     for (metric, z), value in record["G"].items():
-        assert dp_truncated_G(kernel, metrics[metric], 2, 0.5, z, 8) == value
+        assert word_truncated_G(kernel, metrics[metric], 2, 0.5, z, 8) == value
 
 
 def test_closed_form_symmetric():
@@ -400,3 +429,5 @@ def test_convolution_above_its_work_cap_is_refused_before_the_table(monkeypatch)
     with pytest.raises(ValueError, match="at N=3 fills a 6048-byte table with work "
                                          r"max_steps\^2 N\^2 = 15129, above the cap 14400"):
         dp_return_series(symmetric_kernel(3), 1, 41)
+    with pytest.raises(ValueError, match=r"max_steps\^2 N\^2 = 15129, above the cap 14400"):
+        dp_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 41)
