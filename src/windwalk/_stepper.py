@@ -105,9 +105,9 @@ class _RewriteTables:
     ``code(i, k) = (s (N+1) + i) * 2 (N+1)``, s = 0 for k = +1 and 1 for
     k = -1; the empty word has the sentinel code 0.
 
-    ``f = i * width + a`` names arc a leaving window i, in the order of
-    ``TransitionKernel.arcs_from``; ``_arcs`` is the one place that order
-    is built, for the draw and the rewrite alike.  A step draws arc a for a
+    ``f = i * width + a`` names arc a leaving window i, in the order k = +1,
+    then -1; j ascending.  ``_arcs`` is the one place that order is built,
+    for the draw and the rewrite alike.  A step draws arc a for a
     uniform u when ``sums[a-1] < u <= sums[a]``, ``sums`` being the running
     sums of window i's arc probabilities: ``simulate`` bisects them and
     ``_BatchState`` counts the sums below u.  ``ends[f]`` is the arc's end

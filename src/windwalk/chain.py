@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groupoid import (Arc, InputError, Metric, Word, arc_entries, arc_table,
-                       chamber_array, unit, whole_number)
+from .groupoid import (InputError, Metric, Word, arc_entries, arc_table, chamber_array, unit,
+                       whole_number)
 
 if TYPE_CHECKING:
     from ._stepper import Trajectory
@@ -31,7 +31,8 @@ class KernelError(InputError):
 class TransitionKernel:
     """Validated jump probabilities for all ordered window pairs.  A copy of
     the (2, N, N) chamber array ``P`` (``groupoid.chamber_array``) is the one
-    store, validated on the array; ``KernelError`` names every violated arc.
+    store, validated on the array; ``KernelError`` names every violated arc,
+    or the shape of an array that is not (2, N, N).
     ``given`` masks the entries the caller supplied, by default every arc: an
     arc outside it is missing, and a diagonal entry in it, or nonzero in
     ``P``, is a degenerate arc.
@@ -45,6 +46,8 @@ class TransitionKernel:
                  family: Optional[Tuple[str, dict]] = None,
                  given: Optional[np.ndarray] = None):
         P = np.array(P, dtype=float)
+        if P.ndim != 3 or P.shape[0] != 2 or P.shape[1] != P.shape[2]:
+            raise KernelError([f"the chamber array must have shape (2, N, N), got {P.shape}"])
         _check_size(P.shape[-1])
         violations = _violations(P, given)
         if violations:
@@ -66,14 +69,6 @@ class TransitionKernel:
         if metric.W.shape[-1] != self.n_windows:
             raise ValueError(f"metric {metric.name!r} is sized for N={metric.W.shape[-1]} "
                              f"windows, the kernel for N={self.n_windows}")
-
-    def arcs_from(self, i: int) -> List[Tuple[Arc, float]]:
-        """The arcs leaving window i and their probabilities, in the order
-        that the arc draw counts them (``_RewriteTables._arcs``): k = +1,
-        then -1; j ascending.  The word-space oracles read the kernel only
-        through this list."""
-        return [(Arc(i, j, k), self.P.item((1 - k) // 2, i - 1, j - 1))
-                for k in (1, -1) for j in range(1, self.n_windows + 1) if j != i]
 
     def __repr__(self) -> str:
         return f"TransitionKernel(N={self.n_windows}, name={self.name!r})"

@@ -147,14 +147,18 @@ def inverse(w: Word) -> Word:
 @dataclass(frozen=True, eq=False)
 class Metric:
     """Non-negative letter weights, kept as a read-only copy ``W`` of their
-    (2, N, N) chamber array; the length of a word is the sum over its reduced
-    letters, and units have length zero."""
+    (2, N, N) chamber array, which any other shape fails with ``ValueError``;
+    the length of a word is the sum over its reduced letters, and units have
+    length zero."""
 
     name: str
     W: np.ndarray
 
     def __post_init__(self) -> None:
         W = np.array(self.W, dtype=float)
+        if W.ndim != 3 or W.shape[0] != 2 or W.shape[1] != W.shape[2]:
+            raise ValueError(f"metric {self.name!r} weights must have shape (2, N, N), "
+                             f"got {W.shape}")
         bad = ~np.isfinite(W) | (W < 0)
         if bad.any():
             # The first bad arc with i, then j, then k = +1, -1 ascending.

@@ -37,10 +37,12 @@ def hitting_step_probabilities(kernel: TransitionKernel, max_steps: int) -> np.n
     source window, ``offdiag(P_k T_k[m-1])``; an opposite-chamber move
     forces a return to the start window first, in a steps with probability
     ``diag(P_{-k} T_{-k}[a])``, then a fresh hit in the remaining m-1-a.
-    Coefficients at horizon m only need horizons below m.  A horizon whose
-    work max_steps^2 N^2 exceeds ``CONVOLUTION_WORK_CAP`` is refused before
-    the table is allocated.
+    Coefficients at horizon m only need horizons below m.  A negative
+    horizon raises ``ValueError``, and so does one whose work max_steps^2 N^2
+    exceeds ``CONVOLUTION_WORK_CAP``, before the table is allocated.
     """
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     work = max_steps**2 * kernel.n_windows**2
     if work > CONVOLUTION_WORK_CAP:
         table = 8 * (max_steps + 1) * kernel.P.size

@@ -1,14 +1,15 @@
 """Reference routes that only the tests call: the flat order of the arcs,
-the flat system and its dense Jacobian built arc by arc, the structured
-solve with its 2N x 2N coupling solved whole, the float
-transfer matrices and their spectral radius, the plain-float determinant
-that the finite-difference stencils of ``helpers.fd_partials`` evaluate,
-the transience root by power iteration on ``solver.apply_m``, the
-word-law walk, ``word_laws``, with the hitting series, the return series
-and the truncated ``G`` that it gives, a truncated series' partial sum,
-hitting times sampled on the batched chain, the lazy-nearest-neighbour law
-of the symmetric family's word lengths checked on one simulated path, and
-the scalar chain replayed word by word.
+the arcs leaving a window in the order the chain draws them, the flat
+system and its dense Jacobian built arc by arc, the structured solve with
+its 2N x 2N coupling solved whole, the float transfer matrices and their
+spectral radius, the plain-float determinant that the finite-difference
+stencils of ``helpers.fd_partials`` evaluate, the transience root by power
+iteration on ``solver.apply_m``, the word-law walk, ``word_laws``, with its
+one state cap and the hitting series, the return series and the truncated
+``G`` that it gives, a truncated series' partial sum, hitting times sampled
+on the batched chain, the lazy-nearest-neighbour law of the symmetric
+family's word lengths checked on one simulated path, and the scalar chain
+replayed word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -209,11 +210,18 @@ def transience_root(kernel: TransitionKernel) -> float:
                       f"the root lies in [{lo!r}, {hi!r}]")
 
 
+def arcs_from(kernel: TransitionKernel, i: int) -> List[Tuple[Arc, float]]:
+    """The arcs leaving window i and their probabilities in ``kernel.P``, in
+    the order that the chain's arc draw counts them
+    (``_RewriteTables._arcs``): k = +1, then -1; j ascending."""
+    return [(Arc(i, j, k), kernel.P.item((1 - k) // 2, i - 1, j - 1))
+            for k in (1, -1) for j in range(1, kernel.n_windows + 1) if j != i]
+
+
 def word_laws(
     kernel: TransitionKernel,
     source: int,
     max_steps: int,
-    size: Callable[[int], int],
     keep: Optional[Callable[[int, Word], bool]] = None,
 ) -> Iterator[Dict[Word, float]]:
     """The exact law of the reduced word of the chain started at e_source,
@@ -221,19 +229,14 @@ def word_laws(
 
     A word that ``keep(m, word)`` refuses is dropped from the law at step m.
     The caller may remove words from a yielded law; the next step grows from
-    what is left, and ``DEFAULT_STATE_CAP`` counts what is left.  The walk
-    stops early once the law is empty.  ``size(m)`` is the size of the law
-    at step m, or a floor on it: before its first step the walk raises
-    ``StateSpaceExceeded`` with the first of them above the cap, and it
-    counts each law as it is built, for the walks a floor misses.  Arcs
-    are read only through ``kernel.arcs_from`` and ``groupoid.append``,
-    never through the chain's rewrite tables, so the enumeration stays
-    independent of the convolution DP and the sampler.
+    what is left.  The walk stops early once the law is empty, and raises
+    ``StateSpaceExceeded`` with the count once a law holds more than
+    ``DEFAULT_STATE_CAP`` words after the caller's removals.  Arcs are read
+    only through ``arcs_from`` and ``groupoid.append``, never through the
+    chain's rewrite tables, so the enumeration stays independent of the
+    convolution DP and the sampler.
     """
-    for count in map(size, range(1, max_steps + 1)):
-        if count > DEFAULT_STATE_CAP:
-            raise StateSpaceExceeded(count, DEFAULT_STATE_CAP)
-    arcs = {i: kernel.arcs_from(i) for i in range(1, kernel.n_windows + 1)}
+    arcs = {i: arcs_from(kernel, i) for i in range(1, kernel.n_windows + 1)}
     law: Dict[Word, float] = {Word(source): 1.0}
     for m in range(1, max_steps + 1):
         nxt: Dict[Word, float] = {}
@@ -250,36 +253,6 @@ def word_laws(
         law = nxt
 
 
-def law_size(n_windows: int, m: int, r: int) -> int:
-    """The size of the law at step m >= 1 of a word-law walk that keeps
-    every reduced word of length at most r <= m.  There are 2 (N-1)^L
-    reduced words of length L >= 1 from a window.  Every arc has positive
-    probability, and a merge keeps a word's length, so each of them is
-    reached, and so is the empty word from step 2 on."""
-    b = n_windows - 1
-    return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
-
-
-def hitting_law_floor(n_windows: int, m: int, max_steps: int) -> int:
-    """A floor on the size of the hitting walk's law at step m >= 1, after
-    absorption, to horizon ``max_steps``: the reduced words of length
-    2..min(m, r) whose first letter is not the target, where r is
-    ``max_steps - m`` for a first letter of the target's sign (the target
-    merges into that letter's inverse) and one less for the other sign.
-    Push a word's letters, then keep its length by merges on the last
-    letter: every word on the way has the same first letter and no greater
-    length, so the keep rule keeps it and it is never the target.  From a
-    window, N - 2 first letters besides the target have its sign and N - 1
-    the other, and (N-1)^(L-1) words of length L follow each."""
-    b = n_windows - 1
-
-    def words(r: int) -> int:
-        # (N-1) + ... + (N-1)^(r-1): the lengths 2..r after one first letter.
-        return b * (b ** (max(r, 1) - 1) - 1) // (b - 1)
-
-    return (b - 1) * words(min(m, max_steps - m)) + b * words(min(m, max_steps - m - 1))
-
-
 def word_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -> np.ndarray:
     """``oracle.dp_hitting_series`` by the word-law walk: the law of the
     reduced word, with the target absorbed at each step and every word too
@@ -291,7 +264,6 @@ def word_hitting_series(kernel: TransitionKernel, target: Arc, max_steps: int) -
     target_word = Word(target.i, (target,))
     laws = word_laws(
         kernel, target.i, max_steps,
-        lambda m: hitting_law_floor(kernel.n_windows, m, max_steps),
         lambda m, word: m + len(compose(inverse(word), target_word)) <= max_steps)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.pop(target_word, 0.0)  # absorbed: the walk stops there
@@ -308,10 +280,7 @@ def word_return_series(kernel: TransitionKernel, i: int, max_steps: int) -> np.n
     coeffs = np.zeros(max_steps + 1)
     coeffs[0] = 1.0
     e_i = Word(i)
-    laws = word_laws(
-        kernel, i, max_steps,
-        lambda m: law_size(kernel.n_windows, m, min(m, max_steps - m)),
-        lambda m, word: len(word) <= max_steps - m)
+    laws = word_laws(kernel, i, max_steps, lambda m, word: len(word) <= max_steps - m)
     for m, law in enumerate(laws, start=1):
         coeffs[m] = law.get(e_i, 0.0)
     return coeffs
@@ -326,12 +295,12 @@ def word_truncated_G(
     max_steps: int,
 ) -> float:
     """``oracle.dp_truncated_G`` by the word-law walk: the whole law of the
-    reduced word at every step, each law summed in the order its words were
-    first reached."""
+    reduced word at every step, each law summed by ``math.fsum`` in the
+    order its words were first reached, so that its sum over thousands of
+    words rounds once."""
     total = 1.0  # n = 0 term: the unit word has length 0
-    laws = word_laws(kernel, i, max_steps, lambda m: law_size(kernel.n_windows, m, m))
-    for n, law in enumerate(laws, start=1):
-        expect = sum(prob * z ** metric_length(w, metric) for w, prob in law.items())
+    for n, law in enumerate(word_laws(kernel, i, max_steps), start=1):
+        expect = math.fsum(prob * z ** metric_length(w, metric) for w, prob in law.items())
         total += lam**n * expect
     return total
 
@@ -434,7 +403,7 @@ def verify_lazy_walk(kernel: TransitionKernel, n_steps: int, seed: int) -> LazyW
 class Replay:
     """The scalar chain on ``kernel``, replayed word by word apart from the
     stepper's tables.  A step draws one uniform u of ``default_rng(seed)``,
-    as ``simulate`` does, and takes arc a of ``kernel.arcs_from(target)``
+    as ``simulate`` does, and takes arc a of ``arcs_from(kernel, target)``
     for the a that ``bisect_left`` finds for u in the running sums of the
     arcs' probabilities, the last sum left out; ``groupoid.append`` rewrites
     the word.  Each window's arcs and sums are built on its first draw and
@@ -446,7 +415,7 @@ class Replay:
 
     def _row(self, i: int):
         if i not in self._rows:
-            arcs, probs = zip(*self.kernel.arcs_from(i))
+            arcs, probs = zip(*arcs_from(self.kernel, i))
             self._rows[i] = arcs, list(accumulate(probs))[:-1]
         return self._rows[i]
 

@@ -35,10 +35,11 @@ from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, chamber_arr
 from windwalk.groupoid import word_from_str
 from windwalk.limits import compute_limits
 from windwalk.montecarlo import verify_clt, verify_lln
-from windwalk.oracle import dp_hitting_series, dp_return_series, dp_truncated_G
+from windwalk.oracle import (dp_hitting_series, dp_return_series, dp_truncated_G,
+                             hitting_step_probabilities)
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import Replay, batch_top, sample_hitting_times, word_hitting_series
+from reference import Replay, arcs_from, batch_top, sample_hitting_times, word_hitting_series
 
 
 def test_symmetric_kernel_valid():
@@ -186,6 +187,13 @@ def test_n_windows_minimum():
         symmetric_kernel(2)
 
 
+@pytest.mark.parametrize("shape", [(), (3, 3), (3, 3, 3), (2, 3, 4), (2, 2, 3, 3)], ids=str)
+def test_kernel_array_of_another_shape_is_named(shape):
+    with pytest.raises(KernelError) as err:
+        TransitionKernel(np.full(shape, 0.25))
+    assert err.value.violations == [f"the chamber array must have shape (2, N, N), got {shape}"]
+
+
 def test_kernel_json_roundtrip():
     k = asymmetric_kernel()
     k2 = validate_kernel(kernel_to_json(k))
@@ -200,7 +208,7 @@ def test_step_frequencies_uniform():
     counts = {}
     n = 4000
     for _ in range(n):
-        arc = k.arcs_from(1)[bisect_left(sums, rng.random())][0]
+        arc = arcs_from(k, 1)[bisect_left(sums, rng.random())][0]
         counts[arc] = counts.get(arc, 0) + 1
     p = 1 / 4
     se = np.sqrt(p * (1 - p) / n)
@@ -606,7 +614,7 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
         row_ends, row_keys, row_letters, _ = arc_rows[i]
         assert (row_ends, row_keys) == (ends[f0 : f0 + rules.width], keys[f0 : f0 + rules.width])
         assert [letter[2] for letter in row_letters] == push[f0 : f0 + rules.width]
-        for a, (arc, _) in enumerate(kernel.arcs_from(i)):
+        for a, (arc, _) in enumerate(arcs_from(kernel, i)):
             f = i * rules.width + a
             assert (ends[f], keys[f]) == (arc.j, (1 - arc.k) // 2 * (n + 1) + arc.j)
             move = moves[codes[-1] + keys[f]]
@@ -673,8 +681,8 @@ def test_arc_rule_at_exact_boundaries(kernel):
     arc_rows, _ = rules.rows(kernel.P, word_metric(n))
     cum = rules.tables(kernel.P)[4]
     for i in range(1, n + 1):
-        arcs = [arc for arc, _ in kernel.arcs_from(i)]
-        bounds = np.cumsum([prob for _, prob in kernel.arcs_from(i)])[:-1]
+        arcs = [arc for arc, _ in arcs_from(kernel, i)]
+        bounds = np.cumsum([prob for _, prob in arcs_from(kernel, i)])[:-1]
         us = np.concatenate(([0.0], bounds))
         picked = [0] + list(range(len(bounds)))
         ends, keys, _, sums = arc_rows[i]
@@ -702,7 +710,7 @@ def test_arc_sums_table_equals_scalar_rows(n):
     assert cum.shape == (2 * n - 3, n + 1)
     assert (n == 300) == (len(_row_blocks(n + 1, rules.width)) > 1)
     for i in range(1, n + 1):
-        sums = np.cumsum([prob for _, prob in kernel.arcs_from(i)])[:-1].tolist()
+        sums = np.cumsum([prob for _, prob in arcs_from(kernel, i)])[:-1].tolist()
         assert cum[:, i].tolist() == arc_rows[i][3] == sums
 
 
@@ -823,8 +831,9 @@ def test_walk_above_its_step_cap_is_refused(monkeypatch):
      "cap must be >= 1"),
     (lambda: sample_hitting_times(Arc(1, 2, 1), _N3, cap=20, seed=0, n_samples=-1),
      "n_samples must be non-negative"),
+    (lambda: hitting_step_probabilities(_N3, -1), "max_steps must be >= 0"),
 ], ids=["run_length_paths-n_steps", "run_length_paths-n_paths", "hitting-times-cap",
-        "hitting-times-n_samples"])
+        "hitting-times-n_samples", "hitting-table-max_steps"])
 def test_bad_count_is_named_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

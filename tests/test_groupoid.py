@@ -9,6 +9,7 @@ from windwalk.chain import symmetric_kernel
 from windwalk.groupoid import (
     Arc,
     CompositionError,
+    Metric,
     Word,
     append,
     chamber_array,
@@ -136,6 +137,13 @@ def test_custom_metric_rejects_negative():
 def test_custom_metric_rejects_non_finite(weight):
     with pytest.raises(ValueError, match="is not finite"):
         custom_metric(3, {(1, 2, 1): weight})
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (2, 3, 4)], ids=str)
+def test_metric_of_another_shape_is_value_error(shape):
+    with pytest.raises(ValueError) as err:
+        Metric("flat", np.ones(shape))
+    assert str(err.value) == f"metric 'flat' weights must have shape (2, N, N), got {shape}"
 
 
 def _chamber_array_reference(table, n):

@@ -5,8 +5,7 @@ import pytest
 
 from windwalk import oracle
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import (Arc, Word, arc_entry, compose, fenced_metric, inverse,
-                               word_metric)
+from windwalk.groupoid import Arc, arc_entry, fenced_metric, word_metric
 from windwalk.oracle import (
     closed_form,
     closed_form_one_parameter,
@@ -19,8 +18,8 @@ from windwalk.solver import solve_r
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
 import reference
-from reference import (IndexMap, StateSpaceExceeded, hitting_law_floor, law_size, series_eval,
-                       word_hitting_series, word_laws, word_return_series, word_truncated_G)
+from reference import (IndexMap, StateSpaceExceeded, series_eval, word_hitting_series, word_laws,
+                       word_return_series, word_truncated_G)
 
 
 def test_first_coefficient_is_one_step_probability():
@@ -153,18 +152,18 @@ def test_truncated_g_monotone_and_tail_bounded(lam, short, long):
     assert hi - lo <= lam ** (short + 1) / (1 - lam)
 
 
-@pytest.mark.parametrize("kernel", [
-    asymmetric_kernel(), symmetric_kernel(3), symmetric_kernel(4), one_parameter_kernel(0.1),
-    dirichlet_kernel(4, 1.0, seed=1), dirichlet_kernel(5, 0.1, seed=2),
+@pytest.mark.parametrize("kernel, horizon", [
+    (asymmetric_kernel(), 9), (symmetric_kernel(3), 9), (symmetric_kernel(4), 7),
+    (one_parameter_kernel(0.1), 9), (dirichlet_kernel(4, 1.0, seed=1), 6),
+    (dirichlet_kernel(5, 0.1, seed=2), 5),
 ], ids=["asymmetric", "symmetric:3", "symmetric:4", "one_parameter:0.1", "dirichlet:4",
         "dirichlet:5"])
-def test_truncated_g_matches_the_word_walk(kernel):
-    # The word laws to at most 2729 words: horizon 9 at N = 3, 6 at N = 4
-    # and 5 at N = 5.  Further out the walk's plain sum over a law drifts:
-    # at symmetric:4, horizon 7, lam 0.99 and z 0.8 it lies 4.1e-14 from the
-    # exact rational value, and the convolution 4e-17.
+def test_truncated_g_matches_the_word_walk(kernel, horizon):
+    # The word laws to at most 6559 words.  At symmetric:4, word metric,
+    # horizon 7, lam 0.99 and z 0.8, a plain sum over each law lies 4.1e-14
+    # (relative) from the exact rational value, the walk's fsum 1.2e-16 and
+    # the convolution 4.2e-17.
     n = kernel.n_windows
-    horizon = {3: 9, 4: 6, 5: 5}[n]
     for metric in (word_metric(n), fenced_metric(n)):
         for lam, z in ((0.5, 1.0), (0.5, 0.9), (0.9, 0.3), (0.99, 0.8)):
             for m in range(horizon + 1):
@@ -183,15 +182,16 @@ def test_truncated_g_domain():
 
 @pytest.mark.parametrize("call, cap, count", [
     (lambda: word_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
-    (lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50, 90),
+    (lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50, 94),
+    (lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8), 26, 30),
     (lambda: word_return_series(symmetric_kernel(3), 1, 40), 50, 61),
-], ids=["G", "hitting", "return"])
+], ids=["G", "hitting", "hitting-asymmetric", "return"])
 def test_state_cap_guard(monkeypatch, call, cap, count):
     # The count is that of the first step whose kept words exceed the cap.
     monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceExceeded) as info:
         call()
-    assert info.value.count == count
+    assert str(info.value) == f"word-state count {count} exceeds the cap {cap}"
 
 
 @pytest.mark.parametrize("kernel, steps", [
@@ -200,54 +200,25 @@ def test_state_cap_guard(monkeypatch, call, cap, count):
 def test_law_sizes_are_the_reduced_word_counts(kernel, steps):
     # The return walk to horizon M keeps the words of length at most
     # min(m, M - m) at step m, and the G walk those of length at most m.
-    n = kernel.n_windows
+    # There are 2 (N-1)^L reduced words of length L >= 1 from a window, each
+    # reached as every arc has positive probability and a merge keeps a
+    # word's length, and so is the empty word from step 2 on.
+    b = kernel.n_windows - 1
+
+    def count(m, r):
+        return (m > 1) + 2 * b * (b**r - 1) // (b - 1)
+
     for horizon in range(1, steps + 1):
-        sizes = [law_size(n, m, min(m, horizon - m)) for m in range(1, horizon + 1)]
-        laws = word_laws(kernel, 1, horizon, lambda m: sizes[m - 1],
-                         lambda m, word: len(word) <= horizon - m)
-        assert [len(law) for law in laws] == sizes
-    sizes = [law_size(n, m, m) for m in range(1, steps + 1)]
-    laws = word_laws(kernel, 2, steps, lambda m: sizes[m - 1])
-    assert [len(law) for law in laws] == sizes
-
-
-def test_whole_word_balls_are_refused_before_the_first_step(monkeypatch):
-    # At the default cap and horizon, the law passes the cap at step 18: the
-    # running count stepped there for about 50 s before it refused.
-    def step(*args):
-        raise AssertionError("the word laws were stepped")
-
-    monkeypatch.setattr(reference, "append", step)
-    kernel = symmetric_kernel(3)
-    for call in (lambda: word_return_series(kernel, 1, 40),
-                 lambda: word_truncated_G(kernel, word_metric(3), 1, 0.5, 1.0, 40)):
-        with pytest.raises(StateSpaceExceeded) as info:
-            call()
-        assert (info.value.count, info.value.cap) == (2**20 - 3, reference.DEFAULT_STATE_CAP)
-
-
-@pytest.mark.parametrize("cap, count, stepped", [(26, 30, True), (25, 26, False)],
-                         ids=["count", "floor"])
-def test_hitting_walk_refuses_by_its_count_where_the_floor_passes(monkeypatch, cap, count,
-                                                                  stepped):
-    # Toward (1,2,+) on asymmetric at horizon 8 the floors peak at 26, and
-    # the law after step 4 holds 30 words: at cap 26 only the count after a
-    # step refuses the walk, and at cap 25 the floor does before any step.
-    def step(*args):
-        raise AssertionError("the word laws were stepped")
-
-    monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
-    if not stepped:
-        monkeypatch.setattr(reference, "append", step)
-    with pytest.raises(StateSpaceExceeded,
-                       match=f"^word-state count {count} exceeds the cap {cap}$"):
-        word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8)
+        laws = word_laws(kernel, 1, horizon, lambda m, word: len(word) <= horizon - m)
+        assert [len(law) for law in laws] == [count(m, min(m, horizon - m))
+                                              for m in range(1, horizon + 1)]
+    laws = word_laws(kernel, 2, steps)
+    assert [len(law) for law in laws] == [count(m, m) for m in range(1, steps + 1)]
 
 
 # What ``oracle-dp --method words`` printed before the hitting and return
-# series kept one route: the coefficients with their total mass, or the
-# refusal at the cap (None: the default).  The walks live on as the tests'
-# reference.
+# series kept one route: the coefficients with their total mass.  The walks
+# live on as the tests' reference.
 WORDS_CLI_SERIES = {
     "oracle-dp-hitting-words": (
         lambda: word_hitting_series(asymmetric_kernel(), Arc(2, 3, -1), 10),
@@ -262,25 +233,6 @@ WORDS_CLI_SERIES = {
          0.03183377296508704, 0.03696247563142335, 0.025244009405190327, 0.02629403292811058],
         1.8661475588281515),
 }
-WORDS_CLI_REFUSALS = {
-    "oracle-dp-hitting-words-refused": (
-        lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50,
-        "word-state count 90 exceeds the cap 50"),
-    "oracle-dp-return-words-refused": (
-        lambda: word_return_series(symmetric_kernel(3), 1, 40), 50,
-        "word-state count 61 exceeds the cap 50"),
-    "oracle-dp-hitting-words-refused-mid-walk": (
-        lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8), 26,
-        "word-state count 30 exceeds the cap 26"),
-    "oracle-dp-hitting-words-default": (
-        lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), None,
-        "word-state count 1572858 exceeds the cap 800000"),
-    "oracle-dp-return-words-default": (
-        lambda: word_return_series(symmetric_kernel(3), 1, 40), None,
-        "word-state count 1048573 exceeds the cap 800000"),
-}
-
-
 @pytest.mark.parametrize("name", WORDS_CLI_SERIES)
 def test_reference_walks_reproduce_the_words_cli_series(name):
     call, coeffs, total_mass = WORDS_CLI_SERIES[name]
@@ -289,36 +241,11 @@ def test_reference_walks_reproduce_the_words_cli_series(name):
     assert float(got.sum()) == total_mass
 
 
-@pytest.mark.parametrize("name", WORDS_CLI_REFUSALS)
-def test_reference_walks_reproduce_the_words_cli_refusals(monkeypatch, name):
-    call, cap, message = WORDS_CLI_REFUSALS[name]
-    if cap is not None:
-        monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
-    with pytest.raises(StateSpaceExceeded) as info:
-        call()
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize("n, horizon", [(3, 12), (4, 8), (5, 6)])
-@pytest.mark.parametrize("target", [Arc(1, 2, 1), Arc(2, 3, -1)], ids=str)
-def test_hitting_law_floor_is_below_the_true_sizes(n, horizon, target):
-    # The floor counts the words of length 2 and more that the walk must
-    # hold; the rest of a law is its unit and its one-letter words.
-    kernel = dirichlet_kernel(n, 1.0, seed=n)
-    target_word = Word(target.i, (target,))
-    for m_max in range(1, horizon + 1):
-        laws = word_laws(
-            kernel, target.i, m_max, lambda m: hitting_law_floor(n, m, m_max),
-            lambda m, word: m + len(compose(inverse(word), target_word)) <= m_max)
-        for m, law in enumerate(laws, start=1):
-            law.pop(target_word, None)
-            floor = hitting_law_floor(n, m, m_max)
-            assert len(law) - 2 * (n - 1) <= floor <= len(law), (m_max, m)
-
-
-# Word-space results at 8 steps, recorded as exact reprs.  Each law is summed
-# in a fixed order (words as first reached, arcs as ``arcs_from`` lists them),
-# so any change to that order or to the pruning shows up under ``==``.
+# Word-space results at 8 steps, recorded as exact reprs.  Each word's
+# probability adds up in a fixed order (words as first reached, arcs as
+# ``reference.arcs_from`` lists them), and the G walk sums each law by
+# ``math.fsum``, so any change to that order, to the pruning or to the sum
+# shows up under ``==``.
 WORD_SPACE_RECORD = {
     "asymmetric": {
         "hitting": {
@@ -355,8 +282,8 @@ WORD_SPACE_RECORD = {
                 0.019979566758116137]
             for i in (1, 2)
         },
-        "G": {("word", 1.0): 1.9960937499999982, ("word", 0.9): 1.866372253531822,
-              ("fenced", 1.0): 1.9960937499999982, ("fenced", 0.9): 1.81859793457209},
+        "G": {("word", 1.0): 1.99609375, ("word", 0.9): 1.8663722535318183,
+              ("fenced", 1.0): 1.99609375, ("fenced", 0.9): 1.8185979345720895},
     },
 }
 
