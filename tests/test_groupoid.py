@@ -139,7 +139,7 @@ def test_custom_metric_rejects_non_finite(weight):
         custom_metric(3, {(1, 2, 1): weight})
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (2, 3, 4)], ids=str)
+@pytest.mark.parametrize("shape", [(), (3, 3), (3, 3, 3), (2, 3, 4), (2, 2, 3, 3)], ids=str)
 def test_metric_of_another_shape_is_value_error(shape):
     with pytest.raises(ValueError) as err:
         Metric("flat", np.ones(shape))

@@ -180,17 +180,40 @@ def test_truncated_g_domain():
         dp_truncated_G(k, word_metric(3), 1, 0.5, 0.0, 5)
 
 
-@pytest.mark.parametrize("call, cap, count", [
-    (lambda: word_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30), 1000, 1021),
-    (lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40), 50, 94),
-    (lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8), 26, 30),
-    (lambda: word_return_series(symmetric_kernel(3), 1, 40), 50, 61),
+_CAPPED_WALKS = {
+    "G": lambda: word_truncated_G(symmetric_kernel(3), word_metric(3), 1, 0.5, 0.9, 30),
+    "hitting": lambda: word_hitting_series(symmetric_kernel(3), Arc(1, 2, 1), 40),
+    "hitting-asymmetric": lambda: word_hitting_series(asymmetric_kernel(), Arc(1, 2, 1), 8),
+    "return": lambda: word_return_series(symmetric_kernel(3), 1, 40),
+}
+
+
+@pytest.mark.parametrize("walk, cap, count", [
+    ("G", 1000, 1021), ("hitting", 50, 94), ("hitting-asymmetric", 26, 30), ("return", 50, 61),
 ], ids=["G", "hitting", "hitting-asymmetric", "return"])
-def test_state_cap_guard(monkeypatch, call, cap, count):
+def test_state_cap_guard(monkeypatch, walk, cap, count):
     # The count is that of the first step whose kept words exceed the cap.
     monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
     with pytest.raises(StateSpaceExceeded) as info:
-        call()
+        _CAPPED_WALKS[walk]()
+    assert str(info.value) == f"word-state count {count} exceeds the cap {cap}"
+
+
+@pytest.mark.parametrize("walk, cap, count", [
+    ("G", 1021, 2045), ("hitting", 94, 190), ("hitting-asymmetric", 30, None),
+    ("return", 61, 125),
+], ids=["G", "hitting", "hitting-asymmetric", "return"])
+def test_state_cap_admits_a_law_of_exactly_the_cap(monkeypatch, walk, cap, count):
+    # With the cap at the count that test_state_cap_guard refuses, that step
+    # passes: the walk refuses at a later step's count, or, on the asymmetric
+    # kernel to horizon 8, ends with the series that the default cap gives.
+    whole = _CAPPED_WALKS[walk]() if count is None else None
+    monkeypatch.setattr(reference, "DEFAULT_STATE_CAP", cap)
+    if count is None:
+        assert _CAPPED_WALKS[walk]().tolist() == whole.tolist()
+        return
+    with pytest.raises(StateSpaceExceeded) as info:
+        _CAPPED_WALKS[walk]()
     assert str(info.value) == f"word-state count {count} exceeds the cap {cap}"
 
 
