@@ -51,7 +51,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 from .chain import TransitionKernel, _row_blocks
-from .groupoid import Arc, Metric, Word, word_metric
+from .groupoid import Arc, Metric, Word, metric_length, word_metric
 
 #: Path-steps each shard of a batch must hold before ``run_length_groups``
 #: forks a process for it.  On a shared 2-vCPU host, two shards of a batch
@@ -246,7 +246,7 @@ def simulate(
     arcs, letters = rules.rows(kernel.P, metric)
     stack = [letters[c] for c in [0] + [rules.code(arc.i, arc.k) for arc in start.letters]]
     target = start.target
-    mlen = sum(metric.weight(arc) for arc in start.letters)
+    mlen = metric_length(start, metric)
     word_lens = np.empty(n_steps + 1, dtype=np.int64)
     metric_lens = np.empty(n_steps + 1, dtype=np.float64)
     word_lens[0] = len(start.letters)

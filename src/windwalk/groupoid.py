@@ -77,16 +77,6 @@ class Word:
                     raise ValueError(f"letters {prev} and {arc} violate sign alternation")
             prev = arc
 
-    def __hash__(self) -> int:
-        # The dataclass hash would rehash every letter on each dict lookup.
-        # It is kept on first use, not at construction: the chain's final
-        # word runs to 10^5 letters and is never hashed.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.source, self.letters))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
     @property
     def target(self) -> int:
         return self.letters[-1].j if self.letters else self.source
@@ -170,9 +160,6 @@ class Metric:
         W.flags.writeable = False
         object.__setattr__(self, "W", W)
 
-    def weight(self, arc: Arc) -> float:
-        return arc_entry(self.W, arc.i, arc.j, arc.k)
-
 
 def word_metric(n_windows: int) -> Metric:
     """Letter-count length: every arc weighs 1."""
@@ -195,17 +182,10 @@ def custom_metric(n_windows: int, weights: Mapping[Tuple[int, int, int], float])
 def metric_length(w: Word, m: Metric) -> float:
     """Sum of the letters' weights, added left to right from 0 as ``sum``
     adds them; ``KeyError`` for a letter past the metric's N."""
-    # The weights as nested lists, kept on first use: a plain list index
-    # costs less than a per-letter ``arc_entry``, and a large-N metric that
-    # never measures a word never builds them.
-    rows = m.__dict__.get("_rows")
-    if rows is None:
-        rows = m.W.tolist()
-        object.__setattr__(m, "_rows", rows)
     total = 0
     try:
         for arc in w.letters:
-            total += rows[(1 - arc.k) // 2][arc.i - 1][arc.j - 1]
+            total += m.W.item((1 - arc.k) // 2, arc.i - 1, arc.j - 1)
     except IndexError:
         raise KeyError((arc.i, arc.j, arc.k)) from None
     return float(total)

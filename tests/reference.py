@@ -39,9 +39,9 @@ from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 100000
 #: Words a law of ``word_laws`` may hold before it refuses.  A word state
-#: costs about 613 bytes (the ``tracemalloc`` peak over 131069 states of
+#: costs about 452 bytes (the ``tracemalloc`` peak over 131069 states of
 #: ``symmetric_kernel(3)`` at step 15), and the last law stays alive while
-#: the next one grows, so two laws at the cap hold about 1 GiB.
+#: the next one grows, so two laws at the cap hold about 0.7 GiB.
 DEFAULT_STATE_CAP = 8 * 10**5
 
 

@@ -5,13 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from windwalk.chain import symmetric_kernel
+from windwalk.chain import asymmetric_kernel, simulate, symmetric_kernel
 from windwalk.groupoid import (
     Arc,
     CompositionError,
     Metric,
     Word,
     append,
+    arc_entry,
     chamber_array,
     compose,
     custom_metric,
@@ -116,7 +117,7 @@ def test_weight_array_matches_metric(metric):
     for i in range(1, 5):
         for j in range(1, 5):
             for s, k in enumerate((1, -1)):
-                want = 0.0 if i == j else metric.weight(Arc(i, j, k))
+                want = 0.0 if i == j else arc_entry(metric.W, i, j, k)
                 assert w[s, i - 1, j - 1] == want
     if metric.name == "custom":
         assert w[0, 0, 1] == 2.5 and w[1, 2, 0] == 0.75 and w[0, 1, 1] == 0.0
@@ -220,8 +221,8 @@ def test_metric_length_additive_under_append():
 
 
 def test_equal_words_from_different_routes_hash_equal():
-    # Word keeps its hash after the first call; words equal by value must
-    # still hash equal however they were built.
+    # Words equal by value must hash equal however they were built, before
+    # and after the first call.
     text = "A(1,3,+)A(3,2,-)A(2,4,+)"
     parsed = word_from_str(text)
     grown = unit(1)
@@ -237,6 +238,19 @@ def test_equal_words_from_different_routes_hash_equal():
     assert {parsed: 1.0}[grown] == 1.0
 
 
+def test_word_and_metric_hold_only_their_fields():
+    # Hashing, measuring and simulating leave no cache on either object.
+    word = word_from_str("A(1,2,+)A(2,3,-)A(3,1,+)")
+    metric = fenced_metric(3)
+    hash(word)
+    assert metric_length(word, metric) == 4.0
+    traj = simulate(word, asymmetric_kernel(), 20, seed=3, metric=metric)
+    assert traj.metric_lens[0] == 4.0
+    assert set(vars(word)) == {"source", "letters"}
+    assert set(vars(metric)) == {"name", "W"}
+    assert hash(word) == hash((word.source, word.letters))
+
+
 def test_metric_length_adds_weights_left_to_right():
     # Weights with no exact binary sum: the length must be the bits of the
     # left-to-right sum of the per-letter weights, from 0.
@@ -249,7 +263,7 @@ def test_metric_length_adds_weights_left_to_right():
         w = random_word(rng, n, max_len=30)
         want = 0
         for arc in w.letters:
-            want += metric.weight(arc)
+            want += arc_entry(metric.W, arc.i, arc.j, arc.k)
         assert metric_length(w, metric).hex() == float(want).hex()
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from windwalk import limits
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, arc_entry, custom_metric, fenced_metric, word_metric
+from windwalk.groupoid import arc_entry, custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import (
     SIMPLE_ZERO_TOL,
@@ -319,7 +319,7 @@ def test_build_b_matches_scalar_jets():
     for chamber, sign in enumerate((1, -1)):
         for i in range(1, 4):
             for j in range(1, 4):
-                want = Jet2() if i == j else power_jet(metric.weight(Arc(i, j, sign))) * series_jet(
+                want = Jet2() if i == j else power_jet(arc_entry(metric.W, i, j, sign)) * series_jet(
                     *(arc_entry(a, i, j, sign) for a in (r.values, d.d1, d.d2)))
                 got = b[chamber, :, i - 1, j - 1]
                 for c, name in zip(got, FIELDS):
@@ -387,6 +387,7 @@ def _jet_pair(k0_plus, k0_minus):
 
 _HALVES = np.full((2, 2), 0.5)
 _CLASSES = np.kron(np.eye(2), _HALVES)
+_SHEAR = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("b0_plus, b0_minus, reason", [
@@ -398,7 +399,11 @@ _CLASSES = np.kron(np.eye(2), _HALVES)
      "condition number"),
     # A Jordan block: u^T v = 0 with a well-conditioned border.
     ([[1.0, 1.0], [0.0, 1.0]], np.eye(2), "orthogonal"),
-], ids=["two-classes", "leak-1e-15", "jordan"])
+    # A Jordan block split by 4e-14, seen through a shear: cos(u, v) reads
+    # 1.6e-14, and the border's condition number, 1.5e14, refuses first.
+    (_SHEAR @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0 - 4e-14, 0.0], [0.0, 0.0, 0.5]])
+     @ np.linalg.inv(_SHEAR), np.eye(3), "condition number"),
+], ids=["two-classes", "leak-1e-15", "jordan", "near-defective-4e-14"])
 def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason):
     with pytest.raises(DegenerateSystemError, match=f"{reason}.*the root is not simple"):
         perron_jet(_jet_pair(b0_plus, b0_minus))

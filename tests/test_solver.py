@@ -834,9 +834,14 @@ def test_dense_path_runs_up_to_dense_max_n(monkeypatch):
 def test_step_cap_and_rounding_floor_on_both_paths(monkeypatch, dense_max_n):
     monkeypatch.setattr(solver, "DENSE_MAX_N", dense_max_n)
     with monkeypatch.context() as capped:
-        capped.setattr(solver, "DEFAULT_MAX_ITER", 2)
-        with pytest.raises(SolverError, match="did not converge in 2 steps"):
-            solve_r(asymmetric_kernel(), 1.0)
+        # The asymmetric kernel takes 7 steps on each path: a cap of exactly
+        # 7 answers, and one step fewer refuses.
+        capped.setattr(solver, "DEFAULT_MAX_ITER", 7)
+        assert solve_r(asymmetric_kernel(), 1.0).iterations == 7
+        for cap in (6, 2):
+            capped.setattr(solver, "DEFAULT_MAX_ITER", cap)
+            with pytest.raises(SolverError, match=f"did not converge in {cap} steps"):
+                solve_r(asymmetric_kernel(), 1.0)
     k = one_parameter_kernel(1e-5)
     for tol in (1e-13, 1e-15, 1e-18):
         r = solve_r(k, 1.0, tol=tol)
