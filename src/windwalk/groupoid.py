@@ -197,15 +197,6 @@ def other_windows(n_windows: int) -> np.ndarray:
     return a + (a >= np.arange(n_windows)[:, None])
 
 
-def arc_entry(array: np.ndarray, i: int, j: int, k: int) -> float:
-    """Entry of arc (i, j, k) in a (2, N, N) array; ``KeyError`` for a triple
-    that names no arc, rather than a read of the diagonal or a wrapped index."""
-    n = array.shape[-1]
-    if i == j or not (1 <= i <= n and 1 <= j <= n) or k not in (1, -1):
-        raise KeyError((i, j, k))
-    return array.item((1 - k) // 2, i - 1, j - 1)
-
-
 def arc_entries(array: np.ndarray) -> List[dict]:
     """The arcs of a (2, N, N) array as JSON entries ``{"i", "j", "k",
     "value"}``: k = +1 first, then i and j ascending (the solver's flat

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .chain import TransitionKernel
-from .groupoid import Arc, Metric
+from .groupoid import Arc, Metric, whole_number
 
 #: Work, max_steps^2 N^2, that ``hitting_step_probabilities`` may take: its
 #: convolution at step m sums m terms of a (2, N, N) table.  On a shared
@@ -173,6 +173,7 @@ class ClosedFormCase:
 
 
 def closed_form_symmetric(n: int) -> ClosedFormCase:
+    n = whole_number(n)
     if n < 3:
         raise ValueError("symmetric family requires N >= 3")
     gamma_word = (n - 2) / (2 * (n - 1))
@@ -261,7 +262,7 @@ def closed_form_asymmetric() -> ClosedFormCase:
 
 def closed_form(family: str, **params) -> ClosedFormCase:
     if family == "symmetric":
-        return closed_form_symmetric(int(params["N"]))
+        return closed_form_symmetric(params["N"])
     if family == "one_parameter":
         return closed_form_one_parameter(float(params["q"]))
     if family == "asymmetric":

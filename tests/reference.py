@@ -1,15 +1,16 @@
-"""Reference routes that only the tests call: the flat order of the arcs,
-the arcs leaving a window in the order the chain draws them, the flat
-system and its dense Jacobian built arc by arc, the structured solve with
-its 2N x 2N coupling solved whole, the float transfer matrices and their
-spectral radius, the plain-float determinant that the finite-difference
-stencils of ``helpers.fd_partials`` evaluate, the transience root by power
-iteration on ``solver.apply_m``, the word-law walk, ``word_laws``, with its
-one state cap and the hitting series, the return series and the truncated
-``G`` that it gives, a truncated series' partial sum, hitting times sampled
-on the batched chain, the lazy-nearest-neighbour law of the symmetric
-family's word lengths checked on one simulated path, and the scalar chain
-replayed word by word.
+"""Reference routes that only the tests call: one arc of a chamber array read
+by its triple, the flat order of the arcs, the arcs leaving a window in
+the order the chain draws them, the flat system and its dense Jacobian
+built arc by arc, the structured solve with its 2N x 2N coupling solved
+whole, the float transfer matrices and their spectral radius, the
+plain-float determinant that the finite-difference stencils of
+``helpers.fd_partials`` evaluate, the transience root by power iteration
+on ``solver.apply_m``, the word-law walk, ``word_laws``, with its one
+state cap and the hitting series, the return series and the truncated
+``G`` that it gives, a truncated series' partial sum, hitting times
+sampled on the batched chain, the lazy-nearest-neighbour law of the
+symmetric family's word lengths checked on one simulated path, and the
+scalar chain replayed word by word.
 
 Each one recomputes what the library's pipeline computes, by a different
 route, so that the tests can check one against the other.  None of them is
@@ -29,8 +30,7 @@ import numpy as np
 from windwalk import solver
 from windwalk._stepper import _BatchState
 from windwalk.chain import TransitionKernel, simulate
-from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, compose, inverse,
-                               metric_length, unit)
+from windwalk.groupoid import Arc, Metric, Word, append, compose, inverse, metric_length, unit
 from windwalk.solver import DEFAULT_TOL, RSolution, SolverError, solve_r
 
 #: ``transience_root``'s power iteration stops once its Collatz-Wielandt
@@ -50,6 +50,15 @@ class StateSpaceExceeded(RuntimeError):
         super().__init__(f"word-state count {count} exceeds the cap {cap}")
         self.count = count
         self.cap = cap
+
+
+def arc_entry(array: np.ndarray, i: int, j: int, k: int) -> float:
+    """Entry of arc (i, j, k) in a (2, N, N) array; ``KeyError`` for a triple
+    that names no arc, rather than a read of the diagonal or a wrapped index."""
+    n = array.shape[-1]
+    if i == j or not (1 <= i <= n and 1 <= j <= n) or k not in (1, -1):
+        raise KeyError((i, j, k))
+    return array.item((1 - k) // 2, i - 1, j - 1)
 
 
 class IndexMap:

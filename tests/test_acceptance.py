@@ -19,7 +19,6 @@ from windwalk.groupoid import (
     Arc,
     Word,
     append,
-    arc_entry,
     compose,
     fenced_metric,
     inverse,
@@ -40,7 +39,7 @@ from windwalk.solver import (
 )
 
 from helpers import fd_partials, printed_tolerance, random_word
-from reference import (IndexMap, build_m_matrix, primitivity_pattern_ok, series_eval,
+from reference import (IndexMap, arc_entry, build_m_matrix, primitivity_pattern_ok, series_eval,
                        spectral_radius_k, to_flat, transience_root)
 
 THREE_KERNELS = [

@@ -29,9 +29,8 @@ from windwalk.chain import (
     symmetric_kernel,
     validate_kernel,
 )
-from windwalk.groupoid import (Arc, Metric, Word, append, arc_entry, chamber_array,
-                               custom_metric, fenced_metric, metric_length, unit,
-                               word_metric)
+from windwalk.groupoid import (Arc, Metric, Word, append, chamber_array, custom_metric,
+                               fenced_metric, metric_length, unit, word_metric)
 from windwalk.groupoid import word_from_str
 from windwalk.limits import compute_limits
 from windwalk.montecarlo import verify_clt, verify_lln
@@ -39,7 +38,8 @@ from windwalk.oracle import (dp_hitting_series, dp_return_series, dp_truncated_G
                              hitting_step_probabilities)
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
-from reference import Replay, arcs_from, batch_top, sample_hitting_times, word_hitting_series
+from reference import (Replay, arc_entry, arcs_from, batch_top, sample_hitting_times,
+                       word_hitting_series)
 
 
 def test_symmetric_kernel_valid():
@@ -135,6 +135,23 @@ def test_array_kernel_names_every_violated_arc():
         "row for window 3 sums to 0.75 (deficit +2.500e-01)",
         "entries for degenerate arcs not allowed: [(2, 2, -1)]",
     ]
+
+
+@pytest.mark.parametrize("delta, refusal", [
+    (9e-13, None),
+    (1.1e-12, "row for window 1 sums to 1.0000000000011 (deficit -1.100e-12)"),
+])
+def test_row_sum_tolerance_is_1e_minus_12(delta, refusal):
+    # Either side of ROW_SUM_TOL: a tolerance ten times larger would take the
+    # second row, and one ten times smaller would refuse the first.
+    P = np.array(symmetric_kernel(3).P)
+    P[0, 0, 1] += delta
+    if refusal is None:
+        TransitionKernel(P)
+    else:
+        with pytest.raises(KernelError) as err:
+            TransitionKernel(P)
+        assert err.value.violations == [refusal]
 
 
 def _violations_reference(n, p):

@@ -12,13 +12,13 @@ from windwalk import cli
 from windwalk.chain import (asymmetric_kernel, kernel_to_json, one_parameter_kernel,
                             symmetric_kernel)
 from windwalk.cli import DEFAULT_Q_GRID, build_parser, main
-from windwalk.groupoid import arc_entry, fenced_metric, word_metric
+from windwalk.groupoid import fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form
 from windwalk.solver import solve_r, solve_r_derivatives
 
-from reference import IndexMap
+from reference import IndexMap, arc_entry
 
 
 def run(capsys, *argv):

@@ -12,7 +12,6 @@ from windwalk.groupoid import (
     Metric,
     Word,
     append,
-    arc_entry,
     chamber_array,
     compose,
     custom_metric,
@@ -25,6 +24,7 @@ from windwalk.groupoid import (
 )
 
 from helpers import random_word
+from reference import arc_entry
 
 
 def test_arc_validation():

@@ -10,7 +10,7 @@ import pytest
 
 from windwalk import limits
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import arc_entry, custom_metric, fenced_metric, word_metric
+from windwalk.groupoid import custom_metric, fenced_metric, word_metric
 from windwalk.jets import Jet2
 from windwalk.limits import (
     SIMPLE_ZERO_TOL,
@@ -28,7 +28,7 @@ from windwalk.oracle import closed_form, closed_form_symmetric
 from windwalk.solver import solve_r, solve_r_derivatives
 
 from helpers import dirichlet_kernel, fd_partials, power_jet, series_jet
-from reference import b_matrix_values, direct_h, spectral_radius_k
+from reference import arc_entry, b_matrix_values, direct_h, spectral_radius_k
 
 KERNELS = [symmetric_kernel(3), one_parameter_kernel(0.1), asymmetric_kernel()]
 FIELDS = ("c00", "c10", "c01", "c20", "c11", "c02")

@@ -5,7 +5,7 @@ import pytest
 
 from windwalk import oracle
 from windwalk.chain import asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, arc_entry, fenced_metric, word_metric
+from windwalk.groupoid import Arc, fenced_metric, word_metric
 from windwalk.oracle import (
     closed_form,
     closed_form_one_parameter,
@@ -18,8 +18,8 @@ from windwalk.solver import solve_r
 
 from helpers import dirichlet_kernel, symmetric3_hitting_root
 import reference
-from reference import (IndexMap, StateSpaceExceeded, series_eval, word_hitting_series, word_laws,
-                       word_return_series, word_truncated_G)
+from reference import (IndexMap, StateSpaceExceeded, arc_entry, series_eval, word_hitting_series,
+                       word_laws, word_return_series, word_truncated_G)
 
 
 def test_first_coefficient_is_one_step_probability():
@@ -333,6 +333,19 @@ def test_closed_form_symmetric():
     assert c6.gamma_fenced == pytest.approx(7 * 4 / (6 * 5))
     with pytest.raises(ValueError):
         closed_form("symmetric", N=2)
+
+
+@pytest.mark.parametrize("entry", [lambda n: closed_form("symmetric", N=n),
+                                   oracle.closed_form_symmetric],
+                         ids=["closed_form", "closed_form_symmetric"])
+def test_closed_form_symmetric_takes_a_whole_n_only(entry):
+    # int(3.5) would answer for N = 3, and 3.5 itself for no kernel at all.
+    with pytest.raises(ValueError, match="3.5 is not a whole number"):
+        entry(3.5)
+    for n in (4, 4.0, "4"):
+        c = entry(n)
+        assert c.to_json() == closed_form("symmetric", N=4).to_json()
+        assert type(c.params["N"]) is int
 
 
 def test_closed_form_one_parameter_landmarks():

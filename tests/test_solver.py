@@ -11,7 +11,7 @@ import pytest
 from windwalk import solver
 from windwalk.cli import build_parser
 from windwalk.chain import TransitionKernel, asymmetric_kernel, one_parameter_kernel, symmetric_kernel
-from windwalk.groupoid import Arc, arc_entry, fenced_metric, word_metric
+from windwalk.groupoid import Arc, Metric, fenced_metric, word_metric
 from windwalk.limits import compute_limits
 from windwalk.oracle import closed_form_one_parameter, dp_hitting_series, dp_return_series
 from windwalk.solver import (
@@ -25,8 +25,9 @@ from windwalk.solver import (
 
 import reference
 from helpers import dirichlet_kernel
-from reference import (IndexMap, build_m_matrix, coupled_solve_2n, direct_h, flat_system_by_arc,
-                       primitivity_pattern_ok, spectral_radius_k, to_flat, transience_root)
+from reference import (IndexMap, arc_entry, build_m_matrix, coupled_solve_2n, direct_h,
+                       flat_system_by_arc, primitivity_pattern_ok, spectral_radius_k, to_flat,
+                       transience_root)
 
 
 def _linearised(p, r):
@@ -811,6 +812,32 @@ def test_dense_and_structured_newton_paths_agree(monkeypatch, kernel, rel):
     for structured, dense in zip(limits_s, limits_d):
         assert dense.gamma == pytest.approx(structured.gamma, rel=rel, abs=0)
         assert dense.sigma2 == pytest.approx(structured.sigma2, rel=rel, abs=0)
+
+
+SYMMETRY_CASES = [asymmetric_kernel()] + [dirichlet_kernel(n, concentration, seed=n)
+                                          for n in (3, 5, 7, 12, 50, 200)
+                                          for concentration in (1.0, 0.1)]
+
+
+@pytest.mark.parametrize("kernel", SYMMETRY_CASES, ids=repr)
+def test_limits_keep_the_exact_symmetries(kernel):
+    # Swapping the chambers and relabelling the windows map the walk onto
+    # itself, and weights three times as large triple every length, so
+    # gamma and sigma^2 may move only by rounding, which reaches them through
+    # the d1 and d2 solves times beta, as in the path-parity test above.
+    n = kernel.n_windows
+    r = solve_r(kernel, 1.0)
+    beta = _linearised(kernel.P, r.values).solve(np.ones_like(r.values)).max()
+    bound = 64 * np.finfo(float).eps * beta
+    relabel = np.ix_([0, 1], *[np.random.default_rng(n).permutation(n)] * 2)
+    for metric in (word_metric(n), fenced_metric(n)):
+        want, W = compute_limits(kernel, metric), metric.W
+        for P, weights, scale in ((kernel.P[::-1], W[::-1], 1.0),
+                                  (kernel.P[relabel], W[relabel], 1.0),
+                                  (kernel.P, 3 * W, 3.0)):
+            got = compute_limits(TransitionKernel(P), Metric(metric.name, weights))
+            assert got.gamma == pytest.approx(scale * want.gamma, rel=bound, abs=0)
+            assert got.sigma2 == pytest.approx(scale**2 * want.sigma2, rel=bound, abs=0)
 
 
 def test_dense_path_runs_up_to_dense_max_n(monkeypatch):
