@@ -26,12 +26,12 @@ and always before a fork.
 
 A large batch is stepped on every CPU the process may use.  On Linux,
 ``run_length_groups`` cuts the batch's path range into contiguous shards,
-steps the first itself and each other one in a forked child
-(``run_forked``), and joins their results in path order.  Path p still draws
-only from child p of its group's seed, so the shards change no bit of any
-result, and the memory of the batch is spread over the processes.  A batch
-of fewer than ``SHARD_PATH_STEPS`` path-steps per extra shard, and every
-batch off Linux, stays in one process and never forks.
+and ``run_forked``, which steps every batch, steps the first itself and
+each other one in a forked child, and joins their results in path order.
+Path p still draws only from child p of its group's seed, so the shards
+change no bit of any result, and the memory of the batch is spread over the
+processes.  A batch of fewer than ``SHARD_PATH_STEPS`` path-steps per extra
+shard, and every batch off Linux, stays in one process and never forks.
 """
 
 from __future__ import annotations
@@ -390,7 +390,7 @@ class _BatchState:
         self.rules = rules = _RewriteTables(kernel.n_windows)
         self._ends, self._keys, self._push, moves, self._cum = rules.tables(kernel.P)
         self.n_paths = n_paths = sum(count for *_, count in starts)
-        d0 = max(len(initial.letters) for initial, *_ in starts)
+        d0 = max((len(initial.letters) for initial, *_ in starts), default=0)
         # Slots needed: the sentinel, one per letter, and the free slot above
         # the top that every step writes.
         self._slots = d0 + max_steps + 2
@@ -525,9 +525,9 @@ def run_length_groups(
     starts: Sequence[Tuple[Word, int, int]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The body of ``chain._run_length_groups``: the batch cut by
-    ``_shards`` into ``_shard_count`` shards, read at call time, and stepped
-    by ``_run_shard`` here, or by ``run_forked`` when there are two or
-    more."""
+    ``_shards`` into ``_shard_count`` shards, read at call time, and every
+    batch, an empty one too, stepped by ``run_forked``, which forks only
+    for the shards after the first."""
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
     kernel.check_metric(metric)
@@ -539,10 +539,7 @@ def run_length_groups(
     if total * n_steps > MAX_PATH_STEPS:
         raise ValueError(f"{total} paths of {n_steps} steps are {total * n_steps} path-steps, "
                          f"above the cap {MAX_PATH_STEPS}")
-    shards = _shards(starts, _shard_count(total, n_steps))
-    if len(shards) < 2:
-        return _run_shard(kernel, metric, n_steps, [(w, seed, 0, n) for w, seed, n in starts])
-    return run_forked(kernel, metric, n_steps, shards)
+    return run_forked(kernel, metric, n_steps, _shards(starts, _shard_count(total, n_steps)) or [[]])
 
 
 def _shard_count(n_paths: int, n_steps: int) -> int:

@@ -120,6 +120,25 @@ def test_probability_one_rejected():
     assert any("outside (0, 1)" in v for v in err.value.violations)
 
 
+def test_probability_zero_rejected():
+    # The open interval's lower end: the row still sums to 1, so the zero
+    # arc is the one refusal.
+    P = np.array(symmetric_kernel(3).P)
+    P[0, 0, 1], P[1, 0, 1] = 0.0, 0.5
+    with pytest.raises(KernelError) as err:
+        TransitionKernel(P)
+    assert err.value.violations == ["probability 0.0 for arc (1,2,+1) outside (0, 1)"]
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5])
+def test_one_parameter_q_is_refused_at_both_ends(q):
+    # The family's own check names q before the kernel refuses the zero arc
+    # that either end makes.
+    with pytest.raises(KernelError) as err:
+        one_parameter_kernel(q)
+    assert err.value.violations == [f"one-parameter q must lie in (0, 1/2), got {q}"]
+
+
 def test_array_kernel_names_every_violated_arc():
     # An explicit NaN is a value outside (0, 1), not a missing arc; an arc
     # outside ``given`` is missing; a diagonal entry is a degenerate arc.

@@ -131,6 +131,14 @@ def test_threads_option_and_config_key_are_invalid(capsys, tmp_path):
     assert "threads" in err
 
 
+def test_sweep_q_default_grid(capsys):
+    code, out, _ = run(capsys, "sweep-q")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == cli.SWEEP_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i / 50) for i in range(1, 25)]
+
+
 def test_sweep_q_bounds(capsys):
     code, _, _ = run(capsys, "sweep-q", "--q-grid", "0.1,0.7")
     assert code == 2

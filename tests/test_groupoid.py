@@ -129,9 +129,11 @@ def test_custom_metric_rejects_keys_that_name_no_arc(key):
         custom_metric(3, {(2, 1, 1): 1.0, key: 5.0})
 
 
-def test_custom_metric_rejects_negative():
-    with pytest.raises(ValueError):
-        custom_metric(3, {(1, 2, 1): -0.5})
+@pytest.mark.parametrize("key", [(1, 2, 1), (2, 1, -1)])
+def test_custom_metric_rejects_negative(key):
+    with pytest.raises(ValueError) as err:
+        custom_metric(3, {key: -0.5})
+    assert str(err.value) == f"negative weight -0.5 for arc {key}"
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])

@@ -86,6 +86,21 @@ def test_shards_of_a_group_start_at_its_cut():
     assert _shards([(unit(1), 3, 0)], 2) == []
 
 
+def test_a_batch_of_no_paths_is_empty():
+    word_lens, metric_lens = run_length_paths(symmetric_kernel(3), word_metric(3), 10, 0, 1)
+    assert word_lens.dtype == np.int64 and word_lens.shape == (0,)
+    assert metric_lens.dtype == np.float64 and metric_lens.shape == (0,)
+
+
+def test_an_empty_group_leaves_the_batch_unchanged():
+    kernel, metric = symmetric_kernel(4), word_metric(4)
+    want = _run_length_groups(kernel, metric, 300, [(unit(1), 3, 4), (_two_letter_word(), 8, 5)])
+    got = _run_length_groups(kernel, metric, 300,
+                             [(unit(1), 3, 4), (unit(2), 5, 0), (_two_letter_word(), 8, 5)])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
 def test_sharded_verify_lln_report_equals_one_shard(shards):
     kernel, metric = asymmetric_kernel(), fenced_metric(3)
     shards(1)
