@@ -169,27 +169,24 @@ class _RewriteTables:
 
     def weights(self, metric: Metric) -> np.ndarray:
         """Table whose entry ``[code(i, k) // m, j]`` is the weight of arc
-        (i, j, k): ``W`` padded with window 0.  Window 0 and the diagonal
-        weigh nothing, so a push reads its letter's weight less 0 and a pop
-        0 less its letter's weight."""
-        w = np.pad(metric.W, ((0, 0), (1, 0), (1, 0)))
-        np.einsum("kii->ki", w)[...] = 0.0
-        return w.reshape(self.m, self.n1)
+        (i, j, k): ``W`` padded with window 0.  Window 0 weighs nothing, and
+        so does the diagonal, which ``Metric`` keeps at zero, so a push reads
+        its letter's weight less 0 and a pop 0 less its letter's weight."""
+        return np.pad(metric.W, ((0, 0), (1, 0), (1, 0))).reshape(self.m, self.n1)
 
     def rows(self, P, metric: Metric):
         """Lazy rows for the scalar chain.  ``letters[c]`` is the letter of
         code c as ``(moves, weights, c)``: its moves by column and its
-        weights by end window, as in ``weights``.  ``arcs[i]`` holds the
-        lists ``(ends, keys, letters, sums)`` of window i's arcs,
-        ``letters[f]`` being the letter row of ``push[f]``.  Each row is
-        built on its first lookup."""
+        weights by end window, as in ``weights``, with the zero at its own
+        window from ``Metric``.  ``arcs[i]`` holds the lists ``(ends, keys,
+        letters, sums)`` of window i's arcs, ``letters[f]`` being the letter
+        row of ``push[f]``.  Each row is built on its first lookup."""
 
         def letter(c):
             s, i = divmod(c // self.m, self.n1)
             weights = [0.0] * self.n1
             if i:
                 weights[1:] = metric.W[s, i - 1].tolist()
-                weights[i] = 0.0
             return self._moves(c // self.m).tolist(), weights, c
 
         def arc_row(i):

@@ -234,10 +234,21 @@ def simulate(
 ) -> Trajectory:
     """Run the chain for ``n_steps`` steps from ``start``.
 
-    Only the word and metric lengths are kept per step, with the final word,
-    so memory beyond the two length arrays stays proportional to the current
-    word length.  The word is a list of letter codes stepped through
-    ``_RewriteTables``, slot 0 the sentinel.
+    Only the word and metric lengths are kept per step, with the final word.
+    The word, a list of letter codes stepped through ``_RewriteTables`` with
+    slot 0 the sentinel, grows with the current word length.  The rows it
+    steps through are built on first use and kept for the run: for each
+    visited window, four lists of its 2N - 2 arcs, and for each visited top
+    letter, a moves row of 2(N + 1) entries and a weights row of N + 1
+    floats.  A fenced walk of 20000 steps from ``unit(1)`` on
+    ``symmetric_kernel(1000)`` visits every window and top letter, and its
+    call peaked at 288 MiB under ``tracemalloc``.
+
+    ``metric_lens`` is a running sum, one weight difference per step.  It is
+    exact for integer weights, as the word and fenced metrics have; for
+    weights that are not dyadic its last entry may differ from
+    ``metric_length(traj.final)`` in the last bits, by 1e-15 to 2e-14
+    relative after 20000 steps on ``asymmetric_kernel`` with random weights.
     """
     from . import _stepper
 

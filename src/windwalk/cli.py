@@ -52,10 +52,6 @@ EXIT_CLOSED_STDOUT = 141
 DEFAULT_Q_GRID = [round(0.02 * i, 10) for i in range(1, 25)]  # 0.02 .. 0.48
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse drops every ``OSError`` of a message's write.  This parser
     lets ``BrokenPipeError`` out of a write to stdout, so that ``--help``
@@ -81,14 +77,14 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     with open(path) as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     (commands,) = [action.choices for action in parser._actions if action.dest == "command"]
     sub = commands[command]
     flags = {action.dest: action for action in sub._actions
              if action.dest not in ("help", "config")}
     unknown = sorted(set(config) - set(flags))
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys for {command}: {', '.join(unknown)}")
     sub.set_defaults(**{key: _config_value(key, value, flags[key])
                         for key, value in config.items()})
 
@@ -107,7 +103,7 @@ def _config_value(key: str, value, action: argparse.Action):
         else:
             valid = isinstance(value, str) or converted == value
     if not valid or (action.choices is not None and converted not in action.choices):
-        raise ConfigError(f"invalid value {value!r} for config key {key!r}")
+        raise ValueError(f"invalid value {value!r} for config key {key!r}")
     return converted
 
 
@@ -128,7 +124,7 @@ def _build_kernel(spec) -> TransitionKernel:
     file's path or a family's text: ``symmetric:N`` is ``{"symmetric": {"N": "N"}}``.
     An error in a family's text quotes that text, not the object it stands for."""
     if spec is None:
-        raise ConfigError("no kernel specified (flag --kernel or config 'kernel')")
+        raise ValueError("no kernel specified (flag --kernel or config 'kernel')")
     if isinstance(spec, dict):
         return validate_kernel(spec)
     text = str(spec)
@@ -153,20 +149,20 @@ def _build_kernel(spec) -> TransitionKernel:
 def _build_metric(spec, n_windows: int) -> Metric:
     if isinstance(spec, dict):
         if list(spec) != ["custom"]:
-            raise ConfigError(f"metric object must carry a 'custom' weight list and no other "
-                              f"key, got keys {list(spec)!r}")
+            raise ValueError(f"metric object must carry a 'custom' weight list and no other "
+                             f"key, got keys {list(spec)!r}")
         weights = arc_table(spec["custom"], "weight", "the custom metric")
         stray = [f"entry {n} of the custom metric names no arc: {spec['custom'][n]!r}"
                  for n, (i, j, k) in enumerate(weights)
                  if i == j or min(i, j) < 1 or max(i, j) > n_windows or k not in (1, -1)]
         if stray:
-            raise ConfigError("; ".join(stray))
+            raise ValueError("; ".join(stray))
         return custom_metric(n_windows, weights)
     if spec == "word":
         return word_metric(n_windows)
     if spec == "fenced":
         return fenced_metric(n_windows)
-    raise ConfigError(f"unknown metric {spec!r}")
+    raise ValueError(f"unknown metric {spec!r}")
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -299,11 +295,11 @@ def cmd_oracle_dp(args) -> int:
     mode, max_steps = args.mode, args.max_steps
     if mode == "hitting":
         if args.target is None:
-            raise ConfigError("hitting mode needs --target i,j,k")
+            raise ValueError("hitting mode needs --target i,j,k")
         try:
             i, j, k = (whole_number(part) for part in args.target.split(","))
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"--target must be i,j,k, three integers, got {args.target!r}") from None
         coeffs = dp_hitting_series(kernel, Arc(i, j, k), max_steps)
         payload = {"mode": mode, "target": [i, j, k]}
@@ -418,8 +414,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.run(args)
     except BrokenPipeError:
         return _stdout_closed()
-    # LinAlgError is a ValueError, and ConfigError, KernelError and
-    # json.JSONDecodeError are too: the numerical clause goes first.
+    # LinAlgError is a ValueError, and KernelError and json.JSONDecodeError
+    # are too: the numerical clause goes first.
     except (SolverError, DegenerateSystemError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

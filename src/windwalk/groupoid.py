@@ -139,7 +139,8 @@ class Metric:
     """Non-negative letter weights, kept as a read-only copy ``W`` of their
     (2, N, N) chamber array, which any other shape fails with ``ValueError``;
     the length of a word is the sum over its reduced letters, and units have
-    length zero."""
+    length zero.  No letter joins a window to itself, so ``W``'s diagonal
+    is zero, whatever finite non-negative diagonal it was given."""
 
     name: str
     W: np.ndarray
@@ -157,6 +158,7 @@ class Metric:
             raise ValueError(f"weight {value} for arc {key} is not finite"
                              if not math.isfinite(value) else
                              f"negative weight {value} for arc {key}")
+        np.einsum("kii->ki", W)[...] = 0.0
         W.flags.writeable = False
         object.__setattr__(self, "W", W)
 

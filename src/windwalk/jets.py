@@ -5,8 +5,10 @@ A Jet2 stores the coefficients of
     c00 + c10*dl + c01*dz + c20*dl^2 + c11*dl*dz + c02*dz^2
 
 with dl = lam - 1, dz = z - 1; products truncate above total degree two.
-Propagating jets through a determinant yields all five partial derivatives
-in a single pass, with no finite-difference cancellation.
+A jet holds the value and all five partial derivatives at (1, 1), with no
+finite-difference cancellation.  ``compute_limits`` reads them off
+``limits.perron_jet``; ``limits.det_h``, the jet of a determinant, is the
+cross-check that the bench tracer pins.
 
 ``Jet2`` is the scalar ring, with sums and products but no division.
 ``jet_mul`` applies the same product to coefficient arrays whose leading
@@ -25,6 +27,12 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Jet2:
+    """c00 + c10*dl + c01*dz + c20*dl^2 + c11*dl*dz + c02*dz^2 with
+    dl = lam - 1 and dz = z - 1, about (lam, z) = (1, 1); the fields are the
+    coefficients in that order.  ``value``, ``d_lambda``, ``d_z``,
+    ``d2_lambda``, ``d_lambda_z`` and ``d2_z`` read the value and the
+    partials at (1, 1)."""
+
     c00: float = 0.0
     c10: float = 0.0
     c01: float = 0.0

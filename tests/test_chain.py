@@ -628,7 +628,8 @@ def test_rewrite_tables_match_append_on_every_top_state(n):
     # its target window: the move and the new codes from the tables are what
     # groupoid.append does to that word, and so is the change in a metric
     # length with non-dyadic weights.  The weights' diagonal names no arc
-    # and must not enter that change.
+    # and must not enter that change: Metric zeroes the diagonal given here,
+    # and the tables take that zero from it.
     rules, kernel = _RewriteTables(n), symmetric_kernel(n)
     metric = custom_metric(n, {(i, j, k): 0.1 * i + 0.7 * j + 0.3 * k for i in range(1, n + 1)
                                for j in range(1, n + 1) if i != j for k in (1, -1)})

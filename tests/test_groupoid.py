@@ -142,6 +142,19 @@ def test_custom_metric_rejects_non_finite(weight):
         custom_metric(3, {(1, 2, 1): weight})
 
 
+def test_metric_zeroes_its_diagonal_and_still_refuses_a_bad_one():
+    # No letter joins a window to itself: a finite non-negative diagonal is
+    # dropped, and a NaN or negative one is refused as any other weight is.
+    word = word_metric(4).W
+    assert np.array_equal(Metric("d", word + np.eye(4)).W, word)
+    for value, message in ((float("nan"), r"weight nan for arc \(2, 2, -1\) is not finite"),
+                           (-1.0, r"negative weight -1.0 for arc \(2, 2, -1\)")):
+        bad = word.copy()
+        bad[1, 1, 1] = value
+        with pytest.raises(ValueError, match=message):
+            Metric("d", bad)
+
+
 @pytest.mark.parametrize("shape", [(), (3, 3), (3, 3, 3), (2, 3, 4), (2, 2, 3, 3)], ids=str)
 def test_metric_of_another_shape_is_value_error(shape):
     with pytest.raises(ValueError) as err:

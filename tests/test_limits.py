@@ -388,6 +388,8 @@ def _jet_pair(k0_plus, k0_minus):
 _HALVES = np.full((2, 2), 0.5)
 _CLASSES = np.kron(np.eye(2), _HALVES)
 _SHEAR = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+_SHEAR_V = np.array([[1.0, 0.0, 0.0], [13.0, 1.0, 0.0], [-19.0, 0.0, 1.0]])
+_SHEAR_U = np.array([[1.0, 3.0, 1.0], [5.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("b0_plus, b0_minus, reason", [
@@ -403,7 +405,16 @@ _SHEAR = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
     # 1.6e-14, and the border's condition number, 1.5e14, refuses first.
     (_SHEAR @ np.array([[1.0, 1.0, 0.0], [0.0, 1.0 - 4e-14, 0.0], [0.0, 0.0, 0.5]])
      @ np.linalg.inv(_SHEAR), np.eye(3), "condition number"),
-], ids=["two-classes", "leak-1e-15", "jordan", "near-defective-4e-14"])
+    # Jordan blocks split by 8e-15 and 5e-14 under shears that make |v| = 4.6
+    # and |u| = 7.1: cos(u, v) reads 2.5e-15 and 2.0e-15 with condition
+    # numbers 423 and 1358, so only the u^T v guard refuses, and only when it
+    # scales PIVOT_EPS by |u| and |v| both.
+    (_SHEAR_V @ np.array([[1.0, 0.01, 0.0], [0.0, 1.0 - 8e-15, 0.0], [0.0, 0.0, 0.5]])
+     @ np.linalg.inv(_SHEAR_V), np.eye(3), "orthogonal"),
+    (_SHEAR_U @ np.array([[1.0, 10.0, 0.0], [0.0, 1.0 - 5e-14, 0.0], [0.0, 0.0, 0.5]])
+     @ np.linalg.inv(_SHEAR_U), np.eye(3), "orthogonal"),
+], ids=["two-classes", "leak-1e-15", "jordan", "near-defective-4e-14", "near-defective-long-v",
+        "near-defective-long-u"])
 def test_perron_jet_rejects_a_root_that_is_not_simple(b0_plus, b0_minus, reason):
     with pytest.raises(DegenerateSystemError, match=f"{reason}.*the root is not simple"):
         perron_jet(_jet_pair(b0_plus, b0_minus))
